@@ -236,7 +236,13 @@ class SamplingApp:
         step: int,
     ) -> Optional[np.ndarray]:
         """Adjacency rows ``(sample_id, u, v)`` to record this step
-        (importance / cluster sampling); None to record nothing."""
+        (importance / cluster sampling); None to record nothing.
+
+        Row order is part of the contract (sample digests hash it):
+        ascending sample, then the order ``u`` appears in the sample's
+        ``transits`` row, then the order of ``v`` — for the importance
+        samplers its column in ``new_vertices``, for cluster sampling
+        its position in ``u``'s adjacency row."""
         return None
 
     # ------------------------------------------------------------------

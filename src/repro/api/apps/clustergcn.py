@@ -20,6 +20,7 @@ import numpy as np
 from repro.api.app import SamplingApp
 from repro.api.sample import Sample, SampleBatch
 from repro.api.types import NULL_VERTEX, SamplingType, StepInfo
+from repro.core.ragged import ragged_gather
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import Partition, random_partition
 
@@ -112,7 +113,6 @@ class ClusterGCN(SamplingApp):
     ) -> Optional[np.ndarray]:
         """Edges of the graph whose both endpoints are transits of the
         same sample: the induced cluster adjacency."""
-        from repro.core.ragged import ragged_gather
         rows = []
         in_sample = np.zeros(graph.num_vertices, dtype=bool)
         for s in range(transits.shape[0]):

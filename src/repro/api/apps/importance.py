@@ -20,6 +20,7 @@ step size to 64.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -28,10 +29,14 @@ from repro.api.app import SamplingApp
 from repro.api.apps._kernels import rowwise_searchsorted
 from repro.api.sample import Sample, SampleBatch
 from repro.api.types import NULL_VERTEX, SamplingType, StepInfo
-from repro.core.ragged import ragged_gather
 from repro.graph.csr import CSRGraph
 
 __all__ = ["FastGCN", "LADIES"]
+
+#: Upper bound on one step-local adjacency bitmap of
+#: :meth:`FastGCN.record_step_edges`; larger steps record in blocks of
+#: sample rows.
+EDGE_BLOCK_MAX_BYTES = 1 << 26
 
 
 class FastGCN(SamplingApp):
@@ -49,7 +54,6 @@ class FastGCN(SamplingApp):
         self.step_size = step_size
         self.num_steps = num_steps
         self.batch_size = batch_size
-        self._probs_cache: Optional[np.ndarray] = None
 
     # Paper UDFs ------------------------------------------------------
 
@@ -66,16 +70,9 @@ class FastGCN(SamplingApp):
                       rng: np.random.Generator) -> np.ndarray:
         return self.random_roots(graph, (num_samples, self.batch_size), rng)
 
-    def __getstate__(self):
-        """Drop the per-graph importance cache when pickling (pool
-        workers recompute it lazily from the shared graph — cheaper
-        than shipping a ``num_vertices`` float array per run)."""
-        state = self.__dict__.copy()
-        state["_probs_cache"] = None
-        return state
-
-    def _importance(self, graph: CSRGraph) -> np.ndarray:
-        """Importance distribution in *canonical* vertex order.
+    def _importance(self, graph: CSRGraph) -> Tuple[np.ndarray, np.ndarray]:
+        """Importance distribution and its CDF in *canonical* vertex
+        order, cached on the graph.
 
         On a relabeled graph the degree vector is re-gathered into
         original-id order first, so the CDF — and therefore every draw
@@ -83,19 +80,21 @@ class FastGCN(SamplingApp):
         are mapped back to new-space ids by the callers.  (On a plain
         graph canonical order is the identity.)
         """
-        if self._probs_cache is None or self._probs_cache.size != graph.num_vertices:
+        cache = getattr(graph, "_fastgcn_importance", None)
+        if cache is None:
             weights = graph.degrees().astype(np.float64) + 1.0
             perm = getattr(graph, "relabel_perm", None)
             if perm is not None:
                 weights = weights[perm]
-            self._probs_cache = weights / weights.sum()
-        return self._probs_cache
+            probs = weights / weights.sum()
+            cache = graph._fastgcn_importance = (probs, np.cumsum(probs))
+        return cache
 
     def next(self, sample: Sample, transits: np.ndarray,
              src_edges: np.ndarray, step: int,
              rng: np.random.Generator) -> int:
         graph = sample.graph
-        probs = self._importance(graph)
+        probs, _ = self._importance(graph)
         v = int(rng.choice(graph.num_vertices, p=probs))
         perm = getattr(graph, "relabel_perm", None)
         return int(perm[v]) if perm is not None else v
@@ -112,10 +111,9 @@ class FastGCN(SamplingApp):
         step: int,
         rng: np.random.Generator,
     ) -> Tuple[np.ndarray, StepInfo]:
-        probs = self._importance(graph)
         # Inverse-transform over the global importance CDF (canonical
         # vertex order; see _importance).
-        cdf = np.cumsum(probs)
+        _, cdf = self._importance(graph)
         draws = rng.random(size=(batch.num_samples, self.step_size))
         out = np.searchsorted(cdf, draws).astype(np.int64)
         out = np.minimum(out, graph.num_vertices - 1)
@@ -135,40 +133,39 @@ class FastGCN(SamplingApp):
         """Record edges between each transit and each new vertex when
         they exist in the graph (the sample's layer adjacency).
 
-        Probes are built only for live (transit, new-vertex) pairs of
-        the *same sample* — a ragged cross product assembled with
-        repeat/gather arithmetic instead of the dense ``S * T * V``
-        repeat/tile round trip — and answered in one
-        :meth:`~repro.graph.csr.CSRGraph.has_edges` batch (an O(1)
-        bitmap gather on graphs small enough to cache one).  Probe
-        order is (sample, transit-column, new-column) C-order, the same
-        enumeration the dense product produced, so the emitted edge
-        rows are identical.
+        A step probes ``S * T * W`` (transit, new-vertex) pairs but
+        touches few distinct vertices, so each block of sample rows
+        builds its own :meth:`~repro.graph.csr.CSRGraph.adjacency_block`
+        and answers all its probes with one broadcasted gather + bit
+        test.  Hits are emitted in (sample, transit-column, new-column)
+        C-order.
         """
-        num_samples = transits.shape[0]
-        t_width = transits.shape[1]
-        empty = np.zeros((0, 3), dtype=np.int64)
-        flat_t = transits.ravel()
-        pair_idx = np.nonzero(flat_t != NULL_VERTEX)[0]
-        t_of_pair = flat_t[pair_idx]
-        s_of_pair = pair_idx // t_width
-        ns, nj = np.nonzero(new_vertices != NULL_VERTEX)
-        if t_of_pair.size == 0 or ns.size == 0:
-            return empty
-        # Each sample's live new vertices, grouped (np.nonzero walks
-        # row-major, so groups are contiguous and column-ascending).
-        new_vals = new_vertices[ns, nj]
-        nv_counts = np.bincount(ns, minlength=num_samples)
-        nv_offsets = np.zeros(num_samples + 1, dtype=np.int64)
-        np.cumsum(nv_counts, out=nv_offsets[1:])
-        # Cross every live transit pair with its sample's group.
-        reps = nv_counts[s_of_pair]
-        v_probe, _ = ragged_gather(new_vals, nv_offsets[s_of_pair], reps)
-        t_probe = np.repeat(t_of_pair, reps)
-        s_probe = np.repeat(s_of_pair, reps)
-        exists = graph.has_edges(t_probe, v_probe)
-        return np.stack([s_probe[exists], t_probe[exists],
-                         v_probe[exists]], axis=1)
+        num_samples, t_width = transits.shape
+        v_width = new_vertices.shape[1]
+        probes = t_width * v_width
+        if num_samples * probes == 0:
+            return np.zeros((0, 3), dtype=np.int64)
+        # Worst case (all vertices of the block distinct) the bitmap is
+        # (rows*T + 1) * ceil((rows*W + 1) / 8) bytes: quadratic in rows.
+        rows = max(1, math.isqrt(8 * EDGE_BLOCK_MAX_BYTES
+                                 // ((t_width + 1) * (v_width + 8))))
+        hits = []
+        for lo in range(0, num_samples, rows):
+            t, v = transits[lo:lo + rows], new_vertices[lo:lo + rows]
+            bits, row_base, col_slot = graph.adjacency_block(t, v)
+            col = col_slot[v]
+            byte = row_base[t][:, :, None] + (col >> 3)[:, None, :]
+            mask = np.left_shift(1, col & 7).astype(np.uint8)
+            hits.append(np.flatnonzero(bits[byte] & mask[:, None, :])
+                        + lo * probes)
+        flat = np.concatenate(hits)
+        pair = flat // v_width
+        sample = pair // t_width
+        out = np.empty((flat.size, 3), dtype=np.int64)
+        out[:, 0] = sample
+        out[:, 1] = transits.ravel()[pair]
+        out[:, 2] = new_vertices.ravel()[sample * v_width + flat % v_width]
+        return out
 
 
 class LADIES(FastGCN):

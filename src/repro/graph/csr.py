@@ -256,12 +256,12 @@ class CSRGraph:
     def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`has_edge` for aligned arrays ``u``, ``v``.
 
-        This is the hot primitive of node2vec and the importance
-        samplers' layer-adjacency recording: for each candidate
-        neighbor ``v[i]``, test membership in the adjacency list of
-        ``u[i]``.  Served from the packed adjacency bitmap when the
-        graph is small enough to hold one, else by binary search over
-        the sorted composite edge keys.
+        This is the hot primitive of node2vec's rejection sampling (and
+        of ``repro verify``): for each candidate neighbor ``v[i]``, test
+        membership in the adjacency list of ``u[i]``.  Served from the
+        packed adjacency bitmap when the graph is small enough to hold
+        one, else by binary search over the sorted composite edge keys.
+        (One collective step's probes use :meth:`adjacency_block`.)
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -281,6 +281,62 @@ class CSRGraph:
         idx = np.nonzero(in_range)
         found[idx] = keys[pos[idx]] == query[idx]
         return found
+
+    def adjacency_block(self, rows: np.ndarray, cols: np.ndarray
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Packed adjacency of the distinct ``rows`` x distinct ``cols``:
+        the working set of membership probes that share few endpoints
+        (one collective step).  Only the distinct rows' CSR rows are
+        read, once, into a bitmap of ``|rows| * |cols|`` bits.  Returns
+        ``(bits, row_base, col_slot)`` with ::
+
+            bits[row_base[u] + (col_slot[v] >> 3)] >> (col_slot[v] & 7) & 1
+
+        set iff edge ``(u, v)`` exists, for ``u`` in ``rows`` and ``v``
+        in ``cols`` (other vertices' table entries are meaningless).
+        Both tables have ``V + 1`` entries: index ``-1`` (``NULL_VERTEX``)
+        reads the extra last one, which addresses an all-zero row /
+        column, so NULL probes miss without a mask.  Negative ids and
+        duplicates in the inputs are ignored.
+        """
+        from repro.core.ragged import ragged_gather
+        n = self.num_vertices
+        perm = getattr(self, "relabel_perm", None)
+
+        def dense_slots(ids):
+            # Slots follow *canonical* vertex order — the order CSR rows
+            # are sorted by — so the bit indices below come out sorted.
+            ids = ids[ids >= 0]
+            present = np.zeros(n, dtype=bool)
+            present[ids if perm is None else self.canonical_of[ids]] = True
+            verts = np.flatnonzero(present)
+            if perm is not None:
+                verts = perm[verts]
+            slot = np.full(n + 1, -1, dtype=np.int64)
+            slot[verts] = np.arange(verts.size)
+            slot[-1] = verts.size
+            return verts, slot
+
+        row_verts, row_base = dense_slots(rows)
+        col_verts, col_slot = dense_slots(cols)
+        stride = (col_verts.size + 8) >> 3  # bytes per row, null column incl.
+        row_base *= stride
+        bits = np.zeros((row_verts.size + 1) * stride, dtype=np.uint8)
+        # Rows are addressed as (start, degree): valid on relabeled
+        # graphs too, whose indptr is not monotone.
+        deg = self.degrees_array[row_verts]
+        nbrs, _ = ragged_gather(self.indices, self.indptr[row_verts], deg)
+        slot = col_slot[nbrs]
+        keep = np.flatnonzero(slot >= 0)
+        if keep.size:
+            slot = slot[keep]
+            byte = np.repeat(row_base[row_verts], deg)[keep] + (slot >> 3)
+            # Sorted bytes: OR each run of equal bytes in one reduceat.
+            starts = np.concatenate(
+                ([0], np.flatnonzero(byte[1:] != byte[:-1]) + 1))
+            bits[byte[starts]] = np.bitwise_or.reduceat(
+                np.left_shift(1, slot & 7).astype(np.uint8), starts)
+        return bits, row_base, col_slot
 
     # ------------------------------------------------------------------
     # Weighted-sampling support

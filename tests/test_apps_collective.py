@@ -2,12 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.api.apps.importance as importance_mod
 from repro.api.apps import ClusterGCN, FastGCN, LADIES, Layer
 from repro.api.apps._kernels import build_combined_neighborhood
 from repro.api.types import NULL_VERTEX, SamplingType
 from repro.core.engine import NextDoorEngine
+from repro.graph import datasets
+from repro.graph.csr import CSRGraph
 from repro.graph.partition import random_partition
+from repro.graph.relabel import relabel_graph
+from repro.serve.protocol import batch_digest
+from tests.test_fastpath_equivalence import _reference_record_step_edges
 
 
 class TestCombinedNeighborhood:
@@ -133,6 +141,95 @@ class TestFastGCN:
                 transit_pool.update(arr[s].tolist())
             for u, _v in edges:
                 assert int(u) in transit_pool
+
+    def test_reused_instance_matches_fresh(self):
+        """The importance cache belongs to the graph, not the app: an
+        instance reused on a second graph with the same vertex count
+        must sample from the second graph's distribution."""
+        first = datasets.load("ppi", seed=1)
+        second = datasets.load("ppi", seed=2)
+        assert first.num_vertices == second.num_vertices
+        app = FastGCN()
+        NextDoorEngine().run(app, first, num_samples=8, seed=3)
+        reused = NextDoorEngine().run(app, second, num_samples=8, seed=3)
+        fresh = NextDoorEngine().run(FastGCN(), second, num_samples=8,
+                                     seed=3)
+        assert batch_digest(reused.batch) == batch_digest(fresh.batch)
+
+
+@st.composite
+def edge_recording_steps(draw):
+    """A small graph (self-loops, duplicate edges and isolated vertices
+    all occur) and one step's transits / new vertices with NULLs,
+    all-NULL rows, in-row duplicates and independent (possibly zero)
+    widths; optionally seen through a vertex permutation."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    # Edges come from the rng: st.lists rarely grows rows long enough
+    # for several kept neighbours to share a bitmap byte.
+    edges = rng.integers(0, n, size=(draw(st.integers(0, 300)), 2))
+    graph = CSRGraph.from_edges(n, edges)
+    num_samples = draw(st.integers(0, 6))
+
+    def rows(width):
+        arr = rng.integers(-1, n, size=(num_samples, width))
+        arr[rng.random(num_samples) < 0.2] = NULL_VERTEX
+        return arr
+
+    transits = rows(draw(st.integers(0, 8)))
+    new_vertices = rows(draw(st.integers(0, 8)))
+    if draw(st.booleans()):
+        perm = rng.permutation(n)
+        graph = relabel_graph(graph, perm=perm)
+        # Index -1 (NULL) reads the appended NULL entry.
+        perm = np.append(perm, NULL_VERTEX)
+        transits, new_vertices = perm[transits], perm[new_vertices]
+    return graph, transits, new_vertices
+
+
+class TestRecordStepEdges:
+    """The step-local adjacency block path against the dense
+    ``has_edges`` oracle: same rows in the same order."""
+
+    @given(edge_recording_steps())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_oracle(self, case):
+        graph, transits, new_vertices = case
+        got = FastGCN().record_step_edges(graph, None, transits,
+                                          new_vertices, 0)
+        want = _reference_record_step_edges(None, graph, None, transits,
+                                            new_vertices, 0)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_blocks_are_invisible_and_bounded(self, medium_graph,
+                                              monkeypatch):
+        """Adversarial step (every transit and new vertex distinct)
+        under a tiny bound: several blocks, no bitmap above the bound,
+        output identical to the single-block run and the oracle."""
+        ids = np.random.default_rng(5).permutation(1024)
+        transits = ids[:512].reshape(64, 8)
+        new_vertices = ids[512:].reshape(64, 8)
+        app = LADIES()
+        whole = app.record_step_edges(medium_graph, None, transits,
+                                      new_vertices, 0)
+        bitmap_bytes = []
+        build = CSRGraph.adjacency_block
+
+        def spy(self, rows, cols):
+            block = build(self, rows, cols)
+            bitmap_bytes.append(block[0].nbytes)
+            return block
+
+        monkeypatch.setattr(CSRGraph, "adjacency_block", spy)
+        monkeypatch.setattr(importance_mod, "EDGE_BLOCK_MAX_BYTES", 4096)
+        blocked = app.record_step_edges(medium_graph, None, transits,
+                                        new_vertices, 0)
+        assert len(bitmap_bytes) >= 3
+        assert max(bitmap_bytes) <= 4096
+        assert whole.size and np.array_equal(blocked, whole)
+        assert np.array_equal(blocked, _reference_record_step_edges(
+            None, medium_graph, None, transits, new_vertices, 0))
 
 
 class TestLADIES:

@@ -106,6 +106,59 @@ class TestAccessors:
         with pytest.raises(ValueError):
             tiny_graph.has_edges(np.array([0]), np.array([0, 1]))
 
+    @staticmethod
+    def _block_probe(block, u, v):
+        bits, row_base, col_slot = block
+        col = col_slot[v]
+        return bool(bits[row_base[u] + (col >> 3)] >> (col & 7) & 1)
+
+    def test_adjacency_block_matches_has_edge_tiny(self, tiny_graph):
+        every = np.arange(7)
+        block = tiny_graph.adjacency_block(every, every)
+        for u in every:
+            for v in every:
+                assert self._block_probe(block, u, v) == \
+                    tiny_graph.has_edge(int(u), int(v))
+
+    def test_adjacency_block_matches_has_edge_medium(self, medium_graph,
+                                                     rng):
+        # Hubs among the rows, duplicates and NULLs in both inputs,
+        # more than eight columns (several bytes per bitmap row).
+        hubs = np.argsort(medium_graph.degrees())[-10:]
+        rows = np.concatenate([hubs, hubs[:3], [-1],
+                               rng.integers(0, 2000, size=40)])
+        cols = np.concatenate([[-1, -1], rng.integers(0, 2000, size=300)])
+        block = medium_graph.adjacency_block(rows.reshape(6, 9), cols)
+        hits = 0
+        for u in np.unique(rows[rows >= 0]):
+            for v in np.unique(cols[cols >= 0]):
+                want = medium_graph.has_edge(int(u), int(v))
+                assert self._block_probe(block, u, v) == want
+                hits += want
+        assert hits > 0
+
+    def test_adjacency_block_null_probes_miss(self, tiny_graph):
+        block = tiny_graph.adjacency_block(np.array([0, 1, -1]),
+                                           np.array([-1, 1, 2]))
+        assert self._block_probe(block, 0, 1)
+        for u, v in [(-1, 1), (0, -1), (-1, -1)]:
+            assert not self._block_probe(block, u, v)
+
+    def test_adjacency_block_empty_inputs(self, tiny_graph):
+        none = np.zeros(0, dtype=np.int64)
+        for rows, cols in [(none, none), (np.array([0]), none),
+                           (none, np.array([1])),
+                           (np.array([-1]), np.array([-1]))]:
+            bits, _, _ = tiny_graph.adjacency_block(rows, cols)
+            assert not bits.any()
+
+    def test_adjacency_block_size_is_local(self, medium_graph):
+        # |rows| + 1 bitmap rows of ceil((|cols| + 1) / 8) bytes: the
+        # graph's size does not enter.
+        bits, _, _ = medium_graph.adjacency_block(np.arange(5),
+                                                  np.arange(20))
+        assert bits.nbytes == 6 * 3
+
     def test_non_isolated_vertices(self):
         g = CSRGraph.from_edges(5, [(0, 1), (1, 2)])
         assert list(g.non_isolated_vertices()) == [0, 1]
