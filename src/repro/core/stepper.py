@@ -25,6 +25,7 @@ __all__ = [
     "init_batch",
     "step_limit",
     "prev_transits_for",
+    "step_output",
     "run_individual_step",
     "run_collective_step",
 ]
@@ -82,6 +83,24 @@ def prev_transits_for(batch: SampleBatch, step: int,
     return source[sample_ids, col]
 
 
+def step_output(num_samples: int, num_cols: int, m: int,
+                sample_ids: np.ndarray, cols: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Allocate an individual step's NULL-filled ``(S, T * m)`` output
+    and address it by pair.
+
+    Returns ``(out, out_rows, rows)``: ``out_rows`` is ``out`` viewed as
+    one ``m``-wide row per (sample, transit column) slot and ``rows[i]``
+    is the row pair ``i`` owns, so any run of pairs' results lands with
+    one row scatter, ``out_rows[rows[lo:hi]] = sampled[lo:hi]`` — in
+    any order, since pairs own disjoint rows.  Slots of NULL transits
+    are never addressed and stay NULL.
+    """
+    out = np.full((num_samples, num_cols * m), NULL_VERTEX, dtype=np.int64)
+    return (out, out.reshape(num_samples * num_cols, m),
+            sample_ids * num_cols + cols)
+
+
 def run_individual_step(
     app: SamplingApp,
     graph: CSRGraph,
@@ -111,10 +130,9 @@ def run_individual_step(
         return rng.individual_step(app, graph, batch, transits, step,
                                    sample_ids, cols, transit_vals,
                                    use_reference=use_reference)
-    m = app.sample_size(step)
-    width = transits.shape[1] * m
-    out = np.full((batch.num_samples, max(width, 0)), NULL_VERTEX,
-                  dtype=np.int64)
+    out, out_rows, rows = step_output(
+        batch.num_samples, transits.shape[1], app.sample_size(step),
+        sample_ids, cols)
     prev = None
     if app.needs_prev_transits:
         prev = prev_transits_for(batch, step, sample_ids, cols)
@@ -123,13 +141,7 @@ def run_individual_step(
     sampled, info = sampler(graph, transit_vals, step, rng,
                             prev_transits=prev, batch=batch,
                             sample_ids=sample_ids)
-    if m > 0 and sample_ids.size:
-        if m == 1:
-            # Walk-shaped fast path: one slot per pair, flat scatter.
-            out[sample_ids, cols] = sampled[:, 0]
-        else:
-            slots = cols[:, None] * m + np.arange(m)[None, :]
-            out[sample_ids[:, None], slots] = sampled
+    out_rows[rows] = sampled
     return out, info
 
 

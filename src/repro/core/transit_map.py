@@ -25,7 +25,7 @@ from repro.gpu.device import Device
 from repro.gpu.warp import WarpStats, coalesced_segments
 
 __all__ = ["TransitMap", "flatten_transits", "build_transit_map",
-           "charge_index_build"]
+           "charge_index_build", "charge_map_readback"]
 
 
 def flatten_transits(transits: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -75,36 +75,37 @@ class TransitMap:
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
 
-def _grouping_order(vals: np.ndarray) -> np.ndarray:
-    """Stable permutation grouping ``vals``: counting/radix sort over
-    keys rebased to ``[0, span)`` and narrowed to the smallest integer
-    dtype that holds the span.
+#: Bits per radix digit: numpy radix-sorts keys of at most 16 bits (wider
+#: integer keys fall back to a merge sort), so each pass is one stable
+#: ``argsort`` over a ``uint16`` digit.
+_DIGIT_BITS = 16
 
-    ``np.argsort(kind="stable")`` on integers is an LSB radix sort —
-    iterated counting sort — so narrowing the key width cuts the number
-    of counting passes (2 for a 16-bit key vs 8 for raw int64 vertex
-    ids).  The result is bitwise-identical to a stable argsort of the
-    raw values because the rebase is monotone.
+
+def _grouping_order(keys: np.ndarray) -> np.ndarray:
+    """Stable permutation grouping ``keys``: an LSD radix sort over the
+    keys rebased to ``[0, span)``, one stable ``uint16`` argsort per
+    16-bit digit — ``ceil(bits(span) / 16)`` passes, each O(K).
+
+    Bitwise-identical to ``np.argsort(keys, kind="stable")``: the rebase
+    is monotone and the stable sort of a key sequence is unique.
     """
-    vmin = vals[0] if vals.size == 1 else vals.min()
-    span = int(vals.max() - vmin) + 1 if vals.size else 1
-    if span <= np.iinfo(np.uint16).max:
-        keys = (vals - vmin).astype(np.uint16)
-    elif span <= 2**31:
-        keys = (vals - vmin).astype(np.int32)
-    else:
-        keys = vals
-    return np.argsort(keys, kind="stable")
+    rebased = keys - keys.min()
+    span_bits = int(rebased.max()).bit_length()
+    order = np.argsort(rebased.astype(np.uint16), kind="stable")
+    for shift in range(_DIGIT_BITS, span_bits, _DIGIT_BITS):
+        digit = (rebased >> shift).astype(np.uint16)
+        order = order[np.argsort(digit[order], kind="stable")]
+    return order
 
 
 def build_transit_map(transits: np.ndarray, graph=None) -> TransitMap:
     """Group a step's pairs by transit vertex (the functional half).
 
-    The grouping is a stable counting sort: ``np.bincount`` over the
-    rebased transit ids yields ``unique_transits``/``counts``/
-    ``offsets`` directly — O(K + V) with no second sort, unlike the
-    ``argsort`` + ``np.unique`` pipeline it replaces (``np.unique``
-    sorts the already-sorted keys again).
+    The grouping permutation is a fixed-digit LSD radix sort (the active
+    kernel backend's ``grouping`` hook, else :func:`_grouping_order`);
+    ``unique_transits`` / ``counts`` / ``offsets`` are then read off the
+    run boundaries of the sorted keys.  Every stage is O(K) in the
+    step's pairs — nothing is sized by, or scans, the vertex-id range.
 
     When ``graph`` is a relabeled graph (see
     :mod:`repro.graph.relabel`), grouping keys are the *canonical*
@@ -124,56 +125,21 @@ def build_transit_map(transits: np.ndarray, graph=None) -> TransitMap:
     canonical_of = getattr(graph, "canonical_of", None)
     keys = canonical_of[vals] if canonical_of is not None else vals
     from repro.api.apps._kernels import _backend
-    native = _backend().grouping(keys)
-    if native is not None:
-        order, unique_keys, counts, offsets = native
-    else:
+    order = _backend().grouping(keys)
+    if order is None:
         order = _grouping_order(keys)
-        skeys = keys[order]
-        # Histogram over the rebased id range: unique transits are the
-        # non-empty buckets, offsets their exclusive prefix sum.
-        vmin = int(skeys[0])
-        hist = np.bincount(skeys - vmin,
-                           minlength=int(skeys[-1]) - vmin + 1)
-        nonzero = np.nonzero(hist)[0]
-        unique_keys = nonzero + vmin
-        counts = hist[nonzero]
-        offsets = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-    vals = vals[order]
-    unique_transits = (graph.perm[unique_keys] if canonical_of is not None
-                       else unique_keys)
-    sample_ids = sample_ids[order]
-    cols = cols[order]
-    return TransitMap(sample_ids, cols, vals, unique_transits,
-                      counts, offsets, num_total_pairs=num_total_pairs)
-
-
-def build_transit_map_reference(transits: np.ndarray,
-                                graph=None) -> TransitMap:
-    """The original full-sort grouping (``argsort`` + ``np.unique``).
-
-    Kept as the reference the fast path is equivalence-tested against
-    (``tests/test_fastpath_equivalence.py``) and for wall-clock
-    comparisons; both produce bitwise-identical maps — including the
-    canonical-key grouping for relabeled graphs.
-    """
-    sample_ids, cols, vals = flatten_transits(transits)
-    canonical_of = getattr(graph, "canonical_of", None)
-    keys = canonical_of[vals] if canonical_of is not None else vals
-    order = np.argsort(keys, kind="stable")
-    vals = vals[order]
-    sample_ids = sample_ids[order]
-    cols = cols[order]
-    unique_keys, start_idx, counts = np.unique(
-        keys[order], return_index=True, return_counts=True)
-    offsets = np.concatenate([start_idx.astype(np.int64),
-                              np.asarray([vals.size], dtype=np.int64)])
-    unique_transits = (graph.perm[unique_keys] if canonical_of is not None
-                       else unique_keys)
-    return TransitMap(sample_ids, cols, vals, unique_transits,
-                      counts.astype(np.int64), offsets,
-                      num_total_pairs=int(np.asarray(transits).size))
+    skeys = keys[order]
+    # A new group starts wherever the sorted key changes.
+    starts = np.flatnonzero(skeys[1:] != skeys[:-1]) + 1
+    offsets = np.concatenate(([0], starts, [skeys.size]))
+    unique_keys = skeys[offsets[:-1]]
+    if canonical_of is not None:
+        vals, unique_transits = vals[order], graph.perm[unique_keys]
+    else:
+        vals, unique_transits = skeys, unique_keys
+    return TransitMap(sample_ids[order], cols[order], vals,
+                      unique_transits, np.diff(offsets), offsets,
+                      num_total_pairs=num_total_pairs)
 
 
 #: Radix-sort passes over 32-bit keys at 16 bits per pass (CUB's

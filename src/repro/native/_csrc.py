@@ -240,19 +240,45 @@ void repro_node2vec_fill(const int64_t *indptr, const int64_t *indices,
     sw[1] = (uint64_t)state;
 }
 
-void repro_grouping(const int64_t *vals, int64_t n, int64_t vmin,
-                    int64_t *hist, int64_t nbuckets, int64_t *cursor,
-                    int64_t *order) {
-    for (int64_t i = 0; i < n; i++)
-        hist[vals[i] - vmin]++;
-    int64_t acc = 0;
-    for (int64_t b = 0; b < nbuckets; b++) {
-        cursor[b] = acc;
-        acc += hist[b];
+void repro_grouping(const int64_t *vals, int64_t n, int64_t *hist,
+                    int64_t *order, int64_t *tmp) {
+    int64_t vmin = vals[0], vmax = vals[0];
+    for (int64_t i = 1; i < n; i++) {
+        if (vals[i] < vmin) vmin = vals[i];
+        if (vals[i] > vmax) vmax = vals[i];
     }
-    for (int64_t i = 0; i < n; i++) {
-        int64_t b = vals[i] - vmin;
-        order[cursor[b]++] = i;
+    uint64_t span = (uint64_t)vmax - (uint64_t)vmin;
+    int passes = 1;
+    while (passes < 4 && (span >> (16 * passes)))
+        passes++;
+    int64_t *src = (passes & 1) ? tmp : order;
+    int64_t *dst = (passes & 1) ? order : tmp;
+    for (int64_t i = 0; i < n; i++)
+        src[i] = i;
+    for (int p = 0; p < passes; p++) {
+        int shift = 16 * p;
+        uint64_t top = span >> shift;
+        int64_t nb = (int64_t)(top < 0xFFFF ? top : 0xFFFF) + 1;
+        for (int64_t b = 0; b < nb; b++)
+            hist[b] = 0;
+        for (int64_t i = 0; i < n; i++)
+            hist[(((uint64_t)vals[src[i]] - (uint64_t)vmin) >> shift)
+                 & 0xFFFF]++;
+        int64_t acc = 0;
+        for (int64_t b = 0; b < nb; b++) {
+            int64_t c = hist[b];
+            hist[b] = acc;
+            acc += c;
+        }
+        for (int64_t i = 0; i < n; i++) {
+            int64_t k = src[i];
+            uint64_t d = (((uint64_t)vals[k] - (uint64_t)vmin) >> shift)
+                         & 0xFFFF;
+            dst[hist[d]++] = k;
+        }
+        int64_t *swap = src;
+        src = dst;
+        dst = swap;
     }
 }
 
@@ -273,19 +299,6 @@ void repro_gather_f64(const double *values, const int64_t *starts,
         int64_t o = offsets[i], s0 = starts[i], c = counts[i];
         for (int64_t k = 0; k < c; k++)
             out[o + k] = values[s0 + k];
-    }
-}
-
-void repro_scatter_rows(const int64_t *sampled,
-                        const int64_t *sample_ids, const int64_t *cols,
-                        int64_t n, int64_t m, int64_t *out,
-                        int64_t width) {
-    for (int64_t i = 0; i < n; i++) {
-        int64_t *row = out + sample_ids[i] * width;
-        int64_t base = cols[i] * m;
-        const int64_t *src = sampled + i * m;
-        for (int64_t j = 0; j < m; j++)
-            row[base + j] = src[j];
     }
 }
 

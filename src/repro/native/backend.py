@@ -1,7 +1,7 @@
 """Kernel backend interface, selection, and compiled orchestration.
 
 The per-step hot kernels — individual-step neighbor draws (uniform,
-weighted, node2vec rejection), the counting-sort scheduling index,
+weighted, node2vec rejection), the radix-sort scheduling index,
 collective gather, and row dedupe — run behind a
 :class:`KernelBackend`.  Three implementations exist:
 
@@ -125,6 +125,9 @@ class KernelBackend:
         return None
 
     def scatter_rows(self, out, sampled, sample_ids, cols, m):
+        # No backend compiles this and the runtime never calls it (step
+        # assembly is a numpy row scatter, core/stepper.py); the name
+        # stays because the perf ledger instruments hooks by attribute.
         return None
 
 
@@ -180,12 +183,6 @@ def _segment_from_draws(values, offsets, m, r):
     out = np.full((offsets.size - 1, m), NULL_VERTEX, dtype=np.int64)
     out[live] = values[offsets[:-1][live][:, None] + picks]
     return out
-
-
-#: Guard on the counting-sort histogram span (the numpy path bincounts
-#: the same span, but a compiled backend should not be the one to turn
-#: a pathological id range into a giant allocation).
-_MAX_GROUP_SPAN = 1 << 27
 
 
 class CompiledBackend(KernelBackend):
@@ -393,31 +390,22 @@ class CompiledBackend(KernelBackend):
     # -- scheduling index ----------------------------------------------
 
     def grouping(self, vals):
-        """Returns ``(order, unique, counts, offsets)`` or ``None``."""
+        """Returns the stable grouping permutation or ``None``."""
         kernel = self._get("grouping")
         if kernel is None:
             return None
         vals = np.ascontiguousarray(vals, dtype=np.int64)
         if vals.size == 0:
             return None
-        vmin = int(vals.min())
-        span = int(vals.max()) - vmin + 1
-        if span > _MAX_GROUP_SPAN:
-            return None
-        hist = np.zeros(span, dtype=np.int64)
-        cursor = np.empty(span, dtype=np.int64)
+        hist = np.empty(1 << 16, dtype=np.int64)
         order = np.empty(vals.size, dtype=np.int64)
+        tmp = np.empty(vals.size, dtype=np.int64)
         try:
-            self._call(kernel, vals, vmin, hist, cursor, order)
+            self._call(kernel, vals, hist, order, tmp)
         except Exception as exc:
             self._disable("grouping", exc)
             return None
-        nz = np.nonzero(hist)[0]
-        unique = nz + vmin
-        counts = hist[nz]
-        offsets = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return order, unique, counts, offsets
+        return order
 
     # -- collective gather + dedupe ------------------------------------
 
@@ -456,29 +444,6 @@ class CompiledBackend(KernelBackend):
             return None
         return out, dups
 
-    def scatter_rows(self, out, sampled, sample_ids, cols, m):
-        """Writes in place; returns ``True`` or ``None`` (fallback)."""
-        kernel = self._get("scatter_rows")
-        if kernel is None:
-            return None
-        if (out.dtype != np.int64 or sampled.dtype != np.int64
-                or sample_ids.dtype != np.int64
-                or cols.dtype != np.int64
-                or sampled.ndim != 2 or out.ndim != 2
-                or sampled.shape != (sample_ids.shape[0], m)
-                or cols.shape != sample_ids.shape
-                or not (out.flags.c_contiguous
-                        and sampled.flags.c_contiguous
-                        and sample_ids.flags.c_contiguous
-                        and cols.flags.c_contiguous)):
-            return None
-        try:
-            self._call(kernel, sampled, sample_ids, cols, int(m), out)
-        except Exception as exc:
-            self._disable("scatter_rows", exc)
-            return None
-        return True
-
     # -- warm-up --------------------------------------------------------
 
     def warm_up(self) -> None:
@@ -510,10 +475,6 @@ class CompiledBackend(KernelBackend):
         self.ragged_gather(gw.weights, starts, counts, offs, 5)
         self.dedupe_rows(np.array([[1, 1, 2], [0, 3, 0]],
                                   dtype=np.int64))
-        self.scatter_rows(np.full((3, 4), -1, dtype=np.int64),
-                          np.array([[5, 6], [7, 8]], dtype=np.int64),
-                          np.array([0, 2], dtype=np.int64),
-                          np.array([1, 0], dtype=np.int64), 2)
         kernel = self._get("pcg_fill")
         if kernel is not None:
             try:

@@ -117,12 +117,10 @@ _SIGNATURES = {
         None, (_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64,
                _PTR, _F64, _F64, _F64, _I64, _I64, _PTR, _PTR, _PTR,
                _PTR, _PTR, _PTR, _PTR, _PTR)),
-    "repro_grouping": (None, (_PTR, _I64, _I64, _PTR, _I64, _PTR, _PTR)),
+    "repro_grouping": (None, (_PTR, _I64, _PTR, _PTR, _PTR)),
     "repro_gather_i64": (None, (_PTR, _PTR, _PTR, _PTR, _I64, _PTR)),
     "repro_gather_f64": (None, (_PTR, _PTR, _PTR, _PTR, _I64, _PTR)),
     "repro_dedupe_rows": (_I64, (_PTR, _I64, _I64, _I64)),
-    "repro_scatter_rows": (
-        None, (_PTR, _PTR, _PTR, _I64, _I64, _PTR, _I64)),
 }
 
 
@@ -211,9 +209,9 @@ def bind(lib: ctypes.CDLL, name: str):
     if name == "grouping":
         f = _sym(lib, "repro_grouping")
 
-        def grouping(vals, vmin, hist, cursor, order):
-            f(vals.ctypes.data, vals.shape[0], vmin, hist.ctypes.data,
-              hist.shape[0], cursor.ctypes.data, order.ctypes.data)
+        def grouping(vals, hist, order, tmp):
+            f(vals.ctypes.data, vals.shape[0], hist.ctypes.data,
+              order.ctypes.data, tmp.ctypes.data)
         return grouping
 
     if name == "ragged_gather":
@@ -226,15 +224,6 @@ def bind(lib: ctypes.CDLL, name: str):
                counts.ctypes.data, offsets.ctypes.data,
                starts.shape[0], out.ctypes.data)
         return ragged_gather
-
-    if name == "scatter_rows":
-        f = _sym(lib, "repro_scatter_rows")
-
-        def scatter_rows(sampled, sample_ids, cols, m, out):
-            f(sampled.ctypes.data, sample_ids.ctypes.data,
-              cols.ctypes.data, sampled.shape[0], m, out.ctypes.data,
-              out.shape[1])
-        return scatter_rows
 
     if name == "dedupe_rows":
         f = _sym(lib, "repro_dedupe_rows")

@@ -288,24 +288,56 @@ def node2vec_fill(indptr, indices, weights, is_weighted, degrees,
     counters[3] = draws
 
 
-# -- scheduling index (counting sort) ----------------------------------
+# -- scheduling index (LSD radix sort) ---------------------------------
 
-def grouping(vals, vmin, hist, cursor, order):
-    """Stable counting sort of ``vals`` rebased to ``[0, span)``:
-    fills the histogram and the grouping permutation.  Identical to
-    ``np.argsort(vals, kind="stable")`` because the rebase is monotone
-    and the scatter preserves first-come order within a bucket."""
+def grouping(vals, hist, order, tmp):
+    """Stable LSD radix sort of ``vals`` rebased to ``[0, span]`` in
+    16-bit digits (``hist`` holds 65536 counters); ``order`` receives
+    the grouping permutation, ``tmp`` is the ping-pong buffer.
+    Identical to ``np.argsort(vals, kind="stable")`` because the rebase
+    is monotone and every pass scatters in first-come order.  Each
+    pass counts and scans only the buckets its digit can reach, so the
+    work is O(passes * (n + min(span, 65536)))."""
     n = vals.shape[0]
+    vmin = vals[0]
+    vmax = vals[0]
+    for i in range(1, n):
+        if vals[i] < vmin:
+            vmin = vals[i]
+        if vals[i] > vmax:
+            vmax = vals[i]
+    span = vmax - vmin
+    passes = 1
+    while passes < 4 and (span >> (16 * passes)) > 0:
+        passes += 1
+    # The buffers swap roles every pass: start so the last one fills
+    # ``order``.
+    if passes % 2 == 1:
+        src = tmp
+        dst = order
+    else:
+        src = order
+        dst = tmp
     for i in range(n):
-        hist[vals[i] - vmin] += 1
-    acc = 0
-    for b in range(hist.shape[0]):
-        cursor[b] = acc
-        acc += hist[b]
-    for i in range(n):
-        b = vals[i] - vmin
-        order[cursor[b]] = i
-        cursor[b] += 1
+        src[i] = i
+    for p in range(passes):
+        shift = 16 * p
+        nb = min(span >> shift, 0xFFFF) + 1
+        for b in range(nb):
+            hist[b] = 0
+        for i in range(n):
+            hist[((vals[src[i]] - vmin) >> shift) & 0xFFFF] += 1
+        acc = 0
+        for b in range(nb):
+            c = hist[b]
+            hist[b] = acc
+            acc += c
+        for i in range(n):
+            k = src[i]
+            d = ((vals[k] - vmin) >> shift) & 0xFFFF
+            dst[hist[d]] = k
+            hist[d] += 1
+        src, dst = dst, src
 
 
 # -- collective gather + dedupe ----------------------------------------
@@ -339,23 +371,12 @@ def dedupe_rows(rows, null_v):
     return dups
 
 
-def scatter_rows(sampled, sample_ids, cols, m, out):
-    """Scatter one step's chunked results into the per-sample output:
-    ``out[sample_ids[i], cols[i] * m + j] = sampled[i, j]``."""
-    n = sampled.shape[0]
-    for i in range(n):
-        row = sample_ids[i]
-        base = cols[i] * m
-        for j in range(m):
-            out[row, base + j] = sampled[i, j]
-
-
 #: name -> interpreted kernel body; the numba backend compiles each,
 #: the parity tests call them as-is.
 KERNEL_NAMES = ("pcg_fill", "uniform_count", "uniform_fill",
                 "weighted_fill", "segment_count", "segment_fill",
                 "node2vec_fill", "grouping", "ragged_gather",
-                "dedupe_rows", "scatter_rows")
+                "dedupe_rows")
 
 
 def kernel_table():

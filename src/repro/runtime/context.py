@@ -291,13 +291,17 @@ class ExecutionContext:
         transit_vals: np.ndarray,
         use_reference: bool = False,
     ) -> Tuple[np.ndarray, StepInfo]:
-        """Chunked equivalent of the stepper's individual step."""
-        from repro.core.stepper import prev_transits_for
+        """Chunked equivalent of the stepper's individual step.
+
+        Every chunk result — restored from a checkpoint, pooled or
+        computed here — is written straight into its pairs' rows of the
+        step array and dropped, unless a checkpoint store needs it at
+        the end of the step."""
+        from repro.core.stepper import prev_transits_for, step_output
         self._maybe_interrupt(step)
-        m = app.sample_size(step)
-        width = transits.shape[1] * m
-        out = np.full((batch.num_samples, max(width, 0)), NULL_VERTEX,
-                      dtype=np.int64)
+        out, out_rows, rows = step_output(
+            batch.num_samples, transits.shape[1], app.sample_size(step),
+            sample_ids, cols)
         prev = None
         if app.needs_prev_transits:
             prev = prev_transits_for(batch, step, sample_ids, cols)
@@ -307,12 +311,23 @@ class ExecutionContext:
             return out, StepInfo()
         self.metrics.counter("rng.chunk_streams").inc(nchunks)
 
-        results: Dict[int, tuple] = self._load_checkpointed(
-            "i", step, nchunks)
-        restored = frozenset(results)
+        #: Per-chunk cost hints; ``None`` marks a chunk still to run.
+        infos: List[Optional[StepInfo]] = [None] * nchunks
+        fresh: Dict[int, tuple] = {}
+
+        def place(c: int, payload: tuple, restored: bool = False) -> None:
+            out_rows[rows[int(bounds[c]):int(bounds[c + 1])]] = payload[0]
+            infos[c] = payload[1]
+            if self.checkpoint is not None and not restored:
+                fresh[c] = payload
+
+        for c, payload in self._load_checkpointed(
+                "i", step, nchunks).items():
+            place(c, payload, restored=True)
+        missing = [c for c in range(nchunks) if infos[c] is None]
         dispatch = (
             self.pool is not None and not use_reference
-            and nchunks - len(restored) > 1
+            and len(missing) > 1
             and type(app).sample_neighbors
             is not SamplingApp.sample_neighbors)
         sampling_span = self.tracer.span(
@@ -322,9 +337,7 @@ class ExecutionContext:
         with sampling_span:
             if dispatch:
                 jobs = []
-                for c in range(nchunks):
-                    if c in restored:
-                        continue
+                for c in missing:
                     lo, hi = int(bounds[c]), int(bounds[c + 1])
                     roots_rows = batch.roots[sample_ids[lo:hi]]
                     jobs.append((c, ("ichunk", c, step,
@@ -334,40 +347,25 @@ class ExecutionContext:
                                      roots_rows)))
                 pooled = self._dispatch(jobs)
                 self._record_pooled_chunks(pooled, step)
-                results.update(pooled)
-            for c in range(nchunks):
-                if c in results:
+                for c in list(pooled):  # arrival order; rows are disjoint
+                    place(c, pooled.pop(c))
+            for c in missing:
+                if infos[c] is not None:
                     continue
                 self._check_cancel(f"step {step} chunk {c}")
                 lo, hi = int(bounds[c]), int(bounds[c + 1])
                 with self.tracer.span("chunk", step=step, chunk=c,
                                       pairs=hi - lo):
-                    sampled, info = exec_individual_chunk(
+                    place(c, exec_individual_chunk(
                         app, graph, transit_vals[lo:hi], step,
                         self.plan.chunk_rng(step, c),
                         prev_transits=None if prev is None
                         else prev[lo:hi],
                         batch=batch, sample_ids=sample_ids[lo:hi],
-                        use_reference=use_reference)
-                results[c] = (sampled, info)
+                        use_reference=use_reference))
                 self.metrics.counter("runtime.chunks_inprocess").inc()
-        self._save_checkpointed("i", step, results, restored)
-
-        sampled_all = (results[0][0] if nchunks == 1 else
-                       np.concatenate([results[c][0]
-                                       for c in range(nchunks)], axis=0))
-        info = combine_infos([results[c][1] for c in range(nchunks)],
-                             np.diff(bounds).tolist())
-        if m > 0 and sample_ids.size:
-            from repro.api.apps._kernels import _backend
-            if _backend().scatter_rows(out, sampled_all, sample_ids,
-                                       cols, m) is None:
-                if m == 1:
-                    out[sample_ids, cols] = sampled_all[:, 0]
-                else:
-                    slots = cols[:, None] * m + np.arange(m)[None, :]
-                    out[sample_ids[:, None], slots] = sampled_all
-        return out, info
+        self._save_checkpointed("i", step, fresh)
+        return out, combine_infos(infos, np.diff(bounds).tolist())
 
     # -- collective steps ---------------------------------------------
 
@@ -449,7 +447,9 @@ class ExecutionContext:
                         use_reference=use_reference)
                 results[c] = (vertices, info)
                 self.metrics.counter("runtime.chunks_inprocess").inc()
-        self._save_checkpointed("c", step, results, restored)
+        self._save_checkpointed("c", step, {
+            c: payload for c, payload in results.items()
+            if c not in restored})
 
         new_vertices = (results[0][0] if nchunks == 1 else
                         np.concatenate([results[c][0]
@@ -497,15 +497,13 @@ class ExecutionContext:
         return results
 
     def _save_checkpointed(self, kind: str, step: int,
-                           results: Dict[int, tuple],
-                           restored: frozenset) -> None:
-        """Persist every freshly-computed chunk result of one step."""
+                           fresh: Dict[int, tuple]) -> None:
+        """Persist the freshly-computed chunk results of one step."""
         if self.checkpoint is None:
             return
-        for c, payload in results.items():
-            if c not in restored:
-                self.checkpoint.save(kind, self.plan.namespace, step,
-                                     c, payload[0], payload[1])
+        for c, payload in fresh.items():
+            self.checkpoint.save(kind, self.plan.namespace, step,
+                                 c, payload[0], payload[1])
 
     def _dispatch(self, jobs) -> Dict[int, tuple]:
         try:

@@ -1,10 +1,13 @@
 """Shared fixtures: small deterministic graphs every suite reuses."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph
+from repro.native.backend import available_backends, backend_scope
 
 
 @pytest.fixture
@@ -46,6 +49,19 @@ def medium_graph():
 @pytest.fixture(scope="session")
 def medium_weighted(medium_graph):
     return medium_graph.with_random_weights(seed=5)
+
+
+@pytest.fixture(params=available_backends(), scope="module")
+def backend(request):
+    """Every kernel backend that runs here (numpy, interpreted numba,
+    and cnative with a C toolchain), active for the requesting module's
+    tests (module scope, so hypothesis tests may use it)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with backend_scope(request.param) as active:
+            yield active
+    # A kernel that failed would have fallen back to numpy silently.
+    assert not getattr(active, "_failed", None)
 
 
 @pytest.fixture

@@ -1,12 +1,12 @@
 """Bitwise equivalence of the vectorised hot paths vs their references.
 
-The PR that introduced the counting-sort scheduling index, the ragged
+The PR that introduced the radix-sort scheduling index, the ragged
 collective gather, and the batched selection/top-up paths promised
 *bitwise-identical* samples under a fixed seed.  These tests hold that
-line: each reference implementation (the original per-row / per-draw
-code) is either kept in the source tree (``build_transit_map_reference``)
-or reproduced verbatim here, monkeypatched in, and the resulting
-``SampleBatch`` compared array-for-array against the fast path.
+line: each reference implementation (the original full-sort / per-row /
+per-draw code) is reproduced verbatim here, monkeypatched in, and the
+resulting ``SampleBatch`` compared array-for-array against the fast
+path.
 """
 
 import numpy as np
@@ -20,13 +20,35 @@ from repro.api.apps.importance import FastGCN
 from repro.api.types import NULL_VERTEX, StepInfo
 from repro.core.engine import NextDoorEngine
 from repro.core.transit_map import (
+    TransitMap,
     build_transit_map,
-    build_transit_map_reference,
+    flatten_transits,
 )
 
 # ---------------------------------------------------------------------------
 # Reference implementations (the pre-vectorisation code, verbatim).
 # ---------------------------------------------------------------------------
+
+
+def build_transit_map_reference(transits, graph=None):
+    """The original full-sort grouping (``argsort`` + ``np.unique``),
+    including the canonical-key grouping for relabeled graphs."""
+    sample_ids, cols, vals = flatten_transits(transits)
+    canonical_of = getattr(graph, "canonical_of", None)
+    keys = canonical_of[vals] if canonical_of is not None else vals
+    order = np.argsort(keys, kind="stable")
+    vals = vals[order]
+    sample_ids = sample_ids[order]
+    cols = cols[order]
+    unique_keys, start_idx, counts = np.unique(
+        keys[order], return_index=True, return_counts=True)
+    offsets = np.concatenate([start_idx.astype(np.int64),
+                              np.asarray([vals.size], dtype=np.int64)])
+    unique_transits = (graph.perm[unique_keys] if canonical_of is not None
+                       else unique_keys)
+    return TransitMap(sample_ids, cols, vals, unique_transits,
+                      counts.astype(np.int64), offsets,
+                      num_total_pairs=int(np.asarray(transits).size))
 
 
 def _reference_weighted_neighbors(graph, transits, m, rng):
@@ -232,7 +254,7 @@ class TestTransitMapEquivalence:
         assert fast.num_total_pairs == ref.num_total_pairs
 
     def test_matches_reference_wide_id_range(self, rng):
-        # Spans > 16 bits exercise the wider counting-sort key dtypes.
+        # Spans > 16 bits take more than one radix pass.
         transits = rng.integers(0, 2**21, size=(300, 3))
         fast = build_transit_map(transits)
         ref = build_transit_map_reference(transits)

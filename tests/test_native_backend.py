@@ -247,42 +247,26 @@ class TestKernelMicroParity:
 
     def test_grouping_matches_argsort(self, backend):
         vals = np.array([5, 2, 5, 9, 2, 2, 7], dtype=np.int64)
-        got = backend.grouping(vals)
-        assert got is not None
-        order, unique, counts, offsets = got
-        assert np.array_equal(vals[order], np.sort(vals, kind="stable"))
-        ref_unique, ref_counts = np.unique(vals, return_counts=True)
-        assert np.array_equal(unique, ref_unique)
-        assert np.array_equal(counts, ref_counts)
-        assert np.array_equal(offsets,
-                              np.concatenate([[0], np.cumsum(ref_counts)]))
+        order = backend.grouping(vals)
+        assert order is not None
+        assert np.array_equal(order, np.argsort(vals, kind="stable"))
         # Stability: equal keys keep input order (the three 2s).
         assert np.array_equal(order[:3], np.array([1, 4, 5]))
 
-    def test_grouping_declines_on_huge_span(self, backend):
-        vals = np.array([0, 1 << 40], dtype=np.int64)
-        assert backend.grouping(vals) is None
+    def test_grouping_sorts_huge_span(self, backend):
+        # No span-sized buffer any more: a 2**40 id range is 3 passes.
+        vals = np.array([1 << 40, 0, 70000, 0], dtype=np.int64)
+        assert np.array_equal(backend.grouping(vals), [1, 3, 2, 0])
 
-    def test_scatter_rows_matches_fancy_indexing(self, backend):
-        rng = np.random.default_rng(3)
-        n, m, rows_out, width_cols = 17, 3, 9, 4
-        sampled = rng.integers(0, 50, size=(n, m)).astype(np.int64)
-        sample_ids = rng.integers(0, rows_out, size=n).astype(np.int64)
-        cols = rng.integers(0, width_cols, size=n).astype(np.int64)
-        out = np.full((rows_out, width_cols * m), -1, dtype=np.int64)
-        ref = out.copy()
-        slots = cols[:, None] * m + np.arange(m)[None, :]
-        ref[sample_ids[:, None], slots] = sampled
-        assert backend.scatter_rows(out, sampled, sample_ids, cols,
-                                    m) is True
-        assert np.array_equal(out, ref)
-
-    def test_scatter_rows_declines_bad_dtype(self, backend):
-        out = np.zeros((2, 2), dtype=np.float64)
+    def test_scatter_rows_hook_declines(self, backend):
+        # Step assembly is a numpy row scatter (core/stepper.py); the
+        # hook survives as an attribute for the perf ledger only.
+        out = np.zeros((2, 2), dtype=np.int64)
         assert backend.scatter_rows(
-            out, np.zeros((1, 1), dtype=np.int64),
+            out, np.ones((1, 1), dtype=np.int64),
             np.zeros(1, dtype=np.int64),
             np.zeros(1, dtype=np.int64), 1) is None
+        assert not out.any()
 
     def test_ragged_gather_matches_concat(self, backend):
         values = np.arange(100, dtype=np.int64) * 3

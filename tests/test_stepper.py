@@ -1,12 +1,19 @@
 """Shared functional stepping logic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.apps import DeepWalk, KHop, Layer, Node2Vec
 from repro.api.types import NULL_VERTEX
 from repro.core import stepper
-from repro.core.transit_map import flatten_transits
+from repro.core.transit_map import build_transit_map, flatten_transits
+from repro.runtime.context import ExecutionContext
+from repro.runtime.rngplan import generator_for
+from repro.runtime.worker import StubBatch, exec_individual_chunk
 
 
 class TestInitBatch:
@@ -93,6 +100,114 @@ class TestIndividualStep:
         out, info = stepper.run_individual_step(
             app, medium_graph, batch, transits, 1, rng, ids, cols, vals)
         assert out.shape == (8, 1)
+
+
+def _elementwise_scatter(num_samples, num_cols, m, sample_ids, cols,
+                         sampled):
+    """The (sample, slot) element scatter ``step_output`` replaced."""
+    out = np.full((num_samples, num_cols * m), NULL_VERTEX, dtype=np.int64)
+    slots = cols[:, None] * m + np.arange(m)[None, :]
+    out[sample_ids[:, None], slots] = sampled
+    return out
+
+
+class TestStepOutput:
+    @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([0, 1, 3]),
+           num_cols=st.sampled_from([1, 4]),
+           null_frac=st.sampled_from([0.0, 0.3, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_shuffled_chunks_assemble_like_the_element_scatter(
+            self, seed, m, num_cols, null_frac):
+        rng = np.random.default_rng(seed)
+        num_samples = int(rng.integers(1, 40))
+        transits = rng.integers(0, 50, size=(num_samples, num_cols))
+        transits[rng.random(transits.shape) < null_frac] = NULL_VERTEX
+        tmap = build_transit_map(transits)  # transit-sorted pair order
+        sampled = rng.integers(0, 1000, size=(tmap.num_pairs, m))
+        out, out_rows, rows = stepper.step_output(
+            num_samples, num_cols, m, tmap.sample_ids, tmap.cols)
+        cuts = np.unique(rng.integers(0, tmap.num_pairs + 1, size=5))
+        bounds = np.concatenate(([0], cuts, [tmap.num_pairs]))
+        for c in rng.permutation(bounds.size - 1):
+            lo, hi = bounds[c], bounds[c + 1]
+            out_rows[rows[lo:hi]] = sampled[lo:hi]
+        assert np.array_equal(out, _elementwise_scatter(
+            num_samples, num_cols, m, tmap.sample_ids, tmap.cols, sampled))
+        null_slots = np.repeat(transits == NULL_VERTEX, m, axis=1)
+        assert (out[null_slots] == NULL_VERTEX).all()
+
+
+class _ShuffledPool:
+    """A stand-in worker pool: runs each ``ichunk`` job as a worker
+    would, hands results back in shuffled arrival order, and loses
+    ``lose`` of them (quarantined chunks the context must re-run)."""
+
+    def __init__(self, app, graph, seed, rng, lose):
+        self.app, self.graph, self.seed = app, graph, seed
+        self.rng, self.lose = rng, lose
+
+    def run_chunks(self, jobs, max_inflight=None):
+        results = {}
+        for i in self.rng.permutation(len(jobs))[self.lose:]:
+            cid, (_, _, step, key, vals, prev, roots_rows) = jobs[i]
+            results[cid] = exec_individual_chunk(
+                self.app, self.graph, vals, step,
+                generator_for(self.seed, key), prev_transits=prev,
+                batch=StubBatch(roots_rows, roots_rows.shape[0]),
+                sample_ids=np.arange(vals.size)) + (None,)
+        return results
+
+
+class TestChunkedAssembly:
+    def _khop_step(self, graph, ctx, num_samples, m=3):
+        """Step 1 of k-hop (T = 4 transits per sample, ``m`` each)."""
+        app = KHop((4, m))
+        batch = stepper.init_batch(app, graph, num_samples, None,
+                                   ctx.init_rng())
+        t0 = app.transits_for_step(batch, 0)
+        first, _ = stepper.run_individual_step(
+            app, graph, batch, t0, 0, ctx, *flatten_transits(t0))
+        batch.append_step(first)
+        transits = app.transits_for_step(batch, 1)
+        tmap = build_transit_map(transits, graph)
+        return app, batch, transits, tmap
+
+    @pytest.mark.parametrize("lose", [0, 2])
+    def test_arrival_order_does_not_matter(self, medium_graph, rng, lose,
+                                           backend):
+        outs = []
+        for pooled in (False, True):
+            ctx = ExecutionContext(11, workers=0, chunk_size=64)
+            app, batch, transits, tmap = self._khop_step(
+                medium_graph, ctx, 100)
+            assert tmap.num_pairs > 3 * 64  # several chunks to shuffle
+            if pooled:
+                ctx.pool = _ShuffledPool(app, medium_graph, 11, rng, lose)
+            outs.append(stepper.run_individual_step(
+                app, medium_graph, batch, transits, 1, ctx,
+                tmap.sample_ids, tmap.cols, tmap.transit_vals))
+        (out, info), (pooled_out, pooled_info) = outs
+        assert out.shape == (100, 12)
+        assert np.array_equal(out, pooled_out)
+        assert info == pooled_info
+
+    def test_step_is_assembled_in_place(self, medium_graph):
+        """No second step-sized array: the peak is ``out`` plus one
+        chunk's working set plus the pair-row index, where a
+        concatenate-then-scatter assembly peaks near 3x ``out``."""
+        ctx = ExecutionContext(5, workers=0, chunk_size=1024)
+        app, batch, transits, tmap = self._khop_step(
+            medium_graph, ctx, 8192, m=10)
+        tracemalloc.start()
+        try:
+            out, _ = stepper.run_individual_step(
+                app, medium_graph, batch, transits, 1, ctx,
+                tmap.sample_ids, tmap.cols, tmap.transit_vals)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 8192 * 40 * 8
+        assert peak < 1.5 * out.nbytes
 
 
 class TestCollectiveStep:

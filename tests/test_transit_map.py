@@ -1,7 +1,10 @@
 """Transit→samples map and kernel-class partitioning."""
 
+import tracemalloc
+
 import numpy as np
-import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api.types import NULL_VERTEX
 from repro.core.scheduling import (
@@ -10,6 +13,8 @@ from repro.core.scheduling import (
     classify_transits,
 )
 from repro.core.transit_map import build_transit_map, flatten_transits
+from repro.graph.csr import CSRGraph
+from repro.graph.relabel import relabel_graph
 
 
 class TestFlatten:
@@ -66,6 +71,89 @@ class TestBuildTransitMap:
         tmap = build_transit_map(transits)
         assert tmap.counts.sum() == tmap.num_pairs
         assert np.array_equal(np.diff(tmap.offsets), tmap.counts)
+
+
+#: Id spans on both sides of every 16-bit digit boundary.
+_SPANS = (1, 2, 2**16 - 1, 2**16, 2**16 + 1, 2**32 + 7, 2**50)
+
+
+@st.composite
+def key_sets(draw):
+    """``size`` keys drawn from ``distinct`` values inside an id range
+    of exactly ``span`` (both ends present once ``size >= 2``)."""
+    span = draw(st.sampled_from(_SPANS))
+    size = draw(st.integers(0, 300))
+    distinct = draw(st.integers(1, 40))
+    base = draw(st.integers(0, 10**6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = base + rng.integers(0, span, size=distinct)
+    keys = pool[rng.integers(0, distinct, size=size)]
+    if size >= 2:
+        keys[rng.permutation(size)[:2]] = [base, base + span - 1]
+    return keys
+
+
+def _assert_grouped_like_unique(tmap, keys, order, unique_ids):
+    """``order`` is the stable argsort of ``keys``; groups are those of
+    ``np.unique``."""
+    unique_keys, starts, counts = np.unique(
+        keys[order], return_index=True, return_counts=True)
+    assert np.array_equal(tmap.unique_transits, unique_ids(unique_keys))
+    assert np.array_equal(tmap.counts, counts)
+    assert np.array_equal(tmap.offsets, np.append(starts, keys.size))
+    for arr in (tmap.unique_transits, tmap.counts, tmap.offsets):
+        assert arr.dtype == np.int64
+
+
+class TestGroupingProperties:
+    @given(keys=key_sets())
+    @example(keys=np.zeros(0, dtype=np.int64))
+    @example(keys=np.array([7], dtype=np.int64))
+    @example(keys=np.array([2**40, 3, 2**40, 3, 70000], dtype=np.int64))
+    @settings(max_examples=40, deadline=None)
+    def test_order_is_the_stable_argsort(self, backend, keys):
+        tmap = build_transit_map(keys.reshape(-1, 1))
+        order = np.argsort(keys, kind="stable")
+        # One transit per sample: sample_ids IS the permutation.
+        assert np.array_equal(tmap.sample_ids, order)
+        assert np.array_equal(tmap.transit_vals, keys[order])
+        _assert_grouped_like_unique(tmap, keys, order, lambda u: u)
+
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 4),
+           num_vertices=st.integers(1, 300))
+    @settings(max_examples=25, deadline=None)
+    def test_relabeled_graph_groups_by_canonical_id(self, backend, seed,
+                                                    width, num_vertices):
+        rng = np.random.default_rng(seed)
+        graph = relabel_graph(
+            CSRGraph.from_edges(num_vertices, [(0, num_vertices - 1)]),
+            perm=rng.permutation(num_vertices))
+        transits = rng.integers(0, num_vertices, size=(50, width))
+        transits[rng.random(transits.shape) < 0.2] = NULL_VERTEX
+        tmap = build_transit_map(transits, graph)
+        sample_ids, cols, vals = flatten_transits(transits)
+        keys = graph.canonical_of[vals]
+        order = np.argsort(keys, kind="stable")
+        assert np.array_equal(tmap.sample_ids, sample_ids[order])
+        assert np.array_equal(tmap.cols, cols[order])
+        assert np.array_equal(tmap.transit_vals, vals[order])
+        _assert_grouped_like_unique(tmap, keys, order,
+                                    lambda u: graph.perm[u])
+
+    def test_memory_is_independent_of_the_id_span(self, backend, rng):
+        # 1 000 pairs over a 5e7 id range: a span-sized histogram would
+        # be 400 MB; the radix needs its 65 536 counters at most.
+        transits = rng.integers(0, 5 * 10**7, size=(1000, 1))
+        transits[:2, 0] = [0, 5 * 10**7 - 1]
+        build_transit_map(transits)  # import / warm-up outside the trace
+        tracemalloc.start()
+        try:
+            tmap = build_transit_map(transits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tmap.num_pairs == 1000
+        assert peak < 1 << 20
 
 
 class TestClassify:
