@@ -34,13 +34,13 @@ per-stage breakdown per workload (span totals from ``repro.obs``) and
 the disabled-tracer overhead measurement that guards the <2%
 instrumentation contract (``--no-stages`` skips both).
 
-``--backend {auto,numpy,numba,cnative}`` runs the grid under a kernel
-backend (recorded in the report metadata together with the numba
-version); a report taken with one backend refuses to overwrite a
-trajectory file taken with another unless ``--force`` is passed, so
-BENCH_wallclock.json stays an apples-to-apples series.  A numpy vs
-compiled per-stage speedup table is appended when a fast compiled
-backend exists on the host (``--no-backend-compare`` skips it).
+``--backend {numpy,cnative}`` runs the grid under a kernel backend
+(recorded in the report metadata); a report taken with one backend
+refuses to overwrite a trajectory file taken with another unless
+``--force`` is passed, so BENCH_wallclock.json stays an
+apples-to-apples series.  A numpy vs compiled per-stage speedup table
+is appended when the host has a C toolchain (``--no-backend-compare``
+skips it).
 
 Usage::
 
@@ -85,7 +85,6 @@ from repro.native.backend import (  # noqa: E402
     backend_scope,
     resolve_backend_name,
 )
-from repro.native.jit import HAVE_NUMBA, NUMBA_VERSION  # noqa: E402
 from repro.obs import get_metrics, stats_summary, trace  # noqa: E402
 from repro.runtime import DEFAULT_CHUNK_PAIRS  # noqa: E402
 
@@ -189,7 +188,6 @@ def run_wallclock(quick: bool = False, repeats: Optional[int] = None,
         "backend": active.name,
         "tune": tune_meta or "default",
         "tune_db": db.path if db is not None else None,
-        "numba": NUMBA_VERSION,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -254,28 +252,13 @@ _COMPARED_STAGES = ("scheduling_index", "individual_kernels",
                     "collective_kernels")
 
 
-def _fast_compiled_backend() -> Optional[str]:
-    """The compiled backend worth timing on this host: numba when the
-    JIT is importable, else the C backend when a toolchain exists.
-    Interpreted numba is parity-only — benchmarking it is meaningless."""
-    avail = available_backends()
-    if HAVE_NUMBA and "numba" in avail:
-        return "numba"
-    if "cnative" in avail:
-        return "cnative"
-    return None
-
-
-def run_backend_comparison(quick: bool = False, seed: int = 7,
-                           compiled: Optional[str] = None) -> Dict:
+def run_backend_comparison(quick: bool = False, seed: int = 7) -> Dict:
     """numpy vs compiled-backend table: total + per-stage speedups per
     workload, from traced in-process NextDoor runs (samples are bitwise
     identical across backends, so only wall-clock differs)."""
-    compiled = compiled or _fast_compiled_backend()
-    if compiled is None:
-        note = ("no fast compiled backend on this host (numba not "
-                "installed, no C toolchain); parity still covered by "
-                "`repro verify --suite native`")
+    compiled = "cnative"
+    if compiled not in available_backends():
+        note = "no C toolchain on this host, so no compiled backend"
         print(f"backend comparison skipped: {note}")
         return {"skipped": note}
     per_backend = {
@@ -307,8 +290,7 @@ def run_backend_comparison(quick: bool = False, seed: int = 7,
             for st, v in cell["stages"].items())
         print(f"{wl_name:>14s} | {compiled} vs numpy  "
               f"run={cell['run_speedup']:.2f}x  {stages}")
-    return {"compiled_backend": compiled, "numba": NUMBA_VERSION,
-            "results": comparison}
+    return {"compiled_backend": compiled, "results": comparison}
 
 
 def measure_tracer_overhead() -> Dict[str, float]:
@@ -437,8 +419,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"output directory does not exist: {out_dir}")
 
     resolved = resolve_backend_name(args.backend)
-    if resolved == "auto":   # mirror _resolve_auto, pre-flight
-        resolved = "numba" if HAVE_NUMBA else "numpy"
     prior_backend = _recorded_backend(args.output)
     if (prior_backend is not None and prior_backend != resolved
             and not args.force):

@@ -66,11 +66,9 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
     """
     from repro.native.backend import BACKEND_NAMES
     p.add_argument("--backend", default=None, choices=BACKEND_NAMES,
-                   help="kernel backend: numpy (vectorised, default), "
-                        "numba (compiled, needs `pip install "
-                        ".[native]`), cnative (embedded C via the host "
-                        "compiler), or auto (numba if importable, else "
-                        "numpy with a one-time warning); "
+                   help="kernel backend: numpy (vectorised, default) "
+                        "or cnative (embedded C via the host "
+                        "compiler); "
                         "$REPRO_BACKEND sets the default — samples are "
                         "bitwise-identical on every backend")
 

@@ -1,9 +1,10 @@
 """Compiled hot-path backend for the per-step sampling kernels.
 
 See :mod:`repro.native.backend` for the interface and the parity
-contract, :mod:`repro.native.kernels_py` for the kernel bodies,
-:mod:`repro.native.rngshim` for the PCG64 draw shim, and docs/PERF.md
-("Compiled backend") for usage.
+contract, :mod:`repro.native._csrc` for the kernels (the one compiled
+source) and their draw-order contract, :mod:`repro.native.cnative` for
+the build, :mod:`repro.native.rngshim` for the PCG64 draw shim, and
+docs/PERF.md ("Compiled backend") for usage.
 """
 
 from repro.native.backend import (
@@ -12,9 +13,7 @@ from repro.native.backend import (
     BACKEND_NAMES,
     DEFAULT_BACKEND,
     CNativeBackend,
-    CompiledBackend,
     KernelBackend,
-    NumbaBackend,
     NumpyBackend,
     active_backend,
     active_backend_name,
@@ -31,8 +30,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "KernelBackend",
     "NumpyBackend",
-    "CompiledBackend",
-    "NumbaBackend",
     "CNativeBackend",
     "resolve_backend_name",
     "set_backend",

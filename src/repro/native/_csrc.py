@@ -1,14 +1,39 @@
-"""Embedded C translation of :mod:`repro.native.kernels_py`.
+"""The compiled kernels: embedded C, the one source of truth.
 
 Compiled once per host by :mod:`repro.native.cnative` (``cc -O2
--fPIC -shared -ffp-contract=off``) and loaded via ctypes — the fast
-backend on machines that have a C toolchain but no numba wheel.
+-fPIC -shared -ffp-contract=off``) and called through ctypes by
+:class:`repro.native.backend.CNativeBackend`.  Every kernel is a plain
+loop over raw arrays; lengths arrive as explicit arguments.
 
-The bodies are line-for-line ports of the Python kernels; every
-floating-point expression keeps the same operand order, and
-``-ffp-contract=off`` forbids FMA contraction, so results match numpy
-bit for bit.  The PCG64 step uses ``unsigned __int128`` directly
-instead of the uint64-limb arithmetic the numba bodies need.
+Contract with the numpy kernels in ``repro/api/apps/_kernels.py``
+(see ``docs/PERF.md``) — what keeps samples bitwise-identical:
+
+* fixed-draw-count kernels (``uniform_fill``, ``weighted_fill``,
+  ``segment_fill``) consume a pre-drawn block ``r`` of doubles in
+  exactly the order the numpy code drew them — ``(count, m)`` C-order
+  for uniform/segment, ``(m, count)`` for weighted — where ``count``
+  is what ``uniform_count`` / ``segment_count`` report: live transits
+  with at least one edge, non-empty segments;
+* ``node2vec_fill`` draws data-dependent randomness through the PCG64
+  shim (:mod:`repro.native.rngshim`), replicating numpy's call order:
+  per rejection round, first one pick draw for every pending pair,
+  then one accept draw for every pending pair; it reports the draws
+  it consumed in ``counters[3]`` so the caller can advance the numpy
+  generator by the same amount;
+* integer truncation of ``r * n`` picks matches numpy's
+  ``astype(np.int64)`` (both truncate toward zero, values are
+  non-negative), followed by the same clamp to ``n - 1``;
+* the weighted kernel's per-row upper-bound binary search over the
+  global weight cumsum returns the same index as numpy's global
+  ``searchsorted(..., side="right")`` + clamp, because every index
+  before the row start holds mass ``<= base <= target``;
+* every floating-point expression keeps numpy's operand order, and
+  ``-ffp-contract=off`` forbids FMA contraction;
+* ``grouping`` is a stable LSD radix sort on ``vals - min`` in 16-bit
+  digits (1-4 passes by span), i.e. ``argsort(kind="stable")``.
+
+The PCG64 step uses ``unsigned __int128``; :mod:`repro.native.rngshim`
+holds the pure-Python reference the tests compare it against.
 """
 
 from __future__ import annotations

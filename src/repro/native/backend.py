@@ -1,27 +1,21 @@
-"""Kernel backend interface, selection, and compiled orchestration.
+"""Kernel backend interface, selection, and the compiled backend.
 
 The per-step hot kernels — individual-step neighbor draws (uniform,
 weighted, node2vec rejection), the radix-sort scheduling index,
 collective gather, and row dedupe — run behind a
-:class:`KernelBackend`.  Three implementations exist:
+:class:`KernelBackend`.  Two implementations exist:
 
 ``numpy``
     the default: every hook returns ``None`` and the caller falls
-    through to the existing vectorised numpy code, untouched;
-``numba``
-    the kernel bodies of :mod:`repro.native.kernels_py` compiled with
-    ``numba.njit(nogil=True, cache=True)`` when numba is installed
-    (``pip install .[native]``), or run interpreted (bit-identical,
-    slow — parity testing on hosts without numba) when it is not;
+    through to the vectorised numpy code, untouched;
 ``cnative``
-    the same kernels as C, compiled once with the host toolchain and
-    loaded via ctypes (:mod:`repro.native.cnative`) — the fast path on
-    machines that have a C compiler but no numba wheel.
+    the same kernels as C (:mod:`repro.native._csrc`, the one compiled
+    source), built once with the host toolchain and called through
+    ctypes (:mod:`repro.native.cnative`).
 
-Selection: explicit name > ``$REPRO_BACKEND`` > ``numpy``; ``auto``
-resolves to numba when importable and otherwise falls back to numpy
-with a single warning.  The resolved choice is exported as the
-``runtime.backend_active`` gauge (:data:`BACKEND_IDS`).
+Selection: explicit name > ``$REPRO_BACKEND`` > ``numpy``.  The
+resolved choice is exported as the ``runtime.backend_active`` gauge
+(:data:`BACKEND_IDS`).
 
 Parity contract (the reason hooks may return ``None`` at any point):
 every hook either produces *exactly* what the numpy code would have
@@ -33,7 +27,8 @@ the ``*_from_draws`` rescues below then consume that same block with
 numpy ops, keeping the stream aligned.  Failures are recorded once per
 kernel (warning + ``native.compile_failures`` counter) and the kernel
 is disabled for the rest of the process — every other kernel stays
-compiled.
+compiled.  A library that fails to *build* is one failure: one
+compiler run, one warning, one count, every hook declines.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ from __future__ import annotations
 import contextlib
 import os
 import warnings
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -56,8 +51,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "KernelBackend",
     "NumpyBackend",
-    "CompiledBackend",
-    "NumbaBackend",
     "CNativeBackend",
     "resolve_backend_name",
     "set_backend",
@@ -71,10 +64,11 @@ __all__ = [
 BACKEND_ENV = "REPRO_BACKEND"
 
 #: Accepted ``--backend`` / ``$REPRO_BACKEND`` values.
-BACKEND_NAMES = ("auto", "numpy", "numba", "cnative")
+BACKEND_NAMES = ("numpy", "cnative")
 
-#: Resolved backend -> ``runtime.backend_active`` gauge value.
-BACKEND_IDS = {"numpy": 0, "numba": 1, "cnative": 2}
+#: Backend -> ``runtime.backend_active`` gauge value (1 is retired:
+#: dashboards must not read an old series as a new backend).
+BACKEND_IDS = {"numpy": 0, "cnative": 2}
 
 DEFAULT_BACKEND = "numpy"
 
@@ -89,7 +83,7 @@ class KernelBackend:
 
     #: Resolved implementation name (a key of :data:`BACKEND_IDS`).
     name = "numpy"
-    #: True when kernels run outside the interpreter (numba or C).
+    #: True when kernels run outside the interpreter.
     compiled = False
 
     def available(self) -> bool:
@@ -97,7 +91,7 @@ class KernelBackend:
         return True
 
     def warm_up(self) -> None:
-        """Force kernel compilation before the first real chunk so
+        """Do any one-off compilation before the first real chunk so
         per-chunk timings are honest.  Idempotent."""
 
     # -- hooks (None => numpy fallback) --------------------------------
@@ -139,8 +133,8 @@ class NumpyBackend(KernelBackend):
 #
 # These replicate the tail of the corresponding numpy kernels exactly
 # (same picks arithmetic, same searchsorted), but take the pre-drawn
-# doubles instead of the generator — used only when a compiled fill
-# kernel fails after its block was drawn, so the stream stays aligned.
+# doubles instead of the generator — used only when a C fill kernel
+# fails after its block was drawn, so the stream stays aligned.
 
 def _eligible_indices(graph, transits):
     live = transits != NULL_VERTEX
@@ -185,44 +179,59 @@ def _segment_from_draws(values, offsets, m, r):
     return out
 
 
-class CompiledBackend(KernelBackend):
-    """Shared orchestration over a table of compiled kernels.
+#: ``_failed`` entry meaning the library itself did not build or load.
+_LIBRARY = "library"
 
-    Subclasses provide :meth:`_build` (name -> callable with the
-    :mod:`repro.native.kernels_py` signature); this class provides the
-    eligibility counting, RNG pre-draw blocks, the node2vec shim
-    handshake, and per-kernel graceful degradation.
+
+class CNativeBackend(KernelBackend):
+    """The kernels of :mod:`repro.native._csrc`, compiled once with the
+    host toolchain and called through ctypes.
+
+    Each hook does the eligibility counting and the RNG pre-draw (or
+    the node2vec shim handshake) in Python, hands raw array addresses
+    plus explicit lengths to the C symbol, and degrades per kernel: a
+    kernel that fails is disabled and its hook declines from then on.
     """
 
+    name = "cnative"
     compiled = True
-    #: Interpreted uint64 arithmetic warns on intentional wraparound;
-    #: set by subclasses that may run the Python bodies directly.
-    _suppress_overflow = False
 
     def __init__(self) -> None:
-        self._table: Dict[str, object] = {}
+        self._lib = None
         self._failed: set = set()
-        self._warmed = False
 
-    def _build(self, name: str):
-        raise NotImplementedError
+    def available(self) -> bool:
+        from repro.native import cnative
+        return cnative.find_compiler() is not None
 
-    def _get(self, name: str):
-        if name in self._failed:
+    def warm_up(self) -> None:
+        """Build (or load the cached) library now, so a build failure
+        is reported here and not inside the first timed chunk."""
+        self._kernel("pcg_fill")
+
+    def _kernel(self, name: str):
+        """C function ``repro_<name>``, or ``None`` when it — or the
+        whole library — has been disabled."""
+        if name in self._failed or _LIBRARY in self._failed:
             return None
-        kernel = self._table.get(name)
-        if kernel is None:
+        if self._lib is None:
+            from repro.native import cnative
             try:
-                kernel = self._build(name)
-            except Exception as exc:
-                self._disable(name, exc)
+                self._lib = cnative.load_library()
+            except (RuntimeError, OSError) as exc:
+                self._disable(_LIBRARY, exc)
                 return None
-            self._table[name] = kernel
-        return kernel
+            if self._lib is None:
+                # The build already failed, and was reported, in this
+                # process.
+                self._failed.add(_LIBRARY)
+                return None
+        return getattr(self._lib, "repro_" + name)
 
     def _disable(self, name: str, exc: BaseException) -> None:
-        """Record a kernel failure once and fall back to numpy for that
-        kernel only (satellite: graceful degradation)."""
+        """Record a failure once and fall back to numpy: for kernel
+        ``name`` only, or for every kernel when ``name`` is
+        :data:`_LIBRARY` (the build failed and is not retried)."""
         if name in self._failed:
             return
         self._failed.add(name)
@@ -230,22 +239,17 @@ class CompiledBackend(KernelBackend):
         events.record("backend_fallback", kernel=name,
                       backend=self.name,
                       error=f"{type(exc).__name__}: {exc}")
+        what = "every kernel" if name == _LIBRARY else f"kernel {name!r}"
         warnings.warn(
-            f"native backend {self.name!r}: kernel {name!r} disabled "
-            f"after {type(exc).__name__}: {exc}; using numpy for this "
-            f"kernel", RuntimeWarning, stacklevel=3)
-
-    def _call(self, kernel, *args):
-        if self._suppress_overflow:
-            with np.errstate(over="ignore"):
-                return kernel(*args)
-        return kernel(*args)
+            f"native backend {self.name!r}: {what} disabled after "
+            f"{type(exc).__name__}: {exc}; using numpy instead",
+            RuntimeWarning, stacklevel=3)
 
     # -- individual-step draws -----------------------------------------
 
     def uniform_neighbors(self, graph, transits, m, rng):
-        count_k = self._get("uniform_count")
-        fill_k = self._get("uniform_fill")
+        count_k = self._kernel("uniform_count")
+        fill_k = self._kernel("uniform_fill")
         if count_k is None or fill_k is None:
             return None
         transits = np.ascontiguousarray(transits, dtype=np.int64)
@@ -254,8 +258,8 @@ class CompiledBackend(KernelBackend):
             return out
         degrees = graph.degrees_array
         try:
-            count = int(self._call(count_k, transits, degrees,
-                                   NULL_VERTEX))
+            count = count_k(transits.ctypes.data, transits.size,
+                            degrees.ctypes.data, NULL_VERTEX)
         except Exception as exc:
             self._disable("uniform_count", exc)
             return None
@@ -263,8 +267,10 @@ class CompiledBackend(KernelBackend):
             return out
         r = rng.random(size=count * m)
         try:
-            self._call(fill_k, graph.indptr, graph.indices, degrees,
-                       transits, m, r, out, NULL_VERTEX)
+            fill_k(graph.indptr.ctypes.data, graph.indices.ctypes.data,
+                   degrees.ctypes.data, transits.ctypes.data,
+                   transits.size, m, r.ctypes.data, out.ctypes.data,
+                   NULL_VERTEX)
         except Exception as exc:
             self._disable("uniform_fill", exc)
             return _uniform_from_draws(graph, transits, m, r)
@@ -273,8 +279,8 @@ class CompiledBackend(KernelBackend):
     def weighted_neighbors(self, graph, transits, m, rng):
         if not graph.is_weighted:
             return self.uniform_neighbors(graph, transits, m, rng)
-        count_k = self._get("uniform_count")
-        fill_k = self._get("weighted_fill")
+        count_k = self._kernel("uniform_count")
+        fill_k = self._kernel("weighted_fill")
         if count_k is None or fill_k is None:
             return None
         transits = np.ascontiguousarray(transits, dtype=np.int64)
@@ -283,8 +289,8 @@ class CompiledBackend(KernelBackend):
             return out
         degrees = graph.degrees_array
         try:
-            count = int(self._call(count_k, transits, degrees,
-                                   NULL_VERTEX))
+            count = count_k(transits.ctypes.data, transits.size,
+                            degrees.ctypes.data, NULL_VERTEX)
         except Exception as exc:
             self._disable("uniform_count", exc)
             return None
@@ -294,9 +300,11 @@ class CompiledBackend(KernelBackend):
         row_base, row_total = graph.weight_row_spans()
         r = rng.random(size=m * count)
         try:
-            self._call(fill_k, graph.indptr, graph.indices, degrees,
-                       cumsum, row_base, row_total, transits, m, count,
-                       r, out, NULL_VERTEX)
+            fill_k(graph.indptr.ctypes.data, graph.indices.ctypes.data,
+                   degrees.ctypes.data, cumsum.ctypes.data,
+                   row_base.ctypes.data, row_total.ctypes.data,
+                   transits.ctypes.data, transits.size, m, count,
+                   r.ctypes.data, out.ctypes.data, NULL_VERTEX)
         except Exception as exc:
             self._disable("weighted_fill", exc)
             return _weighted_from_draws(graph, transits, m, r)
@@ -305,19 +313,20 @@ class CompiledBackend(KernelBackend):
     # -- collective selection ------------------------------------------
 
     def segment_choice(self, values, offsets, m, rng):
-        count_k = self._get("segment_count")
-        fill_k = self._get("segment_fill")
+        count_k = self._kernel("segment_count")
+        fill_k = self._kernel("segment_fill")
         if count_k is None or fill_k is None:
             return None
         values = np.asarray(values)
         if values.dtype != np.int64 or not values.flags.c_contiguous:
             return None
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        out = np.full((offsets.size - 1, m), NULL_VERTEX, dtype=np.int64)
+        nseg = offsets.size - 1
+        out = np.full((nseg, m), NULL_VERTEX, dtype=np.int64)
         if m == 0:
             return out
         try:
-            count = int(self._call(count_k, offsets))
+            count = count_k(offsets.ctypes.data, nseg)
         except Exception as exc:
             self._disable("segment_count", exc)
             return None
@@ -325,7 +334,8 @@ class CompiledBackend(KernelBackend):
             return out
         r = rng.random(size=count * m)
         try:
-            self._call(fill_k, values, offsets, m, r, out)
+            fill_k(values.ctypes.data, offsets.ctypes.data, nseg, m,
+                   r.ctypes.data, out.ctypes.data)
         except Exception as exc:
             self._disable("segment_fill", exc)
             return _segment_from_draws(values, offsets, m, r)
@@ -341,7 +351,7 @@ class CompiledBackend(KernelBackend):
         after the kernel succeeds, so a failure (or a non-PCG64
         generator) falls back to the untouched numpy path.
         """
-        kernel = self._get("node2vec_fill")
+        kernel = self._kernel("node2vec_fill")
         if kernel is None:
             return None
         if getattr(graph, "relabel_perm", None) is not None:
@@ -361,12 +371,8 @@ class CompiledBackend(KernelBackend):
         if graph.is_weighted:
             weights = graph.weights
             row_max = graph.row_max_weight()
-            is_weighted = 1
         else:
-            weights = np.zeros(1, dtype=np.float64)
-            row_max = np.zeros(1, dtype=np.float64)
-            is_weighted = 0
-        bias_env = max(p, 1.0 / q, 1.0)
+            weights = row_max = np.zeros(1, dtype=np.float64)
         out = np.full(n, NULL_VERTEX, dtype=np.int64)
         pending = np.empty(n, dtype=np.int64)
         proposal = np.empty(n, dtype=np.int64)
@@ -375,11 +381,15 @@ class CompiledBackend(KernelBackend):
         rbuf = np.empty(n, dtype=np.float64)
         counters = np.zeros(4, dtype=np.int64)
         try:
-            self._call(kernel, graph.indptr, graph.indices, weights,
-                       is_weighted, graph.degrees_array, transits, prev,
-                       1, row_max, bias_env, p, 1.0 / q, max_rounds,
-                       NULL_VERTEX, s, out, pending, proposal, bias,
-                       envs, rbuf, counters)
+            kernel(graph.indptr.ctypes.data, graph.indices.ctypes.data,
+                   weights.ctypes.data, int(graph.is_weighted),
+                   graph.degrees_array.ctypes.data, transits.ctypes.data,
+                   n, prev.ctypes.data, 1, row_max.ctypes.data,
+                   max(p, 1.0 / q, 1.0), p, 1.0 / q, max_rounds,
+                   NULL_VERTEX, s.ctypes.data, out.ctypes.data,
+                   pending.ctypes.data, proposal.ctypes.data,
+                   bias.ctypes.data, envs.ctypes.data, rbuf.ctypes.data,
+                   counters.ctypes.data)
         except Exception as exc:
             self._disable("node2vec_fill", exc)
             return None
@@ -391,7 +401,7 @@ class CompiledBackend(KernelBackend):
 
     def grouping(self, vals):
         """Returns the stable grouping permutation or ``None``."""
-        kernel = self._get("grouping")
+        kernel = self._kernel("grouping")
         if kernel is None:
             return None
         vals = np.ascontiguousarray(vals, dtype=np.int64)
@@ -401,7 +411,8 @@ class CompiledBackend(KernelBackend):
         order = np.empty(vals.size, dtype=np.int64)
         tmp = np.empty(vals.size, dtype=np.int64)
         try:
-            self._call(kernel, vals, hist, order, tmp)
+            kernel(vals.ctypes.data, vals.size, hist.ctypes.data,
+                   order.ctypes.data, tmp.ctypes.data)
         except Exception as exc:
             self._disable("grouping", exc)
             return None
@@ -410,27 +421,30 @@ class CompiledBackend(KernelBackend):
     # -- collective gather + dedupe ------------------------------------
 
     def ragged_gather(self, values, starts, counts, offsets, total):
-        kernel = self._get("ragged_gather")
-        if kernel is None:
-            return None
         values = np.asarray(values)
         if (values.dtype not in (np.int64, np.float64)
                 or not values.flags.c_contiguous):
+            return None
+        name = "gather_f64" if values.dtype == np.float64 else "gather_i64"
+        kernel = self._kernel(name)
+        if kernel is None:
             return None
         starts = np.ascontiguousarray(starts, dtype=np.int64)
         counts = np.ascontiguousarray(counts, dtype=np.int64)
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
         out = np.empty(int(total), dtype=values.dtype)
         try:
-            self._call(kernel, values, starts, counts, offsets, out)
+            kernel(values.ctypes.data, starts.ctypes.data,
+                   counts.ctypes.data, offsets.ctypes.data, starts.size,
+                   out.ctypes.data)
         except Exception as exc:
-            self._disable("ragged_gather", exc)
+            self._disable(name, exc)
             return None
         return out
 
     def dedupe_rows(self, rows):
         """Returns ``(deduped_copy, dup_count)`` or ``None``."""
-        kernel = self._get("dedupe_rows")
+        kernel = self._kernel("dedupe_rows")
         if kernel is None:
             return None
         rows = np.asarray(rows)
@@ -438,98 +452,17 @@ class CompiledBackend(KernelBackend):
             return None
         out = rows.copy()
         try:
-            dups = int(self._call(kernel, out, NULL_VERTEX))
+            dups = kernel(out.ctypes.data, out.shape[0], out.shape[1],
+                          NULL_VERTEX)
         except Exception as exc:
             self._disable("dedupe_rows", exc)
             return None
         return out, dups
 
-    # -- warm-up --------------------------------------------------------
-
-    def warm_up(self) -> None:
-        """Run every hook once on a tiny graph with production array
-        types, so numba compiles (and the C library builds) before the
-        first real chunk.  Kernel failures are captured per kernel."""
-        if self._warmed:
-            return
-        self._warmed = True
-        from repro.graph.csr import CSRGraph
-        g = CSRGraph.from_edges(
-            4, [(0, 1), (0, 2), (1, 0), (2, 1), (2, 3)], name="warmup")
-        gw = g.with_random_weights(seed=0)
-        rng = np.random.default_rng(0)
-        transits = np.array([0, 1, -1, 3, 2], dtype=np.int64)
-        prev = np.array([1, 0, -1, -1, 0], dtype=np.int64)
-        self.uniform_neighbors(g, transits, 2, rng)
-        self.weighted_neighbors(gw, transits, 2, rng)
-        self.segment_choice(g.indices.copy(),
-                            np.array([0, 2, 2, 5], dtype=np.int64), 2,
-                            rng)
-        self.node2vec_neighbors(g, transits, prev, 2.0, 0.5, 4, rng)
-        self.node2vec_neighbors(gw, transits, prev, 2.0, 0.5, 4, rng)
-        self.grouping(np.array([3, 1, 3, 0, 1], dtype=np.int64))
-        starts = np.array([0, 2], dtype=np.int64)
-        counts = np.array([2, 3], dtype=np.int64)
-        offs = np.array([0, 2], dtype=np.int64)
-        self.ragged_gather(g.indices, starts, counts, offs, 5)
-        self.ragged_gather(gw.weights, starts, counts, offs, 5)
-        self.dedupe_rows(np.array([[1, 1, 2], [0, 3, 0]],
-                                  dtype=np.int64))
-        kernel = self._get("pcg_fill")
-        if kernel is not None:
-            try:
-                self._call(kernel,
-                           np.array([1, 2, 3, 5], dtype=np.uint64),
-                           np.empty(4, dtype=np.float64))
-            except Exception as exc:
-                self._disable("pcg_fill", exc)
-
-
-class NumbaBackend(CompiledBackend):
-    """kernels_py compiled with njit, or interpreted without numba."""
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        super().__init__()
-        from repro.native import jit, kernels_py
-        self._jit = jit
-        self._bodies = kernels_py.kernel_table()
-        self._suppress_overflow = not jit.HAVE_NUMBA
-
-    def _build(self, name: str):
-        return self._jit.compile_kernel(self._bodies[name])
-
-
-class CNativeBackend(CompiledBackend):
-    """kernels compiled from embedded C via the host toolchain."""
-
-    name = "cnative"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._lib = None
-
-    def available(self) -> bool:
-        from repro.native import cnative
-        return cnative.toolchain_available()
-
-    def _build(self, name: str):
-        from repro.native import cnative
-        if self._lib is None:
-            self._lib = cnative.load_library()
-        return cnative.bind(self._lib, name)
-
-    def _disable(self, name, exc):
-        # A library build failure takes every kernel down at once;
-        # record each name as it is first requested.
-        super()._disable(name, exc)
-
 
 # -- selection ----------------------------------------------------------
 
 _ACTIVE: Optional[KernelBackend] = None
-_AUTO_WARNED = False
 
 
 def resolve_backend_name(explicit: Optional[str] = None) -> str:
@@ -546,29 +479,8 @@ def resolve_backend_name(explicit: Optional[str] = None) -> str:
     return name
 
 
-def _resolve_auto() -> KernelBackend:
-    global _AUTO_WARNED
-    from repro.native import jit
-    if jit.HAVE_NUMBA:
-        return NumbaBackend()
-    if not _AUTO_WARNED:
-        _AUTO_WARNED = True
-        warnings.warn(
-            "backend 'auto': numba is not installed; falling back to "
-            "the numpy backend (pip install .[native] for compiled "
-            "kernels, or --backend cnative to use the C toolchain)",
-            RuntimeWarning, stacklevel=4)
-    return NumpyBackend()
-
-
 def _make(name: str) -> KernelBackend:
-    if name == "auto":
-        return _resolve_auto()
-    if name == "numpy":
-        return NumpyBackend()
-    if name == "numba":
-        return NumbaBackend()
-    return CNativeBackend()
+    return CNativeBackend() if name == "cnative" else NumpyBackend()
 
 
 def set_backend(name: Optional[str] = None) -> KernelBackend:
@@ -610,9 +522,6 @@ def backend_scope(name: Optional[str]) -> Iterator[KernelBackend]:
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Concrete backends that can run on this host (numba counts even
-    without the compiler: it runs interpreted, bit-identically)."""
-    names = ["numpy", "numba"]
-    if CNativeBackend().available():
-        names.append("cnative")
-    return tuple(names)
+    """Backends that can run on this host: ``numpy``, plus ``cnative``
+    when a C toolchain is on the PATH."""
+    return tuple(n for n in BACKEND_NAMES if _make(n).available())

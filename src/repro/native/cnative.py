@@ -1,11 +1,12 @@
-"""Build + ctypes bindings for the embedded C kernels.
+"""Build + ctypes loading of the embedded C kernels.
 
 The shared library is compiled once per (source hash, platform) into a
-cache directory and memoised per process; :func:`bind` adapts each C
-symbol to the exact Python-level signature of the corresponding
-:mod:`repro.native.kernels_py` kernel, so
-:class:`~repro.native.backend.CompiledBackend` orchestrates both
-backends identically.
+cache directory; :func:`load_library` declares every kernel's ctypes
+signature and memoises the result per process — a failed build
+included, so a broken toolchain costs one compiler run and one
+report, not one per kernel.  The hooks of
+:class:`~repro.native.backend.CNativeBackend` call the ``repro_*``
+symbols on the returned library directly.
 
 ``-ffp-contract=off`` matters: FMA contraction of ``base + r * total``
 would round differently from numpy and break bitwise parity.
@@ -20,16 +21,15 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from typing import Optional
+from typing import Optional, Union
 
-import numpy as np
-
-__all__ = ["toolchain_available", "find_compiler", "library_path",
-           "build_library", "load_library", "bind"]
+__all__ = ["find_compiler", "library_path", "build_library",
+           "load_library"]
 
 _CFLAGS = ["-std=c11", "-O2", "-fPIC", "-shared", "-ffp-contract=off"]
 
-_lib_cache: Optional[ctypes.CDLL] = None
+#: The loaded library; ``False`` once the one build attempt has failed.
+_lib_cache: Union[ctypes.CDLL, bool, None] = None
 
 
 def find_compiler() -> Optional[str]:
@@ -37,10 +37,6 @@ def find_compiler() -> Optional[str]:
         if cand and shutil.which(cand):
             return cand
     return None
-
-
-def toolchain_available() -> bool:
-    return find_compiler() is not None
 
 
 def _cache_dir() -> str:
@@ -85,24 +81,16 @@ def build_library() -> str:
     return path
 
 
-def load_library() -> ctypes.CDLL:
-    global _lib_cache
-    if _lib_cache is None:
-        _lib_cache = ctypes.CDLL(build_library())
-    return _lib_cache
-
-
 #: ctypes signature shorthand used by :data:`_SIGNATURES`.
 _PTR = ctypes.c_void_p
 _I64 = ctypes.c_longlong
 _F64 = ctypes.c_double
 
-#: symbol -> (restype, argtypes).  Declared once at bind time so the
-#: hot wrappers can pass raw ``arr.ctypes.data`` integers — ctypes
+#: symbol -> (restype, argtypes).  Declared once at load time so the
+#: backend hooks can pass raw ``arr.ctypes.data`` integers — ctypes
 #: converts them via the declared argtypes without a per-argument
-#: Python wrapper object (the per-call marshalling cost is what the
-#: wrappers here are optimising away; the kernels are sub-millisecond
-#: and called hundreds of times per run).
+#: Python wrapper object (the kernels are sub-millisecond and called
+#: hundreds of times per run, so per-call marshalling cost matters).
 _SIGNATURES = {
     "repro_pcg_fill": (None, (_PTR, _PTR, _I64)),
     "repro_uniform_count": (_I64, (_PTR, _I64, _PTR, _I64)),
@@ -124,113 +112,20 @@ _SIGNATURES = {
 }
 
 
-def _sym(lib: ctypes.CDLL, symbol: str):
-    f = getattr(lib, symbol)
-    f.restype, f.argtypes = _SIGNATURES[symbol]
-    return f
+def load_library() -> Optional[ctypes.CDLL]:
+    """The compiled kernels with their signatures declared.
 
-
-def bind(lib: ctypes.CDLL, name: str):
-    """A Python callable for kernel ``name`` matching the kernels_py
-    signature (arrays carry their own shapes; the wrapper forwards
-    explicit lengths to C)."""
-    if name == "pcg_fill":
-        f = _sym(lib, "repro_pcg_fill")
-
-        def pcg_fill(s, out):
-            f(s.ctypes.data, out.ctypes.data, out.shape[0])
-        return pcg_fill
-
-    if name == "uniform_count":
-        f = _sym(lib, "repro_uniform_count")
-
-        def uniform_count(transits, degrees, null_v):
-            return f(transits.ctypes.data, transits.shape[0],
-                     degrees.ctypes.data, null_v)
-        return uniform_count
-
-    if name == "uniform_fill":
-        f = _sym(lib, "repro_uniform_fill")
-
-        def uniform_fill(indptr, indices, degrees, transits, m, r, out,
-                         null_v):
-            return f(indptr.ctypes.data, indices.ctypes.data,
-                     degrees.ctypes.data, transits.ctypes.data,
-                     transits.shape[0], m, r.ctypes.data,
-                     out.ctypes.data, null_v)
-        return uniform_fill
-
-    if name == "weighted_fill":
-        f = _sym(lib, "repro_weighted_fill")
-
-        def weighted_fill(indptr, indices, degrees, cumsum, row_base,
-                          row_total, transits, m, count, r, out, null_v):
-            return f(indptr.ctypes.data, indices.ctypes.data,
-                     degrees.ctypes.data, cumsum.ctypes.data,
-                     row_base.ctypes.data, row_total.ctypes.data,
-                     transits.ctypes.data, transits.shape[0], m, count,
-                     r.ctypes.data, out.ctypes.data, null_v)
-        return weighted_fill
-
-    if name == "segment_count":
-        f = _sym(lib, "repro_segment_count")
-
-        def segment_count(offsets):
-            return f(offsets.ctypes.data, offsets.shape[0] - 1)
-        return segment_count
-
-    if name == "segment_fill":
-        f = _sym(lib, "repro_segment_fill")
-
-        def segment_fill(values, offsets, m, r, out):
-            return f(values.ctypes.data, offsets.ctypes.data,
-                     offsets.shape[0] - 1, m, r.ctypes.data,
-                     out.ctypes.data)
-        return segment_fill
-
-    if name == "node2vec_fill":
-        f = _sym(lib, "repro_node2vec_fill")
-
-        def node2vec_fill(indptr, indices, weights, is_weighted,
-                          degrees, transits, prev, has_prev, row_max,
-                          bias_env, p, inv_q, max_rounds, null_v, s,
-                          out, pending, proposal, bias, envs, rbuf,
-                          counters):
-            f(indptr.ctypes.data, indices.ctypes.data,
-              weights.ctypes.data, is_weighted, degrees.ctypes.data,
-              transits.ctypes.data, transits.shape[0], prev.ctypes.data,
-              has_prev, row_max.ctypes.data, bias_env, p, inv_q,
-              max_rounds, null_v, s.ctypes.data, out.ctypes.data,
-              pending.ctypes.data, proposal.ctypes.data,
-              bias.ctypes.data, envs.ctypes.data, rbuf.ctypes.data,
-              counters.ctypes.data)
-        return node2vec_fill
-
-    if name == "grouping":
-        f = _sym(lib, "repro_grouping")
-
-        def grouping(vals, hist, order, tmp):
-            f(vals.ctypes.data, vals.shape[0], hist.ctypes.data,
-              order.ctypes.data, tmp.ctypes.data)
-        return grouping
-
-    if name == "ragged_gather":
-        fi = _sym(lib, "repro_gather_i64")
-        ff = _sym(lib, "repro_gather_f64")
-
-        def ragged_gather(values, starts, counts, offsets, out):
-            fn = ff if values.dtype == np.float64 else fi
-            fn(values.ctypes.data, starts.ctypes.data,
-               counts.ctypes.data, offsets.ctypes.data,
-               starts.shape[0], out.ctypes.data)
-        return ragged_gather
-
-    if name == "dedupe_rows":
-        f = _sym(lib, "repro_dedupe_rows")
-
-        def dedupe_rows(rows, null_v):
-            return f(rows.ctypes.data, rows.shape[0], rows.shape[1],
-                     null_v)
-        return dedupe_rows
-
-    raise KeyError(f"unknown kernel {name!r}")
+    One build attempt per process: the call that makes it raises on
+    failure (``RuntimeError`` from the compiler, ``OSError`` from the
+    loader); every later call returns ``None`` without running the
+    compiler again, so one broken toolchain is reported once.
+    """
+    global _lib_cache
+    if _lib_cache is None:
+        _lib_cache = False
+        lib = ctypes.CDLL(build_library())
+        for symbol, (restype, argtypes) in _SIGNATURES.items():
+            func = getattr(lib, symbol)
+            func.restype, func.argtypes = restype, argtypes
+        _lib_cache = lib
+    return _lib_cache or None

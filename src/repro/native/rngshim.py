@@ -1,4 +1,4 @@
-"""PCG64 draw shim: the compiled backends' counter-compatible RNG.
+"""PCG64 draw shim: the compiled backend's counter-compatible RNG.
 
 The runtime's RNG plan (:mod:`repro.runtime.rngplan`) hands every chunk
 a ``np.random.Generator`` backed by the PCG64 bit generator, and the

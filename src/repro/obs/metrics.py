@@ -61,16 +61,16 @@ name                            kind        meaning
 ``runtime.degraded_mode``       gauge       1 while a run has abandoned
                                             its pool (else 0)
 ``runtime.backend_active``      gauge       resolved kernel backend id:
-                                            0 numpy, 1 numba, 2 cnative
+                                            0 numpy, 2 cnative; 1 retired
                                             (``BACKEND_IDS`` in
                                             ``repro.native.backend``)
 ``native.compile_failures``     counter     compiled kernels disabled
-                                            after a build or runtime
-                                            failure; each failure falls
-                                            that one kernel back to
-                                            numpy for the rest of the
-                                            process (bumped at most once
-                                            per kernel) and emits a
+                                            after a runtime failure
+                                            (that kernel falls back to
+                                            numpy; once per kernel) or
+                                            a failed C build (every
+                                            kernel; once per process);
+                                            each emits a
                                             ``backend_fallback`` event
 ``rng.chunk_streams``           counter     chunk generators derived
 ``pool.chunks_dispatched``      counter     chunk messages sent to pipes

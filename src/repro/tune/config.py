@@ -44,8 +44,8 @@ class TuneConfig:
     values because the planner needs them unconditionally.
     """
 
-    #: Kernel backend (``numpy`` / ``numba`` / ``cnative`` / ``auto``)
-    #: or None to keep the session's resolved backend.
+    #: Kernel backend (``numpy`` / ``cnative``) or None to keep the
+    #: session's resolved backend.
     backend: Optional[str] = None
     #: RNG-plan chunk size in transit pairs (None = runtime default).
     #: The one knob that changes sampled values — like a seed change.

@@ -34,6 +34,7 @@ import contextlib
 import hashlib
 import json
 import os
+import sys
 import tempfile
 from typing import Any, Dict, Optional, Set
 
@@ -92,6 +93,30 @@ def resolve_db_path(path: Optional[str] = None) -> str:
     return os.environ.get(DB_ENV) or DEFAULT_DB_PATH
 
 
+def _drop_unknown_backends(data: Any, path: str) -> None:
+    """Remove entries whose config names a kernel backend this build
+    does not have (written by an earlier build that had more), so an
+    old entry is a plain miss instead of an "invalid tuning database".
+    Every other schema problem is left for ``validate_data`` to reject.
+    """
+    from repro.native.backend import BACKEND_NAMES
+    entries = data.get("entries") if isinstance(data, dict) else None
+    if not isinstance(entries, dict):
+        return
+    stale = [key for key, entry in entries.items()
+             if isinstance(entry, dict)
+             and isinstance(entry.get("config"), dict)
+             and entry["config"].get("backend")
+             not in (None, *BACKEND_NAMES)]
+    for key in stale:
+        del entries[key]
+    if stale:
+        print(f"note: {path}: ignoring {len(stale)} tuning entries for "
+              f"a kernel backend this build does not have (it has "
+              f"{', '.join(BACKEND_NAMES)}); re-run `repro tune`",
+              file=sys.stderr)
+
+
 class TuneDB:
     """The JSON tuning database: fingerprint -> best-known config."""
 
@@ -108,6 +133,7 @@ class TuneDB:
     def _load(path: str) -> Dict[str, Any]:
         with open(path) as f:
             data = json.load(f)
+        _drop_unknown_backends(data, path)
         problems = TuneDB.validate_data(data)
         if problems:
             raise ValueError(

@@ -237,8 +237,7 @@ def autotune(app, graph, *, db: Optional[TuneDB] = None,
         # Stage 0: the defaults — the baseline every speedup is against.
         search.consider(TuneConfig())
         baseline = search.history[0]["score"] if search.history else None
-        # Stage 1: kernel backend (importable ones only; 'auto' would
-        # just re-test the best importable backend).
+        # Stage 1: kernel backend (the ones that can run here).
         from repro.native.backend import available_backends
         search.sweep("backend", [b for b in available_backends()
                                  if b != "numpy"])

@@ -1,11 +1,11 @@
 """Native-backend parity suite: compiled kernels vs the numpy backend.
 
-Two layers of evidence that a compiled backend (``numba``, ``cnative``)
-is a pure speedup:
+Two layers of evidence that the compiled backend (``cnative``) is a
+pure speedup:
 
 1. **Golden fixtures** — every committed golden snapshot (sample
    digests *and* modeled charges, pinned by the numpy implementation)
-   is recomputed under each compiled backend.  The fixtures don't know
+   is recomputed under the compiled backend.  The fixtures don't know
    backends exist, so a pass means bit-for-bit agreement with numpy.
 
 2. **Pooled multi-chunk identity** — the golden graphs are small
@@ -16,9 +16,8 @@ is a pure speedup:
    numpy backend at the same worker count (which PR 4's suites already
    tie to workers=0).
 
-The numba backend runs interpreted when numba isn't installed —
-bit-identical by construction of the kernels, so this suite still
-proves draw-order/parity logic on hosts without the JIT.
+On a host without a C toolchain there is nothing to compare and the
+suite fails with a single ``backends`` check saying so.
 """
 
 from __future__ import annotations
@@ -120,10 +119,10 @@ def _pooled_checks(backend: str) -> List[CheckResult]:
 
 def run_native_checks(workers: Optional[int] = None,
                       seed: int = 0) -> List[CheckResult]:
-    """Golden-fixture + pooled parity for every compiled backend this
-    host can run.  ``workers`` applies to the golden re-checks; the
-    pooled checks pin workers 1 and 2 themselves.  ``seed`` is unused
-    (every case pins its own seed)."""
+    """Golden-fixture + pooled parity for the compiled backend, when
+    this host can build it.  ``workers`` applies to the golden
+    re-checks; the pooled checks pin workers 1 and 2 themselves.
+    ``seed`` is unused (every case pins its own seed)."""
     del seed
     results: List[CheckResult] = []
     backends = [b for b in available_backends() if b != "numpy"]

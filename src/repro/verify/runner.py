@@ -81,7 +81,7 @@ SUITE_INFO: Dict[str, Tuple[int, str]] = {
     "golden": (10, "pinned golden sample fixtures"),
     "fuzz": (31, "randomized graph/app property fuzzing"),
     "chaos": (10, "bitwise identity under injected faults"),
-    "native": (28, "compiled-backend sampling parity"),
+    "native": (14, "compiled-backend sampling parity"),
     "tune": (15, "autotuner plan + TuneDB invariants"),
     "dist": (12, "sharded sampling identity + handoff accounting"),
     "serve": (8, "daemon-vs-direct identity, backpressure, drain"),

@@ -1,7 +1,5 @@
 """Shared fixtures: small deterministic graphs every suite reuses."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -53,13 +51,11 @@ def medium_weighted(medium_graph):
 
 @pytest.fixture(params=available_backends(), scope="module")
 def backend(request):
-    """Every kernel backend that runs here (numpy, interpreted numba,
-    and cnative with a C toolchain), active for the requesting module's
-    tests (module scope, so hypothesis tests may use it)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with backend_scope(request.param) as active:
-            yield active
+    """Every kernel backend that runs here (numpy, and cnative with a
+    C toolchain), active for the requesting module's tests (module
+    scope, so hypothesis tests may use it)."""
+    with backend_scope(request.param) as active:
+        yield active
     # A kernel that failed would have fallen back to numpy silently.
     assert not getattr(active, "_failed", None)
 

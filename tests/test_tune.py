@@ -227,8 +227,31 @@ class TestTuneDB:
         with pytest.raises(ValueError, match="invalid tuning database"):
             TuneDB(str(path))
 
+    def test_removed_backend_entry_is_a_miss(self, tmp_path, graph, capsys):
+        """An entry an earlier build wrote for a backend this build no
+        longer has is dropped on load; the file is not rejected."""
+        db = TuneDB(str(tmp_path / "old.json"))
+        key = db.record("x", graph, TuneConfig(), objective="model",
+                        score=1.0, baseline=1.0, trials=1)
+        db.entries[key]["config"]["backend"] = "auto"
+        db.save()
+        assert TuneDB(db.path).entries == {}
+        assert capsys.readouterr().err.count("note:") == 1
+
 
 class TestSearch:
+    def test_backend_stage_tries_only_runnable_backends(
+            self, tmp_path, graph, monkeypatch):
+        """No C toolchain: no budget spent on a backend trial."""
+        from repro.native import cnative
+        monkeypatch.setattr(cnative, "find_compiler", lambda: None)
+        summary = autotune(apps.DeepWalk(walk_length=4), graph,
+                           db=TuneDB(str(tmp_path / "db.json")),
+                           objective="model", budget=3, num_samples=32,
+                           save=False)
+        assert [t["config"]["backend"]
+                for t in summary["history"]] == [None] * 3
+
     def test_model_objective_is_deterministic(self, tmp_path, graph):
         db_path = str(tmp_path / "db.json")
         app = apps.DeepWalk(walk_length=6)
