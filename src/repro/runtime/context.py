@@ -18,9 +18,9 @@ shapes; only the numpy sampling work is sharded.  Per-chunk
 chunk-size-weighted mean **in chunk order**, so the charge inputs are
 also identical with workers on or off.
 
-Worker dispatch is gated to hooks that are pure functions of
+A step goes to the pool only when its hook is a pure function of
 ``(graph, chunk data, rng)`` plus at most ``batch.roots`` /
-``batch.num_samples``:
+``batch.num_samples``, and more than one chunk is left to compute:
 
 * individual steps: the app must override ``sample_neighbors``
   (the un-overridden reference path calls ``next`` with full
@@ -28,19 +28,28 @@ Worker dispatch is gated to hooks that are pure functions of
 * collective steps: the app must override
   ``sample_from_neighborhood``, declare
   ``collective_needs_batch = False``, and not require materialised
-  combined-neighborhood values (shipping multi-GB value arrays to
-  workers would erase the win).
+  combined-neighborhood values (multi-GB value arrays are not staged).
+
+A dispatched step is staged once in a shared-memory **step arena**
+(:func:`repro.runtime.shm.open_arena`): the step's pair arrays (or
+transit rows and neighborhood offsets), the batch roots, and the step
+array itself (NULL wherever no chunk will write).  Chunk messages carry
+the arena's name, its layout and the chunk's bounds; workers write
+their rows in place and answer with cost hints and timings only; the
+parent copies the finished step out once.  Chunks the pool hands back
+unsolved are run here and written into the same arena.  The arena is
+borrowed for the step and returned on every exit from it.
 
 Everything else runs its chunks in-process — with the *same* chunk
 generators, preserving bitwise identity.  Worker crashes are survived
 by the pool's own supervisor (respawn + chunk retry + poison-chunk
 quarantine, :mod:`repro.runtime.pool`); only when that supervisor
-gives up — respawn budget exhausted — does the context warn, re-run
-the missing chunks in-process (identical by chunk purity), and finish
-the run without workers.  With a checkpoint attached
-(:meth:`ExecutionContext.attach_checkpoint`), every completed chunk
-result is persisted so an interrupted run can resume
-bitwise-identically.  See ``docs/RESILIENCE.md``.
+gives up — respawn budget exhausted — does the context warn, retire
+the pool, re-run the missing chunks in-process (identical by chunk
+purity), and finish the run without workers.  With a checkpoint
+attached (:meth:`ExecutionContext.attach_checkpoint`), every completed
+chunk's rows are persisted at the end of its step so an interrupted
+run can resume bitwise-identically.  See ``docs/RESILIENCE.md``.
 """
 
 from __future__ import annotations
@@ -140,6 +149,40 @@ class _BatchRows:
 
     def __len__(self) -> int:
         return self.num_samples
+
+
+class _StepArrays:
+    """The arrays one step is assembled in: ``out`` and, for individual
+    steps, its one-row-per-pair view ``out_rows`` and the pair -> row
+    index ``rows`` (:func:`repro.core.stepper.step_output`).
+
+    Heap arrays for an in-process step, views of a borrowed
+    shared-memory arena for a dispatched one.  Step code reaches them
+    only through this object, so that :meth:`close` leaves no view on
+    the arena's buffer whatever frames a propagating exception keeps
+    alive — a segment with a live view cannot be unmapped."""
+
+    def __init__(self, out: np.ndarray,
+                 out_rows: Optional[np.ndarray] = None,
+                 rows: Optional[np.ndarray] = None, arena=None) -> None:
+        self.out = out
+        self.out_rows = out_rows
+        self.rows = rows
+        self.arena = arena
+
+    def finish(self) -> np.ndarray:
+        """The assembled step as a heap array (one copy out of the
+        arena; workers are done with it by now)."""
+        return self.out if self.arena is None else np.array(self.out)
+
+    def close(self) -> None:
+        """Drop the arrays and hand a borrowed arena back.  Only once
+        no worker holds an unanswered chunk of the step: ``run_chunks``
+        returning, or the pool having been retired, guarantees it."""
+        self.out = self.out_rows = self.rows = None
+        if self.arena is not None:
+            self.arena.close()
+            self.arena = None
 
 
 class ExecutionContext:
@@ -293,79 +336,79 @@ class ExecutionContext:
     ) -> Tuple[np.ndarray, StepInfo]:
         """Chunked equivalent of the stepper's individual step.
 
-        Every chunk result — restored from a checkpoint, pooled or
-        computed here — is written straight into its pairs' rows of the
-        step array and dropped, unless a checkpoint store needs it at
-        the end of the step."""
+        Every chunk result — restored from a checkpoint, written by a
+        pool worker or computed here — lands straight in its pairs' rows
+        of the step array; nothing else of it is kept."""
         from repro.core.stepper import prev_transits_for, step_output
         self._maybe_interrupt(step)
-        out, out_rows, rows = step_output(
-            batch.num_samples, transits.shape[1], app.sample_size(step),
-            sample_ids, cols)
+        num_cols, m = transits.shape[1], app.sample_size(step)
         prev = None
         if app.needs_prev_transits:
             prev = prev_transits_for(batch, step, sample_ids, cols)
         bounds = self.plan.individual_bounds(int(transit_vals.size))
         nchunks = bounds.size - 1
         if nchunks <= 0:
-            return out, StepInfo()
+            return step_output(batch.num_samples, num_cols, m,
+                               sample_ids, cols)[0], StepInfo()
         self.metrics.counter("rng.chunk_streams").inc(nchunks)
 
-        #: Per-chunk cost hints; ``None`` marks a chunk still to run.
-        infos: List[Optional[StepInfo]] = [None] * nchunks
-        fresh: Dict[int, tuple] = {}
-
-        def place(c: int, payload: tuple, restored: bool = False) -> None:
-            out_rows[rows[int(bounds[c]):int(bounds[c + 1])]] = payload[0]
-            infos[c] = payload[1]
-            if self.checkpoint is not None and not restored:
-                fresh[c] = payload
-
-        for c, payload in self._load_checkpointed(
-                "i", step, nchunks).items():
-            place(c, payload, restored=True)
-        missing = [c for c in range(nchunks) if infos[c] is None]
+        restored = self._load_checkpointed("i", step, nchunks)
+        missing = [c for c in range(nchunks) if c not in restored]
         dispatch = (
             self.pool is not None and not use_reference
             and len(missing) > 1
             and type(app).sample_neighbors
             is not SamplingApp.sample_neighbors)
+        work = None
+        if dispatch:
+            work = self._stage_individual(batch, num_cols, m, sample_ids,
+                                          cols, transit_vals, prev)
+        if work is None:
+            work = _StepArrays(*step_output(
+                batch.num_samples, num_cols, m, sample_ids, cols))
+        dispatch = work.arena is not None
+        #: Per-chunk cost hints; ``None`` marks a chunk still to run.
+        infos: List[Optional[StepInfo]] = [None] * nchunks
         sampling_span = self.tracer.span(
             "sampling.individual", step=step,
             pairs=int(transit_vals.size), chunks=nchunks,
             dispatched=bool(dispatch))
-        with sampling_span:
-            if dispatch:
-                jobs = []
+        try:
+            for c, (sampled, info) in restored.items():
+                work.out_rows[work.rows[bounds[c]:bounds[c + 1]]] = sampled
+                infos[c] = info
+            with sampling_span:
+                if dispatch:
+                    for c, info in self._dispatch(
+                            "ichunk", step, missing, bounds,
+                            work.arena).items():
+                        infos[c] = info
                 for c in missing:
+                    if infos[c] is not None:
+                        continue
+                    self._check_cancel(f"step {step} chunk {c}")
                     lo, hi = int(bounds[c]), int(bounds[c + 1])
-                    roots_rows = batch.roots[sample_ids[lo:hi]]
-                    jobs.append((c, ("ichunk", c, step,
-                                     self.plan.chunk_key(step, c),
-                                     transit_vals[lo:hi],
-                                     None if prev is None else prev[lo:hi],
-                                     roots_rows)))
-                pooled = self._dispatch(jobs)
-                self._record_pooled_chunks(pooled, step)
-                for c in list(pooled):  # arrival order; rows are disjoint
-                    place(c, pooled.pop(c))
-            for c in missing:
-                if infos[c] is not None:
-                    continue
-                self._check_cancel(f"step {step} chunk {c}")
-                lo, hi = int(bounds[c]), int(bounds[c + 1])
-                with self.tracer.span("chunk", step=step, chunk=c,
-                                      pairs=hi - lo):
-                    place(c, exec_individual_chunk(
-                        app, graph, transit_vals[lo:hi], step,
-                        self.plan.chunk_rng(step, c),
-                        prev_transits=None if prev is None
-                        else prev[lo:hi],
-                        batch=batch, sample_ids=sample_ids[lo:hi],
-                        use_reference=use_reference))
-                self.metrics.counter("runtime.chunks_inprocess").inc()
-        self._save_checkpointed("i", step, fresh)
-        return out, combine_infos(infos, np.diff(bounds).tolist())
+                    with self.tracer.span("chunk", step=step, chunk=c,
+                                          pairs=hi - lo):
+                        sampled, infos[c] = exec_individual_chunk(
+                            app, graph, transit_vals[lo:hi], step,
+                            self.plan.chunk_rng(step, c),
+                            prev_transits=None if prev is None
+                            else prev[lo:hi],
+                            batch=batch, sample_ids=sample_ids[lo:hi],
+                            use_reference=use_reference)
+                        work.out_rows[work.rows[lo:hi]] = sampled
+                    self.metrics.counter("runtime.chunks_inprocess").inc()
+            if self.checkpoint is not None:
+                for c in missing:
+                    self.checkpoint.save(
+                        "i", self.plan.namespace, step, c,
+                        work.out_rows[work.rows[bounds[c]:bounds[c + 1]]],
+                        infos[c])
+            return work.finish(), combine_infos(
+                infos, np.diff(bounds).tolist())
+        finally:
+            work.close()
 
     # -- collective steps ---------------------------------------------
 
@@ -378,9 +421,12 @@ class ExecutionContext:
         step: int,
         use_reference: bool = False,
     ) -> Tuple[np.ndarray, StepInfo, Optional[np.ndarray], np.ndarray]:
-        """Chunked equivalent of the stepper's collective step."""
+        """Chunked equivalent of the stepper's collective step; chunks
+        (blocks of sample rows) are assembled in place like an
+        individual step's."""
         from repro.api.apps._kernels import build_combined_neighborhood
         self._maybe_interrupt(step)
+        transits = np.asarray(transits)
         if app.needs_combined_values or use_reference:
             values, offsets = build_combined_neighborhood(graph, transits)
         else:
@@ -394,7 +440,7 @@ class ExecutionContext:
             np.cumsum(per_sample, out=offsets[1:])
             values = None
 
-        num_rows = int(np.asarray(transits).shape[0])
+        num_rows = int(transits.shape[0])
         bounds = self.plan.collective_bounds(num_rows)
         nchunks = bounds.size - 1
         if nchunks <= 0:
@@ -403,59 +449,67 @@ class ExecutionContext:
             return empty, StepInfo(), None, np.diff(offsets)
         self.metrics.counter("rng.chunk_streams").inc(nchunks)
 
-        results: Dict[int, tuple] = self._load_checkpointed(
-            "c", step, nchunks)
-        restored = frozenset(results)
+        restored = self._load_checkpointed("c", step, nchunks)
+        missing = [c for c in range(nchunks) if c not in restored]
         dispatch = (
             self.pool is not None and not use_reference
-            and nchunks - len(restored) > 1
+            and len(missing) > 1
             and values is None and not app.collective_needs_batch
             and type(app).sample_from_neighborhood
             is not SamplingApp.sample_from_neighborhood)
+        out_shape = (num_rows, app.sample_size(step))
+        work = None
+        if dispatch:
+            arena = self._open_arena(
+                {"transits": transits, "offsets": offsets},
+                {"out": out_shape})
+            if arena is not None:
+                # Every sample row belongs to a chunk: nothing to blank.
+                work = _StepArrays(arena.views["out"], arena=arena)
+        if work is None:
+            work = _StepArrays(
+                np.full(out_shape, NULL_VERTEX, dtype=np.int64))
+        dispatch = work.arena is not None
+        infos: List[Optional[StepInfo]] = [None] * nchunks
         sampling_span = self.tracer.span(
             "sampling.collective", step=step, rows=num_rows,
             chunks=nchunks, dispatched=bool(dispatch))
-        with sampling_span:
-            if dispatch:
-                jobs = []
-                for c in range(nchunks):
-                    if c in restored:
+        try:
+            for c, (vertices, info) in restored.items():
+                work.out[bounds[c]:bounds[c + 1]] = vertices
+                infos[c] = info
+            with sampling_span:
+                if dispatch:
+                    for c, info in self._dispatch(
+                            "cchunk", step, missing, bounds,
+                            work.arena).items():
+                        infos[c] = info
+                for c in missing:
+                    if infos[c] is not None:
                         continue
+                    self._check_cancel(f"step {step} chunk {c}")
                     lo, hi = int(bounds[c]), int(bounds[c + 1])
-                    offs = offsets[lo:hi + 1] - offsets[lo]
-                    jobs.append((c, ("cchunk", c, step,
-                                     self.plan.chunk_key(step, c),
-                                     None, offs,
-                                     np.asarray(transits)[lo:hi])))
-                pooled = self._dispatch(jobs)
-                self._record_pooled_chunks(pooled, step)
-                results.update(pooled)
-            for c in range(nchunks):
-                if c in results:
-                    continue
-                self._check_cancel(f"step {step} chunk {c}")
-                lo, hi = int(bounds[c]), int(bounds[c + 1])
-                vals_chunk = (None if values is None
-                              else values[offsets[lo]:offsets[hi]])
-                with self.tracer.span("chunk", step=step, chunk=c,
-                                      rows=hi - lo):
-                    vertices, info = exec_collective_chunk(
-                        app, graph, _BatchRows(batch, lo, hi), vals_chunk,
-                        offsets[lo:hi + 1] - offsets[lo],
-                        np.asarray(transits)[lo:hi], step,
-                        self.plan.chunk_rng(step, c),
-                        use_reference=use_reference)
-                results[c] = (vertices, info)
-                self.metrics.counter("runtime.chunks_inprocess").inc()
-        self._save_checkpointed("c", step, {
-            c: payload for c, payload in results.items()
-            if c not in restored})
-
-        new_vertices = (results[0][0] if nchunks == 1 else
-                        np.concatenate([results[c][0]
-                                        for c in range(nchunks)], axis=0))
-        info = combine_infos([results[c][1] for c in range(nchunks)],
-                             np.diff(bounds).tolist())
+                    vals_chunk = (None if values is None
+                                  else values[offsets[lo]:offsets[hi]])
+                    with self.tracer.span("chunk", step=step, chunk=c,
+                                          rows=hi - lo):
+                        vertices, infos[c] = exec_collective_chunk(
+                            app, graph, _BatchRows(batch, lo, hi),
+                            vals_chunk, offsets[lo:hi + 1] - offsets[lo],
+                            transits[lo:hi], step,
+                            self.plan.chunk_rng(step, c),
+                            use_reference=use_reference)
+                        work.out[lo:hi] = vertices
+                    self.metrics.counter("runtime.chunks_inprocess").inc()
+            if self.checkpoint is not None:
+                for c in missing:
+                    self.checkpoint.save(
+                        "c", self.plan.namespace, step, c,
+                        work.out[bounds[c]:bounds[c + 1]], infos[c])
+            new_vertices = work.finish()
+        finally:
+            work.close()
+        info = combine_infos(infos, np.diff(bounds).tolist())
         edges = app.record_step_edges(graph, batch, transits,
                                       new_vertices, step)
         return new_vertices, info, edges, np.diff(offsets)
@@ -496,40 +550,85 @@ class ExecutionContext:
                 results[c] = hit
         return results
 
-    def _save_checkpointed(self, kind: str, step: int,
-                           fresh: Dict[int, tuple]) -> None:
-        """Persist the freshly-computed chunk results of one step."""
-        if self.checkpoint is None:
-            return
-        for c, payload in fresh.items():
-            self.checkpoint.save(kind, self.plan.namespace, step,
-                                 c, payload[0], payload[1])
-
-    def _dispatch(self, jobs) -> Dict[int, tuple]:
+    def _open_arena(self, staged: Dict[str, np.ndarray],
+                    blank: Dict[str, Tuple[int, ...]]):
+        """Borrow a step arena holding copies of the ``staged`` arrays
+        and uninitialised ``int64`` arrays of the ``blank`` shapes.
+        When shared memory gives out the pool is abandoned like any
+        other export failure and ``None`` is returned."""
+        from repro.runtime import shm
+        layout = tuple(
+            [(name, arr.dtype.str, arr.shape)
+             for name, arr in staged.items()]
+            + [(name, np.dtype(np.int64).str, shape)
+               for name, shape in blank.items()])
         try:
-            return self.pool.run_chunks(jobs, max_inflight=self.inflight)
+            arena = shm.open_arena(layout)
+        except OSError as exc:
+            self._abandon_pool(
+                f"could not stage the step for workers ({exc!r}); ")
+            return None
+        for name, arr in staged.items():
+            arena.views[name][...] = arr
+        return arena
+
+    def _stage_individual(self, batch, num_cols: int, m: int,
+                          sample_ids: np.ndarray, cols: np.ndarray,
+                          transit_vals: np.ndarray,
+                          prev: Optional[np.ndarray]
+                          ) -> Optional[_StepArrays]:
+        """An individual step staged for workers: its pair arrays, the
+        batch roots (workers read a pair's sample as ``rows // T``) and
+        the step array, addressed as by ``step_output``."""
+        staged = {"vals": transit_vals, "roots": batch.roots}
+        if prev is not None:
+            staged["prev"] = prev
+        num_samples = batch.num_samples
+        arena = self._open_arena(staged, {
+            "rows": (transit_vals.size,),
+            "out": (num_samples, num_cols, m)})
+        if arena is None:
+            return None
+        rows, out = arena.views["rows"], arena.views["out"]
+        np.multiply(sample_ids, num_cols, out=rows)
+        rows += cols
+        # The pairs are the step's live (sample, column) slots, one row
+        # each: when there are as many as slots, every row is written by
+        # its chunk and what the arena held before is never seen.
+        if transit_vals.size < num_samples * num_cols:
+            out.fill(NULL_VERTEX)
+        return _StepArrays(out.reshape(num_samples, num_cols * m),
+                           out.reshape(num_samples * num_cols, m),
+                           rows, arena)
+
+    def _dispatch(self, kind: str, step: int, chunks: Sequence[int],
+                  bounds: np.ndarray, arena) -> Dict[int, StepInfo]:
+        """Run ``chunks`` of the step staged in ``arena`` on the pool;
+        returns the cost hints of those whose rows the workers wrote.
+        Absent chunks (quarantined, or lost with a pool that crashed
+        for good — retired before this returns) are the caller's to run
+        in-process."""
+        jobs = [(c, (kind, c, step, self.plan.chunk_key(step, c),
+                     arena.name, arena.layout,
+                     int(bounds[c]), int(bounds[c + 1])))
+                for c in chunks]
+        try:
+            replies = self.pool.run_chunks(jobs,
+                                           max_inflight=self.inflight)
         except WorkerCrash as exc:
-            partial = dict(exc.results)
+            replies = dict(exc.results)
             self._abandon_pool(
                 f"worker pool crashed mid-step ({exc}); re-running "
-                f"{len(jobs) - len(partial)} chunks in-process and ")
-            return partial
-
-    def _record_pooled_chunks(self, results: Dict[int, tuple],
-                              step: int) -> None:
-        """Turn the ``(worker, t_start, t_end)`` timings shipped back
-        with each pooled chunk into per-worker trace lanes + latency
-        metrics.  Timestamps are worker-side ``time.monotonic()``
-        values, comparable with the parent's clock on the platforms we
-        support."""
+                f"{len(jobs) - len(replies)} chunks in-process and ")
         chunk_seconds = self.metrics.histogram(
             "pool.chunk_seconds", labels=self._run_labels or None)
-        pooled = self.metrics.counter("runtime.chunks_pooled")
-        for chunk_id, payload in results.items():
-            pooled.inc()
-            if len(payload) < 3 or payload[2] is None:
-                continue
-            w, t0, t1 = payload[2]
+        self.metrics.counter("runtime.chunks_pooled").inc(len(replies))
+        # ``(worker, t_start, t_end)`` are worker-side
+        # ``time.monotonic()`` readings, comparable with the parent's
+        # clock on the platforms we support: they become per-worker
+        # trace lanes + the chunk latency histogram.
+        for c, (_, (w, t0, t1)) in replies.items():
             chunk_seconds.observe(t1 - t0)
             self.tracer.add_span("chunk", t0, t1, lane=f"worker-{w}",
-                                 step=step, chunk=chunk_id)
+                                 step=step, chunk=c)
+        return {c: info for c, (info, _) in replies.items()}

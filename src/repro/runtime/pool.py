@@ -324,8 +324,9 @@ class WorkerPool:
     def run_chunks(self, jobs: Sequence[Tuple[int, tuple]],
                    max_inflight: Optional[int] = None) -> Dict[int, tuple]:
         """Dispatch ``(chunk_id, message)`` jobs; return
-        ``{chunk_id: payload}`` where payload is the message-specific
-        result tuple (e.g. ``(sampled, info)``).
+        ``{chunk_id: payload}`` where payload is the worker's reply
+        after the chunk id — ``(info, timing)``; the chunk's rows are
+        already in the step arena its message named.
 
         ``max_inflight`` caps the chunks outstanding per worker; when
         ``None`` it falls back to ``$REPRO_POOL_INFLIGHT`` / the
@@ -527,11 +528,14 @@ def retire_pool(pool: WorkerPool) -> None:
 
 
 def shutdown_pools() -> None:
-    """Shut down every registered pool (atexit + tests)."""
+    """Shut down every registered pool and release the step arenas
+    they were fed through (atexit + tests)."""
+    from repro.runtime.shm import release_arenas
     with _REGISTRY_LOCK:
         for pool in _POOLS.values():
             pool.shutdown()
         _POOLS.clear()
+    release_arenas()
 
 
 atexit.register(shutdown_pools)

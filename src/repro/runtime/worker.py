@@ -12,29 +12,49 @@ a worker crash can be re-run in-process with an identical outcome.
 ``worker_main`` is the persistent child-process loop: it attaches the
 shared-memory graph once per run, unpickles the application once per
 run, then answers chunk messages until told to stop.  Messages are
-tuples ``(kind, ...)`` over a duplex ``Pipe``:
+tuples ``(kind, ...)`` over a duplex ``Pipe``; no array travels in
+either direction:
 
-=======================  ============================================
-parent -> worker          worker -> parent
-=======================  ============================================
-("run", blob, handle,     ("ready",) | ("err", None, traceback)
+==========================  =========================================
+parent -> worker             worker -> parent
+==========================  =========================================
+("run", blob, handle,        ("ready",) | ("err", None, traceback)
  seed, use_ref, faults,
  backend)
-("ichunk", id, step,      ("ok", id, sampled, info, timing) |
- key, vals, prev, roots)  ("err", id, traceback)
-("cchunk", id, step,      ("ok", id, vertices, info, timing) |
- key, vals, offs, rows)   ("err", id, traceback)
-("ping",)                 ("pong",)
-("crash",)                *process exits hard (tests only)*
-("stop",)                 *process exits cleanly*
-=======================  ============================================
+("ichunk" | "cchunk", id,    ("ok", id, info, timing) |
+ step, key, arena, layout,   ("err", id, traceback)
+ lo, hi)
+("ping",)                    ("pong",)
+("crash",)                   *process exits hard (tests only)*
+("stop",)                    *process exits cleanly*
+==========================  =========================================
+
+A chunk message names the **step arena** the parent staged the step in
+(:mod:`repro.runtime.shm`: segment name + layout) and the chunk's
+bounds.  :func:`run_chunk` maps the arena (attachments are cached by
+segment name), runs the hook on its slice of the staged inputs and
+writes the result into the rows the chunk owns:
+
+* ``ichunk`` — fields ``vals``, ``rows`` (pair -> row of ``out``),
+  ``prev`` (only when the app needs previous transits), ``roots`` and
+  ``out`` (``(S, T, m)``): pairs ``lo:hi``; a pair's sample is
+  ``rows // T``; ``out`` viewed as ``(S * T, m)`` gets
+  ``out[rows[lo:hi]] = sampled``.
+* ``cchunk`` — fields ``transits``, ``offsets`` and ``out``
+  (``(S, m)``): sample rows ``lo:hi``, offsets rebased here;
+  ``out[lo:hi] = vertices``.
+
+Chunks own disjoint rows and a chunk's values are a pure function of
+its inputs, so a chunk that is retried, or re-run by the parent after a
+crash, rewrites the same rows with the same values.
 
 ``faults`` is the raw fault-plan spec (or ``None``): each worker
 parses its own :class:`~repro.runtime.faults.FaultPlan`, so firing
 budgets are per worker process and deterministic fault injection
 (``docs/RESILIENCE.md``) reaches the exact crash sites the supervisor
-must survive — before a chunk runs, after its result shipped, a wedge
-past the watchdog, a silent pipe EOF, or an in-chunk exception.
+must survive — before a chunk runs, after its rows are written and its
+reply shipped, a wedge past the watchdog, a silent pipe EOF, or an
+in-chunk exception.
 
 ``timing`` is ``(worker_index, t_start, t_end)`` from the worker's
 ``time.monotonic()`` clock — measured unconditionally (two clock reads
@@ -44,12 +64,10 @@ latency histogram either way.
 
 Application hooks dispatched to workers may read
 ``batch.roots[sample_ids]`` and ``batch.num_samples`` (served by
-:class:`StubBatch` below — individual chunks ship the chunk's root rows
-and renumber ``sample_ids`` chunk-locally, which gathers the identical
-values) but nothing else of the batch; the dispatch gate in
-:mod:`repro.runtime.context` keeps batch-dependent hooks (declared via
-``SamplingApp.collective_needs_batch``, or any un-overridden reference
-path) in the parent process.
+:class:`StubBatch` below) but nothing else of the batch; the dispatch
+gate in :mod:`repro.runtime.context` keeps batch-dependent hooks
+(declared via ``SamplingApp.collective_needs_batch``, or any
+un-overridden reference path) in the parent process.
 """
 
 from __future__ import annotations
@@ -58,7 +76,7 @@ import os
 import pickle
 import time
 import traceback
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -66,18 +84,22 @@ from repro.api.app import SamplingApp
 from repro.api.types import StepInfo
 from repro.runtime.faults import FaultInjected, FaultPlan
 from repro.runtime.rngplan import generator_for
-from repro.runtime.shm import import_graph
+from repro.runtime.shm import (
+    arena_views,
+    attach,
+    import_graph,
+    segment_exists,
+)
 
 __all__ = ["exec_individual_chunk", "exec_collective_chunk",
-           "StubBatch", "worker_main"]
-
+           "run_chunk", "StubBatch", "worker_main"]
 
 class StubBatch:
     """The slice of batch state worker-dispatched hooks may read.
 
     Walk-with-restart reads ``batch.roots[sample_ids, 0]`` (global
-    sample ids — the full roots array is broadcast once per run);
-    collective importance samplers read ``batch.num_samples``.
+    sample ids into the staged roots array); collective importance
+    samplers read ``batch.num_samples`` (the chunk's rows).
     """
 
     def __init__(self, roots: Optional[np.ndarray],
@@ -125,6 +147,53 @@ def exec_collective_chunk(
                    step, rng)
 
 
+def _mapped_arena(arenas: Dict[str, object], name: str):
+    """This worker's attachment of arena ``name``.
+
+    A name not seen before means the parent opened a new arena, which
+    is when it releases one a step outgrew: mappings whose segment is
+    gone are closed first, so the outgrown pages are freed."""
+    shm = arenas.get(name)
+    if shm is None:
+        for stale in [n for n in arenas if not segment_exists(n)]:
+            arenas.pop(stale).close()
+        shm = arenas[name] = attach(name)
+    return shm
+
+
+def run_chunk(msg: tuple, app: SamplingApp, graph, seed: int,
+              use_reference: bool, arenas: Dict[str, object]) -> StepInfo:
+    """Execute one ``ichunk`` / ``cchunk`` message against its arena
+    and write the chunk's rows; returns the chunk's cost hints.
+
+    Every view of the arena dies with this frame, so a mapping in
+    ``arenas`` can be closed whenever its segment is found released."""
+    kind, _, step, key, arena, layout, lo, hi = msg
+    views = arena_views(_mapped_arena(arenas, arena).buf, layout)
+    out = views.pop("out")
+    for staged in views.values():
+        staged.flags.writeable = False
+    rng = generator_for(seed, key)
+    if kind == "ichunk":
+        num_samples, num_cols, m = out.shape
+        rows = views["rows"][lo:hi]
+        prev = views.get("prev")
+        sampled, info = exec_individual_chunk(
+            app, graph, views["vals"][lo:hi], step, rng,
+            prev_transits=None if prev is None else prev[lo:hi],
+            batch=StubBatch(views["roots"], num_samples),
+            sample_ids=rows // num_cols, use_reference=use_reference)
+        out.reshape(num_samples * num_cols, m)[rows] = sampled
+    else:
+        offsets = views["offsets"]
+        vertices, info = exec_collective_chunk(
+            app, graph, StubBatch(None, hi - lo), None,
+            offsets[lo:hi + 1] - offsets[lo], views["transits"][lo:hi],
+            step, rng, use_reference=use_reference)
+        out[lo:hi] = vertices
+    return info
+
+
 #: How long a wedged worker sleeps — effectively forever; the parent's
 #: watchdog fires long before and the supervisor terminates us.
 _WEDGE_SLEEP_S = 3600.0
@@ -149,6 +218,7 @@ def _injected_faults(plan, conn, step: int, chunk_id: int) -> None:
 def worker_main(conn, worker_index: int) -> None:
     """Body of one pool worker process (spawn entry point)."""
     graphs = {}
+    arenas: Dict[str, object] = {}
     graph = None
     app: Optional[SamplingApp] = None
     seed = 0
@@ -184,33 +254,13 @@ def worker_main(conn, worker_index: int) -> None:
                 from repro.native.backend import set_backend
                 set_backend(backend_name)
                 conn.send(("ready",))
-            elif kind == "ichunk":
-                _, chunk_id, step, key, vals, prev, roots_rows = msg
+            elif kind in ("ichunk", "cchunk"):
+                chunk_id, step = msg[1], msg[2]
                 _injected_faults(plan, conn, step, chunk_id)
                 t0 = time.monotonic()
-                rng = generator_for(seed, key)
-                stub = StubBatch(roots_rows, 0 if roots_rows is None
-                                 else roots_rows.shape[0])
-                sampled, info = exec_individual_chunk(
-                    app, graph, vals, step, rng, prev_transits=prev,
-                    batch=stub,
-                    sample_ids=np.arange(np.asarray(vals).size),
-                    use_reference=use_reference)
-                conn.send(("ok", chunk_id, sampled, info,
-                           (worker_index, t0, time.monotonic())))
-                if plan is not None and plan.should(
-                        "kill-after-chunk", step, chunk_id):
-                    os._exit(13)
-            elif kind == "cchunk":
-                _, chunk_id, step, key, vals, offs, transits = msg
-                _injected_faults(plan, conn, step, chunk_id)
-                t0 = time.monotonic()
-                rng = generator_for(seed, key)
-                stub = StubBatch(None, transits.shape[0])
-                vertices, info = exec_collective_chunk(
-                    app, graph, stub, vals, offs, transits, step, rng,
-                    use_reference=use_reference)
-                conn.send(("ok", chunk_id, vertices, info,
+                info = run_chunk(msg, app, graph, seed, use_reference,
+                                 arenas)
+                conn.send(("ok", chunk_id, info,
                            (worker_index, t0, time.monotonic())))
                 if plan is not None and plan.should(
                         "kill-after-chunk", step, chunk_id):

@@ -1,9 +1,12 @@
 """Chaos suite: bitwise identity under every injected fault.
 
-Each check runs the same small DeepWalk workload twice — once clean and
-in-process (the baseline digest), once on the worker pool with a
-deterministic fault plan active (``docs/RESILIENCE.md``) — and asserts
-two things:
+Each check runs the same small workload twice — DeepWalk, a k-hop
+whose second step has several transits per sample and several vertices
+per transit, and LADIES (the collective transport), so a worker-side
+fault lands on every shape of step a pool worker writes into a step
+arena — once clean and in-process (the baseline digest), once on the
+worker pool with a deterministic fault plan active
+(``docs/RESILIENCE.md``) — and asserts two things:
 
 1. **Identity**: the sampled batch is hash-for-hash identical to the
    fault-free run.  Chunk purity plus the deterministic RNG plan makes
@@ -31,7 +34,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.api.apps import DeepWalk
+from repro.api.apps import LADIES, DeepWalk, KHop
 from repro.core.engine import NextDoorEngine
 from repro.obs import get_metrics
 from repro.obs.events import (FLIGHT_DIR_ENV, reset_events,
@@ -45,8 +48,9 @@ __all__ = ["run_chaos_checks"]
 
 SUITE = "chaos"
 
-#: Small enough to finish in seconds, chunked enough (6 chunks/step)
-#: that every fault trigger has a real chunk to land on.
+#: Small enough to finish in seconds, chunked enough (6 or more
+#: chunks/step) that every fault trigger has a real chunk to land on.
+#: Worker-side faults aim at step 1, the k-hop's wide step.
 _NUM_SAMPLES = 96
 _CHUNK = 16
 _WALK_LENGTH = 8
@@ -61,22 +65,31 @@ def _chaos_graph():
                       name="chaos").with_random_weights(seed=3)
 
 
-def _digest(batch) -> str:
+def _digest(results) -> str:
     h = hashlib.sha256()
-    for arr in [batch.roots, *batch.step_vertices, *batch.edges]:
-        a = np.ascontiguousarray(arr)
-        h.update(str(a.shape).encode())
-        h.update(a.dtype.str.encode())
-        h.update(a.tobytes())
+    for result in results:
+        batch = result.batch
+        for arr in [batch.roots, *batch.step_vertices, *batch.edges]:
+            a = np.ascontiguousarray(arr)
+            h.update(str(a.shape).encode())
+            h.update(a.dtype.str.encode())
+            h.update(a.tobytes())
     return h.hexdigest()[:32]
 
 
+def _apps():
+    """DeepWalk first: it is the run ``interrupt-step:2`` stops."""
+    return (DeepWalk(walk_length=_WALK_LENGTH), KHop(fanouts=(3, 2)),
+            LADIES(step_size=8, batch_size=8))
+
+
 def _run(graph, workers: int, checkpoint_dir: Optional[str] = None,
-         resume: bool = False):
+         resume: bool = False) -> list:
+    """One run per app, each under a fresh parse of the fault plan."""
     engine = NextDoorEngine(workers=workers, chunk_size=_CHUNK,
                             checkpoint_dir=checkpoint_dir, resume=resume)
-    return engine.run(DeepWalk(walk_length=_WALK_LENGTH), graph,
-                      num_samples=_NUM_SAMPLES, seed=_SEED)
+    return [engine.run(app, graph, num_samples=_NUM_SAMPLES, seed=_SEED)
+            for app in _apps()]
 
 
 def _metric(snapshot: Dict, name: str) -> float:
@@ -119,13 +132,13 @@ def _check(name: str, baseline: str, graph, workers: int,
     before = get_metrics().snapshot()
     with _FaultEnv(**env):
         try:
-            result = _run(graph, workers)
+            results = _run(graph, workers)
         except Exception as exc:  # a chaos run must never error out
             return CheckResult(
                 name=name, suite=SUITE, family="runtime", passed=False,
                 detail=f"run raised {type(exc).__name__}: {exc}")
     after = get_metrics().snapshot()
-    got = _digest(result.batch)
+    got = _digest(results)
     if got != baseline:
         problems.append(f"samples diverged under fault "
                         f"({got} != {baseline})")
@@ -145,7 +158,8 @@ def run_chaos_checks(workers: Optional[int] = None,
     workers = workers if workers and workers >= 1 else 2
     graph = _chaos_graph()
     with _FaultEnv():
-        baseline = _digest(_run(graph, workers=0).batch)
+        clean = _run(graph, workers=0)
+    baseline = _digest(clean)
     results: List[CheckResult] = []
 
     def expect_respawn_heals(delta, problems):
@@ -159,7 +173,7 @@ def run_chaos_checks(workers: Optional[int] = None,
 
     results.append(_check(
         "kill_after_chunk_respawns", baseline, graph, workers,
-        {PLAN_ENV: "kill-after-chunk:0.3"}, expect_respawn_heals))
+        {PLAN_ENV: "kill-after-chunk:1.3"}, expect_respawn_heals))
 
     def expect_quarantine(delta, problems):
         if delta("pool.chunks_quarantined") < 1:
@@ -169,7 +183,7 @@ def run_chaos_checks(workers: Optional[int] = None,
 
     results.append(_check(
         "poison_chunk_quarantined", baseline, graph, workers,
-        {PLAN_ENV: "kill-before-chunk:0.4"}, expect_quarantine))
+        {PLAN_ENV: "kill-before-chunk:1.4"}, expect_quarantine))
 
     def expect_crash_detected(delta, problems):
         if delta("pool.worker_crashes") < 1:
@@ -189,7 +203,7 @@ def run_chaos_checks(workers: Optional[int] = None,
 
     results.append(_check(
         "wedged_worker_watchdog", baseline, graph, workers,
-        {PLAN_ENV: "wedge-chunk:0.2", TIMEOUT_ENV: "1.0",
+        {PLAN_ENV: "wedge-chunk:1.2", TIMEOUT_ENV: "1.0",
          RESPAWN_ENV: "8"}, expect_watchdog))
 
     def expect_chunk_error(delta, problems):
@@ -200,7 +214,7 @@ def run_chaos_checks(workers: Optional[int] = None,
 
     results.append(_check(
         "chunk_error_runs_inprocess", baseline, graph, workers,
-        {PLAN_ENV: "chunk-error:0.1"}, expect_chunk_error))
+        {PLAN_ENV: "chunk-error:1.1"}, expect_chunk_error))
 
     def expect_loud_degrade(delta, problems):
         if get_metrics().gauge("runtime.degraded_mode").value != 1:
@@ -224,7 +238,7 @@ def run_chaos_checks(workers: Optional[int] = None,
 
     results.append(_checkpoint_resume_check(baseline, graph, workers))
     results.append(_flight_recorder_check(graph))
-    results.append(_shard_kill_check(baseline, graph))
+    results.append(_shard_kill_check(_digest(clean[:1]), graph))
     shutdown_pools()
     return results
 
@@ -247,7 +261,7 @@ def _shard_kill_check(baseline: str, graph) -> CheckResult:
                                 graph, num_samples=_NUM_SAMPLES,
                                 seed=_SEED)
         after = get_metrics().snapshot()
-        got = _digest(result.batch)
+        got = _digest([result])
         if got != baseline:
             problems.append(f"samples diverged under kill-shard "
                             f"({got} != {baseline})")
@@ -365,7 +379,7 @@ def _checkpoint_resume_check(baseline: str, graph,
             resumed = _run(graph, workers, checkpoint_dir=ckpt,
                            resume=True)
         after = get_metrics().snapshot()
-        got = _digest(resumed.batch)
+        got = _digest(resumed)
         if got != baseline:
             problems.append(f"resumed samples diverged "
                             f"({got} != {baseline})")

@@ -6,10 +6,12 @@ hash-for-hash, and mismatched state (different seed, graph, app, chunk
 layout) can never be replayed into the wrong run.
 """
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.api.apps import DeepWalk, KHop
+from repro.api.apps import LADIES, DeepWalk, KHop
 from repro.api.types import StepInfo
 from repro.core.engine import NextDoorEngine
 from repro.obs import get_metrics
@@ -236,3 +238,50 @@ class TestResume:
         for a, b in zip(expected.batch.step_vertices,
                         resumed.batch.step_vertices):
             assert np.array_equal(a, b)
+
+
+def _stored_chunks(ckpt):
+    """``{file name: (dtype, shape, data bytes, info bytes)}`` of the
+    one run directory under ``ckpt``."""
+    (run_dir,) = os.listdir(ckpt)
+    stored = {}
+    for name in sorted(os.listdir(os.path.join(ckpt, run_dir))):
+        with np.load(os.path.join(ckpt, run_dir, name)) as f:
+            stored[name] = (f["data"].dtype.str, f["data"].shape,
+                            f["data"].tobytes(), f["info"].tobytes())
+    return stored
+
+
+class TestPooledPayloads:
+    """A pooled chunk's rows never reach the parent as a message: its
+    checkpoint payload is gathered from the step arena, and must be the
+    array a ``workers=0`` run stores."""
+
+    @pytest.mark.parametrize("app_factory", [
+        lambda: KHop(fanouts=(4, 3)),
+        lambda: LADIES(step_size=8, batch_size=8),
+    ], ids=["khop", "ladies"])
+    def test_pooled_checkpoint_equals_serial(self, medium_graph,
+                                             tmp_path, app_factory):
+        def run(workers, ckpt, resume=False):
+            engine = NextDoorEngine(workers=workers, chunk_size=CHUNK,
+                                    checkpoint_dir=str(ckpt),
+                                    resume=resume)
+            return engine.run(app_factory(), medium_graph,
+                              num_samples=200, seed=11)
+
+        serial = run(0, tmp_path / "serial")
+        pooled = run(2, tmp_path / "pooled")
+        stored = _stored_chunks(tmp_path / "pooled")
+        assert len(stored) > 4
+        assert stored == _stored_chunks(tmp_path / "serial")
+
+        loaded = get_metrics().counter("checkpoint.chunks_loaded")
+        before = loaded.value
+        resumed = run(2, tmp_path / "pooled", resume=True)
+        assert loaded.value - before == len(stored)
+        for result in (pooled, resumed):
+            assert result.seconds == serial.seconds
+            for a, b in zip(serial.batch.step_vertices,
+                            result.batch.step_vertices):
+                assert np.array_equal(a, b)

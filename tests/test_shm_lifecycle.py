@@ -39,11 +39,29 @@ time.sleep(120)
 """
 
 
-def _spawn_exporter(tmp_path):
-    """Start a child that exports a graph and then sleeps; returns
+#: A child that ran a pooled step: it owns graph segments and one
+#: step arena, and its workers have the arena mapped.
+_POOLED_CHILD = """\
+import os, time
+from repro.api.apps import KHop
+from repro.core.engine import NextDoorEngine
+from repro.graph.generators import rmat_graph
+from repro.runtime.shm import leaked_segments
+if __name__ == "__main__":
+    g = rmat_graph(200, 800, seed=1, name='lifecycle')
+    NextDoorEngine(workers=2, chunk_size=32).run(
+        KHop(fanouts=(3, 2)), g, num_samples=100, seed=1)
+    print(",".join(n for n in leaked_segments()
+                   if f"_{os.getpid()}_" in n), flush=True)
+    time.sleep(120)
+"""
+
+
+def _spawn_exporter(tmp_path, child=_CHILD):
+    """Start a child that exports segments and then sleeps; returns
     (proc, its segment names)."""
     script = tmp_path / "exporter.py"
-    script.write_text(_CHILD)
+    script.write_text(child)
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
     proc = subprocess.Popen([sys.executable, str(script)], env=env,
                             stdout=subprocess.PIPE, text=True)
@@ -74,6 +92,16 @@ class TestStaleSweep:
         assert swept >= len(names)
         assert not (set(names) & set(leaked_segments()))
         assert swept_metric.value - before >= len(names)
+
+    def test_dead_owners_arena_is_swept(self, tmp_path):
+        proc, names = _spawn_exporter(tmp_path, _POOLED_CHILD)
+        arenas = [n for n in names if n.endswith("_arena")]
+        assert len(arenas) == 1 and len(names) > 1
+        proc.kill()  # its orphaned workers exit on the pipe EOF
+        proc.wait(timeout=30)
+        assert set(names) <= set(leaked_segments())
+        sweep_stale_segments()
+        assert not (set(names) & set(leaked_segments()))
 
     def test_pool_startup_sweeps(self, tmp_path):
         proc, names = _spawn_exporter(tmp_path)
@@ -114,8 +142,15 @@ class TestStaleSweep:
 
 
 class TestSigtermCleanup:
-    def test_sigtermed_owner_leaves_no_segments(self, tmp_path):
-        proc, names = _spawn_exporter(tmp_path)
+    def test_sigtermed_pooled_owner_leaves_no_segments(self, tmp_path):
+        """The handler also retires the pools and releases the arena
+        the pooled step was staged in."""
+        self.test_sigtermed_owner_leaves_no_segments(tmp_path,
+                                                     _POOLED_CHILD)
+
+    def test_sigtermed_owner_leaves_no_segments(self, tmp_path,
+                                                child=_CHILD):
+        proc, names = _spawn_exporter(tmp_path, child)
         proc.terminate()  # SIGTERM: the export-time handler cleans up
         proc.wait(timeout=30)
         assert _wait_gone(names), \

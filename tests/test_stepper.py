@@ -12,8 +12,8 @@ from repro.api.types import NULL_VERTEX
 from repro.core import stepper
 from repro.core.transit_map import build_transit_map, flatten_transits
 from repro.runtime.context import ExecutionContext
-from repro.runtime.rngplan import generator_for
-from repro.runtime.worker import StubBatch, exec_individual_chunk
+from repro.runtime import shm
+from repro.runtime.worker import run_chunk
 
 
 class TestInitBatch:
@@ -139,22 +139,25 @@ class TestStepOutput:
 
 class _ShuffledPool:
     """A stand-in worker pool: runs each ``ichunk`` job as a worker
-    would, hands results back in shuffled arrival order, and loses
-    ``lose`` of them (quarantined chunks the context must re-run)."""
+    would (against the step arena the message names), answers in
+    shuffled arrival order, and loses ``lose`` of them (quarantined
+    chunks the context must re-run)."""
 
     def __init__(self, app, graph, seed, rng, lose):
         self.app, self.graph, self.seed = app, graph, seed
         self.rng, self.lose = rng, lose
 
     def run_chunks(self, jobs, max_inflight=None):
-        results = {}
-        for i in self.rng.permutation(len(jobs))[self.lose:]:
-            cid, (_, _, step, key, vals, prev, roots_rows) = jobs[i]
-            results[cid] = exec_individual_chunk(
-                self.app, self.graph, vals, step,
-                generator_for(self.seed, key), prev_transits=prev,
-                batch=StubBatch(roots_rows, roots_rows.shape[0]),
-                sample_ids=np.arange(vals.size)) + (None,)
+        results, arenas = {}, {}
+        try:
+            for i in self.rng.permutation(len(jobs))[self.lose:]:
+                cid, msg = jobs[i]
+                results[cid] = (run_chunk(msg, self.app, self.graph,
+                                          self.seed, False, arenas),
+                                (0, 0.0, 0.0))
+        finally:
+            for attachment in arenas.values():
+                attachment.close()
         return results
 
 
@@ -186,6 +189,7 @@ class TestChunkedAssembly:
             outs.append(stepper.run_individual_step(
                 app, medium_graph, batch, transits, 1, ctx,
                 tmap.sample_ids, tmap.cols, tmap.transit_vals))
+        shm.release_arenas()
         (out, info), (pooled_out, pooled_info) = outs
         assert out.shape == (100, 12)
         assert np.array_equal(out, pooled_out)
