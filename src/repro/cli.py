@@ -452,12 +452,21 @@ def _cmd_sample(args, out) -> int:
     # in-process callers of main() don't inherit stale settings.
     scoped_env = {}
     if args.fault_plan is not None:
-        from repro.runtime.faults import PLAN_ENV, FaultPlan
+        from repro.native.backend import active_backend
+        from repro.runtime.faults import PLAN_ENV, POOL_FAULTS, FaultPlan
         try:
-            FaultPlan.parse(args.fault_plan)
+            plan = FaultPlan.parse(args.fault_plan)
         except ValueError as exc:
             print(f"error: {exc}", file=out)
             return 2
+        inert = sorted({spec.name for spec in plan.specs
+                        if spec.name in POOL_FAULTS}) if plan else []
+        if inert and active_backend().compiled:
+            print(f"warning: {', '.join(inert)} will not fire: under "
+                  f"the {active_backend().name} backend --workers N "
+                  "runs N chunk threads in this process, there are no "
+                  "worker processes to fault (use --backend numpy; see "
+                  "docs/RESILIENCE.md)", file=out)
         scoped_env[PLAN_ENV] = args.fault_plan
     if args.pool_timeout is not None:
         from repro.runtime.pool import TIMEOUT_ENV

@@ -84,21 +84,36 @@ def prev_transits_for(batch: SampleBatch, step: int,
 
 
 def step_output(num_samples: int, num_cols: int, m: int,
-                sample_ids: np.ndarray, cols: np.ndarray
+                sample_ids: np.ndarray, cols: np.ndarray,
+                out: Optional[np.ndarray] = None,
+                rows: Optional[np.ndarray] = None
                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Allocate an individual step's NULL-filled ``(S, T * m)`` output
-    and address it by pair.
+    """Allocate an individual step's ``(S, T * m)`` output and address
+    it by pair.
 
     Returns ``(out, out_rows, rows)``: ``out_rows`` is ``out`` viewed as
     one ``m``-wide row per (sample, transit column) slot and ``rows[i]``
     is the row pair ``i`` owns, so any run of pairs' results lands with
     one row scatter, ``out_rows[rows[lo:hi]] = sampled[lo:hi]`` — in
     any order, since pairs own disjoint rows.  Slots of NULL transits
-    are never addressed and stay NULL.
+    are never addressed and read NULL.  The pairs are the step's live
+    slots, one row each: when there are as many as slots every row is
+    written by its pair, and ``out`` is left uninitialised until then.
+
+    ``out`` (``S * T * m`` int64 values, any shape) and ``rows`` (one
+    int64 per pair) are used in place of fresh arrays when given — a
+    step staged in shared memory brings its own.
     """
-    out = np.full((num_samples, num_cols * m), NULL_VERTEX, dtype=np.int64)
-    return (out, out.reshape(num_samples * num_cols, m),
-            sample_ids * num_cols + cols)
+    if out is None:
+        out = np.empty(num_samples * num_cols * m, dtype=np.int64)
+    if rows is None:
+        rows = np.empty(sample_ids.size, dtype=np.int64)
+    if sample_ids.size < num_samples * num_cols:
+        out.fill(NULL_VERTEX)
+    np.multiply(sample_ids, num_cols, out=rows)
+    rows += cols
+    return (out.reshape(num_samples, num_cols * m),
+            out.reshape(num_samples * num_cols, m), rows)
 
 
 def run_individual_step(

@@ -57,7 +57,9 @@ name                            kind        meaning
                                             per-shard busy time
                                             (labeled ``shard=``)
 ``runtime.chunks_inprocess``    counter     chunks run in the parent
-``runtime.chunks_pooled``       counter     chunks run on pool workers
+``runtime.chunks_pooled``       counter     chunks run by the worker
+                                            set: pool processes or
+                                            chunk threads
 ``runtime.degraded_mode``       gauge       1 while a run has abandoned
                                             its pool (else 0)
 ``runtime.backend_active``      gauge       resolved kernel backend id:
@@ -88,7 +90,8 @@ name                            kind        meaning
                                             exceptions in a chunk,
                                             labeled ``app=``/``backend=``
 ``pool.queue_depth``            gauge       undispatched chunks (last)
-``pool.chunk_seconds``          histogram   worker-side chunk latency,
+``pool.chunk_seconds``          histogram   chunk latency on the worker
+                                            set (process or thread),
                                             labeled ``app=``/``backend=``
 ``checkpoint.chunks_saved``     counter     chunk results checkpointed
 ``checkpoint.chunks_loaded``    counter     chunk results restored on

@@ -4,9 +4,9 @@
 ``np.random.Generator`` the engines used to thread through a run.  It
 owns the run's :class:`~repro.runtime.rngplan.RNGPlan` and executes
 each step's sampling as a sequence of fixed-size chunks, each with its
-own plan-derived generator — in the parent process when ``workers=0``
-(or the hook is not worker-safe), on the shared
-:class:`~repro.runtime.pool.WorkerPool` otherwise.  Chunk layout and
+own plan-derived generator — in the calling thread when ``workers=0``
+(or the hook is not worker-safe), on ``workers`` chunk threads or the
+shared :class:`~repro.runtime.pool.WorkerPool` otherwise.  Chunk layout and
 seeds depend only on ``(seed, step, chunk index)``, never on the worker
 count, so the assembled step — and therefore the whole ``SampleBatch``
 — is bitwise-identical for any ``workers`` setting.
@@ -18,9 +18,10 @@ shapes; only the numpy sampling work is sharded.  Per-chunk
 chunk-size-weighted mean **in chunk order**, so the charge inputs are
 also identical with workers on or off.
 
-A step goes to the pool only when its hook is a pure function of
-``(graph, chunk data, rng)`` plus at most ``batch.roots`` /
-``batch.num_samples``, and more than one chunk is left to compute:
+A step is handed to the run's **worker set** only when its hook is a
+pure function of ``(graph, chunk data, rng)`` plus at most
+``batch.roots`` / ``batch.num_samples``, and more than one chunk is left
+to compute:
 
 * individual steps: the app must override ``sample_neighbors``
   (the un-overridden reference path calls ``next`` with full
@@ -30,23 +31,37 @@ A step goes to the pool only when its hook is a pure function of
   ``collective_needs_batch = False``, and not require materialised
   combined-neighborhood values (multi-GB value arrays are not staged).
 
-A dispatched step is staged once in a shared-memory **step arena**
-(:func:`repro.runtime.shm.open_arena`): the step's pair arrays (or
-transit rows and neighborhood offsets), the batch roots, and the step
-array itself (NULL wherever no chunk will write).  Chunk messages carry
-the arena's name, its layout and the chunk's bounds; workers write
-their rows in place and answer with cost hints and timings only; the
-parent copies the finished step out once.  Chunks the pool hands back
-unsolved are run here and written into the same arena.  The arena is
-borrowed for the step and returned on every exit from it.
+What the worker set is follows from the kernel backend the run began
+under (``active_backend().compiled``):
+
+* **Chunk threads** (compiled backend).  The C kernels are called
+  through ``ctypes``, which releases the GIL, so ``workers`` threads of
+  this process — the calling thread and ``workers - 1`` from one
+  process-wide executor — each take the next missing chunk, run the same
+  chunk executor with the chunk's plan generator and write its rows
+  straight into the heap step array.  Nothing is pickled, exported,
+  broadcast or staged; there are no worker processes to supervise.  The
+  first exception (or ``CancelledRun``) from any chunk is re-raised in
+  the caller once every started chunk has returned; chunks not yet
+  started are dropped.
+* **Process pool** (numpy backend, whose kernels hold the GIL).  A
+  dispatched step is staged once in a shared-memory **step arena**
+  (:func:`repro.runtime.shm.open_arena`): the step's pair arrays (or
+  transit rows and neighborhood offsets), the batch roots, and the step
+  array itself (NULL wherever no chunk will write).  Chunk messages
+  carry the arena's name, its layout and the chunk's bounds; workers
+  write their rows in place and answer with cost hints and timings only;
+  the parent copies the finished step out once.  Chunks the pool hands
+  back unsolved are run here and written into the same arena.  The arena
+  is borrowed for the step and returned on every exit from it.  Worker
+  crashes are survived by the pool's own supervisor (respawn + chunk
+  retry + poison-chunk quarantine, :mod:`repro.runtime.pool`); only when
+  that supervisor gives up — respawn budget exhausted — does the context
+  warn, retire the pool, re-run the missing chunks in-process (identical
+  by chunk purity), and finish the run without workers.
 
 Everything else runs its chunks in-process — with the *same* chunk
-generators, preserving bitwise identity.  Worker crashes are survived
-by the pool's own supervisor (respawn + chunk retry + poison-chunk
-quarantine, :mod:`repro.runtime.pool`); only when that supervisor
-gives up — respawn budget exhausted — does the context warn, retire
-the pool, re-run the missing chunks in-process (identical by chunk
-purity), and finish the run without workers.  With a checkpoint
+generators, preserving bitwise identity.  With a checkpoint
 attached (:meth:`ExecutionContext.attach_checkpoint`), every completed
 chunk's rows are persisted at the end of its step so an interrupted
 run can resume bitwise-identically.  See ``docs/RESILIENCE.md``.
@@ -56,25 +71,30 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
+import time
 import warnings
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.api.app import SamplingApp
 from repro.api.types import NULL_VERTEX, StepInfo
-from repro.native.backend import active_backend_name
+from repro.native.backend import active_backend
 from repro.obs import events, get_metrics, trace
 from repro.runtime import faults
-from repro.runtime.cancel import CancelScope
+from repro.runtime.cancel import CancelledRun, CancelScope
 from repro.runtime.checkpoint import CheckpointStore, run_fingerprint
 from repro.runtime.faults import FaultInjected
 from repro.runtime.pool import WorkerCrash, get_pool, retire_pool
 from repro.runtime.rngplan import AUX_POST, AUX_TOPUP, RNGPlan
 from repro.runtime.worker import exec_collective_chunk, exec_individual_chunk
 
-__all__ = ["ExecutionContext", "resolve_workers", "combine_infos"]
+__all__ = ["ExecutionContext", "resolve_workers", "combine_infos",
+           "shutdown_chunk_threads"]
 
 #: Environment variable consulted when an engine is constructed without
 #: an explicit ``workers`` argument (the CI parallel-runtime job sets
@@ -91,6 +111,42 @@ def resolve_workers(workers: Optional[int]) -> int:
     if workers < 0:
         raise ValueError("workers must be >= 0")
     return workers
+
+
+#: Most helper threads the process-wide chunk executor will hold.  It
+#: starts one only when a step asks for a helper and none is idle, so
+#: this bounds a runaway ``workers`` value, it does not size anything.
+MAX_CHUNK_HELPERS = 64
+
+_EXECUTOR: Optional[ThreadPoolExecutor] = None
+_EXECUTOR_LOCK = threading.Lock()
+
+
+def _submit_helpers(count: int, drain: Callable[[int], None]
+                    ) -> List[Future]:
+    """Queue ``drain(1) .. drain(count)`` on the chunk executor
+    (created here on first use, and again after a shutdown)."""
+    global _EXECUTOR
+    if count < 1:
+        return []
+    with _EXECUTOR_LOCK:
+        if _EXECUTOR is None:
+            _EXECUTOR = ThreadPoolExecutor(
+                max_workers=MAX_CHUNK_HELPERS,
+                thread_name_prefix="repro-chunk")
+        return [_EXECUTOR.submit(drain, lane)
+                for lane in range(1, count + 1)]
+
+
+def shutdown_chunk_threads() -> None:
+    """Stop the chunk executor's threads once the helpers already
+    queued have run (:func:`repro.runtime.pool.shutdown_pools` calls
+    this); the next threaded step starts a fresh executor."""
+    global _EXECUTOR
+    with _EXECUTOR_LOCK:
+        executor, _EXECUTOR = _EXECUTOR, None
+    if executor is not None:
+        executor.shutdown(wait=True)
 
 
 def combine_infos(infos: Sequence[StepInfo],
@@ -156,8 +212,8 @@ class _StepArrays:
     steps, its one-row-per-pair view ``out_rows`` and the pair -> row
     index ``rows`` (:func:`repro.core.stepper.step_output`).
 
-    Heap arrays for an in-process step, views of a borrowed
-    shared-memory arena for a dispatched one.  Step code reaches them
+    Heap arrays for an in-process or threaded step, views of a
+    borrowed shared-memory arena for one dispatched to the pool.  Step code reaches them
     only through this object, so that :meth:`close` leaves no view on
     the arena's buffer whatever frames a propagating exception keeps
     alive — a segment with a live view cannot be unmapped."""
@@ -186,7 +242,8 @@ class _StepArrays:
 
 
 class ExecutionContext:
-    """One run's RNG plan + (optional) worker pool."""
+    """One run's RNG plan + (optional) worker set: chunk threads under
+    a compiled backend, the process pool otherwise."""
 
     def __init__(self, seed: int, workers: Optional[int] = None,
                  chunk_size: Optional[int] = None,
@@ -195,7 +252,8 @@ class ExecutionContext:
         self.workers = resolve_workers(workers)
         #: Per-worker in-flight chunk cap for pooled dispatch (None =
         #: $REPRO_POOL_INFLIGHT / pool default).  Purely a scheduling
-        #: knob: samples are bitwise-identical for any value.
+        #: knob: samples are bitwise-identical for any value.  Chunk
+        #: threads take one chunk at a time and ignore it.
         self.inflight = inflight
         if plan is None:
             plan = (RNGPlan(seed, chunk_pairs=chunk_size)
@@ -203,6 +261,9 @@ class ExecutionContext:
         self.plan = plan
         self.pool = None
         self._pool_failed = False
+        #: True once ``begin_run`` found a compiled backend: dispatched
+        #: steps run on chunk threads and no pool is attached.
+        self._threads = False
         #: Chunk-result store attached by the engine for
         #: ``--checkpoint`` runs (None = no checkpointing).
         self.checkpoint: Optional[CheckpointStore] = None
@@ -236,12 +297,13 @@ class ExecutionContext:
 
     def shard(self, shard_index: int) -> "ExecutionContext":
         """Context for one multi-device shard: a namespaced plan over
-        the same pool."""
+        the same worker set."""
         ctx = ExecutionContext(self.plan.seed, workers=self.workers,
                                plan=self.plan.shard(shard_index),
                                inflight=self.inflight)
         ctx.pool = self.pool
         ctx._pool_failed = self._pool_failed
+        ctx._threads = self._threads
         ctx.checkpoint = self.checkpoint
         ctx.cancel = self.cancel
         ctx._fault_plan = self._fault_plan
@@ -266,11 +328,13 @@ class ExecutionContext:
 
     def begin_run(self, app: SamplingApp, graph,
                   use_reference: bool = False) -> None:
-        """Attach the pool (spawning if needed) and broadcast the run's
-        app + shared graph.  Any failure degrades to in-process
-        execution with a warning — never a failed run."""
-        self._run_labels = {"app": app.name,
-                            "backend": active_backend_name()}
+        """Choose the run's worker set.  Under a compiled backend that
+        is chunk threads, which need no set-up.  Otherwise attach the
+        pool (spawning if needed) and broadcast the run's app + shared
+        graph; any failure there degrades to in-process execution with
+        a warning — never a failed run."""
+        backend = active_backend()
+        self._run_labels = {"app": app.name, "backend": backend.name}
         tag = (f"{app.name}-{graph.name}-s{self.plan.seed}"
                f"-w{self.workers}".lower().replace(" ", "-"))
         events.set_flight_tag(tag)
@@ -278,8 +342,11 @@ class ExecutionContext:
                       seed=self.plan.seed, workers=self.workers)
         if self.workers < 1 or self._pool_failed:
             return
-        plan = self._fault_plan
         self.metrics.gauge("runtime.degraded_mode").set(0)
+        if backend.compiled:
+            self._threads = True
+            return
+        plan = self._fault_plan
         if plan is not None and plan.should("unpicklable-app"):
             return
         try:
@@ -355,20 +422,32 @@ class ExecutionContext:
         restored = self._load_checkpointed("i", step, nchunks)
         missing = [c for c in range(nchunks) if c not in restored]
         dispatch = (
-            self.pool is not None and not use_reference
-            and len(missing) > 1
+            (self._threads or self.pool is not None)
+            and not use_reference and len(missing) > 1
             and type(app).sample_neighbors
             is not SamplingApp.sample_neighbors)
         work = None
-        if dispatch:
+        if dispatch and not self._threads:
             work = self._stage_individual(batch, num_cols, m, sample_ids,
                                           cols, transit_vals, prev)
+            dispatch = work is not None
         if work is None:
             work = _StepArrays(*step_output(
                 batch.num_samples, num_cols, m, sample_ids, cols))
-        dispatch = work.arena is not None
         #: Per-chunk cost hints; ``None`` marks a chunk still to run.
         infos: List[Optional[StepInfo]] = [None] * nchunks
+
+        def run_chunk(c: int) -> StepInfo:
+            lo, hi = int(bounds[c]), int(bounds[c + 1])
+            sampled, info = exec_individual_chunk(
+                app, graph, transit_vals[lo:hi], step,
+                self.plan.chunk_rng(step, c),
+                prev_transits=None if prev is None else prev[lo:hi],
+                batch=batch, sample_ids=sample_ids[lo:hi],
+                use_reference=use_reference)
+            work.out_rows[work.rows[lo:hi]] = sampled
+            return info
+
         sampling_span = self.tracer.span(
             "sampling.individual", step=step,
             pairs=int(transit_vals.size), chunks=nchunks,
@@ -378,7 +457,9 @@ class ExecutionContext:
                 work.out_rows[work.rows[bounds[c]:bounds[c + 1]]] = sampled
                 infos[c] = info
             with sampling_span:
-                if dispatch:
+                if dispatch and self._threads:
+                    self._run_on_threads(step, missing, run_chunk, infos)
+                elif dispatch:
                     for c, info in self._dispatch(
                             "ichunk", step, missing, bounds,
                             work.arena).items():
@@ -387,17 +468,10 @@ class ExecutionContext:
                     if infos[c] is not None:
                         continue
                     self._check_cancel(f"step {step} chunk {c}")
-                    lo, hi = int(bounds[c]), int(bounds[c + 1])
-                    with self.tracer.span("chunk", step=step, chunk=c,
-                                          pairs=hi - lo):
-                        sampled, infos[c] = exec_individual_chunk(
-                            app, graph, transit_vals[lo:hi], step,
-                            self.plan.chunk_rng(step, c),
-                            prev_transits=None if prev is None
-                            else prev[lo:hi],
-                            batch=batch, sample_ids=sample_ids[lo:hi],
-                            use_reference=use_reference)
-                        work.out_rows[work.rows[lo:hi]] = sampled
+                    with self.tracer.span(
+                            "chunk", step=step, chunk=c,
+                            pairs=int(bounds[c + 1] - bounds[c])):
+                        infos[c] = run_chunk(c)
                     self.metrics.counter("runtime.chunks_inprocess").inc()
             if self.checkpoint is not None:
                 for c in missing:
@@ -452,25 +526,37 @@ class ExecutionContext:
         restored = self._load_checkpointed("c", step, nchunks)
         missing = [c for c in range(nchunks) if c not in restored]
         dispatch = (
-            self.pool is not None and not use_reference
-            and len(missing) > 1
+            (self._threads or self.pool is not None)
+            and not use_reference and len(missing) > 1
             and values is None and not app.collective_needs_batch
             and type(app).sample_from_neighborhood
             is not SamplingApp.sample_from_neighborhood)
         out_shape = (num_rows, app.sample_size(step))
         work = None
-        if dispatch:
+        if dispatch and not self._threads:
             arena = self._open_arena(
                 {"transits": transits, "offsets": offsets},
                 {"out": out_shape})
             if arena is not None:
                 # Every sample row belongs to a chunk: nothing to blank.
                 work = _StepArrays(arena.views["out"], arena=arena)
+            dispatch = work is not None
         if work is None:
             work = _StepArrays(
                 np.full(out_shape, NULL_VERTEX, dtype=np.int64))
-        dispatch = work.arena is not None
         infos: List[Optional[StepInfo]] = [None] * nchunks
+
+        def run_chunk(c: int) -> StepInfo:
+            lo, hi = int(bounds[c]), int(bounds[c + 1])
+            vertices, info = exec_collective_chunk(
+                app, graph, _BatchRows(batch, lo, hi),
+                None if values is None
+                else values[offsets[lo]:offsets[hi]],
+                offsets[lo:hi + 1] - offsets[lo], transits[lo:hi], step,
+                self.plan.chunk_rng(step, c), use_reference=use_reference)
+            work.out[lo:hi] = vertices
+            return info
+
         sampling_span = self.tracer.span(
             "sampling.collective", step=step, rows=num_rows,
             chunks=nchunks, dispatched=bool(dispatch))
@@ -479,7 +565,9 @@ class ExecutionContext:
                 work.out[bounds[c]:bounds[c + 1]] = vertices
                 infos[c] = info
             with sampling_span:
-                if dispatch:
+                if dispatch and self._threads:
+                    self._run_on_threads(step, missing, run_chunk, infos)
+                elif dispatch:
                     for c, info in self._dispatch(
                             "cchunk", step, missing, bounds,
                             work.arena).items():
@@ -488,18 +576,10 @@ class ExecutionContext:
                     if infos[c] is not None:
                         continue
                     self._check_cancel(f"step {step} chunk {c}")
-                    lo, hi = int(bounds[c]), int(bounds[c + 1])
-                    vals_chunk = (None if values is None
-                                  else values[offsets[lo]:offsets[hi]])
-                    with self.tracer.span("chunk", step=step, chunk=c,
-                                          rows=hi - lo):
-                        vertices, infos[c] = exec_collective_chunk(
-                            app, graph, _BatchRows(batch, lo, hi),
-                            vals_chunk, offsets[lo:hi + 1] - offsets[lo],
-                            transits[lo:hi], step,
-                            self.plan.chunk_rng(step, c),
-                            use_reference=use_reference)
-                        work.out[lo:hi] = vertices
+                    with self.tracer.span(
+                            "chunk", step=step, chunk=c,
+                            rows=int(bounds[c + 1] - bounds[c])):
+                        infos[c] = run_chunk(c)
                     self.metrics.counter("runtime.chunks_inprocess").inc()
             if self.checkpoint is not None:
                 for c in missing:
@@ -550,6 +630,56 @@ class ExecutionContext:
                 results[c] = hit
         return results
 
+    def _run_on_threads(self, step: int, chunks: Sequence[int],
+                        run_chunk: Callable[[int], StepInfo],
+                        infos: List[Optional[StepInfo]]) -> None:
+        """Run ``chunks`` on ``workers`` threads — this one (lane
+        ``worker-0``) and helpers from the chunk executor — each taking
+        the next chunk until none is left; ``run_chunk`` writes the
+        chunk's rows and its cost hints land in ``infos``.
+
+        Returns only when no chunk is running or will start.  A chunk
+        that raises (the scope's ``CancelledRun`` included) stops every
+        thread from taking another; the first such exception is
+        re-raised here after the chunks already started have returned."""
+        queue = deque(chunks)
+        errors: List[BaseException] = []
+        pooled = self.metrics.counter("runtime.chunks_pooled")
+        chunk_seconds = self.metrics.histogram(
+            "pool.chunk_seconds", labels=self._run_labels or None)
+
+        def drain(lane: int) -> None:
+            lane_name = f"worker-{lane}"
+            try:
+                while not errors:
+                    try:
+                        c = queue.popleft()
+                    except IndexError:
+                        return
+                    if self.cancel is not None:
+                        self.cancel.check(f"step {step} chunk {c}")
+                    t0 = time.monotonic()
+                    infos[c] = run_chunk(c)
+                    t1 = time.monotonic()
+                    pooled.inc()
+                    chunk_seconds.observe(t1 - t0)
+                    self.tracer.add_span("chunk", t0, t1, lane=lane_name,
+                                         step=step, chunk=c)
+            except BaseException as exc:
+                errors.append(exc)
+
+        helpers = _submit_helpers(min(self.workers, len(chunks)) - 1,
+                                  drain)
+        drain(0)
+        for helper in helpers:
+            # One that never started finds nothing left to do.
+            if not helper.cancel():
+                helper.result()
+        if errors:
+            if isinstance(errors[0], CancelledRun):
+                self.metrics.counter("runtime.runs_cancelled").inc()
+            raise errors[0]
+
     def _open_arena(self, staged: Dict[str, np.ndarray],
                     blank: Dict[str, Tuple[int, ...]]):
         """Borrow a step arena holding copies of the ``staged`` arrays
@@ -579,7 +709,8 @@ class ExecutionContext:
                           ) -> Optional[_StepArrays]:
         """An individual step staged for workers: its pair arrays, the
         batch roots (workers read a pair's sample as ``rows // T``) and
-        the step array, addressed as by ``step_output``."""
+        the step array, addressed and blanked by ``step_output``."""
+        from repro.core.stepper import step_output
         staged = {"vals": transit_vals, "roots": batch.roots}
         if prev is not None:
             staged["prev"] = prev
@@ -589,17 +720,10 @@ class ExecutionContext:
             "out": (num_samples, num_cols, m)})
         if arena is None:
             return None
-        rows, out = arena.views["rows"], arena.views["out"]
-        np.multiply(sample_ids, num_cols, out=rows)
-        rows += cols
-        # The pairs are the step's live (sample, column) slots, one row
-        # each: when there are as many as slots, every row is written by
-        # its chunk and what the arena held before is never seen.
-        if transit_vals.size < num_samples * num_cols:
-            out.fill(NULL_VERTEX)
-        return _StepArrays(out.reshape(num_samples, num_cols * m),
-                           out.reshape(num_samples * num_cols, m),
-                           rows, arena)
+        return _StepArrays(
+            *step_output(num_samples, num_cols, m, sample_ids, cols,
+                         out=arena.views["out"], rows=arena.views["rows"]),
+            arena=arena)
 
     def _dispatch(self, kind: str, step: int, chunks: Sequence[int],
                   bounds: np.ndarray, arena) -> Dict[int, StepInfo]:

@@ -27,7 +27,8 @@ chunk kills the respawned worker too).
 Fault names:
 
 ========================  =============================================
-worker-side (fire in pool worker processes)
+worker-side (fire in pool worker processes: numpy backend only —
+a compiled backend runs chunk threads and has none)
 ----------------------------------------------------------------------
 ``kill-before-chunk:A``   ``os._exit`` on receiving chunk A, before
                           sampling it (hard crash, result lost)
@@ -47,6 +48,8 @@ parent-side (fire in the dispatching process)
 ``broadcast-fail``        run broadcast raises ``WorkerCrash``
 ``unpicklable-app``       the app is treated as unpicklable (silent
                           in-process execution, not a pool failure)
+                          — these three fire only where a pool is
+                          attached, i.e. not under a compiled backend
 ``interrupt-step:S``      raise :class:`FaultInjected` at the start of
                           step S (deterministic stand-in for ctrl-C;
                           drives the checkpoint/resume chaos check)
@@ -64,14 +67,17 @@ import os
 from typing import List, Optional, Tuple, Union
 
 __all__ = ["FaultInjected", "FaultSpec", "FaultPlan", "active_plan",
-           "PLAN_ENV", "FAULT_NAMES"]
+           "PLAN_ENV", "FAULT_NAMES", "POOL_FAULTS"]
 
 #: Environment variable holding the active fault plan spec.
 PLAN_ENV = "REPRO_FAULT_PLAN"
 
-#: Every recognised fault name (parse rejects anything else so typos
-#: fail loudly instead of silently injecting nothing).
-FAULT_NAMES = (
+#: Faults that need the process pool: the worker-side kinds and the
+#: three that fail the pool's attachment in ``begin_run``.  Under a
+#: compiled backend ``--workers N`` is N threads of one process — there
+#: is no worker to kill and nothing to export or broadcast — so these
+#: never fire there (the CLI says so once).
+POOL_FAULTS = (
     "kill-before-chunk",
     "kill-after-chunk",
     "wedge-chunk",
@@ -80,6 +86,11 @@ FAULT_NAMES = (
     "shm-export-fail",
     "broadcast-fail",
     "unpicklable-app",
+)
+
+#: Every recognised fault name (parse rejects anything else so typos
+#: fail loudly instead of silently injecting nothing).
+FAULT_NAMES = POOL_FAULTS + (
     "interrupt-step",
     "kill-shard",
 )

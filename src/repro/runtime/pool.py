@@ -528,14 +528,16 @@ def retire_pool(pool: WorkerPool) -> None:
 
 
 def shutdown_pools() -> None:
-    """Shut down every registered pool and release the step arenas
-    they were fed through (atexit + tests)."""
+    """Shut down every registered pool, release the step arenas they
+    were fed through and stop the chunk threads (atexit + tests)."""
+    from repro.runtime.context import shutdown_chunk_threads
     from repro.runtime.shm import release_arenas
     with _REGISTRY_LOCK:
         for pool in _POOLS.values():
             pool.shutdown()
         _POOLS.clear()
     release_arenas()
+    shutdown_chunk_threads()
 
 
 atexit.register(shutdown_pools)

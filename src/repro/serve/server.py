@@ -569,8 +569,12 @@ def _make_handler(server: "SamplingServer"):
             self.send_header("Content-Length", str(len(payload)))
             for key, value in (headers or {}).items():
                 self.send_header(key, value)
-            self.end_headers()
-            self.wfile.write(payload)
+            # Head and body leave in one write: on a keep-alive
+            # connection a second small write is held back (Nagle) until
+            # the client's delayed ACK of the first, ~40 ms a request.
+            self._headers_buffer.append(b"\r\n")
+            self._headers_buffer.append(payload)
+            self.flush_headers()
 
         def _respond_json(self, response: Dict[str, Any]) -> None:
             code = STATUS_HTTP.get(response.get("status", "error"), 500)

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.api.apps import LADIES, DeepWalk, KHop
 from repro.core.engine import NextDoorEngine
+from repro.native.backend import backend_scope
 from repro.obs import get_metrics
 from repro.obs.events import (FLIGHT_DIR_ENV, reset_events,
                               validate_event_stream)
@@ -150,10 +151,14 @@ def _check(name: str, baseline: str, graph, workers: int,
         detail="; ".join(problems))
 
 
+@backend_scope("numpy")
 def run_chaos_checks(workers: Optional[int] = None,
                      seed: int = 0) -> List[CheckResult]:
     """Every fault scenario; ``workers`` defaults to 2 (the pool must
-    exist for worker-side faults to have anywhere to fire)."""
+    exist for worker-side faults to have anywhere to fire), and the
+    backend is ``numpy`` whatever the environment says: under a
+    compiled backend ``workers`` are chunk threads, with no process to
+    kill, wedge or fail an export for."""
     del seed  # scenarios pin their seed: identity must be exact
     workers = workers if workers and workers >= 1 else 2
     graph = _chaos_graph()

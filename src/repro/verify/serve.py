@@ -25,6 +25,7 @@ import warnings
 from typing import List, Optional
 
 from repro.core.engine import NextDoorEngine
+from repro.native.backend import backend_scope
 from repro.obs import get_metrics
 from repro.serve.client import RetryPolicy, ServeClient
 from repro.serve.protocol import SampleRequest, batch_digest
@@ -68,10 +69,12 @@ def _result(name: str, problems: List[str],
                        detail="; ".join(problems))
 
 
+@backend_scope("numpy")
 def run_serve_checks(workers: Optional[int] = None,
                      seed: int = 0) -> List[CheckResult]:
-    """All serving scenarios; ``workers`` defaults to 2 (the kill and
-    breaker checks need a pool to wound)."""
+    """All serving scenarios; ``workers`` defaults to 2 and the
+    backend is pinned to ``numpy`` (the kill and breaker checks need a
+    pool to wound; a compiled backend runs chunk threads)."""
     del seed  # scenarios pin their seed: identity must be exact
     workers = workers if workers and workers >= 1 else 2
     results: List[CheckResult] = []

@@ -61,5 +61,15 @@ def backend(request):
 
 
 @pytest.fixture
+def process_pool():
+    """The numpy backend, whatever ``$REPRO_BACKEND`` says: the backend
+    under which ``workers >= 1`` means the worker *processes* these
+    tests supervise, crash and stage arenas for (a compiled backend runs
+    chunk threads, tests/test_chunk_threads.py)."""
+    with backend_scope("numpy"):
+        yield
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(1234)

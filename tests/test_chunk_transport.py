@@ -26,6 +26,8 @@ from repro.runtime.faults import PLAN_ENV
 from repro.runtime.pool import WorkerPool, get_pool, shutdown_pools
 from repro.serve.protocol import batch_digest
 
+pytestmark = pytest.mark.usefixtures("process_pool")
+
 #: 250 samples in chunks of 96 pairs (3 collective rows): every step
 #: ends on a ragged chunk.
 CHUNK = 96

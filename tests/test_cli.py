@@ -195,6 +195,28 @@ class TestResilienceFlags:
         assert code == 2
         assert "unknown fault" in out
 
+    def test_worker_faults_warn_once_under_chunk_threads(self):
+        """``--workers 2 --backend cnative`` is two threads: a
+        worker-side fault has no process to fire in, and says so; a
+        parent-side one, or the numpy backend, does not warn."""
+        from repro.native.backend import available_backends
+        if "cnative" not in available_backends():
+            pytest.skip("no C compiler")
+        base = ["sample", "--app", "DeepWalk", "--graph", "ppi",
+                "--samples", "64", "--workers", "2", "--chunk-size", "16"]
+        code, out = run_cli(base + [
+            "--backend", "cnative", "--fault-plan",
+            "kill-after-chunk:0.1,chunk-error:1.0,interrupt-step:500"])
+        assert code == 0
+        assert out.count("warning:") == 1
+        assert "chunk-error, kill-after-chunk will not fire" in out
+        code, out = run_cli(base + ["--backend", "cnative",
+                                    "--fault-plan", "interrupt-step:500"])
+        assert code == 0 and "warning:" not in out
+        code, out = run_cli(base + ["--backend", "numpy", "--fault-plan",
+                                    "chunk-error:1.0"])
+        assert code == 0 and "will not fire" not in out
+
     def test_resume_requires_checkpoint(self):
         code, out = run_cli(["sample", "--app", "DeepWalk",
                              "--graph", "ppi", "--samples", "8",

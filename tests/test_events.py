@@ -167,6 +167,7 @@ class TestStreamValidation:
         validate_event_stream(get_event_log().snapshot())
 
 
+@pytest.mark.usefixtures("process_pool")
 class TestRuntimeIntegration:
     def test_pooled_crash_records_events(self, monkeypatch):
         """A worker killed mid-run leaves crash/respawn (or retry)

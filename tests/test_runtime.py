@@ -249,6 +249,7 @@ def _kill_worker0_after_begin_run(monkeypatch):
     monkeypatch.setattr(ExecutionContext, "begin_run", begin_and_kill)
 
 
+@pytest.mark.usefixtures("process_pool")
 class TestCrashFallback:
     def test_respawn_produces_identical_samples(self, medium_weighted,
                                                 monkeypatch):

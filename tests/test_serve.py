@@ -416,6 +416,29 @@ class TestServerHTTP:
         assert r.status == "deadline_exceeded"
         assert r.response["stage"] == "mid-run"
 
+    def test_keepalive_requests_do_not_stall(self, server):
+        """A pooling client: head and body of a response arrive as one
+        write.  Written apart, the body waits ~40 ms for the client's
+        delayed ACK of the head on every request after the first."""
+        import http.client
+        body = json.dumps({"app": "k-hop", "graph": "ppi", "samples": 16,
+                           "seed": 2, "return_samples": False}).encode()
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=60)
+        laps = []
+        try:
+            for _ in range(20):
+                t = time.monotonic()
+                conn.request("POST", "/v1/sample", body=body,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+                laps.append(time.monotonic() - t)
+                assert response.status == 200 and payload["status"] == "ok"
+        finally:
+            conn.close()
+        assert sorted(laps)[len(laps) // 2] < 0.020, laps
+
     def test_bad_json_is_400(self, server):
         client = ServeClient(port=server.port)
         response = client._post("/v1/sample", b"{not json")

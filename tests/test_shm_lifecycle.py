@@ -39,18 +39,21 @@ time.sleep(120)
 """
 
 
-#: A child that ran a pooled step: it owns graph segments and one
-#: step arena, and its workers have the arena mapped.
+#: A child that ran a pooled step (numpy backend: worker processes):
+#: it owns graph segments and one step arena, and its workers have the
+#: arena mapped.
 _POOLED_CHILD = """\
 import os, time
 from repro.api.apps import KHop
 from repro.core.engine import NextDoorEngine
 from repro.graph.generators import rmat_graph
+from repro.native.backend import backend_scope
 from repro.runtime.shm import leaked_segments
 if __name__ == "__main__":
     g = rmat_graph(200, 800, seed=1, name='lifecycle')
-    NextDoorEngine(workers=2, chunk_size=32).run(
-        KHop(fanouts=(3, 2)), g, num_samples=100, seed=1)
+    with backend_scope("numpy"):
+        NextDoorEngine(workers=2, chunk_size=32).run(
+            KHop(fanouts=(3, 2)), g, num_samples=100, seed=1)
     print(",".join(n for n in leaked_segments()
                    if f"_{os.getpid()}_" in n), flush=True)
     time.sleep(120)

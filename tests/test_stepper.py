@@ -114,18 +114,30 @@ def _elementwise_scatter(num_samples, num_cols, m, sample_ids, cols,
 class TestStepOutput:
     @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([0, 1, 3]),
            num_cols=st.sampled_from([1, 4]),
-           null_frac=st.sampled_from([0.0, 0.3, 1.0]))
-    @settings(max_examples=60, deadline=None)
+           null_frac=st.sampled_from([0.0, 0.3, 1.0]),
+           staged=st.booleans())
+    @settings(max_examples=80, deadline=None)
     def test_shuffled_chunks_assemble_like_the_element_scatter(
-            self, seed, m, num_cols, null_frac):
+            self, seed, m, num_cols, null_frac, staged):
+        """With no NULL transit (``null_frac`` 0) the array starts
+        uninitialised and every row must come from its pair; ``staged``
+        hands in dirty caller-owned buffers, as a step arena does."""
         rng = np.random.default_rng(seed)
         num_samples = int(rng.integers(1, 40))
         transits = rng.integers(0, 50, size=(num_samples, num_cols))
         transits[rng.random(transits.shape) < null_frac] = NULL_VERTEX
         tmap = build_transit_map(transits)  # transit-sorted pair order
         sampled = rng.integers(0, 1000, size=(tmap.num_pairs, m))
+        buffers = {}
+        if staged:
+            buffers = {"out": np.full((num_samples, num_cols, m), 7777),
+                       "rows": np.full(tmap.num_pairs, -5)}
         out, out_rows, rows = stepper.step_output(
-            num_samples, num_cols, m, tmap.sample_ids, tmap.cols)
+            num_samples, num_cols, m, tmap.sample_ids, tmap.cols,
+            **buffers)
+        if staged:
+            assert out.base is buffers["out"]
+            assert rows is buffers["rows"]
         cuts = np.unique(rng.integers(0, tmap.num_pairs + 1, size=5))
         bounds = np.concatenate(([0], cuts, [tmap.num_pairs]))
         for c in rng.permutation(bounds.size - 1):

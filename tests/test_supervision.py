@@ -59,6 +59,7 @@ def _assert_identical(a, b):
     assert a.seconds == b.seconds
 
 
+@pytest.mark.usefixtures("process_pool")
 class TestRespawn:
     def test_crash_after_result_is_healed(self, medium_weighted,
                                           monkeypatch):
@@ -124,6 +125,7 @@ class TestRespawn:
         assert get_metrics().gauge("runtime.degraded_mode").value == 1
 
 
+@pytest.mark.usefixtures("process_pool")
 class TestBroadcastFailure:
     def test_broadcast_to_dead_worker_raises_workercrash(self):
         pool = WorkerPool(1)
