@@ -23,6 +23,7 @@ __all__ = [
     "weighted_neighbors",
     "segment_uniform_choice",
     "build_combined_neighborhood",
+    "combined_neighborhood_offsets",
     "rowwise_searchsorted",
 ]
 
@@ -181,6 +182,19 @@ def segment_uniform_choice(values: np.ndarray, offsets: np.ndarray, m: int,
     return out
 
 
+def combined_neighborhood_offsets(graph: CSRGraph,
+                                  transits: np.ndarray) -> np.ndarray:
+    """The ``(S + 1,)`` offsets of :func:`build_combined_neighborhood`
+    without the values: what a collective application that declares
+    ``needs_combined_values = False`` selects from — hub-heavy transit
+    sets would otherwise materialise multi-gigabyte arrays."""
+    transits = np.asarray(transits, dtype=np.int64)
+    live = transits != NULL_VERTEX
+    deg = np.zeros(transits.shape, dtype=np.int64)
+    deg[live] = graph.degrees_array[transits[live]]
+    return exclusive_offsets(deg.sum(axis=1))
+
+
 def build_combined_neighborhood(
     graph: CSRGraph, transits: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -193,17 +207,12 @@ def build_combined_neighborhood(
     produces in device memory.
     """
     transits = np.asarray(transits, dtype=np.int64)
-    num_samples = transits.shape[0]
-    flat = transits.ravel()
-    live = flat != NULL_VERTEX
-    deg = np.zeros(flat.size, dtype=np.int64)
-    lv = flat[live]
-    deg[live] = graph.degrees_array[lv]
-    per_sample = deg.reshape(num_samples, -1).sum(axis=1)
-    offsets = exclusive_offsets(per_sample)
     # One ragged gather copies every live transit's CSR row into place.
     # Live pairs are enumerated in row-major (sample, column) order, so
     # the concatenation lands each sample's rows contiguously, columns
     # in order — the same layout the per-sample cursor loop produced.
-    values, _ = ragged_gather(graph.indices, graph.indptr[lv], deg[live])
-    return values.astype(np.int64, copy=False), offsets
+    lv = transits[transits != NULL_VERTEX]
+    values, _ = ragged_gather(graph.indices, graph.indptr[lv],
+                              graph.degrees_array[lv])
+    return (values.astype(np.int64, copy=False),
+            combined_neighborhood_offsets(graph, transits))

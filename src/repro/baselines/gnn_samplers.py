@@ -17,21 +17,11 @@ reference samplers.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
-from repro.api.app import SamplingApp
-from repro.api.types import NULL_VERTEX, SamplingType
-from repro.core import stepper
-from repro.graph.relabel import canonicalize_batch
-from repro.core.engine import SamplingResult
-from repro.core.transit_map import flatten_transits
-from repro.core.unique import dedupe_and_topup
+from repro.api.types import NULL_VERTEX
+from repro.baselines.cpu_engine import CpuEngine
+from repro.core.stepper import StepRecord
 from repro.gpu.cpu_model import CpuDevice, CpuTask
 from repro.gpu.spec import CPUSpec, XEON_SILVER_4216
-from repro.obs import get_metrics, trace
-from repro.runtime.context import ExecutionContext
 
 __all__ = ["ReferenceSamplerEngine"]
 
@@ -40,7 +30,7 @@ __all__ = ["ReferenceSamplerEngine"]
 _OPS_PER_VERTEX = 150.0
 
 
-class ReferenceSamplerEngine:
+class ReferenceSamplerEngine(CpuEngine):
     """The existing GNNs' own CPU samplers."""
 
     engine_name = "ReferenceSampler"
@@ -49,107 +39,43 @@ class ReferenceSamplerEngine:
                  use_reference: bool = False,
                  ops_per_vertex: float = _OPS_PER_VERTEX,
                  workers=None, chunk_size=None) -> None:
-        self.spec = spec
-        self.use_reference = use_reference
+        super().__init__(spec, use_reference, workers, chunk_size)
         self.ops_per_vertex = ops_per_vertex
-        self.workers = workers
-        self.chunk_size = chunk_size
 
-    def run(self, app: SamplingApp, graph,
-            num_samples: Optional[int] = None,
-            roots: Optional[np.ndarray] = None,
-            seed: int = 0) -> SamplingResult:
-        with trace.span("run", engine=self.engine_name, app=app.name,
-                        graph=graph.name) as run_span:
-            result = self._run_traced(app, graph, num_samples, roots,
-                                      seed, run_span)
-        reg = get_metrics()
-        reg.counter("engine.runs").inc()
-        reg.counter("engine.samples_produced").inc(result.batch.num_samples)
-        reg.counter("engine.steps_run").inc(result.steps_run)
-        return result
-
-    def _run_traced(self, app: SamplingApp, graph, num_samples, roots,
-                    seed: int, run_span) -> SamplingResult:
-        ctx = ExecutionContext(seed, workers=self.workers,
-                               chunk_size=self.chunk_size)
-        batch = stepper.init_batch(app, graph, num_samples, roots,
-                                   ctx.init_rng())
-        run_span.set(samples=batch.num_samples)
-        ctx.begin_run(app, graph, use_reference=self.use_reference)
-        cpu = CpuDevice(self.spec)
-        collective = app.sampling_type() is SamplingType.COLLECTIVE
-        limit = stepper.step_limit(app)
-        step = 0
-        while step < limit:
-            with trace.span("step", step=step, engine=self.engine_name):
-                transits = app.transits_for_step(batch, step)
-                sample_ids, cols, vals = flatten_transits(transits)
-                if vals.size == 0:
-                    break
-                m = app.sample_size(step)
-                if collective:
-                    with trace.span("collective_kernels", step=step):
-                        new_vertices, info, edges, neigh_sizes = \
-                            stepper.run_collective_step(
-                                app, graph, batch, transits, step, ctx,
-                                use_reference=self.use_reference)
-                    # The reference implementations materialise each
-                    # sample's combined neighborhood as Python/numpy
-                    # objects before selecting from it.
-                    cpu.run([CpuTask(ops=float(neigh_sizes.mean()) * 4.0,
-                                     sequential_bytes=float(
-                                         neigh_sizes.mean()) * 8,
-                                     random_accesses=float(
-                                         (transits != NULL_VERTEX)
-                                         .sum(axis=1).mean()),
-                                     count=batch.num_samples)],
-                            name=f"ref_neighborhood_{step}",
-                            parallel=False)
-                    produced = batch.num_samples * max(m, 1)
-                    cpu.run([CpuTask(ops=self.ops_per_vertex,
-                                     random_accesses=1.0,
-                                     count=produced)],
-                            name=f"ref_select_{step}", parallel=False)
-                    if edges is not None:
-                        batch.record_edges(edges)
-                        cpu.run([CpuTask(ops=6.0, random_accesses=0.5,
-                                         count=int(vals.size) * max(m, 1))],
-                                name=f"ref_edges_{step}", parallel=False)
-                else:
-                    with trace.span("individual_kernels", step=step):
-                        new_vertices, info = stepper.run_individual_step(
-                            app, graph, batch, transits, step, ctx,
-                            sample_ids, cols, vals,
-                            use_reference=self.use_reference)
-                    produced = int(vals.size) * max(m, 1)
-                    rounds = max(1.0, info.avg_compute_cycles / 10.0)
-                    cpu.run([CpuTask(ops=self.ops_per_vertex * rounds,
-                                     random_accesses=1.0
-                                     + info.extra_global_reads_per_vertex,
-                                     count=produced)],
-                            name=f"ref_sample_{step}", parallel=False)
-                    if app.unique(step) and new_vertices.shape[1] > 1:
-                        # The reference samplers dedup with a
-                        # per-sample Python set as they append.
-                        new_vertices, _, _ = dedupe_and_topup(
-                            app, graph, transits, new_vertices, step,
-                            ctx.topup_rng(step))
-                        cpu.run([CpuTask(ops=12.0, random_accesses=1.0,
-                                         count=int(new_vertices.size))],
-                                name=f"ref_unique_{step}",
-                                parallel=False)
-                with trace.span("post_step", step=step):
-                    batch.append_step(new_vertices)
-                    app.post_step(batch, new_vertices, step,
-                                  ctx.post_step_rng(step))
-                step += 1
-                if m > 0 and not (new_vertices != NULL_VERTEX).any():
-                    break
-        if getattr(graph, "canonical_of", None) is not None:
-            canonicalize_batch(batch)
-        return SamplingResult(
-            app=app, graph_name=graph.name, batch=batch,
-            seconds=cpu.elapsed_seconds,
-            breakdown=cpu.timeline.phase_breakdown(),
-            metrics=None, steps_run=step, engine=self.engine_name)
+    def _charge_step(self, cpu: CpuDevice, batch,
+                     record: StepRecord) -> None:
+        info, step, m = record.info, record.step, max(record.m, 1)
+        if record.collective:
+            # The reference implementations materialise each sample's
+            # combined neighborhood as Python/numpy objects before
+            # selecting from it.
+            mean_size = float(record.neighborhood_sizes.mean())
+            cpu.run([CpuTask(ops=mean_size * 4.0,
+                             sequential_bytes=mean_size * 8,
+                             random_accesses=float(
+                                 (record.transits != NULL_VERTEX)
+                                 .sum(axis=1).mean()),
+                             count=batch.num_samples)],
+                    name=f"ref_neighborhood_{step}", parallel=False)
+            cpu.run([CpuTask(ops=self.ops_per_vertex,
+                             random_accesses=1.0,
+                             count=batch.num_samples * m)],
+                    name=f"ref_select_{step}", parallel=False)
+            if record.has_edges:
+                cpu.run([CpuTask(ops=6.0, random_accesses=0.5,
+                                 count=record.tmap.num_pairs * m)],
+                        name=f"ref_edges_{step}", parallel=False)
+            return
+        rounds = max(1.0, info.avg_compute_cycles / 10.0)
+        cpu.run([CpuTask(ops=self.ops_per_vertex * rounds,
+                         random_accesses=1.0
+                         + info.extra_global_reads_per_vertex,
+                         count=record.tmap.num_pairs * m)],
+                name=f"ref_sample_{step}", parallel=False)
+        if record.unique_width:
+            # The reference samplers dedup with a per-sample Python
+            # set as they append.
+            cpu.run([CpuTask(ops=12.0, random_accesses=1.0,
+                             count=batch.num_samples
+                             * record.unique_width)],
+                    name=f"ref_unique_{step}", parallel=False)

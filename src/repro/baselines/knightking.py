@@ -18,127 +18,48 @@ there.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from repro.api.app import SamplingApp
-from repro.api.types import NULL_VERTEX, SamplingType
-from repro.core import stepper
-from repro.graph.relabel import canonicalize_batch
-from repro.core.engine import SamplingResult
-from repro.core.transit_map import flatten_transits
-from repro.core.unique import dedupe_and_topup
+from repro.api.types import SamplingType
+from repro.baselines.cpu_engine import CpuEngine
+from repro.core.stepper import StepRecord
 from repro.gpu.cpu_model import CpuDevice, CpuTask
-from repro.gpu.spec import CPUSpec, XEON_SILVER_4216
-from repro.obs import get_metrics, trace
-from repro.runtime.context import ExecutionContext
 
 __all__ = ["KnightKingEngine"]
 
 
-class KnightKingEngine:
+class KnightKingEngine(CpuEngine):
     """CPU rejection-sampling walk engine; random walks only."""
 
     engine_name = "KnightKing"
 
-    def __init__(self, spec: CPUSpec = XEON_SILVER_4216,
-                 use_reference: bool = False,
-                 workers=None, chunk_size=None) -> None:
-        self.spec = spec
-        self.use_reference = use_reference
-        self.workers = workers
-        self.chunk_size = chunk_size
-
-    def run(self, app: SamplingApp, graph,
-            num_samples: Optional[int] = None,
-            roots: Optional[np.ndarray] = None,
-            seed: int = 0) -> SamplingResult:
-        self._check_supported(app)
-        with trace.span("run", engine=self.engine_name, app=app.name,
-                        graph=graph.name) as run_span:
-            result = self._run_traced(app, graph, num_samples, roots,
-                                      seed, run_span)
-        reg = get_metrics()
-        reg.counter("engine.runs").inc()
-        reg.counter("engine.samples_produced").inc(result.batch.num_samples)
-        reg.counter("engine.steps_run").inc(result.steps_run)
-        return result
-
-    def _run_traced(self, app: SamplingApp, graph, num_samples, roots,
-                    seed: int, run_span) -> SamplingResult:
-        ctx = ExecutionContext(seed, workers=self.workers,
-                               chunk_size=self.chunk_size)
-        batch = stepper.init_batch(app, graph, num_samples, roots,
-                                   ctx.init_rng())
-        run_span.set(samples=batch.num_samples)
-        ctx.begin_run(app, graph, use_reference=self.use_reference)
-        cpu = CpuDevice(self.spec)
-        limit = stepper.step_limit(app)
-        step = 0
-        while step < limit:
-            step_span = trace.span("step", step=step,
-                                   engine=self.engine_name)
-            with step_span:
-                new_vertices = self._one_step(app, graph, batch, ctx,
-                                              cpu, step)
-            if new_vertices is None:
-                break
-            step += 1
-            if not (new_vertices != NULL_VERTEX).any():
-                break
-        if getattr(graph, "canonical_of", None) is not None:
-            canonicalize_batch(batch)
-        return SamplingResult(
-            app=app, graph_name=graph.name, batch=batch,
-            seconds=cpu.elapsed_seconds,
-            breakdown=cpu.timeline.phase_breakdown(),
-            metrics=None, steps_run=step, engine=self.engine_name)
-
-    def _one_step(self, app: SamplingApp, graph, batch, ctx, cpu,
-                  step: int) -> Optional[np.ndarray]:
-        """One walker super-step; ``None`` when every walk terminated."""
-        transits = app.transits_for_step(batch, step)
-        sample_ids, cols, vals = flatten_transits(transits)
-        if vals.size == 0:
-            return None
-        with trace.span("individual_kernels", step=step):
-            new_vertices, info = stepper.run_individual_step(
-                app, graph, batch, transits, step, ctx,
-                sample_ids, cols, vals, use_reference=self.use_reference)
-        # One walker-step: fetch the transit's adjacency (a random
-        # access; short lists fit one cache line), draw + test.
+    def _charge_step(self, cpu: CpuDevice, batch,
+                     record: StepRecord) -> None:
+        """One walker super-step."""
+        info, step = record.info, record.step
         rounds = max(1.0, info.avg_compute_cycles / 10.0)
         probes = info.extra_global_reads_per_vertex
         # Per walker-step: dequeue the walker message, fetch the
-        # adjacency (a random access), run the rejection rounds
-        # (binary-search draws hit the just-fetched row: arithmetic,
-        # not extra misses), enqueue the continuation.
+        # adjacency (a random access; short lists fit one cache line),
+        # run the rejection rounds (binary-search draws hit the
+        # just-fetched row: arithmetic, not extra misses), enqueue the
+        # continuation.
         cpu.run([CpuTask(ops=24.0 + 12.0 * rounds
                          + 4.0 * info.cacheable_reads_per_vertex,
                          random_accesses=1.0 + probes,
-                         count=int(vals.size))],
+                         count=record.tmap.num_pairs)],
                 name=f"walk_step_{step}")
         # BSP super-step barrier across the worker threads (~1us).
         cpu.run([CpuTask(ops=self.spec.clock_ghz * 1e3, count=1)],
                 name=f"barrier_{step}", parallel=False)
-        if app.unique(step) and new_vertices.shape[1] > 1:
+        if record.unique_width:
             # Walker rows wider than one (multi-root walks) dedup in
             # the per-walker state dict.
-            new_vertices, _, _ = dedupe_and_topup(
-                app, graph, transits, new_vertices, step,
-                ctx.topup_rng(step))
             cpu.run([CpuTask(ops=12.0, random_accesses=1.0,
-                             count=int(new_vertices.size))],
+                             count=batch.num_samples
+                             * record.unique_width)],
                     name=f"walker_unique_{step}", parallel=False)
-        with trace.span("post_step", step=step):
-            batch.append_step(new_vertices)
-            app.post_step(batch, new_vertices, step,
-                          ctx.post_step_rng(step))
-        return new_vertices
 
-    @staticmethod
-    def _check_supported(app: SamplingApp) -> None:
+    def _check_supported(self, app: SamplingApp) -> None:
         """KnightKing expresses random walks only: individual transit
         sampling adding one vertex per sample per step."""
         if app.sampling_type() is not SamplingType.INDIVIDUAL:

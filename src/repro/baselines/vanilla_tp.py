@@ -22,7 +22,6 @@ from repro.core.collective import (
 )
 from repro.core.engine import NextDoorEngine
 from repro.core.scheduling import KernelPlanConfig, charge_sampling_kernels
-from repro.core.transit_map import charge_index_build
 from repro.gpu.device import Device
 
 __all__ = ["VanillaTPEngine"]
@@ -34,7 +33,12 @@ _VANILLA_CONFIG = KernelPlanConfig(enable_load_balancing=False,
 
 
 class VanillaTPEngine(NextDoorEngine):
-    """Transit-parallel execution without Section 6's scheduling."""
+    """Transit-parallel execution without Section 6's scheduling.
+
+    The index build (TP still needs the transit→samples map — the "map
+    inversion" the paper notes takes significant time for TP) and the
+    individual kernels are NextDoor's own charges under
+    ``_VANILLA_CONFIG``; only the collective construction differs."""
 
     engine_name = "TP"
 
@@ -46,17 +50,6 @@ class VanillaTPEngine(NextDoorEngine):
         if spec is not None:
             kwargs["spec"] = spec
         super().__init__(**kwargs)
-
-    def _charge_index(self, device: Device, tmap) -> None:
-        """TP still needs the transit→samples map (the "map inversion"
-        the paper notes takes significant time for TP)."""
-        charge_index_build(device, tmap.num_pairs)
-
-    def _charge_individual(self, device: Device, tmap, degrees: np.ndarray,
-                           m: int, info: StepInfo,
-                           weighted: bool = False) -> None:
-        charge_sampling_kernels(device, tmap, degrees, m, info, self.config,
-                                weighted=weighted)
 
     def _charge_collective(self, device: Device, tmap, degrees: np.ndarray,
                            m: int, info: StepInfo, num_samples: int,

@@ -115,17 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--devices", type=int, default=1,
                    help="modeled GPUs (NextDoor-family engines only)")
-    p.add_argument("--shards", type=int, default=1,
-                   help="simulated machines of a sharded deployment "
-                        "(repro.dist; NextDoor-family engines only). "
-                        "Samples are bitwise-identical for any shard "
-                        "count; only the modeled cost changes (see "
-                        "docs/DISTRIBUTED.md)")
-    p.add_argument("--plan", default=None, metavar="PATH",
-                   dest="plan_path",
-                   help="partition plan JSON from `repro plan` mapping "
-                        "vertices to shards (default: even contiguous "
-                        "split); implies --shards from the plan")
     p.add_argument("--workers", type=int, default=None,
                    help="sampling worker processes (default 0 = "
                         "in-process; $REPRO_WORKERS overrides the "
@@ -256,25 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="results dir (default: benchmarks/results)")
     p.add_argument("--out", default=None,
                    help="output dir (default: benchmarks/figures)")
-
-    p = sub.add_parser("plan",
-                       help="compute a cost-model partition plan for "
-                            "sharded sampling (see docs/DISTRIBUTED.md)")
-    p.add_argument("--graph", default="ppi",
-                   help="dataset name (see `repro datasets`) or a path "
-                        "to an edge-list / .npz graph file")
-    p.add_argument("--shards", type=int, required=True,
-                   help="number of simulated machines to plan for")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--refine-iters", type=int, default=64,
-                   help="greedy boundary-refinement iterations "
-                        "(default 64)")
-    p.add_argument("--compare-random", action="store_true",
-                   help="also score a random balanced partition and "
-                        "print the planner's modeled advantage")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the plan JSON here (feed it back via "
-                        "`repro sample --plan`)")
 
     p = sub.add_parser("verify",
                        help="run the verification suites (statistical, "
@@ -539,41 +509,6 @@ def _run_sample(args, out) -> int:
         engine.checkpoint_dir = args.checkpoint
         engine.resume = args.resume
     kwargs = {"num_samples": num_samples, "seed": args.seed}
-    sharded = args.shards != 1 or args.plan_path is not None
-    if sharded:
-        if args.shards < 1:
-            print(f"error: --shards must be >= 1, got {args.shards}",
-                  file=out)
-            return 2
-        if not isinstance(engine, NextDoorEngine):
-            print("error: --shards/--plan shard the NextDoor-family "
-                  "engines (nextdoor, sp, tp, gunrock, tigr); "
-                  f"--engine {args.engine} has no sharded mode", file=out)
-            return 2
-        if args.devices != 1:
-            print("error: --shards and --devices are different "
-                  "deployments (one modeled GPU per shard); pick one",
-                  file=out)
-            return 2
-        from repro.dist import DistEngine, PartitionPlan
-        plan = None
-        if args.plan_path is not None:
-            try:
-                plan = PartitionPlan.load(args.plan_path)
-            except (OSError, ValueError, KeyError) as exc:
-                print(f"error: could not load plan {args.plan_path}: "
-                      f"{exc}", file=out)
-                return 2
-            if args.shards != 1 and args.shards != plan.num_shards:
-                print(f"error: --shards {args.shards} disagrees with "
-                      f"the plan's {plan.num_shards} shards", file=out)
-                return 2
-        shards = plan.num_shards if plan is not None else args.shards
-        try:
-            engine = DistEngine(shards, base=engine, plan=plan)
-        except ValueError as exc:
-            print(f"error: {exc}", file=out)
-            return 2
     if args.devices != 1:
         if not isinstance(engine, NextDoorEngine):
             print("error: --devices requires a GPU engine", file=out)
@@ -597,13 +532,6 @@ def _run_sample(args, out) -> int:
           f"({result.samples_per_second:,.0f} samples/s)", file=out)
     for phase, secs in sorted(result.breakdown.items()):
         print(f"  {phase:18s} {secs:.6f} s", file=out)
-    if sharded:
-        print(f"shards={result.num_shards} "
-              f"supersteps={len(result.superstep_seconds)} "
-              f"messages_routed={result.messages_routed} "
-              f"bytes_routed={result.bytes_routed}", file=out)
-        print(f"single-shard oracle : {result.oracle_seconds:.6f} s "
-              "(samples are bitwise-identical to it)", file=out)
     if args.out:
         result.save(args.out)
         print(f"saved samples to {args.out}", file=out)
@@ -977,47 +905,6 @@ def _cmd_tune(args, out) -> int:
     return 0
 
 
-def _cmd_plan(args, out) -> int:
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}",
-              file=out)
-        return 2
-    if args.refine_iters < 0:
-        print(f"error: --refine-iters must be >= 0, got "
-              f"{args.refine_iters}", file=out)
-        return 2
-    args.app = "DeepWalk"  # planning is app-independent; _resolve_graph
-    graph = _resolve_graph(args, out)  # needs one for dataset stand-ins
-    if graph is None:
-        return 2
-    from repro.dist import plan_partition, random_balanced_plan
-    t0 = time.perf_counter()
-    plan = plan_partition(graph, args.shards, seed=args.seed,
-                          refine_iters=args.refine_iters)
-    wall = time.perf_counter() - t0
-    cost = plan.cost
-    print(f"graph={graph.name} shards={args.shards} "
-          f"method={plan.method} ({wall:.2f}s)", file=out)
-    print(f"modeled max shard time : {cost.max_seconds:.6f} s", file=out)
-    print(f"edge cut               : {cost.edge_cut} "
-          f"({cost.edge_cut / max(graph.num_edges, 1):.1%} of edges)",
-          file=out)
-    print(f"load balance           : {cost.balance:.3f} "
-          "(1.0 = perfectly even)", file=out)
-    print(f"refine moves           : {plan.refine_moves}", file=out)
-    if args.compare_random:
-        rand = random_balanced_plan(graph, args.shards, seed=args.seed)
-        gain = rand.cost.max_seconds / max(cost.max_seconds, 1e-30)
-        print(f"random balanced plan   : "
-              f"{rand.cost.max_seconds:.6f} s "
-              f"(planner is {gain:.2f}x better)", file=out)
-    if args.out:
-        plan.save(args.out)
-        print(f"wrote plan to {args.out} "
-              "(apply with `repro sample --plan`)", file=out)
-    return 0
-
-
 def _cmd_train(args, out) -> int:
     from repro.train import TrainConfig, Trainer
     graph = datasets.load(args.graph, seed=args.seed)
@@ -1053,7 +940,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     handler = {
         "datasets": _cmd_datasets,
         "sample": _cmd_sample,
-        "plan": _cmd_plan,
         "tune": _cmd_tune,
         "compare": _cmd_compare,
         "bench": _cmd_bench,

@@ -9,9 +9,12 @@
 - :mod:`repro.core.collective` — transit-parallel construction of
   combined neighborhoods for collective sampling (Section 6.2).
 - :mod:`repro.core.unique` — unique-neighbor dedup (Section 6.3).
-- :mod:`repro.core.engine` — :class:`NextDoorEngine`: the step loop,
-  ``do_sampling`` / ``get_final_samples`` (Section 6.5), multi-GPU
-  distribution (Section 6.4).
+- :mod:`repro.core.stepper` — ``run_steps``, the one step loop every
+  engine runs; it samples and reports each step's shape, engines price
+  it.
+- :mod:`repro.core.engine` — :class:`NextDoorEngine`: NextDoor's
+  charges over that loop, ``do_sampling`` / ``get_final_samples``
+  (Section 6.5), multi-GPU distribution (Section 6.4).
 - :mod:`repro.core.large_graph` — sampling graphs that do not fit in
   GPU memory (Section 8.4).
 """

@@ -13,6 +13,12 @@ Per step (Section 6):
 4. Unique-neighbor dedup when the application asks for it
    (:mod:`repro.core.unique`).
 
+The loop over steps is :func:`repro.core.stepper.run_steps`, shared
+with every other engine; this class is the policy that prices each
+step's :class:`~repro.core.stepper.StepRecord` on a modeled GPU (its
+``_charge_*`` hooks, which the SP / TP / frontier / message-passing /
+large-graph engines override).
+
 Multi-GPU execution (Section 6.4) distributes samples equally across
 devices and runs each independently.  :func:`do_sampling` /
 :meth:`SamplingResult.get_final_samples` mirror the Python module API
@@ -21,7 +27,6 @@ of Section 6.5.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
@@ -30,7 +35,7 @@ import numpy as np
 
 from repro.api.app import SamplingApp
 from repro.api.sample import SampleBatch
-from repro.api.types import NULL_VERTEX, OutputFormat, SamplingType, StepInfo
+from repro.api.types import NULL_VERTEX, OutputFormat, StepInfo
 from repro.core import stepper
 from repro.core.collective import (
     charge_collective_selection,
@@ -38,12 +43,8 @@ from repro.core.collective import (
     charge_edge_recording,
 )
 from repro.core.scheduling import KernelPlanConfig, charge_sampling_kernels
-from repro.core.transit_map import (
-    build_transit_map,
-    charge_index_build,
-    charge_map_readback,
-)
-from repro.core.unique import charge_dedup, dedupe_and_topup
+from repro.core.transit_map import charge_index_build, charge_map_readback
+from repro.core.unique import charge_dedup
 from repro.graph.relabel import canonicalize_batch, relabel_graph
 from repro.gpu.device import Device
 from repro.gpu.metrics import DeviceMetrics
@@ -263,9 +264,11 @@ class NextDoorEngine:
                                                 shard_ctx, pool.devices[d])
             return shard, steps_run
 
-        # Shards run concurrently: with pool workers the chunk streams
-        # interleave on the shared worker pool; without, the threads
-        # overlap wherever numpy releases the GIL.
+        # Shards run concurrently.  Under a compiled backend each
+        # shard's chunks run on the process-wide chunk threads (the C
+        # kernels release the GIL); under numpy with workers the chunk
+        # streams interleave on the shared process pool; in-process the
+        # shard threads overlap wherever numpy releases the GIL.
         with ThreadPoolExecutor(max_workers=num_devices) as tpe:
             outcomes = list(tpe.map(run_shard, range(num_devices)))
         shards: List[SampleBatch] = []
@@ -297,97 +300,40 @@ class NextDoorEngine:
 
     def _run_on_device(self, app: SamplingApp, graph, batch: SampleBatch,
                        ctx: ExecutionContext, device: Device) -> int:
-        """The per-device step loop; returns steps executed."""
-        from repro.native.backend import active_backend_name
-        backend = active_backend_name()
-        limit = stepper.step_limit(app)
-        collective = app.sampling_type() is SamplingType.COLLECTIVE
-        # Always-on per-stage latency histograms (spans record nothing
-        # unless tracing is enabled; percentile stats must not depend on
-        # --trace).  Labeled by stage + backend so one snapshot carries
-        # the paper's per-stage breakdown per backend.
-        reg = get_metrics()
-        stage_hist = {
-            stage: reg.histogram("engine.stage_seconds",
-                                 labels={"stage": stage,
-                                         "backend": backend})
-            for stage in ("step", "scheduling_index",
-                          "collective_kernels", "individual_kernels")}
-        step = 0
-        while step < limit:
-            t_step = time.perf_counter()
-            step_span = trace.span("step", step=step,
-                                   engine=self.engine_name)
-            with step_span:
-                transits = app.transits_for_step(batch, step)
-                t_idx = time.perf_counter()
-                with trace.span("scheduling_index", step=step,
-                                backend=backend) as idx_span:
-                    tmap = build_transit_map(transits, graph)
-                    idx_span.set(pairs=tmap.num_pairs)
-                stage_hist["scheduling_index"].observe(
-                    time.perf_counter() - t_idx)
-                if tmap.num_pairs == 0:
-                    break  # no live transits: every sample terminated
-                # Modeled-GPU accounting runs under its own span so the
-                # kernel spans time exactly the work a backend executes.
-                with trace.span("charge_model", step=step,
-                                phase="scheduling_index"):
-                    self._pre_step(device, graph, tmap, step)
-                    self._charge_index(device, tmap)
-                degrees = graph.degrees_array[tmap.unique_transits]
-                m = app.sample_size(step)
-
-                if collective:
-                    t_kern = time.perf_counter()
-                    with trace.span("collective_kernels", step=step,
-                                    backend=backend):
-                        new_vertices, info, edges, _sizes = \
-                            stepper.run_collective_step(
-                                app, graph, batch, transits, step, ctx,
-                                use_reference=self.use_reference)
-                        if edges is not None:
-                            batch.record_edges(edges)
-                    stage_hist["collective_kernels"].observe(
-                        time.perf_counter() - t_kern)
-                    with trace.span("charge_model", step=step,
-                                    phase="sampling"):
-                        self._charge_collective(
-                            device, tmap, degrees, m, info,
-                            batch.num_samples,
-                            has_edges=edges is not None)
-                else:
-                    t_kern = time.perf_counter()
-                    with trace.span("individual_kernels", step=step,
-                                    backend=backend):
-                        new_vertices, info = stepper.run_individual_step(
-                            app, graph, batch, transits, step, ctx,
-                            tmap.sample_ids, tmap.cols, tmap.transit_vals,
-                            use_reference=self.use_reference)
-                    stage_hist["individual_kernels"].observe(
-                        time.perf_counter() - t_kern)
-                    with trace.span("charge_model", step=step,
-                                    phase="sampling"):
-                        self._charge_individual(device, tmap, degrees, m,
-                                                info,
-                                                weighted=graph.is_weighted)
-                    if app.unique(step) and new_vertices.shape[1] > 1:
-                        with trace.span("make_unique", step=step):
-                            new_vertices = self._make_unique(
-                                app, graph, batch, transits, new_vertices,
-                                step, ctx.topup_rng(step), device)
-
-                with trace.span("post_step", step=step):
-                    batch.append_step(new_vertices)
-                    app.post_step(batch, new_vertices, step,
-                                  ctx.post_step_rng(step))
-                step += 1
-                stage_hist["step"].observe(time.perf_counter() - t_step)
-                if m > 0 and not (new_vertices != NULL_VERTEX).any():
-                    break  # nothing added anywhere: all samples ended
+        """One device's run: the shared step loop, each step priced on
+        ``device``; returns steps executed."""
+        steps_run = stepper.run_steps(
+            app, graph, batch, ctx,
+            on_step=lambda record: self._charge_step(device, graph, batch,
+                                                     record))
         with trace.span("output_materialisation"):
-            self._charge_output_materialisation(device, app, batch, step)
-        return step
+            self._charge_output_materialisation(device, app, batch,
+                                                steps_run)
+        return steps_run
+
+    def _charge_step(self, device: Device, graph, batch: SampleBatch,
+                     record: stepper.StepRecord) -> None:
+        """Price one step in device order: scheduling index, sampling
+        kernels, unique pass.  Modeled seconds are float sums, so the
+        order of the charges is part of the result."""
+        tmap = record.tmap
+        self._pre_step(device, graph, tmap, record.step)
+        self._charge_index(device, tmap)
+        degrees = graph.degrees_array[tmap.unique_transits]
+        if record.collective:
+            self._charge_collective(device, tmap, degrees, record.m,
+                                    record.info, batch.num_samples,
+                                    has_edges=record.has_edges)
+            return
+        self._charge_individual(device, tmap, degrees, record.m,
+                                record.info, weighted=graph.is_weighted)
+        if record.unique_width:
+            # Section 6.3: dedup, then one sample-parallel top-up pass
+            # (one warp-pass over the holes).
+            charge_dedup(device, batch.num_samples, record.unique_width)
+            if record.unique_dups:
+                charge_collective_selection(device, record.unique_holes,
+                                            1, info=_TOPUP_INFO)
 
     # ------------------------------------------------------------------
     # Cost-charging hooks — baseline engines override these to price
@@ -435,23 +381,6 @@ class NextDoorEngine:
         charge_collective_selection(device, num_samples, m, info)
         if has_edges:
             charge_edge_recording(device, tmap.num_pairs * max(m, 1))
-
-    # ------------------------------------------------------------------
-
-    def _make_unique(self, app: SamplingApp, graph, batch: SampleBatch,
-                     transits: np.ndarray, new_vertices: np.ndarray,
-                     step: int, rng: np.random.Generator,
-                     device: Device) -> np.ndarray:
-        """Section 6.3: dedup, then one sample-parallel top-up pass."""
-        deduped, num_dups, hole_rows = dedupe_and_topup(
-            app, graph, transits, new_vertices, step, rng)
-        charge_dedup(device, batch.num_samples, new_vertices.shape[1])
-        if num_dups == 0:
-            return deduped
-        # The top-up is sample-parallel (one warp-pass over the holes).
-        charge_collective_selection(device, hole_rows, 1,
-                                    info=_TOPUP_INFO)
-        return deduped
 
 
 _TOPUP_INFO = StepInfo(avg_compute_cycles=10.0)

@@ -21,6 +21,7 @@ huge per-step sampling volume — stay computation-bound.
 
 from __future__ import annotations
 
+import threading
 from typing import Optional
 
 import numpy as np
@@ -64,6 +65,10 @@ class LargeGraphNextDoor(NextDoorEngine):
         self._partition: Optional[Partition] = None
         self._part_bytes: Optional[np.ndarray] = None
         self._scale = 1.0
+        #: The shard threads of a multi-device run share this engine and
+        #: all reach ``_pre_step`` at step 0: without the lock one can
+        #: see ``_partition`` set before ``_part_bytes`` is.
+        self._partition_lock = threading.Lock()
 
     def fits_in_memory(self) -> bool:
         """Whether the modeled graph would have fit (leaving room for
@@ -73,8 +78,12 @@ class LargeGraphNextDoor(NextDoorEngine):
     # ------------------------------------------------------------------
 
     def _ensure_partition(self, graph: CSRGraph) -> None:
-        if self._partition is not None and self._partition.graph is graph:
-            return
+        with self._partition_lock:
+            if (self._partition is None
+                    or self._partition.graph is not graph):
+                self._build_partition(graph)
+
+    def _build_partition(self, graph: CSRGraph) -> None:
         actual_bytes = max(1, graph.memory_bytes())
         self._scale = self.modeled_graph_bytes / actual_bytes
         # Partition so each modeled sub-graph fits comfortably on the

@@ -1,33 +1,48 @@
-"""Shared functional stepping logic.
+"""Shared functional stepping logic — and the one step loop.
 
 Every engine in this reproduction — NextDoor, SP, TP, the
-graph-framework baselines — must produce *statistically identical*
-samples; they differ only in how the work is organised on the device,
-which is what the performance model prices.  This module holds the
-functional half they share: initialising batches, flattening transits,
-running one step's sampling, and scattering results back into the
-batch's rectangular step arrays.
+graph-framework baselines, the CPU comparators — must produce
+*statistically identical* samples; they differ only in how the work is
+organised on the device, which is what the performance model prices.
+This module holds the functional half they share: initialising
+batches, running one step's sampling, scattering results back into the
+batch's rectangular step arrays, and :func:`run_steps`, the loop that
+drives all of it.  An engine is ``run_steps`` plus an ``on_step``
+callback that prices each :class:`StepRecord` on its own device model;
+``on_step=None`` is sampling with nothing priced.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import time
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.api.app import SamplingApp
-from repro.api.apps._kernels import build_combined_neighborhood
+from repro.api.apps._kernels import (
+    build_combined_neighborhood,
+    combined_neighborhood_offsets,
+)
 from repro.api.sample import SampleBatch
-from repro.api.types import INF_STEPS, NULL_VERTEX, StepInfo
+from repro.api.types import INF_STEPS, NULL_VERTEX, SamplingType, StepInfo
+from repro.core.transit_map import build_transit_map
+from repro.core.unique import dedupe_and_topup
 from repro.graph.csr import CSRGraph
+from repro.native.backend import active_backend_name
+from repro.obs import get_metrics, trace
 
 __all__ = [
+    "StepRecord",
     "init_batch",
     "step_limit",
     "prev_transits_for",
     "step_output",
     "run_individual_step",
     "run_collective_step",
+    "run_steps",
+    "stage",
 ]
 
 
@@ -190,18 +205,143 @@ def run_collective_step(
     if app.needs_combined_values or use_reference:
         values, offsets = build_combined_neighborhood(graph, transits)
     else:
-        t = np.asarray(transits, dtype=np.int64)
-        flat = t.ravel()
-        live = flat != NULL_VERTEX
-        deg = np.zeros(flat.size, dtype=np.int64)
-        deg[live] = graph.degrees_array[flat[live]]
-        per_sample = deg.reshape(t.shape[0], -1).sum(axis=1)
-        offsets = np.zeros(t.shape[0] + 1, dtype=np.int64)
-        np.cumsum(per_sample, out=offsets[1:])
         values = None
+        offsets = combined_neighborhood_offsets(graph, transits)
     chooser = (SamplingApp.sample_from_neighborhood.__get__(app)
                if use_reference else app.sample_from_neighborhood)
     new_vertices, info = chooser(graph, batch, values, offsets, transits,
                                  step, rng)
     edges = app.record_step_edges(graph, batch, transits, new_vertices, step)
     return new_vertices, info, edges, np.diff(offsets)
+
+
+# ----------------------------------------------------------------------
+# The step loop
+# ----------------------------------------------------------------------
+
+@dataclass
+class StepRecord:
+    """The shape of one executed step — everything an engine prices.
+
+    Handed to ``on_step`` after the step's kernels (and unique pass)
+    and before its vertices are appended to the batch.
+    """
+
+    step: int
+    transits: np.ndarray
+    #: The step's live pairs as ``pairs`` built them (a
+    #: :class:`~repro.core.transit_map.TransitMap` by default).
+    tmap: object
+    m: int
+    info: StepInfo
+    collective: bool
+    has_edges: bool = False
+    #: Per-sample combined-neighborhood sizes (collective steps).
+    neighborhood_sizes: Optional[np.ndarray] = None
+    #: The unique pass (Section 6.3), when it ran: the row width it
+    #: deduplicated (0 = no pass), the duplicates it removed and the
+    #: rows its top-up redrew.
+    unique_width: int = 0
+    unique_dups: int = 0
+    unique_holes: int = 0
+
+
+class stage:
+    """One named stage of a run: a trace span and, given a histogram,
+    an always-on wall-clock observation (spans record nothing unless
+    tracing is enabled; percentile stats must not depend on
+    ``--trace``).  The only emitter of either inside the step loop."""
+
+    __slots__ = ("_span", "_hist", "_t0")
+
+    def __init__(self, name: str, hist=None, **attrs) -> None:
+        self._span = trace.span(name, **attrs)
+        self._hist = hist
+
+    def __enter__(self):
+        self._t0 = time.perf_counter()
+        return self._span.__enter__()
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._span.__exit__(exc_type, exc, tb)
+        if self._hist is not None and exc_type is None:
+            self._hist.observe(time.perf_counter() - self._t0)
+        return False
+
+
+def run_steps(app: SamplingApp, graph: CSRGraph, batch: SampleBatch, ctx,
+              on_step: Optional[Callable[[StepRecord], None]] = None,
+              pairs=build_transit_map) -> int:
+    """Run ``app`` over ``batch`` to completion; returns steps executed.
+
+    Per step: ``transits_for_step``; ``pairs(transits, graph)`` groups
+    the live (sample, transit) pairs (transit-sorted by default — the
+    CPU engines pass their sample-order flattening); the step's
+    kernels run through ``ctx`` (an
+    :class:`~repro.runtime.context.ExecutionContext` that ``begin_run``
+    has prepared); the unique pass, if the application asks for one;
+    ``on_step(record)``; ``append_step`` / ``post_step``.  The loop ends
+    at the application's step limit, at a step with no live transit, or
+    after a step that added no vertex to any sample.
+
+    ``on_step`` is where an engine charges its device model — the loop
+    itself prices nothing, so ``on_step=None`` is the sample-only run.
+    """
+    backend = active_backend_name()
+    collective = app.sampling_type() is SamplingType.COLLECTIVE
+    kernels = "collective_kernels" if collective else "individual_kernels"
+    reg = get_metrics()
+    # Labeled by stage + backend so one snapshot carries the paper's
+    # per-stage breakdown per backend.
+    hist = {name: reg.histogram("engine.stage_seconds",
+                                labels={"stage": name, "backend": backend})
+            for name in ("step", "scheduling_index", kernels)}
+    use_reference = ctx.use_reference
+    limit = step_limit(app)
+    step = 0
+    while step < limit:
+        with stage("step", hist["step"], step=step):
+            transits = app.transits_for_step(batch, step)
+            with stage("scheduling_index", hist["scheduling_index"],
+                       step=step, backend=backend) as index_span:
+                tmap = pairs(transits, graph)
+                index_span.set(pairs=tmap.num_pairs)
+            if tmap.num_pairs == 0:
+                break  # no live transits: every sample terminated
+            m = app.sample_size(step)
+            edges = sizes = None
+            width = dups = holes = 0
+            with stage(kernels, hist[kernels], step=step, backend=backend):
+                if collective:
+                    new_vertices, info, edges, sizes = run_collective_step(
+                        app, graph, batch, transits, step, ctx,
+                        use_reference=use_reference)
+                    if edges is not None:
+                        batch.record_edges(edges)
+                else:
+                    new_vertices, info = run_individual_step(
+                        app, graph, batch, transits, step, ctx,
+                        tmap.sample_ids, tmap.cols, tmap.transit_vals,
+                        use_reference=use_reference)
+            if (not collective and app.unique(step)
+                    and new_vertices.shape[1] > 1):
+                with stage("make_unique", step=step):
+                    width = new_vertices.shape[1]
+                    new_vertices, dups, holes = dedupe_and_topup(
+                        app, graph, transits, new_vertices, step,
+                        ctx.topup_rng(step))
+            if on_step is not None:
+                # Pricing runs under its own span so the kernel spans
+                # time exactly the work a backend executes.
+                with stage("charge_model", step=step):
+                    on_step(StepRecord(
+                        step, transits, tmap, m, info, collective,
+                        edges is not None, sizes, width, dups, holes))
+            with stage("post_step", step=step):
+                batch.append_step(new_vertices)
+                app.post_step(batch, new_vertices, step,
+                              ctx.post_step_rng(step))
+            step += 1
+            if m > 0 and not (new_vertices != NULL_VERTEX).any():
+                break  # nothing added anywhere: all samples ended
+    return step

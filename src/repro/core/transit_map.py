@@ -16,7 +16,7 @@ cost of the parallel radix sort + scans NextDoor runs on the GPU (the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from repro.api.types import NULL_VERTEX
 from repro.gpu.device import Device
 from repro.gpu.warp import WarpStats, coalesced_segments
 
-__all__ = ["TransitMap", "flatten_transits", "build_transit_map",
+__all__ = ["TransitMap", "SampleOrderPairs", "flatten_transits",
+           "build_transit_map", "sample_order_pairs",
            "charge_index_build", "charge_map_readback"]
 
 
@@ -43,6 +44,25 @@ def flatten_transits(transits: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.n
     if width == 1:  # walk-shaped apps: pair index IS the sample id
         return idx, np.zeros(idx.size, dtype=np.int64), flat[idx]
     return idx // width, idx % width, flat[idx]
+
+
+class SampleOrderPairs(NamedTuple):
+    """A step's live pairs left in sample order, ungrouped — what the
+    CPU engines (one walker / one sample at a time) iterate."""
+
+    sample_ids: np.ndarray
+    cols: np.ndarray
+    transit_vals: np.ndarray
+
+    @property
+    def num_pairs(self) -> int:
+        return int(self.transit_vals.size)
+
+
+def sample_order_pairs(transits: np.ndarray, graph=None) -> SampleOrderPairs:
+    """:func:`flatten_transits` as a ``pairs=`` builder for
+    :func:`repro.core.stepper.run_steps`."""
+    return SampleOrderPairs(*flatten_transits(transits))
 
 
 @dataclass

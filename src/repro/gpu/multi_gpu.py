@@ -11,13 +11,13 @@ too few warps exist to fill each GPU's SMs.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from repro.gpu.device import Device
 from repro.gpu.metrics import DeviceMetrics
 from repro.gpu.spec import GPUSpec, V100
 
-__all__ = ["MultiGPU", "MachinePool"]
+__all__ = ["MultiGPU"]
 
 
 class MultiGPU:
@@ -55,56 +55,3 @@ class MultiGPU:
         for device in self.devices:
             merged.merge(device.metrics)
         return merged
-
-
-class MachinePool(MultiGPU):
-    """Per-shard *machines* of the simulated distributed deployment
-    (:mod:`repro.dist`): one modeled device per shard, synchronized by
-    a BSP barrier every superstep rather than running independently.
-
-    Unlike the base multi-GPU mode — which splits samples once, runs
-    every device to completion, and takes the slowest — a sharded run
-    proceeds superstep by superstep: each superstep's elapsed time is
-    the *slowest shard's* compute + communication for that superstep
-    plus the barrier, and the run's elapsed time is the sum over
-    supersteps.  That is the cost structure the partition planner
-    (:mod:`repro.dist.planner`) minimizes.
-    """
-
-    def __init__(self, num_shards: int, spec: GPUSpec = V100,
-                 barrier_seconds: float = 0.0) -> None:
-        super().__init__(num_shards, spec)
-        self.barrier_seconds = barrier_seconds
-        #: Critical-path seconds of each completed superstep.
-        self.superstep_seconds: List[float] = []
-        #: Per-shard busy (compute + comm) seconds, one row per
-        #: superstep.
-        self.shard_seconds: List[List[float]] = []
-        self._marks = [0.0] * num_shards
-
-    @property
-    def num_shards(self) -> int:
-        return self.num_devices
-
-    def begin_superstep(self) -> None:
-        """Snapshot each shard's modeled clock before the superstep's
-        charges land."""
-        self._marks = [d.elapsed_seconds for d in self.devices]
-
-    def end_superstep(self, comm_seconds: Sequence[float]) -> float:
-        """Close the superstep: per-shard busy time is the compute
-        charged since :meth:`begin_superstep` plus that shard's wire
-        time; elapsed is the slowest shard plus the barrier."""
-        busy = [d.elapsed_seconds - mark + float(comm)
-                for d, mark, comm in zip(self.devices, self._marks,
-                                         comm_seconds)]
-        elapsed = max(busy) + self.barrier_seconds
-        self.shard_seconds.append(busy)
-        self.superstep_seconds.append(elapsed)
-        return elapsed
-
-    @property
-    def elapsed_seconds(self) -> float:
-        """Wall time of the sharded run: the sum of superstep critical
-        paths plus the final distribute/collect coordination."""
-        return sum(self.superstep_seconds) + self.coordination_seconds

@@ -72,9 +72,6 @@ EVENT_FIELDS: Dict[str, tuple] = {
     # Deterministic fault injection (parent-side trips only; worker-side
     # faults fire in the worker process and its ring dies with it).
     "fault_injected": ("fault", "arg"),
-    # Sharded runs (repro.dist): a shard worker died mid-superstep and
-    # its inbox was requeued for redelivery.
-    "shard_respawn": ("shard", "superstep", "requeued"),
     # Serving daemon (repro.serve): per-request lifecycle + the
     # degradation ladder (docs/SERVING.md).
     "request_admitted": ("request_id", "tenant", "app", "queue_depth"),

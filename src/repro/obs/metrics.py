@@ -39,23 +39,10 @@ name                            kind        meaning
                                             labeled ``stage=`` (step /
                                             scheduling_index /
                                             individual_kernels /
-                                            collective_kernels; sharded
-                                            runs add ``stage=shard``
-                                            series labeled ``shard=``)
-``dist.supersteps``             counter     supersteps run by sharded
-                                            engines (``repro.dist``)
-``dist.messages_routed``        counter     cross-shard walker messages
-                                            serialized onto the wire
-``dist.bytes_routed``           counter     modeled wire bytes, fault
-                                            redelivery included
-``dist.messages_requeued``      counter     messages redelivered after a
-                                            ``kill-shard`` fault
-``dist.shard_respawns``         counter     shard workers killed and
-                                            respawned by fault injection
-``dist.superstep_seconds``      histogram   modeled superstep critical
-                                            path (unlabeled) and
-                                            per-shard busy time
-                                            (labeled ``shard=``)
+                                            collective_kernels) and
+                                            ``backend=``; every engine
+                                            observes them through
+                                            ``stepper.run_steps``
 ``runtime.chunks_inprocess``    counter     chunks run in the parent
 ``runtime.chunks_pooled``       counter     chunks run by the worker
                                             set: pool processes or

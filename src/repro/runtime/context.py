@@ -261,6 +261,9 @@ class ExecutionContext:
         self.plan = plan
         self.pool = None
         self._pool_failed = False
+        #: Whether the run samples through the base-class reference
+        #: kernels (set by ``begin_run``; read by ``stepper.run_steps``).
+        self.use_reference = False
         #: True once ``begin_run`` found a compiled backend: dispatched
         #: steps run on chunk threads and no pool is attached.
         self._threads = False
@@ -303,6 +306,7 @@ class ExecutionContext:
                                inflight=self.inflight)
         ctx.pool = self.pool
         ctx._pool_failed = self._pool_failed
+        ctx.use_reference = self.use_reference
         ctx._threads = self._threads
         ctx.checkpoint = self.checkpoint
         ctx.cancel = self.cancel
@@ -334,6 +338,7 @@ class ExecutionContext:
         graph; any failure there degrades to in-process execution with
         a warning — never a failed run."""
         backend = active_backend()
+        self.use_reference = use_reference
         self._run_labels = {"app": app.name, "backend": backend.name}
         tag = (f"{app.name}-{graph.name}-s{self.plan.seed}"
                f"-w{self.workers}".lower().replace(" ", "-"))
@@ -498,21 +503,15 @@ class ExecutionContext:
         """Chunked equivalent of the stepper's collective step; chunks
         (blocks of sample rows) are assembled in place like an
         individual step's."""
-        from repro.api.apps._kernels import build_combined_neighborhood
+        from repro.api.apps._kernels import (
+            build_combined_neighborhood, combined_neighborhood_offsets)
         self._maybe_interrupt(step)
         transits = np.asarray(transits)
         if app.needs_combined_values or use_reference:
             values, offsets = build_combined_neighborhood(graph, transits)
         else:
-            t = np.asarray(transits, dtype=np.int64)
-            flat = t.ravel()
-            live = flat != NULL_VERTEX
-            deg = np.zeros(flat.size, dtype=np.int64)
-            deg[live] = graph.degrees_array[flat[live]]
-            per_sample = deg.reshape(t.shape[0], -1).sum(axis=1)
-            offsets = np.zeros(t.shape[0] + 1, dtype=np.int64)
-            np.cumsum(per_sample, out=offsets[1:])
             values = None
+            offsets = combined_neighborhood_offsets(graph, transits)
 
         num_rows = int(transits.shape[0])
         bounds = self.plan.collective_bounds(num_rows)

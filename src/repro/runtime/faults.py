@@ -53,11 +53,6 @@ parent-side (fire in the dispatching process)
 ``interrupt-step:S``      raise :class:`FaultInjected` at the start of
                           step S (deterministic stand-in for ctrl-C;
                           drives the checkpoint/resume chaos check)
-``kill-shard:S``          kill one shard's worker mid-superstep S of a
-                          sharded run (``repro.dist``): its inbox is
-                          requeued and redelivered, the respawn is
-                          charged to the network model, and samples
-                          must be bitwise-unchanged
 ========================  =============================================
 """
 
@@ -92,7 +87,6 @@ POOL_FAULTS = (
 #: fail loudly instead of silently injecting nothing).
 FAULT_NAMES = POOL_FAULTS + (
     "interrupt-step",
-    "kill-shard",
 )
 
 #: Names whose ``arg`` is required (they trigger on a chunk or step).

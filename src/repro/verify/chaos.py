@@ -243,43 +243,8 @@ def run_chaos_checks(workers: Optional[int] = None,
 
     results.append(_checkpoint_resume_check(baseline, graph, workers))
     results.append(_flight_recorder_check(graph))
-    results.append(_shard_kill_check(_digest(clean[:1]), graph))
     shutdown_pools()
     return results
-
-
-def _shard_kill_check(baseline: str, graph) -> CheckResult:
-    """Kill a shard's worker mid-superstep of a sharded run
-    (``repro.dist``): the routed messages in its inbox must be
-    requeued and replayed in the same deterministic order — digests
-    unchanged — and the respawn must increment
-    ``dist.shard_respawns``."""
-    name = "shard_kill_requeues_and_respawns"
-    problems: List[str] = []
-    try:
-        from repro.dist import DistEngine
-        before = get_metrics().snapshot()
-        with _FaultEnv(**{PLAN_ENV: "kill-shard:3"}):
-            engine = DistEngine(
-                3, base=NextDoorEngine(workers=0, chunk_size=_CHUNK))
-            result = engine.run(DeepWalk(walk_length=_WALK_LENGTH),
-                                graph, num_samples=_NUM_SAMPLES,
-                                seed=_SEED)
-        after = get_metrics().snapshot()
-        got = _digest([result])
-        if got != baseline:
-            problems.append(f"samples diverged under kill-shard "
-                            f"({got} != {baseline})")
-        if result.messages_requeued < 1:
-            problems.append("victim inbox was not requeued")
-        if _delta(before, after, "dist.shard_respawns") < 1:
-            problems.append("dist.shard_respawns did not increment")
-        if _delta(before, after, "dist.messages_requeued") < 1:
-            problems.append("dist.messages_requeued did not increment")
-    except Exception as exc:
-        problems.append(f"check raised {type(exc).__name__}: {exc}")
-    return CheckResult(name=name, suite=SUITE, family="runtime",
-                       passed=not problems, detail="; ".join(problems))
 
 
 def _flight_recorder_check(graph) -> CheckResult:

@@ -47,11 +47,6 @@ def _tune(workers, seed):
     return run_tune_checks(workers=workers, seed=seed)
 
 
-def _dist(workers, seed):
-    from repro.verify.dist import run_dist_checks
-    return run_dist_checks(workers=workers, seed=seed)
-
-
 def _serve(workers, seed):
     from repro.verify.serve import run_serve_checks
     return run_serve_checks(workers=workers, seed=seed)
@@ -66,7 +61,6 @@ SUITES: Dict[str, Callable[[Optional[int], int], List[CheckResult]]] = {
     "chaos": _chaos,
     "native": _native,
     "tune": _tune,
-    "dist": _dist,
     "serve": _serve,
 }
 
@@ -80,10 +74,9 @@ SUITE_INFO: Dict[str, Tuple[int, str]] = {
     "diff": (20, "reference-vs-engine differential sweeps"),
     "golden": (10, "pinned golden sample fixtures"),
     "fuzz": (31, "randomized graph/app property fuzzing"),
-    "chaos": (10, "bitwise identity under injected faults"),
+    "chaos": (9, "bitwise identity under injected faults"),
     "native": (14, "compiled-backend sampling parity"),
     "tune": (15, "autotuner plan + TuneDB invariants"),
-    "dist": (12, "sharded sampling identity + handoff accounting"),
     "serve": (8, "daemon-vs-direct identity, backpressure, drain"),
 }
 

@@ -24,6 +24,16 @@ class TestParser:
             build_parser().parse_args(["sample", "--app", "bogus"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--app", "DeepWalk", "--shards", "2"],
+        ["sample", "--app", "DeepWalk", "--plan", "plan.json"],
+        ["plan", "--shards", "2"],
+    ])
+    def test_sharding_surface_is_gone(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
     def test_unknown_app_message_names_choices(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sample", "--app", "bogus"])

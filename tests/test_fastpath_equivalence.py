@@ -9,10 +9,11 @@ resulting ``SampleBatch`` compared array-for-array against the fast
 path.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
-import repro.core.engine as engine_mod
 import repro.core.stepper as stepper_mod
 from repro.api.apps import DeepWalk, KHop, LADIES
 from repro.api.apps import deepwalk as deepwalk_mod
@@ -139,14 +140,14 @@ def _reference_record_step_edges(self, graph, batch, transits,
     return np.stack([s_rep[exists], t_rep[exists], v_rep[exists]], axis=1)
 
 
-def _reference_make_unique(self, app, graph, batch, transits, new_vertices,
-                           step, rng, device):
+def _reference_dedupe_and_topup(app, graph, transits, new_vertices, step,
+                                rng):
+    """The original per-row, per-draw top-up loop."""
     from repro.api.apps._kernels import uniform_neighbors
-    from repro.core.unique import charge_dedup, dedupe_rows
+    from repro.core.unique import dedupe_rows
     deduped, num_dups = dedupe_rows(new_vertices)
-    charge_dedup(device, batch.num_samples, new_vertices.shape[1])
     if num_dups == 0:
-        return deduped
+        return deduped, 0, 0
     m = max(app.sample_size(step), 1)
     rows_with_holes = np.nonzero(
         (deduped == NULL_VERTEX).any(axis=1)
@@ -164,15 +165,15 @@ def _reference_make_unique(self, app, graph, batch, transits, new_vertices,
             if draw != NULL_VERTEX and int(draw) not in present:
                 row[hole] = draw
                 present.add(int(draw))
-    engine_mod.charge_collective_selection(
-        device, int(rows_with_holes.size), 1, info=engine_mod._TOPUP_INFO)
-    return deduped
+    return deduped, num_dups, int(rows_with_holes.size)
 
 
 def _patch_reference_paths(monkeypatch):
     """Swap every vectorised hot path for its original implementation."""
-    monkeypatch.setattr(engine_mod, "build_transit_map",
-                        build_transit_map_reference)
+    monkeypatch.setattr(
+        stepper_mod, "run_steps",
+        functools.partial(stepper_mod.run_steps,
+                          pairs=build_transit_map_reference))
     monkeypatch.setattr(deepwalk_mod, "weighted_neighbors",
                         _reference_weighted_neighbors)
     monkeypatch.setattr(stepper_mod, "build_combined_neighborhood",
@@ -184,8 +185,8 @@ def _patch_reference_paths(monkeypatch):
     monkeypatch.setattr(LADIES, "needs_combined_values", True)
     monkeypatch.setattr(FastGCN, "record_step_edges",
                         _reference_record_step_edges)
-    monkeypatch.setattr(NextDoorEngine, "_make_unique",
-                        _reference_make_unique)
+    monkeypatch.setattr(stepper_mod, "dedupe_and_topup",
+                        _reference_dedupe_and_topup)
 
 
 def _run(app_factory, graph, n, seed=13):

@@ -7,13 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.baselines
 from repro.api.apps import DeepWalk, KHop, Layer, Node2Vec
 from repro.api.types import NULL_VERTEX
 from repro.core import stepper
+from repro.core.engine import NextDoorEngine
+from repro.core.large_graph import LargeGraphNextDoor
 from repro.core.transit_map import build_transit_map, flatten_transits
+from repro.gpu.device import Device
+from repro.native.backend import active_backend_name
+from repro.obs import get_metrics
 from repro.runtime.context import ExecutionContext
 from repro.runtime import shm
 from repro.runtime.worker import run_chunk
+from repro.serve.protocol import batch_digest
+from repro.verify.golden import GOLDEN_CASES
+from repro.verify.golden import _NUM_SAMPLES as GOLDEN_SAMPLES
+from repro.verify.golden import _golden_graph as golden_graph
+
+ALL_ENGINES = [NextDoorEngine, LargeGraphNextDoor] + [
+    getattr(repro.baselines, name) for name in repro.baselines.__all__]
 
 
 class TestInitBatch:
@@ -273,3 +286,83 @@ class TestCollectiveStep:
         stepper.run_collective_step(app, medium_graph, batch, transits,
                                     0, rng, use_reference=True)
         assert calls
+
+
+# ---------------------------------------------------------------------------
+# run_steps: the one step loop
+# ---------------------------------------------------------------------------
+
+
+def _sample_only(app, graph, seed, on_step=None):
+    """``run_steps`` driven directly, the way an engine drives it."""
+    ctx = ExecutionContext(seed)
+    batch = stepper.init_batch(app, graph, GOLDEN_SAMPLES, None,
+                               ctx.init_rng())
+    ctx.begin_run(app, graph)
+    return batch, stepper.run_steps(app, graph, batch, ctx, on_step=on_step)
+
+
+class TestRunSteps:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_sample_only_digest_and_charge_replay(self, case):
+        """``on_step=None`` samples what the engine samples, and the
+        step records alone re-derive the engine's modeled seconds
+        exactly — including the ``unique`` and INF-step applications."""
+        factory, weighted, seed = GOLDEN_CASES[case]
+        graph = golden_graph(weighted)
+        engine = NextDoorEngine()
+        result = engine.run(factory(), graph, num_samples=GOLDEN_SAMPLES,
+                            seed=seed)
+        digest = batch_digest(result.batch)
+
+        batch, steps = _sample_only(factory(), graph, seed)
+        assert steps == result.steps_run
+        assert batch_digest(batch) == digest
+
+        records = []
+        app = factory()
+        batch, steps = _sample_only(app, graph, seed,
+                                    on_step=records.append)
+        assert batch_digest(batch) == digest
+        assert [r.step for r in records] == list(range(steps))
+        if case == "khop_unique":
+            assert any(r.unique_width for r in records)
+        device = Device()
+        for record in records:
+            engine._charge_step(device, graph, batch, record)
+        engine._charge_output_materialisation(device, app, batch, steps)
+        assert device.elapsed_seconds == result.seconds
+
+    @pytest.mark.parametrize("engine_cls", ALL_ENGINES,
+                             ids=lambda cls: cls.__name__)
+    def test_every_engine_runs_the_shared_loop(self, engine_cls,
+                                               medium_weighted,
+                                               monkeypatch):
+        """One ``run_steps`` call per device per run, whatever the
+        engine — and with it the per-stage histograms the hand-written
+        loops of the CPU engines never had."""
+        calls = []
+        inner = stepper.run_steps
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(stepper, "run_steps", counted)
+        kwargs = ({"modeled_graph_bytes": 1 << 34}
+                  if engine_cls is LargeGraphNextDoor else {})
+        step_hist = get_metrics().histogram(
+            "engine.stage_seconds",
+            labels={"stage": "step", "backend": active_backend_name()})
+        before = step_hist.count
+        result = engine_cls(**kwargs).run(
+            DeepWalk(walk_length=6), medium_weighted, num_samples=48,
+            seed=2)
+        assert len(calls) == 1
+        assert step_hist.count - before >= result.steps_run == 6
+        if issubclass(engine_cls, NextDoorEngine):
+            del calls[:]
+            engine_cls(**kwargs).run(
+                DeepWalk(walk_length=6), medium_weighted, num_samples=48,
+                seed=2, num_devices=2)
+            assert len(calls) == 2
