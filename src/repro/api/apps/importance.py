@@ -71,21 +71,10 @@ class FastGCN(SamplingApp):
         return self.random_roots(graph, (num_samples, self.batch_size), rng)
 
     def _importance(self, graph: CSRGraph) -> Tuple[np.ndarray, np.ndarray]:
-        """Importance distribution and its CDF in *canonical* vertex
-        order, cached on the graph.
-
-        On a relabeled graph the degree vector is re-gathered into
-        original-id order first, so the CDF — and therefore every draw
-        position — is bit-identical to the unpermuted graph's; draws
-        are mapped back to new-space ids by the callers.  (On a plain
-        graph canonical order is the identity.)
-        """
+        """Importance distribution and its CDF, cached on the graph."""
         cache = getattr(graph, "_fastgcn_importance", None)
         if cache is None:
             weights = graph.degrees().astype(np.float64) + 1.0
-            perm = getattr(graph, "relabel_perm", None)
-            if perm is not None:
-                weights = weights[perm]
             probs = weights / weights.sum()
             cache = graph._fastgcn_importance = (probs, np.cumsum(probs))
         return cache
@@ -95,9 +84,7 @@ class FastGCN(SamplingApp):
              rng: np.random.Generator) -> int:
         graph = sample.graph
         probs, _ = self._importance(graph)
-        v = int(rng.choice(graph.num_vertices, p=probs))
-        perm = getattr(graph, "relabel_perm", None)
-        return int(perm[v]) if perm is not None else v
+        return int(rng.choice(graph.num_vertices, p=probs))
 
     # Vectorised path -------------------------------------------------
 
@@ -111,15 +98,11 @@ class FastGCN(SamplingApp):
         step: int,
         rng: np.random.Generator,
     ) -> Tuple[np.ndarray, StepInfo]:
-        # Inverse-transform over the global importance CDF (canonical
-        # vertex order; see _importance).
+        # Inverse-transform over the global importance CDF.
         _, cdf = self._importance(graph)
         draws = rng.random(size=(batch.num_samples, self.step_size))
         out = np.searchsorted(cdf, draws).astype(np.int64)
         out = np.minimum(out, graph.num_vertices - 1)
-        perm = getattr(graph, "relabel_perm", None)
-        if perm is not None:
-            out = perm[out]
         return out, StepInfo(avg_compute_cycles=12.0)
 
     def record_step_edges(
@@ -278,9 +261,6 @@ class LADIES(FastGCN):
             w = graph.degrees_array[graph.indices].astype(np.float64) + 1.0
             ecs = np.cumsum(w)
             mass = np.zeros(graph.num_vertices, dtype=np.float64)
-            # Row spans as (start, start + degree): on plain graphs this
-            # equals indptr[1:], and it stays correct on relabeled
-            # graphs whose indptr holds per-row starts only.
             starts = graph.indptr[:-1]
             ends = starts + graph.degrees_array
             ne = np.nonzero(ends > starts)[0]

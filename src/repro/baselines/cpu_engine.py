@@ -18,7 +18,6 @@ from repro.api.app import SamplingApp
 from repro.core import stepper
 from repro.core.engine import SamplingResult
 from repro.core.transit_map import sample_order_pairs
-from repro.graph.relabel import canonicalize_batch
 from repro.gpu.cpu_model import CpuDevice
 from repro.gpu.spec import CPUSpec, XEON_SILVER_4216
 from repro.obs import get_metrics, trace
@@ -59,8 +58,6 @@ class CpuEngine:
                 on_step=lambda record: self._charge_step(cpu, batch,
                                                          record),
                 pairs=sample_order_pairs)
-        if getattr(graph, "canonical_of", None) is not None:
-            canonicalize_batch(batch)
         reg = get_metrics()
         reg.counter("engine.runs").inc()
         reg.counter("engine.samples_produced").inc(batch.num_samples)

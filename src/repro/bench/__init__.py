@@ -3,9 +3,7 @@
 :mod:`repro.bench.runner` holds the canonical experiment
 configurations (the paper's application parameters and graph set);
 :mod:`repro.bench.report` formats and archives the paper-shaped
-tables that each ``benchmarks/bench_*.py`` file prints;
-:mod:`repro.bench.sentinel` scores a fresh benchmark run against a
-committed baseline report (``repro bench check``).
+tables that each ``benchmarks/bench_*.py`` file prints.
 """
 
 from repro.bench.figures import bar_chart_svg, render_all
@@ -18,24 +16,12 @@ from repro.bench.runner import (
     run_engine,
     walk_sample_count,
 )
-from repro.bench.sentinel import (
-    compare_autotune,
-    compare_reports,
-    compare_wallclock,
-    format_verdict,
-    load_report,
-)
 
 __all__ = [
     "GRAPHS_IN_MEMORY",
     "bar_chart_svg",
-    "compare_autotune",
-    "compare_reports",
     "compare_results",
-    "compare_wallclock",
     "format_table",
-    "format_verdict",
-    "load_report",
     "paper_app",
     "paper_graph",
     "print_experiment",

@@ -116,7 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--devices", type=int, default=1,
                    help="modeled GPUs (NextDoor-family engines only)")
     p.add_argument("--workers", type=int, default=None,
-                   help="sampling worker processes (default 0 = "
+                   help="sampling workers: threads of this process "
+                        "under --backend cnative, spawned worker "
+                        "processes under numpy (default 0 = "
                         "in-process; $REPRO_WORKERS overrides the "
                         "default; samples are identical either way)")
     p.add_argument("--chunk-size", type=int, default=None,
@@ -164,29 +166,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_flags(p)
 
     p = sub.add_parser("tune",
-                       help="autotune kernel thresholds, chunk size, "
-                            "backend, relabeling, and pool settings for "
-                            "one app/graph pair; persists the winner in "
-                            "the tuning database")
+                       help="autotune backend, chunk size and pool "
+                            "in-flight cap for one app/graph pair; "
+                            "persists the winner in the tuning database")
     p.add_argument("--app", required=True, choices=sorted(APP_FACTORIES))
     p.add_argument("--graph", default="ppi",
                    help="dataset name (see `repro datasets`) or a path "
                         "to an edge-list / .npz graph file")
-    p.add_argument("--objective", default="wallclock",
-                   choices=["wallclock", "model"],
-                   help="minimise measured host seconds (wallclock, "
-                        "default) or modeled GPU seconds (model)")
     p.add_argument("--budget", type=int, default=24,
                    help="maximum trial configurations (default 24)")
     p.add_argument("--samples", type=int, default=None,
                    help="samples per trial (default: min(2048, |V|))")
     p.add_argument("--repeats", type=int, default=3,
-                   help="runs per wallclock trial; the minimum is kept "
+                   help="runs per trial; the minimum is kept "
                         "(default 3)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None,
-                   help="sampling worker processes for the trials; the "
-                        "in-flight cap is only searched when > 0")
+                   help="sampling workers for the trials; the in-flight "
+                        "cap is only searched when > 0 and the winning "
+                        "backend runs them as processes (numpy)")
     p.add_argument("--db", default=None, metavar="PATH",
                    help="tuning database file (default: $REPRO_TUNE_DB "
                         "or ./tune.json)")
@@ -206,32 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_flags(p)
 
     p = sub.add_parser("bench",
-                       help="list the paper-experiment benchmarks, or "
-                            "check a fresh run against the committed "
-                            "perf trajectory (`repro bench check`)")
-    p.add_argument("action", nargs="?", default="list",
-                   choices=["list", "check"],
-                   help="list (default): show benchmark files; check: "
-                        "score a fresh benchmark report against a "
-                        "baseline and flag regressions")
+                       help="list the paper-experiment benchmarks")
+    p.add_argument("action", nargs="?", default="list", choices=["list"],
+                   help="list (default): show benchmark files")
     p.add_argument("--list", action="store_true", default=True,
                    help=argparse.SUPPRESS)  # historical default action
-    p.add_argument("--baseline", default=None, metavar="PATH",
-                   help="baseline report JSON for `check` (default: "
-                        "BENCH_wallclock.json at the repository root)")
-    p.add_argument("--current", default=None, metavar="PATH",
-                   help="fresh report JSON to score against the "
-                        "baseline (mutually exclusive with --run)")
-    p.add_argument("--run", default=None, choices=["quick", "full"],
-                   dest="run_mode",
-                   help="measure a fresh wall-clock report right now "
-                        "(quick = CI smoke sizes) instead of loading "
-                        "one with --current")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="relative slowdown a cell must exceed to count "
-                        "as a regression (default 0.15 = 15%%)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the machine-readable verdict JSON here")
     _add_obs_flags(p)
 
     p = sub.add_parser("report",
@@ -589,8 +566,6 @@ def _cmd_compare(args, out) -> int:
 
 
 def _cmd_bench(args, out) -> int:
-    if getattr(args, "action", "list") == "check":
-        return _cmd_bench_check(args, out)
     import glob
     import os
     bench_dir = os.path.join(os.path.dirname(__file__), "..", "..",
@@ -607,79 +582,6 @@ def _cmd_bench(args, out) -> int:
     for name in names:
         print(f"  {name}", file=out)
     return 0
-
-
-def _fresh_wallclock_report(quick: bool, out):
-    """Run ``benchmarks/bench_wallclock.py``'s grid in-process (loaded
-    by path — ``benchmarks/`` is not an installed package) and return
-    the report dict; None with a printed error when the harness is
-    missing (installed-package layout)."""
-    import importlib.util
-    path = os.path.join(os.path.dirname(__file__), "..", "..",
-                        "benchmarks", "bench_wallclock.py")
-    if not os.path.exists(path):
-        print("error: benchmarks/bench_wallclock.py not found next to "
-              "the package; run from a repository checkout or pass "
-              "--current PATH instead of --run", file=out)
-        return None
-    spec = importlib.util.spec_from_file_location(
-        "_repro_bench_wallclock", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.run_wallclock(quick=quick)
-
-
-def _cmd_bench_check(args, out) -> int:
-    import json
-    from repro.bench import sentinel
-    if args.current and args.run_mode:
-        print("error: pass --current PATH (a saved report) or --run "
-              "MODE (measure now), not both", file=out)
-        return 2
-    if args.tolerance is not None and args.tolerance <= 0:
-        print(f"error: --tolerance must be > 0, got {args.tolerance} "
-              "(it is the relative slowdown a cell may show before "
-              "being flagged)", file=out)
-        return 2
-    baseline_path = args.baseline
-    if baseline_path is None:
-        baseline_path = os.path.join(os.path.dirname(__file__), "..",
-                                     "..", "BENCH_wallclock.json")
-    try:
-        baseline = sentinel.load_report(baseline_path)
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    if args.current:
-        try:
-            current = sentinel.load_report(args.current)
-        except ValueError as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-    elif args.run_mode:
-        current = _fresh_wallclock_report(args.run_mode == "quick", out)
-        if current is None:
-            return 2
-    else:
-        print("error: `repro bench check` needs a fresh report to "
-              "score — pass --current PATH (a saved report) or --run "
-              "quick|full (measure now)", file=out)
-        return 2
-    tolerance = (args.tolerance if args.tolerance is not None
-                 else sentinel.DEFAULT_TOLERANCE)
-    try:
-        verdict = sentinel.compare_reports(baseline, current,
-                                           tolerance=tolerance)
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    print(sentinel.format_verdict(verdict), file=out)
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(verdict, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"wrote verdict to {args.out}", file=out)
-    return 0 if verdict["ok"] else 1
 
 
 def _cmd_report(args, out) -> int:
@@ -888,16 +790,13 @@ def _cmd_tune(args, out) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: could not load tuning database: {exc}", file=out)
         return 2
-    summary = autotune(app, graph, db=db, objective=args.objective,
-                       budget=args.budget, num_samples=args.samples,
-                       seed=args.seed, workers=args.workers,
-                       repeats=args.repeats)
-    unit = "s measured" if args.objective == "wallclock" else "s modeled"
+    summary = autotune(app, graph, db=db, budget=args.budget,
+                       num_samples=args.samples, seed=args.seed,
+                       workers=args.workers, repeats=args.repeats)
     print(f"app={args.app} graph={graph.name} "
-          f"objective={args.objective} trials={summary['trials']}",
-          file=out)
-    print(f"baseline : {summary['baseline']:.6f} {unit}", file=out)
-    print(f"tuned    : {summary['score']:.6f} {unit} "
+          f"trials={summary['trials']}", file=out)
+    print(f"baseline : {summary['baseline']:.6f} s measured", file=out)
+    print(f"tuned    : {summary['score']:.6f} s measured "
           f"({summary['speedup']:.2f}x)", file=out)
     print(f"config   : {summary['describe']}", file=out)
     print(f"saved to {summary['db_path']} "

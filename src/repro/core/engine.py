@@ -45,7 +45,6 @@ from repro.core.collective import (
 from repro.core.scheduling import KernelPlanConfig, charge_sampling_kernels
 from repro.core.transit_map import charge_index_build, charge_map_readback
 from repro.core.unique import charge_dedup
-from repro.graph.relabel import canonicalize_batch, relabel_graph
 from repro.gpu.device import Device
 from repro.gpu.metrics import DeviceMetrics
 from repro.gpu.multi_gpu import MultiGPU
@@ -142,14 +141,11 @@ class NextDoorEngine:
         self.config = config
         self.use_reference = use_reference
         #: Autotuner configuration (:class:`repro.tune.TuneConfig`) or
-        #: None for the defaults.  Applies the tuned kernel thresholds,
-        #: chunk size, backend, in-flight cap, and relabeling — all
-        #: bitwise-invisible in the produced samples.
+        #: None for the defaults.  Applies the tuned chunk size, backend
+        #: and in-flight cap.
         self.tune = tune
-        if tune is not None:
-            self.config = tune.apply_to_plan(self.config)
-            if chunk_size is None:
-                chunk_size = tune.chunk_size
+        if tune is not None and chunk_size is None:
+            chunk_size = tune.chunk_size
         #: Multicore runtime: 0 = in-process; None = $REPRO_WORKERS,
         #: default 0.  Samples are bitwise-identical for any setting.
         self.workers = workers
@@ -195,9 +191,6 @@ class NextDoorEngine:
              roots: Optional[np.ndarray],
              seed: int, num_devices: int) -> SamplingResult:
         tune = self.tune
-        if (tune is not None and tune.relabel
-                and getattr(graph, "relabel_perm", None) is None):
-            graph = relabel_graph(graph, tune.relabel)
         with trace.span("run", engine=self.engine_name, app=app.name,
                         graph=graph.name, devices=num_devices) as run_span:
             ctx = ExecutionContext(seed, workers=self.workers,
@@ -227,10 +220,6 @@ class NextDoorEngine:
             else:
                 result = self._run_multi_gpu(app, graph, batch, ctx,
                                              num_devices)
-        # Relabeled runs hand back original vertex ids: invert the
-        # permutation on everything the batch exposes.
-        if getattr(graph, "canonical_of", None) is not None:
-            canonicalize_batch(result.batch)
         reg = get_metrics()
         reg.counter("engine.runs").inc()
         reg.counter("engine.samples_produced").inc(result.batch.num_samples)

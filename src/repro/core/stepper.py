@@ -51,21 +51,11 @@ def init_batch(app: SamplingApp, graph: CSRGraph,
                roots: Optional[np.ndarray],
                rng: np.random.Generator) -> SampleBatch:
     """Create the initial batch from explicit roots or the app's
-    automatic root selection.
-
-    Explicit roots are always *original* vertex ids: on a relabeled
-    graph they are mapped through the permutation here, so callers
-    never deal in new-space ids.
-    """
+    automatic root selection."""
     if roots is None:
         if num_samples is None:
             raise ValueError("provide either num_samples or roots")
         roots = app.initial_roots(graph, num_samples, rng)
-    else:
-        roots = np.asarray(roots, dtype=np.int64)
-        perm = getattr(graph, "relabel_perm", None)
-        if perm is not None:
-            roots = perm[roots]
     batch = SampleBatch(graph, np.asarray(roots, dtype=np.int64))
     app.init_state(batch, rng)
     return batch

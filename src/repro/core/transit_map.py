@@ -126,14 +126,8 @@ def build_transit_map(transits: np.ndarray, graph=None) -> TransitMap:
     ``unique_transits`` / ``counts`` / ``offsets`` are then read off the
     run boundaries of the sorted keys.  Every stage is O(K) in the
     step's pairs — nothing is sized by, or scans, the vertex-id range.
-
-    When ``graph`` is a relabeled graph (see
-    :mod:`repro.graph.relabel`), grouping keys are the *canonical*
-    (original) vertex ids: the pair order, counts, and chunk layout —
-    and therefore the RNG-draw-to-pair assignment — match the
-    unpermuted run exactly, which is what makes relabeled sampling
-    bitwise round-trip safe.  ``unique_transits`` still holds new ids
-    (they index the relabeled graph's arrays).
+    ``graph`` is accepted for the ``pairs(transits, graph)`` callable
+    protocol and is not read.
     """
     sample_ids, cols, vals = flatten_transits(transits)
     num_total_pairs = int(np.asarray(transits).size)
@@ -142,23 +136,16 @@ def build_transit_map(transits: np.ndarray, graph=None) -> TransitMap:
         return TransitMap(sample_ids, cols, vals, empty, empty.copy(),
                           np.zeros(1, dtype=np.int64),
                           num_total_pairs=num_total_pairs)
-    canonical_of = getattr(graph, "canonical_of", None)
-    keys = canonical_of[vals] if canonical_of is not None else vals
     from repro.api.apps._kernels import _backend
-    order = _backend().grouping(keys)
+    order = _backend().grouping(vals)
     if order is None:
-        order = _grouping_order(keys)
-    skeys = keys[order]
-    # A new group starts wherever the sorted key changes.
-    starts = np.flatnonzero(skeys[1:] != skeys[:-1]) + 1
-    offsets = np.concatenate(([0], starts, [skeys.size]))
-    unique_keys = skeys[offsets[:-1]]
-    if canonical_of is not None:
-        vals, unique_transits = vals[order], graph.perm[unique_keys]
-    else:
-        vals, unique_transits = skeys, unique_keys
-    return TransitMap(sample_ids[order], cols[order], vals,
-                      unique_transits, np.diff(offsets), offsets,
+        order = _grouping_order(vals)
+    svals = vals[order]
+    # A new group starts wherever the sorted transit changes.
+    starts = np.flatnonzero(svals[1:] != svals[:-1]) + 1
+    offsets = np.concatenate(([0], starts, [svals.size]))
+    return TransitMap(sample_ids[order], cols[order], svals,
+                      svals[offsets[:-1]], np.diff(offsets), offsets,
                       num_total_pairs=num_total_pairs)
 
 

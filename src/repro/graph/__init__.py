@@ -7,12 +7,6 @@ the originals (see DESIGN.md, "Substitutions").
 """
 
 from repro.graph.csr import CSRGraph
-from repro.graph.relabel import (
-    RelabeledCSRGraph,
-    canonicalize_batch,
-    degree_order_permutation,
-    relabel_graph,
-)
 from repro.graph.generators import (
     barabasi_albert_graph,
     erdos_renyi_graph,
@@ -22,12 +16,8 @@ from repro.graph.generators import (
 
 __all__ = [
     "CSRGraph",
-    "RelabeledCSRGraph",
     "barabasi_albert_graph",
-    "canonicalize_batch",
     "clustered_graph",
-    "degree_order_permutation",
     "erdos_renyi_graph",
-    "relabel_graph",
     "rmat_graph",
 ]

@@ -301,17 +301,14 @@ class CSRGraph:
         """
         from repro.core.ragged import ragged_gather
         n = self.num_vertices
-        perm = getattr(self, "relabel_perm", None)
 
         def dense_slots(ids):
-            # Slots follow *canonical* vertex order — the order CSR rows
-            # are sorted by — so the bit indices below come out sorted.
+            # Slots follow vertex order — the order CSR rows are sorted
+            # by — so the bit indices below come out sorted.
             ids = ids[ids >= 0]
             present = np.zeros(n, dtype=bool)
-            present[ids if perm is None else self.canonical_of[ids]] = True
+            present[ids] = True
             verts = np.flatnonzero(present)
-            if perm is not None:
-                verts = perm[verts]
             slot = np.full(n + 1, -1, dtype=np.int64)
             slot[verts] = np.arange(verts.size)
             slot[-1] = verts.size
@@ -322,8 +319,6 @@ class CSRGraph:
         stride = (col_verts.size + 8) >> 3  # bytes per row, null column incl.
         row_base *= stride
         bits = np.zeros((row_verts.size + 1) * stride, dtype=np.uint8)
-        # Rows are addressed as (start, degree): valid on relabeled
-        # graphs too, whose indptr is not monotone.
         deg = self.degrees_array[row_verts]
         nbrs, _ = ragged_gather(self.indices, self.indptr[row_verts], deg)
         slot = col_slot[nbrs]

@@ -22,8 +22,8 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 
-__all__ = ["Partition", "RelabeledPartition", "random_partition",
-           "bfs_partition", "partition_for_memory", "partition_vertices"]
+__all__ = ["Partition", "random_partition", "bfs_partition",
+           "partition_for_memory", "partition_vertices"]
 
 
 @dataclass
@@ -69,40 +69,13 @@ class Partition:
         return edges * 8 + (verts.size + 1) * 8
 
 
-class RelabeledPartition(Partition):
-    """A partition of a relabeled graph drawn in *canonical* space.
-
-    The random assignment indexes original vertex ids, and ``members``
-    lists each part in canonical (ascending-original-id) order mapped
-    to new ids — the exact vertices, in the exact order, of the
-    unpermuted graph's partition.  That keeps cluster-rooted sampling
-    (ClusterGCN) bitwise round-trip safe under relabeling.
-    """
-
-    def members(self, part: int) -> np.ndarray:
-        perm = self.graph.relabel_perm
-        cached = getattr(self, "_orig_assignment", None)
-        if cached is None:
-            cached = self.assignment[perm]
-            self._orig_assignment = cached
-        return perm[np.nonzero(cached == part)[0]]
-
-
 def random_partition(graph: CSRGraph, num_parts: int, seed: int = 0) -> Partition:
     """Assign each vertex to a uniformly random partition (the paper's
-    ClusterGCN setup).
-
-    On a relabeled graph the draw happens in canonical (original-id)
-    space and is carried through the permutation, so the same seed
-    yields the same clusters as on the unpermuted graph.
-    """
+    ClusterGCN setup)."""
     if num_parts < 1:
         raise ValueError("num_parts must be >= 1")
     rng = np.random.default_rng(seed)
     assignment = rng.integers(0, num_parts, size=graph.num_vertices)
-    canonical_of = getattr(graph, "canonical_of", None)
-    if canonical_of is not None:
-        return RelabeledPartition(graph, assignment[canonical_of], num_parts)
     return Partition(graph, assignment, num_parts)
 
 

@@ -354,11 +354,6 @@ class CNativeBackend(KernelBackend):
         kernel = self._kernel("node2vec_fill")
         if kernel is None:
             return None
-        if getattr(graph, "relabel_perm", None) is not None:
-            # The compiled kernel binary-searches rows via indptr[v + 1]
-            # and sorted-by-new-id neighbor lists — neither holds on a
-            # relabeled graph.  Decline; the numpy path is bit-identical.
-            return None
         s = rngshim.state_words(rng)
         if s is None:
             return None

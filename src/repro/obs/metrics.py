@@ -87,12 +87,10 @@ name                            kind        meaning
 ``shm.segments_swept``          counter     orphaned segments of dead
                                             owners unlinked at startup
 ``tune.trials``                 counter     autotune trial runs measured
-``tune.infeasible``             counter     trial configs rejected by
-                                            the engine model
 ``tune.improvements``           counter     trials that beat the best
                                             score so far
-``tune.best_score``             gauge       best objective value found
-                                            (seconds; last search)
+``tune.best_score``             gauge       best wall seconds found
+                                            (last search)
 ``tune.speedup``                gauge       baseline / best of the last
                                             ``autotune()`` call
 ``tune.trial_seconds``          histogram   wall seconds per trial,

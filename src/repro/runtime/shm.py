@@ -144,10 +144,6 @@ def export_graph(graph: CSRGraph) -> SharedGraphHandle:
             _export_array(arrays, segments, key, "wrowtotal", total)
             _export_array(arrays, segments, key, "wrowmax",
                           graph.row_max_weight())
-        if getattr(graph, "relabel_perm", None) is not None:
-            _export_array(arrays, segments, key, "perm", graph.perm)
-            _export_array(arrays, segments, key, "canon",
-                          graph.canonical_of)
     except BaseException:
         for shm in segments:
             shm.close()
@@ -433,15 +429,7 @@ def import_graph(handle: SharedGraphHandle) -> CSRGraph:
         for shm in segments:
             shm.close()
         raise
-    if "perm" in views:
-        from repro.graph.relabel import RelabeledCSRGraph
-        graph = RelabeledCSRGraph.__new__(RelabeledCSRGraph)
-        graph.perm = views["perm"]
-        graph.canonical_of = views["canon"]
-        graph.relabel_perm = views["perm"]
-        graph.relabel_order = handle.graph_name.rsplit("+", 1)[-1]
-    else:
-        graph = CSRGraph.__new__(CSRGraph)
+    graph = CSRGraph.__new__(CSRGraph)
     graph.indptr = views["indptr"]
     graph.indices = views["indices"]
     graph.weights = views.get("weights")

@@ -8,7 +8,8 @@ backlog ahead of the rejected request to drain at the observed service
 rate — which the server maps to a 429 + ``Retry-After``.  Below
 saturation, queue wait stays bounded by ``capacity x service_time``;
 beyond it, clients see rejections, never latency collapse
-(``BENCH_serving.json`` records both regimes).
+(the ``served_mix`` workload of ``benchmarks/ledger/`` measures both
+regimes: its ``load`` and ``over`` phases).
 
 Service time is tracked as an exponentially-weighted moving average
 updated by the executors after each completed run, seeded with a

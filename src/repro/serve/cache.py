@@ -41,12 +41,11 @@ _WEIGHTED_APPS = ("DeepWalk", "PPR", "node2vec")
 def graph_content_key(graph) -> str:
     """SHA-256 (truncated) over the CSR arrays — the graph half of a
     coalescing signature."""
-    base = graph.to_original() if hasattr(graph, "to_original") else graph
     h = hashlib.sha256()
-    h.update(base.indptr.tobytes())
-    h.update(base.indices.tobytes())
-    if base.weights is not None:
-        h.update(base.weights.tobytes())
+    h.update(graph.indptr.tobytes())
+    h.update(graph.indices.tobytes())
+    if graph.weights is not None:
+        h.update(graph.weights.tobytes())
     return h.hexdigest()[:16]
 
 

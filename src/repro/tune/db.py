@@ -21,11 +21,10 @@ never see a torn file and diffs stay stable.
 Writes are also **merge-safe across processes**: ``save()`` takes an
 advisory ``flock`` on a ``<db>.lock`` sidecar, re-reads the file under
 the lock, and overlays only the entries *this* process recorded before
-writing.  Two concurrent tuners (e.g. the serving daemon's autotuned
-engines racing a CLI ``repro tune``) therefore interleave instead of
-clobbering: last-writer-wins applies per entry, never to the whole
-file.  On platforms without ``fcntl`` the lock degrades to the
-previous atomic-replace behaviour.
+writing.  Two concurrent ``repro tune`` runs sharing one database
+therefore interleave instead of clobbering: last-writer-wins applies
+per entry, never to the whole file.  On platforms without ``fcntl``
+the lock degrades to the previous atomic-replace behaviour.
 """
 
 from __future__ import annotations
@@ -58,16 +57,17 @@ DEFAULT_DB_PATH = "tune.json"
 #: Schema version of the on-disk format.
 DB_VERSION = 1
 
+#: ``TuneConfig`` fields earlier builds stored and this one dropped.
+_RETIRED_FIELDS = frozenset({"relabel", "subwarp_limit", "block_limit"})
+
 
 def _graph_content_hash(graph) -> str:
-    """SHA-256 over the CSR arrays (original layout for relabeled
-    graphs, so a graph and its relabeled view share a fingerprint)."""
-    base = graph.to_original() if hasattr(graph, "to_original") else graph
+    """SHA-256 over the CSR arrays."""
     h = hashlib.sha256()
-    h.update(base.indptr.tobytes())
-    h.update(base.indices.tobytes())
-    if base.weights is not None:
-        h.update(base.weights.tobytes())
+    h.update(graph.indptr.tobytes())
+    h.update(graph.indices.tobytes())
+    if graph.weights is not None:
+        h.update(graph.weights.tobytes())
     return h.hexdigest()[:16]
 
 
@@ -77,11 +77,8 @@ def graph_fingerprint(app_name: str, graph,
     if backends is None:
         from repro.native.backend import available_backends
         backends = available_backends()
-    name = getattr(graph, "name", "graph")
-    if hasattr(graph, "to_original"):
-        name = graph.to_original().name
     return "|".join([
-        app_name, name, str(graph.num_vertices), str(graph.num_edges),
+        app_name, graph.name, str(graph.num_vertices), str(graph.num_edges),
         _graph_content_hash(graph), "+".join(sorted(backends)),
     ])
 
@@ -93,11 +90,12 @@ def resolve_db_path(path: Optional[str] = None) -> str:
     return os.environ.get(DB_ENV) or DEFAULT_DB_PATH
 
 
-def _drop_unknown_backends(data: Any, path: str) -> None:
-    """Remove entries whose config names a kernel backend this build
-    does not have (written by an earlier build that had more), so an
-    old entry is a plain miss instead of an "invalid tuning database".
-    Every other schema problem is left for ``validate_data`` to reject.
+def _drop_unreadable_entries(data: Any, path: str) -> None:
+    """Remove entries an earlier build wrote that this one cannot read
+    — a config naming a retired kernel backend or carrying a retired
+    field — so an old entry is a plain miss instead of an "invalid
+    tuning database".  Every other schema problem is left for
+    ``validate_data`` to reject.
     """
     from repro.native.backend import BACKEND_NAMES
     entries = data.get("entries") if isinstance(data, dict) else None
@@ -106,15 +104,16 @@ def _drop_unknown_backends(data: Any, path: str) -> None:
     stale = [key for key, entry in entries.items()
              if isinstance(entry, dict)
              and isinstance(entry.get("config"), dict)
-             and entry["config"].get("backend")
-             not in (None, *BACKEND_NAMES)]
+             and (entry["config"].get("backend")
+                  not in (None, *BACKEND_NAMES)
+                  or _RETIRED_FIELDS & entry["config"].keys())]
     for key in stale:
         del entries[key]
     if stale:
-        print(f"note: {path}: ignoring {len(stale)} tuning entries for "
-              f"a kernel backend this build does not have (it has "
-              f"{', '.join(BACKEND_NAMES)}); re-run `repro tune`",
-              file=sys.stderr)
+        print(f"note: {path}: ignoring {len(stale)} tuning entries "
+              f"written by an earlier build (a kernel backend or "
+              f"config field this build does not have); re-run "
+              f"`repro tune`", file=sys.stderr)
 
 
 class TuneDB:
@@ -133,7 +132,7 @@ class TuneDB:
     def _load(path: str) -> Dict[str, Any]:
         with open(path) as f:
             data = json.load(f)
-        _drop_unknown_backends(data, path)
+        _drop_unreadable_entries(data, path)
         problems = TuneDB.validate_data(data)
         if problems:
             raise ValueError(
@@ -160,23 +159,18 @@ class TuneDB:
     # -- updates -------------------------------------------------------
 
     def record(self, app_name: str, graph, config: TuneConfig, *,
-               objective: str, score: float, baseline: float,
-               trials: int) -> str:
+               score: float, baseline: float, trials: int) -> str:
         """Store the winning config for one pair; returns the key.
 
-        ``score`` and ``baseline`` are objective values (seconds) of
-        the tuned and default configurations; their ratio is the
-        speedup the database claims.
+        ``score`` and ``baseline`` are the measured wall seconds of the
+        tuned and default configurations; their ratio is the speedup
+        the database claims.
         """
         key = graph_fingerprint(app_name, graph)
-        name = getattr(graph, "name", "graph")
-        if hasattr(graph, "to_original"):
-            name = graph.to_original().name
         self.entries[key] = {
             "app": app_name,
-            "graph": name,
+            "graph": graph.name,
             "config": config.to_dict(),
-            "objective": objective,
             "score": float(score),
             "baseline": float(baseline),
             "speedup": float(baseline / score) if score > 0 else 0.0,
@@ -242,7 +236,7 @@ class TuneDB:
         self._dirty.clear()
         return self.path
 
-    # -- validation (CI's tune-smoke job) ------------------------------
+    # -- validation ----------------------------------------------------
 
     @staticmethod
     def validate_data(data: Any) -> list:
@@ -256,8 +250,8 @@ class TuneDB:
         entries = data.get("entries")
         if not isinstance(entries, dict):
             return problems + ["'entries' is not an object"]
-        required = ("app", "graph", "config", "objective", "score",
-                    "baseline", "speedup", "trials")
+        required = ("app", "graph", "config", "score", "baseline",
+                    "speedup", "trials")
         for key, entry in entries.items():
             if not isinstance(entry, dict):
                 problems.append(f"entry {key!r} is not an object")

@@ -76,7 +76,7 @@ SUITE_INFO: Dict[str, Tuple[int, str]] = {
     "fuzz": (31, "randomized graph/app property fuzzing"),
     "chaos": (9, "bitwise identity under injected faults"),
     "native": (14, "compiled-backend sampling parity"),
-    "tune": (15, "autotuner plan + TuneDB invariants"),
+    "tune": (4, "tuned-run identity + TuneDB invariants"),
     "serve": (8, "daemon-vs-direct identity, backpressure, drain"),
 }
 

@@ -1,23 +1,16 @@
 """Autotuner verification suite (``repro verify --suite tune``).
 
-Three guarantees the tuning subsystem makes, each checked directly:
+Two guarantees the tuning subsystem makes, each checked directly:
 
-1. **Relabel round-trip** — sampling a degree-relabeled graph and
-   inverting the permutation on output is bitwise-identical to
-   sampling the unpermuted graph, across engines and worker counts.
-   This is what lets the autotuner hand ``relabel=degree`` to
-   production runs without invalidating the golden/differential
-   oracles.
+1. **Tuned-run identity** — a :class:`~repro.tune.TuneConfig` that
+   moves every sample-invisible knob (backend, in-flight cap) produces
+   the exact batch and modeled seconds of an untuned run, in-process
+   and on one worker.  ``chunk_size`` is the documented exception (it
+   is part of the RNG plan) and is excluded here.
 
-2. **Tuned-run identity** — a :class:`~repro.tune.TuneConfig` that
-   moves every sample-invisible knob (thresholds, relabeling, backend,
-   in-flight cap) produces the exact batch of an untuned run; only the
-   modeled seconds may move.  ``chunk_size`` is the documented
-   exception (it is part of the RNG plan) and is excluded here.
-
-3. **Database determinism** — the same (app, graph, host) always maps
-   to the same fingerprint (renamed copies of a graph included), and a
-   save/load round trip returns the recorded config unchanged.
+2. **Database determinism** — the same (app, graph, host) always maps
+   to the same fingerprint, and a save/load round trip returns the
+   recorded config unchanged.
 """
 
 from __future__ import annotations
@@ -56,77 +49,43 @@ def _digest(batch) -> str:
     return h.hexdigest()[:32]
 
 
-def _roundtrip_checks(workers: Optional[int],
-                      seed: int) -> List[CheckResult]:
-    from repro.api import apps
-    from repro.baselines import SampleParallelEngine, VanillaTPEngine
-    from repro.core.engine import NextDoorEngine
-    from repro.graph.relabel import relabel_graph
-    engines = {
-        "nextdoor": NextDoorEngine,
-        "sp": SampleParallelEngine,
-        "tp": VanillaTPEngine,
-    }
-    cases = {
-        "deepwalk": (lambda: apps.DeepWalk(walk_length=8), True),
-        "khop": (lambda: apps.KHop(fanouts=(4, 2)), False),
-    }
-    worker_counts = (0, 1) if workers is None else (workers,)
-    out = []
-    for case, (factory, weighted) in cases.items():
-        plain = _graph(weighted)
-        relabeled = relabel_graph(plain, "degree")
-        for eng_name, engine_cls in engines.items():
-            for w in worker_counts:
-                expected = engine_cls(workers=w).run(
-                    factory(), plain, num_samples=256, seed=seed)
-                actual = engine_cls(workers=w).run(
-                    factory(), relabeled, num_samples=256, seed=seed)
-                match = _digest(expected.batch) == _digest(actual.batch)
-                out.append(CheckResult(
-                    name=f"relabel_roundtrip[{case},{eng_name},w{w}]",
-                    suite="tune", family="relabel", passed=match,
-                    detail="permute -> sample -> inverse-permute is "
-                           "bitwise-identical" if match else
-                           "relabeled batch differs from plain batch"))
-    return out
-
-
-def _tuned_identity_checks(seed: int) -> List[CheckResult]:
+def _tuned_identity_checks(workers: Optional[int],
+                           seed: int) -> List[CheckResult]:
     from repro.api import apps
     from repro.core.engine import NextDoorEngine
+    from repro.native.backend import available_backends
     from repro.tune import TuneConfig
-    tuned_cfg = TuneConfig(subwarp_limit=16, block_limit=512,
-                           relabel="degree", inflight=2)
+    tuned_cfg = TuneConfig(backend=available_backends()[-1], inflight=2)
     graph = _graph(weighted=True)
-    expected = NextDoorEngine().run(apps.DeepWalk(walk_length=8), graph,
-                                    num_samples=256, seed=seed)
-    actual = NextDoorEngine(tune=tuned_cfg).run(
-        apps.DeepWalk(walk_length=8), graph, num_samples=256, seed=seed)
-    match = _digest(expected.batch) == _digest(actual.batch)
-    return [CheckResult(
-        name="tuned_run_identity", suite="tune", family="config",
-        passed=match,
-        detail=f"tuned ({tuned_cfg.describe()}) batch == default batch"
-        if match else "tuned run changed the sampled batch")]
+    out = []
+    for w in (0, 1) if workers is None else (workers,):
+        expected = NextDoorEngine(workers=w).run(
+            apps.DeepWalk(walk_length=8), graph, num_samples=256,
+            seed=seed)
+        actual = NextDoorEngine(tune=tuned_cfg, workers=w).run(
+            apps.DeepWalk(walk_length=8), graph, num_samples=256,
+            seed=seed)
+        match = (_digest(expected.batch) == _digest(actual.batch)
+                 and expected.seconds == actual.seconds)
+        out.append(CheckResult(
+            name=f"tuned_run_identity[w{w}]", suite="tune",
+            family="config", passed=match,
+            detail=f"tuned ({tuned_cfg.describe()}) run == default run"
+            if match else "tuned run changed the batch or its price"))
+    return out
 
 
 def _db_checks(seed: int) -> List[CheckResult]:
     from repro.tune import TuneConfig, TuneDB, graph_fingerprint
-    from repro.graph.relabel import relabel_graph
     out = []
     graph = _graph()
-    # Fingerprints: stable across calls, shared with the relabeled
-    # view, distinct across apps and graph contents.
+    # Fingerprints: stable across calls, distinct across apps.
     fp = graph_fingerprint("DeepWalk", graph)
     same = graph_fingerprint("DeepWalk", graph)
-    relabeled_fp = graph_fingerprint("DeepWalk", relabel_graph(graph))
     other_app = graph_fingerprint("KHop", graph)
     problems = []
     if fp != same:
         problems.append("fingerprint not deterministic")
-    if fp != relabeled_fp:
-        problems.append("relabeled view fingerprints differently")
     if fp == other_app:
         problems.append("different apps collide")
     out.append(CheckResult(
@@ -136,15 +95,14 @@ def _db_checks(seed: int) -> List[CheckResult]:
         else f"stable fingerprint {fp.split('|')[4]}"))
     # Save/load round trip preserves the recorded config and lookup
     # is deterministic for a fixed fingerprint.
-    config = TuneConfig(backend="cnative", chunk_size=1024,
-                        relabel="degree")
+    config = TuneConfig(backend="cnative", chunk_size=1024, inflight=2)
     fd, path = tempfile.mkstemp(suffix=".json")
     os.close(fd)
     os.unlink(path)
     try:
         db = TuneDB(path)
-        db.record("DeepWalk", graph, config, objective="wallclock",
-                  score=0.5, baseline=1.0, trials=7)
+        db.record("DeepWalk", graph, config, score=0.5, baseline=1.0,
+                  trials=7)
         db.save()
         reloaded = TuneDB(path)
         got = reloaded.lookup("DeepWalk", graph)
@@ -172,10 +130,9 @@ def _db_checks(seed: int) -> List[CheckResult]:
 
 def run_tune_checks(workers: Optional[int] = None,
                     seed: int = 0) -> List[CheckResult]:
-    """All autotuner checks; ``workers`` narrows the round-trip sweep
-    to one worker count (None = 0 and 1)."""
+    """All autotuner checks; ``workers`` narrows the tuned-identity
+    sweep to one worker count (None = 0 and 1)."""
     seed = _SEED + seed
-    results = _roundtrip_checks(workers, seed)
-    results.extend(_tuned_identity_checks(seed))
+    results = _tuned_identity_checks(workers, seed)
     results.extend(_db_checks(seed))
     return results

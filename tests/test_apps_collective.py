@@ -13,7 +13,6 @@ from repro.core.engine import NextDoorEngine
 from repro.graph import datasets
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import random_partition
-from repro.graph.relabel import relabel_graph
 from repro.serve.protocol import batch_digest
 from tests.test_fastpath_equivalence import _reference_record_step_edges
 
@@ -162,7 +161,7 @@ def edge_recording_steps(draw):
     """A small graph (self-loops, duplicate edges and isolated vertices
     all occur) and one step's transits / new vertices with NULLs,
     all-NULL rows, in-row duplicates and independent (possibly zero)
-    widths; optionally seen through a vertex permutation."""
+    widths."""
     n = draw(st.integers(2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
     # Edges come from the rng: st.lists rarely grows rows long enough
@@ -178,12 +177,6 @@ def edge_recording_steps(draw):
 
     transits = rows(draw(st.integers(0, 8)))
     new_vertices = rows(draw(st.integers(0, 8)))
-    if draw(st.booleans()):
-        perm = rng.permutation(n)
-        graph = relabel_graph(graph, perm=perm)
-        # Index -1 (NULL) reads the appended NULL entry.
-        perm = np.append(perm, NULL_VERTEX)
-        transits, new_vertices = perm[transits], perm[new_vertices]
     return graph, transits, new_vertices
 
 

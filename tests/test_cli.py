@@ -34,6 +34,18 @@ class TestParser:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["tune", "--app", "DeepWalk", "--objective", "model"],
+         "unrecognized arguments"),
+        (["bench", "check"], "invalid choice"),
+    ])
+    def test_model_objective_and_bench_check_are_gone(self, argv, message,
+                                                      capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_app_message_names_choices(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sample", "--app", "bogus"])

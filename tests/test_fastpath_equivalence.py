@@ -32,21 +32,16 @@ from repro.core.transit_map import (
 
 
 def build_transit_map_reference(transits, graph=None):
-    """The original full-sort grouping (``argsort`` + ``np.unique``),
-    including the canonical-key grouping for relabeled graphs."""
+    """The original full-sort grouping (``argsort`` + ``np.unique``)."""
     sample_ids, cols, vals = flatten_transits(transits)
-    canonical_of = getattr(graph, "canonical_of", None)
-    keys = canonical_of[vals] if canonical_of is not None else vals
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(vals, kind="stable")
     vals = vals[order]
     sample_ids = sample_ids[order]
     cols = cols[order]
-    unique_keys, start_idx, counts = np.unique(
-        keys[order], return_index=True, return_counts=True)
+    unique_transits, start_idx, counts = np.unique(
+        vals, return_index=True, return_counts=True)
     offsets = np.concatenate([start_idx.astype(np.int64),
                               np.asarray([vals.size], dtype=np.int64)])
-    unique_transits = (graph.perm[unique_keys] if canonical_of is not None
-                       else unique_keys)
     return TransitMap(sample_ids, cols, vals, unique_transits,
                       counts.astype(np.int64), offsets,
                       num_total_pairs=int(np.asarray(transits).size))

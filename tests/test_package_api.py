@@ -49,6 +49,22 @@ class TestAllDeclarations:
             assert hasattr(module, name), f"{module_name}.{name}"
 
 
+class TestSurvivingSurface:
+    """One vertex-id space, one tuning objective: the exact names."""
+
+    def test_graph_exports(self):
+        import repro.graph
+        assert sorted(repro.graph.__all__) == [
+            "CSRGraph", "barabasi_albert_graph", "clustered_graph",
+            "erdos_renyi_graph", "rmat_graph"]
+
+    def test_tune_config_fields(self):
+        import dataclasses
+        from repro.tune import TuneConfig
+        assert [f.name for f in dataclasses.fields(TuneConfig)] == [
+            "backend", "chunk_size", "inflight"]
+
+
 class TestAppRegistry:
     def test_all_apps_instantiable(self):
         from repro.api.apps import ALL_APPS

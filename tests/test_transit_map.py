@@ -13,8 +13,6 @@ from repro.core.scheduling import (
     classify_transits,
 )
 from repro.core.transit_map import build_transit_map, flatten_transits
-from repro.graph.csr import CSRGraph
-from repro.graph.relabel import relabel_graph
 
 
 class TestFlatten:
@@ -93,12 +91,12 @@ def key_sets(draw):
     return keys
 
 
-def _assert_grouped_like_unique(tmap, keys, order, unique_ids):
+def _assert_grouped_like_unique(tmap, keys, order):
     """``order`` is the stable argsort of ``keys``; groups are those of
     ``np.unique``."""
     unique_keys, starts, counts = np.unique(
         keys[order], return_index=True, return_counts=True)
-    assert np.array_equal(tmap.unique_transits, unique_ids(unique_keys))
+    assert np.array_equal(tmap.unique_transits, unique_keys)
     assert np.array_equal(tmap.counts, counts)
     assert np.array_equal(tmap.offsets, np.append(starts, keys.size))
     for arr in (tmap.unique_transits, tmap.counts, tmap.offsets):
@@ -117,28 +115,7 @@ class TestGroupingProperties:
         # One transit per sample: sample_ids IS the permutation.
         assert np.array_equal(tmap.sample_ids, order)
         assert np.array_equal(tmap.transit_vals, keys[order])
-        _assert_grouped_like_unique(tmap, keys, order, lambda u: u)
-
-    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 4),
-           num_vertices=st.integers(1, 300))
-    @settings(max_examples=25, deadline=None)
-    def test_relabeled_graph_groups_by_canonical_id(self, backend, seed,
-                                                    width, num_vertices):
-        rng = np.random.default_rng(seed)
-        graph = relabel_graph(
-            CSRGraph.from_edges(num_vertices, [(0, num_vertices - 1)]),
-            perm=rng.permutation(num_vertices))
-        transits = rng.integers(0, num_vertices, size=(50, width))
-        transits[rng.random(transits.shape) < 0.2] = NULL_VERTEX
-        tmap = build_transit_map(transits, graph)
-        sample_ids, cols, vals = flatten_transits(transits)
-        keys = graph.canonical_of[vals]
-        order = np.argsort(keys, kind="stable")
-        assert np.array_equal(tmap.sample_ids, sample_ids[order])
-        assert np.array_equal(tmap.cols, cols[order])
-        assert np.array_equal(tmap.transit_vals, vals[order])
-        _assert_grouped_like_unique(tmap, keys, order,
-                                    lambda u: graph.perm[u])
+        _assert_grouped_like_unique(tmap, keys, order)
 
     def test_memory_is_independent_of_the_id_span(self, backend, rng):
         # 1 000 pairs over a 5e7 id range: a span-sized histogram would

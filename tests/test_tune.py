@@ -10,7 +10,6 @@ import pytest
 from repro.api import apps
 from repro.cli import main
 from repro.core.engine import NextDoorEngine
-from repro.core.scheduling import KernelPlanConfig
 from repro.graph.generators import rmat_graph
 from repro.tune import (
     DB_ENV,
@@ -36,41 +35,29 @@ class TestTuneConfig:
         cfg = TuneConfig(backend="cnative", chunk_size=1024)
         assert "backend=cnative" in cfg.describe()
         assert "chunk_size=1024" in cfg.describe()
-        assert "subwarp_limit" not in cfg.describe()
+        assert "inflight" not in cfg.describe()
 
     def test_dict_round_trip(self):
-        cfg = TuneConfig(backend="numpy", chunk_size=256, inflight=2,
-                         subwarp_limit=16, block_limit=512,
-                         relabel="degree")
+        cfg = TuneConfig(backend="numpy", chunk_size=256, inflight=2)
         assert TuneConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown TuneConfig"):
             TuneConfig.from_dict({"warp_size": 64})
+        # Fields earlier builds stored are unknown to this one.
+        with pytest.raises(ValueError, match="unknown TuneConfig"):
+            TuneConfig.from_dict({"relabel": "degree"})
 
     @pytest.mark.parametrize("kwargs", [
         {"chunk_size": 0}, {"chunk_size": -5}, {"inflight": 0},
-        {"subwarp_limit": 0}, {"subwarp_limit": 64, "block_limit": 32},
-        {"backend": "cuda"}, {"relabel": "random"},
+        {"backend": "cuda"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             TuneConfig(**kwargs)
 
-    def test_apply_to_plan_preserves_other_fields(self):
-        plan = KernelPlanConfig(enable_load_balancing=False)
-        out = TuneConfig(subwarp_limit=8, block_limit=256) \
-            .apply_to_plan(plan)
-        assert out.subwarp_limit == 8
-        assert out.block_limit == 256
-        assert out.enable_load_balancing is False
-
-    def test_engine_applies_thresholds_and_chunk(self):
-        engine = NextDoorEngine(
-            tune=TuneConfig(subwarp_limit=16, block_limit=512,
-                            chunk_size=128))
-        assert engine.config.subwarp_limit == 16
-        assert engine.config.block_limit == 512
+    def test_engine_applies_chunk(self):
+        engine = NextDoorEngine(tune=TuneConfig(chunk_size=128))
         assert engine.chunk_size == 128
 
     def test_explicit_chunk_beats_tuned(self):
@@ -93,9 +80,8 @@ class TestTuneDB:
     def test_record_save_load(self, tmp_path, graph):
         path = str(tmp_path / "db.json")
         db = TuneDB(path)
-        cfg = TuneConfig(backend="cnative", relabel="degree")
-        db.record("DeepWalk", graph, cfg, objective="wallclock",
-                  score=0.25, baseline=1.0, trials=9)
+        cfg = TuneConfig(backend="cnative", inflight=2)
+        db.record("DeepWalk", graph, cfg, score=0.25, baseline=1.0, trials=9)
         db.save()
         reloaded = TuneDB(path)
         assert reloaded.lookup("DeepWalk", graph) == cfg
@@ -118,17 +104,15 @@ class TestTuneDB:
         other = rmat_graph(400, 2400, seed=23, name="tune-test-other")
         writer_a = TuneDB(path)
         writer_b = TuneDB(path)
-        writer_a.record("DeepWalk", graph, TuneConfig(relabel="degree"),
-                        objective="model", score=0.5, baseline=1.0,
-                        trials=3)
+        writer_a.record("DeepWalk", graph, TuneConfig(inflight=2),
+                        score=0.5, baseline=1.0, trials=3)
         writer_b.record("PPR", other, TuneConfig(chunk_size=512),
-                        objective="model", score=0.25, baseline=1.0,
-                        trials=4)
+                        score=0.25, baseline=1.0, trials=4)
         writer_a.save()
         writer_b.save()
         merged = TuneDB(path)
         assert merged.lookup("DeepWalk", graph) == \
-            TuneConfig(relabel="degree")
+            TuneConfig(inflight=2)
         assert merged.lookup("PPR", other) == TuneConfig(chunk_size=512)
 
     def test_save_only_overwrites_own_dirty_keys(self, tmp_path, graph):
@@ -136,19 +120,17 @@ class TestTuneDB:
         # a newer on-disk value for it when saving its own work.
         path = str(tmp_path / "db.json")
         first = TuneDB(path)
-        first.record("DeepWalk", graph, TuneConfig(relabel="degree"),
-                     objective="model", score=0.5, baseline=1.0,
-                     trials=3)
+        first.record("DeepWalk", graph, TuneConfig(inflight=2),
+                     score=0.5, baseline=1.0, trials=3)
         first.save()
-        stale = TuneDB(path)  # holds relabel="degree" in memory
+        stale = TuneDB(path)  # holds inflight=2 in memory
         newer = TuneDB(path)
         newer.record("DeepWalk", graph, TuneConfig(chunk_size=256),
-                     objective="model", score=0.4, baseline=1.0,
-                     trials=5)
+                     score=0.4, baseline=1.0, trials=5)
         newer.save()
         other = rmat_graph(400, 2400, seed=23, name="tune-test-other")
-        stale.record("PPR", other, TuneConfig(), objective="model",
-                     score=1.0, baseline=1.0, trials=1)
+        stale.record("PPR", other, TuneConfig(), score=1.0,
+                     baseline=1.0, trials=1)
         stale.save()
         merged = TuneDB(path)
         assert merged.lookup("DeepWalk", graph) == \
@@ -170,8 +152,7 @@ class TestTuneDB:
             "for i in range(5):\n"
             "    db = TuneDB(path)\n"
             "    db.record(f'app{tag}.{i}', g, TuneConfig(),\n"
-            "              objective='model', score=1.0, baseline=1.0,\n"
-            "              trials=1)\n"
+            "              score=1.0, baseline=1.0, trials=1)\n"
             "    db.save()\n")
         procs = [subprocess.Popen(
             [sys.executable, "-c", script, str(tag), path],
@@ -192,16 +173,11 @@ class TestTuneDB:
         assert graph_fingerprint("DeepWalk", graph) != \
             graph_fingerprint("DeepWalk", other)
 
-    def test_fingerprint_shared_with_relabeled_view(self, graph):
-        from repro.graph.relabel import relabel_graph
-        assert graph_fingerprint("DeepWalk", graph) == \
-            graph_fingerprint("DeepWalk", relabel_graph(graph))
-
     def test_save_is_atomic_and_sorted(self, tmp_path, graph):
         path = str(tmp_path / "db.json")
         db = TuneDB(path)
-        db.record("DeepWalk", graph, TuneConfig(), objective="model",
-                  score=1.0, baseline=1.0, trials=1)
+        db.record("DeepWalk", graph, TuneConfig(), score=1.0,
+                  baseline=1.0, trials=1)
         db.save()
         text = open(path).read()
         assert json.loads(text)["version"] == 1
@@ -216,8 +192,8 @@ class TestTuneDB:
                    for p in TuneDB.validate_data(bad_entry))
         bad_cfg = {"version": 1, "entries": {"k": {
             "app": "x", "graph": "g", "config": {"bogus": 1},
-            "objective": "model", "score": 1.0, "baseline": 1.0,
-            "speedup": 1.0, "trials": 1}}}
+            "score": 1.0, "baseline": 1.0, "speedup": 1.0,
+            "trials": 1}}}
         assert any("config invalid" in p
                    for p in TuneDB.validate_data(bad_cfg))
 
@@ -231,12 +207,27 @@ class TestTuneDB:
         """An entry an earlier build wrote for a backend this build no
         longer has is dropped on load; the file is not rejected."""
         db = TuneDB(str(tmp_path / "old.json"))
-        key = db.record("x", graph, TuneConfig(), objective="model",
-                        score=1.0, baseline=1.0, trials=1)
+        key = db.record("x", graph, TuneConfig(), score=1.0,
+                        baseline=1.0, trials=1)
         db.entries[key]["config"]["backend"] = "auto"
         db.save()
         assert TuneDB(db.path).entries == {}
         assert capsys.readouterr().err.count("note:") == 1
+
+    def test_retired_field_entry_is_a_miss(self, tmp_path, graph, capsys):
+        """An entry in the format of the last build that had relabeling
+        and threshold tuning is dropped on load with one note, so
+        ``--tuned`` sees a miss rather than an invalid database."""
+        db = TuneDB(str(tmp_path / "old.json"))
+        key = db.record("DeepWalk", graph, TuneConfig(chunk_size=1024),
+                        score=1.0, baseline=1.0, trials=1)
+        db.entries[key]["objective"] = "wallclock"
+        db.entries[key]["config"].update(
+            relabel=None, subwarp_limit=32, block_limit=1024)
+        db.save()
+        assert TuneDB(db.path).lookup("DeepWalk", graph) is None
+        err = capsys.readouterr().err
+        assert err.count("note:") == 1 and "re-run `repro tune`" in err
 
 
 class TestSearch:
@@ -247,34 +238,22 @@ class TestSearch:
         monkeypatch.setattr(cnative, "find_compiler", lambda: None)
         summary = autotune(apps.DeepWalk(walk_length=4), graph,
                            db=TuneDB(str(tmp_path / "db.json")),
-                           objective="model", budget=3, num_samples=32,
+                           repeats=1, budget=3, num_samples=32,
                            save=False)
         assert [t["config"]["backend"]
                 for t in summary["history"]] == [None] * 3
 
-    def test_model_objective_is_deterministic(self, tmp_path, graph):
-        db_path = str(tmp_path / "db.json")
-        app = apps.DeepWalk(walk_length=6)
-        s1 = autotune(app, graph, db=TuneDB(db_path), objective="model",
-                      budget=5, num_samples=64, save=False)
-        s2 = autotune(apps.DeepWalk(walk_length=6), graph,
-                      db=TuneDB(db_path), objective="model", budget=5,
-                      num_samples=64, save=False)
-        assert s1["config"] == s2["config"]
-        assert s1["score"] == s2["score"]
-        assert s1["trials"] == s2["trials"] == 5
-
     def test_budget_caps_trials(self, tmp_path, graph):
         summary = autotune(apps.DeepWalk(walk_length=4), graph,
                            db=TuneDB(str(tmp_path / "db.json")),
-                           objective="model", budget=2, num_samples=32,
+                           repeats=1, budget=2, num_samples=32,
                            save=False)
         assert summary["trials"] == 2
 
     def test_records_in_db_and_saves(self, tmp_path, graph):
         db = TuneDB(str(tmp_path / "db.json"))
         summary = autotune(apps.KHop(fanouts=(4, 2)), graph, db=db,
-                           objective="model", budget=4, num_samples=64)
+                           repeats=1, budget=4, num_samples=64)
         assert os.path.exists(summary["db_path"])
         reloaded = TuneDB(summary["db_path"])
         assert reloaded.lookup(summary["app"], graph) == \
@@ -284,7 +263,7 @@ class TestSearch:
     def test_history_carries_model_counters(self, tmp_path, graph):
         summary = autotune(apps.DeepWalk(walk_length=4), graph,
                            db=TuneDB(str(tmp_path / "db.json")),
-                           objective="model", budget=3, num_samples=32,
+                           repeats=1, budget=3, num_samples=32,
                            save=False)
         assert all(t["counters"] is not None
                    for t in summary["history"])
@@ -293,8 +272,6 @@ class TestSearch:
     def test_rejects_bad_arguments(self, tmp_path, graph):
         app = apps.DeepWalk(walk_length=4)
         db = TuneDB(str(tmp_path / "db.json"))
-        with pytest.raises(ValueError, match="objective"):
-            autotune(app, graph, db=db, objective="latency")
         with pytest.raises(ValueError, match="budget"):
             autotune(app, graph, db=db, budget=0)
         with pytest.raises(ValueError, match="repeats"):
@@ -304,8 +281,7 @@ class TestSearch:
             self, graph):
         """Whatever the search picks (chunk size aside), applying it
         must not change sampled values."""
-        cfg = TuneConfig(backend="cnative", relabel="degree",
-                         subwarp_limit=16, block_limit=512)
+        cfg = TuneConfig(backend="cnative", inflight=2)
         app = apps.DeepWalk(walk_length=6)
         base = NextDoorEngine().run(app, graph, num_samples=64, seed=7)
         tuned = NextDoorEngine(tune=cfg).run(
@@ -314,43 +290,59 @@ class TestSearch:
                         tuned.batch.step_vertices):
             assert np.array_equal(a, b)
 
-    def test_full_stage_sweep_completes(self, tmp_path, graph):
-        """A budget large enough to reach every stage — including the
-        kernel-threshold sweep — must not trip the kernel model's
-        block-shape limits."""
+    def test_full_stage_sweep_completes(self, tmp_path, graph,
+                                        monkeypatch, process_pool):
+        """A budget large enough to reach every stage (numpy only, so
+        the workers are processes and the in-flight cap is searched):
+        each trial moves only the three knobs the search owns."""
+        from repro.native import cnative
+        monkeypatch.setattr(cnative, "find_compiler", lambda: None)
         summary = autotune(apps.KHop(fanouts=(8, 4)), graph,
                            db=TuneDB(str(tmp_path / "db.json")),
-                           objective="model", budget=32, num_samples=128,
-                           save=False)
+                           repeats=1, budget=32, num_samples=128,
+                           workers=1, save=False)
         assert summary["trials"] <= 32
-        cfg = TuneConfig.from_dict(summary["config"])
-        assert cfg.block_limit <= 1024
+        for trial in summary["history"]:
+            assert trial["config"].keys() == {"backend", "chunk_size",
+                                              "inflight"}
+        assert {t["config"]["inflight"] for t in summary["history"]} > {None}
 
-    def test_infeasible_config_is_skipped(self, tmp_path, graph):
-        """A config the kernel model rejects is counted as infeasible,
-        not a crash."""
-        from repro.obs import get_metrics
-        from repro.tune.search import _Search
-        # 2000 draws from one transit -> 63 warps/block at
-        # block_limit=2048, past the 32-warp hardware cap.
-        search = _Search(apps.KHop(fanouts=(2000,)), graph,
-                         objective="model", budget=4, num_samples=4,
-                         seed=0, workers=None, repeats=1,
-                         engine_cls=None)
-        before = get_metrics().snapshot("tune.").get(
-            "tune.infeasible", 0)
-        assert search.consider(TuneConfig(block_limit=2048)) is True
-        assert search.history == []  # nothing recorded
-        after = get_metrics().snapshot("tune.")["tune.infeasible"]
-        assert after == before + 1
+    def test_engine_error_propagates(self, tmp_path, graph):
+        """An error raised by the very first trial is the caller's to
+        see — not an "infeasible config"."""
+        class Boom:
+            def __init__(self, **kwargs):
+                pass
+
+            def run(self, *args, **kwargs):
+                raise ValueError("boom")
+
+        with pytest.raises(ValueError, match="boom"):
+            autotune(apps.DeepWalk(walk_length=4), graph,
+                     db=TuneDB(str(tmp_path / "db.json")),
+                     engine_cls=Boom, save=False)
+
+    def test_inflight_not_searched_on_chunk_threads(self, tmp_path,
+                                                    graph):
+        """Under a compiled backend ``workers`` are threads and the
+        in-flight cap is not read: no trial may vary it."""
+        from repro.native.backend import available_backends, backend_scope
+        if "cnative" not in available_backends():
+            pytest.skip("no C toolchain")
+        with backend_scope("cnative"):
+            summary = autotune(apps.DeepWalk(walk_length=4), graph,
+                               db=TuneDB(str(tmp_path / "db.json")),
+                               repeats=1, budget=32, num_samples=32,
+                               workers=2, save=False)
+        inflight = [t["config"]["inflight"] for t in summary["history"]]
+        assert inflight == [None] * len(inflight)
 
     def test_metrics_counters_bump(self, tmp_path, graph):
         from repro.obs import get_metrics
         before = get_metrics().snapshot("tune.").get("tune.trials", 0)
         autotune(apps.DeepWalk(walk_length=4), graph,
                  db=TuneDB(str(tmp_path / "db.json")),
-                 objective="model", budget=2, num_samples=32,
-                 save=False)
+                 repeats=1, budget=2, num_samples=32, save=False)
         after = get_metrics().snapshot("tune.")["tune.trials"]
         assert after == before + 2
 
@@ -374,7 +366,7 @@ class TestCLI:
         db_path = str(tmp_path / "db.json")
         out = io.StringIO()
         code = main(["tune", "--app", "DeepWalk", "--graph", "ppi",
-                     "--objective", "model", "--budget", "3",
+                     "--repeats", "1", "--budget", "3",
                      "--samples", "64", "--db", db_path], out=out)
         assert code == 0, out.getvalue()
         assert "saved to" in out.getvalue()
@@ -395,8 +387,7 @@ class TestCLI:
         graph = paper_graph("ppi", "DeepWalk", seed=0)
         db.record("DeepWalk", graph,
                   TuneConfig(backend="cnative", chunk_size=1024),
-                  objective="wallclock", score=0.5, baseline=1.0,
-                  trials=3)
+                  score=0.5, baseline=1.0, trials=3)
         db.save()
         out = io.StringIO()
         code = main(["sample", "--app", "DeepWalk", "--graph", "ppi",
