@@ -21,12 +21,13 @@ step size to 64.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.api.app import SamplingApp
-from repro.api.apps._kernels import rowwise_searchsorted
+from repro.api.apps._kernels import _backend, rowwise_searchsorted
 from repro.api.sample import Sample, SampleBatch
 from repro.api.types import NULL_VERTEX, SamplingType, StepInfo
 from repro.graph.csr import CSRGraph
@@ -37,6 +38,20 @@ __all__ = ["FastGCN", "LADIES"]
 #: :meth:`FastGCN.record_step_edges`; larger steps record in blocks of
 #: sample rows.
 EDGE_BLOCK_MAX_BYTES = 1 << 26
+
+_TABLE_LOCK = threading.Lock()
+
+
+def _graph_table(graph: CSRGraph, attr: str, build):
+    """``build(graph)``, cached on the graph as ``attr``.  Several runs
+    on one graph (the daemon's executors) may touch it first at once:
+    built by one of them."""
+    with _TABLE_LOCK:
+        table = getattr(graph, attr, None)
+        if table is None:
+            table = build(graph)
+            setattr(graph, attr, table)
+    return table
 
 
 class FastGCN(SamplingApp):
@@ -72,12 +87,14 @@ class FastGCN(SamplingApp):
 
     def _importance(self, graph: CSRGraph) -> Tuple[np.ndarray, np.ndarray]:
         """Importance distribution and its CDF, cached on the graph."""
-        cache = getattr(graph, "_fastgcn_importance", None)
-        if cache is None:
-            weights = graph.degrees().astype(np.float64) + 1.0
-            probs = weights / weights.sum()
-            cache = graph._fastgcn_importance = (probs, np.cumsum(probs))
-        return cache
+        return _graph_table(graph, "_fastgcn_importance",
+                            self._build_importance)
+
+    @staticmethod
+    def _build_importance(graph: CSRGraph):
+        weights = graph.degrees().astype(np.float64) + 1.0
+        probs = weights / weights.sum()
+        return probs, np.cumsum(probs)
 
     def next(self, sample: Sample, transits: np.ndarray,
              src_edges: np.ndarray, step: int,
@@ -132,6 +149,9 @@ class FastGCN(SamplingApp):
         # (rows*T + 1) * ceil((rows*W + 1) / 8) bytes: quadratic in rows.
         rows = max(1, math.isqrt(8 * EDGE_BLOCK_MAX_BYTES
                                  // ((t_width + 1) * (v_width + 8))))
+        native = _backend().edge_hits(graph, transits, new_vertices, rows)
+        if native is not None:
+            return native
         hits = []
         for lo in range(0, num_samples, rows):
             t, v = transits[lo:lo + rows], new_vertices[lo:lo + rows]
@@ -223,6 +243,11 @@ class LADIES(FastGCN):
         # transit's mass — the same index the flat searchsorted over
         # the materialised CDF resolves to, because the transit prefix
         # is that CDF evaluated at segment boundaries.
+        native = _backend().two_level_pick(graph, ecs, local_mass, lo, hi,
+                                           pair_t, draws)
+        if native is not None:
+            out[live] = native
+            return out, StepInfo(avg_compute_cycles=14.0)
         pc = rowwise_searchsorted(local_mass, draws, lo[:, None],
                                   hi[:, None])
         pc = np.minimum(pc, (hi - 1)[:, None])
@@ -256,17 +281,18 @@ class LADIES(FastGCN):
         """Cached (per graph) global cumsum of per-candidate importance
         ``deg(dst) + 1`` in CSR edge order, plus each vertex's total
         neighborhood mass (its row's share of that cumsum)."""
-        cache = getattr(graph, "_ladies_edge_importance", None)
-        if cache is None:
-            w = graph.degrees_array[graph.indices].astype(np.float64) + 1.0
-            ecs = np.cumsum(w)
-            mass = np.zeros(graph.num_vertices, dtype=np.float64)
-            starts = graph.indptr[:-1]
-            ends = starts + graph.degrees_array
-            ne = np.nonzero(ends > starts)[0]
-            if ne.size:
-                base = np.where(starts[ne] > 0, ecs[starts[ne] - 1], 0.0)
-                mass[ne] = ecs[ends[ne] - 1] - base
-            cache = (ecs, mass)
-            graph._ladies_edge_importance = cache
-        return cache
+        return _graph_table(graph, "_ladies_edge_importance",
+                            self._build_edge_importance)
+
+    @staticmethod
+    def _build_edge_importance(graph: CSRGraph):
+        w = graph.degrees_array[graph.indices].astype(np.float64) + 1.0
+        ecs = np.cumsum(w)
+        mass = np.zeros(graph.num_vertices, dtype=np.float64)
+        starts = graph.indptr[:-1]
+        ends = starts + graph.degrees_array
+        ne = np.nonzero(ends > starts)[0]
+        if ne.size:
+            base = np.where(starts[ne] > 0, ecs[starts[ne] - 1], 0.0)
+            mass[ne] = ecs[ends[ne] - 1] - base
+        return ecs, mass

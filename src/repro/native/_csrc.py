@@ -30,7 +30,17 @@ Contract with the numpy kernels in ``repro/api/apps/_kernels.py``
 * every floating-point expression keeps numpy's operand order, and
   ``-ffp-contract=off`` forbids FMA contraction;
 * ``grouping`` is a stable LSD radix sort on ``vals - min`` in 16-bit
-  digits (1-4 passes by span), i.e. ``argsort(kind="stable")``.
+  digits (1-4 passes by span), i.e. ``argsort(kind="stable")``;
+* ``edge_mask`` + ``edge_emit`` are ``CSRGraph.adjacency_block`` plus
+  the probe of ``FastGCN.record_step_edges``: per block of sample rows
+  a packed bitmap of distinct transits x distinct new vertices, one
+  hit bit per (sample, transit, new vertex), the set bits emitted in
+  that C-order — NULL on either side misses, a repeated vertex hits
+  once per column; nothing is drawn, all scratch dies with the call;
+* ``two_level_pick`` takes LADIES' already-drawn, already-scaled
+  ``draws`` through both lower-bound bisections (transit mass prefix,
+  then ``ecs[i] - ebase`` against ``rem`` in the chosen CSR row) with
+  numpy's comparisons, clamps and operand order.
 
 The PCG64 step uses ``unsigned __int128``; :mod:`repro.native.rngshim`
 holds the pure-Python reference the tests compare it against.
@@ -42,6 +52,8 @@ __all__ = ["SOURCE"]
 
 SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 typedef unsigned __int128 u128;
 
@@ -346,5 +358,138 @@ int64_t repro_dedupe_rows(int64_t *rows, int64_t nrows, int64_t w,
         }
     }
     return dups;
+}
+
+/* Collective edge recording (FastGCN / LADIES): adjacency_block +
+   probe.  Per block of sample rows: dense slots (first-seen order) for
+   the distinct transits and new vertices, a packed bitmap filled from
+   those transits' CSR rows, then one bit test per (sample, transit,
+   new vertex), kept in masks[(s*T + j)*words + k/64].  Column 0 is
+   NULL's: no row sets it.  Returns the hit count, -1 without memory. */
+int64_t repro_edge_mask(const int64_t *indptr, const int64_t *indices,
+                        const int64_t *degrees, int64_t num_vertices,
+                        const int64_t *transits, const int64_t *newv,
+                        int64_t num_samples, int64_t t_width,
+                        int64_t v_width, int64_t block_rows,
+                        uint64_t *masks) {
+    int64_t words = (v_width + 63) >> 6, total = 0;
+    if (block_rows > num_samples)
+        block_rows = num_samples;
+    int32_t *tslot = malloc(sizeof(int32_t) * (
+        2 * num_vertices + block_rows * (t_width + v_width) + 1));
+    if (!tslot)
+        return -1;
+    int32_t *vslot = tslot + num_vertices, *row = vslot + num_vertices;
+    int32_t *col = row + block_rows * t_width;
+    for (int64_t lo = 0; lo < num_samples; lo += block_rows) {
+        memset(tslot, 0xFF, 2 * num_vertices * sizeof(int32_t));
+        const int64_t *t = transits + lo * t_width;
+        const int64_t *v = newv + lo * v_width;
+        int64_t rows = num_samples - lo < block_rows ? num_samples - lo
+                                                     : block_rows;
+        int64_t nt = rows * t_width, nv = rows * v_width;
+        int32_t nrows = 0, cols = 1;
+        for (int64_t i = 0; i < nt; i++) {
+            if (t[i] >= 0 && tslot[t[i]] < 0)
+                tslot[t[i]] = nrows++;
+            row[i] = t[i] >= 0 ? tslot[t[i]] : -1;
+        }
+        for (int64_t i = 0; i < nv; i++) {
+            if (v[i] >= 0 && vslot[v[i]] < 0)
+                vslot[v[i]] = cols++;
+            col[i] = v[i] >= 0 ? vslot[v[i]] : 0;
+        }
+        /* One byte in front: a neighbor that is no new vertex (c = -1)
+           ORs 0 into line[-1] instead of taking a branch. */
+        int64_t stride = (cols + 7) >> 3;
+        uint8_t *pad = calloc(nrows * stride + 1, 1);
+        if (!pad) {
+            free(tslot);
+            return -1;
+        }
+        /* Slot k's first occurrence is met when k rows are filled. */
+        int32_t filled = 0;
+        for (int64_t i = 0; i < nt; i++) {
+            if (row[i] != filled)
+                continue;
+            uint8_t *line = pad + 1 + stride * filled++;
+            int64_t base = indptr[t[i]];
+            for (int64_t e = base; e < base + degrees[t[i]]; e++) {
+                int32_t c = vslot[indices[e]];
+                line[c >> 3] |= (uint8_t)((c >= 0) << (c & 7));
+            }
+        }
+        uint64_t *mask = masks + lo * t_width * words;
+        for (int64_t i = 0; i < nt * words; i++) {
+            int64_t p = i / words, k0 = i % words * 64;
+            int64_t k1 = v_width - k0 < 64 ? v_width - k0 : 64;
+            const int32_t *cs = col + p / t_width * v_width + k0;
+            uint64_t hit = 0;
+            if (row[p] >= 0) {
+                const uint8_t *line = pad + 1 + stride * row[p];
+                for (int64_t k = 0; k < k1; k++)
+                    hit |= (uint64_t)(
+                        (line[cs[k] >> 3] >> (cs[k] & 7)) & 1) << k;
+            }
+            mask[i] = hit;
+            total += __builtin_popcountll(hit);
+        }
+        free(pad);
+    }
+    free(tslot);
+    return total;
+}
+
+/* The set bits of repro_edge_mask's masks as (sample, transit, new
+   vertex) rows, in (sample, transit-column, new-column) order. */
+void repro_edge_emit(const int64_t *transits, const int64_t *newv,
+                     int64_t num_samples, int64_t t_width, int64_t v_width,
+                     const uint64_t *masks, int64_t *out) {
+    int64_t words = (v_width + 63) >> 6;
+    for (int64_t i = 0; i < num_samples * t_width * words; i++) {
+        int64_t p = i / words, s = p / t_width;
+        const int64_t *vs = newv + s * v_width + i % words * 64;
+        for (uint64_t hit = masks[i]; hit; hit &= hit - 1) {
+            *out++ = s;
+            *out++ = transits[p];
+            *out++ = vs[__builtin_ctzll(hit)];
+        }
+    }
+}
+
+/* LADIES' two-level inverse transform over pre-drawn, pre-scaled
+   draws: per live sample i, m draws into local_mass[lo[i]:hi[i]), then
+   into the chosen transit's CSR row. */
+void repro_two_level_pick(const double *local_mass, const int64_t *lo,
+                          const int64_t *hi, const int64_t *pair_t,
+                          const double *draws, int64_t nlive, int64_t m,
+                          const int64_t *indptr, const int64_t *indices,
+                          const int64_t *degrees, const double *ecs,
+                          int64_t *out) {
+    for (int64_t q = 0; q < nlive * m; q++) {
+        int64_t i = q / m, a = lo[i], b = hi[i];
+        double d = draws[q];
+        while (a < b) {
+            int64_t mid = (a + b) >> 1;
+            if (local_mass[mid] < d)
+                a = mid + 1;
+            else
+                b = mid;
+        }
+        if (a > hi[i] - 1)
+            a = hi[i] - 1;
+        double rem = d - (a > lo[i] ? local_mass[a - 1] : 0.0);
+        int64_t x = indptr[pair_t[a]], last = x + degrees[pair_t[a]] - 1;
+        int64_t y = last + 1;
+        double ebase = x > 0 ? ecs[x - 1] : 0.0;
+        while (x < y) {
+            int64_t mid = (x + y) >> 1;
+            if (ecs[mid] - ebase < rem)
+                x = mid + 1;
+            else
+                y = mid;
+        }
+        out[q] = indices[x > last ? last : x];
+    }
 }
 """

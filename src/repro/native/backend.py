@@ -2,8 +2,9 @@
 
 The per-step hot kernels — individual-step neighbor draws (uniform,
 weighted, node2vec rejection), the radix-sort scheduling index,
-collective gather, and row dedupe — run behind a
-:class:`KernelBackend`.  Two implementations exist:
+collective gather, LADIES' two-level draw, collective edge recording
+and row dedupe — run behind a :class:`KernelBackend`.  Two
+implementations exist:
 
 ``numpy``
     the default: every hook returns ``None`` and the caller falls
@@ -24,7 +25,8 @@ produced — same values, same dtypes, same RNG draws in the same order
 numpy fallback replays from an identical stream position.  The one
 exception is a kernel failing *after* its block of doubles was drawn;
 the ``*_from_draws`` rescues below then consume that same block with
-numpy ops, keeping the stream aligned.  Failures are recorded once per
+numpy ops, keeping the stream aligned (``two_level_pick`` needs none:
+its caller drew, and carries on in numpy).  Failures are recorded once per
 kernel (warning + ``native.compile_failures`` counter) and the kernel
 is disabled for the rest of the process — every other kernel stays
 compiled.  A library that fails to *build* is one failure: one
@@ -118,6 +120,12 @@ class KernelBackend:
     def dedupe_rows(self, rows):
         return None
 
+    def edge_hits(self, graph, transits, new_vertices, block_rows):
+        return None
+
+    def two_level_pick(self, graph, ecs, mass, lo, hi, pair_t, draws):
+        return None
+
     def scatter_rows(self, out, sampled, sample_ids, cols, m):
         # No backend compiles this and the runtime never calls it (step
         # assembly is a numpy row scatter, core/stepper.py); the name
@@ -181,6 +189,12 @@ def _segment_from_draws(values, offsets, m, r):
 
 #: ``_failed`` entry meaning the library itself did not build or load.
 _LIBRARY = "library"
+
+
+def _plain(dtype, *arrays) -> bool:
+    """Whether every array can be handed to C as it is."""
+    return all(isinstance(a, np.ndarray) and a.dtype == dtype
+               and a.flags.c_contiguous for a in arrays)
 
 
 class CNativeBackend(KernelBackend):
@@ -318,7 +332,7 @@ class CNativeBackend(KernelBackend):
         if count_k is None or fill_k is None:
             return None
         values = np.asarray(values)
-        if values.dtype != np.int64 or not values.flags.c_contiguous:
+        if not _plain(np.int64, values):
             return None
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
         nseg = offsets.size - 1
@@ -339,6 +353,60 @@ class CNativeBackend(KernelBackend):
         except Exception as exc:
             self._disable("segment_fill", exc)
             return _segment_from_draws(values, offsets, m, r)
+        return out
+
+    def two_level_pick(self, graph, ecs, mass, lo, hi, pair_t, draws):
+        """LADIES' two bisections over the already-drawn ``(live, m)``
+        ``draws``: the picked vertices, same shape, or ``None``."""
+        kernel = self._kernel("two_level_pick")
+        if kernel is None or not (
+                _plain(np.float64, ecs, mass, draws)
+                and _plain(np.int64, lo, hi, pair_t)
+                and draws.ndim == 2 and pair_t.shape == mass.shape
+                and lo.shape == hi.shape == draws.shape[:1]):
+            return None
+        out = np.empty(draws.shape, dtype=np.int64)
+        try:
+            kernel(mass.ctypes.data, lo.ctypes.data, hi.ctypes.data,
+                   pair_t.ctypes.data, draws.ctypes.data, *draws.shape,
+                   graph.indptr.ctypes.data, graph.indices.ctypes.data,
+                   graph.degrees_array.ctypes.data, ecs.ctypes.data,
+                   out.ctypes.data)
+        except Exception as exc:
+            self._disable("two_level_pick", exc)
+            return None
+        return out
+
+    # -- collective edge recording -------------------------------------
+
+    def edge_hits(self, graph, transits, new_vertices, block_rows):
+        """``FastGCN.record_step_edges``' ``(n, 3)`` rows: a hit bit per
+        probe (one bitmap per ``block_rows`` sample rows), then the set
+        bits as rows.  No scratch outlives the call."""
+        mask_k, emit_k = self._kernel("edge_mask"), self._kernel("edge_emit")
+        if mask_k is None or emit_k is None or block_rows < 1 or not (
+                _plain(np.int64, transits, new_vertices)
+                and transits.ndim == new_vertices.ndim == 2
+                and transits.shape[0] == new_vertices.shape[0]):
+            return None
+        shape = (*transits.shape, new_vertices.shape[1])
+        masks = np.empty(transits.size * ((shape[2] + 63) >> 6),
+                         dtype=np.uint64)
+        try:
+            count = mask_k(
+                graph.indptr.ctypes.data, graph.indices.ctypes.data,
+                graph.degrees_array.ctypes.data, graph.num_vertices,
+                transits.ctypes.data, new_vertices.ctypes.data, *shape,
+                block_rows, masks.ctypes.data)
+            if count < 0:   # no memory for the scratch: numpy's turn
+                return None
+            out = np.empty((count, 3), dtype=np.int64)
+            emit_k(transits.ctypes.data, new_vertices.ctypes.data, *shape,
+                   masks.ctypes.data, out.ctypes.data)
+        except Exception as exc:
+            # Either symbol: the pair is useless apart.
+            self._disable("edge_mask", exc)
+            return None
         return out
 
     # -- node2vec rejection sampling -----------------------------------

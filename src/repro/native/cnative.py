@@ -109,6 +109,13 @@ _SIGNATURES = {
     "repro_gather_i64": (None, (_PTR, _PTR, _PTR, _PTR, _I64, _PTR)),
     "repro_gather_f64": (None, (_PTR, _PTR, _PTR, _PTR, _I64, _PTR)),
     "repro_dedupe_rows": (_I64, (_PTR, _I64, _I64, _I64)),
+    "repro_edge_mask": (
+        _I64, (_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _I64, _I64,
+               _I64, _PTR)),
+    "repro_edge_emit": (None, (_PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR)),
+    "repro_two_level_pick": (
+        None, (_PTR, _PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR,
+               _PTR, _PTR, _PTR)),
 }
 
 

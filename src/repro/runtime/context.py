@@ -29,7 +29,11 @@ to compute:
 * collective steps: the app must override
   ``sample_from_neighborhood``, declare
   ``collective_needs_batch = False``, and not require materialised
-  combined-neighborhood values (multi-GB value arrays are not staged).
+  combined-neighborhood values (multi-GB value arrays are not staged)
+  — and the worker set must be the process pool.  Chunk threads leave
+  a collective step on the calling thread: a few chunks of ~2 ms each
+  ran 0.8–1.0x the serial step when the host's second core was taken
+  and 1.2–1.3x when it was free, from one minute to the next.
 
 What the worker set is follows from the kernel backend the run began
 under (``active_backend().compiled``):
@@ -265,7 +269,7 @@ class ExecutionContext:
         #: kernels (set by ``begin_run``; read by ``stepper.run_steps``).
         self.use_reference = False
         #: True once ``begin_run`` found a compiled backend: dispatched
-        #: steps run on chunk threads and no pool is attached.
+        #: individual steps run on chunk threads and no pool is attached.
         self._threads = False
         #: Chunk-result store attached by the engine for
         #: ``--checkpoint`` runs (None = no checkpointing).
@@ -524,15 +528,17 @@ class ExecutionContext:
 
         restored = self._load_checkpointed("c", step, nchunks)
         missing = [c for c in range(nchunks) if c not in restored]
+        # Process pool only: chunk threads leave a collective step to
+        # the calling thread (module docstring).
         dispatch = (
-            (self._threads or self.pool is not None)
+            self.pool is not None
             and not use_reference and len(missing) > 1
             and values is None and not app.collective_needs_batch
             and type(app).sample_from_neighborhood
             is not SamplingApp.sample_from_neighborhood)
         out_shape = (num_rows, app.sample_size(step))
         work = None
-        if dispatch and not self._threads:
+        if dispatch:
             arena = self._open_arena(
                 {"transits": transits, "offsets": offsets},
                 {"out": out_shape})
@@ -564,9 +570,7 @@ class ExecutionContext:
                 work.out[bounds[c]:bounds[c + 1]] = vertices
                 infos[c] = info
             with sampling_span:
-                if dispatch and self._threads:
-                    self._run_on_threads(step, missing, run_chunk, infos)
-                elif dispatch:
+                if dispatch:
                     for c, info in self._dispatch(
                             "cchunk", step, missing, bounds,
                             work.arena).items():

@@ -10,7 +10,8 @@ pure speedup:
 
 2. **Pooled multi-chunk identity** — the golden graphs are small
    enough that a step fits one RNG-plan chunk, so layer 1 never
-   exercises worker dispatch.  This layer runs walk + k-hop workloads
+   exercises worker dispatch.  This layer runs walk, k-hop and
+   collective (LADIES, edges included) workloads
    sized to span multiple chunks at ``--workers 1`` and ``--workers
    2`` and asserts the batch digest and modeled charges match the
    numpy backend at the same worker count (which PR 4's suites already
@@ -39,12 +40,16 @@ _POOLED_EDGES = 9000
 
 #: name -> (app factory, weighted?, num_samples).  Sizes chosen so at
 #: least one step exceeds DEFAULT_CHUNK_PAIRS and the pool really
-#: dispatches (DeepWalk: 6000 pairs/step; k-hop step 1: 4 * 2048).
+#: dispatches (DeepWalk: 6000 pairs/step; k-hop step 1: 4 * 2048;
+#: LADIES: four collective chunks of 128 sample rows, the last ragged —
+#: chunked on the calling thread under chunk threads, pooled under numpy).
 POOLED_CASES = {
     "deepwalk_pooled": (
         lambda: _apps().DeepWalk(walk_length=12), True, 6000),
     "khop_pooled": (
         lambda: _apps().KHop(fanouts=(4, 2)), False, 2048),
+    "ladies_pooled": (
+        lambda: _apps().LADIES(step_size=16, batch_size=16), False, 400),
 }
 
 

@@ -1,5 +1,8 @@
 """Collective-transit applications: layer, importance, cluster."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from repro.api.types import NULL_VERTEX, SamplingType
 from repro.core.engine import NextDoorEngine
 from repro.graph import datasets
 from repro.graph.csr import CSRGraph
+from repro.graph.generators import rmat_graph
 from repro.graph.partition import random_partition
 from repro.serve.protocol import batch_digest
 from tests.test_fastpath_equivalence import _reference_record_step_edges
@@ -196,10 +200,12 @@ class TestRecordStepEdges:
         assert np.array_equal(got, want)
 
     def test_blocks_are_invisible_and_bounded(self, medium_graph,
-                                              monkeypatch):
+                                              monkeypatch, process_pool):
         """Adversarial step (every transit and new vertex distinct)
         under a tiny bound: several blocks, no bitmap above the bound,
-        output identical to the single-block run and the oracle."""
+        output identical to the single-block run and the oracle.  (The
+        numpy rendering — ``process_pool`` pins that backend; the C one
+        is blocked in ``test_native_backend``.)"""
         ids = np.random.default_rng(5).permutation(1024)
         transits = ids[:512].reshape(64, 8)
         new_vertices = ids[512:].reshape(64, 8)
@@ -223,6 +229,41 @@ class TestRecordStepEdges:
         assert whole.size and np.array_equal(blocked, whole)
         assert np.array_equal(blocked, _reference_record_step_edges(
             None, medium_graph, None, transits, new_vertices, 0))
+
+
+class TestImportanceTables:
+    """The per-graph tables are first touched inside a run, i.e. by
+    several daemon executors (or engine threads) at once."""
+
+    @pytest.mark.parametrize("app_cls, table, builder", [
+        (LADIES, "_edge_importance", "_build_edge_importance"),
+        (FastGCN, "_importance", "_build_importance"),
+    ])
+    def test_first_touch_builds_once(self, app_cls, table, builder):
+        graph = rmat_graph(300, 2000, seed=4, name="fresh")
+        build, built = getattr(app_cls, builder), []
+
+        def slow(graph):
+            built.append(threading.get_ident())
+            time.sleep(0.05)    # the second thread arrives meanwhile
+            return build(graph)
+
+        app = type("Slow", (app_cls,), {builder: staticmethod(slow)})()
+        barrier, seen = threading.Barrier(2), []
+
+        def touch():
+            barrier.wait(timeout=30)
+            seen.append(getattr(app, table)(graph))
+
+        threads = [threading.Thread(target=touch) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert len(built) == 1
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert getattr(app_cls(), table)(graph) is seen[0]
 
 
 class TestLADIES:

@@ -7,15 +7,19 @@ array: no worker process, graph export, broadcast or step arena.  Under
 test: the threaded run is the serial run bit for bit, a failing or
 cancelled chunk surfaces in the caller only once every thread has
 stopped, concurrent runs cannot see each other, un-picklable apps run
-threaded, and ``/dev/shm`` is never touched.
+threaded, and ``/dev/shm`` is never touched.  A collective step is not
+dispatched: its chunks, and the one edge-recording call, stay on the
+calling thread.
 """
 
+import os
 import pickle
 import sys
 import threading
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.api.apps import LADIES, PPR, DeepWalk, KHop, Node2Vec
@@ -26,6 +30,7 @@ from repro.obs import get_metrics
 from repro.runtime import pool as pool_module
 from repro.runtime import shm
 from repro.runtime.cancel import CancelledRun, CancelScope
+from repro.runtime.faults import PLAN_ENV, FaultInjected
 from repro.runtime.pool import shutdown_pools
 from repro.serve.protocol import batch_digest
 
@@ -80,8 +85,11 @@ class TestIdentity:
         assert batch_digest(threaded.batch) == batch_digest(serial.batch)
         assert threaded.seconds == serial.seconds
         assert threaded.breakdown == serial.breakdown
-        if chunk == 96 or name == "khop":
-            assert _counter("runtime.chunks_pooled") > before
+        pooled = _counter("runtime.chunks_pooled") - before
+        if name == "ladies":
+            assert pooled == 0  # collective: chunked on the caller
+        elif chunk == 96 or name == "khop":
+            assert pooled > 0
         assert pool_module._POOLS == {}
 
     def test_no_shared_memory_is_touched(self):
@@ -110,6 +118,96 @@ class TestIdentity:
         threaded = _run(Local(fanouts=(5, 3)), medium_weighted, 2, 96)
         assert batch_digest(threaded.batch) == batch_digest(serial.batch)
         assert _counter("runtime.chunks_pooled") > before
+
+
+class _EdgeSpy(LADIES):
+    """LADIES that notes each edge-recording call: step, sample rows
+    handed over, calling thread."""
+
+    def __init__(self):
+        super().__init__(step_size=16, batch_size=16)
+        self.calls = []
+
+    def record_step_edges(self, graph, batch, transits, new_vertices,
+                          step):
+        self.calls.append((step, len(transits), threading.get_ident()))
+        return super().record_step_edges(graph, batch, transits,
+                                         new_vertices, step)
+
+
+def _same_edges(a, b):
+    return len(a.batch.edges) == len(b.batch.edges) == 2 and all(
+        x.size and np.array_equal(x, y)
+        for x, y in zip(a.batch.edges, b.batch.edges))
+
+
+class TestCollectiveEdges:
+    def test_recorded_once_per_step_on_the_caller(self, medium_weighted):
+        """84 collective chunks a step and two workers: still one
+        recording call per step, all rows, on the calling thread —
+        as under ``workers=0`` and under numpy — and the same edges."""
+        runs = {}
+        for label, backend, workers in (("threads", "cnative", 2),
+                                        ("serial", "cnative", 0),
+                                        ("numpy", "numpy", 0)):
+            app = _EdgeSpy()
+            with backend_scope(backend):
+                runs[label] = _run(app, medium_weighted, workers, 96)
+            assert app.calls == [
+                (step, SAMPLES, threading.get_ident()) for step in (0, 1)]
+        assert _same_edges(runs["threads"], runs["serial"])
+        assert _same_edges(runs["threads"], runs["numpy"])
+
+    def test_resume_reproduces_the_edges(self, medium_weighted, tmp_path,
+                                         monkeypatch):
+        """A checkpoint holds vertices, not edges: a resumed step
+        records them again from the restored (and recomputed) rows."""
+        expected = _run(_EdgeSpy(), medium_weighted, 2, 96)
+        ckpt = str(tmp_path / "ckpt")
+        monkeypatch.setenv(PLAN_ENV, "interrupt-step:1")
+        with pytest.raises(FaultInjected, match="step 1"):
+            _run(_EdgeSpy(), medium_weighted, 2, 96, checkpoint_dir=ckpt)
+        monkeypatch.delenv(PLAN_ENV)
+        assert _same_edges(expected, _run(
+            _EdgeSpy(), medium_weighted, 2, 96, checkpoint_dir=ckpt,
+            resume=True))
+        (run_dir,) = os.listdir(ckpt)
+        for chunk in (1, 40):   # two of step 0's 84 chunks lost
+            os.remove(os.path.join(ckpt, run_dir, f"c_root_s0_c{chunk}.npz"))
+        assert _same_edges(expected, _run(
+            _EdgeSpy(), medium_weighted, 2, 96, checkpoint_dir=ckpt,
+            resume=True))
+
+    def test_one_instance_shared_by_two_runs(self, medium_weighted):
+        """Nothing of a recording is kept on the app (or the graph, or
+        the backend): two threads driving the *same* LADIES instance
+        (the daemon's two executors), a short switch interval."""
+        app = LADIES(step_size=16, batch_size=16)
+        direct = _run(app, medium_weighted, 0, 96)
+        seen, errors = [], []
+
+        def loop():
+            try:
+                for _ in range(4):
+                    seen.append(_run(app, medium_weighted, 2, 96))
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=loop) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and len(seen) == 8
+        for result in seen:
+            assert batch_digest(result.batch) == batch_digest(direct.batch)
+            assert _same_edges(result, direct)
 
 
 class _Probe(KHop):

@@ -1,20 +1,32 @@
 """Backend selection, RNG shims, and graceful degradation."""
 
+import types
+import warnings
+
 import numpy as np
 import pytest
 
+import repro.api.apps.importance as importance_mod
+from repro.api.apps import LADIES, FastGCN
+from repro.api.types import NULL_VERTEX
+from repro.core.engine import NextDoorEngine
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph
+from repro.native import backend as backend_mod
 from repro.native import cnative, rngshim
 from repro.native.backend import (
     BACKEND_ENV,
     BACKEND_IDS,
     BACKEND_NAMES,
     CNativeBackend,
+    NumpyBackend,
     available_backends,
     backend_scope,
     resolve_backend_name,
 )
 from repro.obs import get_metrics
+from repro.serve.protocol import batch_digest
+from tests.test_fastpath_equivalence import _reference_record_step_edges
 
 COMPILED = [b for b in available_backends() if b != "numpy"]
 needs_cc = pytest.mark.skipif(not COMPILED,
@@ -156,10 +168,25 @@ def _raise(*args):
 
 
 class _OneBadKernel(CNativeBackend):
-    """C backend whose grouping kernel always fails when called."""
+    """C backend one of whose kernels always fails when called."""
+
+    def __init__(self, bad="grouping"):
+        super().__init__()
+        self.bad = bad
 
     def _kernel(self, name):
-        return _raise if name == "grouping" else super()._kernel(name)
+        return _raise if name == self.bad else super()._kernel(name)
+
+
+class _FixedDraws:
+    """Stands in for a generator: ``random(shape)`` hands out ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        assert tuple(shape) == self.u.shape
+        return self.u.copy()
 
 
 @needs_cc
@@ -193,6 +220,66 @@ class TestGracefulDegradation:
         assert counter.value == before + 1
         assert backend.uniform_neighbors(
             None, np.array([0], dtype=np.int64), 1, None) is None
+
+
+    @pytest.mark.parametrize("bad", ["edge_mask", "two_level_pick"])
+    def test_collective_kernel_failure_is_the_numpy_run(
+            self, medium_graph, monkeypatch, bad):
+        """One warning, one count, every other kernel still compiled,
+        numpy's samples and edges."""
+        def digest(backend):
+            monkeypatch.setattr(backend_mod, "_ACTIVE", backend)
+            return batch_digest(NextDoorEngine().run(
+                LADIES(step_size=16, batch_size=16), medium_graph,
+                num_samples=40, seed=3).batch)
+
+        want = digest(NumpyBackend())
+        counter = get_metrics().counter("native.compile_failures")
+        before = counter.value
+        backend = _OneBadKernel(bad)
+        with pytest.warns(RuntimeWarning, match="disabled") as caught:
+            assert digest(backend) == want
+        assert len(caught) == 1 and counter.value == before + 1
+        assert backend._failed == {bad}
+        assert backend.grouping(np.array([1, 0], dtype=np.int64)) is not None
+
+    def test_two_level_pick_fails_after_the_draws(self, medium_graph,
+                                                  monkeypatch):
+        """LADIES draws before it asks the hook: the failed kernel's
+        step leaves the generator where the numpy step leaves it."""
+        transits = np.arange(48, dtype=np.int64).reshape(6, 8)
+        batch = types.SimpleNamespace(num_samples=6)
+        after = []
+        for backend in (NumpyBackend(), _OneBadKernel("two_level_pick")):
+            monkeypatch.setattr(backend_mod, "_ACTIVE", backend)
+            rng = np.random.default_rng(21)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                out, _ = LADIES(step_size=5).sample_from_neighborhood(
+                    medium_graph, batch, None, None, transits, 0, rng)
+            after.append((out.tobytes(), rng.bit_generator.state))
+        assert after[0] == after[1]
+
+
+def _edge_case_graph():
+    """Directed, 40 vertices: self-loops at 5 and 9, no edge touches 38
+    or 39 (zero-degree transits, unreachable new vertices)."""
+    pairs = np.random.default_rng(3).integers(0, 38, size=(300, 2))
+    return CSRGraph.from_edges(
+        40, np.concatenate([pairs, [[5, 5], [9, 9]]]), name="edge-cases")
+
+
+def _edge_case_step(num_samples=7, t_width=5, v_width=6):
+    rng = np.random.default_rng(17)
+    transits = rng.integers(0, 40, size=(num_samples, t_width))
+    new = rng.integers(0, 40, size=(num_samples, v_width))
+    transits[rng.random(transits.shape) < 0.2] = NULL_VERTEX
+    new[rng.random(new.shape) < 0.2] = NULL_VERTEX
+    if num_samples > 3 and t_width > 2 and v_width > 2:
+        transits[0, :3] = [5, 38, 5]        # self-loop, zero degree, twice
+        new[0, :3] = [5, 9, 5]              # repeated within the row
+        transits[2], new[3] = NULL_VERTEX, NULL_VERTEX   # all-NULL rows
+    return transits, new
 
 
 @pytest.mark.parametrize("backend_name", COMPILED)
@@ -288,6 +375,92 @@ class TestKernelMicroParity:
             backend.weighted_neighbors, _weighted_from_draws,
             rmat_graph(64, 256, seed=11).with_random_weights(seed=2),
             [3, 3, 17, -1, 60], 2)
+
+    # -- collective path: edge recording + the LADIES draw -------------
+
+    @pytest.mark.parametrize("shape", [(7, 5, 6), (7, 3, 70), (0, 5, 6),
+                                       (7, 5, 0), (7, 0, 6)])
+    @pytest.mark.parametrize("block_rows", [1, 2, 338])
+    def test_edge_hits_matches_dense_oracle(self, backend, shape,
+                                            block_rows):
+        graph = _edge_case_graph()
+        transits, new = _edge_case_step(*shape)
+        got = backend.edge_hits(graph, transits, new, block_rows)
+        want = _reference_record_step_edges(None, graph, None, transits,
+                                            new, 0)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        if 0 not in shape:
+            assert got.size and (got[:, 1] == got[:, 2]).any()  # 5 -> 5
+
+    def test_edge_hits_row_blocks_follow_the_bound(self, backend,
+                                                   monkeypatch):
+        graph = _edge_case_graph()
+        transits, new = _edge_case_step()
+        hook, blocks = backend.edge_hits, []
+
+        def spy(graph, transits, new, block_rows):
+            blocks.append(-(-transits.shape[0] // block_rows))
+            return hook(graph, transits, new, block_rows)
+
+        monkeypatch.setattr(backend, "edge_hits", spy)
+        monkeypatch.setattr(backend_mod, "_ACTIVE", backend)
+        monkeypatch.setattr(importance_mod, "EDGE_BLOCK_MAX_BYTES", 32)
+        got = FastGCN().record_step_edges(graph, None, transits, new, 0)
+        assert blocks and blocks[0] >= 3
+        assert np.array_equal(got, _reference_record_step_edges(
+            None, graph, None, transits, new, 0))
+
+    def test_two_level_pick_matches_numpy_bisection(self, backend,
+                                                    monkeypatch):
+        """Same ``draws`` through both renderings, the two clamps
+        included: row 0 repeats one transit four times, so 0.25 / 0.5
+        of its total are transit-mass boundaries exactly; 1.0 is the
+        row total and the float after it lies past every candidate."""
+        graph = rmat_graph(64, 256, seed=11)
+        hub = int(np.argmax(graph.degrees_array))
+        transits = np.array([[hub] * 4, [5, NULL_VERTEX, 12, 63],
+                             [3, 3, 17, 60]], dtype=np.int64)
+        u = np.random.default_rng(2).random((3, 6))
+        u[0, :5] = [0.25, 0.5, 1.0, np.nextafter(1.0, 2.0), 0.0]
+        u[1, :2] = [1.0, np.nextafter(1.0, 2.0)]
+        hook, used = backend.two_level_pick, []
+
+        def spy(*args):
+            used.append(hook(*args))
+            return used[-1]
+
+        monkeypatch.setattr(backend, "two_level_pick", spy)
+
+        def pick(active):
+            monkeypatch.setattr(backend_mod, "_ACTIVE", active)
+            return LADIES(step_size=6).sample_from_neighborhood(
+                graph, types.SimpleNamespace(num_samples=3), None, None,
+                transits, 0, _FixedDraws(u))[0]
+
+        got, want = pick(backend), pick(NumpyBackend())
+        assert len(used) == 1 and used[0] is not None
+        assert (want != NULL_VERTEX).all() and np.array_equal(got, want)
+
+    def test_collective_hooks_decline_unfit_arrays(self, backend):
+        graph = _edge_case_graph()
+        transits, new = _edge_case_step()
+        assert backend.edge_hits(graph, transits.astype(np.int32), new,
+                                 4) is None
+        assert backend.edge_hits(graph, transits, new[:, ::2], 4) is None
+        ecs, _ = LADIES()._edge_importance(graph)
+        mass = np.array([2.0, 5.0, 9.0])
+        lo, hi = np.array([0]), np.array([3])
+        pair_t = np.array([1, 2, 3])
+        draws = np.array([[1.0, 6.0]])
+        assert backend.two_level_pick(graph, ecs, mass, lo, hi, pair_t,
+                                      draws) is not None
+        for unfit in ((ecs, mass[::2], lo, hi, pair_t, draws),
+                      (ecs, mass, lo.astype(np.int32), hi, pair_t, draws),
+                      (ecs, mass, lo, hi, pair_t, np.ones((1, 4))[:, ::2]),
+                      (ecs, mass, lo, hi, pair_t, draws.T),  # 2 rows, 1 lo
+                      (ecs, mass, lo, hi, pair_t, draws[0])):
+            assert backend.two_level_pick(graph, *unfit) is None
+        assert not backend._failed
 
 
 class TestCNativeToolchain:
