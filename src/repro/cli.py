@@ -74,7 +74,7 @@ def _add_backend_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _add_obs_flags(p: argparse.ArgumentParser) -> None:
-    """Tracing/metrics flags shared by sample|tune|compare|bench."""
+    """Tracing/metrics flags shared by sample|compare|bench."""
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="record wall-clock spans and write a Chrome "
                         "trace_event JSON (open in chrome://tracing or "
@@ -153,41 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reuse chunk results already saved under "
                         "--checkpoint (resumed runs are bitwise-"
                         "identical to uninterrupted ones)")
-    p.add_argument("--tuned", action="store_true",
-                   help="consult the tuning database (see `repro tune`) "
-                        "and apply the best-known configuration for "
-                        "this app/graph; $REPRO_TUNED=1 does the same")
-    p.add_argument("--tune-db", default=None, metavar="PATH",
-                   help="tuning database file (default: $REPRO_TUNE_DB "
-                        "or ./tune.json)")
     p.add_argument("--out", default=None,
                    help="save samples to this .npz file")
     _add_backend_flag(p)
-    _add_obs_flags(p)
-
-    p = sub.add_parser("tune",
-                       help="autotune backend, chunk size and pool "
-                            "in-flight cap for one app/graph pair; "
-                            "persists the winner in the tuning database")
-    p.add_argument("--app", required=True, choices=sorted(APP_FACTORIES))
-    p.add_argument("--graph", default="ppi",
-                   help="dataset name (see `repro datasets`) or a path "
-                        "to an edge-list / .npz graph file")
-    p.add_argument("--budget", type=int, default=24,
-                   help="maximum trial configurations (default 24)")
-    p.add_argument("--samples", type=int, default=None,
-                   help="samples per trial (default: min(2048, |V|))")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="runs per trial; the minimum is kept "
-                        "(default 3)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None,
-                   help="sampling workers for the trials; the in-flight "
-                        "cap is only searched when > 0 and the winning "
-                        "backend runs them as processes (numpy)")
-    p.add_argument("--db", default=None, metavar="PATH",
-                   help="tuning database file (default: $REPRO_TUNE_DB "
-                        "or ./tune.json)")
     _add_obs_flags(p)
 
     p = sub.add_parser("compare",
@@ -226,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify",
                        help="run the verification suites (statistical, "
                             "differential, golden, fuzz, chaos, "
-                            "native-backend parity, autotuner)")
+                            "native-backend parity, serving)")
     p.add_argument("--suite", default="all", metavar="NAME",
                    help="which suite to run (default: all; see --list)")
     p.add_argument("--list", action="store_true", dest="list_suites",
@@ -442,42 +410,8 @@ def _run_sample(args, out) -> int:
     num_samples = args.samples
     if num_samples is None:
         num_samples = walk_sample_count(graph, args.app)
-    tuned = args.tuned or os.environ.get(
-        "REPRO_TUNED", "").strip().lower() in ("1", "true", "yes", "on")
-    tune_cfg = None
-    if tuned:
-        if args.engine in ("knightking", "reference"):
-            print("error: --tuned applies to the NextDoor-family "
-                  "engines (nextdoor, sp, tp, gunrock, tigr); "
-                  f"--engine {args.engine} runs untuned", file=out)
-            return 2
-        from repro.tune import TuneDB
-        try:
-            db = TuneDB(args.tune_db)
-        except (ValueError, OSError) as exc:
-            print(f"error: could not load tuning database: {exc}",
-                  file=out)
-            return 2
-        tune_cfg = db.lookup(args.app, graph)
-        if (tune_cfg is not None and tune_cfg.backend is not None
-                and getattr(args, "backend", None) is not None):
-            # Precedence: an explicit --backend flag beats the tuning
-            # database, same as it beats $REPRO_BACKEND (docs/CLI.md).
-            import dataclasses
-            tune_cfg = dataclasses.replace(tune_cfg, backend=None)
-        if tune_cfg is None:
-            print(f"note: no tuning entry for app={args.app} "
-                  f"graph={graph.name} in {db.path}; using defaults "
-                  f"(populate it with `repro tune --app {args.app} "
-                  f"--graph {args.graph}`)", file=out)
-        else:
-            print(f"tuned config: {tune_cfg.describe()} "
-                  f"(from {db.path})", file=out)
-    engine_kwargs = {"workers": args.workers,
-                     "chunk_size": args.chunk_size}
-    if tune_cfg is not None:
-        engine_kwargs["tune"] = tune_cfg
-    engine = ENGINES[args.engine](**engine_kwargs)
+    engine = ENGINES[args.engine](workers=args.workers,
+                                  chunk_size=args.chunk_size)
     if args.checkpoint:
         if not isinstance(engine, NextDoorEngine):
             print("error: --checkpoint requires a NextDoor-family "
@@ -762,48 +696,6 @@ def _cmd_client(args, out) -> int:
     return 1
 
 
-def _cmd_tune(args, out) -> int:
-    err = _workers_error(args.workers)
-    if err:
-        print(f"error: {err}", file=out)
-        return 2
-    if args.budget < 1:
-        print(f"error: --budget must be >= 1 trial, got {args.budget}",
-              file=out)
-        return 2
-    if args.repeats < 1:
-        print(f"error: --repeats must be >= 1, got {args.repeats}",
-              file=out)
-        return 2
-    if args.samples is not None and args.samples < 1:
-        print(f"error: --samples must be >= 1, got {args.samples}",
-              file=out)
-        return 2
-    app = paper_app(args.app)
-    graph = _resolve_graph(args, out)
-    if graph is None:
-        return 2
-    from repro.tune import TuneDB
-    from repro.tune.search import autotune
-    try:
-        db = TuneDB(args.db)
-    except (ValueError, OSError) as exc:
-        print(f"error: could not load tuning database: {exc}", file=out)
-        return 2
-    summary = autotune(app, graph, db=db, budget=args.budget,
-                       num_samples=args.samples, seed=args.seed,
-                       workers=args.workers, repeats=args.repeats)
-    print(f"app={args.app} graph={graph.name} "
-          f"trials={summary['trials']}", file=out)
-    print(f"baseline : {summary['baseline']:.6f} s measured", file=out)
-    print(f"tuned    : {summary['score']:.6f} s measured "
-          f"({summary['speedup']:.2f}x)", file=out)
-    print(f"config   : {summary['describe']}", file=out)
-    print(f"saved to {summary['db_path']} "
-          f"(apply with `repro sample --tuned`)", file=out)
-    return 0
-
-
 def _cmd_train(args, out) -> int:
     from repro.train import TrainConfig, Trainer
     graph = datasets.load(args.graph, seed=args.seed)
@@ -839,7 +731,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     handler = {
         "datasets": _cmd_datasets,
         "sample": _cmd_sample,
-        "tune": _cmd_tune,
         "compare": _cmd_compare,
         "bench": _cmd_bench,
         "figures": _cmd_figures,

@@ -135,17 +135,10 @@ class NextDoorEngine:
                  workers: Optional[int] = None,
                  chunk_size: Optional[int] = None,
                  checkpoint_dir: Optional[str] = None,
-                 resume: bool = False,
-                 tune=None) -> None:
+                 resume: bool = False) -> None:
         self.spec = spec
         self.config = config
         self.use_reference = use_reference
-        #: Autotuner configuration (:class:`repro.tune.TuneConfig`) or
-        #: None for the defaults.  Applies the tuned chunk size, backend
-        #: and in-flight cap.
-        self.tune = tune
-        if tune is not None and chunk_size is None:
-            chunk_size = tune.chunk_size
         #: Multicore runtime: 0 = in-process; None = $REPRO_WORKERS,
         #: default 0.  Samples are bitwise-identical for any setting.
         self.workers = workers
@@ -162,6 +155,11 @@ class NextDoorEngine:
         #: gone) aborts the run with partial work discarded.  Attached
         #: per request by the serving daemon (docs/SERVING.md).
         self.cancel = None
+        #: Optional parsed :class:`repro.runtime.faults.FaultPlan` for
+        #: this engine's runs; None = ``$REPRO_FAULT_PLAN``.  Attached
+        #: per request by the daemon's test hook, so concurrent
+        #: requests never see each other's plan.
+        self.fault_plan = None
 
     # ------------------------------------------------------------------
 
@@ -178,25 +176,13 @@ class NextDoorEngine:
         """
         if num_devices < 1:
             raise ValueError("num_devices must be >= 1")
-        tune = self.tune
-        if tune is not None and tune.backend is not None:
-            from repro.native.backend import backend_scope
-            with backend_scope(tune.backend):
-                return self._run(app, graph, num_samples, roots, seed,
-                                 num_devices)
-        return self._run(app, graph, num_samples, roots, seed, num_devices)
-
-    def _run(self, app: SamplingApp, graph,
-             num_samples: Optional[int],
-             roots: Optional[np.ndarray],
-             seed: int, num_devices: int) -> SamplingResult:
-        tune = self.tune
         with trace.span("run", engine=self.engine_name, app=app.name,
                         graph=graph.name, devices=num_devices) as run_span:
             ctx = ExecutionContext(seed, workers=self.workers,
-                                   chunk_size=self.chunk_size,
-                                   inflight=tune.inflight if tune else None)
+                                   chunk_size=self.chunk_size)
             ctx.cancel = self.cancel
+            if self.fault_plan is not None:
+                ctx._fault_plan = self.fault_plan
             batch = stepper.init_batch(app, graph, num_samples, roots,
                                        ctx.init_rng())
             run_span.set(samples=batch.num_samples)
@@ -410,7 +396,7 @@ def _merge_batches(graph, shards: List[SampleBatch]) -> SampleBatch:
 #: Keyword arguments ``do_sampling`` accepts beyond its positionals.
 _DO_SAMPLING_KWARGS = ("spec", "config", "use_reference", "workers",
                        "chunk_size", "checkpoint_dir", "resume",
-                       "num_devices", "tune")
+                       "num_devices")
 
 
 def do_sampling(app: SamplingApp, graph, num_samples: int, seed: int = 0,

@@ -32,8 +32,8 @@ from repro.gpu.warp import WarpStats, coalesced_segments
 
 __all__ = ["KernelPlanConfig", "charge_sampling_kernels", "classify_transits"]
 
-#: Thread-count boundaries of Table 2 (the defaults; the autotuner can
-#: override them per run through :class:`KernelPlanConfig`).
+#: Thread-count boundaries of Table 2 (the :class:`KernelPlanConfig`
+#: defaults).
 SUBWARP_LIMIT = 32
 BLOCK_LIMIT = 1024
 

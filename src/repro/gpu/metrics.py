@@ -101,16 +101,3 @@ class DeviceMetrics:
         data = self.counters.as_dict()
         data["multiprocessor_activity"] = self.multiprocessor_activity
         return data
-
-    def summary(self) -> Dict[str, float]:
-        """Compact JSON-ready record for autotuner trials — just the
-        totals that move when the kernel-assignment thresholds move,
-        so a tuning-database entry can explain *why* a threshold won
-        without storing the full counter set."""
-        return {
-            "sm_busy_cycles": self.sm_busy_cycles,
-            "multiprocessor_activity": self.multiprocessor_activity,
-            "store_efficiency": self.counters.store_efficiency,
-            "l2_read_transactions": self.counters.l2_read_transactions,
-            "compute_cycles": self.counters.compute_cycles,
-        }

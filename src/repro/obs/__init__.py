@@ -45,7 +45,6 @@ from repro.obs.metrics import (
     reset_metrics,
 )
 from repro.obs.openmetrics import (
-    PeriodicStatsWriter,
     openmetrics_text,
     parse_openmetrics,
     validate_openmetrics,
@@ -85,7 +84,6 @@ __all__ = [
     "write_openmetrics",
     "parse_openmetrics",
     "validate_openmetrics",
-    "PeriodicStatsWriter",
     "EVENT_FIELDS",
     "EventLog",
     "get_event_log",

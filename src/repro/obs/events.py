@@ -67,8 +67,6 @@ EVENT_FIELDS: Dict[str, tuple] = {
     "checkpoint_load": ("chunk_id",),
     # Kernel backends.
     "backend_fallback": ("kernel", "backend", "error"),
-    # Autotuner.
-    "tune_trial": ("app", "graph", "config", "wall_s", "model_s"),
     # Deterministic fault injection (parent-side trips only; worker-side
     # faults fire in the worker process and its ring dies with it).
     "fault_injected": ("fault", "arg"),
@@ -151,8 +149,11 @@ class EventLog:
                 f.write("\n")
         return path
 
-    def dump_flight(self, reason: str) -> Optional[str]:
-        """Dump the ring to the configured flight directory.
+    def dump_flight(self, reason: str,
+                    tag: Optional[str] = None) -> Optional[str]:
+        """Dump the ring to the configured flight directory as
+        ``flight-<tag>.jsonl`` (``tag`` defaults to the current run's
+        flight tag; the daemon names its own dumps).
 
         Returns the path written, or ``None`` when no directory is
         configured (``$REPRO_FLIGHT_DIR`` unset) — the recorder stays
@@ -162,7 +163,7 @@ class EventLog:
         directory = flight_dir()
         if not directory:
             return None
-        tag = self.flight_tag or "untagged"
+        tag = tag or self.flight_tag or "untagged"
         path = os.path.join(directory, f"flight-{tag}.jsonl")
         try:
             os.makedirs(directory, exist_ok=True)
@@ -200,9 +201,9 @@ def set_flight_tag(tag: str) -> None:
     _EVENTS.set_flight_tag(tag)
 
 
-def dump_flight(reason: str) -> Optional[str]:
+def dump_flight(reason: str, tag: Optional[str] = None) -> Optional[str]:
     """Dump the process-global ring (no-op without ``$REPRO_FLIGHT_DIR``)."""
-    return _EVENTS.dump_flight(reason)
+    return _EVENTS.dump_flight(reason, tag)
 
 
 def validate_event_stream(events: List[Dict[str, Any]]) -> None:

@@ -86,15 +86,6 @@ name                            kind        meaning
 ``shm.bytes_mapped``            counter     shared-memory bytes exported
 ``shm.segments_swept``          counter     orphaned segments of dead
                                             owners unlinked at startup
-``tune.trials``                 counter     autotune trial runs measured
-``tune.improvements``           counter     trials that beat the best
-                                            score so far
-``tune.best_score``             gauge       best wall seconds found
-                                            (last search)
-``tune.speedup``                gauge       baseline / best of the last
-                                            ``autotune()`` call
-``tune.trial_seconds``          histogram   wall seconds per trial,
-                                            labeled ``app=``
 ``obs.events_recorded``         counter     structured events appended
                                             to the in-memory ring
 ``obs.events_dropped``          counter     events evicted from the ring
@@ -370,7 +361,7 @@ class MetricsRegistry:
         expand to a summary sub-dict; families with labeled children
         expand to ``{"series": {'k="v"': value, ...}}`` keyed by the
         canonical label string.  ``prefix`` narrows to one instrument
-        namespace (e.g. ``"tune."`` for the autotuner's counters)."""
+        namespace (e.g. ``"pool."``)."""
         return {fam.name: fam.snapshot_value()
                 for fam in self.collect(prefix)}
 

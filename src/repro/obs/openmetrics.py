@@ -1,4 +1,4 @@
-"""OpenMetrics text exporter, validator, and periodic snapshot writer.
+"""OpenMetrics text exporter and validator.
 
 :func:`openmetrics_text` renders the metrics registry in the
 OpenMetrics text format (the Prometheus exposition format's standardised
@@ -18,18 +18,12 @@ the unit tests share, in the style of
 into ``{name: {labelstring: value}}`` and raises ``ValueError`` on
 malformed lines, so tests can also round-trip values against
 ``registry.snapshot()``.
-
-:class:`PeriodicStatsWriter` re-exports a snapshot file every
-``interval`` seconds from a daemon thread — the pull-based scrape loop
-for long runs (the serving daemon's ``/metrics`` endpoint can serve the
-same bytes).
 """
 
 from __future__ import annotations
 
 import os
 import re
-import threading
 from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
@@ -37,7 +31,7 @@ from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
 
 __all__ = ["openmetrics_text", "write_openmetrics",
            "validate_openmetrics", "parse_openmetrics",
-           "PeriodicStatsWriter", "metric_name"]
+           "metric_name"]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LINE_RE = re.compile(
@@ -81,8 +75,7 @@ def _unescape(value: str) -> str:
 def _fmt(v: float) -> str:
     """Render a sample value: integers without a trailing ``.0`` (bucket
     counts), floats via repr (full precision round trip).  Non-finite
-    values use the OpenMetrics spellings (``+Inf``/``-Inf``/``NaN``) —
-    e.g. the ``tune.best_score`` gauge starts at infinity."""
+    values use the OpenMetrics spellings (``+Inf``/``-Inf``/``NaN``)."""
     f = float(v)
     if f != f:
         return "NaN"
@@ -273,65 +266,3 @@ def validate_openmetrics(text: str) -> Dict[str, Dict[str, float]]:
 
 
 # ----------------------------------------------------------------------
-
-
-class PeriodicStatsWriter:
-    """Daemon thread that re-writes a stats snapshot every ``interval``
-    seconds (plus once on :meth:`stop`), in either export format.
-
-    >>> writer = PeriodicStatsWriter("/tmp/metrics.prom",
-    ...                              fmt="openmetrics", interval=5.0)
-    >>> writer.start()
-    ...
-    >>> writer.stop()   # final snapshot + join
-    """
-
-    def __init__(self, path: str, fmt: str = "openmetrics",
-                 interval: float = 10.0,
-                 registry: Optional[MetricsRegistry] = None) -> None:
-        if fmt not in ("json", "openmetrics"):
-            raise ValueError(f"fmt must be 'json' or 'openmetrics', "
-                             f"got {fmt!r}")
-        if interval <= 0:
-            raise ValueError(f"interval must be > 0, got {interval}")
-        self.path = path
-        self.fmt = fmt
-        self.interval = interval
-        self.registry = registry
-        self.writes = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def _write_once(self) -> None:
-        if self.fmt == "openmetrics":
-            write_openmetrics(self.path, self.registry)
-        else:
-            from repro.obs.export import write_stats
-            write_stats(self.path, registry=self.registry)
-        self.writes += 1
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            self._write_once()
-
-    def start(self) -> "PeriodicStatsWriter":
-        if self._thread is not None:
-            raise RuntimeError("writer already started")
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-stats-writer", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop the loop, write one final snapshot, join the thread."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._write_once()
-
-    def __enter__(self) -> "PeriodicStatsWriter":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

@@ -251,14 +251,8 @@ class ExecutionContext:
 
     def __init__(self, seed: int, workers: Optional[int] = None,
                  chunk_size: Optional[int] = None,
-                 plan: Optional[RNGPlan] = None,
-                 inflight: Optional[int] = None) -> None:
+                 plan: Optional[RNGPlan] = None) -> None:
         self.workers = resolve_workers(workers)
-        #: Per-worker in-flight chunk cap for pooled dispatch (None =
-        #: $REPRO_POOL_INFLIGHT / pool default).  Purely a scheduling
-        #: knob: samples are bitwise-identical for any value.  Chunk
-        #: threads take one chunk at a time and ignore it.
-        self.inflight = inflight
         if plan is None:
             plan = (RNGPlan(seed, chunk_pairs=chunk_size)
                     if chunk_size else RNGPlan(seed))
@@ -306,8 +300,7 @@ class ExecutionContext:
         """Context for one multi-device shard: a namespaced plan over
         the same worker set."""
         ctx = ExecutionContext(self.plan.seed, workers=self.workers,
-                               plan=self.plan.shard(shard_index),
-                               inflight=self.inflight)
+                               plan=self.plan.shard(shard_index))
         ctx.pool = self.pool
         ctx._pool_failed = self._pool_failed
         ctx.use_reference = self.use_reference
@@ -740,8 +733,7 @@ class ExecutionContext:
                      int(bounds[c]), int(bounds[c + 1])))
                 for c in chunks]
         try:
-            replies = self.pool.run_chunks(jobs,
-                                           max_inflight=self.inflight)
+            replies = self.pool.run_chunks(jobs)
         except WorkerCrash as exc:
             replies = dict(exc.results)
             self._abandon_pool(

@@ -321,27 +321,24 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
 
-    def run_chunks(self, jobs: Sequence[Tuple[int, tuple]],
-                   max_inflight: Optional[int] = None) -> Dict[int, tuple]:
+    def run_chunks(self, jobs: Sequence[Tuple[int, tuple]]
+                   ) -> Dict[int, tuple]:
         """Dispatch ``(chunk_id, message)`` jobs; return
         ``{chunk_id: payload}`` where payload is the worker's reply
         after the chunk id — ``(info, timing)``; the chunk's rows are
         already in the step arena its message named.
 
-        ``max_inflight`` caps the chunks outstanding per worker; when
-        ``None`` it falls back to ``$REPRO_POOL_INFLIGHT`` / the
-        built-in default (the autotuner threads its tuned value here).
+        ``$REPRO_POOL_INFLIGHT`` (default :data:`MAX_INFLIGHT`) caps the
+        chunks outstanding per worker.
 
         Chunks quarantined by the supervisor (poison chunks, worker-side
         application errors) are simply **absent** from the result — the
         execution context re-runs every missing chunk in-process.
         """
         with self.lock:
-            return self._run_chunks_locked(jobs, max_inflight)
+            return self._run_chunks_locked(jobs)
 
-    def _run_chunks_locked(self, jobs,
-                           max_inflight: Optional[int] = None
-                           ) -> Dict[int, tuple]:
+    def _run_chunks_locked(self, jobs) -> Dict[int, tuple]:
         if self._closed:
             raise WorkerCrash("pool is shut down", {})
         metrics = get_metrics()
@@ -352,9 +349,7 @@ class WorkerPool:
         quarantines = metrics.counter("pool.chunks_quarantined")
         chunk_errors = metrics.counter("pool.chunk_errors",
                                        labels=self._run_labels or None)
-        if max_inflight is None:
-            max_inflight = resolve_max_inflight()
-        max_inflight = max(1, int(max_inflight))
+        max_inflight = resolve_max_inflight()
         timeout = resolve_progress_timeout()
 
         message_of = dict(jobs)

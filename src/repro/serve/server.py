@@ -156,9 +156,6 @@ class SamplingServer:
         self._storm_lock = threading.Lock()
         self._storm_trips: collections.deque = collections.deque()
         self._storm_last_dump = -math.inf
-        #: Serialises test-hook fault-plan env mutation across
-        #: executors (hooks are test-only; production never takes it).
-        self._hook_env_lock = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -196,7 +193,6 @@ class SamplingServer:
             t.start()
             self._executors.append(t)
         self.metrics.gauge("serve.draining").set(0)
-        events.set_flight_tag(f"serve-{self.port}")
         return self
 
     def __enter__(self) -> "SamplingServer":
@@ -398,7 +394,8 @@ class SamplingServer:
                 self._storm_last_dump = now
         if storm:
             self.metrics.counter("serve.deadline_storms").inc()
-            events.dump_flight("deadline-storm")
+            events.dump_flight("deadline-storm",
+                               tag=f"serve-{self.port}")
 
     # -- executors -----------------------------------------------------
 
@@ -423,7 +420,7 @@ class SamplingServer:
     def _execute(self, ticket: _Ticket) -> Dict[str, Any]:
         from repro.bench.runner import paper_app
         from repro.core.engine import NextDoorEngine
-        from repro.runtime.faults import FaultInjected
+        from repro.runtime.faults import FaultInjected, FaultPlan
 
         request = ticket.request
         scope = ticket.scope
@@ -445,18 +442,17 @@ class SamplingServer:
             engine = NextDoorEngine(workers=workers,
                                     chunk_size=self.config.chunk_size)
             engine.cancel = scope
+            # Test hook: this request's own fault plan; a typo is a
+            # ValueError, answered as bad_request.
+            engine.fault_plan = FaultPlan.parse(
+                request.hooks.get("fault_plan"))
             app = paper_app(request.app)
-            fault_plan = request.hooks.get("fault_plan")
             with trace.span("serve.request", app=request.app,
                             tenant=request.tenant,
                             samples=ticket.num_samples):
-                if fault_plan is not None:
-                    result = self._run_with_fault_plan(
-                        engine, app, ticket, fault_plan)
-                else:
-                    result = engine.run(app, ticket.graph,
-                                        num_samples=ticket.num_samples,
-                                        seed=request.seed)
+                result = engine.run(app, ticket.graph,
+                                    num_samples=ticket.num_samples,
+                                    seed=request.seed)
             degraded = bool(
                 self.metrics.gauge("runtime.degraded_mode").value)
             if pooled:
@@ -502,27 +498,6 @@ class SamplingServer:
         if request.return_samples:
             response["arrays"] = encode_batch(result)
         return response
-
-    def _run_with_fault_plan(self, engine, app, ticket: _Ticket,
-                             fault_plan: str):
-        """Test hook: run one request under a deterministic fault plan
-        (``$REPRO_FAULT_PLAN`` is process-global, so hooked runs are
-        serialised)."""
-        import os
-        from repro.runtime.faults import PLAN_ENV, FaultPlan
-        FaultPlan.parse(fault_plan)  # reject typos as ValueError/400
-        with self._hook_env_lock:
-            saved = os.environ.get(PLAN_ENV)
-            os.environ[PLAN_ENV] = fault_plan
-            try:
-                return engine.run(app, ticket.graph,
-                                  num_samples=ticket.num_samples,
-                                  seed=ticket.request.seed)
-            finally:
-                if saved is None:
-                    os.environ.pop(PLAN_ENV, None)
-                else:
-                    os.environ[PLAN_ENV] = saved
 
     def _error(self, ticket: _Ticket, message: str) -> Dict[str, Any]:
         request = ticket.request

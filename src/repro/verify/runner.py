@@ -42,11 +42,6 @@ def _native(workers, seed):
     return run_native_checks(workers=workers, seed=seed)
 
 
-def _tune(workers, seed):
-    from repro.verify.tune import run_tune_checks
-    return run_tune_checks(workers=workers, seed=seed)
-
-
 def _serve(workers, seed):
     from repro.verify.serve import run_serve_checks
     return run_serve_checks(workers=workers, seed=seed)
@@ -60,7 +55,6 @@ SUITES: Dict[str, Callable[[Optional[int], int], List[CheckResult]]] = {
     "fuzz": _fuzz,
     "chaos": _chaos,
     "native": _native,
-    "tune": _tune,
     "serve": _serve,
 }
 
@@ -75,8 +69,7 @@ SUITE_INFO: Dict[str, Tuple[int, str]] = {
     "golden": (10, "pinned golden sample fixtures"),
     "fuzz": (31, "randomized graph/app property fuzzing"),
     "chaos": (9, "bitwise identity under injected faults"),
-    "native": (14, "compiled-backend sampling parity"),
-    "tune": (4, "tuned-run identity + TuneDB invariants"),
+    "native": (16, "compiled-backend sampling parity"),
     "serve": (8, "daemon-vs-direct identity, backpressure, drain"),
 }
 

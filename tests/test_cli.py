@@ -35,7 +35,7 @@ class TestParser:
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("argv,message", [
-        (["tune", "--app", "DeepWalk", "--objective", "model"],
+        (["sample", "--app", "DeepWalk", "--objective", "model"],
          "unrecognized arguments"),
         (["bench", "check"], "invalid choice"),
     ])
@@ -45,6 +45,26 @@ class TestParser:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_tuning_surface_is_gone(self, tmp_path, monkeypatch):
+        for argv in (["tune", "--app", "DeepWalk"],
+                     ["sample", "--app", "DeepWalk", "--tuned"],
+                     ["sample", "--app", "DeepWalk", "--tune-db", "t.json"]):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv)
+            assert excinfo.value.code == 2
+        # The retired environment switch is inert: same samples, no
+        # "tuned config:" line.
+        sample = ["sample", "--app", "DeepWalk", "--graph", "ppi",
+                  "--samples", "16", "--out"]
+        plain, env = str(tmp_path / "plain.npz"), str(tmp_path / "env.npz")
+        assert run_cli(sample + [plain])[0] == 0
+        monkeypatch.setenv("REPRO_TUNED", "1")
+        code, out = run_cli(sample + [env])
+        assert code == 0 and "tuned config:" not in out
+        with np.load(plain) as a, np.load(env) as b:
+            assert sorted(a.files) == sorted(b.files)
+            assert all(np.array_equal(a[k], b[k]) for k in a.files)
 
     def test_unknown_app_message_names_choices(self, capsys):
         with pytest.raises(SystemExit):
@@ -96,6 +116,18 @@ class TestErrorPaths:
                              "--graph", "ppi", "--workers", "-1"])
         assert code == 2
         assert "--workers" in out
+
+    def test_chunk_size_validation(self):
+        code, out = run_cli(["sample", "--app", "DeepWalk", "--graph", "ppi",
+                             "--samples", "8", "--chunk-size", "0"])
+        assert code == 2
+        assert "--chunk-size must be >= 1" in out
+
+    def test_chunk_size_negative(self):
+        code, out = run_cli(["sample", "--app", "DeepWalk", "--graph", "ppi",
+                             "--samples", "8", "--chunk-size", "-4"])
+        assert code == 2
+        assert "error:" in out
 
     def test_trace_and_out_conflict(self, tmp_path):
         path = str(tmp_path / "same.json")

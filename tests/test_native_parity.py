@@ -142,8 +142,13 @@ class TestVerifySuite:
         assert "native" in SUITE_NAMES
 
     def test_native_suite_passes_in_process(self):
-        from repro.verify.native import _golden_checks
+        from repro.verify.native import POOLED_CASES, _golden_checks
+        from repro.verify.runner import SUITE_INFO
         for backend in COMPILED:
             results = _golden_checks(backend, workers=None)
             assert results and all(r.passed for r in results), \
                 [str(r) for r in results if not r.passed]
+            # `repro verify --list` declares what the suite runs: the
+            # golden re-checks plus each pooled case at workers 1 and 2.
+            assert SUITE_INFO["native"][0] == \
+                len(results) + 2 * len(POOLED_CASES)

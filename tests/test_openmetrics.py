@@ -4,14 +4,12 @@ and the periodic snapshot writer."""
 import json
 import math
 import os
-import time
 
 import pytest
 
 from repro.obs.export import write_stats
 from repro.obs.metrics import MetricsRegistry, scalar_of
 from repro.obs.openmetrics import (
-    PeriodicStatsWriter,
     metric_name,
     openmetrics_text,
     parse_openmetrics,
@@ -70,7 +68,7 @@ class TestRendering:
 
     def test_dotted_and_hyphenated_names_map_to_underscores(self):
         assert metric_name("pool.chunk_seconds") == "pool_chunk_seconds"
-        assert metric_name("tune.trial-seconds") == "tune_trial_seconds"
+        assert metric_name("pool.chunk-seconds") == "pool_chunk_seconds"
         with pytest.raises(ValueError, match="cannot express"):
             metric_name("so wrong")
 
@@ -107,9 +105,9 @@ class TestNonFinite:
         assert math.isfinite(samples["pool_chunk_seconds_sum"][""])
 
     def test_inf_gauge_still_parses(self, registry):
-        registry.gauge("tune.best_score").set(float("inf"))
+        registry.gauge("serve.queue_wait").set(float("inf"))
         samples = validate_openmetrics(openmetrics_text(registry))
-        assert samples["tune_best_score"][""] == float("inf")
+        assert samples["serve_queue_wait"][""] == float("inf")
 
 
 class TestPrefixFilter:
@@ -193,32 +191,3 @@ class TestWriters:
         assert json.load(open(js))["metrics"]["n"] == 2.0
         with pytest.raises(ValueError, match="fmt"):
             write_stats(js, registry=registry, fmt="xml")
-
-    def test_periodic_writer_writes_and_final_snapshot(
-            self, registry, tmp_path):
-        registry.counter("ticks").inc()
-        path = str(tmp_path / "periodic.prom")
-        writer = PeriodicStatsWriter(path, fmt="openmetrics",
-                                     interval=0.01, registry=registry)
-        with writer:
-            deadline = time.time() + 5.0
-            while writer.writes == 0 and time.time() < deadline:
-                time.sleep(0.01)
-        assert writer.writes >= 2  # at least one loop write + final
-        samples = validate_openmetrics(open(path).read())
-        assert samples["ticks_total"][""] == 1.0
-
-    def test_periodic_writer_rejects_bad_args(self, tmp_path):
-        with pytest.raises(ValueError, match="fmt"):
-            PeriodicStatsWriter(str(tmp_path / "x"), fmt="csv")
-        with pytest.raises(ValueError, match="interval"):
-            PeriodicStatsWriter(str(tmp_path / "x"), interval=0)
-
-    def test_periodic_writer_double_start_rejected(self, tmp_path):
-        writer = PeriodicStatsWriter(str(tmp_path / "x"), interval=60)
-        writer.start()
-        try:
-            with pytest.raises(RuntimeError, match="started"):
-                writer.start()
-        finally:
-            writer.stop()

@@ -50,7 +50,7 @@ class TestAllDeclarations:
 
 
 class TestSurvivingSurface:
-    """One vertex-id space, one tuning objective: the exact names."""
+    """One vertex-id space and no autotuner: the exact names."""
 
     def test_graph_exports(self):
         import repro.graph
@@ -58,11 +58,20 @@ class TestSurvivingSurface:
             "CSRGraph", "barabasi_albert_graph", "clustered_graph",
             "erdos_renyi_graph", "rmat_graph"]
 
-    def test_tune_config_fields(self):
-        import dataclasses
-        from repro.tune import TuneConfig
-        assert [f.name for f in dataclasses.fields(TuneConfig)] == [
-            "backend", "chunk_size", "inflight"]
+    def test_tuner_is_gone(self):
+        from repro.api.apps import DeepWalk
+        from repro.core.engine import NextDoorEngine, do_sampling
+        from repro.graph import datasets
+        from repro.runtime.context import ExecutionContext
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.tune")
+        with pytest.raises(TypeError):
+            NextDoorEngine(tune=None)
+        with pytest.raises(TypeError):
+            do_sampling(DeepWalk(walk_length=2), datasets.load("ppi"), 4,
+                        tune=None)
+        with pytest.raises(TypeError):
+            ExecutionContext(0, inflight=2)
 
 
 class TestAppRegistry:

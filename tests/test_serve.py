@@ -416,6 +416,68 @@ class TestServerHTTP:
         assert r.status == "deadline_exceeded"
         assert r.response["stage"] == "mid-run"
 
+    @staticmethod
+    def _hooked_walk(client, plan, samples, seed):
+        """One DeepWalk-100 request under its own fault plan."""
+        return client.sample(SampleRequest(
+            app="DeepWalk", graph="ppi", samples=samples, seed=seed,
+            return_samples=False, hooks={"fault_plan": plan}))
+
+    def _slow_hooked_walk(self, server, client, seed):
+        """Start a 20 000-walker request that faults at step 90 and wait
+        until it holds an executor; returns (thread, [result])."""
+        done = []
+        t = threading.Thread(target=lambda: done.append(self._hooked_walk(
+            client, "interrupt-step:90", 20000, seed)))
+        t.start()
+        deadline = time.monotonic() + 5.0
+        while (server.admission.inflight() == 0
+               and time.monotonic() < deadline):
+            time.sleep(0.005)
+        return t, done
+
+    def test_fault_plan_hook_stays_on_its_own_request(self, server,
+                                                      client):
+        """A hooked request's fault plan is carried on its engine, not
+        in the process environment: a plain request overlapping it on
+        the other executor neither inherits the plan nor waits."""
+        from repro.bench.runner import paper_app, paper_graph
+        from repro.core.engine import NextDoorEngine
+        graph = paper_graph("ppi", "DeepWalk", seed=41)
+        direct = batch_digest(NextDoorEngine(workers=0).run(
+            paper_app("DeepWalk"), graph, num_samples=32,
+            seed=41).batch)
+        t, hooked = self._slow_hooked_walk(server, client, seed=40)
+        overlapped = []
+        while not hooked and len(overlapped) < 8:
+            r = client.sample(SampleRequest(
+                app="DeepWalk", graph="ppi", samples=32, seed=41,
+                return_samples=False))
+            if not hooked:
+                overlapped.append(r)
+        t.join(timeout=30.0)
+        assert hooked and hooked[0].status == "error"
+        assert "interrupt at step 90" in hooked[0].response["error"]
+        assert overlapped, "no plain request overlapped the hooked one"
+        for r in overlapped:
+            assert r.status == "ok", r.response
+            assert r.digest == direct
+
+    def test_overlapping_fault_plan_hooks_each_see_their_own(
+            self, server, client):
+        t0 = time.monotonic()
+        t, slow = self._slow_hooked_walk(server, client, seed=42)
+        t1 = time.monotonic()
+        fast = self._hooked_walk(client, "interrupt-step:3", 32, 43)
+        fast_s = time.monotonic() - t1
+        t.join(timeout=30.0)
+        slow_s = time.monotonic() - t0
+        assert "interrupt at step 3" in fast.response["error"]
+        assert slow and "interrupt at step 90" in slow[0].response["error"]
+        # Hooked requests do not queue behind each other: 3 steps of 32
+        # walkers did not wait out 90 steps of 20 000.
+        assert fast_s < slow_s / 2, (fast_s, slow_s)
+
     def test_keepalive_requests_do_not_stall(self, server):
         """A pooling client: head and body of a response arrive as one
         write.  Written apart, the body waits ~40 ms for the client's
@@ -486,3 +548,40 @@ class TestDrain:
         text = open(out).read()
         validate_openmetrics(text)  # raises on malformed text
         assert "serve_requests" in text
+
+
+class TestDeadlineStorm:
+    def test_storm_dump_is_named_after_the_daemon(self, tmp_path,
+                                                  monkeypatch):
+        """The storm dump is the daemon's file, whichever run set the
+        process-wide flight tag last, and is written once per window."""
+        from repro.obs.events import FLIGHT_DIR_ENV
+        monkeypatch.setenv(FLIGHT_DIR_ENV, str(tmp_path))
+
+        def storms():
+            return get_metrics().counter("serve.deadline_storms").value
+
+        config = ServerConfig(port=0, executors=1, workers=0,
+                              storm_threshold=2, storm_window_s=60.0)
+        before = storms()
+        with SamplingServer(config) as server:
+            client = ServeClient(port=server.port,
+                                 retry=RetryPolicy(max_attempts=1))
+            assert client.sample(SampleRequest(
+                app="DeepWalk", graph="ppi", samples=16, seed=3,
+                return_samples=False)).ok
+            for _ in range(2):
+                r = client.sample(SampleRequest(
+                    app="k-hop", graph="ppi", samples=16,
+                    deadline_ms=0.0))
+                assert r.status == "deadline_exceeded"
+            dump = tmp_path / f"flight-serve-{server.port}.jsonl"
+            assert [p.name for p in tmp_path.iterdir()] == [dump.name]
+            assert storms() == before + 1
+            # Still inside the window: more trips, no second storm.
+            written = dump.stat().st_mtime_ns
+            for _ in range(2):
+                client.sample(SampleRequest(app="k-hop", graph="ppi",
+                                            samples=16, deadline_ms=0.0))
+            assert storms() == before + 1
+            assert dump.stat().st_mtime_ns == written

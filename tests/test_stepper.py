@@ -172,7 +172,7 @@ class _ShuffledPool:
         self.app, self.graph, self.seed = app, graph, seed
         self.rng, self.lose = rng, lose
 
-    def run_chunks(self, jobs, max_inflight=None):
+    def run_chunks(self, jobs):
         results, arenas = {}, {}
         try:
             for i in self.rng.permutation(len(jobs))[self.lose:]:

@@ -9,7 +9,7 @@ from repro.verify.result import CheckResult
 class TestSuiteSelection:
     def test_known_suite_names(self):
         assert SUITE_NAMES == ("stat", "diff", "golden", "fuzz",
-                               "chaos", "native", "tune", "serve")
+                               "chaos", "native", "serve")
 
     def test_unknown_suite_raises(self):
         with pytest.raises(ValueError, match="unknown suite"):
