@@ -42,7 +42,7 @@ class ReferenceSamplerEngine(CpuEngine):
         super().__init__(spec, use_reference, workers, chunk_size)
         self.ops_per_vertex = ops_per_vertex
 
-    def _charge_step(self, cpu: CpuDevice, batch,
+    def _charge_step(self, cpu: CpuDevice, graph, batch,
                      record: StepRecord) -> None:
         info, step, m = record.info, record.step, max(record.m, 1)
         if record.collective:

@@ -32,7 +32,7 @@ class KnightKingEngine(CpuEngine):
 
     engine_name = "KnightKing"
 
-    def _charge_step(self, cpu: CpuDevice, batch,
+    def _charge_step(self, cpu: CpuDevice, graph, batch,
                      record: StepRecord) -> None:
         """One walker super-step."""
         info, step = record.info, record.step

@@ -13,11 +13,11 @@ Per step (Section 6):
 4. Unique-neighbor dedup when the application asks for it
    (:mod:`repro.core.unique`).
 
-The loop over steps is :func:`repro.core.stepper.run_steps`, shared
-with every other engine; this class is the policy that prices each
-step's :class:`~repro.core.stepper.StepRecord` on a modeled GPU (its
-``_charge_*`` hooks, which the SP / TP / frontier / message-passing /
-large-graph engines override).
+An engine (:class:`Engine`) is :func:`repro.core.stepper.run_steps`
+plus a pricing pass, made when a modeled number is first read, over
+the step records it collected; :class:`NextDoorEngine` is the modeled
+GPU's price list (its ``_charge_*`` hooks, which the SP / TP / frontier
+/ message-passing / large-graph engines override).
 
 Multi-GPU execution (Section 6.4) distributes samples equally across
 devices and runs each independently.  :func:`do_sampling` /
@@ -27,9 +27,9 @@ of Section 6.5.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -43,7 +43,11 @@ from repro.core.collective import (
     charge_edge_recording,
 )
 from repro.core.scheduling import KernelPlanConfig, charge_sampling_kernels
-from repro.core.transit_map import charge_index_build, charge_map_readback
+from repro.core.transit_map import (
+    build_transit_map,
+    charge_index_build,
+    charge_map_readback,
+)
 from repro.core.unique import charge_dedup
 from repro.gpu.device import Device
 from repro.gpu.metrics import DeviceMetrics
@@ -52,26 +56,50 @@ from repro.gpu.spec import GPUSpec, V100
 from repro.obs import get_metrics, trace
 from repro.runtime.context import ExecutionContext
 
-__all__ = ["NextDoorEngine", "SamplingResult", "do_sampling"]
+__all__ = ["Engine", "NextDoorEngine", "SamplingResult", "do_sampling"]
 
 
-@dataclass
-class SamplingResult:
-    """Samples plus the modeled execution record of one run."""
+class Priced(NamedTuple):
+    """What one pricing pass leaves behind."""
 
-    app: SamplingApp
-    graph_name: str
-    batch: SampleBatch
     seconds: float
     breakdown: Dict[str, float]
     metrics: Optional[DeviceMetrics]
-    steps_run: int
-    engine: str
-    devices_used: int = 1
-    extra: Dict[str, float] = field(default_factory=dict)
-    #: Per-phase metrics (sampling vs scheduling_index); None for CPU
-    #: engines.
-    metrics_by_phase: Optional[Dict[str, DeviceMetrics]] = None
+    metrics_by_phase: Optional[Dict[str, DeviceMetrics]]
+
+
+class SamplingResult:
+    """Samples, plus the modeled execution record of the run that made
+    them.  ``run`` only samples: ``seconds``, ``breakdown``, ``metrics``
+    and ``metrics_by_phase`` (None for CPU engines) come from one
+    pricing pass over the run's step records, made on first read."""
+
+    def __init__(self, app: SamplingApp, graph_name: str,
+                 batch: SampleBatch, steps_run: int, engine: str,
+                 price: Callable[[], Priced], devices_used: int = 1) -> None:
+        self.app = app
+        self.graph_name = graph_name
+        self.batch = batch
+        self.steps_run = steps_run
+        self.engine = engine
+        self.devices_used = devices_used
+        #: The pricing pass; dropped, with the step records it holds,
+        #: once it has run.
+        self._price: Optional[Callable[[], Priced]] = price
+        self._lock = threading.Lock()
+
+    def _priced(self) -> Priced:
+        with self._lock:
+            if self._price is not None:
+                with trace.span("charge_model", engine=self.engine):
+                    self._model = self._price()
+                self._price = None
+            return self._model
+
+    seconds = property(lambda self: self._priced().seconds)
+    breakdown = property(lambda self: self._priced().breakdown)
+    metrics = property(lambda self: self._priced().metrics)
+    metrics_by_phase = property(lambda self: self._priced().metrics_by_phase)
 
     @property
     def samples(self) -> SampleBatch:
@@ -84,19 +112,23 @@ class SamplingResult:
             return self.batch.per_step_arrays()
         return self.batch.as_array()
 
-    def save(self, path: str) -> None:
-        """Persist roots + samples as a compressed ``.npz``.
-
-        Walk-style output lands under ``samples``; per-step output
-        under ``hop0``, ``hop1``, ...; recorded adjacency (importance /
-        cluster sampling) under ``edges`` as (sample, u, v) rows.
-        """
+    def arrays(self) -> Dict[str, np.ndarray]:
+        """The run's output by name, as ``save`` persists and the
+        daemon ships it: walk-style output under ``samples``; per-step
+        output under ``hop0``, ``hop1``, ...; ``roots``; recorded
+        adjacency (importance / cluster sampling) under ``edges`` as
+        (sample, u, v) rows."""
         samples = self.get_final_samples()
         arrays = ({"samples": samples} if isinstance(samples, np.ndarray)
                   else {f"hop{i}": a for i, a in enumerate(samples)})
+        arrays["roots"] = self.batch.roots
         if self.batch.edges:
             arrays["edges"] = np.concatenate(self.batch.edges, axis=0)
-        np.savez_compressed(path, roots=self.batch.roots, **arrays)
+        return arrays
+
+    def save(self, path: str) -> None:
+        """Persist :meth:`arrays` as a compressed ``.npz``."""
+        np.savez_compressed(path, **self.arrays())
 
     @property
     def sampling_seconds(self) -> float:
@@ -124,20 +156,35 @@ class SamplingResult:
         return other.seconds / self.seconds
 
 
-class NextDoorEngine:
-    """Transit-parallel GPU sampling engine (the paper's system)."""
+class Engine:
+    """``run_steps`` plus a pricing pass over its records: ``run``
+    samples with ``on_step=records.append`` and builds no device model;
+    the result replays the records through ``_charge_step(device,
+    graph, batch, record)`` on fresh device(s) when first read.  A
+    subclass is that price list plus the two class attributes below."""
 
-    engine_name = "NextDoor"
+    engine_name = "engine"
+    #: How a step's live pairs are grouped (``run_steps``' ``pairs=``).
+    _pairs = staticmethod(build_transit_map)
+    #: The device model a run is priced on.
+    _device_cls = Device
+    #: Optional :class:`repro.runtime.cancel.CancelScope` checked
+    #: between chunks: a tripped scope (deadline passed, client
+    #: gone) aborts the run with partial work discarded.  Attached
+    #: per request by the serving daemon (docs/SERVING.md).
+    cancel = None
+    #: Optional parsed :class:`repro.runtime.faults.FaultPlan` for
+    #: this engine's runs; None = ``$REPRO_FAULT_PLAN``.  Attached
+    #: per request by the daemon's test hook, so concurrent
+    #: requests never see each other's plan.
+    fault_plan = None
 
-    def __init__(self, spec: GPUSpec = V100,
-                 config: KernelPlanConfig = KernelPlanConfig(),
-                 use_reference: bool = False,
+    def __init__(self, spec, use_reference: bool = False,
                  workers: Optional[int] = None,
                  chunk_size: Optional[int] = None,
                  checkpoint_dir: Optional[str] = None,
                  resume: bool = False) -> None:
         self.spec = spec
-        self.config = config
         self.use_reference = use_reference
         #: Multicore runtime: 0 = in-process; None = $REPRO_WORKERS,
         #: default 0.  Samples are bitwise-identical for any setting.
@@ -150,25 +197,13 @@ class NextDoorEngine:
         #: ``docs/RESILIENCE.md``.
         self.checkpoint_dir = checkpoint_dir
         self.resume = resume
-        #: Optional :class:`repro.runtime.cancel.CancelScope` checked
-        #: between chunks: a tripped scope (deadline passed, client
-        #: gone) aborts the run with partial work discarded.  Attached
-        #: per request by the serving daemon (docs/SERVING.md).
-        self.cancel = None
-        #: Optional parsed :class:`repro.runtime.faults.FaultPlan` for
-        #: this engine's runs; None = ``$REPRO_FAULT_PLAN``.  Attached
-        #: per request by the daemon's test hook, so concurrent
-        #: requests never see each other's plan.
-        self.fault_plan = None
-
-    # ------------------------------------------------------------------
 
     def run(self, app: SamplingApp, graph,
             num_samples: Optional[int] = None,
             roots: Optional[np.ndarray] = None,
             seed: int = 0,
             num_devices: int = 1) -> SamplingResult:
-        """Run ``app`` over ``graph`` and return samples + model costs.
+        """Run ``app`` over ``graph``: samples now, model costs on read.
 
         ``num_devices > 1`` reproduces Section 6.4: samples are split
         equally, each shard runs on its own modeled GPU, and wall time
@@ -193,36 +228,40 @@ class NextDoorEngine:
                                       use_reference=self.use_reference)
             ctx.begin_run(app, graph, use_reference=self.use_reference)
             if num_devices == 1:
-                device = Device(self.spec)
-                steps_run = self._run_on_device(app, graph, batch, ctx,
-                                                device)
-                result = SamplingResult(
-                    app=app, graph_name=graph.name, batch=batch,
-                    seconds=device.elapsed_seconds,
-                    breakdown=device.timeline.phase_breakdown(),
-                    metrics=device.metrics, steps_run=steps_run,
-                    engine=self.engine_name,
-                    metrics_by_phase=device.metrics_by_phase)
+                shards = [self._sample(app, graph, batch, ctx)]
             else:
-                result = self._run_multi_gpu(app, graph, batch, ctx,
+                shards = self._sample_shards(app, graph, batch, ctx,
                                              num_devices)
+                batch = _merge_batches(
+                    graph, [shard[0] for shard in shards if shard])
+        steps_run = max(shard[2] for shard in shards if shard)
         reg = get_metrics()
         reg.counter("engine.runs").inc()
-        reg.counter("engine.samples_produced").inc(result.batch.num_samples)
-        reg.counter("engine.steps_run").inc(result.steps_run)
-        return result
+        reg.counter("engine.samples_produced").inc(batch.num_samples)
+        reg.counter("engine.steps_run").inc(steps_run)
+        return SamplingResult(
+            app, graph.name, batch, steps_run, self.engine_name,
+            price=lambda: self._price(app, graph, shards),
+            devices_used=num_devices)
 
-    # ------------------------------------------------------------------
+    def _sample(self, app: SamplingApp, graph, batch: SampleBatch,
+                ctx: ExecutionContext) -> tuple:
+        """One device's share of a run — ``(batch, records, steps)``:
+        the shared step loop, its records kept for the pricing pass."""
+        records: List[stepper.StepRecord] = []
+        steps_run = stepper.run_steps(app, graph, batch, ctx,
+                                      on_step=records.append,
+                                      pairs=self._pairs)
+        return batch, records, steps_run
 
-    def _run_multi_gpu(self, app: SamplingApp, graph, batch: SampleBatch,
+    def _sample_shards(self, app: SamplingApp, graph, batch: SampleBatch,
                        ctx: ExecutionContext,
-                       num_devices: int) -> SamplingResult:
-        pool = MultiGPU(num_devices, self.spec)
+                       num_devices: int) -> List[Optional[tuple]]:
+        """Device ``d``'s share per entry; None where it got no root."""
         bounds = np.linspace(0, batch.num_samples, num_devices + 1,
                              dtype=np.int64)
-        total_steps = 0
 
-        def run_shard(d: int):
+        def run_shard(d: int) -> Optional[tuple]:
             shard_roots = batch.roots[bounds[d]:bounds[d + 1]]
             if shard_roots.shape[0] == 0:
                 return None
@@ -235,9 +274,7 @@ class NextDoorEngine:
                                        samples=shard_roots.shape[0]):
                 shard = SampleBatch(graph, shard_roots)
                 app.init_state(shard, shard_ctx.init_rng())
-                steps_run = self._run_on_device(app, graph, shard,
-                                                shard_ctx, pool.devices[d])
-            return shard, steps_run
+                return self._sample(app, graph, shard, shard_ctx)
 
         # Shards run concurrently.  Under a compiled backend each
         # shard's chunks run on the process-wide chunk threads (the C
@@ -245,16 +282,31 @@ class NextDoorEngine:
         # streams interleave on the shared process pool; in-process the
         # shard threads overlap wherever numpy releases the GIL.
         with ThreadPoolExecutor(max_workers=num_devices) as tpe:
-            outcomes = list(tpe.map(run_shard, range(num_devices)))
-        shards: List[SampleBatch] = []
-        for outcome in outcomes:
-            if outcome is None:
-                continue
-            shard, steps_run = outcome
-            total_steps = max(total_steps, steps_run)
-            shards.append(shard)
+            return list(tpe.map(run_shard, range(num_devices)))
+
+    # -- The pricing pass ------------------------------------------------
+
+    def _price(self, app: SamplingApp, graph,
+               shards: List[Optional[tuple]]) -> Priced:
+        """Replay a run's records on fresh device(s), in recorded order
+        (modeled seconds are float sums: the order is part of the
+        result).  Several devices (Section 6.4): wall time is the
+        slowest plus host coordination, a phase costs what it cost the
+        device it cost most."""
+        pool = MultiGPU(len(shards), self.spec) if len(shards) > 1 else None
+        devices = pool.devices if pool else [self._device_cls(self.spec)]
+        for device, shard in zip(devices, shards):
+            if shard is not None:
+                batch, records, steps_run = shard
+                for record in records:
+                    self._charge_step(device, graph, batch, record)
+                self._charge_output_materialisation(device, app, batch,
+                                                    steps_run)
+        if pool is None:
+            return Priced(devices[0].elapsed_seconds,
+                          devices[0].timeline.phase_breakdown(),
+                          devices[0].metrics, devices[0].metrics_by_phase)
         pool.record_run()
-        merged = _merge_batches(graph, shards)
         breakdown: Dict[str, float] = {}
         for device in pool.devices:
             for phase, secs in device.timeline.phase_breakdown().items():
@@ -264,33 +316,34 @@ class NextDoorEngine:
         for device in pool.devices:
             for phase, metrics in device.metrics_by_phase.items():
                 by_phase.setdefault(phase, DeviceMetrics()).merge(metrics)
-        return SamplingResult(
-            app=app, graph_name=graph.name, batch=merged,
-            seconds=pool.elapsed_seconds, breakdown=breakdown,
-            metrics=pool.merged_metrics(), steps_run=total_steps,
-            engine=self.engine_name, devices_used=num_devices,
-            metrics_by_phase=by_phase)
+        return Priced(pool.elapsed_seconds, breakdown,
+                      pool.merged_metrics(), by_phase)
 
-    # ------------------------------------------------------------------
+    def _charge_output_materialisation(self, device, app, batch,
+                                       steps_run) -> None:
+        """Final output pass.  Default: nothing to pay."""
 
-    def _run_on_device(self, app: SamplingApp, graph, batch: SampleBatch,
-                       ctx: ExecutionContext, device: Device) -> int:
-        """One device's run: the shared step loop, each step priced on
-        ``device``; returns steps executed."""
-        steps_run = stepper.run_steps(
-            app, graph, batch, ctx,
-            on_step=lambda record: self._charge_step(device, graph, batch,
-                                                     record))
-        with trace.span("output_materialisation"):
-            self._charge_output_materialisation(device, app, batch,
-                                                steps_run)
-        return steps_run
+
+class NextDoorEngine(Engine):
+    """Transit-parallel GPU sampling engine (the paper's system)."""
+
+    engine_name = "NextDoor"
+
+    def __init__(self, spec: GPUSpec = V100,
+                 config: KernelPlanConfig = KernelPlanConfig(),
+                 use_reference: bool = False,
+                 workers: Optional[int] = None,
+                 chunk_size: Optional[int] = None,
+                 checkpoint_dir: Optional[str] = None,
+                 resume: bool = False) -> None:
+        super().__init__(spec, use_reference, workers, chunk_size,
+                         checkpoint_dir, resume)
+        self.config = config
 
     def _charge_step(self, device: Device, graph, batch: SampleBatch,
                      record: stepper.StepRecord) -> None:
         """Price one step in device order: scheduling index, sampling
-        kernels, unique pass.  Modeled seconds are float sums, so the
-        order of the charges is part of the result."""
+        kernels, unique pass."""
         tmap = record.tmap
         self._pre_step(device, graph, tmap, record.step)
         self._charge_index(device, tmap)

@@ -65,8 +65,8 @@ class LargeGraphNextDoor(NextDoorEngine):
         self._partition: Optional[Partition] = None
         self._part_bytes: Optional[np.ndarray] = None
         self._scale = 1.0
-        #: The shard threads of a multi-device run share this engine and
-        #: all reach ``_pre_step`` at step 0: without the lock one can
+        #: Results of this engine may be priced from different threads,
+        #: all reaching ``_pre_step`` at step 0: without the lock one can
         #: see ``_partition`` set before ``_part_bytes`` is.
         self._partition_lock = threading.Lock()
 

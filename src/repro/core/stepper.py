@@ -7,9 +7,9 @@ organised on the device, which is what the performance model prices.
 This module holds the functional half they share: initialising
 batches, running one step's sampling, scattering results back into the
 batch's rectangular step arrays, and :func:`run_steps`, the loop that
-drives all of it.  An engine is ``run_steps`` plus an ``on_step``
-callback that prices each :class:`StepRecord` on its own device model;
-``on_step=None`` is sampling with nothing priced.
+drives all of it.  An engine is ``run_steps`` collecting each step's
+:class:`StepRecord` plus a pricing pass that replays them on its own
+device model when a modeled number is first read.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.api.apps._kernels import (
 )
 from repro.api.sample import SampleBatch
 from repro.api.types import INF_STEPS, NULL_VERTEX, SamplingType, StepInfo
-from repro.core.transit_map import build_transit_map
+from repro.core.transit_map import StepShape, build_transit_map
 from repro.core.unique import dedupe_and_topup
 from repro.graph.csr import CSRGraph
 from repro.native.backend import active_backend_name
@@ -211,7 +211,8 @@ def run_collective_step(
 
 @dataclass
 class StepRecord:
-    """The shape of one executed step — everything an engine prices.
+    """The shape of one executed step — everything an engine prices
+    and nothing sized by the step's pairs, so a run can keep them.
 
     Handed to ``on_step`` after the step's kernels (and unique pass)
     and before its vertices are appended to the batch.
@@ -219,9 +220,9 @@ class StepRecord:
 
     step: int
     transits: np.ndarray
-    #: The step's live pairs as ``pairs`` built them (a
-    #: :class:`~repro.core.transit_map.TransitMap` by default).
-    tmap: object
+    #: The :class:`~repro.core.transit_map.StepShape` of the step's
+    #: live pairs: what a ``_charge_*`` reads of a transit map.
+    tmap: StepShape
     m: int
     info: StepInfo
     collective: bool
@@ -274,8 +275,8 @@ def run_steps(app: SamplingApp, graph: CSRGraph, batch: SampleBatch, ctx,
     at the application's step limit, at a step with no live transit, or
     after a step that added no vertex to any sample.
 
-    ``on_step`` is where an engine charges its device model — the loop
-    itself prices nothing, so ``on_step=None`` is the sample-only run.
+    ``on_step`` is where an engine collects what its pricing pass will
+    replay — the loop itself prices nothing.
     """
     backend = active_backend_name()
     collective = app.sampling_type() is SamplingType.COLLECTIVE
@@ -321,12 +322,9 @@ def run_steps(app: SamplingApp, graph: CSRGraph, batch: SampleBatch, ctx,
                         app, graph, transits, new_vertices, step,
                         ctx.topup_rng(step))
             if on_step is not None:
-                # Pricing runs under its own span so the kernel spans
-                # time exactly the work a backend executes.
-                with stage("charge_model", step=step):
-                    on_step(StepRecord(
-                        step, transits, tmap, m, info, collective,
-                        edges is not None, sizes, width, dups, holes))
+                on_step(StepRecord(
+                    step, transits, tmap.shape(), m, info, collective,
+                    edges is not None, sizes, width, dups, holes))
             with stage("post_step", step=step):
                 batch.append_step(new_vertices)
                 app.post_step(batch, new_vertices, step,

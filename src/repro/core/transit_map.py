@@ -16,7 +16,7 @@ cost of the parallel radix sort + scans NextDoor runs on the GPU (the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.api.types import NULL_VERTEX
 from repro.gpu.device import Device
 from repro.gpu.warp import WarpStats, coalesced_segments
 
-__all__ = ["TransitMap", "SampleOrderPairs", "flatten_transits",
+__all__ = ["TransitMap", "StepShape", "flatten_transits",
            "build_transit_map", "sample_order_pairs",
            "charge_index_build", "charge_map_readback"]
 
@@ -46,23 +46,19 @@ def flatten_transits(transits: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.n
     return idx // width, idx % width, flat[idx]
 
 
-class SampleOrderPairs(NamedTuple):
-    """A step's live pairs left in sample order, ungrouped — what the
-    CPU engines (one walker / one sample at a time) iterate."""
+class StepShape(NamedTuple):
+    """What a step's pairs cost: a transit map without its K-sized
+    pair arrays — all a ``_charge_*`` reads of one, and all a
+    :class:`~repro.core.stepper.StepRecord` keeps of one."""
 
-    sample_ids: np.ndarray
-    cols: np.ndarray
-    transit_vals: np.ndarray
+    num_pairs: int
+    num_total_pairs: int
+    unique_transits: Optional[np.ndarray]  # (U,); None when ungrouped
+    counts: Optional[np.ndarray]           # (U,) samples per transit
 
     @property
-    def num_pairs(self) -> int:
-        return int(self.transit_vals.size)
-
-
-def sample_order_pairs(transits: np.ndarray, graph=None) -> SampleOrderPairs:
-    """:func:`flatten_transits` as a ``pairs=`` builder for
-    :func:`repro.core.stepper.run_steps`."""
-    return SampleOrderPairs(*flatten_transits(transits))
+    def num_transits(self) -> int:
+        return int(self.unique_transits.size)
 
 
 @dataclass
@@ -90,9 +86,22 @@ class TransitMap:
     def num_transits(self) -> int:
         return int(self.unique_transits.size)
 
+    def shape(self) -> StepShape:
+        return StepShape(self.num_pairs, self.num_total_pairs,
+                         self.unique_transits, self.counts)
+
     def pairs_of(self, i: int) -> slice:
         """Sorted-pair slice owned by the ``i``-th unique transit."""
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
+
+
+def sample_order_pairs(transits: np.ndarray, graph=None) -> TransitMap:
+    """A step's live pairs left in sample order, ungrouped (no
+    ``unique_transits`` / ``counts`` / ``offsets``) — what the CPU
+    engines (one walker / one sample at a time) iterate.  A ``pairs=``
+    builder for :func:`repro.core.stepper.run_steps`."""
+    return TransitMap(*flatten_transits(transits), None, None, None,
+                      num_total_pairs=int(np.asarray(transits).size))
 
 
 #: Bits per radix digit: numpy radix-sorts keys of at most 16 bits (wider

@@ -42,6 +42,9 @@ class CpuTask:
 class CpuDevice:
     """A modeled multicore CPU accumulating task batches."""
 
+    #: The CPU model keeps no nvprof-style counters.
+    metrics = metrics_by_phase = None
+
     def __init__(self, spec: CPUSpec = XEON_SILVER_4216,
                  name: str = "cpu0") -> None:
         self.spec = spec

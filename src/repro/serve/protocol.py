@@ -11,7 +11,7 @@ and a response like::
 
     {"status": "ok", "request_id": 12, "digest": "9f2c...",
      "coalesced": false, "queue_wait_ms": 1.8, "wall_ms": 143.0,
-     "modeled_seconds": 0.0041, "arrays": {"roots": "<b64 npy>", ...}}
+     "arrays": {"roots": "<b64 npy>", ...}}
 
 Other endpoints: ``GET /healthz`` (liveness + drain state),
 ``GET /metrics`` (OpenMetrics text exposition, scrapeable).
@@ -186,16 +186,8 @@ def batch_digest(batch) -> str:
 
 def encode_batch(result) -> Dict[str, str]:
     """The response ``arrays`` payload for one
-    :class:`~repro.core.engine.SamplingResult` — mirrors
-    ``SamplingResult.save``'s layout (``samples`` or ``hopN``, plus
-    ``roots`` and optional ``edges``)."""
-    samples = result.get_final_samples()
-    arrays = ({"samples": samples} if isinstance(samples, np.ndarray)
-              else {f"hop{i}": a for i, a in enumerate(samples)})
-    arrays["roots"] = result.batch.roots
-    if result.batch.edges:
-        arrays["edges"] = np.concatenate(result.batch.edges, axis=0)
-    return {name: encode_array(a) for name, a in arrays.items()}
+    :class:`~repro.core.engine.SamplingResult`: its ``arrays()``."""
+    return {name: encode_array(a) for name, a in result.arrays().items()}
 
 
 def decode_arrays(payload: Dict[str, str]) -> Dict[str, np.ndarray]:

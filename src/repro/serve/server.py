@@ -489,11 +489,9 @@ class SamplingServer:
             "samples": ticket.num_samples,
             "seed": request.seed,
             "digest": batch_digest(result.batch),
-            "modeled_seconds": result.seconds,
             "queue_wait_ms": round(queue_wait * 1000.0, 3),
             "wall_ms": wall_ms,
-            "degraded": bool(
-                self.metrics.gauge("runtime.degraded_mode").value),
+            "degraded": degraded,
         }
         if request.return_samples:
             response["arrays"] = encode_batch(result)

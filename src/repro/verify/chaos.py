@@ -24,15 +24,12 @@ Run with ``repro verify --suite chaos`` (CI runs it with
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
 import tempfile
 import warnings
 from typing import Dict, List, Optional
-
-import numpy as np
 
 from repro.api.apps import LADIES, DeepWalk, KHop
 from repro.core.engine import NextDoorEngine
@@ -43,6 +40,7 @@ from repro.obs.events import (FLIGHT_DIR_ENV, reset_events,
 from repro.obs.metrics import scalar_of
 from repro.runtime.faults import PLAN_ENV, FaultInjected
 from repro.runtime.pool import RESPAWN_ENV, TIMEOUT_ENV, shutdown_pools
+from repro.serve.protocol import batch_digest
 from repro.verify.result import CheckResult
 
 __all__ = ["run_chaos_checks"]
@@ -67,15 +65,7 @@ def _chaos_graph():
 
 
 def _digest(results) -> str:
-    h = hashlib.sha256()
-    for result in results:
-        batch = result.batch
-        for arr in [batch.roots, *batch.step_vertices, *batch.edges]:
-            a = np.ascontiguousarray(arr)
-            h.update(str(a.shape).encode())
-            h.update(a.dtype.str.encode())
-            h.update(a.tobytes())
-    return h.hexdigest()[:32]
+    return "/".join(batch_digest(result.batch) for result in results)
 
 
 def _apps():

@@ -24,12 +24,10 @@ suite fails with a single ``backends`` check saying so.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.native.backend import available_backends, backend_scope
+from repro.serve.protocol import batch_digest
 from repro.verify.result import CheckResult
 
 __all__ = ["run_native_checks", "POOLED_CASES"]
@@ -58,16 +56,6 @@ def _apps():
     return apps
 
 
-def _batch_digest(batch) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(batch.roots).tobytes())
-    for arr in batch.step_vertices:
-        h.update(np.ascontiguousarray(arr).tobytes())
-    for arr in batch.edges or ():
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()[:32]
-
-
 def _pooled_run(factory, weighted: bool, num_samples: int,
                 workers: int) -> Dict:
     from repro.core.engine import NextDoorEngine
@@ -79,7 +67,7 @@ def _pooled_run(factory, weighted: bool, num_samples: int,
     result = NextDoorEngine(workers=workers).run(
         factory(), graph, num_samples=num_samples, seed=_POOLED_SEED)
     return {
-        "digest": _batch_digest(result.batch),
+        "digest": batch_digest(result.batch),
         "charges": dataclasses.asdict(result.metrics),
         "seconds": result.seconds,
     }

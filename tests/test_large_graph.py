@@ -64,7 +64,10 @@ class TestExecution:
 
     def test_partition_honours_requested_granularity(self, medium_graph):
         engine = make_engine(num_partitions=12)
-        engine.run(DeepWalk(2), medium_graph, num_samples=8, seed=0)
+        result = engine.run(DeepWalk(2), medium_graph, num_samples=8,
+                            seed=0)
+        # The partition belongs to the charge model: pricing builds it.
+        assert result.seconds > 0
         assert engine._partition.num_parts >= 12
 
     def test_khop_less_transfer_bound_than_walk(self, medium_graph):

@@ -321,6 +321,20 @@ class TestServerHTTP:
         assert r.digest == batch_digest(direct.batch)
         assert np.array_equal(r.arrays["roots"], direct.batch.roots)
 
+    def test_response_carries_no_modeled_time(self, server, client):
+        """The daemon samples; it prices nothing.  Modeled seconds are
+        what ``repro sample`` / ``repro compare`` print, and asking the
+        daemon for them is an unknown field, not an option."""
+        r = client.sample(SampleRequest(app="DeepWalk", graph="ppi",
+                                        samples=16, seed=4,
+                                        return_samples=False))
+        assert r.ok and r.digest
+        assert "modeled_seconds" not in r.response
+        asked = server.handle_sample(json.dumps(
+            {"app": "DeepWalk", "graph": "ppi", "model": True}).encode())
+        assert asked["status"] == "bad_request"
+        assert asked["error"] == "unknown field(s) model"
+
     def test_no_samples_omits_arrays(self, client):
         r = client.sample(SampleRequest(app="k-hop", graph="ppi",
                                         samples=16, seed=1,
