@@ -30,9 +30,8 @@ class CpuEngine(Engine):
     _device_cls = CpuDevice
 
     def __init__(self, spec: CPUSpec = XEON_SILVER_4216,
-                 use_reference: bool = False,
                  workers=None, chunk_size=None) -> None:
-        super().__init__(spec, use_reference, workers, chunk_size)
+        super().__init__(spec, workers, chunk_size)
 
     def run(self, app: SamplingApp, graph,
             num_samples: Optional[int] = None,

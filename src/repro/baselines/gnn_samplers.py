@@ -36,10 +36,9 @@ class ReferenceSamplerEngine(CpuEngine):
     engine_name = "ReferenceSampler"
 
     def __init__(self, spec: CPUSpec = XEON_SILVER_4216,
-                 use_reference: bool = False,
                  ops_per_vertex: float = _OPS_PER_VERTEX,
                  workers=None, chunk_size=None) -> None:
-        super().__init__(spec, use_reference, workers, chunk_size)
+        super().__init__(spec, workers, chunk_size)
         self.ops_per_vertex = ops_per_vertex
 
     def _charge_step(self, cpu: CpuDevice, graph, batch,

@@ -42,10 +42,9 @@ class VanillaTPEngine(NextDoorEngine):
 
     engine_name = "TP"
 
-    def __init__(self, spec=None, use_reference: bool = False,
-                 workers=None, chunk_size=None) -> None:
-        kwargs = {"config": _VANILLA_CONFIG, "use_reference": use_reference,
-                  "workers": workers, "chunk_size": chunk_size}
+    def __init__(self, spec=None, workers=None, chunk_size=None) -> None:
+        kwargs = {"config": _VANILLA_CONFIG, "workers": workers,
+                  "chunk_size": chunk_size}
         if spec is not None:
             kwargs["spec"] = spec
         super().__init__(**kwargs)

@@ -42,6 +42,7 @@ from repro.bench.runner import (
 from repro.core.engine import NextDoorEngine
 from repro.graph import datasets
 from repro.obs import format_stats, trace, write_chrome_trace
+from repro.runtime.context import resolve_workers
 from repro.verify import runner as verify_runner
 
 __all__ = ["main", "build_parser"]
@@ -135,8 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-plan", default=None, metavar="PLAN",
                    help="deterministic fault injection, e.g. "
                         "'kill-after-chunk:0.3' (see docs/RESILIENCE.md"
-                        "). Faults target pool workers, so the plan is "
-                        "inert without --workers >= 1; overrides "
+                        "). Pool faults need worker processes "
+                        "(--backend numpy --workers >= 1) and warn "
+                        "that they will not fire otherwise; "
+                        "interrupt-step fires at any --workers. "
+                        "Overrides "
                         "$REPRO_FAULT_PLAN for this command; pair with "
                         "--pool-timeout to tune how fast wedge faults "
                         "are detected (see docs/CLI.md)")
@@ -302,10 +306,15 @@ def _cmd_datasets(args, out) -> int:
 
 
 def _workers_error(workers: Optional[int]) -> Optional[str]:
-    """Readable message for an invalid --workers value, else None."""
+    """Readable message for an invalid --workers value (or, without
+    one, an invalid ``$REPRO_WORKERS``), else None."""
     if workers is not None and workers < 0:
         return (f"--workers must be >= 0, got {workers} "
-                "(0 = in-process, N = worker pool)")
+                "(0 = in-process, N = N sampling workers)")
+    try:
+        resolve_workers(workers)
+    except ValueError as exc:
+        return str(exc)
     return None
 
 
@@ -376,11 +385,15 @@ def _cmd_sample(args, out) -> int:
             return 2
         inert = sorted({spec.name for spec in plan.specs
                         if spec.name in POOL_FAULTS}) if plan else []
-        if inert and active_backend().compiled:
-            print(f"warning: {', '.join(inert)} will not fire: under "
-                  f"the {active_backend().name} backend --workers N "
-                  "runs N chunk threads in this process, there are no "
-                  "worker processes to fault (use --backend numpy; see "
+        backend = active_backend()
+        if inert and (backend.compiled
+                      or resolve_workers(args.workers) < 1):
+            why = (f"under the {backend.name} backend --workers N runs "
+                   "N chunk threads in this process" if backend.compiled
+                   else "--workers 0 samples in this process")
+            print(f"warning: {', '.join(inert)} will not fire: {why}, "
+                  "there are no worker processes to fault (use "
+                  "--backend numpy --workers N >= 1; see "
                   "docs/RESILIENCE.md)", file=out)
         scoped_env[PLAN_ENV] = args.fault_plan
     if args.pool_timeout is not None:

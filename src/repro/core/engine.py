@@ -179,13 +179,11 @@ class Engine:
     #: requests never see each other's plan.
     fault_plan = None
 
-    def __init__(self, spec, use_reference: bool = False,
-                 workers: Optional[int] = None,
+    def __init__(self, spec, workers: Optional[int] = None,
                  chunk_size: Optional[int] = None,
                  checkpoint_dir: Optional[str] = None,
                  resume: bool = False) -> None:
         self.spec = spec
-        self.use_reference = use_reference
         #: Multicore runtime: 0 = in-process; None = $REPRO_WORKERS,
         #: default 0.  Samples are bitwise-identical for any setting.
         self.workers = workers
@@ -224,9 +222,8 @@ class Engine:
             if self.checkpoint_dir is not None:
                 ctx.attach_checkpoint(self.checkpoint_dir, self.resume,
                                       app=app, graph=graph,
-                                      roots=batch.roots,
-                                      use_reference=self.use_reference)
-            ctx.begin_run(app, graph, use_reference=self.use_reference)
+                                      roots=batch.roots)
+            ctx.begin_run(app, graph)
             if num_devices == 1:
                 shards = [self._sample(app, graph, batch, ctx)]
             else:
@@ -331,13 +328,11 @@ class NextDoorEngine(Engine):
 
     def __init__(self, spec: GPUSpec = V100,
                  config: KernelPlanConfig = KernelPlanConfig(),
-                 use_reference: bool = False,
                  workers: Optional[int] = None,
                  chunk_size: Optional[int] = None,
                  checkpoint_dir: Optional[str] = None,
                  resume: bool = False) -> None:
-        super().__init__(spec, use_reference, workers, chunk_size,
-                         checkpoint_dir, resume)
+        super().__init__(spec, workers, chunk_size, checkpoint_dir, resume)
         self.config = config
 
     def _charge_step(self, device: Device, graph, batch: SampleBatch,
@@ -447,9 +442,8 @@ def _merge_batches(graph, shards: List[SampleBatch]) -> SampleBatch:
 
 
 #: Keyword arguments ``do_sampling`` accepts beyond its positionals.
-_DO_SAMPLING_KWARGS = ("spec", "config", "use_reference", "workers",
-                       "chunk_size", "checkpoint_dir", "resume",
-                       "num_devices")
+_DO_SAMPLING_KWARGS = ("spec", "config", "workers", "chunk_size",
+                       "checkpoint_dir", "resume", "num_devices")
 
 
 def do_sampling(app: SamplingApp, graph, num_samples: int, seed: int = 0,

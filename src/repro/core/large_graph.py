@@ -45,7 +45,6 @@ class LargeGraphNextDoor(NextDoorEngine):
                  spec: GPUSpec = V100,
                  num_partitions: int = 16,
                  sample_scale: float = 1.0,
-                 use_reference: bool = False,
                  workers=None, chunk_size=None) -> None:
         """``sample_scale`` keeps the compute : transfer ratio at paper
         proportions when the experiment runs fewer samples than the
@@ -53,8 +52,7 @@ class LargeGraphNextDoor(NextDoorEngine):
         65.6 M vertices): transfers shrink by the same factor the
         sampling work shrank, so who-wins stays scale-invariant.
         Pass 1.0 to charge unscaled paper-footprint transfers."""
-        super().__init__(spec=spec, use_reference=use_reference,
-                         workers=workers, chunk_size=chunk_size)
+        super().__init__(spec=spec, workers=workers, chunk_size=chunk_size)
         if modeled_graph_bytes <= 0:
             raise ValueError("modeled_graph_bytes must be positive")
         if not 0.0 < sample_scale <= 1.0:

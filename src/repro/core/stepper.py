@@ -5,9 +5,11 @@ graph-framework baselines, the CPU comparators — must produce
 *statistically identical* samples; they differ only in how the work is
 organised on the device, which is what the performance model prices.
 This module holds the functional half they share: initialising
-batches, running one step's sampling, scattering results back into the
-batch's rectangular step arrays, and :func:`run_steps`, the loop that
-drives all of it.  An engine is ``run_steps`` collecting each step's
+batches, addressing a step's rectangular output by pair, and
+:func:`run_steps`, the loop that drives all of it.  A step's sampling
+has one way to run: through the run's
+:class:`~repro.runtime.context.ExecutionContext`, whose chunks call the
+app's own hooks.  An engine is ``run_steps`` collecting each step's
 :class:`StepRecord` plus a pricing pass that replays them on its own
 device model when a modeled number is first read.
 """
@@ -21,10 +23,6 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from repro.api.app import SamplingApp
-from repro.api.apps._kernels import (
-    build_combined_neighborhood,
-    combined_neighborhood_offsets,
-)
 from repro.api.sample import SampleBatch
 from repro.api.types import INF_STEPS, NULL_VERTEX, SamplingType, StepInfo
 from repro.core.transit_map import StepShape, build_transit_map
@@ -121,88 +119,26 @@ def step_output(num_samples: int, num_cols: int, m: int,
             out.reshape(num_samples * num_cols, m), rows)
 
 
-def run_individual_step(
-    app: SamplingApp,
-    graph: CSRGraph,
-    batch: SampleBatch,
-    transits: np.ndarray,
-    step: int,
-    rng: np.random.Generator,
-    sample_ids: np.ndarray,
-    cols: np.ndarray,
-    transit_vals: np.ndarray,
-    use_reference: bool = False,
-) -> Tuple[np.ndarray, StepInfo]:
-    """Sample one individual-transit step over pre-flattened pairs.
-
-    The pair arrays may be in any order (NextDoor passes them
-    transit-sorted; SP passes them sample-ordered); results scatter
-    back by (sample, col) either way.  Returns the ``(S, T * m)`` new
-    vertex array and the step's cost hints.
-
-    ``rng`` is either a plain ``np.random.Generator`` — the step is
-    sampled with one whole-step call on that stream — or an
-    :class:`~repro.runtime.context.ExecutionContext`, which executes
-    the step as deterministic fixed-size chunks (in-process or on the
-    worker pool; bitwise-identical either way).
-    """
-    if not isinstance(rng, np.random.Generator):
-        return rng.individual_step(app, graph, batch, transits, step,
-                                   sample_ids, cols, transit_vals,
-                                   use_reference=use_reference)
-    out, out_rows, rows = step_output(
-        batch.num_samples, transits.shape[1], app.sample_size(step),
-        sample_ids, cols)
-    prev = None
-    if app.needs_prev_transits:
-        prev = prev_transits_for(batch, step, sample_ids, cols)
-    sampler = (SamplingApp.sample_neighbors.__get__(app)
-               if use_reference else app.sample_neighbors)
-    sampled, info = sampler(graph, transit_vals, step, rng,
-                            prev_transits=prev, batch=batch,
-                            sample_ids=sample_ids)
-    out_rows[rows] = sampled
-    return out, info
+def run_individual_step(app: SamplingApp, graph: CSRGraph,
+                        batch: SampleBatch, transits: np.ndarray, step: int,
+                        ctx, sample_ids: np.ndarray, cols: np.ndarray,
+                        transit_vals: np.ndarray
+                        ) -> Tuple[np.ndarray, StepInfo]:
+    """One individual step through ``ctx`` (an
+    :class:`~repro.runtime.context.ExecutionContext`), for loops that
+    drive steps by hand (the perf ledger's); see its
+    ``individual_step``."""
+    return ctx.individual_step(app, graph, batch, transits, step,
+                               sample_ids, cols, transit_vals)
 
 
 def run_collective_step(
-    app: SamplingApp,
-    graph: CSRGraph,
-    batch: SampleBatch,
-    transits: np.ndarray,
-    step: int,
-    rng: np.random.Generator,
-    use_reference: bool = False,
+    app: SamplingApp, graph: CSRGraph, batch: SampleBatch,
+    transits: np.ndarray, step: int, ctx,
 ) -> Tuple[np.ndarray, StepInfo, Optional[np.ndarray], np.ndarray]:
-    """Sample one collective-transit step.
-
-    Returns ``(new_vertices, info, recorded_edges, neighborhood_sizes)``
-    where ``neighborhood_sizes[s]`` is the combined-neighborhood size of
-    sample ``s`` (the quantity the construction kernels are priced on).
-
-    When the application declares ``needs_combined_values = False``
-    (and the reference path is not forced), only the neighborhood
-    *offsets* are computed — hub-heavy transit sets would otherwise
-    materialise multi-gigabyte arrays.
-
-    ``rng`` may be an
-    :class:`~repro.runtime.context.ExecutionContext` instead of a
-    generator, exactly as in :func:`run_individual_step`.
-    """
-    if not isinstance(rng, np.random.Generator):
-        return rng.collective_step(app, graph, batch, transits, step,
-                                   use_reference=use_reference)
-    if app.needs_combined_values or use_reference:
-        values, offsets = build_combined_neighborhood(graph, transits)
-    else:
-        values = None
-        offsets = combined_neighborhood_offsets(graph, transits)
-    chooser = (SamplingApp.sample_from_neighborhood.__get__(app)
-               if use_reference else app.sample_from_neighborhood)
-    new_vertices, info = chooser(graph, batch, values, offsets, transits,
-                                 step, rng)
-    edges = app.record_step_edges(graph, batch, transits, new_vertices, step)
-    return new_vertices, info, edges, np.diff(offsets)
+    """One collective step through ``ctx``: see its
+    ``collective_step``."""
+    return ctx.collective_step(app, graph, batch, transits, step)
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +223,6 @@ def run_steps(app: SamplingApp, graph: CSRGraph, batch: SampleBatch, ctx,
     hist = {name: reg.histogram("engine.stage_seconds",
                                 labels={"stage": name, "backend": backend})
             for name in ("step", "scheduling_index", kernels)}
-    use_reference = ctx.use_reference
     limit = step_limit(app)
     step = 0
     while step < limit:
@@ -304,16 +239,14 @@ def run_steps(app: SamplingApp, graph: CSRGraph, batch: SampleBatch, ctx,
             width = dups = holes = 0
             with stage(kernels, hist[kernels], step=step, backend=backend):
                 if collective:
-                    new_vertices, info, edges, sizes = run_collective_step(
-                        app, graph, batch, transits, step, ctx,
-                        use_reference=use_reference)
+                    new_vertices, info, edges, sizes = ctx.collective_step(
+                        app, graph, batch, transits, step)
                     if edges is not None:
                         batch.record_edges(edges)
                 else:
-                    new_vertices, info = run_individual_step(
-                        app, graph, batch, transits, step, ctx,
-                        tmap.sample_ids, tmap.cols, tmap.transit_vals,
-                        use_reference=use_reference)
+                    new_vertices, info = ctx.individual_step(
+                        app, graph, batch, transits, step,
+                        tmap.sample_ids, tmap.cols, tmap.transit_vals)
             if (not collective and app.unique(step)
                     and new_vertices.shape[1] > 1):
                 with stage("make_unique", step=step):

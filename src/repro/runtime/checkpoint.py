@@ -62,8 +62,7 @@ def graph_digest(graph) -> str:
     return digest
 
 
-def run_fingerprint(app, graph, seed: int, plan, roots: np.ndarray,
-                    use_reference: bool) -> str:
+def run_fingerprint(app, graph, seed: int, plan, roots: np.ndarray) -> str:
     """Digest of every input a run's chunk results depend on."""
     h = hashlib.sha256()
     try:
@@ -75,8 +74,7 @@ def run_fingerprint(app, graph, seed: int, plan, roots: np.ndarray,
                  f"::{app!r}".encode())
     h.update(graph_digest(graph).encode())
     h.update(f"|seed={int(seed)}|pairs={plan.chunk_pairs}"
-             f"|rows={plan.chunk_rows}|ref={bool(use_reference)}"
-             .encode())
+             f"|rows={plan.chunk_rows}".encode())
     h.update(np.ascontiguousarray(roots).tobytes())
     return h.hexdigest()[:32]
 

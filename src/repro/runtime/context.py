@@ -18,6 +18,9 @@ shapes; only the numpy sampling work is sharded.  Per-chunk
 chunk-size-weighted mean **in chunk order**, so the charge inputs are
 also identical with workers on or off.
 
+A chunk is one call of the app's own hook with the chunk's plan
+generator; which kernels that is — vectorised or the base-class
+reference path over ``next`` — is decided by the app's type alone.
 A step is handed to the run's **worker set** only when its hook is a
 pure function of ``(graph, chunk data, rng)`` plus at most
 ``batch.roots`` / ``batch.num_samples``, and more than one chunk is left
@@ -95,7 +98,6 @@ from repro.runtime.checkpoint import CheckpointStore, run_fingerprint
 from repro.runtime.faults import FaultInjected
 from repro.runtime.pool import WorkerCrash, get_pool, retire_pool
 from repro.runtime.rngplan import AUX_POST, AUX_TOPUP, RNGPlan
-from repro.runtime.worker import exec_collective_chunk, exec_individual_chunk
 
 __all__ = ["ExecutionContext", "resolve_workers", "combine_infos",
            "shutdown_chunk_threads"]
@@ -110,7 +112,12 @@ def resolve_workers(workers: Optional[int]) -> int:
     """Explicit argument wins; else ``$REPRO_WORKERS``; else 0."""
     if workers is None:
         env = os.environ.get(WORKERS_ENV, "").strip()
-        workers = int(env) if env else 0
+        if not env:
+            return 0
+        if not (env.isdigit() and env.isascii()):
+            raise ValueError(f"${WORKERS_ENV} must be an integer >= 0, "
+                             f"got {env!r}")
+        return int(env)
     workers = int(workers)
     if workers < 0:
         raise ValueError("workers must be >= 0")
@@ -259,9 +266,6 @@ class ExecutionContext:
         self.plan = plan
         self.pool = None
         self._pool_failed = False
-        #: Whether the run samples through the base-class reference
-        #: kernels (set by ``begin_run``; read by ``stepper.run_steps``).
-        self.use_reference = False
         #: True once ``begin_run`` found a compiled backend: dispatched
         #: individual steps run on chunk threads and no pool is attached.
         self._threads = False
@@ -303,7 +307,6 @@ class ExecutionContext:
                                plan=self.plan.shard(shard_index))
         ctx.pool = self.pool
         ctx._pool_failed = self._pool_failed
-        ctx.use_reference = self.use_reference
         ctx._threads = self._threads
         ctx.checkpoint = self.checkpoint
         ctx.cancel = self.cancel
@@ -314,28 +317,24 @@ class ExecutionContext:
         return ctx
 
     def attach_checkpoint(self, directory: str, resume: bool, app,
-                          graph, roots: np.ndarray,
-                          use_reference: bool = False) -> None:
+                          graph, roots: np.ndarray) -> None:
         """Persist completed chunk results under ``directory`` (and,
         with ``resume``, load any already there).  The store is keyed
         by a fingerprint of every chunk-result input — app, graph
         content, seed, chunk sizes, roots — so mismatched state can
         never be replayed into the wrong run."""
-        fp = run_fingerprint(app, graph, self.plan.seed, self.plan,
-                             roots, use_reference)
+        fp = run_fingerprint(app, graph, self.plan.seed, self.plan, roots)
         self.checkpoint = CheckpointStore(directory, fp, resume=resume)
 
     # -- pool lifecycle ------------------------------------------------
 
-    def begin_run(self, app: SamplingApp, graph,
-                  use_reference: bool = False) -> None:
+    def begin_run(self, app: SamplingApp, graph) -> None:
         """Choose the run's worker set.  Under a compiled backend that
         is chunk threads, which need no set-up.  Otherwise attach the
         pool (spawning if needed) and broadcast the run's app + shared
         graph; any failure there degrades to in-process execution with
         a warning — never a failed run."""
         backend = active_backend()
-        self.use_reference = use_reference
         self._run_labels = {"app": app.name, "backend": backend.name}
         tag = (f"{app.name}-{graph.name}-s{self.plan.seed}"
                f"-w{self.workers}".lower().replace(" ", "-"))
@@ -367,7 +366,6 @@ class ExecutionContext:
             if plan is not None and plan.should("broadcast-fail"):
                 raise WorkerCrash("injected broadcast failure", {})
             self.pool.broadcast_run(app, handle, self.plan.seed,
-                                    use_reference,
                                     fault_spec=plan.spec if plan
                                     else None)
         except WorkerCrash as exc:
@@ -401,9 +399,11 @@ class ExecutionContext:
         sample_ids: np.ndarray,
         cols: np.ndarray,
         transit_vals: np.ndarray,
-        use_reference: bool = False,
     ) -> Tuple[np.ndarray, StepInfo]:
-        """Chunked equivalent of the stepper's individual step.
+        """Sample one individual step over pre-flattened pairs, in any
+        order (NextDoor passes them transit-sorted, the CPU engines
+        sample-ordered); returns the ``(S, T * m)`` step array and the
+        step's cost hints.
 
         Every chunk result — restored from a checkpoint, written by a
         pool worker or computed here — lands straight in its pairs' rows
@@ -425,7 +425,7 @@ class ExecutionContext:
         missing = [c for c in range(nchunks) if c not in restored]
         dispatch = (
             (self._threads or self.pool is not None)
-            and not use_reference and len(missing) > 1
+            and len(missing) > 1
             and type(app).sample_neighbors
             is not SamplingApp.sample_neighbors)
         work = None
@@ -441,12 +441,11 @@ class ExecutionContext:
 
         def run_chunk(c: int) -> StepInfo:
             lo, hi = int(bounds[c]), int(bounds[c + 1])
-            sampled, info = exec_individual_chunk(
-                app, graph, transit_vals[lo:hi], step,
+            sampled, info = app.sample_neighbors(
+                graph, transit_vals[lo:hi], step,
                 self.plan.chunk_rng(step, c),
                 prev_transits=None if prev is None else prev[lo:hi],
-                batch=batch, sample_ids=sample_ids[lo:hi],
-                use_reference=use_reference)
+                batch=batch, sample_ids=sample_ids[lo:hi])
             work.out_rows[work.rows[lo:hi]] = sampled
             return info
 
@@ -495,16 +494,21 @@ class ExecutionContext:
         batch,
         transits: np.ndarray,
         step: int,
-        use_reference: bool = False,
     ) -> Tuple[np.ndarray, StepInfo, Optional[np.ndarray], np.ndarray]:
-        """Chunked equivalent of the stepper's collective step; chunks
-        (blocks of sample rows) are assembled in place like an
-        individual step's."""
+        """Sample one collective step; returns ``(new_vertices, info,
+        recorded_edges, neighborhood_sizes)``, ``neighborhood_sizes[s]``
+        being sample ``s``'s combined-neighborhood size (what the
+        construction kernels are priced on).  Chunks (blocks of sample
+        rows) are assembled in place like an individual step's.
+
+        An app declaring ``needs_combined_values = False`` gets only the
+        neighborhood *offsets*: hub-heavy transit sets would otherwise
+        materialise multi-gigabyte arrays."""
         from repro.api.apps._kernels import (
             build_combined_neighborhood, combined_neighborhood_offsets)
         self._maybe_interrupt(step)
         transits = np.asarray(transits)
-        if app.needs_combined_values or use_reference:
+        if app.needs_combined_values:
             values, offsets = build_combined_neighborhood(graph, transits)
         else:
             values = None
@@ -524,8 +528,7 @@ class ExecutionContext:
         # Process pool only: chunk threads leave a collective step to
         # the calling thread (module docstring).
         dispatch = (
-            self.pool is not None
-            and not use_reference and len(missing) > 1
+            self.pool is not None and len(missing) > 1
             and values is None and not app.collective_needs_batch
             and type(app).sample_from_neighborhood
             is not SamplingApp.sample_from_neighborhood)
@@ -546,12 +549,12 @@ class ExecutionContext:
 
         def run_chunk(c: int) -> StepInfo:
             lo, hi = int(bounds[c]), int(bounds[c + 1])
-            vertices, info = exec_collective_chunk(
-                app, graph, _BatchRows(batch, lo, hi),
+            vertices, info = app.sample_from_neighborhood(
+                graph, _BatchRows(batch, lo, hi),
                 None if values is None
                 else values[offsets[lo]:offsets[hi]],
                 offsets[lo:hi + 1] - offsets[lo], transits[lo:hi], step,
-                self.plan.chunk_rng(step, c), use_reference=use_reference)
+                self.plan.chunk_rng(step, c))
             work.out[lo:hi] = vertices
             return info
 

@@ -211,18 +211,25 @@ class WorkerPool:
                 and all(p.is_alive() for p in self.procs))
 
     def broadcast_run(self, app, graph_handle, seed: int,
-                      use_reference: bool,
+                      use_reference: bool = False,
                       fault_spec: Optional[str] = None,
                       backend: Optional[str] = None) -> None:
         """Install one run's context (app, shared graph, seed, fault
         plan, kernel backend) on every worker.  Raises
-        :class:`WorkerCrash` on any failure."""
+        :class:`WorkerCrash` on any failure.
+
+        ``use_reference`` is kept positional for the ledger's set-up
+        call only: it must be False (a reference view of the app never
+        reaches a worker) and is not sent."""
+        if use_reference:
+            raise ValueError("the reference kernels never run on pool "
+                             "workers; pass a reference view of the app "
+                             "to an in-process run instead")
         if backend is None:
             from repro.native.backend import active_backend_name
             backend = active_backend_name()
         blob = pickle.dumps(app, protocol=pickle.HIGHEST_PROTOCOL)
-        msg = ("run", blob, graph_handle, int(seed), bool(use_reference),
-               fault_spec, backend)
+        msg = ("run", blob, graph_handle, int(seed), fault_spec, backend)
         timeout = resolve_progress_timeout()
         with self.lock:
             self._run_msg = msg

@@ -1,10 +1,11 @@
-"""Worker-side execution: chunk executors + the pool worker loop.
+"""Worker-side execution: the pool worker loop.
 
-The functions :func:`exec_individual_chunk` and
-:func:`exec_collective_chunk` are the *only* code that runs a chunk of
-a step's sampling — the parent's in-process path and the pool workers
-both call them, so a chunk's result is a pure function of
-``(app, graph, chunk data, chunk generator)`` no matter where it runs.
+A chunk of a step's sampling is one call of the app's own hook —
+``sample_neighbors`` on a run of pairs, ``sample_from_neighborhood`` on
+a block of sample rows — with the chunk's plan generator, whether the
+parent runs it or a pool worker does (:func:`run_chunk`), so a chunk's
+result is a pure function of ``(app, graph, chunk data, chunk
+generator)`` no matter where it runs.
 That purity is what makes the runtime's two core guarantees hold:
 samples are bitwise-identical for any worker count, and a chunk lost to
 a worker crash can be re-run in-process with an identical outcome.
@@ -19,8 +20,7 @@ either direction:
 parent -> worker             worker -> parent
 ==========================  =========================================
 ("run", blob, handle,        ("ready",) | ("err", None, traceback)
- seed, use_ref, faults,
- backend)
+ seed, faults, backend)
 ("ichunk" | "cchunk", id,    ("ok", id, info, timing) |
  step, key, arena, layout,   ("err", id, traceback)
  lo, hi)
@@ -76,7 +76,7 @@ import os
 import pickle
 import time
 import traceback
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -91,8 +91,8 @@ from repro.runtime.shm import (
     segment_exists,
 )
 
-__all__ = ["exec_individual_chunk", "exec_collective_chunk",
-           "run_chunk", "StubBatch", "worker_main"]
+__all__ = ["run_chunk", "StubBatch", "worker_main"]
+
 
 class StubBatch:
     """The slice of batch state worker-dispatched hooks may read.
@@ -106,45 +106,6 @@ class StubBatch:
                  num_samples: int) -> None:
         self.roots = roots
         self.num_samples = int(num_samples)
-
-
-def exec_individual_chunk(
-    app: SamplingApp,
-    graph,
-    transit_vals: np.ndarray,
-    step: int,
-    rng: np.random.Generator,
-    prev_transits: Optional[np.ndarray] = None,
-    batch=None,
-    sample_ids: Optional[np.ndarray] = None,
-    use_reference: bool = False,
-) -> Tuple[np.ndarray, StepInfo]:
-    """Run one chunk of an individual step's flattened pairs."""
-    sampler = (SamplingApp.sample_neighbors.__get__(app)
-               if use_reference else app.sample_neighbors)
-    return sampler(graph, transit_vals, step, rng,
-                   prev_transits=prev_transits, batch=batch,
-                   sample_ids=sample_ids)
-
-
-def exec_collective_chunk(
-    app: SamplingApp,
-    graph,
-    batch,
-    neigh_values: Optional[np.ndarray],
-    sample_offsets: np.ndarray,
-    transits: np.ndarray,
-    step: int,
-    rng: np.random.Generator,
-    use_reference: bool = False,
-) -> Tuple[np.ndarray, StepInfo]:
-    """Run one chunk (a contiguous block of sample rows) of a
-    collective step.  ``sample_offsets`` must be rebased to the chunk
-    (first entry 0) and ``batch`` sized to the chunk's rows."""
-    chooser = (SamplingApp.sample_from_neighborhood.__get__(app)
-               if use_reference else app.sample_from_neighborhood)
-    return chooser(graph, batch, neigh_values, sample_offsets, transits,
-                   step, rng)
 
 
 def _mapped_arena(arenas: Dict[str, object], name: str):
@@ -162,7 +123,7 @@ def _mapped_arena(arenas: Dict[str, object], name: str):
 
 
 def run_chunk(msg: tuple, app: SamplingApp, graph, seed: int,
-              use_reference: bool, arenas: Dict[str, object]) -> StepInfo:
+              arenas: Dict[str, object]) -> StepInfo:
     """Execute one ``ichunk`` / ``cchunk`` message against its arena
     and write the chunk's rows; returns the chunk's cost hints.
 
@@ -178,18 +139,18 @@ def run_chunk(msg: tuple, app: SamplingApp, graph, seed: int,
         num_samples, num_cols, m = out.shape
         rows = views["rows"][lo:hi]
         prev = views.get("prev")
-        sampled, info = exec_individual_chunk(
-            app, graph, views["vals"][lo:hi], step, rng,
+        sampled, info = app.sample_neighbors(
+            graph, views["vals"][lo:hi], step, rng,
             prev_transits=None if prev is None else prev[lo:hi],
             batch=StubBatch(views["roots"], num_samples),
-            sample_ids=rows // num_cols, use_reference=use_reference)
+            sample_ids=rows // num_cols)
         out.reshape(num_samples * num_cols, m)[rows] = sampled
     else:
         offsets = views["offsets"]
-        vertices, info = exec_collective_chunk(
-            app, graph, StubBatch(None, hi - lo), None,
+        vertices, info = app.sample_from_neighborhood(
+            graph, StubBatch(None, hi - lo), None,
             offsets[lo:hi + 1] - offsets[lo], views["transits"][lo:hi],
-            step, rng, use_reference=use_reference)
+            step, rng)
         out[lo:hi] = vertices
     return info
 
@@ -222,7 +183,6 @@ def worker_main(conn, worker_index: int) -> None:
     graph = None
     app: Optional[SamplingApp] = None
     seed = 0
-    use_reference = False
     plan = None
     while True:
         try:
@@ -241,8 +201,7 @@ def worker_main(conn, worker_index: int) -> None:
                 # or OOM kill would.
                 os._exit(17)
             elif kind == "run":
-                (_, blob, handle, seed, use_reference, fault_spec,
-                 backend_name) = msg
+                _, blob, handle, seed, fault_spec, backend_name = msg
                 plan = FaultPlan.parse(fault_spec)
                 app = pickle.loads(blob)
                 if handle.key not in graphs:
@@ -258,8 +217,7 @@ def worker_main(conn, worker_index: int) -> None:
                 chunk_id, step = msg[1], msg[2]
                 _injected_faults(plan, conn, step, chunk_id)
                 t0 = time.monotonic()
-                info = run_chunk(msg, app, graph, seed, use_reference,
-                                 arenas)
+                info = run_chunk(msg, app, graph, seed, arenas)
                 conn.send(("ok", chunk_id, info,
                            (worker_index, t0, time.monotonic())))
                 if plan is not None and plan.should(

@@ -31,6 +31,7 @@ combined neighborhood, and ``unique`` steps must contain no duplicate.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -57,6 +58,7 @@ __all__ = [
     "check_invariants",
     "diff_batches",
     "differential_case",
+    "reference_view",
     "run_differential_checks",
 ]
 
@@ -98,14 +100,31 @@ def _exact_engines(workers: Optional[int]):
     yield "TP", VanillaTPEngine(workers=workers)
 
 
+def reference_view(app: SamplingApp) -> SamplingApp:
+    """``app`` as it runs through the base-class reference kernels:
+    a shallow copy whose class resets both sampling hooks to
+    :class:`SamplingApp`'s ``next`` loops (which read the materialised
+    combined neighborhood).  Any engine runs it in the calling process
+    — the dispatch gate goes by the hooks' type, and the class cannot
+    be pickled — and its checkpoint fingerprint is its own."""
+    cls = type(f"Reference{type(app).__name__}", (type(app),), {
+        "sample_neighbors": SamplingApp.sample_neighbors,
+        "sample_from_neighborhood": SamplingApp.sample_from_neighborhood,
+        "needs_combined_values": True,
+    })
+    view = copy.copy(app)
+    view.__class__ = cls
+    return view
+
+
 def _consistent_engines(workers: Optional[int]):
     """Engines that iterate pairs in a different order (sample order /
     per-vertex reference loop) and therefore consume the RNG plan
-    differently — distributionally equal, not bitwise."""
-    yield "NextDoor-ref", NextDoorEngine(use_reference=True,
-                                         workers=workers)
-    yield "Reference", ReferenceSamplerEngine(workers=workers)
-    yield "KnightKing", KnightKingEngine(workers=workers)
+    differently — distributionally equal, not bitwise.  Each comes with
+    the form of the app it runs."""
+    yield "NextDoor-ref", NextDoorEngine(workers=workers), reference_view
+    yield "Reference", ReferenceSamplerEngine(workers=workers), None
+    yield "KnightKing", KnightKingEngine(workers=workers), None
 
 
 def canonical_batch(app: SamplingApp, batch: SampleBatch,
@@ -305,11 +324,11 @@ def differential_case(app_name: str, graph: CSRGraph, seed: int,
             problems += [f"{engine_name} vs NextDoor: {d}"
                          for d in diff_batches(reference, canon)]
     ref_hist = _visit_histogram(ref_batch, graph)
-    for engine_name, engine in _consistent_engines(workers):
+    for engine_name, engine, view in _consistent_engines(workers):
         app = factory()
         try:
-            result = engine.run(app, graph, num_samples=num_samples,
-                                seed=seed)
+            result = engine.run(view(app) if view else app, graph,
+                                num_samples=num_samples, seed=seed)
         except ValueError:
             continue  # engine restricts this app class (KnightKing)
         engines_run += 1

@@ -38,7 +38,7 @@ from repro.api.types import INF_STEPS, NULL_VERTEX
 from repro.core.engine import NextDoorEngine
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi_graph, rmat_graph
-from repro.verify.differential import check_invariants
+from repro.verify.differential import check_invariants, reference_view
 from repro.verify.result import CheckResult
 
 __all__ = [
@@ -184,8 +184,8 @@ def fuzz_case(app: SamplingApp, graph: CSRGraph, seed: int,
                                        other.batch.step_vertices)):
             if not np.array_equal(a, b):
                 problems.append(f"{label}: step{i} differs")
-    ref = NextDoorEngine(use_reference=True, workers=workers).run(
-        app, graph, num_samples=num_samples, seed=seed)
+    ref = NextDoorEngine(workers=workers).run(
+        reference_view(app), graph, num_samples=num_samples, seed=seed)
     if not np.array_equal(ref.batch.roots, vec.batch.roots):
         problems.append("reference path: roots differ")
     if ([a.shape for a in ref.batch.step_vertices]

@@ -22,6 +22,7 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.faults import FaultInjected, PLAN_ENV
 from repro.runtime.rngplan import RNGPlan
+from repro.verify.differential import reference_view
 
 CHUNK = 64
 
@@ -73,23 +74,22 @@ class TestFingerprint:
         plan = RNGPlan(11, chunk_pairs=CHUNK)
         roots = np.arange(8, dtype=np.int64).reshape(8, 1)
         base = run_fingerprint(DeepWalk(walk_length=12),
-                               medium_weighted, 11, plan, roots, False)
+                               medium_weighted, 11, plan, roots)
         variants = [
             run_fingerprint(DeepWalk(walk_length=13), medium_weighted,
-                            11, plan, roots, False),
+                            11, plan, roots),
             run_fingerprint(KHop(fanouts=(4,)), medium_weighted, 11,
-                            plan, roots, False),
+                            plan, roots),
             run_fingerprint(DeepWalk(walk_length=12), medium_graph, 11,
-                            plan, roots, False),
+                            plan, roots),
             run_fingerprint(DeepWalk(walk_length=12), medium_weighted,
-                            12, plan, roots, False),
+                            12, plan, roots),
             run_fingerprint(DeepWalk(walk_length=12), medium_weighted,
-                            11, RNGPlan(11, chunk_pairs=32), roots,
-                            False),
+                            11, RNGPlan(11, chunk_pairs=32), roots),
             run_fingerprint(DeepWalk(walk_length=12), medium_weighted,
-                            11, plan, roots[:4], False),
-            run_fingerprint(DeepWalk(walk_length=12), medium_weighted,
-                            11, plan, roots, True),
+                            11, plan, roots[:4]),
+            run_fingerprint(reference_view(DeepWalk(walk_length=12)),
+                            medium_weighted, 11, plan, roots),
         ]
         assert len({base, *variants}) == len(variants) + 1
 
@@ -98,7 +98,7 @@ class TestFingerprint:
         app.hook = lambda: None  # closures don't pickle
         plan = RNGPlan(0, chunk_pairs=CHUNK)
         roots = np.zeros((2, 1), dtype=np.int64)
-        fp = run_fingerprint(app, medium_weighted, 0, plan, roots, False)
+        fp = run_fingerprint(app, medium_weighted, 0, plan, roots)
         assert len(fp) == 32
 
     def test_graph_digest_cached_and_content_keyed(self, medium_weighted,

@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import argparse
 import io
 
 import numpy as np
@@ -110,6 +111,49 @@ class TestErrorPaths:
                              "--workers", "-2"])
         assert code == 2
         assert "--workers" in out and "-2" in out
+
+    def test_negative_workers_message_names_no_pool(self):
+        # Under cnative --workers N is N threads, not a worker pool.
+        code, out = run_cli(["sample", "--app", "DeepWalk",
+                             "--graph", "ppi", "--samples", "4",
+                             "--workers", "-1"])
+        assert code == 2
+        assert "--workers must be >= 0, got -1" in out
+        assert "worker pool" not in out
+
+    def test_bad_workers_env_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "abc")
+        assert run_cli(["sample", "--app", "DeepWalk", "--graph", "ppi",
+                        "--samples", "4"]) == (
+            2, "error: $REPRO_WORKERS must be an integer >= 0, got 'abc'\n")
+
+    def test_pool_fault_warns_without_workers(self):
+        """At ``--workers 0`` no worker process exists under any
+        backend, so a worker-side fault cannot fire — and says so."""
+        code, out = run_cli(["sample", "--app", "DeepWalk", "--graph",
+                             "ppi", "--samples", "10", "--backend", "numpy",
+                             "--workers", "0", "--fault-plan",
+                             "chunk-error:0"])
+        assert code == 0
+        assert "warning: chunk-error will not fire: --workers 0" in out
+
+    def test_interrupt_step_fires_without_workers(self):
+        """A parent-side fault needs no worker: it stops a ``--workers
+        0`` run with no warning, and the flag's help says so."""
+        code, out = run_cli(["sample", "--app", "DeepWalk", "--graph",
+                             "ppi", "--samples", "10", "--backend", "numpy",
+                             "--workers", "0", "--fault-plan",
+                             "interrupt-step:1"])
+        assert code == 1
+        assert "injected interrupt at step 1" in out
+        assert "warning" not in out
+        sample = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)
+                      ).choices["sample"]
+        help_text = next(a.help for a in sample._actions
+                         if "--fault-plan" in a.option_strings)
+        assert "inert" not in help_text
+        assert "interrupt-step fires at any --workers" in help_text
 
     def test_negative_workers_compare(self):
         code, out = run_cli(["compare", "--apps", "DeepWalk",

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.api.apps import DeepWalk, KHop, Layer, MultiRW, PPR
+from repro.api.apps import LADIES, DeepWalk, KHop, Layer, MultiRW, PPR
 from repro.api.types import NULL_VERTEX
 from repro.core.engine import NextDoorEngine, do_sampling
+from repro.obs import get_metrics
+from repro.serve.protocol import batch_digest
+from repro.verify.differential import reference_view
 
 
 class TestRunBasics:
@@ -100,8 +103,8 @@ class TestReferencePath:
         fast = NextDoorEngine().run(
             DeepWalk(1), tiny_graph,
             roots=np.zeros((3000, 1), dtype=np.int64), seed=0)
-        ref = NextDoorEngine(use_reference=True).run(
-            DeepWalk(1), tiny_graph,
+        ref = NextDoorEngine().run(
+            reference_view(DeepWalk(1)), tiny_graph,
             roots=np.zeros((3000, 1), dtype=np.int64), seed=0)
         for v in tiny_graph.neighbors(0):
             f = (fast.get_final_samples() == v).mean()
@@ -109,11 +112,31 @@ class TestReferencePath:
             assert abs(f - g) < 0.05
 
     def test_reference_khop(self, tiny_graph):
-        r = NextDoorEngine(use_reference=True).run(
-            KHop((3, 2)), tiny_graph, num_samples=8, seed=0)
+        r = NextDoorEngine().run(
+            reference_view(KHop((3, 2))), tiny_graph, num_samples=8, seed=0)
         hops = r.get_final_samples()
         assert hops[0].shape == (8, 3)
         assert hops[1].shape == (8, 6)
+
+    @pytest.mark.parametrize("factory", [
+        lambda: KHop((4, 2)), lambda: LADIES(step_size=8, batch_size=4)],
+        ids=["khop", "ladies"])
+    def test_reference_view_stays_in_process(self, medium_weighted,
+                                             backend, factory):
+        """The app's type keeps a reference view off the worker set:
+        bitwise the same at workers 0 and 2, and no chunk pooled."""
+        pooled = get_metrics().counter("runtime.chunks_pooled")
+        before = pooled.value
+        runs = [NextDoorEngine(workers=w, chunk_size=16).run(
+                    reference_view(factory()), medium_weighted,
+                    num_samples=64, seed=3) for w in (0, 2)]
+        assert batch_digest(runs[0].batch) == batch_digest(runs[1].batch)
+        assert repr(runs[0].seconds) == repr(runs[1].seconds)
+        assert pooled.value == before
+
+    def test_use_reference_keyword_is_gone(self, tiny_graph):
+        with pytest.raises(TypeError, match="valid keywords"):
+            do_sampling(DeepWalk(1), tiny_graph, 4, use_reference=True)
 
 
 class TestMultiGPUEngine:

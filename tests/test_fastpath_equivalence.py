@@ -16,6 +16,7 @@ import pytest
 
 import repro.core.stepper as stepper_mod
 from repro.api.apps import DeepWalk, KHop, LADIES
+from repro.api.apps import _kernels as kernels_mod
 from repro.api.apps import deepwalk as deepwalk_mod
 from repro.api.apps.importance import FastGCN
 from repro.api.types import NULL_VERTEX, StepInfo
@@ -171,7 +172,7 @@ def _patch_reference_paths(monkeypatch):
                           pairs=build_transit_map_reference))
     monkeypatch.setattr(deepwalk_mod, "weighted_neighbors",
                         _reference_weighted_neighbors)
-    monkeypatch.setattr(stepper_mod, "build_combined_neighborhood",
+    monkeypatch.setattr(kernels_mod, "build_combined_neighborhood",
                         _reference_combined_neighborhood)
     monkeypatch.setattr(LADIES, "sample_from_neighborhood",
                         _reference_ladies_selection)

@@ -240,8 +240,8 @@ def _kill_worker0_after_begin_run(monkeypatch):
     """Patch begin_run so worker 0 is dead when the first step runs."""
     orig = ExecutionContext.begin_run
 
-    def begin_and_kill(self, app, graph, use_reference=False):
-        orig(self, app, graph, use_reference=use_reference)
+    def begin_and_kill(self, app, graph):
+        orig(self, app, graph)
         if self.pool is not None:
             self.pool.procs[0].terminate()
             self.pool.procs[0].join()

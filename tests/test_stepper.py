@@ -21,12 +21,18 @@ from repro.runtime.context import ExecutionContext
 from repro.runtime import shm
 from repro.runtime.worker import run_chunk
 from repro.serve.protocol import batch_digest
+from repro.verify.differential import reference_view
 from repro.verify.golden import GOLDEN_CASES
 from repro.verify.golden import _NUM_SAMPLES as GOLDEN_SAMPLES
 from repro.verify.golden import _golden_graph as golden_graph
 
 ALL_ENGINES = [NextDoorEngine, LargeGraphNextDoor] + [
     getattr(repro.baselines, name) for name in repro.baselines.__all__]
+
+
+def _ctx(seed=0):
+    """A one-process context: what every step runs through."""
+    return ExecutionContext(seed, workers=0)
 
 
 class TestInitBatch:
@@ -90,7 +96,7 @@ class TestIndividualStep:
         transits = app.transits_for_step(batch, 0)
         ids, cols, vals = flatten_transits(transits)
         out, info = stepper.run_individual_step(
-            app, medium_graph, batch, transits, 0, rng, ids, cols, vals)
+            app, medium_graph, batch, transits, 0, _ctx(), ids, cols, vals)
         assert out.shape == (8, 4)
         assert (out != NULL_VERTEX).all()
 
@@ -100,7 +106,7 @@ class TestIndividualStep:
         transits = np.array([[NULL_VERTEX], [0], [NULL_VERTEX]])
         ids, cols, vals = flatten_transits(transits)
         out, _ = stepper.run_individual_step(
-            app, medium_graph, batch, transits, 0, rng, ids, cols, vals)
+            app, medium_graph, batch, transits, 0, _ctx(), ids, cols, vals)
         assert out[0, 0] == NULL_VERTEX
         assert out[2, 0] == NULL_VERTEX
 
@@ -111,7 +117,7 @@ class TestIndividualStep:
         transits = app.transits_for_step(batch, 1)
         ids, cols, vals = flatten_transits(transits)
         out, info = stepper.run_individual_step(
-            app, medium_graph, batch, transits, 1, rng, ids, cols, vals)
+            app, medium_graph, batch, transits, 1, _ctx(), ids, cols, vals)
         assert out.shape == (8, 1)
 
 
@@ -178,7 +184,7 @@ class _ShuffledPool:
             for i in self.rng.permutation(len(jobs))[self.lose:]:
                 cid, msg = jobs[i]
                 results[cid] = (run_chunk(msg, self.app, self.graph,
-                                          self.seed, False, arenas),
+                                          self.seed, arenas),
                                 (0, 0.0, 0.0))
         finally:
             for attachment in arenas.values():
@@ -245,47 +251,39 @@ class TestCollectiveStep:
         batch = stepper.init_batch(app, medium_graph, 4, None, rng)
         transits = app.transits_for_step(batch, 0)
         out, info, edges, sizes = stepper.run_collective_step(
-            app, medium_graph, batch, transits, 0, rng)
+            app, medium_graph, batch, transits, 0, _ctx())
         expected = [medium_graph.degree(int(r)) for r in batch.roots[:, 0]]
         assert list(sizes) == expected
 
-    def test_lazy_path_skips_materialisation(self, medium_graph, rng,
-                                             monkeypatch):
-        import repro.core.stepper as stepper_mod
+    @staticmethod
+    def _materialisations(app, graph, rng, num_samples, monkeypatch):
+        """How often one collective step of ``app`` builds the combined
+        neighbourhood's values."""
+        from repro.api.apps import _kernels
         calls = []
-        original = stepper_mod.build_combined_neighborhood
+        original = _kernels.build_combined_neighborhood
 
         def spy(graph, transits):
             calls.append(1)
             return original(graph, transits)
 
-        monkeypatch.setattr(stepper_mod, "build_combined_neighborhood",
-                            spy)
-        app = Layer(step_size=5, max_size=50)  # needs_combined_values=False
-        batch = stepper.init_batch(app, medium_graph, 4, None, rng)
+        monkeypatch.setattr(_kernels, "build_combined_neighborhood", spy)
+        batch = stepper.init_batch(app, graph, num_samples, None, rng)
         transits = app.transits_for_step(batch, 0)
-        stepper.run_collective_step(app, medium_graph, batch, transits,
-                                    0, rng)
-        assert not calls
+        stepper.run_collective_step(app, graph, batch, transits, 0, _ctx())
+        return len(calls)
+
+    def test_lazy_path_skips_materialisation(self, medium_graph, rng,
+                                             monkeypatch):
+        app = Layer(step_size=5, max_size=50)  # needs_combined_values=False
+        assert not self._materialisations(app, medium_graph, rng, 4,
+                                          monkeypatch)
 
     def test_reference_forces_materialisation(self, medium_graph, rng,
                                               monkeypatch):
-        import repro.core.stepper as stepper_mod
-        calls = []
-        original = stepper_mod.build_combined_neighborhood
-
-        def spy(graph, transits):
-            calls.append(1)
-            return original(graph, transits)
-
-        monkeypatch.setattr(stepper_mod, "build_combined_neighborhood",
-                            spy)
-        app = Layer(step_size=2, max_size=6)
-        batch = stepper.init_batch(app, medium_graph, 2, None, rng)
-        transits = app.transits_for_step(batch, 0)
-        stepper.run_collective_step(app, medium_graph, batch, transits,
-                                    0, rng, use_reference=True)
-        assert calls
+        app = reference_view(Layer(step_size=2, max_size=6))
+        assert self._materialisations(app, medium_graph, rng, 2,
+                                      monkeypatch)
 
 
 # ---------------------------------------------------------------------------

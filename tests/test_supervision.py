@@ -141,6 +141,12 @@ class TestBroadcastFailure:
         finally:
             pool.shutdown()
 
+    def test_reference_flag_is_refused_before_any_send(self):
+        # Checked before the pool is touched: no worker is needed.
+        with pytest.raises(ValueError, match="reference view"):
+            WorkerPool.broadcast_run(None, DeepWalk(walk_length=4), None,
+                                     0, True)
+
     def test_injected_broadcast_failure_degrades_loudly(
             self, medium_weighted, monkeypatch):
         expected = _expected(medium_weighted)
