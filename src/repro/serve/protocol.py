@@ -35,25 +35,29 @@ Statuses map onto HTTP codes so generic clients behave correctly:
 
 Samples travel as base64-encoded ``.npy`` blobs per array — exactly
 the arrays ``repro sample --out`` would save — so the client can
-assert bitwise identity against a direct run.  The ``digest`` field is
-a SHA-256 over every array's shape/dtype/bytes (:func:`batch_digest`),
-the same digest the chaos and serve verify suites use.
+assert bitwise identity against a direct run; each is encoded once and
+spliced unscanned into the ``json.dumps`` bytes (:func:`response_body`).
+The ``digest`` field is a SHA-256 over every array's shape/dtype/bytes
+(:func:`batch_digest`), the same digest the chaos/serve suites use.
 """
 
 from __future__ import annotations
 
-import base64
+import binascii
 import hashlib
 import io
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 import numpy as np
+from numpy.lib import format as npf
 
 __all__ = ["SampleRequest", "batch_digest", "encode_batch",
            "decode_arrays", "encode_array", "decode_array",
-           "STATUS_HTTP"]
+           "response_body", "STATUS_HTTP"]
 
 #: status string -> HTTP code (the table in the module docstring).
 STATUS_HTTP = {
@@ -120,16 +124,17 @@ class SampleRequest:
                                     or samples < 1):
             raise ValueError("'samples' must be an integer >= 1")
         seed = data.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError("'seed' must be an integer")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ValueError("'seed' must be an integer >= 0")
         tenant = data.get("tenant", "default")
         if not isinstance(tenant, str) or not tenant:
             raise ValueError("'tenant' must be a non-empty string")
         deadline_ms = data.get("deadline_ms")
         if deadline_ms is not None:
-            if not isinstance(deadline_ms, (int, float)) \
-                    or isinstance(deadline_ms, bool) or deadline_ms < 0:
-                raise ValueError("'deadline_ms' must be a number >= 0")
+            # json.loads accepts NaN (never trips) and Infinity (unwaitable).
+            if type(deadline_ms) not in (int, float) \
+                    or not 0 <= deadline_ms <= sys.float_info.max:
+                raise ValueError("'deadline_ms' must be a finite number >= 0")
             deadline_ms = float(deadline_ms)
         return_samples = data.get("return_samples", True)
         if not isinstance(return_samples, bool):
@@ -162,14 +167,42 @@ class SampleRequest:
 # ----------------------------------------------------------------------
 
 def encode_array(arr: np.ndarray) -> str:
-    buf = io.BytesIO()
-    np.save(buf, np.ascontiguousarray(arr), allow_pickle=False)
-    return base64.b64encode(buf.getvalue()).decode("ascii")
+    """``base64(np.save(arr))``: a ``.npy`` v1.0 header, then its bytes."""
+    arr = np.ascontiguousarray(arr)
+    header = io.BytesIO()
+    npf.write_array_header_1_0(header, npf.header_data_from_array_1_0(arr))
+    npy = b"".join((header.getvalue(), arr.data))
+    return binascii.b2a_base64(npy, newline=False).decode("ascii")
 
 
-def decode_array(blob: str) -> np.ndarray:
-    buf = io.BytesIO(base64.b64decode(blob.encode("ascii")))
-    return np.load(buf, allow_pickle=False)
+def decode_array(blob: str, name: str = "array") -> np.ndarray:
+    """Inverse of :func:`encode_array` (writable; object dtypes refused)."""
+    raw = binascii.a2b_base64(blob)
+    header = io.BytesIO(raw)
+    read = (npf.read_array_header_1_0 if npf.read_magic(header) == (1, 0)
+            else npf.read_array_header_2_0)
+    shape, fortran_order, dtype = read(header)
+    data = memoryview(raw)[header.tell():]
+    if dtype.hasobject or len(data) != math.prod(shape) * dtype.itemsize:
+        raise ValueError(f"array {name!r} refused: {len(data)} data "
+                         f"bytes for a {shape} {dtype} array")
+    arr = np.frombuffer(bytearray(data), dtype=dtype)
+    return arr.reshape(shape[::-1]).T if fortran_order else arr.reshape(shape)
+
+
+def response_body(response: Dict[str, Any]) -> bytes:
+    """``json.dumps(response).encode()``; base64 blobs go in unescaped."""
+    parts = []
+    for key, value in response.items():
+        if key != "arrays":
+            parts += [b", ", json.dumps({key: value})[1:-1].encode("utf-8")]
+            continue
+        blobs = []
+        for name, blob in value.items():
+            blobs += [b", ", json.dumps(name).encode("utf-8"), b': "',
+                      blob.encode("ascii"), b'"']
+        parts += [b", ", b'"arrays": {', *blobs[1:], b"}"]
+    return b"".join([b"{", *parts[1:], b"}"])
 
 
 def batch_digest(batch) -> str:
@@ -180,7 +213,7 @@ def batch_digest(batch) -> str:
         a = np.ascontiguousarray(arr)
         h.update(str(a.shape).encode())
         h.update(a.dtype.str.encode())
-        h.update(a.tobytes())
+        h.update(a)
     return h.hexdigest()[:32]
 
 
@@ -192,4 +225,4 @@ def encode_batch(result) -> Dict[str, str]:
 
 def decode_arrays(payload: Dict[str, str]) -> Dict[str, np.ndarray]:
     """Inverse of :func:`encode_batch`."""
-    return {name: decode_array(blob) for name, blob in payload.items()}
+    return {name: decode_array(blob, name) for name, blob in payload.items()}

@@ -57,7 +57,7 @@ from repro.serve.breaker import CircuitBreaker
 from repro.serve.cache import GraphCache
 from repro.serve.coalescer import Coalescer
 from repro.serve.protocol import (STATUS_HTTP, SampleRequest,
-                                  batch_digest, encode_batch)
+                                  batch_digest, encode_batch, response_body)
 
 __all__ = ["ServerConfig", "SamplingServer"]
 
@@ -99,14 +99,12 @@ class ServerConfig:
 
 def _wait_budget(scope: Optional[CancelScope]) -> Optional[float]:
     """How long an HTTP thread waits on its executor/leader: the
-    request's remaining deadline plus grace, or forever when the scope
-    carries no wall-clock deadline."""
-    if scope is None:
-        return None
-    remaining = scope.remaining()
+    request's remaining deadline plus grace, capped at ``TIMEOUT_MAX``,
+    or forever when the scope carries no wall-clock deadline."""
+    remaining = None if scope is None else scope.remaining()
     if remaining is None:
         return None
-    return max(0.0, remaining) + _WAIT_GRACE_S
+    return min(max(0.0, remaining) + _WAIT_GRACE_S, threading.TIMEOUT_MAX)
 
 
 class _Ticket:
@@ -556,8 +554,7 @@ def _make_handler(server: "SamplingServer"):
             if retry_ms is not None:
                 headers["Retry-After"] = str(
                     max(1, math.ceil(retry_ms / 1000.0)))
-            self._respond(code, json.dumps(response).encode("utf-8"),
-                          headers=headers)
+            self._respond(code, response_body(response), headers=headers)
 
         def do_POST(self):
             if self.path != "/v1/sample":

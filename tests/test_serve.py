@@ -6,13 +6,18 @@ ladder, drain) live in ``repro verify --suite serve``
 (repro/verify/serve.py); these tests pin the component contracts.
 """
 
+import base64
+import hashlib
+import io
 import json
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.core.engine import NextDoorEngine
 from repro.obs import get_metrics
 from repro.runtime.cancel import CancelledRun, CancelScope, DeadlineExceeded
 from repro.serve.admission import AdmissionQueue, QueueFull
@@ -22,8 +27,10 @@ from repro.serve.client import ClientResult, RetryPolicy, ServeClient
 from repro.serve.coalescer import Coalescer
 from repro.serve.protocol import (SampleRequest, batch_digest,
                                   decode_array, decode_arrays,
-                                  encode_array, encode_batch)
+                                  encode_array, encode_batch,
+                                  response_body)
 from repro.serve.server import SamplingServer, ServerConfig
+from repro.verify.golden import GOLDEN_CASES
 
 
 class TestCancelScope:
@@ -74,6 +81,18 @@ class TestProtocol:
                 json.dumps({"app": "DeepWalk", "graph": "ppi",
                             "bogus": 1}).encode())
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"'seed' must be an integer >= 0"):
+            SampleRequest.from_json(
+                json.dumps({"app": "DeepWalk", "graph": "ppi",
+                            "seed": -1}).encode())
+
+    @pytest.mark.parametrize("deadline", ["NaN", "Infinity", "1e400"])
+    def test_non_finite_deadline_rejected(self, deadline):
+        body = f'{{"app": "DeepWalk", "deadline_ms": {deadline}}}'.encode()
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            SampleRequest.from_json(body)
+
     def test_hooks_rejected_without_opt_in(self):
         body = json.dumps({"app": "DeepWalk", "graph": "ppi",
                            "sleep_before_ms": 50}).encode()
@@ -99,6 +118,75 @@ class TestProtocol:
         assert batch_digest(again.batch) == d1
         arrays = decode_arrays(encode_batch(result))
         assert np.array_equal(arrays["roots"], result.batch.roots)
+
+
+def _np_save_b64(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr, allow_pickle=True)
+    return base64.b64encode(buf.getvalue()).decode()
+
+
+def _tobytes_digest(batch):
+    """``batch_digest`` as it was written over ``tobytes`` copies."""
+    h = hashlib.sha256()
+    for arr in [batch.roots, *batch.step_vertices, *batch.edges]:
+        a = np.ascontiguousarray(arr)
+        h.update(str(a.shape).encode())
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:32]
+
+
+_CODEC_ARRAYS = {
+    "int64-S1": np.arange(64, dtype=np.int64).reshape(64, 1),
+    "int64-S25": np.arange(64 * 25, dtype=np.int64).reshape(64, 25),
+    "empty-0x3": np.zeros((0, 3), dtype=np.int64),
+    "bool": np.arange(10) % 3 == 0,
+    "float64": np.linspace(0.0, 1.0, 17),
+    "transposed": np.arange(24, dtype=np.int64).reshape(4, 6).T,
+}
+
+
+class TestPayloadCodec:
+    @pytest.mark.parametrize("name", sorted(_CODEC_ARRAYS))
+    def test_encode_is_np_save_and_decode_is_exact(self, name):
+        arr = _CODEC_ARRAYS[name]
+        blob = encode_array(arr)
+        assert blob == _np_save_b64(np.ascontiguousarray(arr))
+        back = decode_array(blob)
+        assert back.flags.writeable
+        assert back.dtype == arr.dtype and back.shape == arr.shape
+        assert np.array_equal(back, arr)
+
+    def test_decode_honours_fortran_order(self):
+        arr = np.asfortranarray(np.arange(12, dtype=np.int32).reshape(3, 4))
+        back = decode_array(_np_save_b64(arr))
+        assert back.flags.writeable and np.array_equal(back, arr)
+
+    @pytest.mark.parametrize("bad", ["object", "truncated", "trailing"])
+    def test_bad_blob_raises_naming_the_array(self, bad):
+        npy = base64.b64decode(encode_array(np.arange(10)))
+        blob = {"object": _np_save_b64(np.array([1, "a"], dtype=object)),
+                "truncated": base64.b64encode(npy[:-8]).decode(),
+                "trailing": base64.b64encode(npy + bytes(8)).decode()}[bad]
+        with pytest.raises(ValueError, match="array 'roots'"):
+            decode_arrays({"roots": blob})
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_batch_digest_equals_tobytes_digest(self, case, medium_graph,
+                                                medium_weighted):
+        factory, weighted, seed = GOLDEN_CASES[case]
+        batch = NextDoorEngine(workers=0).run(
+            factory(), medium_weighted if weighted else medium_graph,
+            num_samples=32, seed=seed).batch
+        assert batch_digest(batch) == _tobytes_digest(batch)
+
+    def test_batch_digest_of_non_contiguous_arrays(self):
+        grid = np.arange(60, dtype=np.int64).reshape(6, 10)
+        batch = SimpleNamespace(roots=np.arange(6),
+                                step_vertices=[grid[:, ::2], grid.T],
+                                edges=[grid[::2]])
+        assert batch_digest(batch) == _tobytes_digest(batch)
 
 
 class TestAdmissionQueue:
@@ -320,6 +408,57 @@ class TestServerHTTP:
             paper_app("k-hop"), graph, num_samples=48, seed=13)
         assert r.digest == batch_digest(direct.batch)
         assert np.array_equal(r.arrays["roots"], direct.batch.roots)
+
+    @pytest.mark.parametrize("app,samples", [("k-hop", 48), ("LADIES", 4)])
+    def test_served_arrays_equal_direct_arrays(self, client, app, samples):
+        from repro.bench.runner import paper_app, paper_graph
+        r = client.sample(SampleRequest(app=app, graph="ppi",
+                                        samples=samples, seed=21,
+                                        return_samples=True))
+        assert r.ok, r.response
+        direct = NextDoorEngine(workers=0).run(
+            paper_app(app), paper_graph("ppi", app, seed=21),
+            num_samples=samples, seed=21).arrays()
+        assert list(r.arrays) == list(direct)
+        for name, arr in direct.items():
+            got = r.arrays[name]
+            assert got.dtype == arr.dtype and got.shape == arr.shape, name
+            assert np.array_equal(got, arr), name
+
+    def test_response_body_is_json_dumps(self, server):
+        def sample(**fields):
+            return server.handle_sample(json.dumps(dict(
+                app="k-hop", graph="ppi", samples=16, seed=5,
+                **fields)).encode())
+
+        ok = sample()
+        assert list(ok).index("arrays") < len(ok) - 1  # not the last key
+        responses = {
+            "ok": ok,
+            "ok without arrays": sample(return_samples=False),
+            "error": sample(fault_plan="interrupt-step:1"),
+            "rejected": server._reject(7, "t", "queue full",
+                                       retry_after_s=0.25, app="k-hop"),
+            "coalesced": dict(ok, request_id=99, coalesced=True),
+        }
+        assert responses["error"]["status"] == "error"
+        assert responses["rejected"]["retry_after_ms"] == 250.0
+        for kind, response in responses.items():
+            assert response_body(response) == \
+                json.dumps(response).encode("utf-8"), kind
+
+    @pytest.mark.parametrize("deadline_ms", [float("nan"), float("inf")])
+    def test_non_finite_deadline_is_400(self, client, deadline_ms):
+        r = client.sample(SampleRequest(app="k-hop", graph="ppi",
+                                        samples=16, deadline_ms=deadline_ms))
+        assert r.status == "bad_request"
+        assert "finite number" in r.response["error"]
+
+    def test_huge_finite_deadline_is_served(self, client):
+        r = client.sample(SampleRequest(app="k-hop", graph="ppi",
+                                        samples=16, seed=6,
+                                        deadline_ms=1e300))
+        assert r.ok, r.response
 
     def test_response_carries_no_modeled_time(self, server, client):
         """The daemon samples; it prices nothing.  Modeled seconds are
