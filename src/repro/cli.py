@@ -690,9 +690,6 @@ def _cmd_client(args, out) -> int:
         print(f"  wall         {resp['wall_ms']:.1f} ms "
               f"(queued {resp['queue_wait_ms']:.1f} ms, "
               f"attempts {result.attempts})", file=out)
-        if resp.get("coalesced"):
-            print("  coalesced with an identical in-flight request",
-                  file=out)
         if resp.get("degraded"):
             print("  served in degraded (single-process) mode", file=out)
         if args.out and result.arrays:

@@ -180,7 +180,7 @@ def charge_sampling_kernels(
         cached = "register" if config.enable_caching else "global"
         _neighbor_read(warp, spec, info.neighbor_reads_per_vertex, cached)
         _user_function(warp, info, cached)
-        # Coalesced store of the warp's 32 produced vertices (the
+        # One coalesced store of the warp's 32 produced vertices (the
         # scheduling-index ordering makes every store contiguous).
         if config.enable_subwarp_sharing:
             warp.global_store(spec.warp_size)

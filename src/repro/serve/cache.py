@@ -15,11 +15,6 @@ Keys are content-derived, not name-derived:
 * graph files: the file path plus a SHA-256 of its bytes, so a file
   rewritten in place misses the cache instead of serving stale
   samples.
-
-Every cached graph also records the CSR content hash
-(``graph_content_key``), which doubles as the coalescer's graph
-component — two requests coalesce only when they sample the *same
-bytes*.
 """
 
 from __future__ import annotations
@@ -31,22 +26,11 @@ from typing import Dict, Tuple
 
 from repro.obs import get_metrics
 
-__all__ = ["GraphCache", "graph_content_key"]
+__all__ = ["GraphCache"]
 
 #: Apps that sample weighted stand-ins (mirrors
 #: ``repro.bench.runner.paper_graph``).
 _WEIGHTED_APPS = ("DeepWalk", "PPR", "node2vec")
-
-
-def graph_content_key(graph) -> str:
-    """SHA-256 (truncated) over the CSR arrays — the graph half of a
-    coalescing signature."""
-    h = hashlib.sha256()
-    h.update(graph.indptr.tobytes())
-    h.update(graph.indices.tobytes())
-    if graph.weights is not None:
-        h.update(graph.weights.tobytes())
-    return h.hexdigest()[:16]
 
 
 class GraphCache:
@@ -55,7 +39,6 @@ class GraphCache:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._graphs: Dict[tuple, object] = {}
-        self._content: Dict[int, str] = {}  # id(graph) -> content key
 
     def _load(self, name: str, app_name: str, seed: int):
         from repro.graph import datasets
@@ -79,8 +62,8 @@ class GraphCache:
             "edge-list/.npz path readable by the daemon")
 
     def resolve(self, name: str, app_name: str,
-                seed: int) -> Tuple[object, str, bool]:
-        """``(graph, content_key, cache_hit)`` for one request.
+                seed: int) -> Tuple[object, bool]:
+        """``(graph, cache_hit)`` for one request.
 
         Raises ``ValueError`` with a client-readable message when the
         graph cannot be resolved.
@@ -91,21 +74,19 @@ class GraphCache:
             graph = self._graphs.get(key)
             if graph is not None:
                 metrics.counter("serve.cache_hits").inc()
-                return graph, self._content[id(graph)], True
+                return graph, True
         # Load outside the lock (parsing a big edge list can take
         # seconds); a racing duplicate load is wasted work, not a bug —
         # last writer wins and both objects are identical.
         graph = loader()
-        content = graph_content_key(graph)
         with self._lock:
             existing = self._graphs.get(key)
             if existing is not None:
                 metrics.counter("serve.cache_hits").inc()
-                return existing, self._content[id(existing)], True
+                return existing, True
             self._graphs[key] = graph
-            self._content[id(graph)] = content
         metrics.counter("serve.cache_misses").inc()
-        return graph, content, False
+        return graph, False
 
     def size(self) -> int:
         with self._lock:

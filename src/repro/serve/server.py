@@ -1,28 +1,29 @@
-"""The sampling daemon: HTTP front-end, executors, and the robustness
-ladder.
+"""The sampling daemon: HTTP front-end, admission gate, and the
+robustness ladder.
 
-Request path (docs/SERVING.md)::
+Request path (docs/SERVING.md), all on the HTTP thread that parsed the
+request::
 
-    HTTP thread                         executor thread
-    -----------                         ---------------
-    parse + validate        400
-    drain check             503
+    drain check                         503
+    parse + validate                    400
     graph cache (warm)
-    deadline at enqueue     504
-    coalescer lease  ---------------->  (followers wait, no queue slot)
-    admission queue         429+Retry-After
-         |ticket
-         v
-    wait on ticket  <----------------   deadline at dequeue      504
-                                        run on warm engine+pool
-                                        (CancelScope between chunks)
-                                        deadline mid-run          504
-                                        breaker observes degrades
-    respond + publish lease
+    deadline at enqueue                 504
+    gate.enter: waiting room full       429+Retry-After
+                closed while waiting    503
+                deadline while waiting  504 (dequeue)
+    run on warm engine+pool
+      (CancelScope between chunks)
+      deadline mid-run                  504
+      breaker observes degrades
+    gate.leave
+    respond
+
+``--executors`` is the gate's slot count: how many requests run the
+engine at once.
 
 Robustness properties, each asserted by ``repro verify --suite serve``:
 
-* the admission queue is bounded — saturation produces explicit 429s
+* the waiting room is bounded — saturation produces explicit 429s
   with an honest ``Retry-After``, never unbounded queueing;
 * deadlines are enforced at enqueue, at dequeue, and between chunks;
   a cancelled run discards partial work and is accounted in
@@ -51,20 +52,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
 from repro.obs import events, get_metrics, trace
-from repro.runtime.cancel import CancelledRun, CancelScope
-from repro.serve.admission import AdmissionQueue, QueueFull
+from repro.runtime.cancel import CancelledRun, CancelScope, DeadlineExceeded
+from repro.serve.admission import AdmissionGate, GateClosed, QueueFull
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.cache import GraphCache
-from repro.serve.coalescer import Coalescer
 from repro.serve.protocol import (STATUS_HTTP, SampleRequest,
                                   batch_digest, encode_batch, response_body)
 
 __all__ = ["ServerConfig", "SamplingServer"]
-
-#: Grace added to a request's deadline when the HTTP thread waits for
-#: its executor: the executor enforces the deadline itself; the grace
-#: only covers scheduling slop before the 504 is produced.
-_WAIT_GRACE_S = 30.0
 
 
 @dataclass
@@ -73,9 +68,9 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 0                      # 0 = pick an ephemeral port
-    #: Bounded waiting room (0 = reject unless an executor is idle).
+    #: Bounded waiting room (0 = reject unless a run slot is idle).
     queue_capacity: int = 16
-    #: Concurrent engine runs.
+    #: Concurrent engine runs (the admission gate's run slots).
     executors: int = 2
     #: Worker processes per engine run (0 = in-process sampling).
     workers: int = 0
@@ -97,40 +92,6 @@ class ServerConfig:
     storm_window_s: float = 5.0
 
 
-def _wait_budget(scope: Optional[CancelScope]) -> Optional[float]:
-    """How long an HTTP thread waits on its executor/leader: the
-    request's remaining deadline plus grace, capped at ``TIMEOUT_MAX``,
-    or forever when the scope carries no wall-clock deadline."""
-    remaining = None if scope is None else scope.remaining()
-    if remaining is None:
-        return None
-    return min(max(0.0, remaining) + _WAIT_GRACE_S, threading.TIMEOUT_MAX)
-
-
-class _Ticket:
-    """One admitted request travelling from HTTP thread to executor."""
-
-    __slots__ = ("request", "request_id", "scope", "graph", "signature",
-                 "num_samples", "enqueued_at", "done", "response")
-
-    def __init__(self, request: SampleRequest, request_id: int,
-                 scope: Optional[CancelScope], graph,
-                 signature: str, num_samples: int) -> None:
-        self.request = request
-        self.request_id = request_id
-        self.scope = scope
-        self.graph = graph
-        self.signature = signature
-        self.num_samples = num_samples
-        self.enqueued_at = time.monotonic()
-        self.done = threading.Event()
-        self.response: Optional[Dict[str, Any]] = None
-
-    def finish(self, response: Dict[str, Any]) -> None:
-        self.response = response
-        self.done.set()
-
-
 class SamplingServer:
     """The daemon.  ``start()``/``stop()`` or use as a context
     manager; ``repro serve`` wraps it with signal handling."""
@@ -138,15 +99,12 @@ class SamplingServer:
     def __init__(self, config: Optional[ServerConfig] = None) -> None:
         self.config = config or ServerConfig()
         self.cache = GraphCache()
-        self.coalescer = Coalescer()
-        self.admission = AdmissionQueue(self.config.queue_capacity,
-                                        self.config.executors)
+        self.admission = AdmissionGate(self.config.queue_capacity,
+                                       self.config.executors)
         self.breaker = CircuitBreaker(self.config.breaker_cooldown_s)
         self.metrics = get_metrics()
         self._ids = itertools.count(1)
         self._draining = threading.Event()
-        self._stopping = threading.Event()
-        self._executors: list = []
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
         self._started_at = time.monotonic()
@@ -175,7 +133,7 @@ class SamplingServer:
             # connections at their scheduled instants) overflow the
             # default listen backlog of 5 and surface as connection
             # resets at the client — a transport artifact, not the
-            # admission queue's explicit backpressure.
+            # admission gate's explicit backpressure.
             request_queue_size = 128
 
         self._httpd = _Server(
@@ -185,11 +143,6 @@ class SamplingServer:
             target=self._httpd.serve_forever, name="serve-http",
             daemon=True)
         self._http_thread.start()
-        for i in range(self.config.executors):
-            t = threading.Thread(target=self._executor_loop,
-                                 name=f"serve-exec-{i}", daemon=True)
-            t.start()
-            self._executors.append(t)
         self.metrics.gauge("serve.draining").set(0)
         return self
 
@@ -229,14 +182,13 @@ class SamplingServer:
                     fmt=self.config.stats_format)
 
     def stop(self) -> None:
-        """Hard stop: close the queue and the HTTP listener."""
-        self._stopping.set()
+        """Hard stop: close the gate, which answers every waiting
+        request 503 and returns once the waiting room is empty, then
+        the HTTP listener.  Running requests are not waited for."""
         self.admission.close()
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
-        for t in self._executors:
-            t.join(timeout=5.0)
 
     # -- request handling (HTTP threads) -------------------------------
 
@@ -262,7 +214,7 @@ class SamplingServer:
                     "error": f"unknown app {request.app!r}; choose "
                              f"from {', '.join(sorted(APP_FACTORIES))}"}
         try:
-            graph, content, cache_hit = self.cache.resolve(
+            graph, cache_hit = self.cache.resolve(
                 request.graph, request.app, request.seed)
         except (ValueError, OSError) as exc:
             self._count("bad_request", request.tenant, request.app)
@@ -276,55 +228,36 @@ class SamplingServer:
         if scope is not None and scope.expired():
             return self._deadline(request_id, request, "enqueue")
 
-        engine_config = (f"chunk={self.config.chunk_size}|"
-                         f"ret={request.return_samples}")
-        signature = Coalescer.signature(request, content,
-                                        engine_config=engine_config)
-        lease, leader = self.coalescer.lease(signature)
-        if not leader:
-            shared = lease.wait(_wait_budget(scope))
-            if shared is None or (scope is not None and scope.expired()):
-                return self._deadline(request_id, request,
-                                      "coalesced-wait")
-            response = dict(shared)
-            response["request_id"] = request_id
-            response["coalesced"] = True
-            self._count(response.get("status", "error"),
-                        request.tenant, request.app)
-            return response
-
-        ticket = _Ticket(request, request_id, scope, graph, signature,
-                         num_samples)
+        t_enter = time.monotonic()
         try:
-            try:
-                depth = self.admission.submit(ticket)
-            except QueueFull as exc:
-                response = self._reject(
-                    request_id, request.tenant, "queue full",
-                    retry_after_s=exc.retry_after_s, app=request.app)
-                lease.publish(response)
-                return response
-            except RuntimeError:
-                response = self._reject(request_id, request.tenant,
-                                        "draining", status="draining")
-                lease.publish(response)
-                return response
+            depth = self.admission.enter(scope)
+        except QueueFull as exc:
+            return self._reject(request_id, request.tenant, "queue full",
+                                retry_after_s=exc.retry_after_s,
+                                app=request.app)
+        except GateClosed:
+            return self._reject(request_id, request.tenant, "draining",
+                                status="draining")
+        except DeadlineExceeded:
+            return self._deadline(request_id, request, "dequeue")
+        queue_wait = time.monotonic() - t_enter
+        try:
             self.metrics.gauge("serve.queue_depth").set(
                 self.admission.depth())
             events.record("request_admitted", request_id=request_id,
                           tenant=request.tenant, app=request.app,
                           queue_depth=depth)
-            if not ticket.done.wait(timeout=_wait_budget(scope)):
-                # The executor owns the ticket; it will observe the
-                # expired scope at dequeue or between chunks.
-                ticket.done.wait()
-            response = dict(ticket.response)
-            response["coalesced"] = False
-            response["cache_hit"] = cache_hit
-            lease.publish(response)
-            return response
+            response = self._execute(request, request_id, scope, graph,
+                                     num_samples, queue_wait)
+        except Exception as exc:
+            response = self._error(request, request_id,
+                                   f"internal: {exc!r}")
         finally:
-            self.coalescer.release(lease)
+            self.admission.leave()
+            self.metrics.gauge("serve.queue_depth").set(
+                self.admission.depth())
+        response["cache_hit"] = cache_hit
+        return response
 
     def _scope_for(self, request: SampleRequest,
                    t_arrival: float) -> Optional[CancelScope]:
@@ -395,39 +328,17 @@ class SamplingServer:
             events.dump_flight("deadline-storm",
                                tag=f"serve-{self.port}")
 
-    # -- executors -----------------------------------------------------
+    # -- the run -------------------------------------------------------
 
-    def _executor_loop(self) -> None:
-        while not self._stopping.is_set():
-            ticket = self.admission.get(timeout=0.25)
-            if ticket is None:
-                if self.admission.closed and self.admission.drained():
-                    return
-                continue
-            try:
-                ticket.finish(self._execute(ticket))
-            except BaseException as exc:  # never kill the executor
-                ticket.finish({"status": "error",
-                               "request_id": ticket.request_id,
-                               "error": f"internal: {exc!r}"})
-            finally:
-                self.admission.task_done()
-                self.metrics.gauge("serve.queue_depth").set(
-                    self.admission.depth())
-
-    def _execute(self, ticket: _Ticket) -> Dict[str, Any]:
+    def _execute(self, request: SampleRequest, request_id: int,
+                 scope: Optional[CancelScope], graph, num_samples: int,
+                 queue_wait: float) -> Dict[str, Any]:
         from repro.bench.runner import paper_app
         from repro.core.engine import NextDoorEngine
         from repro.runtime.faults import FaultInjected, FaultPlan
 
-        request = ticket.request
-        scope = ticket.scope
-        queue_wait = time.monotonic() - ticket.enqueued_at
         self.metrics.histogram("serve.queue_wait_seconds").observe(
             queue_wait)
-        if scope is not None and scope.expired():
-            return self._deadline(ticket.request_id, request, "dequeue")
-
         sleep_ms = request.hooks.get("sleep_before_ms")
         t0 = time.monotonic()
         pooled = False
@@ -447,9 +358,8 @@ class SamplingServer:
             app = paper_app(request.app)
             with trace.span("serve.request", app=request.app,
                             tenant=request.tenant,
-                            samples=ticket.num_samples):
-                result = engine.run(app, ticket.graph,
-                                    num_samples=ticket.num_samples,
+                            samples=num_samples):
+                result = engine.run(app, graph, num_samples=num_samples,
                                     seed=request.seed)
             degraded = bool(
                 self.metrics.gauge("runtime.degraded_mode").value)
@@ -458,15 +368,15 @@ class SamplingServer:
         except CancelledRun:
             if pooled:
                 self.breaker.abort_trial()
-            return self._deadline(ticket.request_id, request, "mid-run")
+            return self._deadline(request_id, request, "mid-run")
         except FaultInjected as exc:
-            return self._error(ticket, f"injected fault: {exc}")
+            return self._error(request, request_id, f"injected fault: {exc}")
         except ValueError as exc:
             self._count("bad_request", request.tenant, request.app)
-            return {"status": "bad_request",
-                    "request_id": ticket.request_id, "error": str(exc)}
+            return {"status": "bad_request", "request_id": request_id,
+                    "error": str(exc)}
         except Exception as exc:
-            return self._error(ticket, f"run failed: {exc!r}")
+            return self._error(request, request_id, f"run failed: {exc!r}")
         finally:
             service = time.monotonic() - t0
             self.admission.observe_service(service)
@@ -476,15 +386,15 @@ class SamplingServer:
 
         wall_ms = round((time.monotonic() - t0) * 1000.0, 3)
         self._count("ok", request.tenant, request.app)
-        events.record("request_done", request_id=ticket.request_id,
+        events.record("request_done", request_id=request_id,
                       tenant=request.tenant, status="ok",
                       wall_ms=wall_ms)
         response: Dict[str, Any] = {
             "status": "ok",
-            "request_id": ticket.request_id,
+            "request_id": request_id,
             "app": request.app,
-            "graph": getattr(ticket.graph, "name", request.graph),
-            "samples": ticket.num_samples,
+            "graph": getattr(graph, "name", request.graph),
+            "samples": num_samples,
             "seed": request.seed,
             "digest": batch_digest(result.batch),
             "queue_wait_ms": round(queue_wait * 1000.0, 3),
@@ -495,14 +405,14 @@ class SamplingServer:
             response["arrays"] = encode_batch(result)
         return response
 
-    def _error(self, ticket: _Ticket, message: str) -> Dict[str, Any]:
-        request = ticket.request
+    def _error(self, request: SampleRequest, request_id: int,
+               message: str) -> Dict[str, Any]:
         self.metrics.counter("serve.errors").inc()
         self._count("error", request.tenant, request.app)
-        events.record("request_done", request_id=ticket.request_id,
+        events.record("request_done", request_id=request_id,
                       tenant=request.tenant, status="error",
                       wall_ms=0.0)
-        return {"status": "error", "request_id": ticket.request_id,
+        return {"status": "error", "request_id": request_id,
                 "error": message}
 
     # -- introspection -------------------------------------------------

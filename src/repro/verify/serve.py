@@ -5,8 +5,9 @@ Each check boots a real :class:`~repro.serve.server.SamplingServer` on
 an ephemeral port (test hooks enabled) and drives it with the real
 HTTP client, then asserts against a **direct** in-process engine run:
 
-* plain, coalesced, post-cancellation, and mid-request-worker-kill
-  responses are digest-identical to ``repro sample`` output;
+* plain, five-way concurrent identical, post-cancellation, and
+  mid-request-worker-kill responses are digest-identical to
+  ``repro sample`` output;
 * a queue-full rejection is deterministic (same request, same
   rejection, honest positive ``retry_after_s``) and does not perturb
   the bits of requests around it;
@@ -90,7 +91,7 @@ def run_serve_checks(workers: Optional[int] = None,
         with SamplingServer(config) as server:
             client = ServeClient(port=server.port)
             results.append(_check_parity(client, direct))
-            results.append(_check_coalescing(server, direct))
+            results.append(_check_concurrent_identical(server, direct))
             results.append(_check_deadline_enqueue(client))
             results.append(_check_cancel_midrun(client, direct))
             results.append(_check_worker_kill(client, direct))
@@ -113,56 +114,33 @@ def _check_parity(client: ServeClient, direct) -> CheckResult:
     return _result("served_matches_direct", problems)
 
 
-def _check_coalescing(server: SamplingServer, direct) -> CheckResult:
-    """Concurrent identical requests share one run, every response
-    byte-identical to direct.  Both executors are first pinned by
-    sleep-hook requests so the identical burst demonstrably overlaps
-    (followers attach to the leader's lease while it waits in queue).
-    """
+def _check_concurrent_identical(server: SamplingServer,
+                                direct) -> CheckResult:
+    """Five concurrent identical requests each run the engine once and
+    each return the direct run's bits."""
     problems: List[str] = []
-    before = get_metrics().counter("serve.requests_coalesced").value
+    before = get_metrics().counter("engine.runs").value
     outcomes: List = []
-    pinned: List = []
-
-    def pin(seed_offset: int):
-        c = ServeClient(port=server.port)
-        pinned.append(c.sample(_request(
-            seed=_SEED + seed_offset,
-            hooks={"sleep_before_ms": 800})))
 
     def fire():
-        c = ServeClient(port=server.port)
-        outcomes.append(c.sample(_request("DeepWalk")))
+        outcomes.append(ServeClient(port=server.port).sample(
+            _request("DeepWalk")))
 
-    pins = [threading.Thread(target=pin, args=(i + 1,))
-            for i in range(server.config.executors)]
-    for t in pins:
-        t.start()
-    deadline = time.monotonic() + 5.0
-    while (server.admission.inflight() < server.config.executors
-           and time.monotonic() < deadline):
-        time.sleep(0.01)
     threads = [threading.Thread(target=fire) for _ in range(5)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    for t in pins:
-        t.join()
-    if any(r.status != "ok" for r in pinned):
-        problems.append("executor-pinning requests failed")
     statuses = {r.status for r in outcomes}
     if statuses != {"ok"}:
         problems.append(f"statuses {sorted(statuses)}")
     digests = {r.digest for r in outcomes}
     if digests != {direct["DeepWalk"]}:
         problems.append(f"digests {sorted(digests)} != direct")
-    coalesced = get_metrics().counter(
-        "serve.requests_coalesced").value - before
-    if coalesced < 1:
-        problems.append("no request coalesced under 5-way identical "
-                        "concurrency")
-    return _result("coalesced_identical", problems, statistic=coalesced)
+    ran = get_metrics().counter("engine.runs").value - before
+    if ran != 5:
+        problems.append(f"{ran:g} engine runs for 5 requests")
+    return _result("concurrent_identical_each_run", problems, statistic=ran)
 
 
 def _check_deadline_enqueue(client: ServeClient) -> CheckResult:

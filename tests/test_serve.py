@@ -1,5 +1,5 @@
-"""Sampling daemon (repro.serve): protocol, admission, breaker,
-coalescer, cache, cancellation, client retry, and the HTTP server.
+"""Sampling daemon (repro.serve): protocol, admission gate, breaker,
+cache, cancellation, client retry, and the HTTP server.
 
 The heavyweight end-to-end scenarios (worker kill under load, breaker
 ladder, drain) live in ``repro verify --suite serve``
@@ -10,6 +10,7 @@ import base64
 import hashlib
 import io
 import json
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -20,11 +21,10 @@ import pytest
 from repro.core.engine import NextDoorEngine
 from repro.obs import get_metrics
 from repro.runtime.cancel import CancelledRun, CancelScope, DeadlineExceeded
-from repro.serve.admission import AdmissionQueue, QueueFull
+from repro.serve.admission import AdmissionGate, GateClosed, QueueFull
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.serve.cache import GraphCache, graph_content_key
+from repro.serve.cache import GraphCache
 from repro.serve.client import ClientResult, RetryPolicy, ServeClient
-from repro.serve.coalescer import Coalescer
 from repro.serve.protocol import (SampleRequest, batch_digest,
                                   decode_array, decode_arrays,
                                   encode_array, encode_batch,
@@ -189,61 +189,162 @@ class TestPayloadCodec:
         assert batch_digest(batch) == _tobytes_digest(batch)
 
 
+def _until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert predicate()
+
+
+def _waiter(gate, scope=None, granted=None, name=None):
+    """Enter ``gate`` on a thread, which appends ``name`` to
+    ``granted`` on entry and leaves at once; returns (thread, outcome
+    list holding "granted" or the exception)."""
+    outcome = []
+
+    def run():
+        try:
+            gate.enter(scope)
+        except Exception as exc:
+            outcome.append(exc)
+            return
+        if granted is not None:
+            granted.append(name)
+        outcome.append("granted")
+        gate.leave()
+
+    t = threading.Thread(target=run)
+    t.start()
+    return t, outcome
+
+
 class TestAdmissionQueue:
     def test_capacity_bounds_waiting_room(self):
-        q = AdmissionQueue(capacity=2, executors=1)
-        q.submit("a")  # rides the idle executor
-        q.submit("b")
-        q.submit("c")
+        gate = AdmissionGate(capacity=2, executors=1)
+        gate.enter()  # takes the idle slot
+        waiters = [_waiter(gate) for _ in range(2)]
+        _until(lambda: gate.depth() == 2)
         with pytest.raises(QueueFull) as excinfo:
-            q.submit("d")
+            gate.enter()
         assert excinfo.value.retry_after_s > 0
+        gate.leave()
+        for t, outcome in waiters:
+            t.join(timeout=5.0)
+            assert outcome == ["granted"]
 
     def test_idle_executors_admit_beyond_zero_capacity(self):
-        q = AdmissionQueue(capacity=0, executors=2)
-        q.submit("a")
-        assert q.get(timeout=0.1) == "a"  # now 1 idle executor left
-        q.submit("b")
+        gate = AdmissionGate(capacity=0, executors=2)
+        gate.enter()
+        gate.enter()  # the second idle slot
+        assert gate.inflight() == 2 and gate.depth() == 0
         with pytest.raises(QueueFull):
-            q.submit("c")
+            gate.enter()
+        gate.leave()
+        gate.enter()  # a freed slot admits again
 
     def test_fifo_order(self):
-        q = AdmissionQueue(capacity=8, executors=1)
-        for name in ("a", "b", "c"):
-            q.submit(name)
-        assert [q.get(timeout=0.1) for _ in range(3)] == ["a", "b", "c"]
+        gate = AdmissionGate(capacity=8, executors=1)
+        gate.enter()
+        granted, threads = [], []
+        for i, name in enumerate(("a", "b", "c")):
+            threads.append(_waiter(gate, granted=granted, name=name)[0])
+            _until(lambda: gate.depth() == i + 1)
+        gate.leave()
+        for t in threads:
+            t.join(timeout=5.0)
+        assert granted == ["a", "b", "c"]
 
     def test_retry_after_scales_with_backlog(self):
-        q = AdmissionQueue(capacity=100, executors=1)
-        q.observe_service(2.0)
-        base = q.retry_after_s()
-        for i in range(4):
-            q.submit(i)
-        assert q.retry_after_s() > base
+        gate = AdmissionGate(capacity=100, executors=1)
+        gate.observe_service(2.0)
+        base = gate.retry_after_s()
+        gate.enter()
+        waiters = [_waiter(gate) for _ in range(3)]
+        _until(lambda: gate.depth() == 3)
+        assert gate.retry_after_s() > base
+        gate.leave()
+        for t, _ in waiters:
+            t.join(timeout=5.0)
 
     def test_ewma_tracks_service_time(self):
-        q = AdmissionQueue(capacity=1, executors=1)
+        gate = AdmissionGate(capacity=1, executors=1)
         for _ in range(50):
-            q.observe_service(1.0)
-        assert q.service_estimate() == pytest.approx(1.0, rel=0.05)
+            gate.observe_service(1.0)
+        assert gate.service_estimate() == pytest.approx(1.0, rel=0.05)
 
     def test_close_wakes_and_refuses(self):
-        q = AdmissionQueue(capacity=4, executors=1)
-        q.close()
-        with pytest.raises(RuntimeError, match="draining"):
-            q.submit("a")
-        assert q.get(timeout=0.1) is None
+        gate = AdmissionGate(capacity=4, executors=1)
+        gate.enter()
+        waiters = [_waiter(gate) for _ in range(2)]
+        _until(lambda: gate.depth() == 2)
+        gate.close()  # returns once the waiting room is empty
+        assert gate.depth() == 0 and gate.inflight() == 1
+        for t, outcome in waiters:
+            t.join(timeout=5.0)
+            assert len(outcome) == 1 and isinstance(outcome[0], GateClosed)
+        with pytest.raises(GateClosed, match="draining"):
+            gate.enter()
+        gate.leave()
 
     def test_drained_accounting(self):
-        q = AdmissionQueue(capacity=4, executors=1)
-        assert q.drained()
-        q.submit("a")
-        assert not q.drained()
-        q.get(timeout=0.1)
-        assert not q.drained()  # in flight
-        q.task_done()
-        assert q.drained()
-        assert q.wait_drained(timeout=0.1)
+        gate = AdmissionGate(capacity=4, executors=1)
+        assert gate.wait_drained(timeout=0)
+        gate.enter()
+        t, _ = _waiter(gate)
+        _until(lambda: gate.depth() == 1)
+        assert not gate.wait_drained(timeout=0.01)  # running + waiting
+        gate.leave()
+        t.join(timeout=5.0)
+        assert gate.wait_drained(timeout=0.1)
+
+    def test_expired_waiter_leaves_the_room(self):
+        gate = AdmissionGate(capacity=1, executors=1)
+        gate.enter()
+        t0 = time.monotonic()
+        t, outcome = _waiter(gate, scope=CancelScope.after(0.1))
+        t.join(timeout=5.0)
+        assert 0.05 < time.monotonic() - t0 < 1.0
+        assert len(outcome) == 1
+        assert isinstance(outcome[0], DeadlineExceeded)
+        assert gate.depth() == 0  # its place is free again
+        t, outcome = _waiter(gate, scope=CancelScope(  # a finite deadline
+            deadline=time.monotonic() + 1e300))       # too far to wait on
+        _until(lambda: gate.depth() == 1)
+        gate.leave()
+        t.join(timeout=5.0)
+        assert outcome == ["granted"]
+
+    def test_threads_never_exceed_the_slots(self):
+        """More threads than cores hammer a 2-slot gate with a short
+        switch interval: never more than 2 run at once, every thread
+        gets its turn, and the gate ends empty."""
+        gate = AdmissionGate(capacity=64, executors=2)
+        lock, running, peak, done = threading.Lock(), [0], [0], []
+
+        def work():
+            for _ in range(20):
+                gate.enter()
+                with lock:
+                    running[0] += 1
+                    peak[0] = max(peak[0], running[0])
+                time.sleep(0)
+                with lock:
+                    running[0] -= 1
+                gate.leave()
+            done.append(1)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert len(done) == 16 and peak[0] == 2
+        assert gate.inflight() == 0 and gate.depth() == 0
 
 
 class TestCircuitBreaker:
@@ -288,56 +389,18 @@ class TestCircuitBreaker:
         assert b.allow_pooled()  # lease is free again
 
 
-class TestCoalescer:
-    def _req(self, **kw):
-        fields = dict(app="DeepWalk", graph="ppi", samples=64, seed=1)
-        fields.update(kw)
-        return SampleRequest(**fields)
-
-    def test_leader_then_followers(self):
-        co = Coalescer()
-        key = Coalescer.signature(self._req(), "abc")
-        lease, leader = co.lease(key)
-        assert leader
-        follower, is_leader = co.lease(key)
-        assert not is_leader and follower is lease
-        lease.publish({"status": "ok"})
-        assert follower.wait(1.0) == {"status": "ok"}
-        co.release(lease)
-        _, fresh_leader = co.lease(key)
-        assert fresh_leader  # not a response cache
-
-    def test_signature_covers_bit_determining_fields(self):
-        base = Coalescer.signature(self._req(), "abc")
-        assert Coalescer.signature(self._req(seed=2), "abc") != base
-        assert Coalescer.signature(self._req(samples=65), "abc") != base
-        assert Coalescer.signature(self._req(), "other-graph") != base
-        assert Coalescer.signature(self._req(), "abc",
-                                   engine_config="x") != base
-        # tenant does not determine bits -> identical signature
-        assert Coalescer.signature(self._req(tenant="t2"), "abc") == base
-
-    def test_hooked_requests_never_coalesce(self):
-        hooked = self._req(hooks={"fault_plan": "kill-after-chunk:0.1"})
-        assert Coalescer.signature(hooked, "abc") != \
-            Coalescer.signature(hooked, "abc") or \
-            Coalescer.signature(hooked, "abc") != \
-            Coalescer.signature(self._req(), "abc")
-
-
 class TestGraphCache:
-    def test_dataset_hit_and_content_key(self):
+    def test_dataset_hit_returns_the_same_graph(self):
         cache = GraphCache()
-        g1, c1, hit1 = cache.resolve("ppi", "k-hop", seed=0)
-        g2, c2, hit2 = cache.resolve("ppi", "k-hop", seed=0)
+        g1, hit1 = cache.resolve("ppi", "k-hop", seed=0)
+        g2, hit2 = cache.resolve("ppi", "k-hop", seed=0)
         assert not hit1 and hit2
-        assert g1 is g2 and c1 == c2
-        assert c1 == graph_content_key(g1)
+        assert g1 is g2
 
     def test_weighted_apps_get_separate_entry(self):
         cache = GraphCache()
-        unweighted, _, _ = cache.resolve("ppi", "k-hop", seed=0)
-        weighted, _, _ = cache.resolve("ppi", "DeepWalk", seed=0)
+        unweighted, _ = cache.resolve("ppi", "k-hop", seed=0)
+        weighted, _ = cache.resolve("ppi", "DeepWalk", seed=0)
         assert unweighted is not weighted
         assert cache.size() == 2
 
@@ -345,12 +408,12 @@ class TestGraphCache:
         path = tmp_path / "tiny.txt"
         path.write_text("0 1\n1 2\n2 0\n")
         cache = GraphCache()
-        _, _, hit = cache.resolve(str(path), "k-hop", seed=0)
+        _, hit = cache.resolve(str(path), "k-hop", seed=0)
         assert not hit
-        _, _, hit = cache.resolve(str(path), "k-hop", seed=0)
+        _, hit = cache.resolve(str(path), "k-hop", seed=0)
         assert hit
         path.write_text("0 1\n1 2\n2 3\n3 0\n")  # rewritten in place
-        _, _, hit = cache.resolve(str(path), "k-hop", seed=0)
+        _, hit = cache.resolve(str(path), "k-hop", seed=0)
         assert not hit  # stale bytes must not be served
 
     def test_unknown_graph_is_readable_error(self):
@@ -439,7 +502,7 @@ class TestServerHTTP:
             "error": sample(fault_plan="interrupt-step:1"),
             "rejected": server._reject(7, "t", "queue full",
                                        retry_after_s=0.25, app="k-hop"),
-            "coalesced": dict(ok, request_id=99, coalesced=True),
+            "cache miss": dict(ok, request_id=99, cache_hit=False),
         }
         assert responses["error"]["status"] == "error"
         assert responses["rejected"]["retry_after_ms"] == 250.0
@@ -701,6 +764,86 @@ class TestDrain:
         text = open(out).read()
         validate_openmetrics(text)  # raises on malformed text
         assert "serve_requests" in text
+
+
+    def test_hard_stop_answers_waiting_requests(self):
+        """A hard stop (also the end of a timed-out drain) answers every
+        request in the waiting room 503 at once; the running one is
+        left to finish."""
+        config = ServerConfig(port=0, queue_capacity=1, executors=1,
+                              workers=0, allow_test_hooks=True)
+        server = SamplingServer(config).start()
+        client = ServeClient(port=server.port, timeout_s=6.0,
+                             retry=RetryPolicy(max_attempts=1))
+        results = {}
+
+        def send(key, **fields):
+            try:
+                results[key] = client.sample(SampleRequest(
+                    app="k-hop", graph="ppi", samples=16, **fields))
+            except OSError as exc:  # the client timed out
+                results[key] = exc
+
+        pin = threading.Thread(target=send, args=("pinned",), kwargs=dict(
+            seed=1, hooks={"sleep_before_ms": 1500}))
+        pin.start()
+        _until(lambda: server.admission.inflight() == 1)
+        waiting = threading.Thread(target=send, args=("waiting",),
+                                   kwargs=dict(seed=2))
+        waiting.start()
+        _until(lambda: server.admission.depth() == 1)
+        t0 = time.monotonic()
+        server.stop()
+        waiting.join(timeout=10.0)
+        answered_s = time.monotonic() - t0
+        pin.join(timeout=10.0)
+        assert getattr(results["waiting"], "status", None) == "draining", \
+            results["waiting"]
+        assert answered_s < 1.0, answered_s
+        assert results["pinned"].ok
+
+
+class TestWaitingRoom:
+    def test_expired_waiter_is_answered_at_its_deadline(self):
+        """A waiter whose deadline passes gets its 504 (stage dequeue)
+        then, not when a slot frees, and its place in the room is free
+        for the next request."""
+        config = ServerConfig(port=0, queue_capacity=1, executors=1,
+                              workers=0, allow_test_hooks=True)
+        results = {}
+        with SamplingServer(config) as server:
+            client = ServeClient(port=server.port,
+                                 retry=RetryPolicy(max_attempts=1))
+
+            def send(key, **fields):
+                t0 = time.monotonic()
+                r = client.sample(SampleRequest(
+                    app="k-hop", graph="ppi", samples=16, **fields))
+                results[key] = (r, time.monotonic() - t0)
+
+            threads = [threading.Thread(
+                target=send, args=("pinned",),
+                kwargs=dict(seed=1, hooks={"sleep_before_ms": 1500}))]
+            threads[0].start()
+            _until(lambda: server.admission.inflight() == 1)
+            t0 = time.monotonic()
+            threads.append(threading.Thread(
+                target=send, args=("expiring",),
+                kwargs=dict(seed=2, deadline_ms=200.0)))
+            threads[1].start()
+            _until(lambda: server.admission.depth() == 1
+                   or "expiring" in results)
+            time.sleep(max(0.0, 0.5 - (time.monotonic() - t0)))
+            send("third", seed=3)  # waits out the pinned request
+            for t in threads:
+                t.join(timeout=10.0)
+        expiring, expiring_s = results["expiring"]
+        assert expiring.status == "deadline_exceeded", expiring.response
+        assert expiring.response["stage"] == "dequeue"
+        assert expiring_s < 1.0, expiring_s
+        third, _ = results["third"]
+        assert third.ok, third.response
+        assert results["pinned"][0].ok
 
 
 class TestDeadlineStorm:
