@@ -41,7 +41,8 @@ from repro.bench.runner import (
 )
 from repro.core.engine import NextDoorEngine
 from repro.graph import datasets
-from repro.obs import format_stats, trace, write_chrome_trace
+from repro.obs import (get_metrics, openmetrics_text, trace,
+                       write_chrome_trace, write_openmetrics)
 from repro.runtime.context import resolve_workers
 from repro.verify import runner as verify_runner
 
@@ -81,18 +82,11 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
                         "trace_event JSON (open in chrome://tracing or "
                         "Perfetto); $REPRO_TRACE=PATH does the same")
     p.add_argument("--stats", action="store_true",
-                   help="print span aggregates + metric counters after "
-                        "the command")
-    p.add_argument("--stats-format", default=None,
-                   choices=["json", "openmetrics"],
-                   help="format for --stats-out (and --stats printing): "
-                        "json = span aggregates + metric snapshot, "
-                        "openmetrics = Prometheus-scrapable text "
-                        "exposition; $REPRO_STATS_FORMAT sets the "
-                        "default (json)")
+                   help="print the metrics registry as OpenMetrics text "
+                        "after the command")
     p.add_argument("--stats-out", metavar="PATH", default=None,
-                   help="write the post-run stats snapshot to PATH in "
-                        "the --stats-format format")
+                   help="write the post-run metrics snapshot to PATH as "
+                        "OpenMetrics text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,12 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "$REPRO_FAULT_PLAN for this command; pair with "
                         "--pool-timeout to tune how fast wedge faults "
                         "are detected (see docs/CLI.md)")
-    p.add_argument("--flight-dir", default=None, metavar="DIR",
-                   help="dump the flight recorder (the last 1024 "
-                        "structured runtime events) as a JSONL file "
-                        "under DIR when the run degrades or trips a "
-                        "fault plan; overrides $REPRO_FLIGHT_DIR for "
-                        "this command (see docs/OBSERVABILITY.md)")
     p.add_argument("--checkpoint", default=None, metavar="DIR",
                    help="persist completed chunk results under DIR so "
                         "an interrupted run can be resumed")
@@ -246,9 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SIGTERM grace for in-flight requests "
                         "(default 30)")
     p.add_argument("--stats-out", default=None, metavar="PATH",
-                   help="flush a stats snapshot here after the drain")
-    p.add_argument("--stats-format", default="openmetrics",
-                   choices=["openmetrics", "json"])
+                   help="flush an OpenMetrics snapshot here after the "
+                        "drain")
     p.add_argument("--test-hooks", action="store_true",
                    help="accept per-request test hooks (fault_plan, "
                         "cancel_after_checks, sleep_before_ms) — "
@@ -399,10 +386,6 @@ def _cmd_sample(args, out) -> int:
     if args.pool_timeout is not None:
         from repro.runtime.pool import TIMEOUT_ENV
         scoped_env[TIMEOUT_ENV] = repr(args.pool_timeout)
-    if args.flight_dir is not None:
-        from repro.obs.events import FLIGHT_DIR_ENV
-        os.makedirs(args.flight_dir, exist_ok=True)
-        scoped_env[FLIGHT_DIR_ENV] = args.flight_dir
     saved_env = {key: os.environ.get(key) for key in scoped_env}
     os.environ.update(scoped_env)
     try:
@@ -617,7 +600,7 @@ def _cmd_serve(args, out) -> int:
         default_deadline_ms=args.default_deadline_ms,
         breaker_cooldown_s=args.breaker_cooldown,
         drain_timeout_s=args.drain_timeout,
-        stats_out=args.stats_out, stats_format=args.stats_format,
+        stats_out=args.stats_out,
         allow_test_hooks=args.test_hooks)
     server = SamplingServer(config)
     try:
@@ -726,16 +709,15 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     trace_path = getattr(args, "trace", None)
     want_stats = getattr(args, "stats", False)
     stats_out = getattr(args, "stats_out", None)
-    stats_format = getattr(args, "stats_format", None) or \
-        os.environ.get("REPRO_STATS_FORMAT", "").strip() or "json"
-    if stats_format not in ("json", "openmetrics"):
-        print(f"error: $REPRO_STATS_FORMAT must be 'json' or "
-              f"'openmetrics', got {stats_format!r}",
-              file=out)
-        return 2
+    # Refuse an output path in a missing directory before the work, not
+    # after it.
+    for flag, path in (("--trace", trace_path), ("--stats-out", stats_out)):
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            print(f"error: {flag} {path}: its directory does not exist",
+                  file=out)
+            return 2
     enabled_here = False
-    if (trace_path or want_stats or stats_out) \
-            and not trace.tracing_enabled():
+    if trace_path and not trace.tracing_enabled():
         trace.enable()
         enabled_here = True
     handler = {
@@ -773,19 +755,13 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         print(f"command failed (exit {code}); trace not written",
               file=out)
     if stats_out and code == 0:
-        from repro.obs.export import write_stats
-        write_stats(stats_out, fmt=stats_format)
-        print(f"wrote {stats_format} stats to {stats_out}", file=out)
+        write_openmetrics(stats_out)
+        print(f"wrote OpenMetrics stats to {stats_out}", file=out)
     elif stats_out:
         print(f"command failed (exit {code}); stats not written",
               file=out)
     if want_stats:
-        if stats_format == "openmetrics":
-            from repro.obs import get_metrics
-            from repro.obs.openmetrics import openmetrics_text
-            print(openmetrics_text(get_metrics()), file=out, end="")
-        else:
-            print(format_stats(), file=out)
+        print(openmetrics_text(get_metrics()), file=out, end="")
     if enabled_here:
         trace.disable()
     return code

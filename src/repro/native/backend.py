@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.api.types import NULL_VERTEX
 from repro.native import rngshim
-from repro.obs import events, get_metrics
+from repro.obs import get_metrics
 
 __all__ = [
     "BACKEND_ENV",
@@ -250,9 +250,6 @@ class CNativeBackend(KernelBackend):
             return
         self._failed.add(name)
         get_metrics().counter("native.compile_failures").inc()
-        events.record("backend_fallback", kernel=name,
-                      backend=self.name,
-                      error=f"{type(exc).__name__}: {exc}")
         what = "every kernel" if name == _LIBRARY else f"kernel {name!r}"
         warnings.warn(
             f"native backend {self.name!r}: {what} disabled after "

@@ -1,11 +1,11 @@
-"""Trace and stats exporters.
+"""Chrome trace exporter.
 
 :func:`chrome_trace` turns the active tracer's spans into the Chrome
 ``trace_event`` JSON object format — loadable in ``chrome://tracing``
 and https://ui.perfetto.dev — with one ``tid`` row per lane (threads
 and ``worker-N`` lanes) and ``thread_name`` metadata so rows are
-labeled.  :func:`stats_summary` produces a flat JSON-serialisable
-summary: per-span-name aggregates plus the metrics registry snapshot.
+labeled.  Metrics go out as OpenMetrics text
+(:mod:`repro.obs.openmetrics`).
 
 ``validate_chrome_trace`` is the shape check the CI trace-smoke job and
 the unit tests share.
@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs import tracer as trace
-from repro.obs.metrics import get_metrics
 
-__all__ = ["chrome_trace", "write_chrome_trace", "stats_summary",
-           "write_stats", "format_stats", "validate_chrome_trace"]
+__all__ = ["chrome_trace", "write_chrome_trace", "validate_chrome_trace"]
 
 
 def _lane_rows(events, thread_names) -> Dict[Any, int]:
@@ -60,16 +58,12 @@ def chrome_trace(tracer=None) -> Dict[str, Any]:
     for name, t0, t1, lane, args in events:
         ev: Dict[str, Any] = {
             "name": name,
+            "ph": "X",
             "pid": pid,
             "tid": rows[lane],
             "ts": (t0 - origin) * 1e6,
+            "dur": max(0.0, (t1 - t0) * 1e6),
         }
-        if t1 is None:
-            ev["ph"] = "i"
-            ev["s"] = "t"
-        else:
-            ev["ph"] = "X"
-            ev["dur"] = max(0.0, (t1 - t0) * 1e6)
         if args:
             ev["args"] = {k: _jsonable(v) for k, v in args.items()}
         out.append(ev)
@@ -96,97 +90,6 @@ def write_chrome_trace(path: str, tracer=None) -> str:
         json.dump(obj, f)
         f.write("\n")
     return path
-
-
-# ----------------------------------------------------------------------
-
-
-def stats_summary(tracer=None, registry=None) -> Dict[str, Any]:
-    """Flat stats: per-span-name wall-clock aggregates + metrics."""
-    tracer = tracer if tracer is not None else trace.get_tracer()
-    registry = registry if registry is not None else get_metrics()
-    spans: Dict[str, Dict[str, float]] = {}
-    for name, t0, t1, _lane, _args in tracer.snapshot():
-        if t1 is None:
-            continue
-        agg = spans.setdefault(name, {"count": 0, "total_s": 0.0,
-                                      "max_s": 0.0})
-        dur = t1 - t0
-        agg["count"] += 1
-        agg["total_s"] += dur
-        if dur > agg["max_s"]:
-            agg["max_s"] = dur
-    for agg in spans.values():
-        agg["mean_s"] = agg["total_s"] / agg["count"]
-    return {"spans": dict(sorted(spans.items())),
-            "metrics": registry.snapshot()}
-
-
-def write_stats(path: str, tracer=None, registry=None,
-                fmt: str = "json") -> str:
-    """Write a stats snapshot to ``path``.
-
-    ``fmt="json"`` writes the :func:`stats_summary` object (spans +
-    metrics); ``fmt="openmetrics"`` writes the metrics registry in the
-    OpenMetrics text format (spans are trace-file territory).
-    """
-    if fmt == "openmetrics":
-        from repro.obs.openmetrics import write_openmetrics
-        return write_openmetrics(path, registry)
-    if fmt != "json":
-        raise ValueError(f"fmt must be 'json' or 'openmetrics', "
-                         f"got {fmt!r}")
-    with open(path, "w") as f:
-        json.dump(stats_summary(tracer, registry), f, indent=2,
-                  sort_keys=True)
-        f.write("\n")
-    return path
-
-
-def _format_metric(value: Any) -> str:
-    """One metric value -> human text (histogram dicts get a one-line
-    summary; an empty histogram renders as its count alone)."""
-    if isinstance(value, dict):
-        if not value.get("count"):
-            return "count=0"
-        return (f"count={value['count']} "
-                f"mean={value['mean']:.6f} "
-                f"p50={value['p50']:.6f} "
-                f"p99={value['p99']:.6f} "
-                f"max={value['max']:.6f}")
-    return str(value)
-
-
-def format_stats(summary: Optional[Dict[str, Any]] = None) -> str:
-    """Human-readable rendering of :func:`stats_summary` for the CLI."""
-    summary = summary if summary is not None else stats_summary()
-    lines: List[str] = []
-    if summary["spans"]:
-        lines.append("spans (wall-clock):")
-        width = max(len(n) for n in summary["spans"])
-        for name, agg in summary["spans"].items():
-            lines.append(
-                f"  {name:<{width}s}  x{agg['count']:<6d} "
-                f"total {agg['total_s'] * 1e3:10.3f} ms   "
-                f"mean {agg['mean_s'] * 1e3:9.3f} ms   "
-                f"max {agg['max_s'] * 1e3:9.3f} ms")
-    if summary["metrics"]:
-        lines.append("metrics:")
-        rows: List[tuple] = []
-        for name, value in summary["metrics"].items():
-            if isinstance(value, dict) and set(value) == {"series"}:
-                for labels, child in value["series"].items():
-                    label = f"{name}{{{labels}}}" if labels else name
-                    rows.append((label, _format_metric(child)))
-            else:
-                rows.append((name, _format_metric(value)))
-        width = max(len(n) for n, _v in rows)
-        for name, text in rows:
-            lines.append(f"  {name:<{width}s}  {text}")
-    if not lines:
-        lines.append("no spans or metrics recorded "
-                     "(enable tracing with --trace or $REPRO_TRACE)")
-    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

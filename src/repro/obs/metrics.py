@@ -3,10 +3,10 @@
 Unlike spans (which are recorded only when tracing is enabled), metrics
 are always on: every update is one lock acquire plus arithmetic (plus a
 single ``searchsorted`` for histograms), cheap enough for the per-step /
-per-chunk granularity the runtime uses.  The registry powers the
-``--stats`` CLI flag, the flat JSON stats export
-(:func:`repro.obs.export.stats_summary`), and the OpenMetrics text
-exporter (:mod:`repro.obs.openmetrics`).
+per-chunk granularity the runtime uses.  The registry is rendered by
+the OpenMetrics text exporter (:mod:`repro.obs.openmetrics`), which
+backs the ``--stats`` / ``--stats-out`` CLI flags and the daemon's
+``/metrics`` endpoint.
 
 Every instrument name is a *family* that may carry labeled children::
 
@@ -58,9 +58,7 @@ name                            kind        meaning
                                             (that kernel falls back to
                                             numpy; once per kernel) or
                                             a failed C build (every
-                                            kernel; once per process);
-                                            each emits a
-                                            ``backend_fallback`` event
+                                            kernel; once per process)
 ``rng.chunk_streams``           counter     chunk generators derived
 ``pool.chunks_dispatched``      counter     chunk messages sent to pipes
 ``pool.worker_crashes``         counter     worker deaths *detected*
@@ -86,10 +84,6 @@ name                            kind        meaning
 ``shm.bytes_mapped``            counter     shared-memory bytes exported
 ``shm.segments_swept``          counter     orphaned segments of dead
                                             owners unlinked at startup
-``obs.events_recorded``         counter     structured events appended
-                                            to the in-memory ring
-``obs.events_dropped``          counter     events evicted from the ring
-                                            before any flight dump
 ==============================  ========== =============================
 """
 

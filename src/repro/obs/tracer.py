@@ -50,9 +50,8 @@ TRACE_ENV = "REPRO_TRACE"
 #: Lane key type: a thread ident (int) or an explicit string lane.
 Lane = Union[int, str]
 
-#: One recorded event: (name, t_start, t_end_or_None, lane, args_or_None).
-#: ``t_end is None`` marks an instant event.
-Event = Tuple[str, float, Optional[float], Lane, Optional[Dict[str, Any]]]
+#: One recorded span: (name, t_start, t_end, lane, args_or_None).
+Event = Tuple[str, float, float, Lane, Optional[Dict[str, Any]]]
 
 
 class _NullSpan:
@@ -130,14 +129,7 @@ class Tracer:
         self._record(name, float(t_start), float(t_end), lane,
                      args or None)
 
-    def instant(self, name: str, lane: Optional[Lane] = None,
-                **args) -> None:
-        """Record a zero-duration marker event."""
-        if lane is None:
-            lane = threading.get_ident()
-        self._record(name, time.monotonic(), None, lane, args or None)
-
-    def _record(self, name: str, t0: float, t1: Optional[float],
+    def _record(self, name: str, t0: float, t1: float,
                 lane: Lane, args: Optional[Dict[str, Any]]) -> None:
         with self._lock:
             self._events.append((name, t0, t1, lane, args))
@@ -181,10 +173,6 @@ class NullTracer:
 
     def add_span(self, name: str, t_start: float, t_end: float,
                  lane: Optional[Lane] = None, **args) -> None:
-        pass
-
-    def instant(self, name: str, lane: Optional[Lane] = None,
-                **args) -> None:
         pass
 
     def name_thread(self, name: str) -> None:

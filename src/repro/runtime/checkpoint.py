@@ -37,7 +37,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.api.types import StepInfo
-from repro.obs import events, get_metrics
+from repro.obs import get_metrics
 
 __all__ = ["CheckpointStore", "graph_digest", "run_fingerprint"]
 
@@ -117,8 +117,6 @@ class CheckpointStore:
         info = StepInfo(**{name: float(v) for name, v
                            in zip(_INFO_FIELDS, info_vals)})
         get_metrics().counter("checkpoint.chunks_loaded").inc()
-        events.record("checkpoint_load", chunk_id=chunk, step=step,
-                      kind=kind)
         return data, info
 
     def save(self, kind: str, namespace: Tuple[int, ...], step: int,
@@ -145,5 +143,3 @@ class CheckpointStore:
                 pass
             return
         get_metrics().counter("checkpoint.chunks_saved").inc()
-        events.record("checkpoint_save", chunk_id=chunk, step=step,
-                      kind=kind)

@@ -91,7 +91,7 @@ import numpy as np
 from repro.api.app import SamplingApp
 from repro.api.types import NULL_VERTEX, StepInfo
 from repro.native.backend import active_backend
-from repro.obs import events, get_metrics, trace
+from repro.obs import get_metrics, trace
 from repro.runtime import faults
 from repro.runtime.cancel import CancelledRun, CancelScope
 from repro.runtime.checkpoint import CheckpointStore, run_fingerprint
@@ -336,11 +336,6 @@ class ExecutionContext:
         a warning — never a failed run."""
         backend = active_backend()
         self._run_labels = {"app": app.name, "backend": backend.name}
-        tag = (f"{app.name}-{graph.name}-s{self.plan.seed}"
-               f"-w{self.workers}".lower().replace(" ", "-"))
-        events.set_flight_tag(tag)
-        events.record("run_start", app=app.name, graph=graph.name,
-                      seed=self.plan.seed, workers=self.workers)
         if self.workers < 1 or self._pool_failed:
             return
         self.metrics.gauge("runtime.degraded_mode").set(0)
@@ -384,8 +379,6 @@ class ExecutionContext:
         self.pool = None
         self._pool_failed = True
         self.metrics.gauge("runtime.degraded_mode").set(1)
-        events.record("degraded_mode", why=why.strip())
-        events.dump_flight("degraded-mode")
 
     # -- individual steps ---------------------------------------------
 
@@ -602,7 +595,6 @@ class ExecutionContext:
         self._check_cancel(f"step {step}")
         if self._fault_plan is not None and self._fault_plan.should(
                 "interrupt-step", step):
-            events.dump_flight("fault-plan-trip")
             raise FaultInjected(f"injected interrupt at step {step}")
 
     def _check_cancel(self, where: str) -> None:

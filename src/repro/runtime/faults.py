@@ -207,9 +207,6 @@ class FaultPlan:
         point = tuple(int(v) for v in value if v is not None)
         for spec in self.specs:
             if spec.name == name and spec.fire(point):
-                from repro.obs import events
-                events.record("fault_injected", fault=name,
-                              arg=list(point))
                 return True
         return False
 

@@ -50,7 +50,7 @@ import time
 from multiprocessing.connection import wait as conn_wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs import events, get_metrics
+from repro.obs import get_metrics
 
 __all__ = ["WorkerPool", "WorkerCrash", "ChunkError", "get_pool",
            "retire_pool", "shutdown_pools", "resolve_max_inflight",
@@ -245,8 +245,6 @@ class WorkerPool:
                                              deadline - time.monotonic())):
                             get_metrics().counter(
                                 "pool.worker_crashes").inc()
-                            events.record("worker_crash", worker_index=w,
-                                          why="run-setup timeout")
                             raise WorkerCrash(
                                 f"worker {w} did not acknowledge run "
                                 "setup", {})
@@ -259,8 +257,6 @@ class WorkerPool:
                                 f"{reply[2]}")
             except (EOFError, OSError, BrokenPipeError) as exc:
                 get_metrics().counter("pool.worker_crashes").inc()
-                events.record("worker_crash", worker_index=-1,
-                              why=f"run-setup pipe failure: {exc!r}")
                 raise WorkerCrash(f"worker pipe failed during run "
                                   f"setup: {exc!r}", {}) from exc
 
@@ -302,8 +298,6 @@ class WorkerPool:
                     # No run installed yet (direct pool use in tests):
                     # a fresh worker is all we need.
                     metrics.counter("pool.worker_respawns").inc()
-                    events.record("worker_respawn", worker_index=w,
-                                  respawns_used=self._respawns_used)
                     return
                 self.conns[w].send(self._run_msg)
                 deadline = time.monotonic() + timeout
@@ -314,16 +308,12 @@ class WorkerPool:
                     reply = self.conns[w].recv()
                     if reply[0] == "ready":
                         metrics.counter("pool.worker_respawns").inc()
-                        events.record("worker_respawn", worker_index=w,
-                                      respawns_used=self._respawns_used)
                         return
                     if reply[0] == "err":
                         raise _RespawnFailed
             except (_RespawnFailed, EOFError, OSError,
                     BrokenPipeError):
                 metrics.counter("pool.worker_crashes").inc()
-                events.record("worker_crash", worker_index=w,
-                              why="respawn attempt failed")
                 continue
 
     # ------------------------------------------------------------------
@@ -385,21 +375,14 @@ class WorkerPool:
             ``doomed`` names chunks the death was detected on before
             they were in flight — diagnostics only, no kill mark."""
             crashes.inc()
-            events.record("worker_crash", worker_index=w,
-                          why="death detected (pipe EOF, protocol "
-                              "violation, or watchdog)")
             lost, oldest = in_flight_of(w)
             inflight[w].clear()
             for cid in lost:
                 kills[cid] = kills.get(cid, 0) + 1
                 retries.observe(kills[cid])
-                events.record("chunk_retry", chunk_id=cid,
-                              kills=kills[cid])
                 if kills[cid] >= CHUNK_KILL_BUDGET:
                     dropped.add(cid)
                     quarantines.inc()
-                    events.record("chunk_quarantined", chunk_id=cid,
-                                  why=f"killed {kills[cid]} workers")
                 else:
                     pending.append(cid)
             self._respawn(w, results, list(doomed) + lost, oldest)
@@ -460,13 +443,8 @@ class WorkerPool:
                     # traceback and an injected fault does not.
                     cid = reply[1]
                     chunk_errors.inc()
-                    events.record("chunk_error", chunk_id=cid,
-                                  error=str(reply[2]).strip()
-                                  .splitlines()[-1] if reply[2] else "")
                     if inflight[w].pop(cid, None) is not None:
                         dropped.add(cid)
-                        events.record("chunk_quarantined", chunk_id=cid,
-                                      why="worker-side application error")
                 else:
                     # Protocol violation: treat like a dead worker.
                     handle_dead_worker(w)

@@ -19,7 +19,7 @@ whatever was killing workers.  The breaker stops that thrash:
 Samples are bitwise-identical at any worker count, so the breaker
 trades only *throughput* for stability — the response bits never
 change.  State is exported as the ``serve.breaker_state`` gauge and
-``breaker_trip`` flight-recorder events.
+the ``serve.breaker_trips`` counter.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import threading
 import time
 from typing import Optional
 
-from repro.obs import events, get_metrics
+from repro.obs import get_metrics
 
 __all__ = ["CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"]
 
@@ -59,10 +59,9 @@ class CircuitBreaker:
     def state_name(self) -> str:
         return _STATE_NAMES[self.state]
 
-    def _set_state(self, state: int, why: str) -> None:
+    def _set_state(self, state: int) -> None:
         self._state = state
         get_metrics().gauge("serve.breaker_state").set(state)
-        events.record("breaker_trip", state=_STATE_NAMES[state], why=why)
 
     def allow_pooled(self) -> bool:
         """May the next request use the worker pool?  In half-open
@@ -73,7 +72,7 @@ class CircuitBreaker:
             if self._state == OPEN:
                 if (time.monotonic() - self._opened_at
                         >= self.cooldown_s):
-                    self._set_state(HALF_OPEN, "cooldown elapsed")
+                    self._set_state(HALF_OPEN)
                 else:
                     return False
             # HALF_OPEN: lease one pooled trial.
@@ -98,9 +97,8 @@ class CircuitBreaker:
                 self._opened_at = time.monotonic()
                 self._trial_leased = False
                 if self._state != OPEN:
-                    self._set_state(
-                        OPEN, "run degraded to in-process execution")
+                    self._set_state(OPEN)
                 return
             if self._state == HALF_OPEN:
                 self._trial_leased = False
-                self._set_state(CLOSED, "pooled trial succeeded")
+                self._set_state(CLOSED)

@@ -33,15 +33,10 @@ Robustness properties, each asserted by ``repro verify --suite serve``:
   circuit breaker to single-process execution (degraded, not down);
 * SIGTERM drains gracefully: stop admitting (503), finish in-flight
   requests, flush the stats snapshot, exit 0.
-
-A *deadline storm* (many deadline trips in a short window — the
-signature of an overloaded or wedged backend) dumps the flight
-recorder for post-mortem, rate-limited to once per window.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import json
 import math
@@ -51,7 +46,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
-from repro.obs import events, get_metrics, trace
+from repro.obs import get_metrics, openmetrics_text, trace, write_openmetrics
 from repro.runtime.cancel import CancelledRun, CancelScope, DeadlineExceeded
 from repro.serve.admission import AdmissionGate, GateClosed, QueueFull
 from repro.serve.breaker import CircuitBreaker
@@ -80,16 +75,11 @@ class ServerConfig:
     breaker_cooldown_s: float = 30.0
     #: Seconds the drain waits for in-flight requests on SIGTERM.
     drain_timeout_s: float = 30.0
-    #: Stats snapshot written after the drain (None = skip).
+    #: OpenMetrics snapshot written after the drain (None = skip).
     stats_out: Optional[str] = None
-    stats_format: str = "openmetrics"
     #: Accept per-request test hooks (fault_plan, cancel_after_checks,
     #: sleep_before_ms) — verify suite + CI only.
     allow_test_hooks: bool = False
-    #: Deadline-storm detector: this many deadline trips within the
-    #: window dumps the flight recorder.
-    storm_threshold: int = 8
-    storm_window_s: float = 5.0
 
 
 class SamplingServer:
@@ -108,10 +98,6 @@ class SamplingServer:
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
         self._started_at = time.monotonic()
-        #: Deadline-trip timestamps for the storm detector.
-        self._storm_lock = threading.Lock()
-        self._storm_trips: collections.deque = collections.deque()
-        self._storm_last_dump = -math.inf
 
     # -- lifecycle -----------------------------------------------------
 
@@ -158,28 +144,22 @@ class SamplingServer:
             return
         self._draining.set()
         self.metrics.gauge("serve.draining").set(1)
-        events.record("serve_drain",
-                      inflight=self.admission.inflight()
-                      + self.admission.depth())
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Graceful shutdown: drain, flush stats, stop.  Returns
-        whether everything in flight finished inside the timeout."""
+        whether everything in flight finished inside the timeout.  The
+        listener stops even when the stats flush raises."""
         self.begin_drain()
         if timeout is None:
             timeout = self.config.drain_timeout_s
-        finished = self.admission.wait_drained(timeout=timeout)
-        self.admission.close()
-        self._flush_stats()
-        self.stop()
+        try:
+            finished = self.admission.wait_drained(timeout=timeout)
+            self.admission.close()
+            if self.config.stats_out:
+                write_openmetrics(self.config.stats_out)
+        finally:
+            self.stop()
         return finished
-
-    def _flush_stats(self) -> None:
-        if not self.config.stats_out:
-            return
-        from repro.obs.export import write_stats
-        write_stats(self.config.stats_out,
-                    fmt=self.config.stats_format)
 
     def stop(self) -> None:
         """Hard stop: close the gate, which answers every waiting
@@ -230,7 +210,7 @@ class SamplingServer:
 
         t_enter = time.monotonic()
         try:
-            depth = self.admission.enter(scope)
+            self.admission.enter(scope)
         except QueueFull as exc:
             return self._reject(request_id, request.tenant, "queue full",
                                 retry_after_s=exc.retry_after_s,
@@ -244,9 +224,6 @@ class SamplingServer:
         try:
             self.metrics.gauge("serve.queue_depth").set(
                 self.admission.depth())
-            events.record("request_admitted", request_id=request_id,
-                          tenant=request.tenant, app=request.app,
-                          queue_depth=depth)
             response = self._execute(request, request_id, scope, graph,
                                      num_samples, queue_wait)
         except Exception as exc:
@@ -286,9 +263,6 @@ class SamplingServer:
             round(retry_after_s * 1000.0, 3)
         if status == "rejected":
             self.metrics.counter("serve.rejected").inc()
-        events.record("request_rejected", request_id=request_id,
-                      tenant=tenant, why=why,
-                      retry_after_ms=retry_ms or 0.0)
         self._count(status, tenant, app)
         response: Dict[str, Any] = {"status": status,
                                     "request_id": request_id,
@@ -300,33 +274,10 @@ class SamplingServer:
     def _deadline(self, request_id: int, request: SampleRequest,
                   stage: str) -> Dict[str, Any]:
         self.metrics.counter("serve.deadline_exceeded").inc()
-        events.record("request_deadline", request_id=request_id,
-                      tenant=request.tenant, stage=stage)
         self._count("deadline_exceeded", request.tenant, request.app)
-        self._note_deadline_trip()
         return {"status": "deadline_exceeded",
                 "request_id": request_id, "stage": stage,
                 "error": f"deadline exceeded at {stage}"}
-
-    def _note_deadline_trip(self) -> None:
-        """Storm detector: dump the flight recorder when deadline
-        trips cluster, once per window."""
-        now = time.monotonic()
-        window = self.config.storm_window_s
-        with self._storm_lock:
-            self._storm_trips.append(now)
-            while self._storm_trips and \
-                    self._storm_trips[0] < now - window:
-                self._storm_trips.popleft()
-            storm = (len(self._storm_trips)
-                     >= self.config.storm_threshold
-                     and now - self._storm_last_dump >= window)
-            if storm:
-                self._storm_last_dump = now
-        if storm:
-            self.metrics.counter("serve.deadline_storms").inc()
-            events.dump_flight("deadline-storm",
-                               tag=f"serve-{self.port}")
 
     # -- the run -------------------------------------------------------
 
@@ -386,9 +337,6 @@ class SamplingServer:
 
         wall_ms = round((time.monotonic() - t0) * 1000.0, 3)
         self._count("ok", request.tenant, request.app)
-        events.record("request_done", request_id=request_id,
-                      tenant=request.tenant, status="ok",
-                      wall_ms=wall_ms)
         response: Dict[str, Any] = {
             "status": "ok",
             "request_id": request_id,
@@ -409,9 +357,6 @@ class SamplingServer:
                message: str) -> Dict[str, Any]:
         self.metrics.counter("serve.errors").inc()
         self._count("error", request.tenant, request.app)
-        events.record("request_done", request_id=request_id,
-                      tenant=request.tenant, status="error",
-                      wall_ms=0.0)
         return {"status": "error", "request_id": request_id,
                 "error": message}
 
@@ -484,7 +429,6 @@ def _make_handler(server: "SamplingServer"):
                 self._respond(200,
                               json.dumps(server.health()).encode())
             elif self.path == "/metrics":
-                from repro.obs.openmetrics import openmetrics_text
                 text = openmetrics_text(get_metrics())
                 self._respond(200, text.encode("utf-8"),
                               content_type="application/openmetrics-"

@@ -24,7 +24,6 @@ Run with ``repro verify --suite chaos`` (CI runs it with
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import tempfile
@@ -35,8 +34,6 @@ from repro.api.apps import LADIES, DeepWalk, KHop
 from repro.core.engine import NextDoorEngine
 from repro.native.backend import backend_scope
 from repro.obs import get_metrics
-from repro.obs.events import (FLIGHT_DIR_ENV, reset_events,
-                              validate_event_stream)
 from repro.obs.metrics import scalar_of
 from repro.runtime.faults import PLAN_ENV, FaultInjected
 from repro.runtime.pool import RESPAWN_ENV, TIMEOUT_ENV, shutdown_pools
@@ -232,91 +229,8 @@ def run_chaos_checks(workers: Optional[int] = None,
         {PLAN_ENV: "unpicklable-app"}, expect_silent_inprocess))
 
     results.append(_checkpoint_resume_check(baseline, graph, workers))
-    results.append(_flight_recorder_check(graph))
     shutdown_pools()
     return results
-
-
-def _flight_recorder_check(graph) -> CheckResult:
-    """The flight recorder's event sequence under a fixed fault plan is
-    exactly deterministic: two identical interrupted ``--checkpoint``
-    runs (parent-side faults only, ``workers=0``) must dump
-    byte-identical event streams modulo timestamps, shaped
-    ``run_start``, ``checkpoint_save``\\*, ``fault_injected``."""
-    name = "flight_recorder_deterministic_sequence"
-    problems: List[str] = []
-
-    def one_pass():
-        flight = tempfile.mkdtemp(prefix="repro-chaos-flight-")
-        ckpt = tempfile.mkdtemp(prefix="repro-chaos-ckpt-")
-        saved = os.environ.get(FLIGHT_DIR_ENV)
-        os.environ[FLIGHT_DIR_ENV] = flight
-        reset_events()
-        try:
-            with _FaultEnv(**{PLAN_ENV: "interrupt-step:2"}):
-                try:
-                    _run(graph, workers=0, checkpoint_dir=ckpt)
-                    problems.append("interrupt-step fault never fired")
-                    return None
-                except FaultInjected:
-                    pass
-            files = sorted(os.listdir(flight))
-            if len(files) != 1:
-                problems.append(f"expected one flight dump, got {files}")
-                return None
-            with open(os.path.join(flight, files[0])) as f:
-                lines = [json.loads(line) for line in f]
-            return files[0], lines
-        finally:
-            if saved is None:
-                os.environ.pop(FLIGHT_DIR_ENV, None)
-            else:
-                os.environ[FLIGHT_DIR_ENV] = saved
-            shutil.rmtree(flight, ignore_errors=True)
-            shutil.rmtree(ckpt, ignore_errors=True)
-
-    try:
-        first = one_pass()
-        second = one_pass()
-        if first is not None and second is not None:
-            fname, events = first
-
-            def strip(evs):
-                return [{k: v for k, v in ev.items() if k != "t"}
-                        for ev in evs]
-
-            validate_event_stream(events)
-            if fname != second[0]:
-                problems.append(f"flight file name not deterministic "
-                                f"({fname} != {second[0]})")
-            if strip(events) != strip(second[1]):
-                problems.append("event sequence not deterministic "
-                                "across identical faulted runs")
-            if not events or events[0]["type"] != "run_start":
-                problems.append("dump does not start with run_start")
-            elif events[0]["workers"] != 0:
-                problems.append("run_start carries the wrong workers")
-            saves = [ev for ev in events
-                     if ev["type"] == "checkpoint_save"]
-            step0 = [ev["chunk_id"] for ev in saves
-                     if ev.get("step") == 0]
-            if step0 != sorted(step0) or len(step0) < 2:
-                problems.append(
-                    f"step-0 checkpoint_save chunks not in order "
-                    f"({step0})")
-            if not events or events[-1]["type"] != "fault_injected":
-                problems.append("dump does not end with the "
-                                "fault_injected trip")
-            elif events[-1]["fault"] != "interrupt-step":
-                problems.append("wrong fault recorded at the trip")
-            middle = {ev["type"] for ev in events[1:-1]}
-            if middle - {"checkpoint_save"}:
-                problems.append(f"unexpected events in a clean "
-                                f"interrupted run: {sorted(middle)}")
-    except Exception as exc:
-        problems.append(f"check raised {type(exc).__name__}: {exc}")
-    return CheckResult(name=name, suite=SUITE, family="runtime",
-                       passed=not problems, detail="; ".join(problems))
 
 
 def _checkpoint_resume_check(baseline: str, graph,

@@ -2,11 +2,16 @@
 
 import argparse
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(argv):
@@ -66,6 +71,18 @@ class TestParser:
         with np.load(plain) as a, np.load(env) as b:
             assert sorted(a.files) == sorted(b.files)
             assert all(np.array_equal(a[k], b[k]) for k in a.files)
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--app", "DeepWalk", "--stats-format", "json"],
+        ["bench", "list", "--stats-format", "openmetrics"],
+        ["serve", "--stats-format", "openmetrics"],
+        ["sample", "--app", "DeepWalk", "--flight-dir", "flights"],
+    ])
+    def test_stats_format_and_flight_dir_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_app_message_names_choices(self, capsys):
         with pytest.raises(SystemExit):
@@ -189,6 +206,27 @@ class TestErrorPaths:
         assert code == 2
         assert not trace_path.exists()
         assert "trace not written" in out
+
+    @pytest.mark.parametrize("flag", ["--stats-out", "--trace"])
+    def test_output_in_missing_directory_fails_before_sampling(
+            self, flag, tmp_path):
+        path = str(tmp_path / "missing" / "x.out")
+        code, out = run_cli(["sample", "--app", "DeepWalk", "--graph",
+                             "ppi", "--samples", "64", flag, path])
+        assert code == 2
+        assert out == f"error: {flag} {path}: its directory does not exist\n"
+
+    def test_serve_stats_out_in_missing_directory_fails_at_start(
+            self, tmp_path):
+        path = str(tmp_path / "missing" / "s.prom")
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--stats-out", path],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "its directory does not exist" in proc.stdout
+        assert "Traceback" not in proc.stdout + proc.stderr
 
     def test_retired_backend_names_rejected(self, monkeypatch, capsys):
         # Second name in two pieces: a grep for it over tests/ is empty.

@@ -1,13 +1,11 @@
 """OpenMetrics exporter: rendering, escaping, validation, round-trip,
-and the periodic snapshot writer."""
+and the snapshot writer."""
 
-import json
 import math
 import os
 
 import pytest
 
-from repro.obs.export import write_stats
 from repro.obs.metrics import MetricsRegistry, scalar_of
 from repro.obs.openmetrics import (
     metric_name,
@@ -180,14 +178,3 @@ class TestWriters:
         validate_openmetrics(open(path).read())
         assert not [p for p in os.listdir(tmp_path)
                     if ".tmp." in p], "tmp file left behind"
-
-    def test_write_stats_fmt_dispatch(self, registry, tmp_path):
-        registry.counter("n").inc(2)
-        om = str(tmp_path / "s.prom")
-        js = str(tmp_path / "s.json")
-        write_stats(om, registry=registry, fmt="openmetrics")
-        validate_openmetrics(open(om).read())
-        write_stats(js, registry=registry)
-        assert json.load(open(js))["metrics"]["n"] == 2.0
-        with pytest.raises(ValueError, match="fmt"):
-            write_stats(js, registry=registry, fmt="xml")

@@ -10,6 +10,7 @@ import base64
 import hashlib
 import io
 import json
+import socket
 import sys
 import threading
 import time
@@ -755,7 +756,7 @@ class TestDrain:
     def test_drain_flushes_stats(self, tmp_path):
         out = str(tmp_path / "stats.txt")
         config = ServerConfig(port=0, executors=1, workers=0,
-                              stats_out=out, stats_format="openmetrics")
+                              stats_out=out)
         server = SamplingServer(config).start()
         ServeClient(port=server.port).sample(
             SampleRequest(app="k-hop", graph="ppi", samples=16, seed=1))
@@ -765,6 +766,17 @@ class TestDrain:
         validate_openmetrics(text)  # raises on malformed text
         assert "serve_requests" in text
 
+    def test_failed_flush_still_stops_the_listener(self, tmp_path):
+        """A stats path that cannot be written fails the drain loudly,
+        and the listener is stopped all the same."""
+        config = ServerConfig(port=0, executors=1, workers=0,
+                              stats_out=str(tmp_path / "gone" / "s.prom"))
+        server = SamplingServer(config).start()
+        port = server.port
+        with pytest.raises(OSError):
+            server.drain(timeout=5.0)
+        with pytest.raises(OSError):
+            socket.create_connection(("127.0.0.1", port), timeout=1.0)
 
     def test_hard_stop_answers_waiting_requests(self):
         """A hard stop (also the end of a timed-out drain) answers every
@@ -845,39 +857,3 @@ class TestWaitingRoom:
         assert third.ok, third.response
         assert results["pinned"][0].ok
 
-
-class TestDeadlineStorm:
-    def test_storm_dump_is_named_after_the_daemon(self, tmp_path,
-                                                  monkeypatch):
-        """The storm dump is the daemon's file, whichever run set the
-        process-wide flight tag last, and is written once per window."""
-        from repro.obs.events import FLIGHT_DIR_ENV
-        monkeypatch.setenv(FLIGHT_DIR_ENV, str(tmp_path))
-
-        def storms():
-            return get_metrics().counter("serve.deadline_storms").value
-
-        config = ServerConfig(port=0, executors=1, workers=0,
-                              storm_threshold=2, storm_window_s=60.0)
-        before = storms()
-        with SamplingServer(config) as server:
-            client = ServeClient(port=server.port,
-                                 retry=RetryPolicy(max_attempts=1))
-            assert client.sample(SampleRequest(
-                app="DeepWalk", graph="ppi", samples=16, seed=3,
-                return_samples=False)).ok
-            for _ in range(2):
-                r = client.sample(SampleRequest(
-                    app="k-hop", graph="ppi", samples=16,
-                    deadline_ms=0.0))
-                assert r.status == "deadline_exceeded"
-            dump = tmp_path / f"flight-serve-{server.port}.jsonl"
-            assert [p.name for p in tmp_path.iterdir()] == [dump.name]
-            assert storms() == before + 1
-            # Still inside the window: more trips, no second storm.
-            written = dump.stat().st_mtime_ns
-            for _ in range(2):
-                client.sample(SampleRequest(app="k-hop", graph="ppi",
-                                            samples=16, deadline_ms=0.0))
-            assert storms() == before + 1
-            assert dump.stat().st_mtime_ns == written
