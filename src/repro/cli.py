@@ -122,22 +122,21 @@ def build_parser() -> argparse.ArgumentParser:
                         "4096)")
     p.add_argument("--pool-timeout", type=float, default=None,
                    metavar="SECONDS",
-                   help="worker-pool watchdog: respawn workers that "
-                        "make no progress for this long (default 120). "
-                        "Only affects pooled runs (--workers >= 1); "
-                        "overrides $REPRO_POOL_TIMEOUT for this "
+                   help="worker-pool watchdog: a pooled run whose "
+                        "workers make no progress for this long retires "
+                        "the pool and finishes in-process (default "
+                        "120). Only affects pooled runs (--workers >= "
+                        "1); overrides $REPRO_POOL_TIMEOUT for this "
                         "command (see docs/CLI.md)")
     p.add_argument("--fault-plan", default=None, metavar="PLAN",
                    help="deterministic fault injection, e.g. "
-                        "'kill-after-chunk:0.3' (see docs/RESILIENCE.md"
+                        "'kill-before-chunk:0.3' (see docs/RESILIENCE.md"
                         "). Pool faults need worker processes "
                         "(--backend numpy --workers >= 1) and warn "
                         "that they will not fire otherwise; "
                         "interrupt-step fires at any --workers. "
-                        "Overrides "
-                        "$REPRO_FAULT_PLAN for this command; pair with "
-                        "--pool-timeout to tune how fast wedge faults "
-                        "are detected (see docs/CLI.md)")
+                        "Pair with --pool-timeout to tune how fast "
+                        "wedge faults are detected (see docs/CLI.md)")
     p.add_argument("--checkpoint", default=None, metavar="DIR",
                    help="persist completed chunk results under DIR so "
                         "an interrupted run can be resumed")
@@ -225,10 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--default-deadline-ms", type=float, default=None,
                    help="deadline applied to requests that carry none "
                         "(default: unbounded)")
-    p.add_argument("--breaker-cooldown", type=float, default=30.0,
-                   metavar="SECONDS",
-                   help="circuit-breaker cooldown before a pooled "
-                        "retrial after a degraded run (default 30)")
     p.add_argument("--drain-timeout", type=float, default=30.0,
                    metavar="SECONDS",
                    help="SIGTERM grace for in-flight requests "
@@ -358,23 +353,18 @@ def _cmd_sample(args, out) -> int:
         print("error: --resume needs --checkpoint DIR (nothing to "
               "resume from)", file=out)
         return 2
-    # The fault plan and pool timeout flow through the environment (the
-    # runtime resolves them at call time); scope them to this command so
-    # in-process callers of main() don't inherit stale settings.
-    scoped_env = {}
-    if args.fault_plan is not None:
+    from repro.runtime.faults import POOL_FAULTS, FaultPlan
+    try:
+        plan = FaultPlan.parse(args.fault_plan)
+    except ValueError as exc:
+        print(f"error: {exc}", file=out)
+        return 2
+    inert = sorted({spec.name for spec in plan.specs
+                    if spec.name in POOL_FAULTS}) if plan else []
+    if inert:
         from repro.native.backend import active_backend
-        from repro.runtime.faults import PLAN_ENV, POOL_FAULTS, FaultPlan
-        try:
-            plan = FaultPlan.parse(args.fault_plan)
-        except ValueError as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-        inert = sorted({spec.name for spec in plan.specs
-                        if spec.name in POOL_FAULTS}) if plan else []
         backend = active_backend()
-        if inert and (backend.compiled
-                      or resolve_workers(args.workers) < 1):
+        if backend.compiled or resolve_workers(args.workers) < 1:
             why = (f"under the {backend.name} backend --workers N runs "
                    "N chunk threads in this process" if backend.compiled
                    else "--workers 0 samples in this process")
@@ -382,23 +372,24 @@ def _cmd_sample(args, out) -> int:
                   "there are no worker processes to fault (use "
                   "--backend numpy --workers N >= 1; see "
                   "docs/RESILIENCE.md)", file=out)
-        scoped_env[PLAN_ENV] = args.fault_plan
-    if args.pool_timeout is not None:
-        from repro.runtime.pool import TIMEOUT_ENV
-        scoped_env[TIMEOUT_ENV] = repr(args.pool_timeout)
-    saved_env = {key: os.environ.get(key) for key in scoped_env}
-    os.environ.update(scoped_env)
+    if args.pool_timeout is None:
+        return _run_sample(args, out, plan)
+    # The pool resolves its watchdog from the environment at call time;
+    # scope it to this command so in-process callers of main() don't
+    # inherit a stale setting.
+    from repro.runtime.pool import TIMEOUT_ENV
+    saved = os.environ.get(TIMEOUT_ENV)
+    os.environ[TIMEOUT_ENV] = repr(args.pool_timeout)
     try:
-        return _run_sample(args, out)
+        return _run_sample(args, out, plan)
     finally:
-        for key, old in saved_env.items():
-            if old is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = old
+        if saved is None:
+            os.environ.pop(TIMEOUT_ENV, None)
+        else:
+            os.environ[TIMEOUT_ENV] = saved
 
 
-def _run_sample(args, out) -> int:
+def _run_sample(args, out, fault_plan) -> int:
     app = paper_app(args.app)
     graph = _resolve_graph(args, out)
     if graph is None:
@@ -408,6 +399,7 @@ def _run_sample(args, out) -> int:
         num_samples = walk_sample_count(graph, args.app)
     engine = ENGINES[args.engine](workers=args.workers,
                                   chunk_size=args.chunk_size)
+    engine.fault_plan = fault_plan
     if args.checkpoint:
         if not isinstance(engine, NextDoorEngine):
             print("error: --checkpoint requires a NextDoor-family "
@@ -598,7 +590,6 @@ def _cmd_serve(args, out) -> int:
         queue_capacity=args.queue_capacity, executors=args.executors,
         workers=args.workers, chunk_size=args.chunk_size,
         default_deadline_ms=args.default_deadline_ms,
-        breaker_cooldown_s=args.breaker_cooldown,
         drain_timeout_s=args.drain_timeout,
         stats_out=args.stats_out,
         allow_test_hooks=args.test_hooks)
@@ -673,8 +664,6 @@ def _cmd_client(args, out) -> int:
         print(f"  wall         {resp['wall_ms']:.1f} ms "
               f"(queued {resp['queue_wait_ms']:.1f} ms, "
               f"attempts {result.attempts})", file=out)
-        if resp.get("degraded"):
-            print("  served in degraded (single-process) mode", file=out)
         if args.out and result.arrays:
             import numpy as np
             np.savez_compressed(args.out, **result.arrays)

@@ -55,6 +55,7 @@ from repro.gpu.multi_gpu import MultiGPU
 from repro.gpu.spec import GPUSpec, V100
 from repro.obs import get_metrics, trace
 from repro.runtime.context import ExecutionContext
+from repro.runtime.faults import FaultPlan
 
 __all__ = ["Engine", "NextDoorEngine", "SamplingResult", "do_sampling"]
 
@@ -174,9 +175,10 @@ class Engine:
     #: per request by the serving daemon (docs/SERVING.md).
     cancel = None
     #: Optional parsed :class:`repro.runtime.faults.FaultPlan` for
-    #: this engine's runs; None = ``$REPRO_FAULT_PLAN``.  Attached
-    #: per request by the daemon's test hook, so concurrent
-    #: requests never see each other's plan.
+    #: this engine's runs (None = no faults), the one way a plan
+    #: reaches a run; each run fires a fresh copy's budgets.  Set by
+    #: ``repro sample --fault-plan`` and per request by the daemon's
+    #: test hook, so concurrent requests never see each other's plan.
     fault_plan = None
 
     def __init__(self, spec, workers: Optional[int] = None,
@@ -215,7 +217,7 @@ class Engine:
                                    chunk_size=self.chunk_size)
             ctx.cancel = self.cancel
             if self.fault_plan is not None:
-                ctx._fault_plan = self.fault_plan
+                ctx._fault_plan = FaultPlan.parse(self.fault_plan.spec)
             batch = stepper.init_batch(app, graph, num_samples, roots,
                                        ctx.init_rng())
             run_span.set(samples=batch.num_samples)

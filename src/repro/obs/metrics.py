@@ -47,8 +47,9 @@ name                            kind        meaning
 ``runtime.chunks_pooled``       counter     chunks run by the worker
                                             set: pool processes or
                                             chunk threads
-``runtime.degraded_mode``       gauge       1 while a run has abandoned
-                                            its pool (else 0)
+``runtime.degraded_mode``       gauge       1 once the latest pooled run
+                                            has retired its pool and
+                                            finished in-process (else 0)
 ``runtime.backend_active``      gauge       resolved kernel backend id:
                                             0 numpy, 2 cnative; 1 retired
                                             (``BACKEND_IDS`` in
@@ -62,15 +63,9 @@ name                            kind        meaning
 ``rng.chunk_streams``           counter     chunk generators derived
 ``pool.chunks_dispatched``      counter     chunk messages sent to pipes
 ``pool.worker_crashes``         counter     worker deaths *detected*
-                                            (pipe EOF, watchdog, failed
-                                            respawn) — not exception
+                                            (pipe EOF, failed send,
+                                            watchdog) — not exception
                                             constructions
-``pool.worker_respawns``        counter     dead workers revived by the
-                                            supervisor
-``pool.chunk_retries``          histogram   per-chunk kill counts when a
-                                            worker dies holding chunks
-``pool.chunks_quarantined``     counter     poison chunks pulled from
-                                            the pool (run in-process)
 ``pool.chunk_errors``           counter     worker-side application
                                             exceptions in a chunk,
                                             labeled ``app=``/``backend=``

@@ -6,8 +6,8 @@ performance-model half stays in the parent, full-batch.  See
 ``docs/PERF.md`` ("Multicore runtime") for the determinism contract:
 samples are bitwise-identical for any worker count, and every modeled
 charge is unchanged by the runtime — and ``docs/RESILIENCE.md`` for
-the failure model: the pool supervisor respawns crashed workers,
-quarantines poison chunks, deterministic faults are injected via
+the failure model: a lost worker retires the pool and the run finishes
+in-process, deterministic faults are injected via
 :mod:`repro.runtime.faults`, and interrupted runs checkpoint/resume
 through :mod:`repro.runtime.checkpoint`.
 """
@@ -22,9 +22,7 @@ from repro.runtime.faults import FaultInjected, FaultPlan
 from repro.runtime.pool import (
     WorkerCrash,
     get_pool,
-    resolve_max_inflight,
     resolve_progress_timeout,
-    resolve_respawn_budget,
     retire_pool,
     shutdown_pools,
 )
@@ -54,9 +52,7 @@ __all__ = [
     "get_pool",
     "retire_pool",
     "shutdown_pools",
-    "resolve_max_inflight",
     "resolve_progress_timeout",
-    "resolve_respawn_budget",
     "FaultPlan",
     "FaultInjected",
     "CheckpointStore",

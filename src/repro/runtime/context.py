@@ -60,12 +60,12 @@ under (``active_backend().compiled``):
   write their rows in place and answer with cost hints and timings only;
   the parent copies the finished step out once.  Chunks the pool hands
   back unsolved are run here and written into the same arena.  The arena
-  is borrowed for the step and returned on every exit from it.  Worker
-  crashes are survived by the pool's own supervisor (respawn + chunk
-  retry + poison-chunk quarantine, :mod:`repro.runtime.pool`); only when
-  that supervisor gives up — respawn budget exhausted — does the context
-  warn, retire the pool, re-run the missing chunks in-process (identical
-  by chunk purity), and finish the run without workers.
+  is borrowed for the step and returned on every exit from it.  A lost
+  worker has one recovery (:meth:`ExecutionContext._abandon_pool`): the
+  pool raises :class:`~repro.runtime.pool.WorkerCrash` the moment it
+  detects one, and the context warns once, retires the pool, re-runs
+  the missing chunks in-process (identical by chunk purity) and
+  finishes the run without workers.  The next run gets a fresh pool.
 
 Everything else runs its chunks in-process — with the *same* chunk
 generators, preserving bitwise identity.  With a checkpoint
@@ -92,10 +92,9 @@ from repro.api.app import SamplingApp
 from repro.api.types import NULL_VERTEX, StepInfo
 from repro.native.backend import active_backend
 from repro.obs import get_metrics, trace
-from repro.runtime import faults
 from repro.runtime.cancel import CancelledRun, CancelScope
 from repro.runtime.checkpoint import CheckpointStore, run_fingerprint
-from repro.runtime.faults import FaultInjected
+from repro.runtime.faults import FaultInjected, FaultPlan
 from repro.runtime.pool import WorkerCrash, get_pool, retire_pool
 from repro.runtime.rngplan import AUX_POST, AUX_TOPUP, RNGPlan
 
@@ -277,9 +276,9 @@ class ExecutionContext:
         #: chunks; None = never cancelled.  Attached by the serving
         #: daemon for per-request deadlines.
         self.cancel: Optional[CancelScope] = None
-        #: The active deterministic fault plan (``$REPRO_FAULT_PLAN``),
-        #: parsed fresh per run so firing budgets are per run.
-        self._fault_plan = faults.active_plan()
+        #: The run's deterministic fault plan: a fresh copy of the
+        #: engine's ``fault_plan``, so firing budgets are per run.
+        self._fault_plan: Optional[FaultPlan] = None
         #: The run's tracer — the process-global tracer captured at
         #: construction and plumbed into every shard context, so shard
         #: threads and worker-chunk lanes land in one trace.
@@ -720,9 +719,9 @@ class ExecutionContext:
                   bounds: np.ndarray, arena) -> Dict[int, StepInfo]:
         """Run ``chunks`` of the step staged in ``arena`` on the pool;
         returns the cost hints of those whose rows the workers wrote.
-        Absent chunks (quarantined, or lost with a pool that crashed
-        for good — retired before this returns) are the caller's to run
-        in-process."""
+        Absent chunks (an application error in a worker, or lost with a
+        crashed pool — retired before this returns) are the caller's to
+        run in-process."""
         jobs = [(c, (kind, c, step, self.plan.chunk_key(step, c),
                      arena.name, arena.layout,
                      int(bounds[c]), int(bounds[c + 1])))

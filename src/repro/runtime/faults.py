@@ -1,14 +1,14 @@
 """Deterministic fault injection for the sampling runtime.
 
-Every crash path the resilient pool must survive — worker deaths,
-wedges, pipe EOFs, shared-memory failures, in-chunk exceptions,
-interrupted runs — is exercisable on demand through a *fault plan*: a
-small spec string activated via ``$REPRO_FAULT_PLAN`` (or the CLI's
-``--fault-plan``).  Plans are deterministic by construction: a fault
-fires when its trigger matches, never from wall-clock or randomness,
-so a chaos run is exactly reproducible and the bitwise-identity
-invariant can be asserted under every injected failure
-(``repro verify --suite chaos``).
+Every failure path the runtime must survive — a lost or wedged
+worker, shared-memory failures, in-chunk exceptions, interrupted runs —
+is exercisable on demand through a *fault plan*: a small spec string
+parsed once (the CLI's ``--fault-plan``, the daemon's ``fault_plan``
+test hook) and carried on ``engine.fault_plan``.  Plans are
+deterministic by construction: a fault fires when its trigger matches,
+never from wall-clock or randomness, so a chaos run is exactly
+reproducible and the bitwise-identity invariant can be asserted under
+every injected failure (``repro verify --suite chaos``).
 
 Grammar (see ``docs/RESILIENCE.md``)::
 
@@ -17,12 +17,10 @@ Grammar (see ``docs/RESILIENCE.md``)::
     arg   := CHUNK | STEP "." CHUNK      (faults matched per chunk)
     times := positive int | "*"          (default 1)
 
-``times`` bounds how often a spec fires **per plan instance**.  The
-parent process parses one plan per run; each pool worker parses its own
-copy from the run broadcast, so a ``times`` budget is per worker
-process — a respawned worker starts with fresh budgets, which is what
-lets a single spec drive the poison-chunk quarantine path (the same
-chunk kills the respawned worker too).
+``times`` bounds how often a spec fires **per plan instance**.  Each
+engine run works on a fresh copy of the engine's plan; each pool worker
+parses its own copy from the run broadcast, so a ``times`` budget is
+per worker process.
 
 Fault names:
 
@@ -31,13 +29,9 @@ worker-side (fire in pool worker processes: numpy backend only —
 a compiled backend runs chunk threads and has none)
 ----------------------------------------------------------------------
 ``kill-before-chunk:A``   ``os._exit`` on receiving chunk A, before
-                          sampling it (hard crash, result lost)
-``kill-after-chunk:A``    sample chunk A, ship the result, then
-                          ``os._exit`` (crash with no lost work)
+                          sampling it (the parent sees pipe EOF)
 ``wedge-chunk:A``         sleep past any watchdog instead of running
                           chunk A (progress timeout must fire)
-``pipe-eof:A``            close the worker's pipe end on chunk A and
-                          exit (parent sees EOF)
 ``chunk-error:A``         raise :class:`FaultInjected` inside chunk A
                           (exercises the worker-error retry path)
 ----------------------------------------------------------------------
@@ -58,14 +52,10 @@ parent-side (fire in the dispatching process)
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Tuple, Union
 
-__all__ = ["FaultInjected", "FaultSpec", "FaultPlan", "active_plan",
-           "PLAN_ENV", "FAULT_NAMES", "POOL_FAULTS"]
-
-#: Environment variable holding the active fault plan spec.
-PLAN_ENV = "REPRO_FAULT_PLAN"
+__all__ = ["FaultInjected", "FaultSpec", "FaultPlan", "FAULT_NAMES",
+           "POOL_FAULTS"]
 
 #: Faults that need the process pool: the worker-side kinds and the
 #: three that fail the pool's attachment in ``begin_run``.  Under a
@@ -74,9 +64,7 @@ PLAN_ENV = "REPRO_FAULT_PLAN"
 #: never fire there (the CLI says so once).
 POOL_FAULTS = (
     "kill-before-chunk",
-    "kill-after-chunk",
     "wedge-chunk",
-    "pipe-eof",
     "chunk-error",
     "shm-export-fail",
     "broadcast-fail",
@@ -209,11 +197,3 @@ class FaultPlan:
             if spec.name == name and spec.fire(point):
                 return True
         return False
-
-
-def active_plan() -> Optional[FaultPlan]:
-    """The plan from ``$REPRO_FAULT_PLAN``, freshly parsed (budgets
-    reset), or ``None`` when unset.  Raises ``ValueError`` on a
-    malformed spec — a typo'd chaos run must fail, not silently run
-    fault-free."""
-    return FaultPlan.parse(os.environ.get(PLAN_ENV))

@@ -45,15 +45,14 @@ writes the result into the rows the chunk owns:
   ``out[lo:hi] = vertices``.
 
 Chunks own disjoint rows and a chunk's values are a pure function of
-its inputs, so a chunk that is retried, or re-run by the parent after a
-crash, rewrites the same rows with the same values.
+its inputs, so a chunk re-run by the parent after a crash or an
+application error rewrites the same rows with the same values.
 
 ``faults`` is the raw fault-plan spec (or ``None``): each worker
 parses its own :class:`~repro.runtime.faults.FaultPlan`, so firing
 budgets are per worker process and deterministic fault injection
-(``docs/RESILIENCE.md``) reaches the exact crash sites the supervisor
-must survive — before a chunk runs, after its rows are written and its
-reply shipped, a wedge past the watchdog, a silent pipe EOF, or an
+(``docs/RESILIENCE.md``) reaches the failure sites the parent must
+detect — a death before a chunk runs, a wedge past the watchdog, or an
 in-chunk exception.
 
 ``timing`` is ``(worker_index, t_start, t_end)`` from the worker's
@@ -156,19 +155,16 @@ def run_chunk(msg: tuple, app: SamplingApp, graph, seed: int,
 
 
 #: How long a wedged worker sleeps — effectively forever; the parent's
-#: watchdog fires long before and the supervisor terminates us.
+#: watchdog fires long before and the retired pool terminates us.
 _WEDGE_SLEEP_S = 3600.0
 
 
-def _injected_faults(plan, conn, step: int, chunk_id: int) -> None:
+def _injected_faults(plan, step: int, chunk_id: int) -> None:
     """Fire any worker-side faults triggered by ``(step, chunk)``."""
     if plan is None:
         return
     if plan.should("kill-before-chunk", step, chunk_id):
         os._exit(13)
-    if plan.should("pipe-eof", step, chunk_id):
-        conn.close()
-        os._exit(0)
     if plan.should("wedge-chunk", step, chunk_id):
         time.sleep(_WEDGE_SLEEP_S)
     if plan.should("chunk-error", step, chunk_id):
@@ -215,14 +211,11 @@ def worker_main(conn, worker_index: int) -> None:
                 conn.send(("ready",))
             elif kind in ("ichunk", "cchunk"):
                 chunk_id, step = msg[1], msg[2]
-                _injected_faults(plan, conn, step, chunk_id)
+                _injected_faults(plan, step, chunk_id)
                 t0 = time.monotonic()
                 info = run_chunk(msg, app, graph, seed, arenas)
                 conn.send(("ok", chunk_id, info,
                            (worker_index, t0, time.monotonic())))
-                if plan is not None and plan.should(
-                        "kill-after-chunk", step, chunk_id):
-                    os._exit(13)
             else:
                 conn.send(("err", None,
                            f"unknown message kind {kind!r}"))

@@ -11,7 +11,6 @@ the same ``(app, graph, seed)`` — asserted by
 """
 
 from repro.serve.admission import AdmissionGate, GateClosed, QueueFull
-from repro.serve.breaker import CircuitBreaker
 from repro.serve.cache import GraphCache
 from repro.serve.client import ClientResult, RetryPolicy, ServeClient
 from repro.serve.protocol import (SampleRequest, batch_digest,
@@ -19,8 +18,7 @@ from repro.serve.protocol import (SampleRequest, batch_digest,
 from repro.serve.server import SamplingServer, ServerConfig
 
 __all__ = [
-    "AdmissionGate", "GateClosed", "QueueFull", "CircuitBreaker",
-    "GraphCache", "SampleRequest", "batch_digest", "encode_batch",
+    "AdmissionGate", "GateClosed", "QueueFull", "GraphCache", "SampleRequest", "batch_digest", "encode_batch",
     "decode_arrays", "SamplingServer", "ServerConfig", "ServeClient",
     "ClientResult", "RetryPolicy",
 ]

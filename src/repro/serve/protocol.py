@@ -10,7 +10,7 @@ JSON over local HTTP, one round trip per request:
 and a response like::
 
     {"status": "ok", "request_id": 12, "digest": "9f2c...",
-     "queue_wait_ms": 1.8, "wall_ms": 143.0, "degraded": false,
+     "queue_wait_ms": 1.8, "wall_ms": 143.0,
      "arrays": {"roots": "<b64 npy>", ...}, "cache_hit": true}
 
 Other endpoints: ``GET /healthz`` (liveness + drain state),

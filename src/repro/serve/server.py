@@ -1,5 +1,4 @@
-"""The sampling daemon: HTTP front-end, admission gate, and the
-robustness ladder.
+"""The sampling daemon: HTTP front-end and admission gate.
 
 Request path (docs/SERVING.md), all on the HTTP thread that parsed the
 request::
@@ -14,7 +13,6 @@ request::
     run on warm engine+pool
       (CancelScope between chunks)
       deadline mid-run                  504
-      breaker observes degrades
     gate.leave
     respond
 
@@ -28,9 +26,9 @@ Robustness properties, each asserted by ``repro verify --suite serve``:
 * deadlines are enforced at enqueue, at dequeue, and between chunks;
   a cancelled run discards partial work and is accounted in
   ``serve.deadline_exceeded``;
-* worker crashes mid-request are healed by the pool supervisor with
-  the response bits unchanged; respawn-budget exhaustion trips the
-  circuit breaker to single-process execution (degraded, not down);
+* a worker lost mid-request retires the pool and the run finishes
+  in-process with the response bits unchanged; the next pooled request
+  gets a fresh pool;
 * SIGTERM drains gracefully: stop admitting (503), finish in-flight
   requests, flush the stats snapshot, exit 0.
 """
@@ -49,7 +47,6 @@ from typing import Any, Dict, Optional
 from repro.obs import get_metrics, openmetrics_text, trace, write_openmetrics
 from repro.runtime.cancel import CancelledRun, CancelScope, DeadlineExceeded
 from repro.serve.admission import AdmissionGate, GateClosed, QueueFull
-from repro.serve.breaker import CircuitBreaker
 from repro.serve.cache import GraphCache
 from repro.serve.protocol import (STATUS_HTTP, SampleRequest,
                                   batch_digest, encode_batch, response_body)
@@ -72,7 +69,6 @@ class ServerConfig:
     chunk_size: Optional[int] = None
     #: Deadline applied when a request carries none (None = unbounded).
     default_deadline_ms: Optional[float] = None
-    breaker_cooldown_s: float = 30.0
     #: Seconds the drain waits for in-flight requests on SIGTERM.
     drain_timeout_s: float = 30.0
     #: OpenMetrics snapshot written after the drain (None = skip).
@@ -91,7 +87,6 @@ class SamplingServer:
         self.cache = GraphCache()
         self.admission = AdmissionGate(self.config.queue_capacity,
                                        self.config.executors)
-        self.breaker = CircuitBreaker(self.config.breaker_cooldown_s)
         self.metrics = get_metrics()
         self._ids = itertools.count(1)
         self._draining = threading.Event()
@@ -292,14 +287,10 @@ class SamplingServer:
             queue_wait)
         sleep_ms = request.hooks.get("sleep_before_ms")
         t0 = time.monotonic()
-        pooled = False
         try:
             if sleep_ms:
                 time.sleep(float(sleep_ms) / 1000.0)
-            pooled = (self.config.workers > 0
-                      and self.breaker.allow_pooled())
-            workers = self.config.workers if pooled else 0
-            engine = NextDoorEngine(workers=workers,
+            engine = NextDoorEngine(workers=self.config.workers,
                                     chunk_size=self.config.chunk_size)
             engine.cancel = scope
             # Test hook: this request's own fault plan; a typo is a
@@ -312,13 +303,7 @@ class SamplingServer:
                             samples=num_samples):
                 result = engine.run(app, graph, num_samples=num_samples,
                                     seed=request.seed)
-            degraded = bool(
-                self.metrics.gauge("runtime.degraded_mode").value)
-            if pooled:
-                self.breaker.observe(degraded)
         except CancelledRun:
-            if pooled:
-                self.breaker.abort_trial()
             return self._deadline(request_id, request, "mid-run")
         except FaultInjected as exc:
             return self._error(request, request_id, f"injected fault: {exc}")
@@ -347,7 +332,6 @@ class SamplingServer:
             "digest": batch_digest(result.batch),
             "queue_wait_ms": round(queue_wait * 1000.0, 3),
             "wall_ms": wall_ms,
-            "degraded": degraded,
         }
         if request.return_samples:
             response["arrays"] = encode_batch(result)
@@ -371,7 +355,6 @@ class SamplingServer:
             "queue_capacity": self.config.queue_capacity,
             "executors": self.config.executors,
             "workers": self.config.workers,
-            "breaker": self.breaker.state_name,
             "cached_graphs": self.cache.size(),
         }
 

@@ -5,18 +5,21 @@ whose second step has several transits per sample and several vertices
 per transit, and LADIES (the collective transport), so a worker-side
 fault lands on every shape of step a pool worker writes into a step
 arena — once clean and in-process (the baseline digest), once on the
-worker pool with a deterministic fault plan active
+worker pool with a deterministic fault plan on ``engine.fault_plan``
 (``docs/RESILIENCE.md``) — and asserts two things:
 
 1. **Identity**: the sampled batch is hash-for-hash identical to the
    fault-free run.  Chunk purity plus the deterministic RNG plan makes
    this exact, not statistical.
-2. **Resilience shape**: the runtime recovered the *intended* way —
-   a crash was healed by a respawn (not silent whole-run degradation),
-   a poison chunk was quarantined, a parent-side failure degraded
-   loudly, an interrupted ``--checkpoint`` run resumed from disk.
-   Asserted via metric deltas (``pool.worker_respawns``,
-   ``pool.chunks_quarantined``, ``runtime.degraded_mode``, ...).
+2. **Recovery shape**: the runtime recovered the *intended* way — a
+   lost or wedged worker was detected and its run retired the pool and
+   finished in-process with one warning, an application error in a
+   worker was re-run in-process without giving up the pool, a failed
+   export degraded loudly, an unpicklable app stayed in-process
+   silently, an interrupted ``--checkpoint`` run resumed from disk.
+   Asserted via metric deltas (``pool.worker_crashes``,
+   ``pool.chunk_errors``, ``runtime.chunks_pooled``, ...) and the
+   count of runs that warned they fell back to in-process execution.
 
 Run with ``repro verify --suite chaos`` (CI runs it with
 ``REPRO_WORKERS=2``).
@@ -24,6 +27,7 @@ Run with ``repro verify --suite chaos`` (CI runs it with
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 import tempfile
@@ -35,8 +39,8 @@ from repro.core.engine import NextDoorEngine
 from repro.native.backend import backend_scope
 from repro.obs import get_metrics
 from repro.obs.metrics import scalar_of
-from repro.runtime.faults import PLAN_ENV, FaultInjected
-from repro.runtime.pool import RESPAWN_ENV, TIMEOUT_ENV, shutdown_pools
+from repro.runtime.faults import FaultInjected, FaultPlan
+from repro.runtime.pool import TIMEOUT_ENV, shutdown_pools
 from repro.serve.protocol import batch_digest
 from repro.verify.result import CheckResult
 
@@ -52,7 +56,8 @@ _CHUNK = 16
 _WALK_LENGTH = 8
 _SEED = 11
 
-_ENV_KEYS = (PLAN_ENV, TIMEOUT_ENV, RESPAWN_ENV)
+#: What ``ExecutionContext._abandon_pool`` warns, once per run.
+_FALLBACK = "falling back to in-process execution"
 
 
 def _chaos_graph():
@@ -71,11 +76,13 @@ def _apps():
             LADIES(step_size=8, batch_size=8))
 
 
-def _run(graph, workers: int, checkpoint_dir: Optional[str] = None,
+def _run(graph, workers: int, plan: Optional[str] = None,
+         checkpoint_dir: Optional[str] = None,
          resume: bool = False) -> list:
-    """One run per app, each under a fresh parse of the fault plan."""
+    """One run per app; each run fires a fresh copy of ``plan``."""
     engine = NextDoorEngine(workers=workers, chunk_size=_CHUNK,
                             checkpoint_dir=checkpoint_dir, resume=resume)
+    engine.fault_plan = FaultPlan.parse(plan)
     return [engine.run(app, graph, num_samples=_NUM_SAMPLES, seed=_SEED)
             for app in _apps()]
 
@@ -90,52 +97,68 @@ def _delta(before: Dict, after: Dict, name: str) -> float:
     return _metric(after, name) - _metric(before, name)
 
 
-class _FaultEnv:
-    """Set/restore the fault-plan + pool env vars around one check."""
-
-    def __init__(self, **env: Optional[str]) -> None:
-        self.env = env
-        self.saved: Dict[str, Optional[str]] = {}
-
-    def __enter__(self) -> "_FaultEnv":
-        for key in _ENV_KEYS:
-            self.saved[key] = os.environ.pop(key, None)
-        for key, value in self.env.items():
-            if value is not None:
-                os.environ[key] = value
-        return self
-
-    def __exit__(self, *exc) -> None:
-        for key in _ENV_KEYS:
-            os.environ.pop(key, None)
-            if self.saved.get(key) is not None:
-                os.environ[key] = self.saved[key]
+@contextlib.contextmanager
+def _pool_timeout(seconds: Optional[str]):
+    """``$REPRO_POOL_TIMEOUT`` set to ``seconds`` for one check (the
+    pool reads its watchdog at call time); ``None`` leaves it alone."""
+    if seconds is None:
+        yield
+        return
+    saved = os.environ.get(TIMEOUT_ENV)
+    os.environ[TIMEOUT_ENV] = seconds
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop(TIMEOUT_ENV, None)
+        else:
+            os.environ[TIMEOUT_ENV] = saved
 
 
-def _check(name: str, baseline: str, graph, workers: int,
-           env: Dict[str, str], expect) -> CheckResult:
-    """Run the workload under ``env``, compare digests, then let
-    ``expect(delta_fn, problems)`` assert the resilience shape."""
+def _check(name: str, baseline: str, graph, workers: int, plan: str,
+           expect, timeout: Optional[str] = None) -> CheckResult:
+    """Run the workload under ``plan``, compare digests, then let
+    ``expect(delta_fn, fallbacks, problems)`` assert the recovery shape
+    (``fallbacks``: runs that warned they finished in-process)."""
     problems: List[str] = []
     before = get_metrics().snapshot()
-    with _FaultEnv(**env):
+    with warnings.catch_warnings(record=True) as caught, \
+            _pool_timeout(timeout):
+        warnings.simplefilter("always", RuntimeWarning)
         try:
-            results = _run(graph, workers)
+            results = _run(graph, workers, plan)
         except Exception as exc:  # a chaos run must never error out
             return CheckResult(
                 name=name, suite=SUITE, family="runtime", passed=False,
                 detail=f"run raised {type(exc).__name__}: {exc}")
     after = get_metrics().snapshot()
+    fallbacks = sum(_FALLBACK in str(w.message) for w in caught)
     got = _digest(results)
     if got != baseline:
         problems.append(f"samples diverged under fault "
                         f"({got} != {baseline})")
-    expect(lambda metric: _delta(before, after, metric), problems)
-    degraded = _metric(after, "runtime.degraded_mode")
+    expect(lambda metric: _delta(before, after, metric), fallbacks,
+           problems)
     return CheckResult(
         name=name, suite=SUITE, family="runtime",
-        passed=not problems, statistic=degraded,
+        passed=not problems, statistic=fallbacks,
         detail="; ".join(problems))
+
+
+def _expect_lost_worker(what: str):
+    """Every lost worker was counted once and cost its run the pool,
+    with one warning; the runs before the loss did use the pool."""
+    def expect(delta, fallbacks, problems):
+        crashes = delta("pool.worker_crashes")
+        if crashes < 1:
+            problems.append(f"{what} was not detected as a crash")
+        if fallbacks != crashes:
+            problems.append(f"{fallbacks} runs fell back to in-process "
+                            f"for {crashes:g} crashes (expected one "
+                            "each)")
+        if delta("runtime.chunks_pooled") <= 0:
+            problems.append("no chunk ran pooled before the crash")
+    return expect
 
 
 @backend_scope("numpy")
@@ -149,84 +172,48 @@ def run_chaos_checks(workers: Optional[int] = None,
     del seed  # scenarios pin their seed: identity must be exact
     workers = workers if workers and workers >= 1 else 2
     graph = _chaos_graph()
-    with _FaultEnv():
-        clean = _run(graph, workers=0)
-    baseline = _digest(clean)
+    baseline = _digest(_run(graph, workers=0))
     results: List[CheckResult] = []
 
-    def expect_respawn_heals(delta, problems):
-        if delta("pool.worker_respawns") < 1:
-            problems.append("no worker respawn recorded")
-        if delta("runtime.chunks_pooled") <= 0:
-            problems.append("no chunks ran pooled after the crash "
-                            "(silent whole-run degradation)")
-        if get_metrics().gauge("runtime.degraded_mode").value != 0:
-            problems.append("run degraded instead of respawning")
-
     results.append(_check(
-        "kill_after_chunk_respawns", baseline, graph, workers,
-        {PLAN_ENV: "kill-after-chunk:1.3"}, expect_respawn_heals))
-
-    def expect_quarantine(delta, problems):
-        if delta("pool.chunks_quarantined") < 1:
-            problems.append("poison chunk was not quarantined")
-        if get_metrics().gauge("runtime.degraded_mode").value != 0:
-            problems.append("run degraded instead of quarantining")
-
-    results.append(_check(
-        "poison_chunk_quarantined", baseline, graph, workers,
-        {PLAN_ENV: "kill-before-chunk:1.4"}, expect_quarantine))
-
-    def expect_crash_detected(delta, problems):
-        if delta("pool.worker_crashes") < 1:
-            problems.append("pipe EOF was not detected as a crash")
-        if get_metrics().gauge("runtime.degraded_mode").value != 0:
-            problems.append("run degraded instead of respawning")
-
-    results.append(_check(
-        "pipe_eof_respawns", baseline, graph, workers,
-        {PLAN_ENV: "pipe-eof:1.2"}, expect_crash_detected))
-
-    def expect_watchdog(delta, problems):
-        if delta("pool.worker_crashes") < 1:
-            problems.append("watchdog never fired on the wedged worker")
-        if get_metrics().gauge("runtime.degraded_mode").value != 0:
-            problems.append("run degraded instead of respawning")
-
+        "worker_crash_finishes_inprocess", baseline, graph, workers,
+        "kill-before-chunk:1.2", _expect_lost_worker("a killed worker")))
     results.append(_check(
         "wedged_worker_watchdog", baseline, graph, workers,
-        {PLAN_ENV: "wedge-chunk:1.2", TIMEOUT_ENV: "1.0",
-         RESPAWN_ENV: "8"}, expect_watchdog))
+        "wedge-chunk:1.2", _expect_lost_worker("a wedged worker"),
+        timeout="1.0"))
 
-    def expect_chunk_error(delta, problems):
+    def expect_chunk_error(delta, fallbacks, problems):
         if delta("pool.chunk_errors") < 1:
             problems.append("worker-side chunk error not recorded")
-        if get_metrics().gauge("runtime.degraded_mode").value != 0:
-            problems.append("run degraded on an app exception")
+        if delta("pool.worker_crashes") or fallbacks:
+            problems.append("an app exception cost the run its pool")
 
     results.append(_check(
         "chunk_error_runs_inprocess", baseline, graph, workers,
-        {PLAN_ENV: "chunk-error:1.1"}, expect_chunk_error))
+        "chunk-error:1.1", expect_chunk_error))
 
-    def expect_loud_degrade(delta, problems):
+    def expect_loud_degrade(delta, fallbacks, problems):
+        if fallbacks != len(_apps()):
+            problems.append(f"{fallbacks} of {len(_apps())} runs warned "
+                            "of the failed export")
         if get_metrics().gauge("runtime.degraded_mode").value != 1:
             problems.append("degraded-mode gauge not set on shm failure")
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        results.append(_check(
-            "shm_failure_degrades_loudly", baseline, graph, workers,
-            {PLAN_ENV: "shm-export-fail"}, expect_loud_degrade))
+    results.append(_check(
+        "shm_failure_degrades_loudly", baseline, graph, workers,
+        "shm-export-fail", expect_loud_degrade))
 
-    def expect_silent_inprocess(delta, problems):
+    def expect_silent_inprocess(delta, fallbacks, problems):
         if delta("runtime.chunks_pooled") != 0:
             problems.append("unpicklable app still reached the pool")
-        if get_metrics().gauge("runtime.degraded_mode").value != 0:
+        if fallbacks or get_metrics().gauge(
+                "runtime.degraded_mode").value != 0:
             problems.append("unpicklable app flagged as degradation")
 
     results.append(_check(
         "unpicklable_app_stays_inprocess", baseline, graph, workers,
-        {PLAN_ENV: "unpicklable-app"}, expect_silent_inprocess))
+        "unpicklable-app", expect_silent_inprocess))
 
     results.append(_checkpoint_resume_check(baseline, graph, workers))
     shutdown_pools()
@@ -242,16 +229,13 @@ def _checkpoint_resume_check(baseline: str, graph,
     ckpt = tempfile.mkdtemp(prefix="repro-chaos-ckpt-")
     problems: List[str] = []
     try:
-        with _FaultEnv(**{PLAN_ENV: "interrupt-step:2"}):
-            try:
-                _run(graph, workers, checkpoint_dir=ckpt)
-                problems.append("interrupt-step fault never fired")
-            except FaultInjected:
-                pass
+        try:
+            _run(graph, workers, "interrupt-step:2", checkpoint_dir=ckpt)
+            problems.append("interrupt-step fault never fired")
+        except FaultInjected:
+            pass
         before = get_metrics().snapshot()
-        with _FaultEnv():
-            resumed = _run(graph, workers, checkpoint_dir=ckpt,
-                           resume=True)
+        resumed = _run(graph, workers, checkpoint_dir=ckpt, resume=True)
         after = get_metrics().snapshot()
         got = _digest(resumed)
         if got != baseline:

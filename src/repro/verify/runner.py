@@ -68,9 +68,9 @@ SUITE_INFO: Dict[str, Tuple[int, str]] = {
     "diff": (20, "reference-vs-engine differential sweeps"),
     "golden": (10, "pinned golden sample fixtures"),
     "fuzz": (31, "randomized graph/app property fuzzing"),
-    "chaos": (8, "bitwise identity under injected faults"),
+    "chaos": (6, "bitwise identity under injected faults"),
     "native": (16, "compiled-backend sampling parity"),
-    "serve": (8, "daemon-vs-direct identity, backpressure, drain"),
+    "serve": (7, "daemon-vs-direct identity, backpressure, drain"),
 }
 
 

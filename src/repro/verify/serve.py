@@ -11,8 +11,6 @@ HTTP client, then asserts against a **direct** in-process engine run:
 * a queue-full rejection is deterministic (same request, same
   rejection, honest positive ``retry_after_s``) and does not perturb
   the bits of requests around it;
-* the breaker ladder (trip open on a degraded run, serve degraded,
-  half-open trial, close) changes only throughput, never bytes;
 * a drain finishes in-flight work and refuses new work loudly.
 
 Run with ``repro verify --suite serve``.
@@ -39,7 +37,7 @@ SUITE = "serve"
 
 #: Checks this suite produces (asserted by tests and shown by
 #: ``repro verify --list``).
-CHECK_COUNT = 8
+CHECK_COUNT = 7
 
 _GRAPH = "ppi"
 _SAMPLES = 192
@@ -74,8 +72,8 @@ def _result(name: str, problems: List[str],
 def run_serve_checks(workers: Optional[int] = None,
                      seed: int = 0) -> List[CheckResult]:
     """All serving scenarios; ``workers`` defaults to 2 and the
-    backend is pinned to ``numpy`` (the kill and breaker checks need a
-    pool to wound; a compiled backend runs chunk threads)."""
+    backend is pinned to ``numpy`` (the kill check needs a pool to
+    wound; a compiled backend runs chunk threads)."""
     del seed  # scenarios pin their seed: identity must be exact
     workers = workers if workers and workers >= 1 else 2
     results: List[CheckResult] = []
@@ -86,8 +84,7 @@ def run_serve_checks(workers: Optional[int] = None,
         warnings.simplefilter("ignore", RuntimeWarning)
         config = ServerConfig(
             port=0, queue_capacity=8, executors=2, workers=workers,
-            chunk_size=_CHUNK, breaker_cooldown_s=0.3,
-            allow_test_hooks=True)
+            chunk_size=_CHUNK, allow_test_hooks=True)
         with SamplingServer(config) as server:
             client = ServeClient(port=server.port)
             results.append(_check_parity(client, direct))
@@ -95,7 +92,6 @@ def run_serve_checks(workers: Optional[int] = None,
             results.append(_check_deadline_enqueue(client))
             results.append(_check_cancel_midrun(client, direct))
             results.append(_check_worker_kill(client, direct))
-            results.append(_check_breaker(server, client, direct))
         results.append(_check_queue_full(direct))
         results.append(_check_drain(direct))
     assert len(results) == CHECK_COUNT, "update CHECK_COUNT"
@@ -173,50 +169,23 @@ def _check_cancel_midrun(client: ServeClient, direct) -> CheckResult:
 
 
 def _check_worker_kill(client: ServeClient, direct) -> CheckResult:
-    """A worker killed mid-request is respawned; the response bits
-    never change."""
+    """A worker killed mid-request is detected and the run finishes
+    in-process; the response bits never change."""
     problems: List[str] = []
-    before = get_metrics().counter("pool.worker_respawns").value
+    before = get_metrics().counter("pool.worker_crashes").value
     r = client.sample(
-        _request(hooks={"fault_plan": "kill-after-chunk:0.1"}))
+        _request(hooks={"fault_plan": "kill-before-chunk:0.1"}))
     if r.status != "ok":
         problems.append(f"status {r.status}: "
                         f"{r.response.get('error')}")
     elif r.digest != direct["k-hop"]:
         problems.append(f"digest {r.digest} != direct")
-    respawns = get_metrics().counter(
-        "pool.worker_respawns").value - before
-    if respawns < 1:
-        problems.append("no worker respawn recorded (fault never "
-                        "fired?)")
+    crashes = get_metrics().counter(
+        "pool.worker_crashes").value - before
+    if crashes < 1:
+        problems.append("no worker crash recorded (fault never fired?)")
     return _result("worker_kill_heals_bitwise", problems,
-                   statistic=respawns)
-
-
-def _check_breaker(server: SamplingServer, client: ServeClient,
-                   direct) -> CheckResult:
-    """Degraded run trips the breaker open; degraded service keeps bit
-    parity; the half-open trial closes it again."""
-    problems: List[str] = []
-    tripped = client.sample(
-        _request(hooks={"fault_plan": "shm-export-fail"}))
-    if tripped.status != "ok" or tripped.digest != direct["k-hop"]:
-        problems.append(f"degraded run: {tripped.status} "
-                        f"{tripped.digest}")
-    if server.breaker.state_name != "open":
-        problems.append(f"breaker {server.breaker.state_name} after "
-                        "degraded run (expected open)")
-    while_open = client.sample(_request())
-    if while_open.status != "ok" or while_open.digest != direct["k-hop"]:
-        problems.append("open-breaker request lost bit parity")
-    time.sleep(server.config.breaker_cooldown_s + 0.05)
-    trial = client.sample(_request())
-    if trial.status != "ok" or trial.digest != direct["k-hop"]:
-        problems.append("half-open trial lost bit parity")
-    if server.breaker.state_name != "closed":
-        problems.append(f"breaker {server.breaker.state_name} after "
-                        "clean trial (expected closed)")
-    return _result("breaker_ladder_bitwise", problems)
+                   statistic=crashes)
 
 
 def _check_queue_full(direct) -> CheckResult:

@@ -7,6 +7,7 @@ layout) can never be replayed into the wrong run.
 """
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -20,16 +21,17 @@ from repro.runtime.checkpoint import (
     graph_digest,
     run_fingerprint,
 )
-from repro.runtime.faults import FaultInjected, PLAN_ENV
+from repro.runtime.faults import FaultInjected, FaultPlan
 from repro.runtime.rngplan import RNGPlan
 from repro.verify.differential import reference_view
 
 CHUNK = 64
 
 
-def _run(graph, ckpt=None, resume=False, workers=0, seed=11):
+def _run(graph, ckpt=None, resume=False, workers=0, seed=11, plan=None):
     engine = NextDoorEngine(workers=workers, chunk_size=CHUNK,
                             checkpoint_dir=ckpt, resume=resume)
+    engine.fault_plan = FaultPlan.parse(plan)
     return engine.run(DeepWalk(walk_length=12), graph,
                       num_samples=256, seed=seed)
 
@@ -110,14 +112,12 @@ class TestFingerprint:
 
 class TestResume:
     def test_interrupted_run_resumes_bitwise_identically(
-            self, medium_weighted, tmp_path, monkeypatch):
+            self, medium_weighted, tmp_path):
         expected = _run(medium_weighted)
         ckpt = str(tmp_path / "ckpt")
 
-        monkeypatch.setenv(PLAN_ENV, "interrupt-step:2")
         with pytest.raises(FaultInjected, match="step 2"):
-            _run(medium_weighted, ckpt=ckpt)
-        monkeypatch.delenv(PLAN_ENV)
+            _run(medium_weighted, ckpt=ckpt, plan="interrupt-step:2")
 
         loaded = get_metrics().counter("checkpoint.chunks_loaded")
         before = loaded.value
@@ -158,11 +158,11 @@ class TestResume:
             assert np.array_equal(a, b)
 
     def test_resume_after_pooled_kill_recomputes_only_lost(
-            self, medium_weighted, tmp_path, monkeypatch):
+            self, medium_weighted, tmp_path):
         """The full fault x checkpoint matrix cell: a pooled run loses
-        a worker (respawn heals it), checkpoints survive, the run is
-        then interrupted; the resume reloads every persisted chunk,
-        recomputes exactly the lost remainder, and assembles the
+        a worker (the run finishes in-process), checkpoints survive,
+        the run is then interrupted; the resume reloads every persisted
+        chunk, recomputes exactly the lost remainder, and assembles the
         uninterrupted run's bits."""
         expected = _run(medium_weighted)
         # Total chunks of this workload, measured on a clean
@@ -173,12 +173,12 @@ class TestResume:
         total_chunks = saved.value - before
 
         ckpt = str(tmp_path / "ckpt")
-        monkeypatch.setenv(PLAN_ENV,
-                           "kill-after-chunk:0.1,interrupt-step:2")
         before = saved.value
-        with pytest.raises(FaultInjected, match="step 2"):
-            _run(medium_weighted, ckpt=ckpt, workers=2)
-        monkeypatch.delenv(PLAN_ENV)
+        with pytest.raises(FaultInjected, match="step 2"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _run(medium_weighted, ckpt=ckpt, workers=2,
+                 plan="kill-before-chunk:0.1,interrupt-step:2")
         persisted = saved.value - before
         assert 0 < persisted < total_chunks
 
@@ -222,17 +222,14 @@ class TestResume:
             assert np.array_equal(a, b)
         assert expected.seconds == resumed.seconds
 
-    def test_resumed_pooled_run_matches(self, medium_weighted, tmp_path,
-                                        monkeypatch):
+    def test_resumed_pooled_run_matches(self, medium_weighted, tmp_path):
         """Interrupt an in-process checkpoint run, resume on the worker
         pool: restored chunks + pooled chunks still assemble the exact
         batch."""
         expected = _run(medium_weighted)
         ckpt = str(tmp_path / "ckpt")
-        monkeypatch.setenv(PLAN_ENV, "interrupt-step:1")
         with pytest.raises(FaultInjected):
-            _run(medium_weighted, ckpt=ckpt)
-        monkeypatch.delenv(PLAN_ENV)
+            _run(medium_weighted, ckpt=ckpt, plan="interrupt-step:1")
         resumed = _run(medium_weighted, ckpt=ckpt, resume=True,
                        workers=2)
         for a, b in zip(expected.batch.step_vertices,

@@ -30,7 +30,7 @@ from repro.obs import get_metrics
 from repro.runtime import pool as pool_module
 from repro.runtime import shm
 from repro.runtime.cancel import CancelledRun, CancelScope
-from repro.runtime.faults import PLAN_ENV, FaultInjected
+from repro.runtime.faults import FaultInjected, FaultPlan
 from repro.runtime.pool import shutdown_pools
 from repro.serve.protocol import batch_digest
 
@@ -158,16 +158,14 @@ class TestCollectiveEdges:
         assert _same_edges(runs["threads"], runs["serial"])
         assert _same_edges(runs["threads"], runs["numpy"])
 
-    def test_resume_reproduces_the_edges(self, medium_weighted, tmp_path,
-                                         monkeypatch):
+    def test_resume_reproduces_the_edges(self, medium_weighted, tmp_path):
         """A checkpoint holds vertices, not edges: a resumed step
         records them again from the restored (and recomputed) rows."""
         expected = _run(_EdgeSpy(), medium_weighted, 2, 96)
         ckpt = str(tmp_path / "ckpt")
-        monkeypatch.setenv(PLAN_ENV, "interrupt-step:1")
         with pytest.raises(FaultInjected, match="step 1"):
-            _run(_EdgeSpy(), medium_weighted, 2, 96, checkpoint_dir=ckpt)
-        monkeypatch.delenv(PLAN_ENV)
+            _run(_EdgeSpy(), medium_weighted, 2, 96, checkpoint_dir=ckpt,
+                 fault_plan=FaultPlan.parse("interrupt-step:1"))
         assert _same_edges(expected, _run(
             _EdgeSpy(), medium_weighted, 2, 96, checkpoint_dir=ckpt,
             resume=True))

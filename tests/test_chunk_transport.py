@@ -22,7 +22,7 @@ from repro.core.engine import NextDoorEngine
 from repro.obs import get_metrics
 from repro.runtime import shm
 from repro.runtime.cancel import CancelledRun, CancelScope
-from repro.runtime.faults import PLAN_ENV
+from repro.runtime.faults import FaultPlan
 from repro.runtime.pool import WorkerPool, get_pool, shutdown_pools
 from repro.serve.protocol import batch_digest
 
@@ -187,7 +187,7 @@ class TestGrowth:
 
 class _FailsAtStepOne(KHop):
     """A deterministic application bug: fails in the workers, then
-    again when the quarantined chunk is re-run in the parent."""
+    again when the failed chunk is re-run in the parent."""
 
     def sample_neighbors(self, graph, transit_vals, step, rng, **kwargs):
         if step == 1:
@@ -217,12 +217,12 @@ class TestEveryExitReturnsTheArena:
         self._assert_released_cleanly()
         del excinfo
 
-    def test_cancelled_mid_step(self, medium_graph, monkeypatch):
+    def test_cancelled_mid_step(self, medium_graph):
         # The injected error sends step 1's chunk 1 back to the parent,
         # whose third cancellation check (two step heads, then that
         # chunk) trips with the step's arena borrowed.
-        monkeypatch.setenv(PLAN_ENV, "chunk-error:1.1:*")
         engine = NextDoorEngine(workers=2, chunk_size=CHUNK)
+        engine.fault_plan = FaultPlan.parse("chunk-error:1.1:*")
         engine.cancel = CancelScope(trip_after_checks=3)
         with pytest.raises(CancelledRun, match="step 1 chunk 1") as excinfo:
             engine.run(KHop(fanouts=(5, 3)), medium_graph,
@@ -230,19 +230,18 @@ class TestEveryExitReturnsTheArena:
         self._assert_released_cleanly()
         del excinfo
 
-    def test_worker_crash_degrade(self, medium_graph, monkeypatch):
-        """No respawn budget: the pool is retired mid-step, the rest of
-        the step runs in-process into the same arena, and the arena
-        still goes back."""
-        monkeypatch.setenv(PLAN_ENV, "kill-before-chunk:1.2:*")
-        monkeypatch.setenv("REPRO_POOL_RESPAWNS", "0")
+    def test_worker_crash_degrade(self, medium_graph):
+        """A lost worker retires the pool mid-step, the rest of the step
+        runs in-process into the same arena, and the arena still goes
+        back."""
         serial = NextDoorEngine(workers=0, chunk_size=CHUNK).run(
             KHop(fanouts=(5, 3)), medium_graph, num_samples=SAMPLES,
             seed=11)
+        engine = NextDoorEngine(workers=2, chunk_size=CHUNK)
+        engine.fault_plan = FaultPlan.parse("kill-before-chunk:1.2:*")
         with pytest.warns(RuntimeWarning, match="in-process"):
-            degraded = NextDoorEngine(workers=2, chunk_size=CHUNK).run(
-                KHop(fanouts=(5, 3)), medium_graph, num_samples=SAMPLES,
-                seed=11)
+            degraded = engine.run(KHop(fanouts=(5, 3)), medium_graph,
+                                  num_samples=SAMPLES, seed=11)
         assert batch_digest(degraded.batch) == batch_digest(serial.batch)
         self._assert_released_cleanly()
 

@@ -331,6 +331,22 @@ class TestResilienceFlags:
         assert code == 2
         assert "unknown fault" in out
 
+    def test_documented_fault_plans_parse(self):
+        """Every ``--fault-plan X`` example in docs/ names real faults
+        (an example that exits 2 is a doc bug)."""
+        import glob
+        import re
+        from repro.runtime.faults import FaultPlan
+        plans = []
+        for path in glob.glob(os.path.join(REPO_ROOT, "docs", "*.md")):
+            with open(path) as fh:
+                # Lower case: fault names are, the PLAN metavar is not.
+                plans += re.findall(r"--fault-plan[ =]([a-z][\w.:,*-]*)",
+                                    fh.read())
+        assert plans, "no --fault-plan example found in docs/"
+        for plan in plans:
+            assert FaultPlan.parse(plan) is not None, plan
+
     def test_worker_faults_warn_once_under_chunk_threads(self):
         """``--workers 2 --backend cnative`` is two threads: a
         worker-side fault has no process to fire in, and says so; a
@@ -342,10 +358,10 @@ class TestResilienceFlags:
                 "--samples", "64", "--workers", "2", "--chunk-size", "16"]
         code, out = run_cli(base + [
             "--backend", "cnative", "--fault-plan",
-            "kill-after-chunk:0.1,chunk-error:1.0,interrupt-step:500"])
+            "kill-before-chunk:0.1,chunk-error:1.0,interrupt-step:500"])
         assert code == 0
         assert out.count("warning:") == 1
-        assert "chunk-error, kill-after-chunk will not fire" in out
+        assert "chunk-error, kill-before-chunk will not fire" in out
         code, out = run_cli(base + ["--backend", "cnative",
                                     "--fault-plan", "interrupt-step:500"])
         assert code == 0 and "warning:" not in out

@@ -1,13 +1,10 @@
-"""Fault-plan grammar and activation (repro.runtime.faults)."""
+"""Fault-plan grammar and firing budgets (repro.runtime.faults)."""
 
 import pytest
 
-from repro.runtime.faults import (
-    FAULT_NAMES,
-    PLAN_ENV,
-    FaultPlan,
-    active_plan,
-)
+from repro.api.apps import DeepWalk
+from repro.core.engine import NextDoorEngine
+from repro.runtime.faults import FAULT_NAMES, FaultInjected, FaultPlan
 
 
 class TestParse:
@@ -26,12 +23,12 @@ class TestParse:
         assert plan.spec == "kill-before-chunk:3"
 
     def test_step_dot_chunk_arg(self):
-        plan = FaultPlan.parse("kill-after-chunk:2.5")
+        plan = FaultPlan.parse("wedge-chunk:2.5")
         assert plan.specs[0].arg == (2, 5)
 
     def test_times_field(self):
-        assert FaultPlan.parse("pipe-eof:1:4").specs[0].remaining == 4
-        assert FaultPlan.parse("pipe-eof:1:*").specs[0].remaining is None
+        assert FaultPlan.parse("wedge-chunk:1:4").specs[0].remaining == 4
+        assert FaultPlan.parse("wedge-chunk:1:*").specs[0].remaining is None
 
     def test_multiple_specs(self):
         plan = FaultPlan.parse("kill-before-chunk:1, chunk-error:0.2")
@@ -58,19 +55,25 @@ class TestParse:
 
     def test_bad_times_rejected(self):
         with pytest.raises(ValueError, match="times"):
-            FaultPlan.parse("pipe-eof:1:zero")
+            FaultPlan.parse("wedge-chunk:1:zero")
         with pytest.raises(ValueError, match="times"):
-            FaultPlan.parse("pipe-eof:1:0")
+            FaultPlan.parse("wedge-chunk:1:0")
 
     def test_too_many_fields_rejected(self):
         with pytest.raises(ValueError, match="too many"):
-            FaultPlan.parse("pipe-eof:1:2:3")
+            FaultPlan.parse("wedge-chunk:1:2:3")
 
     def test_every_fault_name_parses(self):
         for name in FAULT_NAMES:
             spec = name if name in ("shm-export-fail", "broadcast-fail",
                                     "unpicklable-app") else f"{name}:0"
             assert FaultPlan.parse(spec) is not None
+
+    def test_retired_kinds_are_unknown(self):
+        assert len(FAULT_NAMES) == 7
+        for spec in ("kill-after-chunk:0.3", "pipe-eof:1.2"):
+            with pytest.raises(ValueError, match="unknown fault"):
+                FaultPlan.parse(spec)
 
 
 class TestShould:
@@ -98,7 +101,7 @@ class TestShould:
 
     def test_wrong_name_never_fires(self):
         plan = FaultPlan.parse("chunk-error:1")
-        assert not plan.should("pipe-eof", 0, 1)
+        assert not plan.should("wedge-chunk", 0, 1)
 
     def test_argless_spec_matches_any_point(self):
         plan = FaultPlan.parse("unpicklable-app")
@@ -106,20 +109,21 @@ class TestShould:
         assert not plan.should("unpicklable-app")  # budget spent
 
 
-class TestActivePlan:
-    def test_unset_env_gives_none(self, monkeypatch):
-        monkeypatch.delenv(PLAN_ENV, raising=False)
-        assert active_plan() is None
+class TestEnginePlan:
+    """``engine.fault_plan`` is the one way a plan reaches a run."""
 
-    def test_env_activates_with_fresh_budgets(self, monkeypatch):
-        monkeypatch.setenv(PLAN_ENV, "chunk-error:3")
-        first = active_plan()
-        assert first.should("chunk-error", 0, 3)
-        assert not first.should("chunk-error", 0, 3)
-        # A fresh parse has a fresh budget.
-        assert active_plan().should("chunk-error", 0, 3)
+    def _run(self, engine, graph):
+        return engine.run(DeepWalk(walk_length=4), graph, num_samples=8,
+                          seed=1)
 
-    def test_malformed_env_raises(self, monkeypatch):
-        monkeypatch.setenv(PLAN_ENV, "not-a-fault")
-        with pytest.raises(ValueError):
-            active_plan()
+    def test_each_run_fires_a_fresh_copy(self, tiny_graph):
+        engine = NextDoorEngine()
+        engine.fault_plan = FaultPlan.parse("interrupt-step:1")
+        for _ in range(2):
+            with pytest.raises(FaultInjected, match="step 1"):
+                self._run(engine, tiny_graph)
+        assert engine.fault_plan.specs[0].remaining == 1
+
+    def test_environment_is_not_read(self, tiny_graph, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "interrupt-step:0")
+        assert self._run(NextDoorEngine(), tiny_graph).steps_run == 4

@@ -31,7 +31,7 @@ from repro.gpu.metrics import DeviceMetrics
 from repro.gpu.multi_gpu import MultiGPU
 from repro.native.backend import available_backends, backend_scope
 from repro.runtime.context import ExecutionContext
-from repro.runtime.faults import FaultInjected, PLAN_ENV
+from repro.runtime.faults import FaultInjected, FaultPlan
 from repro.serve.protocol import SampleRequest, batch_digest, encode_batch
 from repro.serve.server import SamplingServer, ServerConfig
 from repro.verify.golden import GOLDEN_CASES
@@ -149,15 +149,15 @@ class TestLazyEqualsInline:
                                     graph, seed, num_devices=devices)
         assert priced(result) == expected
 
-    def test_interrupted_then_resumed_run(self, tmp_path, monkeypatch):
+    def test_interrupted_then_resumed_run(self, tmp_path):
         factory, weighted, seed = GOLDEN_CASES["deepwalk"]
         graph = golden_graph(weighted)
         kwargs = {"chunk_size": 8, "checkpoint_dir": str(tmp_path)}
-        monkeypatch.setenv(PLAN_ENV, "interrupt-step:2")
+        interrupted = NextDoorEngine(**kwargs)
+        interrupted.fault_plan = FaultPlan.parse("interrupt-step:2")
         with pytest.raises(FaultInjected):
-            NextDoorEngine(**kwargs).run(
+            interrupted.run(
                 factory(), graph, num_samples=GOLDEN_SAMPLES, seed=seed)
-        monkeypatch.delenv(PLAN_ENV)
         resumed = NextDoorEngine(resume=True, **kwargs).run(
             factory(), graph, num_samples=GOLDEN_SAMPLES, seed=seed)
         digest, expected = inline_priced(NextDoorEngine(chunk_size=8),

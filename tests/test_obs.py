@@ -294,7 +294,7 @@ class TestWorkerLanes:
         assert hist["p50"] is not None
         assert hist["p50"] <= hist["p99"] <= hist["max"] * 1.0001
         if backend.compiled:
-            # Threads lose no chunk to a retry or a quarantine: every
+            # Threads lose no chunk to a crash or a worker error: every
             # chunk of every step is counted, timed and on a lane.
             chunks = snap["rng.chunk_streams"]
             assert snap["runtime.chunks_pooled"] == chunks
@@ -365,11 +365,8 @@ class TestWorkerCrashDiagnostics:
         assert get_metrics().snapshot().get(
             "pool.worker_crashes", 0.0) == 0.0
 
-    def test_real_crash_records_metric_and_details(self, graph,
-                                                   monkeypatch):
-        # Budget 0 restores abandon-on-first-crash, so the pre-crashed
-        # worker makes run_chunks raise instead of respawning.
-        monkeypatch.setenv("REPRO_POOL_RESPAWNS", "0")
+    def test_real_crash_records_metric_and_details(self, graph):
+        # The pre-crashed worker makes run_chunks raise at once.
         from repro.runtime.pool import WorkerPool, WorkerCrash
         reset_metrics()
         pool = WorkerPool(1)

@@ -251,31 +251,10 @@ def _kill_worker0_after_begin_run(monkeypatch):
 
 @pytest.mark.usefixtures("process_pool")
 class TestCrashFallback:
-    def test_respawn_produces_identical_samples(self, medium_weighted,
-                                                monkeypatch):
-        """A single worker death is healed by the supervisor: no
-        degradation warning, identical samples, a respawn recorded."""
-        from repro.obs import get_metrics
-        expected = _run(lambda: DeepWalk(walk_length=16),
-                        medium_weighted, 0)
-        _kill_worker0_after_begin_run(monkeypatch)
-        respawns = get_metrics().counter("pool.worker_respawns")
-        before = respawns.value
-        engine = NextDoorEngine(workers=2, chunk_size=CHUNK)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            crashed = engine.run(DeepWalk(walk_length=16),
-                                 medium_weighted, num_samples=256,
-                                 seed=11)
-        _assert_batches_equal(expected.batch, crashed.batch)
-        assert expected.seconds == crashed.seconds
-        assert respawns.value > before
-
     def test_fallback_produces_identical_samples(self, medium_weighted,
                                                  monkeypatch):
-        """With the respawn budget zeroed, a worker death degrades the
-        run to in-process execution — and samples are still identical."""
-        monkeypatch.setenv("REPRO_POOL_RESPAWNS", "0")
+        """A worker death degrades the run to in-process execution —
+        and samples are still identical."""
         expected = _run(lambda: DeepWalk(walk_length=16),
                         medium_weighted, 0)
         _kill_worker0_after_begin_run(monkeypatch)

@@ -1,9 +1,9 @@
-"""Sampling daemon (repro.serve): protocol, admission gate, breaker,
-cache, cancellation, client retry, and the HTTP server.
+"""Sampling daemon (repro.serve): protocol, admission gate, cache,
+cancellation, client retry, and the HTTP server.
 
-The heavyweight end-to-end scenarios (worker kill under load, breaker
-ladder, drain) live in ``repro verify --suite serve``
-(repro/verify/serve.py); these tests pin the component contracts.
+The heavyweight end-to-end scenarios (worker kill under load, drain)
+live in ``repro verify --suite serve`` (repro/verify/serve.py); these
+tests pin the component contracts.
 """
 
 import base64
@@ -23,7 +23,6 @@ from repro.core.engine import NextDoorEngine
 from repro.obs import get_metrics
 from repro.runtime.cancel import CancelledRun, CancelScope, DeadlineExceeded
 from repro.serve.admission import AdmissionGate, GateClosed, QueueFull
-from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.serve.cache import GraphCache
 from repro.serve.client import ClientResult, RetryPolicy, ServeClient
 from repro.serve.protocol import (SampleRequest, batch_digest,
@@ -348,48 +347,6 @@ class TestAdmissionQueue:
         assert gate.inflight() == 0 and gate.depth() == 0
 
 
-class TestCircuitBreaker:
-    def test_closed_allows_pooled(self):
-        b = CircuitBreaker(cooldown_s=10.0)
-        assert b.state == CLOSED
-        assert b.allow_pooled()
-
-    def test_degraded_run_opens(self):
-        b = CircuitBreaker(cooldown_s=10.0)
-        b.observe(degraded=True)
-        assert b.state == OPEN
-        assert not b.allow_pooled()
-
-    def test_half_open_leases_single_trial(self):
-        b = CircuitBreaker(cooldown_s=0.05)
-        b.observe(degraded=True)
-        time.sleep(0.06)
-        assert b.allow_pooled()  # the trial
-        assert b.state == HALF_OPEN
-        assert not b.allow_pooled()  # second caller waits
-        b.observe(degraded=False)
-        assert b.state == CLOSED
-        assert b.allow_pooled()
-
-    def test_failed_trial_reopens_with_fresh_cooldown(self):
-        b = CircuitBreaker(cooldown_s=0.05)
-        b.observe(degraded=True)
-        time.sleep(0.06)
-        assert b.allow_pooled()
-        b.observe(degraded=True)
-        assert b.state == OPEN
-        assert not b.allow_pooled()  # cooldown restarted
-
-    def test_abort_trial_releases_lease_without_closing(self):
-        b = CircuitBreaker(cooldown_s=0.05)
-        b.observe(degraded=True)
-        time.sleep(0.06)
-        assert b.allow_pooled()
-        b.abort_trial()
-        assert b.state == HALF_OPEN
-        assert b.allow_pooled()  # lease is free again
-
-
 class TestGraphCache:
     def test_dataset_hit_returns_the_same_graph(self):
         cache = GraphCache()
@@ -563,7 +520,7 @@ class TestServerHTTP:
         health = client.health()
         assert health["status"] == "ok"
         assert health["executors"] == 2
-        assert health["breaker"] == "closed"
+        assert "breaker" not in health
 
     def test_metrics_endpoint_is_valid_openmetrics(self, client):
         from repro.obs.openmetrics import validate_openmetrics

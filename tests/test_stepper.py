@@ -171,8 +171,8 @@ class TestStepOutput:
 class _ShuffledPool:
     """A stand-in worker pool: runs each ``ichunk`` job as a worker
     would (against the step arena the message names), answers in
-    shuffled arrival order, and loses ``lose`` of them (quarantined
-    chunks the context must re-run)."""
+    shuffled arrival order, and loses ``lose`` of them (chunks a
+    worker answered with an error, which the context must re-run)."""
 
     def __init__(self, app, graph, seed, rng, lose):
         self.app, self.graph, self.seed = app, graph, seed

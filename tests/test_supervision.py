@@ -1,11 +1,13 @@
-"""Worker supervision: respawn, retry, quarantine, degrade-last.
+"""Worker crash recovery: detection, then one recovery path.
 
 The invariant every test here guards: no injected failure may change a
-single sampled vertex.  Crashes cost wall-clock (respawns, in-process
-re-runs), never correctness — and degradation to in-process execution
-is the *last* resort, taken only once the respawn budget is spent.
+single sampled vertex.  A lost worker (killed or wedged) is detected by
+the pool, which raises at once; the run retires the pool, warns once and
+finishes in-process, and the next run gets a fresh pool.  Crashes cost
+wall-clock, never correctness.
 """
 
+import os
 import warnings
 
 import numpy as np
@@ -14,9 +16,9 @@ import pytest
 from repro.api.apps import DeepWalk
 from repro.core.engine import NextDoorEngine
 from repro.obs import get_metrics
-from repro.runtime.faults import PLAN_ENV
+from repro.runtime import shm
+from repro.runtime.faults import FaultPlan
 from repro.runtime.pool import (
-    RESPAWN_ENV,
     TIMEOUT_ENV,
     WorkerCrash,
     WorkerPool,
@@ -33,14 +35,9 @@ def _expected(graph):
         DeepWalk(walk_length=16), graph, num_samples=256, seed=11)
 
 
-def _faulted(graph, plan, monkeypatch, *, timeout=None, respawns=None,
-             expect_degrade=False):
-    monkeypatch.setenv(PLAN_ENV, plan)
-    if timeout is not None:
-        monkeypatch.setenv(TIMEOUT_ENV, str(timeout))
-    if respawns is not None:
-        monkeypatch.setenv(RESPAWN_ENV, str(respawns))
+def _faulted(graph, plan, *, expect_degrade=False):
     engine = NextDoorEngine(workers=2, chunk_size=CHUNK)
+    engine.fault_plan = FaultPlan.parse(plan)
     if expect_degrade:
         with pytest.warns(RuntimeWarning, match="in-process"):
             return engine.run(DeepWalk(walk_length=16), graph,
@@ -60,48 +57,61 @@ def _assert_identical(a, b):
 
 
 @pytest.mark.usefixtures("process_pool")
-class TestRespawn:
-    def test_crash_after_result_is_healed(self, medium_weighted,
-                                          monkeypatch):
-        """kill-after-chunk: the worker dies having shipped its result;
-        the supervisor respawns it and the run never degrades."""
+class TestCrashRecovery:
+    @pytest.mark.parametrize("plan,timeout", [
+        ("kill-before-chunk:0.1", None),
+        ("wedge-chunk:0.1", "1"),
+    ], ids=["kill-before-chunk", "wedge-chunk"])
+    def test_lost_worker_finishes_in_process(self, medium_weighted,
+                                             monkeypatch, plan, timeout):
+        """A worker killed mid-step (pipe EOF) or wedged past a 1 s
+        watchdog costs the run its pool, once: one warning, one crash
+        counted, the degraded gauge set, the fault-free samples.  The
+        next run on the same engine comes up on a fresh pool, and
+        nothing is left in /dev/shm."""
+        if timeout is not None:
+            monkeypatch.setenv(TIMEOUT_ENV, timeout)
+        before_segments = set(shm.leaked_segments())
         expected = _expected(medium_weighted)
-        respawns = get_metrics().counter("pool.worker_respawns")
-        before = respawns.value
-        got = _faulted(medium_weighted, "kill-after-chunk:0.2",
-                       monkeypatch)
+        metrics = get_metrics()
+        crashes = metrics.counter("pool.worker_crashes")
+        degraded = metrics.gauge("runtime.degraded_mode")
+        pooled = metrics.counter("runtime.chunks_pooled")
+        engine = NextDoorEngine(workers=2, chunk_size=CHUNK)
+        engine.fault_plan = FaultPlan.parse(plan)
+        crashes_before = crashes.value
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            got = engine.run(DeepWalk(walk_length=16), medium_weighted,
+                             num_samples=256, seed=11)
         _assert_identical(expected, got)
-        assert respawns.value > before
+        (warning,) = [w for w in caught
+                      if issubclass(w.category, RuntimeWarning)]
+        assert "in-process" in str(warning.message)
+        assert crashes.value == crashes_before + 1
+        assert degraded.value == 1
 
-    def test_crash_before_chunk_requeues_lost_chunk(self,
-                                                    medium_weighted,
-                                                    monkeypatch):
-        """kill-before-chunk with a STEP.CHUNK trigger: the chunk is
-        lost once, retried, and (because the respawned worker's fresh
-        fault budget kills it again) quarantined to run in-process."""
-        expected = _expected(medium_weighted)
-        quarantined = get_metrics().counter("pool.chunks_quarantined")
-        before = quarantined.value
-        got = _faulted(medium_weighted, "kill-before-chunk:0.2",
-                       monkeypatch)
-        _assert_identical(expected, got)
-        assert quarantined.value > before
+        engine.fault_plan = None
+        pooled_before = pooled.value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            again = engine.run(DeepWalk(walk_length=16), medium_weighted,
+                               num_samples=256, seed=11)
+        _assert_identical(expected, again)
+        assert pooled.value > pooled_before
+        assert degraded.value == 0
+        assert crashes.value == crashes_before + 1
 
-    def test_wedged_worker_is_respawned_by_watchdog(self,
-                                                    medium_weighted,
-                                                    monkeypatch):
-        expected = _expected(medium_weighted)
-        crashes = get_metrics().counter("pool.worker_crashes")
-        before = crashes.value
-        got = _faulted(medium_weighted, "wedge-chunk:0.1",
-                       monkeypatch, timeout=1.0, respawns=8)
-        _assert_identical(expected, got)
-        assert crashes.value > before
+        shutdown_pools()
+        shm.release_all()
+        own = f"{shm.SEGMENT_PREFIX}_{os.getpid()}_"
+        left = set(shm.leaked_segments())
+        assert not [n for n in left if n.startswith(own)]
+        assert left <= before_segments
 
-    def test_chunk_error_reruns_in_process(self, medium_weighted,
-                                           monkeypatch):
-        """A worker-side exception quarantines the chunk (in-process
-        re-run) without killing the pool or the run."""
+    def test_chunk_error_reruns_in_process(self, medium_weighted):
+        """A worker-side exception sends the chunk back to the caller
+        (in-process re-run) without killing the pool or the run."""
         from repro.obs.metrics import scalar_of
         expected = _expected(medium_weighted)
 
@@ -110,19 +120,12 @@ class TestRespawn:
                 "pool.chunk_errors", 0.0))
 
         before = errors_total()
-        got = _faulted(medium_weighted, "chunk-error:0.1", monkeypatch)
+        crashes = get_metrics().counter("pool.worker_crashes").value
+        got = _faulted(medium_weighted, "chunk-error:0.1")
         _assert_identical(expected, got)
         assert errors_total() > before
-
-    def test_budget_exhausted_degrades_with_identical_samples(
-            self, medium_weighted, monkeypatch):
-        """Respawn budget 0 restores the old abandon-on-first-crash
-        behaviour — loudly, and still bitwise-identical."""
-        expected = _expected(medium_weighted)
-        got = _faulted(medium_weighted, "kill-before-chunk:0.1",
-                       monkeypatch, respawns=0, expect_degrade=True)
-        _assert_identical(expected, got)
-        assert get_metrics().gauge("runtime.degraded_mode").value == 1
+        assert get_metrics().counter("pool.worker_crashes").value == crashes
+        assert get_metrics().gauge("runtime.degraded_mode").value == 0
 
 
 @pytest.mark.usefixtures("process_pool")
@@ -148,9 +151,9 @@ class TestBroadcastFailure:
                                      0, True)
 
     def test_injected_broadcast_failure_degrades_loudly(
-            self, medium_weighted, monkeypatch):
+            self, medium_weighted):
         expected = _expected(medium_weighted)
-        got = _faulted(medium_weighted, "broadcast-fail", monkeypatch,
+        got = _faulted(medium_weighted, "broadcast-fail",
                        expect_degrade=True)
         _assert_identical(expected, got)
 
