@@ -21,6 +21,7 @@ from repro.graph.csr import CSRGraph
 __all__ = [
     "uniform_neighbors",
     "weighted_neighbors",
+    "weighted_picks",
     "segment_uniform_choice",
     "build_combined_neighborhood",
     "combined_neighborhood_offsets",
@@ -36,16 +37,11 @@ def _backend():
     return active_backend()
 
 
-def uniform_neighbors(graph: CSRGraph, transits: np.ndarray, m: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Choose ``m`` uniform neighbors (with replacement) per transit.
-
-    Returns ``(K, m)``; NULL transits and zero-degree transits yield
-    NULL rows.
-    """
-    native = _backend().uniform_neighbors(graph, transits, m, rng)
-    if native is not None:
-        return native
+def _over_eligible(graph: CSRGraph, transits: np.ndarray, m: int,
+                   draw) -> np.ndarray:
+    """``(K, m)``: the rows ``draw(t, deg)`` returns for the live
+    transits ``t`` that have an edge (``deg`` their degrees), in order;
+    NULL rows for NULL and zero-degree transits."""
     transits = np.asarray(transits, dtype=np.int64)
     live = transits != NULL_VERTEX
     if m == 0 or not live.any():
@@ -60,12 +56,7 @@ def uniform_neighbors(graph: CSRGraph, transits: np.ndarray, m: int,
             return np.full((transits.size, m), NULL_VERTEX, dtype=np.int64)
         t = t[has_nbrs]
         deg = deg[has_nbrs]
-    # Uniform index into each row, for each of the m draws.
-    r = rng.random(size=(t.size, m))
-    picks = (r * deg[:, None]).astype(np.int64)
-    picks = np.minimum(picks, (deg - 1)[:, None])
-    rows = graph.indptr[t][:, None] + picks
-    sampled = graph.indices[rows]
+    sampled = draw(t, deg)
     if all_live and all_nbrs:
         return sampled.astype(np.int64, copy=False)
     out = np.full((transits.size, m), NULL_VERTEX, dtype=np.int64)
@@ -74,6 +65,27 @@ def uniform_neighbors(graph: CSRGraph, transits: np.ndarray, m: int,
         live_idx = live_idx[has_nbrs]
     out[live_idx] = sampled
     return out
+
+
+def uniform_neighbors(graph: CSRGraph, transits: np.ndarray, m: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Choose ``m`` uniform neighbors (with replacement) per transit.
+
+    Returns ``(K, m)``; NULL transits and zero-degree transits yield
+    NULL rows.
+    """
+    native = _backend().uniform_neighbors(graph, transits, m, rng)
+    if native is not None:
+        return native
+
+    def draw(t, deg):
+        # Uniform index into each row, for each of the m draws.
+        r = rng.random(size=(t.size, m))
+        picks = (r * deg[:, None]).astype(np.int64)
+        picks = np.minimum(picks, (deg - 1)[:, None])
+        return graph.indices[graph.indptr[t][:, None] + picks]
+
+    return _over_eligible(graph, transits, m, draw)
 
 
 def rowwise_searchsorted(values: np.ndarray, targets: np.ndarray,
@@ -107,56 +119,62 @@ def rowwise_searchsorted(values: np.ndarray, targets: np.ndarray,
     return lo
 
 
+#: Forward steps the vectorised weighted draw takes past its guide
+#: entry; the few draws still short of their edge then bisect.
+GUIDE_SCAN_STEPS = 4
+
+
+def weighted_picks(graph: CSRGraph, t: np.ndarray,
+                   r: np.ndarray) -> np.ndarray:
+    """Edge positions of the ``(m, K)`` draws ``r`` in the rows of the
+    ``K`` transits ``t`` (each with an edge): per draw, the first edge
+    whose global cumsum exceeds ``base + r * total``, clamped to the
+    row's last edge — ``searchsorted(cumsum, target, "right")`` — found
+    from the row's :meth:`~repro.graph.csr.CSRGraph.weight_guide` entry
+    by a short forward scan."""
+    starts = graph.indptr[t]
+    deg = graph.degrees_array[t]
+    last = starts + deg - 1
+    cumsum = graph.global_weight_cumsum()
+    row_base, row_total = graph.weight_row_spans()
+    targets = row_base[t] + r * row_total[t]
+    bucket = (r * deg).astype(np.int64)
+    np.minimum(bucket, deg - 1, out=bucket)
+    pos = starts + graph.weight_guide()[starts + bucket]
+    more = np.flatnonzero((pos < last) & (cumsum[pos] <= targets))
+    flat, targets = pos.reshape(-1), targets.reshape(-1)
+    last = np.broadcast_to(last, pos.shape).reshape(-1)
+    for _ in range(GUIDE_SCAN_STEPS):
+        if not more.size:
+            return pos
+        p = flat[more] + 1
+        flat[more] = p
+        more = more[(p < last[more]) & (cumsum[p] <= targets[more])]
+    if more.size:
+        flat[more] = np.minimum(
+            np.searchsorted(cumsum, targets[more], side="right"), last[more])
+    return pos
+
+
 def weighted_neighbors(graph: CSRGraph, transits: np.ndarray, m: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Choose ``m`` neighbors per transit with probability proportional
-    to edge weight (DeepWalk's biased static walk), by binary search in
-    each row's weight prefix sum."""
+    to edge weight (DeepWalk's biased static walk): inverse-transform
+    sampling over the weight cumsum, located by :func:`weighted_picks`."""
     if not graph.is_weighted:
         return uniform_neighbors(graph, transits, m, rng)
     native = _backend().weighted_neighbors(graph, transits, m, rng)
     if native is not None:
         return native
-    transits = np.asarray(transits, dtype=np.int64)
-    live = transits != NULL_VERTEX
-    if m == 0 or not live.any():
-        return np.full((transits.size, m), NULL_VERTEX, dtype=np.int64)
-    all_live = bool(live.all())
-    t = transits if all_live else transits[live]
-    starts = graph.indptr[t]
-    deg = graph.degrees_array[t]
-    has_nbrs = deg > 0
-    all_nbrs = bool(has_nbrs.all())
-    if not all_nbrs:
-        if not has_nbrs.any():
-            return np.full((transits.size, m), NULL_VERTEX, dtype=np.int64)
-        t = t[has_nbrs]
-        starts = starts[has_nbrs]
-        deg = deg[has_nbrs]
-    ends = starts + deg
-    cumsum = graph.global_weight_cumsum()
-    row_base, row_total = graph.weight_row_spans()
-    base = row_base[t]
-    totals = row_total[t]
-    # All m draws in one pass: row j of the (m, K) block is the j-th
-    # sequential rng.random(K) call, so the stream (and every sampled
-    # vertex) matches the draw-at-a-time loop bit for bit.  One global
-    # binary search answers every (draw, row) at once: the cumsum is
-    # monotone, each row's mass spans its CSR slice, and every target
-    # already sits inside its row's span (so only the top clamp for
-    # draws that land exactly on the row total is needed).
-    targets = base + rng.random(size=(m, t.size)) * totals
-    pos = np.searchsorted(cumsum, targets, side="right")
-    pos = np.minimum(pos, ends - 1)
-    sampled = graph.indices[pos].T
-    if all_live and all_nbrs:
-        return sampled.astype(np.int64, copy=False)
-    out = np.full((transits.size, m), NULL_VERTEX, dtype=np.int64)
-    live_idx = np.nonzero(live)[0]
-    if not all_nbrs:
-        live_idx = live_idx[has_nbrs]
-    out[live_idx] = sampled
-    return out
+
+    def draw(t, deg):
+        # All m draws in one block: row j of the (m, K) block is the
+        # j-th sequential rng.random(K) call, so the stream (and every
+        # sampled vertex) matches the draw-at-a-time loop bit for bit.
+        r = rng.random(size=(m, t.size))
+        return graph.indices[weighted_picks(graph, t, r)].T
+
+    return _over_eligible(graph, transits, m, draw)
 
 
 def segment_uniform_choice(values: np.ndarray, offsets: np.ndarray, m: int,

@@ -75,9 +75,11 @@ class DeepWalk(SamplingApp):
     ) -> Tuple[np.ndarray, StepInfo]:
         if graph.is_weighted:
             out = weighted_neighbors(graph, transits, 1, rng)
-            # Inverse-transform sampling: RNG + a binary search over the
-            # transit's weight prefix — log2(d) probes per draw, served
-            # from the cached row under transit-parallelism.
+            # The modeled GPU kernel is the paper's: RNG + a binary
+            # search over the transit's weight prefix — log2(d) probes
+            # per draw, served from the cached row under
+            # transit-parallelism.  The host kernels reach the same edge
+            # from the graph's guide table instead.
             probes = float(np.log2(max(graph.avg_degree, 1.0) + 1))
             info = StepInfo(avg_compute_cycles=8.0 + 2.0 * probes,
                             cacheable_reads_per_vertex=probes)

@@ -341,27 +341,16 @@ class CSRGraph:
         """Global prefix-sum of edge weights, per CSR row.
 
         ``weight_prefix()[indptr[v]:indptr[v+1]]`` is the cumulative
-        weight of the edges of ``v``; biased samplers binary-search it.
-        Mirrors the paper's prefix-sum ``Vertex`` utility.  Computed
-        lazily and cached.
+        weight of the edges of ``v``: :meth:`global_weight_cumsum` minus
+        the row's base.  Mirrors the paper's prefix-sum ``Vertex``
+        utility.  Computed lazily and cached.
         """
         if self.weights is None:
             raise ValueError("graph is unweighted")
         if self._weight_prefix is None:
-            if self.weights.size == 0:
-                self._weight_prefix = np.zeros(0, dtype=np.float64)
-                return self._weight_prefix
-            prefix = np.cumsum(self.weights)
-            row_base = np.zeros_like(prefix)
-            starts = self.indptr[:-1]
-            valid = starts < self.indptr[1:]
-            # Subtract the cumulative total before each row start so each
-            # row's prefix restarts at its own first weight.
-            base_per_row = np.where(starts > 0, prefix[starts - 1], 0.0)
-            expanded = np.repeat(base_per_row[valid],
-                                 np.diff(self.indptr)[valid])
-            row_base[:] = expanded
-            self._weight_prefix = prefix - row_base
+            base, _ = self.weight_row_spans()
+            self._weight_prefix = (self.global_weight_cumsum()
+                                   - np.repeat(base, self.degrees_array))
         return self._weight_prefix
 
     def global_weight_cumsum(self) -> np.ndarray:
@@ -390,12 +379,59 @@ class CSRGraph:
             raise ValueError("graph is unweighted")
         if getattr(self, "_weight_row_spans_cache", None) is None:
             cumsum = self.global_weight_cumsum()
+            if not cumsum.size:     # every row is empty: spans of 0
+                cumsum = np.zeros(1)
             starts = self.indptr[:-1]
             ends = self.indptr[1:]
             base = np.where(starts > 0, cumsum[starts - 1], 0.0)
             total = np.where(ends > starts, cumsum[ends - 1] - base, 0.0)
             self._weight_row_spans_cache = (base, total)
         return self._weight_row_spans_cache
+
+    def weight_guide(self) -> np.ndarray:
+        """Per-edge guide table of the weighted draw (``int32``, cached).
+
+        A draw ``r`` in ``[0, 1)`` at row ``v`` (``d`` edges, span
+        ``(base, total)``) lands in bucket ``j = min(int(r * d), d - 1)``
+        and picks the first edge whose cumsum exceeds ``base + r *
+        total``, clamped to the row's last edge.  Entry ``indptr[v] + j``
+        is the row-local edge that the *smallest* double in bucket ``j``
+        picks.  The target is monotone in ``r``, so every draw of the
+        bucket scans forward from there to the edge the bisection finds,
+        in O(1) expected steps.  Built in edge blocks that search only
+        their own slice of the cumsum.
+        """
+        if self.weights is None:
+            raise ValueError("graph is unweighted")
+        if getattr(self, "_weight_guide_cache", None) is None:
+            cumsum = self.global_weight_cumsum()
+            base, total = self.weight_row_spans()
+            indptr, deg = self.indptr, self.degrees_array
+            guide = np.empty(self.num_edges, dtype=np.int32)
+            cuts = np.unique(np.searchsorted(
+                indptr, np.arange(0, self.num_edges, 1 << 14)))
+            cuts = np.append(cuts, self.num_vertices)
+            for v0, v1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+                s0, s1 = int(indptr[v0]), int(indptr[v1])
+                row = np.repeat(np.arange(v0, v1), deg[v0:v1])
+                first, d = indptr[row], deg[row]
+                j = np.arange(s0, s1) - first
+                # The smallest r with r * d >= j lies a few ulps from
+                # j / d; non-negative doubles order like their bit
+                # patterns, so +-1 on the int64 view steps one ulp.
+                r = j / d
+                bits = r.view(np.int64)
+                bits += r * d < j
+                while True:
+                    down = (bits > 0) & ((bits - 1).view(np.float64) * d >= j)
+                    if not down.any():
+                        break
+                    bits -= down
+                target = base[row] + r * total[row]
+                pos = np.searchsorted(cumsum[s0:s1], target, side="right")
+                guide[s0:s1] = np.minimum(pos + s0 - first, d - 1)
+            self._weight_guide_cache = guide
+        return self._weight_guide_cache
 
     def row_max_weight(self) -> np.ndarray:
         """Maximum outgoing edge weight per vertex (cached).
@@ -417,12 +453,7 @@ class CSRGraph:
 
     def row_total_weight(self) -> np.ndarray:
         """Total edge weight per vertex (last entry of each row prefix)."""
-        prefix = self.weight_prefix()
-        totals = np.zeros(self.num_vertices, dtype=np.float64)
-        ends = self.indptr[1:]
-        nonempty = ends > self.indptr[:-1]
-        totals[nonempty] = prefix[ends[nonempty] - 1]
-        return totals
+        return self.weight_row_spans()[1].copy()
 
     # ------------------------------------------------------------------
     # Transformations

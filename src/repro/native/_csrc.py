@@ -23,10 +23,11 @@ Contract with the numpy kernels in ``repro/api/apps/_kernels.py``
 * integer truncation of ``r * n`` picks matches numpy's
   ``astype(np.int64)`` (both truncate toward zero, values are
   non-negative), followed by the same clamp to ``n - 1``;
-* the weighted kernel's per-row upper-bound binary search over the
-  global weight cumsum returns the same index as numpy's global
-  ``searchsorted(..., side="right")`` + clamp, because every index
-  before the row start holds mass ``<= base <= target``;
+* the weighted kernel starts at the same ``CSRGraph.weight_guide``
+  entry as numpy's ``weighted_picks`` (bucket ``r * d`` truncated and
+  clamped like a uniform pick) and scans forward to the first edge
+  whose cumsum exceeds the target, clamped to the row's last edge —
+  the index numpy's bisection fallback would return too;
 * every floating-point expression keeps numpy's operand order, and
   ``-ffp-contract=off`` forbids FMA contraction;
 * ``grouping`` is a stable LSD radix sort on ``vals - min`` in 16-bit
@@ -124,7 +125,8 @@ int64_t repro_uniform_fill(const int64_t *indptr, const int64_t *indices,
 
 int64_t repro_weighted_fill(const int64_t *indptr, const int64_t *indices,
                             const int64_t *degrees, const double *cumsum,
-                            const double *row_base, const double *row_total,
+                            const int32_t *guide, const double *row_base,
+                            const double *row_total,
                             const int64_t *transits, int64_t n, int64_t m,
                             int64_t count, const double *r, int64_t *out,
                             int64_t null_v) {
@@ -141,18 +143,15 @@ int64_t repro_weighted_fill(const int64_t *indptr, const int64_t *indices,
         int64_t start = indptr[t];
         int64_t end = start + d;
         for (int64_t q = 0; q < m; q++) {
-            double target = b + r[q * count + c] * tot;
-            int64_t lo = start, hi = end;
-            while (lo < hi) {
-                int64_t mid = (lo + hi) >> 1;
-                if (cumsum[mid] <= target)
-                    lo = mid + 1;
-                else
-                    hi = mid;
-            }
-            if (lo > end - 1)
-                lo = end - 1;
-            out[i * m + q] = indices[lo];
+            double rq = r[q * count + c];
+            double target = b + rq * tot;
+            int64_t j = (int64_t)(rq * (double)d);
+            if (j > d - 1)
+                j = d - 1;
+            int64_t pos = start + guide[start + j];
+            while (pos < end - 1 && cumsum[pos] <= target)
+                pos++;
+            out[i * m + q] = indices[pos];
         }
         c++;
     }

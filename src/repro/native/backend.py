@@ -140,9 +140,10 @@ class NumpyBackend(KernelBackend):
 # -- numpy rescues consuming an already-drawn block --------------------
 #
 # These replicate the tail of the corresponding numpy kernels exactly
-# (same picks arithmetic, same searchsorted), but take the pre-drawn
-# doubles instead of the generator — used only when a C fill kernel
-# fails after its block was drawn, so the stream stays aligned.
+# (same picks arithmetic; the weighted one calls numpy's own
+# ``weighted_picks``), but take the pre-drawn doubles instead of the
+# generator — used only when a C fill kernel fails after its block was
+# drawn, so the stream stays aligned.
 
 def _eligible_indices(graph, transits):
     live = transits != NULL_VERTEX
@@ -162,15 +163,9 @@ def _uniform_from_draws(graph, transits, m, r):
 
 
 def _weighted_from_draws(graph, transits, m, r):
+    from repro.api.apps._kernels import weighted_picks
     idx = _eligible_indices(graph, transits)
-    t = transits[idx]
-    starts = graph.indptr[t]
-    ends = starts + graph.degrees_array[t]
-    cumsum = graph.global_weight_cumsum()
-    row_base, row_total = graph.weight_row_spans()
-    targets = row_base[t] + r.reshape(m, t.size) * row_total[t]
-    pos = np.searchsorted(cumsum, targets, side="right")
-    pos = np.minimum(pos, ends - 1)
+    pos = weighted_picks(graph, transits[idx], r.reshape(m, idx.size))
     out = np.full((transits.size, m), NULL_VERTEX, dtype=np.int64)
     out[idx] = graph.indices[pos].T
     return out
@@ -308,12 +303,14 @@ class CNativeBackend(KernelBackend):
         if count == 0:
             return out
         cumsum = graph.global_weight_cumsum()
+        guide = graph.weight_guide()
         row_base, row_total = graph.weight_row_spans()
         r = rng.random(size=m * count)
         try:
             fill_k(graph.indptr.ctypes.data, graph.indices.ctypes.data,
                    degrees.ctypes.data, cumsum.ctypes.data,
-                   row_base.ctypes.data, row_total.ctypes.data,
+                   guide.ctypes.data, row_base.ctypes.data,
+                   row_total.ctypes.data,
                    transits.ctypes.data, transits.size, m, count,
                    r.ctypes.data, out.ctypes.data, NULL_VERTEX)
         except Exception as exc:

@@ -4,11 +4,12 @@ The worker pool must read the same CSR arrays the parent samples from
 without pickling or copying them into every worker.  ``export_graph``
 places ``indptr`` / ``indices`` / ``weights`` — plus the lazy caches
 the hot paths rely on (degrees, the global weight cumsum, the per-row
-weight spans and row maxima) — into named shared-memory segments and
-returns a small picklable :class:`SharedGraphHandle`.  ``import_graph``
-maps those segments read-only into a :class:`~repro.graph.csr.CSRGraph`
-without running any of the constructor's validation or sorting (the
-exporter's arrays are already validated and row-sorted).
+weight spans and row maxima, the weighted draw's guide table) — into
+named shared-memory segments and returns a small picklable
+:class:`SharedGraphHandle`.  ``import_graph`` maps those segments
+read-only into a :class:`~repro.graph.csr.CSRGraph` without running
+any of the constructor's validation or sorting (the exporter's arrays
+are already validated and row-sorted).
 
 A dispatched step travels the same way: ``open_arena`` lays the step's
 pair arrays and its output out in one **step arena**, workers map it by
@@ -144,6 +145,8 @@ def export_graph(graph: CSRGraph) -> SharedGraphHandle:
             _export_array(arrays, segments, key, "wrowtotal", total)
             _export_array(arrays, segments, key, "wrowmax",
                           graph.row_max_weight())
+            _export_array(arrays, segments, key, "wguide",
+                          graph.weight_guide())
     except BaseException:
         for shm in segments:
             shm.close()
@@ -441,6 +444,7 @@ def import_graph(handle: SharedGraphHandle) -> CSRGraph:
         graph._weight_row_spans_cache = (views["wrowbase"],
                                          views["wrowtotal"])
         graph._row_max_cache = views["wrowmax"]
+        graph._weight_guide_cache = views["wguide"]
     graph._shm_refs = segments
     return graph
 

@@ -130,6 +130,10 @@ class TestSharedGraph:
                                   medium_weighted.degrees_array)
             assert np.array_equal(g.global_weight_cumsum(),
                                   medium_weighted.global_weight_cumsum())
+            # The guide table arrives mapped, not rebuilt per worker.
+            assert not g.weight_guide().flags.writeable
+            assert np.array_equal(g.weight_guide(),
+                                  medium_weighted.weight_guide())
             assert g.name == medium_weighted.name
             close_imported(g)
         finally:

@@ -598,11 +598,11 @@ class TestServerHTTP:
             return_samples=False, hooks={"fault_plan": plan}))
 
     def _slow_hooked_walk(self, server, client, seed):
-        """Start a 20 000-walker request that faults at step 90 and wait
+        """Start a 50 000-walker request that faults at step 90 and wait
         until it holds an executor; returns (thread, [result])."""
         done = []
         t = threading.Thread(target=lambda: done.append(self._hooked_walk(
-            client, "interrupt-step:90", 20000, seed)))
+            client, "interrupt-step:90", 50000, seed)))
         t.start()
         deadline = time.monotonic() + 5.0
         while (server.admission.inflight() == 0
@@ -649,7 +649,7 @@ class TestServerHTTP:
         assert "interrupt at step 3" in fast.response["error"]
         assert slow and "interrupt at step 90" in slow[0].response["error"]
         # Hooked requests do not queue behind each other: 3 steps of 32
-        # walkers did not wait out 90 steps of 20 000.
+        # walkers did not wait out 90 steps of 50 000.
         assert fast_s < slow_s / 2, (fast_s, slow_s)
 
     def test_keepalive_requests_do_not_stall(self, server):
