@@ -104,39 +104,18 @@ def sample_order_pairs(transits: np.ndarray, graph=None) -> TransitMap:
                       num_total_pairs=int(np.asarray(transits).size))
 
 
-#: Bits per radix digit: numpy radix-sorts keys of at most 16 bits (wider
-#: integer keys fall back to a merge sort), so each pass is one stable
-#: ``argsort`` over a ``uint16`` digit.
-_DIGIT_BITS = 16
-
-
-def _grouping_order(keys: np.ndarray) -> np.ndarray:
-    """Stable permutation grouping ``keys``: an LSD radix sort over the
-    keys rebased to ``[0, span)``, one stable ``uint16`` argsort per
-    16-bit digit — ``ceil(bits(span) / 16)`` passes, each O(K).
-
-    Bitwise-identical to ``np.argsort(keys, kind="stable")``: the rebase
-    is monotone and the stable sort of a key sequence is unique.
-    """
-    rebased = keys - keys.min()
-    span_bits = int(rebased.max()).bit_length()
-    order = np.argsort(rebased.astype(np.uint16), kind="stable")
-    for shift in range(_DIGIT_BITS, span_bits, _DIGIT_BITS):
-        digit = (rebased >> shift).astype(np.uint16)
-        order = order[np.argsort(digit[order], kind="stable")]
-    return order
-
-
 def build_transit_map(transits: np.ndarray, graph=None) -> TransitMap:
     """Group a step's pairs by transit vertex (the functional half).
 
-    The grouping permutation is a fixed-digit LSD radix sort (the active
-    kernel backend's ``grouping`` hook, else :func:`_grouping_order`);
-    ``unique_transits`` / ``counts`` / ``offsets`` are then read off the
-    run boundaries of the sorted keys.  Every stage is O(K) in the
-    step's pairs — nothing is sized by, or scans, the vertex-id range.
-    ``graph`` is accepted for the ``pairs(transits, graph)`` callable
-    protocol and is not read.
+    The grouping is one ``np.sort`` of packed keys ``(vals - min) << b
+    | pair``, ``b`` the bit length of ``K - 1``: the low bits make every
+    key distinct, so any sort of them is ``argsort(vals, kind="stable")``
+    and the high bits are the sorted transits.  Ids too far apart to
+    pack fall back to that argsort.  ``unique_transits`` / ``counts`` /
+    ``offsets`` are then read off the run boundaries of the sorted
+    transits.  Every stage is O(K log K) in the step's pairs — nothing
+    is sized by, or scans, the vertex-id range.  ``graph`` is accepted
+    for the ``pairs(transits, graph)`` callable protocol and is not read.
     """
     sample_ids, cols, vals = flatten_transits(transits)
     num_total_pairs = int(np.asarray(transits).size)
@@ -145,11 +124,16 @@ def build_transit_map(transits: np.ndarray, graph=None) -> TransitMap:
         return TransitMap(sample_ids, cols, vals, empty, empty.copy(),
                           np.zeros(1, dtype=np.int64),
                           num_total_pairs=num_total_pairs)
-    from repro.api.apps._kernels import _backend
-    order = _backend().grouping(vals)
-    if order is None:
-        order = _grouping_order(vals)
-    svals = vals[order]
+    lo = vals.min()
+    bits = (vals.size - 1).bit_length()
+    if int(vals.max() - lo).bit_length() + bits <= 63:
+        keys = np.sort(((vals - lo) << bits)
+                       | np.arange(vals.size, dtype=np.int64))
+        order = keys & ((1 << bits) - 1)
+        svals = (keys >> bits) + lo
+    else:
+        order = np.argsort(vals, kind="stable")
+        svals = vals[order]
     # A new group starts wherever the sorted transit changes.
     starts = np.flatnonzero(svals[1:] != svals[:-1]) + 1
     offsets = np.concatenate(([0], starts, [svals.size]))

@@ -27,11 +27,11 @@ Contract with the numpy kernels in ``repro/api/apps/_kernels.py``
   entry as numpy's ``weighted_picks`` (bucket ``r * d`` truncated and
   clamped like a uniform pick) and scans forward to the first edge
   whose cumsum exceeds the target, clamped to the row's last edge —
-  the index numpy's bisection fallback would return too;
+  the index numpy's bisection fallback would return too; its loop is
+  staged over blocks of draws (prefetch, then read) but takes the
+  draws, and consumes ``r``, in the same (transit, draw) order;
 * every floating-point expression keeps numpy's operand order, and
   ``-ffp-contract=off`` forbids FMA contraction;
-* ``grouping`` is a stable LSD radix sort on ``vals - min`` in 16-bit
-  digits (1-4 passes by span), i.e. ``argsort(kind="stable")``;
 * ``edge_mask`` + ``edge_emit`` are ``CSRGraph.adjacency_block`` plus
   the probe of ``FastGCN.record_step_edges``: per block of sample rows
   a packed bitmap of distinct transits x distinct new vertices, one
@@ -123,6 +123,15 @@ int64_t repro_uniform_fill(const int64_t *indptr, const int64_t *indices,
     return j;
 }
 
+/* Draws per stage of repro_weighted_fill: enough independent misses in
+   flight per pass, small enough that the block's lines stay in L1. */
+#define WF_BLOCK 64
+
+/* Draw (transit i, draw q) in (i, q) order, WF_BLOCK draws at a time,
+   each block in four passes so that every pass's loads are independent
+   of one another: prefetch the transits' rows; compute the targets and
+   guide slots and prefetch the guide entries; read them and prefetch
+   the first edge; scan forward to the edge and write it. */
 int64_t repro_weighted_fill(const int64_t *indptr, const int64_t *indices,
                             const int64_t *degrees, const double *cumsum,
                             const int32_t *guide, const double *row_base,
@@ -130,30 +139,59 @@ int64_t repro_weighted_fill(const int64_t *indptr, const int64_t *indices,
                             const int64_t *transits, int64_t n, int64_t m,
                             int64_t count, const double *r, int64_t *out,
                             int64_t null_v) {
-    int64_t c = 0;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t t = transits[i];
-        if (t == null_v)
-            continue;
-        int64_t d = degrees[t];
-        if (d <= 0)
-            continue;
-        double b = row_base[t];
-        double tot = row_total[t];
-        int64_t start = indptr[t];
-        int64_t end = start + d;
-        for (int64_t q = 0; q < m; q++) {
-            double rq = r[q * count + c];
-            double target = b + rq * tot;
-            int64_t j = (int64_t)(rq * (double)d);
-            if (j > d - 1)
-                j = d - 1;
-            int64_t pos = start + guide[start + j];
-            while (pos < end - 1 && cumsum[pos] <= target)
-                pos++;
-            out[i * m + q] = indices[pos];
+    int64_t at[WF_BLOCK], row[WF_BLOCK], pos[WF_BLOCK], last[WF_BLOCK];
+    double target[WF_BLOCK];
+    int64_t ahead = WF_BLOCK / (m > 0 ? m : 1) + 1;
+    int64_t c = 0, i = 0, q = 0;
+    while (i < n) {
+        int64_t reach = n - i < ahead ? n : i + ahead;
+        for (int64_t k = i; k < reach; k++) {
+            int64_t t = transits[k];
+            if (t == null_v)
+                continue;
+            __builtin_prefetch(degrees + t);
+            __builtin_prefetch(indptr + t);
+            __builtin_prefetch(row_base + t);
+            __builtin_prefetch(row_total + t);
         }
-        c++;
+        int nb = 0;
+        while (nb < WF_BLOCK && i < n) {
+            int64_t t = transits[i];
+            int64_t d = t == null_v ? 0 : degrees[t];
+            if (d > 0) {
+                double b = row_base[t];
+                double tot = row_total[t];
+                int64_t start = indptr[t];
+                for (; q < m && nb < WF_BLOCK; q++, nb++) {
+                    double rq = r[q * count + c];
+                    int64_t j = (int64_t)(rq * (double)d);
+                    if (j > d - 1)
+                        j = d - 1;
+                    at[nb] = i * m + q;
+                    target[nb] = b + rq * tot;
+                    row[nb] = start;
+                    pos[nb] = start + j;
+                    last[nb] = start + d - 1;
+                    __builtin_prefetch(guide + start + j);
+                }
+                if (q < m)
+                    break;
+                c++;
+            }
+            q = 0;
+            i++;
+        }
+        for (int k = 0; k < nb; k++) {
+            pos[k] = row[k] + guide[pos[k]];
+            __builtin_prefetch(cumsum + pos[k]);
+            __builtin_prefetch(indices + pos[k]);
+        }
+        for (int k = 0; k < nb; k++) {
+            int64_t p = pos[k];
+            while (p < last[k] && cumsum[p] <= target[k])
+                p++;
+            out[at[k]] = indices[p];
+        }
     }
     return c;
 }
@@ -274,48 +312,6 @@ void repro_node2vec_fill(const int64_t *indptr, const int64_t *indices,
     counters[3] = draws;
     sw[0] = (uint64_t)(state >> 64);
     sw[1] = (uint64_t)state;
-}
-
-void repro_grouping(const int64_t *vals, int64_t n, int64_t *hist,
-                    int64_t *order, int64_t *tmp) {
-    int64_t vmin = vals[0], vmax = vals[0];
-    for (int64_t i = 1; i < n; i++) {
-        if (vals[i] < vmin) vmin = vals[i];
-        if (vals[i] > vmax) vmax = vals[i];
-    }
-    uint64_t span = (uint64_t)vmax - (uint64_t)vmin;
-    int passes = 1;
-    while (passes < 4 && (span >> (16 * passes)))
-        passes++;
-    int64_t *src = (passes & 1) ? tmp : order;
-    int64_t *dst = (passes & 1) ? order : tmp;
-    for (int64_t i = 0; i < n; i++)
-        src[i] = i;
-    for (int p = 0; p < passes; p++) {
-        int shift = 16 * p;
-        uint64_t top = span >> shift;
-        int64_t nb = (int64_t)(top < 0xFFFF ? top : 0xFFFF) + 1;
-        for (int64_t b = 0; b < nb; b++)
-            hist[b] = 0;
-        for (int64_t i = 0; i < n; i++)
-            hist[(((uint64_t)vals[src[i]] - (uint64_t)vmin) >> shift)
-                 & 0xFFFF]++;
-        int64_t acc = 0;
-        for (int64_t b = 0; b < nb; b++) {
-            int64_t c = hist[b];
-            hist[b] = acc;
-            acc += c;
-        }
-        for (int64_t i = 0; i < n; i++) {
-            int64_t k = src[i];
-            uint64_t d = (((uint64_t)vals[k] - (uint64_t)vmin) >> shift)
-                         & 0xFFFF;
-            dst[hist[d]++] = k;
-        }
-        int64_t *swap = src;
-        src = dst;
-        dst = swap;
-    }
 }
 
 void repro_gather_i64(const int64_t *values, const int64_t *starts,

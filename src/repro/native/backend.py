@@ -1,10 +1,9 @@
 """Kernel backend interface, selection, and the compiled backend.
 
 The per-step hot kernels — individual-step neighbor draws (uniform,
-weighted, node2vec rejection), the radix-sort scheduling index,
-collective gather, LADIES' two-level draw, collective edge recording
-and row dedupe — run behind a :class:`KernelBackend`.  Two
-implementations exist:
+weighted, node2vec rejection), collective gather, LADIES' two-level
+draw, collective edge recording and row dedupe — run behind a
+:class:`KernelBackend`.  Two implementations exist:
 
 ``numpy``
     the default: every hook returns ``None`` and the caller falls
@@ -112,6 +111,10 @@ class KernelBackend:
         return None
 
     def grouping(self, vals):
+        # No backend compiles this and the runtime never calls it (the
+        # scheduling index is one packed numpy sort, core/transit_map.py);
+        # the name stays because the perf ledger instruments hooks by
+        # attribute.
         return None
 
     def ragged_gather(self, values, starts, counts, offsets, total):
@@ -227,7 +230,8 @@ class CNativeBackend(KernelBackend):
             from repro.native import cnative
             try:
                 self._lib = cnative.load_library()
-            except (RuntimeError, OSError) as exc:
+            except (RuntimeError, OSError, AttributeError) as exc:
+                # AttributeError: a cached library that lacks a symbol.
                 self._disable(_LIBRARY, exc)
                 return None
             if self._lib is None:
@@ -453,27 +457,6 @@ class CNativeBackend(KernelBackend):
         rngshim.consume(rng, int(counters[3]))
         return (out.reshape(n, 1), int(counters[0]), int(counters[1]),
                 int(counters[2]))
-
-    # -- scheduling index ----------------------------------------------
-
-    def grouping(self, vals):
-        """Returns the stable grouping permutation or ``None``."""
-        kernel = self._kernel("grouping")
-        if kernel is None:
-            return None
-        vals = np.ascontiguousarray(vals, dtype=np.int64)
-        if vals.size == 0:
-            return None
-        hist = np.empty(1 << 16, dtype=np.int64)
-        order = np.empty(vals.size, dtype=np.int64)
-        tmp = np.empty(vals.size, dtype=np.int64)
-        try:
-            kernel(vals.ctypes.data, vals.size, hist.ctypes.data,
-                   order.ctypes.data, tmp.ctypes.data)
-        except Exception as exc:
-            self._disable("grouping", exc)
-            return None
-        return order
 
     # -- collective gather + dedupe ------------------------------------
 

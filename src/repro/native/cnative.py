@@ -1,7 +1,7 @@
 """Build + ctypes loading of the embedded C kernels.
 
-The shared library is compiled once per (source hash, platform) into a
-cache directory; :func:`load_library` declares every kernel's ctypes
+The shared library is compiled once per (source, platform, flags) hash
+into a cache directory; :func:`load_library` declares every kernel's ctypes
 signature and memoises the result per process — a failed build
 included, so a broken toolchain costs one compiler run and one
 report, not one per kernel.  The hooks of
@@ -52,14 +52,14 @@ def _cache_dir() -> str:
 
 def library_path() -> str:
     from repro.native._csrc import SOURCE
-    tag = hashlib.sha256(
-        (SOURCE + sys.platform).encode()).hexdigest()[:16]
+    key = SOURCE + sys.platform + " ".join(_CFLAGS)
+    tag = hashlib.sha256(key.encode()).hexdigest()[:16]
     return os.path.join(_cache_dir(), f"repro_kernels_{tag}.so")
 
 
 def build_library() -> str:
-    """Compile the embedded C once; reuses the cached .so when the
-    source hash matches."""
+    """Compile the embedded C once; reuses the cached .so whose name
+    carries the same source / platform / flags hash."""
     path = library_path()
     if os.path.exists(path):
         return path
@@ -67,13 +67,18 @@ def build_library() -> str:
     if cc is None:
         raise RuntimeError("no C compiler on PATH (cc/gcc/clang)")
     from repro.native._csrc import SOURCE
-    workdir = os.path.dirname(path)
-    src = os.path.join(workdir, os.path.basename(path) + ".c")
+    # Per-process names for the source and the library alike: a
+    # concurrent first build must not truncate the file this one
+    # compiles.
+    tmp = path + f".tmp{os.getpid()}"
+    src = tmp + ".c"
     with open(src, "w") as fh:
         fh.write(SOURCE)
-    tmp = path + f".tmp{os.getpid()}"
-    proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, src],
-                          capture_output=True, text=True)
+    try:
+        proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, src],
+                              capture_output=True, text=True)
+    finally:
+        os.remove(src)
     if proc.returncode != 0:
         raise RuntimeError(
             f"{cc} failed ({proc.returncode}): {proc.stderr.strip()}")
@@ -105,7 +110,6 @@ _SIGNATURES = {
         None, (_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64,
                _PTR, _F64, _F64, _F64, _I64, _I64, _PTR, _PTR, _PTR,
                _PTR, _PTR, _PTR, _PTR, _PTR)),
-    "repro_grouping": (None, (_PTR, _I64, _PTR, _PTR, _PTR)),
     "repro_gather_i64": (None, (_PTR, _PTR, _PTR, _PTR, _I64, _PTR)),
     "repro_gather_f64": (None, (_PTR, _PTR, _PTR, _PTR, _I64, _PTR)),
     "repro_dedupe_rows": (_I64, (_PTR, _I64, _I64, _I64)),
@@ -124,8 +128,9 @@ def load_library() -> Optional[ctypes.CDLL]:
 
     One build attempt per process: the call that makes it raises on
     failure (``RuntimeError`` from the compiler, ``OSError`` from the
-    loader); every later call returns ``None`` without running the
-    compiler again, so one broken toolchain is reported once.
+    loader, ``AttributeError`` from a library that lacks a kernel);
+    every later call returns ``None`` without running the compiler
+    again, so one broken toolchain is reported once.
     """
     global _lib_cache
     if _lib_cache is None:

@@ -251,7 +251,7 @@ class TestTransitMapEquivalence:
         assert fast.num_total_pairs == ref.num_total_pairs
 
     def test_matches_reference_wide_id_range(self, rng):
-        # Spans > 16 bits take more than one radix pass.
+        # A 21-bit id span packed above a 10-bit pair index.
         transits = rng.integers(0, 2**21, size=(300, 3))
         fast = build_transit_map(transits)
         ref = build_transit_map_reference(transits)

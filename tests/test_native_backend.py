@@ -1,5 +1,6 @@
 """Backend selection, RNG shims, and graceful degradation."""
 
+import os
 import types
 import warnings
 
@@ -170,7 +171,7 @@ def _raise(*args):
 class _OneBadKernel(CNativeBackend):
     """C backend one of whose kernels always fails when called."""
 
-    def __init__(self, bad="grouping"):
+    def __init__(self, bad="dedupe_rows"):
         super().__init__()
         self.bad = bad
 
@@ -197,18 +198,20 @@ class TestGracefulDegradation:
         backend = _OneBadKernel()
         with pytest.warns(RuntimeWarning, match="disabled") as caught:
             for _ in range(2):  # second call: no second warning/count
-                assert backend.grouping(
-                    np.array([2, 0, 2, 1], dtype=np.int64)) is None
+                assert backend.dedupe_rows(
+                    np.array([[2, 0, 2, 1]], dtype=np.int64)) is None
         assert len(caught) == 1
         assert counter.value == before + 1
 
     def test_other_kernels_stay_alive(self):
         backend = _OneBadKernel()
-        with pytest.warns(RuntimeWarning, match="disabled"):
-            backend.grouping(np.array([1, 0], dtype=np.int64))
         rows = np.array([[1, 1, 2], [3, 4, 3]], dtype=np.int64)
-        assert backend.dedupe_rows(rows)[1] == 2
-        assert backend._failed == {"grouping"}
+        with pytest.warns(RuntimeWarning, match="disabled"):
+            backend.dedupe_rows(rows)
+        one = np.ones(1, dtype=np.int64)
+        assert np.array_equal(backend.ragged_gather(
+            rows.ravel(), one, 2 * one, 0 * one, 2), [1, 2])
+        assert backend._failed == {"dedupe_rows"}
 
     def test_disable_direct_is_idempotent(self):
         counter = get_metrics().counter("native.compile_failures")
@@ -241,7 +244,8 @@ class TestGracefulDegradation:
             assert digest(backend) == want
         assert len(caught) == 1 and counter.value == before + 1
         assert backend._failed == {bad}
-        assert backend.grouping(np.array([1, 0], dtype=np.int64)) is not None
+        rows = np.array([[1, 1, 2]], dtype=np.int64)
+        assert backend.dedupe_rows(rows) is not None
 
     def test_two_level_pick_fails_after_the_draws(self, medium_graph,
                                                   monkeypatch):
@@ -297,19 +301,6 @@ class TestKernelMicroParity:
         lib = backend._lib
         backend.warm_up()
         assert backend._lib is lib and not backend._failed
-
-    def test_grouping_matches_argsort(self, backend):
-        vals = np.array([5, 2, 5, 9, 2, 2, 7], dtype=np.int64)
-        order = backend.grouping(vals)
-        assert order is not None
-        assert np.array_equal(order, np.argsort(vals, kind="stable"))
-        # Stability: equal keys keep input order (the three 2s).
-        assert np.array_equal(order[:3], np.array([1, 4, 5]))
-
-    def test_grouping_sorts_huge_span(self, backend):
-        # No span-sized buffer any more: a 2**40 id range is 3 passes.
-        vals = np.array([1 << 40, 0, 70000, 0], dtype=np.int64)
-        assert np.array_equal(backend.grouping(vals), [1, 3, 2, 0])
 
     def test_scatter_rows_hook_declines(self, backend):
         # Step assembly is a numpy row scatter (core/stepper.py); the
@@ -473,6 +464,24 @@ class TestCNativeToolchain:
     def test_library_loads_when_toolchain_present(self):
         lib = cnative.load_library()
         assert lib is not None and cnative.load_library() is lib
+
+    def test_build_source_is_per_process_and_flags_key_the_cache(
+            self, tmp_path, monkeypatch):
+        # Concurrent first-use builds must not share a source file,
+        # and a library built with other flags is another library.
+        args, cc = tmp_path / "args", tmp_path / "cc"
+        cc.write_text(f'#!/bin/sh\necho "$@" > {args}\nexit 1\n')
+        cc.chmod(0o755)
+        monkeypatch.setenv("CC", str(cc))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        path = cnative.library_path()
+        with pytest.raises(RuntimeError):
+            cnative.build_library()
+        src = args.read_text().split()[-1]
+        assert src == f"{path}.tmp{os.getpid()}.c"
+        assert not os.path.exists(src)
+        monkeypatch.setattr(cnative, "_CFLAGS", [*cnative._CFLAGS, "-O3"])
+        assert cnative.library_path() != path
 
 
 class TestEnvSelectionEndToEnd:

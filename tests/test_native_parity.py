@@ -17,6 +17,7 @@ the suite-registration test runs.
 
 import dataclasses
 import hashlib
+import subprocess
 
 import numpy as np
 import pytest
@@ -133,6 +134,30 @@ class TestBuildFailure:
                                      True) == expected
                 assert active._failed == {"library"}
         assert runs.read_text() == "run\n"
+        assert len(caught) == 1 and counter.value == before + 1
+
+    @pytest.mark.skipif(not COMPILED, reason="no C toolchain on this host")
+    def test_cached_library_missing_a_kernel(self, tmp_path, monkeypatch):
+        """A cached library that lacks a kernel's symbol is a failed
+        build too: one warning, one count, numpy's samples."""
+        from repro.native import cnative
+        from repro.obs import get_metrics
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(cnative, "_lib_cache", None)
+        empty = tmp_path / "empty.c"
+        empty.write_text("")
+        subprocess.run([cnative.find_compiler(), "-shared", "-fPIC", "-o",
+                        cnative.library_path(), str(empty)], check=True)
+        with backend_scope("numpy"):
+            expected = _snapshot(NextDoorEngine(), "DeepWalk", True)
+        counter = get_metrics().counter("native.compile_failures")
+        before = counter.value
+        with pytest.warns(RuntimeWarning, match="AttributeError") as caught:
+            for _ in range(2):
+                with backend_scope("cnative") as active:
+                    assert _snapshot(NextDoorEngine(), "DeepWalk",
+                                     True) == expected
+                assert active._failed == {"library"}
         assert len(caught) == 1 and counter.value == before + 1
 
 

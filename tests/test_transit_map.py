@@ -71,8 +71,9 @@ class TestBuildTransitMap:
         assert np.array_equal(np.diff(tmap.offsets), tmap.counts)
 
 
-#: Id spans on both sides of every 16-bit digit boundary.
-_SPANS = (1, 2, 2**16 - 1, 2**16, 2**16 + 1, 2**32 + 7, 2**50)
+#: Id spans from one id to ones whose keys no longer pack with the pair
+#: index into 63 bits (the stable-argsort fallback).
+_SPANS = (1, 2, 2**16 - 1, 2**16, 2**16 + 1, 2**32 + 7, 2**50, 2**62)
 
 
 @st.composite
@@ -117,9 +118,24 @@ class TestGroupingProperties:
         assert np.array_equal(tmap.transit_vals, keys[order])
         _assert_grouped_like_unique(tmap, keys, order)
 
+    def test_grouping_matches_argsort(self):
+        vals = np.array([5, 2, 5, 9, 2, 2, 7], dtype=np.int64)
+        order = build_transit_map(vals.reshape(-1, 1)).sample_ids
+        assert np.array_equal(order, np.argsort(vals, kind="stable"))
+        # Stability: equal keys keep input order (the three 2s).
+        assert np.array_equal(order[:3], np.array([1, 4, 5]))
+
+    def test_grouping_sorts_huge_span(self):
+        # 63 bits of span plus 2 of pair index do not pack into an
+        # int64: the stable argsort groups them instead.
+        vals = np.array([1 << 62, 0, 70000, 0], dtype=np.int64)
+        tmap = build_transit_map(vals.reshape(-1, 1))
+        assert np.array_equal(tmap.sample_ids, [1, 3, 2, 0])
+        assert np.array_equal(tmap.unique_transits, [0, 70000, 1 << 62])
+
     def test_memory_is_independent_of_the_id_span(self, backend, rng):
         # 1 000 pairs over a 5e7 id range: a span-sized histogram would
-        # be 400 MB; the radix needs its 65 536 counters at most.
+        # be 400 MB; the packed sort needs a few K-sized arrays.
         transits = rng.integers(0, 5 * 10**7, size=(1000, 1))
         transits[:2, 0] = [0, 5 * 10**7 - 1]
         build_transit_map(transits)  # import / warm-up outside the trace

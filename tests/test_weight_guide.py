@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.api.apps import _kernels as kernels_mod
 from repro.api.apps._kernels import weighted_neighbors, weighted_picks
+from repro.api.types import NULL_VERTEX
 from repro.graph.csr import CSRGraph
 from repro.native.backend import CNativeBackend, available_backends
 
@@ -40,6 +41,10 @@ ROWS = [
     [5e-324, 1.0, 5e-324],          # subnormal weights
     [0.1, 0.2, 0.3, 0.4],
 ]
+
+
+#: A vertex with no edge (the empty row).
+ZERO_DEGREE = ROWS.index([])
 
 
 def _graph(rows):
@@ -160,18 +165,40 @@ class TestDrawsMatchBisection:
             assert np.array_equal(got[q], _bisect(graph, t, r[q]))
 
     @needs_cc
-    def test_cnative(self, graph):
-        t, r = _edge_draws(graph)
+    @pytest.mark.parametrize("m", [1, 3, 64, 65])
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129, 1000, None])
+    def test_cnative(self, graph, n, m):
+        """The staged C loop (blocks of 64 draws) against numpy and the
+        bisection: ``n`` transits (``None``: every edge draw), ``m``
+        draws each, with NULL and zero-degree runs on both sides of the
+        first block boundary and a NULL run longer than a block."""
+        t, r0 = _edge_draws(graph)
+        edge = 64 // m      # the first block boundary, in transits
+        for at, run in ((edge, [NULL_VERTEX] * 3 + [ZERO_DEGREE] * 3),
+                        (200, [NULL_VERTEX] * 130)):
+            t = np.insert(t, at, run)
+            r0 = np.insert(r0, at, np.zeros(len(run)))
+        t = t[:n]
+        live = np.flatnonzero(t != NULL_VERTEX)
+        live = live[graph.degrees_array[t[live]] > 0]
+        # Row 0 keeps each edge draw on its own transit.
+        r = np.stack([np.roll(r0, 7 * q)[:t.size][live] for q in range(m)])
         backend = CNativeBackend()
 
         class Draws:
             def random(self, size):
                 assert size == r.size
-                return r.copy()
+                return r.ravel().copy()
 
-        got = backend.weighted_neighbors(graph, t, 1, Draws())
+        got = backend.weighted_neighbors(graph, t, m, Draws())
         assert not backend._failed
-        assert np.array_equal(got[:, 0], graph.indices[_bisect(graph, t, r)])
+        assert got.shape == (t.size, m)
+        dead = np.setdiff1d(np.arange(t.size), live)
+        assert (got[dead] == NULL_VERTEX).all()
+        want = weighted_picks(graph, t[live], r)
+        assert np.array_equal(got[live], graph.indices[want].T)
+        for q in range(m):
+            assert np.array_equal(want[q], _bisect(graph, t[live], r[q]))
 
     @given(st.lists(st.lists(st.sampled_from(
         [0.0, 5e-324, 1e-12, 0.1, 0.5, 1.0, 1.0, 3.0, 1e12]),
