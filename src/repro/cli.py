@@ -287,9 +287,14 @@ def _cmd_datasets(args, out) -> int:
     return 0
 
 
-def _workers_error(workers: Optional[int]) -> Optional[str]:
+def _workers_error(workers: Optional[int],
+                   chunk_size: Optional[int] = None) -> Optional[str]:
     """Readable message for an invalid --workers value (or, without
-    one, an invalid ``$REPRO_WORKERS``), else None."""
+    one, an invalid ``$REPRO_WORKERS``) or --chunk-size, else None."""
+    if chunk_size is not None and chunk_size <= 0:
+        return (f"--chunk-size must be >= 1 transit pair, got {chunk_size}"
+                " (the chunk size is the RNG-plan granularity; see "
+                "docs/CLI.md)")
     if workers is not None and workers < 0:
         return (f"--workers must be >= 0, got {workers} "
                 "(0 = in-process, N = N sampling workers)")
@@ -330,7 +335,7 @@ def _resolve_graph(args, out):
 
 
 def _cmd_sample(args, out) -> int:
-    err = _workers_error(args.workers)
+    err = _workers_error(args.workers, args.chunk_size)
     if err:
         print(f"error: {err}", file=out)
         return 2
@@ -339,11 +344,6 @@ def _cmd_sample(args, out) -> int:
         print(f"error: --trace and --out point at the same file "
               f"({args.out}); the trace would overwrite the samples",
               file=out)
-        return 2
-    if args.chunk_size is not None and args.chunk_size <= 0:
-        print(f"error: --chunk-size must be >= 1 transit pair, got "
-              f"{args.chunk_size} (the chunk size is the RNG-plan "
-              "granularity; see docs/CLI.md)", file=out)
         return 2
     if args.pool_timeout is not None and args.pool_timeout <= 0:
         print(f"error: --pool-timeout must be > 0 seconds, got "
@@ -581,7 +581,7 @@ def _cmd_serve(args, out) -> int:
 
     from repro.serve.server import SamplingServer, ServerConfig
 
-    err = _workers_error(args.workers)
+    err = _workers_error(args.workers, args.chunk_size)
     if err:
         print(f"error: {err}", file=out)
         return 2

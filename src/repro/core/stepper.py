@@ -65,10 +65,10 @@ def step_limit(app: SamplingApp) -> int:
     return app.max_steps_cap() if k == INF_STEPS else k
 
 
-def prev_transits_for(batch: SampleBatch, step: int,
-                      sample_ids: np.ndarray,
-                      cols: np.ndarray) -> Optional[np.ndarray]:
-    """Previous-step transit for each pair (node2vec's ``t``).
+def prev_transits_for(batch: SampleBatch, step: int, rows: np.ndarray,
+                      num_cols: int) -> Optional[np.ndarray]:
+    """Previous-step transit for each pair (node2vec's ``t``), the pair
+    in flat slot ``rows[i]`` of the step's ``(S, num_cols)`` transits.
 
     Defined for walk-shaped applications (one transit per sample); for
     wider applications the previous transit of the pair at column ``c``
@@ -82,41 +82,30 @@ def prev_transits_for(batch: SampleBatch, step: int,
         source = batch.roots
     else:
         source = batch.step_vertices[step - 2]
-    col = np.minimum(cols, source.shape[1] - 1)
-    return source[sample_ids, col]
+    col = np.minimum(rows % num_cols, source.shape[1] - 1)
+    return source[rows // num_cols, col]
 
 
 def step_output(num_samples: int, num_cols: int, m: int,
-                sample_ids: np.ndarray, cols: np.ndarray,
-                out: Optional[np.ndarray] = None,
-                rows: Optional[np.ndarray] = None
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Allocate an individual step's ``(S, T * m)`` output and address
-    it by pair.
+                rows: np.ndarray, out: Optional[np.ndarray] = None
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """Allocate an individual step's ``(S, T * m)`` output ``out`` and
+    ``out_rows``, its view as one ``m``-wide row per transit slot.
 
-    Returns ``(out, out_rows, rows)``: ``out_rows`` is ``out`` viewed as
-    one ``m``-wide row per (sample, transit column) slot and ``rows[i]``
-    is the row pair ``i`` owns, so any run of pairs' results lands with
-    one row scatter, ``out_rows[rows[lo:hi]] = sampled[lo:hi]`` — in
-    any order, since pairs own disjoint rows.  Slots of NULL transits
-    are never addressed and read NULL.  The pairs are the step's live
-    slots, one row each: when there are as many as slots every row is
-    written by its pair, and ``out`` is left uninitialised until then.
-
-    ``out`` (``S * T * m`` int64 values, any shape) and ``rows`` (one
-    int64 per pair) are used in place of fresh arrays when given — a
-    step staged in shared memory brings its own.
+    Pair ``i`` owns row ``rows[i]`` (its flat slot), so any run of
+    pairs' results lands with one row scatter, ``out_rows[rows[lo:hi]]
+    = sampled[lo:hi]``, in any order.  NULL transits' slots are never
+    addressed and read NULL; with no NULL slot ``out`` is left
+    uninitialised.  A given ``out`` (``S * T * m`` int64 values, any
+    shape) is used in place — a step staged in shared memory brings
+    its own.
     """
     if out is None:
         out = np.empty(num_samples * num_cols * m, dtype=np.int64)
-    if rows is None:
-        rows = np.empty(sample_ids.size, dtype=np.int64)
-    if sample_ids.size < num_samples * num_cols:
+    if rows.size < num_samples * num_cols:
         out.fill(NULL_VERTEX)
-    np.multiply(sample_ids, num_cols, out=rows)
-    rows += cols
     return (out.reshape(num_samples, num_cols * m),
-            out.reshape(num_samples * num_cols, m), rows)
+            out.reshape(num_samples * num_cols, m))
 
 
 def run_individual_step(app: SamplingApp, graph: CSRGraph,
@@ -125,11 +114,12 @@ def run_individual_step(app: SamplingApp, graph: CSRGraph,
                         transit_vals: np.ndarray
                         ) -> Tuple[np.ndarray, StepInfo]:
     """One individual step through ``ctx`` (an
-    :class:`~repro.runtime.context.ExecutionContext`), for loops that
-    drive steps by hand (the perf ledger's); see its
-    ``individual_step``."""
+    :class:`~repro.runtime.context.ExecutionContext`) over pairs given
+    as ``(sample_ids, cols)``, for loops that drive steps by hand (the
+    perf ledger's); see its ``individual_step``."""
+    rows = np.asarray(sample_ids, dtype=np.int64) * transits.shape[1] + cols
     return ctx.individual_step(app, graph, batch, transits, step,
-                               sample_ids, cols, transit_vals)
+                               rows, transit_vals)
 
 
 def run_collective_step(
@@ -246,7 +236,7 @@ def run_steps(app: SamplingApp, graph: CSRGraph, batch: SampleBatch, ctx,
                 else:
                     new_vertices, info = ctx.individual_step(
                         app, graph, batch, transits, step,
-                        tmap.sample_ids, tmap.cols, tmap.transit_vals)
+                        tmap.rows, tmap.transit_vals)
             if (not collective and app.unique(step)
                     and new_vertices.shape[1] > 1):
                 with stage("make_unique", step=step):

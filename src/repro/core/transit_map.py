@@ -24,26 +24,9 @@ from repro.api.types import NULL_VERTEX
 from repro.gpu.device import Device
 from repro.gpu.warp import WarpStats, coalesced_segments
 
-__all__ = ["TransitMap", "StepShape", "flatten_transits",
-           "build_transit_map", "sample_order_pairs",
-           "charge_index_build", "charge_map_readback"]
-
-
-def flatten_transits(transits: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten an ``(S, T)`` transit array into live pairs.
-
-    Returns ``(sample_ids, cols, transit_vals)`` with NULL transits
-    dropped; ``cols`` remembers each pair's position within its
-    sample's transit row so results scatter back to the right slot.
-    """
-    transits = np.asarray(transits, dtype=np.int64)
-    num_samples, width = transits.shape
-    flat = transits.ravel()
-    live = flat != NULL_VERTEX
-    idx = np.nonzero(live)[0]
-    if width == 1:  # walk-shaped apps: pair index IS the sample id
-        return idx, np.zeros(idx.size, dtype=np.int64), flat[idx]
-    return idx // width, idx % width, flat[idx]
+__all__ = ["TransitMap", "StepShape", "build_transit_map",
+           "sample_order_pairs", "charge_index_build",
+           "charge_map_readback"]
 
 
 class StepShape(NamedTuple):
@@ -65,18 +48,27 @@ class StepShape(NamedTuple):
 class TransitMap:
     """All of one step's (sample, transit) pairs grouped by transit.
 
-    ``order`` sorts the flattened pairs by transit vertex;
+    ``rows[k]`` is pair ``k``'s flat slot ``s * T + c`` in the ``(S, T)``
+    transits, and its row of the ``(S * T, m)`` step output;
     ``unique_transits[i]`` owns the ``counts[i]`` pairs in
     ``slice(offsets[i], offsets[i + 1])`` of the sorted arrays.
     """
 
-    sample_ids: np.ndarray   # (K,) pair -> sample, transit-sorted
-    cols: np.ndarray         # (K,) pair -> column in the sample's row
+    rows: np.ndarray          # (K,) pair -> flat slot, transit-sorted
     transit_vals: np.ndarray  # (K,) pair -> transit vertex, sorted
     unique_transits: np.ndarray  # (U,)
     counts: np.ndarray           # (U,) samples per transit
     offsets: np.ndarray          # (U + 1,)
     num_total_pairs: int
+    width: int                # T, transits per sample
+
+    @property
+    def sample_ids(self) -> np.ndarray:  # pair -> sample
+        return self.rows // self.width
+
+    @property
+    def cols(self) -> np.ndarray:  # pair -> column in its sample's row
+        return self.rows % self.width
 
     @property
     def num_pairs(self) -> int:
@@ -95,13 +87,25 @@ class TransitMap:
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
 
+def _live_pairs(transits) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """The live transits' flat slots (``None`` when all are) and values."""
+    flat = np.asarray(transits, dtype=np.int64).ravel()
+    live = flat != NULL_VERTEX
+    if live.all():
+        return None, flat
+    slots = np.flatnonzero(live)
+    return slots, flat[slots]
+
+
 def sample_order_pairs(transits: np.ndarray, graph=None) -> TransitMap:
     """A step's live pairs left in sample order, ungrouped (no
     ``unique_transits`` / ``counts`` / ``offsets``) — what the CPU
     engines (one walker / one sample at a time) iterate.  A ``pairs=``
     builder for :func:`repro.core.stepper.run_steps`."""
-    return TransitMap(*flatten_transits(transits), None, None, None,
-                      num_total_pairs=int(np.asarray(transits).size))
+    slots, vals = _live_pairs(transits)
+    return TransitMap(np.arange(vals.size) if slots is None else slots,
+                      vals, None, None, None, int(np.size(transits)),
+                      np.shape(transits)[1])
 
 
 def build_transit_map(transits: np.ndarray, graph=None) -> TransitMap:
@@ -111,19 +115,21 @@ def build_transit_map(transits: np.ndarray, graph=None) -> TransitMap:
     | pair``, ``b`` the bit length of ``K - 1``: the low bits make every
     key distinct, so any sort of them is ``argsort(vals, kind="stable")``
     and the high bits are the sorted transits.  Ids too far apart to
-    pack fall back to that argsort.  ``unique_transits`` / ``counts`` /
-    ``offsets`` are then read off the run boundaries of the sorted
-    transits.  Every stage is O(K log K) in the step's pairs — nothing
-    is sized by, or scans, the vertex-id range.  ``graph`` is accepted
-    for the ``pairs(transits, graph)`` callable protocol and is not read.
+    pack fall back to that argsort.  The permutation is ``rows`` itself
+    when every transit is live, else it gathers the live slots.
+    ``unique_transits`` / ``counts`` / ``offsets`` are then read off the
+    run boundaries of the sorted transits.  Every stage is O(K log K) in
+    the step's pairs — nothing is sized by, or scans, the vertex-id
+    range.  ``graph`` is accepted for the ``pairs(transits, graph)``
+    callable protocol and is not read.
     """
-    sample_ids, cols, vals = flatten_transits(transits)
-    num_total_pairs = int(np.asarray(transits).size)
+    slots, vals = _live_pairs(transits)
+    num_total_pairs, width = int(np.size(transits)), np.shape(transits)[1]
     if vals.size == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return TransitMap(sample_ids, cols, vals, empty, empty.copy(),
+        return TransitMap(empty, empty.copy(), empty.copy(), empty.copy(),
                           np.zeros(1, dtype=np.int64),
-                          num_total_pairs=num_total_pairs)
+                          num_total_pairs=num_total_pairs, width=width)
     lo = vals.min()
     bits = (vals.size - 1).bit_length()
     if int(vals.max() - lo).bit_length() + bits <= 63:
@@ -137,9 +143,9 @@ def build_transit_map(transits: np.ndarray, graph=None) -> TransitMap:
     # A new group starts wherever the sorted transit changes.
     starts = np.flatnonzero(svals[1:] != svals[:-1]) + 1
     offsets = np.concatenate(([0], starts, [svals.size]))
-    return TransitMap(sample_ids[order], cols[order], svals,
+    return TransitMap(order if slots is None else slots[order], svals,
                       svals[offsets[:-1]], np.diff(offsets), offsets,
-                      num_total_pairs=num_total_pairs)
+                      num_total_pairs=num_total_pairs, width=width)
 
 
 #: Radix-sort passes over 32-bit keys at 16 bits per pass (CUB's

@@ -42,6 +42,8 @@ Contract with the numpy kernels in ``repro/api/apps/_kernels.py``
   ``draws`` through both lower-bound bisections (transit mass prefix,
   then ``ecs[i] - ebase`` against ``rem`` in the chosen CSR row) with
   numpy's comparisons, clamps and operand order.
+* ``scatter_rows`` is step assembly's ``out_rows[rows] = sampled``;
+  it draws nothing, and a row out of range hands back to numpy.
 
 The PCG64 step uses ``unsigned __int128``; :mod:`repro.native.rngshim`
 holds the pure-Python reference the tests compare it against.
@@ -332,6 +334,24 @@ void repro_gather_f64(const double *values, const int64_t *starts,
         for (int64_t k = 0; k < c; k++)
             out[o + k] = values[s0 + k];
     }
+}
+
+/* out[rows[i]] = sampled[i] (m wide), prefetching both ends of the row
+   16 pairs on; -1 at the first row outside [0, nrows), else 0. */
+int64_t repro_scatter_rows(int64_t *out, int64_t nrows,
+                           const int64_t *sampled, const int64_t *rows,
+                           int64_t k, int64_t m) {
+    for (int64_t i = 0; i < k; i++) {
+        if ((uint64_t)rows[i] >= (uint64_t)nrows)
+            return -1;
+        if (i + 16 < k && m > 0 && (uint64_t)rows[i + 16] < (uint64_t)nrows) {
+            __builtin_prefetch(out + rows[i + 16] * m, 1);
+            __builtin_prefetch(out + rows[i + 16] * m + m - 1, 1);
+        }
+        for (int64_t j = 0; j < m; j++)
+            out[rows[i] * m + j] = sampled[i * m + j];
+    }
+    return 0;
 }
 
 int64_t repro_dedupe_rows(int64_t *rows, int64_t nrows, int64_t w,

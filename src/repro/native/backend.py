@@ -2,8 +2,8 @@
 
 The per-step hot kernels — individual-step neighbor draws (uniform,
 weighted, node2vec rejection), collective gather, LADIES' two-level
-draw, collective edge recording and row dedupe — run behind a
-:class:`KernelBackend`.  Two implementations exist:
+draw, collective edge recording, row dedupe and step assembly — run
+behind a :class:`KernelBackend`.  Two implementations exist:
 
 ``numpy``
     the default: every hook returns ``None`` and the caller falls
@@ -78,8 +78,9 @@ class KernelBackend:
     """Hot-kernel dispatch points.
 
     Every hook may return ``None``, meaning "use the numpy code"; the
-    base class always does.  Implementations must honor the parity
-    contract in the module docstring.
+    base class always does (``scatter_rows`` *is* that code).
+    Implementations must honor the parity contract in the module
+    docstring.
     """
 
     #: Resolved implementation name (a key of :data:`BACKEND_IDS`).
@@ -129,11 +130,11 @@ class KernelBackend:
     def two_level_pick(self, graph, ecs, mass, lo, hi, pair_t, draws):
         return None
 
-    def scatter_rows(self, out, sampled, sample_ids, cols, m):
-        # No backend compiles this and the runtime never calls it (step
-        # assembly is a numpy row scatter, core/stepper.py); the name
-        # stays because the perf ledger instruments hooks by attribute.
-        return None
+    def scatter_rows(self, out_rows, sampled, rows):
+        """Step assembly, in place; returns ``out_rows`` (it never
+        declines).  The oracle every override must match."""
+        out_rows[rows] = sampled
+        return out_rows
 
 
 class NumpyBackend(KernelBackend):
@@ -457,6 +458,24 @@ class CNativeBackend(KernelBackend):
         rngshim.consume(rng, int(counters[3]))
         return (out.reshape(n, 1), int(counters[0]), int(counters[1]),
                 int(counters[2]))
+
+    # -- step assembly -------------------------------------------------
+
+    def scatter_rows(self, out_rows, sampled, rows):
+        """The C row copy for plain int64 arrays; else numpy's."""
+        kernel = self._kernel("scatter_rows")
+        if (kernel is not None and _plain(np.int64, out_rows, sampled, rows)
+                and out_rows.flags.writeable
+                and out_rows.ndim == 2 and rows.ndim == 1
+                and sampled.shape == (rows.size, out_rows.shape[1])):
+            try:
+                if kernel(out_rows.ctypes.data, out_rows.shape[0],
+                          sampled.ctypes.data, rows.ctypes.data, rows.size,
+                          sampled.shape[1]) == 0:
+                    return out_rows
+            except Exception as exc:
+                self._disable("scatter_rows", exc)
+        return super().scatter_rows(out_rows, sampled, rows)
 
     # -- collective gather + dedupe ------------------------------------
 

@@ -113,6 +113,7 @@ _SIGNATURES = {
     "repro_gather_i64": (None, (_PTR, _PTR, _PTR, _PTR, _I64, _PTR)),
     "repro_gather_f64": (None, (_PTR, _PTR, _PTR, _PTR, _I64, _PTR)),
     "repro_dedupe_rows": (_I64, (_PTR, _I64, _I64, _I64)),
+    "repro_scatter_rows": (_I64, (_PTR, _I64, _PTR, _PTR, _I64, _I64)),
     "repro_edge_mask": (
         _I64, (_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _I64, _I64,
                _I64, _PTR)),

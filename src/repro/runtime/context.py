@@ -219,8 +219,8 @@ class _BatchRows:
 
 class _StepArrays:
     """The arrays one step is assembled in: ``out`` and, for individual
-    steps, its one-row-per-pair view ``out_rows`` and the pair -> row
-    index ``rows`` (:func:`repro.core.stepper.step_output`).
+    steps, its one-row-per-slot view ``out_rows``
+    (:func:`repro.core.stepper.step_output`).
 
     Heap arrays for an in-process or threaded step, views of a
     borrowed shared-memory arena for one dispatched to the pool.  Step code reaches them
@@ -230,10 +230,9 @@ class _StepArrays:
 
     def __init__(self, out: np.ndarray,
                  out_rows: Optional[np.ndarray] = None,
-                 rows: Optional[np.ndarray] = None, arena=None) -> None:
+                 arena=None) -> None:
         self.out = out
         self.out_rows = out_rows
-        self.rows = rows
         self.arena = arena
 
     def finish(self) -> np.ndarray:
@@ -245,7 +244,7 @@ class _StepArrays:
         """Drop the arrays and hand a borrowed arena back.  Only once
         no worker holds an unanswered chunk of the step: ``run_chunks``
         returning, or the pool having been retired, guarantees it."""
-        self.out = self.out_rows = self.rows = None
+        self.out = self.out_rows = None
         if self.arena is not None:
             self.arena.close()
             self.arena = None
@@ -261,7 +260,7 @@ class ExecutionContext:
         self.workers = resolve_workers(workers)
         if plan is None:
             plan = (RNGPlan(seed, chunk_pairs=chunk_size)
-                    if chunk_size else RNGPlan(seed))
+                    if chunk_size is not None else RNGPlan(seed))
         self.plan = plan
         self.pool = None
         self._pool_failed = False
@@ -388,14 +387,14 @@ class ExecutionContext:
         batch,
         transits: np.ndarray,
         step: int,
-        sample_ids: np.ndarray,
-        cols: np.ndarray,
+        rows: np.ndarray,
         transit_vals: np.ndarray,
     ) -> Tuple[np.ndarray, StepInfo]:
         """Sample one individual step over pre-flattened pairs, in any
         order (NextDoor passes them transit-sorted, the CPU engines
-        sample-ordered); returns the ``(S, T * m)`` step array and the
-        step's cost hints.
+        sample-ordered), pair ``i`` being transit ``transit_vals[i]`` in
+        flat slot ``rows[i]``; returns the ``(S, T * m)`` step array and
+        the step's cost hints.
 
         Every chunk result — restored from a checkpoint, written by a
         pool worker or computed here — lands straight in its pairs' rows
@@ -405,12 +404,12 @@ class ExecutionContext:
         num_cols, m = transits.shape[1], app.sample_size(step)
         prev = None
         if app.needs_prev_transits:
-            prev = prev_transits_for(batch, step, sample_ids, cols)
+            prev = prev_transits_for(batch, step, rows, num_cols)
         bounds = self.plan.individual_bounds(int(transit_vals.size))
         nchunks = bounds.size - 1
         if nchunks <= 0:
             return step_output(batch.num_samples, num_cols, m,
-                               sample_ids, cols)[0], StepInfo()
+                               rows)[0], StepInfo()
         self.metrics.counter("rng.chunk_streams").inc(nchunks)
 
         restored = self._load_checkpointed("i", step, nchunks)
@@ -422,12 +421,13 @@ class ExecutionContext:
             is not SamplingApp.sample_neighbors)
         work = None
         if dispatch and not self._threads:
-            work = self._stage_individual(batch, num_cols, m, sample_ids,
-                                          cols, transit_vals, prev)
+            work = self._stage_individual(batch, num_cols, m, rows,
+                                          transit_vals, prev)
             dispatch = work is not None
         if work is None:
             work = _StepArrays(*step_output(
-                batch.num_samples, num_cols, m, sample_ids, cols))
+                batch.num_samples, num_cols, m, rows))
+        scatter = active_backend().scatter_rows
         #: Per-chunk cost hints; ``None`` marks a chunk still to run.
         infos: List[Optional[StepInfo]] = [None] * nchunks
 
@@ -437,8 +437,9 @@ class ExecutionContext:
                 graph, transit_vals[lo:hi], step,
                 self.plan.chunk_rng(step, c),
                 prev_transits=None if prev is None else prev[lo:hi],
-                batch=batch, sample_ids=sample_ids[lo:hi])
-            work.out_rows[work.rows[lo:hi]] = sampled
+                batch=batch, sample_ids=(rows[lo:hi] if num_cols == 1
+                                         else rows[lo:hi] // num_cols))
+            scatter(work.out_rows, sampled, rows[lo:hi])
             return info
 
         sampling_span = self.tracer.span(
@@ -447,7 +448,7 @@ class ExecutionContext:
             dispatched=bool(dispatch))
         try:
             for c, (sampled, info) in restored.items():
-                work.out_rows[work.rows[bounds[c]:bounds[c + 1]]] = sampled
+                scatter(work.out_rows, sampled, rows[bounds[c]:bounds[c + 1]])
                 infos[c] = info
             with sampling_span:
                 if dispatch and self._threads:
@@ -470,7 +471,7 @@ class ExecutionContext:
                 for c in missing:
                     self.checkpoint.save(
                         "i", self.plan.namespace, step, c,
-                        work.out_rows[work.rows[bounds[c]:bounds[c + 1]]],
+                        work.out_rows[rows[bounds[c]:bounds[c + 1]]],
                         infos[c])
             return work.finish(), combine_infos(
                 infos, np.diff(bounds).tolist())
@@ -693,26 +694,23 @@ class ExecutionContext:
         return arena
 
     def _stage_individual(self, batch, num_cols: int, m: int,
-                          sample_ids: np.ndarray, cols: np.ndarray,
-                          transit_vals: np.ndarray,
+                          rows: np.ndarray, transit_vals: np.ndarray,
                           prev: Optional[np.ndarray]
                           ) -> Optional[_StepArrays]:
         """An individual step staged for workers: its pair arrays, the
         batch roots (workers read a pair's sample as ``rows // T``) and
-        the step array, addressed and blanked by ``step_output``."""
+        the step array, blanked by ``step_output``."""
         from repro.core.stepper import step_output
-        staged = {"vals": transit_vals, "roots": batch.roots}
+        staged = {"vals": transit_vals, "rows": rows, "roots": batch.roots}
         if prev is not None:
             staged["prev"] = prev
         num_samples = batch.num_samples
-        arena = self._open_arena(staged, {
-            "rows": (transit_vals.size,),
-            "out": (num_samples, num_cols, m)})
+        arena = self._open_arena(staged, {"out": (num_samples, num_cols, m)})
         if arena is None:
             return None
         return _StepArrays(
-            *step_output(num_samples, num_cols, m, sample_ids, cols,
-                         out=arena.views["out"], rows=arena.views["rows"]),
+            *step_output(num_samples, num_cols, m, rows,
+                         out=arena.views["out"]),
             arena=arena)
 
     def _dispatch(self, kind: str, step: int, chunks: Sequence[int],

@@ -39,7 +39,7 @@ writes the result into the rows the chunk owns:
   ``prev`` (only when the app needs previous transits), ``roots`` and
   ``out`` (``(S, T, m)``): pairs ``lo:hi``; a pair's sample is
   ``rows // T``; ``out`` viewed as ``(S * T, m)`` gets
-  ``out[rows[lo:hi]] = sampled``.
+  ``out[rows[lo:hi]] = sampled`` (the backend's ``scatter_rows``).
 * ``cchunk`` — fields ``transits``, ``offsets`` and ``out``
   (``(S, m)``): sample rows ``lo:hi``, offsets rebased here;
   ``out[lo:hi] = vertices``.
@@ -81,6 +81,7 @@ import numpy as np
 
 from repro.api.app import SamplingApp
 from repro.api.types import StepInfo
+from repro.native.backend import active_backend, set_backend
 from repro.runtime.faults import FaultInjected, FaultPlan
 from repro.runtime.rngplan import generator_for
 from repro.runtime.shm import (
@@ -142,8 +143,9 @@ def run_chunk(msg: tuple, app: SamplingApp, graph, seed: int,
             graph, views["vals"][lo:hi], step, rng,
             prev_transits=None if prev is None else prev[lo:hi],
             batch=StubBatch(views["roots"], num_samples),
-            sample_ids=rows // num_cols)
-        out.reshape(num_samples * num_cols, m)[rows] = sampled
+            sample_ids=rows if num_cols == 1 else rows // num_cols)
+        active_backend().scatter_rows(
+            out.reshape(num_samples * num_cols, m), sampled, rows)
     else:
         offsets = views["offsets"]
         vertices, info = app.sample_from_neighborhood(
@@ -206,7 +208,6 @@ def worker_main(conn, worker_index: int) -> None:
                 # Inherit the parent's kernel backend, compiling once
                 # per worker before the first chunk so per-chunk
                 # timings are honest.
-                from repro.native.backend import set_backend
                 set_backend(backend_name)
                 conn.send(("ready",))
             elif kind in ("ichunk", "cchunk"):

@@ -190,6 +190,20 @@ class TestErrorPaths:
         assert code == 2
         assert "error:" in out
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_serve_rejects_chunk_size_at_start(self, size):
+        code, out = run_cli(["serve", "--port", "0", "--chunk-size", size])
+        assert code == 2
+        assert "--chunk-size must be >= 1" in out
+
+    def test_engine_rejects_zero_chunk_size(self):
+        from repro.api.apps import DeepWalk
+        from repro.core.engine import NextDoorEngine
+        from repro.graph import datasets
+        with pytest.raises(ValueError, match="chunk_pairs must be >= 1"):
+            NextDoorEngine(chunk_size=0).run(
+                DeepWalk(3), datasets.load("ppi"), num_samples=4)
+
     def test_trace_and_out_conflict(self, tmp_path):
         path = str(tmp_path / "same.json")
         code, out = run_cli(["sample", "--app", "DeepWalk",

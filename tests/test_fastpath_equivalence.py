@@ -24,7 +24,7 @@ from repro.core.engine import NextDoorEngine
 from repro.core.transit_map import (
     TransitMap,
     build_transit_map,
-    flatten_transits,
+    sample_order_pairs,
 )
 
 # ---------------------------------------------------------------------------
@@ -34,18 +34,17 @@ from repro.core.transit_map import (
 
 def build_transit_map_reference(transits, graph=None):
     """The original full-sort grouping (``argsort`` + ``np.unique``)."""
-    sample_ids, cols, vals = flatten_transits(transits)
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    sample_ids = sample_ids[order]
-    cols = cols[order]
+    pairs = sample_order_pairs(transits)
+    order = np.argsort(pairs.transit_vals, kind="stable")
+    vals = pairs.transit_vals[order]
     unique_transits, start_idx, counts = np.unique(
         vals, return_index=True, return_counts=True)
     offsets = np.concatenate([start_idx.astype(np.int64),
                               np.asarray([vals.size], dtype=np.int64)])
-    return TransitMap(sample_ids, cols, vals, unique_transits,
+    return TransitMap(pairs.rows[order], vals, unique_transits,
                       counts.astype(np.int64), offsets,
-                      num_total_pairs=int(np.asarray(transits).size))
+                      num_total_pairs=int(np.asarray(transits).size),
+                      width=pairs.width)
 
 
 def _reference_weighted_neighbors(graph, transits, m, rng):
@@ -245,7 +244,7 @@ class TestTransitMapEquivalence:
         transits = _random_transits(rng, 5000, shape)
         fast = build_transit_map(transits)
         ref = build_transit_map_reference(transits)
-        for field in ("sample_ids", "cols", "transit_vals",
+        for field in ("rows", "sample_ids", "cols", "transit_vals",
                       "unique_transits", "counts", "offsets"):
             assert np.array_equal(getattr(fast, field), getattr(ref, field)), field
         assert fast.num_total_pairs == ref.num_total_pairs
@@ -256,7 +255,7 @@ class TestTransitMapEquivalence:
         fast = build_transit_map(transits)
         ref = build_transit_map_reference(transits)
         assert np.array_equal(fast.transit_vals, ref.transit_vals)
-        assert np.array_equal(fast.sample_ids, ref.sample_ids)
+        assert np.array_equal(fast.rows, ref.rows)
         assert np.array_equal(fast.offsets, ref.offsets)
 
     def test_all_null(self):
@@ -292,11 +291,9 @@ class TestTransitMapProperties:
     def test_stable_within_transit(self, tmap_and_transits):
         """Pairs of one transit keep their flattened (sample, col)
         order — the stability the rng-stream identity relies on."""
-        tmap, transits = tmap_and_transits
-        width = transits.shape[1]
-        flat_pos = tmap.sample_ids * width + tmap.cols
+        tmap, _ = tmap_and_transits
         for i in range(tmap.num_transits):
-            grp = flat_pos[tmap.pairs_of(i)]
+            grp = tmap.rows[tmap.pairs_of(i)]
             assert (np.diff(grp) > 0).all()
 
     def test_roundtrip_scatter(self, tmap_and_transits):

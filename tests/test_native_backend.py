@@ -302,13 +302,64 @@ class TestKernelMicroParity:
         backend.warm_up()
         assert backend._lib is lib and not backend._failed
 
-    def test_scatter_rows_hook_declines(self, backend):
-        # Step assembly is a numpy row scatter (core/stepper.py); the
-        # hook survives as an attribute for the perf ledger only.
-        out, ids = np.zeros((2, 2), dtype=np.int64), np.zeros(1, np.int64)
-        assert backend.scatter_rows(
-            out, np.ones((1, 1), dtype=np.int64), ids, ids, 1) is None
-        assert not out.any()
+    def test_scatter_rows_matches_numpy_assignment(self, backend):
+        rng = np.random.default_rng(23)
+        for m in (1, 2, 10, 25):
+            for k in (0, 1, 4095, 4096, 4097):
+                nrows = k + 37
+                rows = rng.permutation(nrows)[:k]
+                sampled = rng.integers(0, 10**9, size=(k, m))
+                got = rng.integers(0, 10**9, size=(nrows, m))
+                want = got.copy()
+                want[rows] = sampled
+                assert backend.scatter_rows(got, sampled, rows) is got
+                assert np.array_equal(got, want), (m, k)
+
+    def test_scatter_rows_other_layouts_take_the_numpy_body(self, backend):
+        rng = np.random.default_rng(29)
+        rows = rng.permutation(50)[:20]
+        wide = rng.integers(0, 1000, size=(20, 6))
+        for sampled, rows_ in (
+                (wide[:, :3].astype(np.int32), rows),       # int32
+                (wide[:, ::2], rows),                       # strided
+                (np.ascontiguousarray(wide[:, :3].T).T, rows),  # transposed
+                (wide[:, :3].copy(), np.r_[rows[:-1], -1]),  # negative row
+                (wide[:10, :3].copy(), rows[::2])):         # strided rows
+            got = rng.integers(0, 1000, size=(50, 3))
+            want = got.copy()
+            want[rows_] = sampled
+            backend.scatter_rows(got, sampled, rows_)
+            assert np.array_equal(got, want)
+        with pytest.raises(IndexError):
+            backend.scatter_rows(np.zeros((5, 3), dtype=np.int64),
+                                 wide[:2, :3].copy(), np.array([0, 5]))
+
+    def test_scatter_rows_from_chunk_threads(self, backend):
+        """Threads (more than this host has cores) writing disjoint row
+        sets of one array, as chunk threads do, match the serial
+        scatter: the C loop runs without the GIL."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+        rng = np.random.default_rng(31)
+        nrows, m, nthreads = 50_000, 10, 2 * (os.cpu_count() or 1) + 1
+        rows = rng.permutation(nrows)
+        sampled = rng.integers(0, 10**9, size=(nrows, m))
+        want = np.zeros((nrows, m), dtype=np.int64)
+        want[rows] = sampled
+        got = np.zeros_like(want)
+        cuts = np.linspace(0, nrows, 4 * nthreads + 1).astype(int)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(nthreads) as pool:
+                futures = [pool.submit(backend.scatter_rows, got,
+                                       sampled[lo:hi], rows[lo:hi])
+                           for lo, hi in zip(cuts[:-1], cuts[1:])]
+                for future in futures:
+                    assert future.result(timeout=60) is got
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, want)
 
     def test_ragged_gather_matches_concat(self, backend):
         values = np.arange(100, dtype=np.int64) * 3

@@ -13,9 +13,9 @@ from repro.api.types import NULL_VERTEX
 from repro.core import stepper
 from repro.core.engine import NextDoorEngine
 from repro.core.large_graph import LargeGraphNextDoor
-from repro.core.transit_map import build_transit_map, flatten_transits
+from repro.core.transit_map import build_transit_map, sample_order_pairs
 from repro.gpu.device import Device
-from repro.native.backend import active_backend_name
+from repro.native.backend import active_backend, active_backend_name
 from repro.obs import get_metrics
 from repro.runtime.context import ExecutionContext
 from repro.runtime import shm
@@ -70,23 +70,36 @@ class TestStepLimit:
 class TestPrevTransits:
     def test_step_zero_none(self, medium_graph, rng):
         batch = stepper.init_batch(DeepWalk(3), medium_graph, 4, None, rng)
-        assert stepper.prev_transits_for(batch, 0, np.arange(4),
-                                         np.zeros(4, dtype=np.int64)) is None
+        assert stepper.prev_transits_for(batch, 0, np.arange(4), 1) is None
 
     def test_step_one_roots(self, medium_graph, rng):
         batch = stepper.init_batch(DeepWalk(3), medium_graph, 4, None, rng)
         batch.append_step(np.arange(4)[:, None])
-        prev = stepper.prev_transits_for(batch, 1, np.arange(4),
-                                         np.zeros(4, dtype=np.int64))
+        prev = stepper.prev_transits_for(batch, 1, np.arange(4), 1)
         assert np.array_equal(prev, batch.roots[:, 0])
 
     def test_step_two_previous_step(self, medium_graph, rng):
         batch = stepper.init_batch(DeepWalk(3), medium_graph, 4, None, rng)
         batch.append_step(np.array([[10], [11], [12], [13]]))
         batch.append_step(np.array([[20], [21], [22], [23]]))
-        prev = stepper.prev_transits_for(batch, 2, np.arange(4),
-                                         np.zeros(4, dtype=np.int64))
+        prev = stepper.prev_transits_for(batch, 2, np.arange(4), 1)
         assert list(prev) == [10, 11, 12, 13]
+
+    def test_wide_step_reads_its_sample_and_column(self, medium_graph,
+                                                   rng):
+        batch = stepper.init_batch(DeepWalk(3), medium_graph, 2, None, rng)
+        batch.append_step(np.array([[10, 11], [12, 13]]))
+        batch.append_step(np.array([[20, 21, 22], [23, 24, 25]]))
+        # Slots 1, 2, 5 of a (2, 3) step: (0, 1), (0, 2), (1, 2).
+        prev = stepper.prev_transits_for(batch, 2, np.array([1, 2, 5]), 3)
+        assert list(prev) == [11, 11, 13]
+
+
+def _pairs(transits):
+    """``run_individual_step``'s ``(sample_ids, cols, transit_vals)``
+    for a step's live pairs in sample order."""
+    pairs = sample_order_pairs(transits)
+    return pairs.sample_ids, pairs.cols, pairs.transit_vals
 
 
 class TestIndividualStep:
@@ -94,9 +107,9 @@ class TestIndividualStep:
         app = KHop((4,))
         batch = stepper.init_batch(app, medium_graph, 8, None, rng)
         transits = app.transits_for_step(batch, 0)
-        ids, cols, vals = flatten_transits(transits)
         out, info = stepper.run_individual_step(
-            app, medium_graph, batch, transits, 0, _ctx(), ids, cols, vals)
+            app, medium_graph, batch, transits, 0, _ctx(),
+            *_pairs(transits))
         assert out.shape == (8, 4)
         assert (out != NULL_VERTEX).all()
 
@@ -104,9 +117,9 @@ class TestIndividualStep:
         app = DeepWalk(3)
         batch = stepper.init_batch(app, medium_graph, 3, None, rng)
         transits = np.array([[NULL_VERTEX], [0], [NULL_VERTEX]])
-        ids, cols, vals = flatten_transits(transits)
         out, _ = stepper.run_individual_step(
-            app, medium_graph, batch, transits, 0, _ctx(), ids, cols, vals)
+            app, medium_graph, batch, transits, 0, _ctx(),
+            *_pairs(transits))
         assert out[0, 0] == NULL_VERTEX
         assert out[2, 0] == NULL_VERTEX
 
@@ -115,15 +128,15 @@ class TestIndividualStep:
         batch = stepper.init_batch(app, medium_graph, 8, None, rng)
         batch.append_step(app.transits_for_step(batch, 0))
         transits = app.transits_for_step(batch, 1)
-        ids, cols, vals = flatten_transits(transits)
         out, info = stepper.run_individual_step(
-            app, medium_graph, batch, transits, 1, _ctx(), ids, cols, vals)
+            app, medium_graph, batch, transits, 1, _ctx(),
+            *_pairs(transits))
         assert out.shape == (8, 1)
 
 
 def _elementwise_scatter(num_samples, num_cols, m, sample_ids, cols,
                          sampled):
-    """The (sample, slot) element scatter ``step_output`` replaced."""
+    """The (sample, slot) element scatter the row scatter replaced."""
     out = np.full((num_samples, num_cols * m), NULL_VERTEX, dtype=np.int64)
     slots = cols[:, None] * m + np.arange(m)[None, :]
     out[sample_ids[:, None], slots] = sampled
@@ -149,19 +162,17 @@ class TestStepOutput:
         sampled = rng.integers(0, 1000, size=(tmap.num_pairs, m))
         buffers = {}
         if staged:
-            buffers = {"out": np.full((num_samples, num_cols, m), 7777),
-                       "rows": np.full(tmap.num_pairs, -5)}
-        out, out_rows, rows = stepper.step_output(
-            num_samples, num_cols, m, tmap.sample_ids, tmap.cols,
-            **buffers)
+            buffers = {"out": np.full((num_samples, num_cols, m), 7777)}
+        out, out_rows = stepper.step_output(
+            num_samples, num_cols, m, tmap.rows, **buffers)
         if staged:
             assert out.base is buffers["out"]
-            assert rows is buffers["rows"]
         cuts = np.unique(rng.integers(0, tmap.num_pairs + 1, size=5))
         bounds = np.concatenate(([0], cuts, [tmap.num_pairs]))
+        scatter = active_backend().scatter_rows
         for c in rng.permutation(bounds.size - 1):
             lo, hi = bounds[c], bounds[c + 1]
-            out_rows[rows[lo:hi]] = sampled[lo:hi]
+            scatter(out_rows, sampled[lo:hi], tmap.rows[lo:hi])
         assert np.array_equal(out, _elementwise_scatter(
             num_samples, num_cols, m, tmap.sample_ids, tmap.cols, sampled))
         null_slots = np.repeat(transits == NULL_VERTEX, m, axis=1)
@@ -200,7 +211,7 @@ class TestChunkedAssembly:
                                    ctx.init_rng())
         t0 = app.transits_for_step(batch, 0)
         first, _ = stepper.run_individual_step(
-            app, graph, batch, t0, 0, ctx, *flatten_transits(t0))
+            app, graph, batch, t0, 0, ctx, *_pairs(t0))
         batch.append_step(first)
         transits = app.transits_for_step(batch, 1)
         tmap = build_transit_map(transits, graph)

@@ -12,21 +12,25 @@ from repro.core.scheduling import (
     SUBWARP_LIMIT,
     classify_transits,
 )
-from repro.core.transit_map import build_transit_map, flatten_transits
+from repro.core.transit_map import build_transit_map, sample_order_pairs
 
 
 class TestFlatten:
+    """``sample_order_pairs``: the live pairs, flattened in sample
+    order."""
+
     def test_basic(self):
         transits = np.array([[3, 5], [5, NULL_VERTEX]])
-        sample_ids, cols, vals = flatten_transits(transits)
-        assert list(sample_ids) == [0, 0, 1]
-        assert list(cols) == [0, 1, 0]
-        assert list(vals) == [3, 5, 5]
+        pairs = sample_order_pairs(transits)
+        assert list(pairs.rows) == [0, 1, 2]
+        assert list(pairs.sample_ids) == [0, 0, 1]
+        assert list(pairs.cols) == [0, 1, 0]
+        assert list(pairs.transit_vals) == [3, 5, 5]
 
     def test_all_null(self):
         transits = np.full((3, 2), NULL_VERTEX)
-        sample_ids, cols, vals = flatten_transits(transits)
-        assert vals.size == 0
+        pairs = sample_order_pairs(transits)
+        assert pairs.num_pairs == 0 and pairs.rows.size == 0
 
 
 class TestBuildTransitMap:
@@ -102,6 +106,48 @@ def _assert_grouped_like_unique(tmap, keys, order):
     assert np.array_equal(tmap.offsets, np.append(starts, keys.size))
     for arr in (tmap.unique_transits, tmap.counts, tmap.offsets):
         assert arr.dtype == np.int64
+
+
+@st.composite
+def transit_arrays(draw):
+    """An ``(S, T)`` transit array over :func:`key_sets`' spans, with
+    or without NULL slots."""
+    width = draw(st.sampled_from([1, 4, 25]))
+    keys = draw(key_sets())
+    keys = keys[:keys.size - keys.size % width]
+    transits = keys.reshape(-1, width)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        transits[rng.random(transits.shape) < 0.3] = NULL_VERTEX
+    return transits
+
+
+class TestRows:
+    """Each pair carries its flat slot: the row it owns in the step
+    output."""
+
+    @given(transits=transit_arrays())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_address_the_pairs(self, transits):
+        width = transits.shape[1]
+        for tmap in (build_transit_map(transits),
+                     sample_order_pairs(transits)):
+            assert tmap.rows.dtype == np.int64
+            assert np.array_equal(transits.ravel()[tmap.rows],
+                                  tmap.transit_vals)
+            assert np.array_equal(tmap.rows,
+                                  tmap.sample_ids * width + tmap.cols)
+            live = np.flatnonzero(transits.ravel() != NULL_VERTEX)
+            assert np.array_equal(np.sort(tmap.rows), live)
+
+    @given(transits=transit_arrays())
+    @settings(max_examples=40, deadline=None)
+    def test_all_live_rows_are_the_stable_argsort(self, transits):
+        transits = transits.copy()
+        transits[transits == NULL_VERTEX] = 3
+        tmap = build_transit_map(transits)
+        assert np.array_equal(
+            tmap.rows, np.argsort(transits.ravel(), kind="stable"))
 
 
 class TestGroupingProperties:
