@@ -131,7 +131,8 @@ def weighted_picks(graph: CSRGraph, t: np.ndarray,
     whose global cumsum exceeds ``base + r * total``, clamped to the
     row's last edge — ``searchsorted(cumsum, target, "right")`` — found
     from the row's :meth:`~repro.graph.csr.CSRGraph.weight_guide` entry
-    by a short forward scan."""
+    by a short forward scan.  Reads the field views of
+    :meth:`~repro.graph.csr.CSRGraph.weight_records`."""
     starts = graph.indptr[t]
     deg = graph.degrees_array[t]
     last = starts + deg - 1
@@ -151,8 +152,10 @@ def weighted_picks(graph: CSRGraph, t: np.ndarray,
         flat[more] = p
         more = more[(p < last[more]) & (cumsum[p] <= targets[more])]
     if more.size:
-        flat[more] = np.minimum(
-            np.searchsorted(cumsum, targets[more], side="right"), last[more])
+        # Path-independent: from the draw's position to its row's last
+        # edge is the global search's edge, with no strided-view copy.
+        flat[more] = rowwise_searchsorted(cumsum, targets[more], flat[more],
+                                          last[more], side="right")
     return pos
 
 

@@ -214,6 +214,8 @@ def run_steps(app: SamplingApp, graph: CSRGraph, batch: SampleBatch, ctx,
                                 labels={"stage": name, "backend": backend})
             for name in ("step", "scheduling_index", kernels)}
     limit = step_limit(app)
+    # The inherited post_step ignores its generator: skip building one.
+    has_post_step = type(app).post_step is not SamplingApp.post_step
     step = 0
     while step < limit:
         with stage("step", hist["step"], step=step):
@@ -250,8 +252,9 @@ def run_steps(app: SamplingApp, graph: CSRGraph, batch: SampleBatch, ctx,
                     edges is not None, sizes, width, dups, holes))
             with stage("post_step", step=step):
                 batch.append_step(new_vertices)
-                app.post_step(batch, new_vertices, step,
-                              ctx.post_step_rng(step))
+                if has_post_step:
+                    app.post_step(batch, new_vertices, step,
+                                  ctx.post_step_rng(step))
             step += 1
             if m > 0 and not (new_vertices != NULL_VERTEX).any():
                 break  # nothing added anywhere: all samples ended

@@ -17,7 +17,24 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "EDGE_RECORD", "VERTEX_RECORD"]
+
+#: One edge of the weighted draw (16 B): the global cumsum a draw
+#: scans, the row-local guide entry it starts from, the neighbour.
+EDGE_RECORD = np.dtype([("cum", "<f8"), ("guide", "<i4"), ("idx", "<i4")])
+
+#: One vertex of the weighted draw (32 B): first edge, degree, cumsum
+#: before the row and the row's mass.
+VERTEX_RECORD = np.dtype([("start", "<i8"), ("deg", "<i8"),
+                          ("base", "<f8"), ("total", "<f8")])
+
+
+def _line_aligned(n: int, dtype: np.dtype) -> np.ndarray:
+    """An empty ``(n,)`` array starting on a 64-byte boundary: no record
+    whose size divides 64 straddles two cache lines."""
+    buf = np.empty(n * dtype.itemsize + 64, dtype=np.uint8)
+    skip = -buf.ctypes.data % 64
+    return buf[skip:skip + n * dtype.itemsize].view(dtype)
 
 
 class CSRGraph:
@@ -65,8 +82,11 @@ class CSRGraph:
             weights = np.ascontiguousarray(weights, dtype=np.float64)
             if weights.shape != indices.shape:
                 raise ValueError("weights must align with indices")
-            if indices.size and weights.min() < 0:
-                raise ValueError("edge weights must be non-negative")
+            # Not ``min() < 0`` alone: NaN compares False.
+            if indices.size and not (np.isfinite(weights).all()
+                                     and weights.min() >= 0):
+                raise ValueError(
+                    "edge weights must be finite and non-negative")
 
         self.indptr = indptr
         self.indices = indices
@@ -353,43 +373,82 @@ class CSRGraph:
                                    - np.repeat(base, self.degrees_array))
         return self._weight_prefix
 
-    def global_weight_cumsum(self) -> np.ndarray:
-        """Monotone cumulative sum of all edge weights in CSR order.
+    def weight_records(self) -> "Tuple[np.ndarray, np.ndarray]":
+        """``(vertex, edge)`` records of the weighted draw (read-only,
+        line-aligned, built once).
 
-        Weighted samplers binary-search this single array for every
-        row at once: the slice ``[indptr[v], indptr[v+1])`` of the
-        cumsum spans row ``v``'s weight mass.  Cached lazily.
+        A draw at transit ``v`` reads ``vertex[v]`` (:data:`VERTEX_RECORD`),
+        then the edge record of its guide slot and those it scans
+        (:data:`EDGE_RECORD`): three cache lines where separate arrays
+        cost seven.  Both backends read them; the other weighted
+        accessors are views of their fields.  ``idx`` holds neighbours
+        as ``int32`` (wrapped past its range, where the C draw declines).
         """
+        return self._weight_cache()[:2]
+
+    def _weight_cache(self):
+        """The records, then their cum, guide, base, total views."""
         if self.weights is None:
             raise ValueError("graph is unweighted")
-        if getattr(self, "_global_cumsum_cache", None) is None:
-            self._global_cumsum_cache = np.cumsum(self.weights)
-        return self._global_cumsum_cache
+        cached = getattr(self, "_weight_records_cache", None)
+        if cached is not None:
+            return cached
+        indptr, deg = self.indptr, self.degrees_array
+        verts = _line_aligned(self.num_vertices, VERTEX_RECORD)
+        edges = _line_aligned(self.num_edges, EDGE_RECORD)
+        cumsum, guide = edges["cum"], edges["guide"]
+        base, total = verts["base"], verts["total"]
+        np.cumsum(self.weights, out=cumsum)
+        edges["idx"] = self.indices
+        starts, ends = indptr[:-1], indptr[1:]
+        verts["start"], verts["deg"] = starts, deg
+        # The sampler's own arithmetic; no edge at all: spans of 0.
+        padded = cumsum if cumsum.size else np.zeros(1)
+        base[...] = np.where(starts > 0, padded[starts - 1], 0.0)
+        total[...] = np.where(ends > starts, padded[ends - 1] - base, 0.0)
+        # The guide, in edge blocks that search their own cumsum slice.
+        cuts = np.unique(np.searchsorted(
+            indptr, np.arange(0, self.num_edges, 1 << 14)))
+        cuts = np.append(cuts, self.num_vertices)
+        for v0, v1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            s0, s1 = int(indptr[v0]), int(indptr[v1])
+            row = np.repeat(np.arange(v0, v1), deg[v0:v1])
+            first, d = indptr[row], deg[row]
+            j = np.arange(s0, s1) - first
+            # The smallest r with r * d >= j lies a few ulps from
+            # j / d; non-negative doubles order like their bit
+            # patterns, so +-1 on the int64 view steps one ulp.
+            r = j / d
+            bits = r.view(np.int64)
+            bits += r * d < j
+            while True:
+                down = (bits > 0) & ((bits - 1).view(np.float64) * d >= j)
+                if not down.any():
+                    break
+                bits -= down
+            target = base[row] + r * total[row]
+            pos = np.searchsorted(cumsum[s0:s1], target, side="right")
+            guide[s0:s1] = np.minimum(pos + s0 - first, d - 1)
+        cached = (verts, edges, cumsum, guide, base, total)
+        for a in cached:
+            a.setflags(write=False)
+        self._weight_records_cache = cached
+        return cached
+
+    def global_weight_cumsum(self) -> np.ndarray:
+        """Monotone cumulative sum of all edge weights in CSR order
+        (field ``cum``): the slice ``[indptr[v], indptr[v+1])`` spans
+        row ``v``'s weight mass."""
+        return self._weight_cache()[2]
 
     def weight_row_spans(self) -> "Tuple[np.ndarray, np.ndarray]":
-        """Per-vertex ``(base, total)`` of :meth:`global_weight_cumsum`.
-
-        ``base[v]`` is the cumsum value just before row ``v`` starts and
-        ``total[v]`` the row's weight mass — precomputed with the exact
-        arithmetic the weighted sampler would perform per step
-        (``cumsum[start - 1]`` and ``cumsum[end - 1] - base``), so
-        gathering from these caches yields bit-identical targets.
-        """
-        if self.weights is None:
-            raise ValueError("graph is unweighted")
-        if getattr(self, "_weight_row_spans_cache", None) is None:
-            cumsum = self.global_weight_cumsum()
-            if not cumsum.size:     # every row is empty: spans of 0
-                cumsum = np.zeros(1)
-            starts = self.indptr[:-1]
-            ends = self.indptr[1:]
-            base = np.where(starts > 0, cumsum[starts - 1], 0.0)
-            total = np.where(ends > starts, cumsum[ends - 1] - base, 0.0)
-            self._weight_row_spans_cache = (base, total)
-        return self._weight_row_spans_cache
+        """Per-vertex ``(base, total)`` (fields of the same name):
+        the cumsum just before row ``v`` and the row's weight mass."""
+        return self._weight_cache()[4:]
 
     def weight_guide(self) -> np.ndarray:
-        """Per-edge guide table of the weighted draw (``int32``, cached).
+        """Per-edge guide table of the weighted draw (``int32``, field
+        ``guide``).
 
         A draw ``r`` in ``[0, 1)`` at row ``v`` (``d`` edges, span
         ``(base, total)``) lands in bucket ``j = min(int(r * d), d - 1)``
@@ -398,40 +457,9 @@ class CSRGraph:
         is the row-local edge that the *smallest* double in bucket ``j``
         picks.  The target is monotone in ``r``, so every draw of the
         bucket scans forward from there to the edge the bisection finds,
-        in O(1) expected steps.  Built in edge blocks that search only
-        their own slice of the cumsum.
+        in O(1) expected steps.
         """
-        if self.weights is None:
-            raise ValueError("graph is unweighted")
-        if getattr(self, "_weight_guide_cache", None) is None:
-            cumsum = self.global_weight_cumsum()
-            base, total = self.weight_row_spans()
-            indptr, deg = self.indptr, self.degrees_array
-            guide = np.empty(self.num_edges, dtype=np.int32)
-            cuts = np.unique(np.searchsorted(
-                indptr, np.arange(0, self.num_edges, 1 << 14)))
-            cuts = np.append(cuts, self.num_vertices)
-            for v0, v1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-                s0, s1 = int(indptr[v0]), int(indptr[v1])
-                row = np.repeat(np.arange(v0, v1), deg[v0:v1])
-                first, d = indptr[row], deg[row]
-                j = np.arange(s0, s1) - first
-                # The smallest r with r * d >= j lies a few ulps from
-                # j / d; non-negative doubles order like their bit
-                # patterns, so +-1 on the int64 view steps one ulp.
-                r = j / d
-                bits = r.view(np.int64)
-                bits += r * d < j
-                while True:
-                    down = (bits > 0) & ((bits - 1).view(np.float64) * d >= j)
-                    if not down.any():
-                        break
-                    bits -= down
-                target = base[row] + r * total[row]
-                pos = np.searchsorted(cumsum[s0:s1], target, side="right")
-                guide[s0:s1] = np.minimum(pos + s0 - first, d - 1)
-            self._weight_guide_cache = guide
-        return self._weight_guide_cache
+        return self._weight_cache()[3]
 
     def row_max_weight(self) -> np.ndarray:
         """Maximum outgoing edge weight per vertex (cached).
@@ -498,21 +526,14 @@ class CSRGraph:
     # ------------------------------------------------------------------
 
     def to_shared(self):
-        """Place this graph's arrays (and warm weighted-sampling
-        caches) in ``multiprocessing.shared_memory`` and return a
+        """Place this graph's arrays (and its ``row_max_weight``) in
+        ``multiprocessing.shared_memory`` and return a
         picklable handle; see :mod:`repro.runtime.shm`.  Idempotent —
         repeated calls reuse the same segments.  The owning process
         must eventually call :func:`repro.runtime.shm.release_graph`
         (also hooked on ``atexit``)."""
         from repro.runtime.shm import export_graph
         return export_graph(self)
-
-    @classmethod
-    def from_shared(cls, handle) -> "CSRGraph":
-        """Map a :meth:`to_shared` handle read-only into a new graph
-        without copying or re-validating the arrays."""
-        from repro.runtime.shm import import_graph
-        return import_graph(handle)
 
     def memory_bytes(self) -> int:
         """Bytes this graph occupies in device memory (CSR arrays)."""

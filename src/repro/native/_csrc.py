@@ -23,12 +23,13 @@ Contract with the numpy kernels in ``repro/api/apps/_kernels.py``
 * integer truncation of ``r * n`` picks matches numpy's
   ``astype(np.int64)`` (both truncate toward zero, values are
   non-negative), followed by the same clamp to ``n - 1``;
-* the weighted kernel starts at the same ``CSRGraph.weight_guide``
-  entry as numpy's ``weighted_picks`` (bucket ``r * d`` truncated and
-  clamped like a uniform pick) and scans forward to the first edge
-  whose cumsum exceeds the target, clamped to the row's last edge —
-  the index numpy's bisection fallback would return too; its loop is
-  staged over blocks of draws (prefetch, then read) but takes the
+* ``weighted_fill`` reads the ``CSRGraph.weight_records`` numpy's
+  ``weighted_picks`` reads as field views: the transit's vertex record,
+  the guide entry of its bucket (``r * d`` truncated and clamped like a
+  uniform pick), then a forward scan to the first edge whose cumsum
+  exceeds the target, clamped to the row — the edge numpy's bisection
+  fallback returns too — whose ``int32`` neighbour it writes; its loop
+  is staged over blocks of draws (prefetch, then read) but takes the
   draws, and consumes ``r``, in the same (transit, draw) order;
 * every floating-point expression keeps numpy's operand order, and
   ``-ffp-contract=off`` forbids FMA contraction;
@@ -125,19 +126,22 @@ int64_t repro_uniform_fill(const int64_t *indptr, const int64_t *indices,
     return j;
 }
 
+/* CSRGraph.weight_records, field for field (VERTEX_RECORD /
+   EDGE_RECORD): 32 and 16 bytes, line-aligned arrays. */
+typedef struct { int64_t start, deg; double base, total; } wvert_t;
+typedef struct { double cum; int32_t guide, idx; } wedge_t;
+
 /* Draws per stage of repro_weighted_fill: enough independent misses in
    flight per pass, small enough that the block's lines stay in L1. */
 #define WF_BLOCK 64
 
 /* Draw (transit i, draw q) in (i, q) order, WF_BLOCK draws at a time,
    each block in four passes so that every pass's loads are independent
-   of one another: prefetch the transits' rows; compute the targets and
-   guide slots and prefetch the guide entries; read them and prefetch
-   the first edge; scan forward to the edge and write it. */
-int64_t repro_weighted_fill(const int64_t *indptr, const int64_t *indices,
-                            const int64_t *degrees, const double *cumsum,
-                            const int32_t *guide, const double *row_base,
-                            const double *row_total,
+   of one another: prefetch the transits' vertex records; compute the
+   targets and guide slots and prefetch those edge records; read the
+   guide entries and prefetch the first edge; scan forward to the edge
+   and write its neighbour. */
+int64_t repro_weighted_fill(const wvert_t *verts, const wedge_t *edges,
                             const int64_t *transits, int64_t n, int64_t m,
                             int64_t count, const double *r, int64_t *out,
                             int64_t null_v) {
@@ -147,34 +151,26 @@ int64_t repro_weighted_fill(const int64_t *indptr, const int64_t *indices,
     int64_t c = 0, i = 0, q = 0;
     while (i < n) {
         int64_t reach = n - i < ahead ? n : i + ahead;
-        for (int64_t k = i; k < reach; k++) {
-            int64_t t = transits[k];
-            if (t == null_v)
-                continue;
-            __builtin_prefetch(degrees + t);
-            __builtin_prefetch(indptr + t);
-            __builtin_prefetch(row_base + t);
-            __builtin_prefetch(row_total + t);
-        }
+        for (int64_t k = i; k < reach; k++)
+            if (transits[k] != null_v)
+                __builtin_prefetch(verts + transits[k]);
         int nb = 0;
         while (nb < WF_BLOCK && i < n) {
             int64_t t = transits[i];
-            int64_t d = t == null_v ? 0 : degrees[t];
+            const wvert_t *v = verts + (t == null_v ? 0 : t);
+            int64_t d = t == null_v ? 0 : v->deg;
             if (d > 0) {
-                double b = row_base[t];
-                double tot = row_total[t];
-                int64_t start = indptr[t];
                 for (; q < m && nb < WF_BLOCK; q++, nb++) {
                     double rq = r[q * count + c];
                     int64_t j = (int64_t)(rq * (double)d);
                     if (j > d - 1)
                         j = d - 1;
                     at[nb] = i * m + q;
-                    target[nb] = b + rq * tot;
-                    row[nb] = start;
-                    pos[nb] = start + j;
-                    last[nb] = start + d - 1;
-                    __builtin_prefetch(guide + start + j);
+                    target[nb] = v->base + rq * v->total;
+                    row[nb] = v->start;
+                    pos[nb] = v->start + j;
+                    last[nb] = v->start + d - 1;
+                    __builtin_prefetch(edges + v->start + j);
                 }
                 if (q < m)
                     break;
@@ -184,15 +180,14 @@ int64_t repro_weighted_fill(const int64_t *indptr, const int64_t *indices,
             i++;
         }
         for (int k = 0; k < nb; k++) {
-            pos[k] = row[k] + guide[pos[k]];
-            __builtin_prefetch(cumsum + pos[k]);
-            __builtin_prefetch(indices + pos[k]);
+            pos[k] = row[k] + edges[pos[k]].guide;
+            __builtin_prefetch(edges + pos[k]);
         }
         for (int k = 0; k < nb; k++) {
             int64_t p = pos[k];
-            while (p < last[k] && cumsum[p] <= target[k])
+            while (p < last[k] && edges[p].cum <= target[k])
                 p++;
-            out[at[k]] = indices[p];
+            out[at[k]] = edges[p].idx;
         }
     }
     return c;

@@ -189,6 +189,9 @@ def _segment_from_draws(values, offsets, m, r):
 #: ``_failed`` entry meaning the library itself did not build or load.
 _LIBRARY = "library"
 
+#: Largest vertex id the weighted C draw returns (edge records are int32).
+ID32_MAX = int(np.iinfo(np.int32).max)
+
 
 def _plain(dtype, *arrays) -> bool:
     """Whether every array can be handed to C as it is."""
@@ -259,39 +262,21 @@ class CNativeBackend(KernelBackend):
     # -- individual-step draws -----------------------------------------
 
     def uniform_neighbors(self, graph, transits, m, rng):
-        count_k = self._kernel("uniform_count")
-        fill_k = self._kernel("uniform_fill")
-        if count_k is None or fill_k is None:
-            return None
-        transits = np.ascontiguousarray(transits, dtype=np.int64)
-        out = np.full((transits.size, m), NULL_VERTEX, dtype=np.int64)
-        if m == 0:
-            return out
-        degrees = graph.degrees_array
-        try:
-            count = count_k(transits.ctypes.data, transits.size,
-                            degrees.ctypes.data, NULL_VERTEX)
-        except Exception as exc:
-            self._disable("uniform_count", exc)
-            return None
-        if count == 0:
-            return out
-        r = rng.random(size=count * m)
-        try:
-            fill_k(graph.indptr.ctypes.data, graph.indices.ctypes.data,
-                   degrees.ctypes.data, transits.ctypes.data,
-                   transits.size, m, r.ctypes.data, out.ctypes.data,
-                   NULL_VERTEX)
-        except Exception as exc:
-            self._disable("uniform_fill", exc)
-            return _uniform_from_draws(graph, transits, m, r)
-        return out
+        return self._fill("uniform_fill", graph, transits, m, rng)
 
     def weighted_neighbors(self, graph, transits, m, rng):
         if not graph.is_weighted:
             return self.uniform_neighbors(graph, transits, m, rng)
+        if graph.num_vertices - 1 > ID32_MAX:
+            return None
+        return self._fill("weighted_fill", graph, transits, m, rng)
+
+    def _fill(self, name, graph, transits, m, rng):
+        """Count the live transits with an edge, draw ``count * m``
+        doubles, run fill kernel ``name`` (the uniform one reads the
+        CSR arrays, the weighted one ``graph.weight_records()``)."""
         count_k = self._kernel("uniform_count")
-        fill_k = self._kernel("weighted_fill")
+        fill_k = self._kernel(name)
         if count_k is None or fill_k is None:
             return None
         transits = np.ascontiguousarray(transits, dtype=np.int64)
@@ -307,20 +292,21 @@ class CNativeBackend(KernelBackend):
             return None
         if count == 0:
             return out
-        cumsum = graph.global_weight_cumsum()
-        guide = graph.weight_guide()
-        row_base, row_total = graph.weight_row_spans()
-        r = rng.random(size=m * count)
+        if name == "weighted_fill":
+            verts, edges = graph.weight_records()
+            head, tail = (verts.ctypes.data, edges.ctypes.data), (count,)
+            rescue = _weighted_from_draws
+        else:
+            head = (graph.indptr.ctypes.data, graph.indices.ctypes.data,
+                    degrees.ctypes.data)
+            tail, rescue = (), _uniform_from_draws
+        r = rng.random(size=count * m)
         try:
-            fill_k(graph.indptr.ctypes.data, graph.indices.ctypes.data,
-                   degrees.ctypes.data, cumsum.ctypes.data,
-                   guide.ctypes.data, row_base.ctypes.data,
-                   row_total.ctypes.data,
-                   transits.ctypes.data, transits.size, m, count,
+            fill_k(*head, transits.ctypes.data, transits.size, m, *tail,
                    r.ctypes.data, out.ctypes.data, NULL_VERTEX)
         except Exception as exc:
-            self._disable("weighted_fill", exc)
-            return _weighted_from_draws(graph, transits, m, r)
+            self._disable(name, exc)
+            return rescue(graph, transits, m, r)
         return out
 
     # -- collective selection ------------------------------------------

@@ -102,8 +102,7 @@ _SIGNATURES = {
     "repro_uniform_fill": (
         _I64, (_PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _I64)),
     "repro_weighted_fill": (
-        _I64, (_PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _I64,
-               _I64, _I64, _PTR, _PTR, _I64)),
+        _I64, (_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR, _I64)),
     "repro_segment_count": (_I64, (_PTR, _I64)),
     "repro_segment_fill": (_I64, (_PTR, _PTR, _I64, _I64, _PTR, _PTR)),
     "repro_node2vec_fill": (

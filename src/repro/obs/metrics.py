@@ -2,7 +2,7 @@
 
 Unlike spans (which are recorded only when tracing is enabled), metrics
 are always on: every update is one lock acquire plus arithmetic (plus a
-single ``searchsorted`` for histograms), cheap enough for the per-step /
+single bisection for histograms), cheap enough for the per-step /
 per-chunk granularity the runtime uses.  The registry is rendered by
 the OpenMetrics text exporter (:mod:`repro.obs.openmetrics`), which
 backs the ``--stats`` / ``--stats-out`` CLI flags and the daemon's
@@ -84,6 +84,8 @@ name                            kind        meaning
 
 from __future__ import annotations
 
+import bisect
+import math
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -97,12 +99,15 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricFamily",
 #: Shared log-spaced bucket upper bounds: 20 per decade over
 #: [1e-7, 1e4) seconds — 100 ns resolution floor, ~2.8 h ceiling,
 #: +Inf overflow bucket on top.  One module-level array so every
-#: histogram shares it (searchsorted target, never mutated).
+#: histogram shares it (bisection target, never mutated).
 BUCKET_BOUNDS = np.power(
     10.0, np.arange(-7 * 20, 4 * 20 + 1) / 20.0)
 BUCKET_BOUNDS.setflags(write=False)
 
 _NUM_BUCKETS = len(BUCKET_BOUNDS) + 1  # + overflow (+Inf)
+
+#: As Python floats: ``bisect_left`` here is ``searchsorted(.., "left")``.
+_BOUNDS = tuple(BUCKET_BOUNDS.tolist())
 
 
 def label_key(labels: Optional[Mapping[str, str]]) -> Tuple[Tuple[str, str], ...]:
@@ -169,11 +174,11 @@ class Histogram:
 
     def observe(self, v: float) -> None:
         v = float(v)
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             with self._lock:
                 self.dropped += 1
             return
-        idx = int(np.searchsorted(BUCKET_BOUNDS, v, side="left"))
+        idx = bisect.bisect_left(_BOUNDS, v)
         with self._lock:
             self.count += 1
             self.total += v

@@ -2,14 +2,13 @@
 
 The worker pool must read the same CSR arrays the parent samples from
 without pickling or copying them into every worker.  ``export_graph``
-places ``indptr`` / ``indices`` / ``weights`` — plus the lazy caches
-the hot paths rely on (degrees, the global weight cumsum, the per-row
-weight spans and row maxima, the weighted draw's guide table) — into
-named shared-memory segments and returns a small picklable
+places ``indptr`` / ``indices`` / ``weights``, degrees and row maxima
+into named shared-memory segments and returns a small picklable
 :class:`SharedGraphHandle`.  ``import_graph`` maps those segments
 read-only into a :class:`~repro.graph.csr.CSRGraph` without running
 any of the constructor's validation or sorting (the exporter's arrays
-are already validated and row-sorted).
+are already validated and row-sorted).  ``CSRGraph.weight_records`` is
+not shipped (a second copy would double it): importers derive it.
 
 A dispatched step travels the same way: ``open_arena`` lays the step's
 pair arrays and its output out in one **step arena**, workers map it by
@@ -119,7 +118,7 @@ def _export_array(handle_arrays, segments, key: str, name: str,
 
 
 def export_graph(graph: CSRGraph) -> SharedGraphHandle:
-    """Place ``graph``'s arrays (and warm caches) in shared memory.
+    """Place ``graph``'s arrays (and degree / row-max caches) in shm.
 
     Idempotent per graph object: the handle is cached on the instance,
     so repeated runs over the same graph share one set of segments.
@@ -138,15 +137,8 @@ def export_graph(graph: CSRGraph) -> SharedGraphHandle:
                       graph.degrees_array)
         if graph.is_weighted:
             _export_array(arrays, segments, key, "weights", graph.weights)
-            _export_array(arrays, segments, key, "wcumsum",
-                          graph.global_weight_cumsum())
-            base, total = graph.weight_row_spans()
-            _export_array(arrays, segments, key, "wrowbase", base)
-            _export_array(arrays, segments, key, "wrowtotal", total)
             _export_array(arrays, segments, key, "wrowmax",
                           graph.row_max_weight())
-            _export_array(arrays, segments, key, "wguide",
-                          graph.weight_guide())
     except BaseException:
         for shm in segments:
             shm.close()
@@ -439,12 +431,8 @@ def import_graph(handle: SharedGraphHandle) -> CSRGraph:
     graph.name = handle.graph_name
     graph._weight_prefix = None
     graph._degrees_cache = views["degrees"]
-    if "wcumsum" in views:
-        graph._global_cumsum_cache = views["wcumsum"]
-        graph._weight_row_spans_cache = (views["wrowbase"],
-                                         views["wrowtotal"])
+    if "wrowmax" in views:
         graph._row_max_cache = views["wrowmax"]
-        graph._weight_guide_cache = views["wguide"]
     graph._shm_refs = segments
     return graph
 

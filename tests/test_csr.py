@@ -56,6 +56,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CSRGraph.from_edges(2, [(0, 1)], weights=[-1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        # ``nan < 0`` is False: a sign test alone let NaN through.
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            CSRGraph(np.array([0, 2, 2]), np.array([0, 1]),
+                     weights=np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            CSRGraph.from_edges(2, [(0, 1), (1, 0)], weights=[bad, 1.0])
+
     def test_misaligned_weights_rejected(self):
         with pytest.raises(ValueError):
             CSRGraph.from_edges(2, [(0, 1)], weights=[1.0, 2.0])

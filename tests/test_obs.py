@@ -22,7 +22,8 @@ from repro.obs import (
     validate_openmetrics,
     write_chrome_trace,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import (BUCKET_BOUNDS, Counter, Gauge, Histogram,
+                                MetricsRegistry)
 from repro.obs.tracer import NullTracer, Tracer
 
 
@@ -118,6 +119,27 @@ class TestMetrics:
         assert d["min"] == 1.0
         assert d["max"] == 3.0
         assert d["mean"] == pytest.approx(2.0)
+
+    def test_histogram_bucket_is_searchsorted(self):
+        """``observe``'s bisection puts every value where
+        ``searchsorted(BUCKET_BOUNDS, v, "left")`` does: each bound and
+        its neighbouring doubles, 0, negatives, subnormals, 1e300."""
+        values = np.concatenate([
+            BUCKET_BOUNDS, np.nextafter(BUCKET_BOUNDS, -np.inf),
+            np.nextafter(BUCKET_BOUNDS, np.inf),
+            [0.0, -0.0, -1.0, -1e300, 5e-324, 2.2e-308, 1e300]])
+        for v in values:
+            h = Histogram()
+            h.observe(v)
+            want = int(np.searchsorted(BUCKET_BOUNDS, v, side="left"))
+            assert np.flatnonzero(h._buckets).tolist() == [want], v
+
+    def test_histogram_drops_non_finite(self):
+        h = Histogram()
+        for v in (np.nan, np.inf, -np.inf, 1.0):
+            h.observe(v)
+        assert (h.dropped, h.count, h.total) == (3, 1, 1.0)
+        assert h._buckets.sum() == 1
 
     def test_empty_histogram_dict(self):
         assert Histogram().as_dict()["count"] == 0

@@ -342,6 +342,25 @@ class TestRunSteps:
         engine._charge_output_materialisation(device, app, batch, steps)
         assert device.elapsed_seconds == result.seconds
 
+    def test_post_step_generator_only_for_an_override(self, medium_graph,
+                                                      monkeypatch):
+        """The inherited no-op ``post_step`` costs no generator a step;
+        an app that overrides it (MultiRW) still gets one per step."""
+        from repro.api.apps import MultiRW
+        made = []
+        inner = ExecutionContext.post_step_rng
+
+        def counted(self, step):
+            made.append(step)
+            return inner(self, step)
+
+        monkeypatch.setattr(ExecutionContext, "post_step_rng", counted)
+        _, steps = _sample_only(DeepWalk(walk_length=4), medium_graph, 3)
+        assert steps == 4 and made == []
+        _, steps = _sample_only(MultiRW(num_roots=4, walk_length=3),
+                                medium_graph, 3)
+        assert made == list(range(steps)) and steps > 0
+
     @pytest.mark.parametrize("engine_cls", ALL_ENGINES,
                              ids=lambda cls: cls.__name__)
     def test_every_engine_runs_the_shared_loop(self, engine_cls,

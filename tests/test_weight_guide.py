@@ -1,4 +1,5 @@
-"""The weighted draw's guide table (``CSRGraph.weight_guide``).
+"""The weighted draw's guide table (``CSRGraph.weight_guide``) and the
+records it lives in (``CSRGraph.weight_records``).
 
 Every weighted draw — numpy's ``weighted_picks``, the C rescue that
 calls it and the C ``weighted_fill`` kernel — starts at its bucket's
@@ -19,8 +20,11 @@ from hypothesis import strategies as st
 from repro.api.apps import _kernels as kernels_mod
 from repro.api.apps._kernels import weighted_neighbors, weighted_picks
 from repro.api.types import NULL_VERTEX
-from repro.graph.csr import CSRGraph
-from repro.native.backend import CNativeBackend, available_backends
+from repro.graph import datasets
+from repro.graph.csr import EDGE_RECORD, VERTEX_RECORD, CSRGraph
+from repro.native import backend as backend_mod
+from repro.native.backend import (CNativeBackend, available_backends,
+                                  backend_scope)
 
 needs_cc = pytest.mark.skipif("cnative" not in available_backends(),
                               reason="no C toolchain on this host")
@@ -60,9 +64,19 @@ def _graph(rows):
     return CSRGraph(indptr, indices, weights=weights, name="adversarial")
 
 
+def _formulas(graph):
+    """``(cumsum, base, total)`` by the plain formulas, from the
+    weights alone: the oracle the records' fields must equal."""
+    cumsum = np.cumsum(graph.weights)
+    padded = cumsum if cumsum.size else np.zeros(1)
+    starts, ends = graph.indptr[:-1], graph.indptr[1:]
+    base = np.where(starts > 0, padded[starts - 1], 0.0)
+    total = np.where(ends > starts, padded[ends - 1] - base, 0.0)
+    return cumsum, base, total
+
+
 def _bisect(graph, t, r):
-    cumsum = graph.global_weight_cumsum()
-    base, total = graph.weight_row_spans()
+    cumsum, base, total = _formulas(graph)
     last = graph.indptr[t] + graph.degrees_array[t] - 1
     return np.minimum(np.searchsorted(cumsum, base[t] + r * total[t],
                                       side="right"), last)
@@ -107,6 +121,16 @@ def graph():
     return _graph(ROWS)
 
 
+def _hub_graph():
+    """3 000 short rows plus a 70 000-edge hub: rows straddle the
+    guide's 2**14-edge build blocks, one row is wider than several."""
+    rng = np.random.default_rng(9)
+    rows = [list(rng.uniform(0.5, 2.0, int(d)))
+            for d in rng.integers(0, 40, 3000)]
+    rows.insert(1000, list(rng.choice([0.0, 1.0, 1e9], 70_000)))
+    return _graph(rows + [[]])
+
+
 class TestGuideTable:
     def test_entry_is_the_bucket_minimums_pick(self, graph):
         guide = graph.weight_guide()
@@ -133,18 +157,57 @@ class TestGuideTable:
             CSRGraph(np.array([0, 1]), np.array([0])).weight_guide()
 
     def test_blocks_and_a_row_wider_than_one(self):
-        # 2**14-edge build blocks: a 70 000-edge hub, rows that straddle
-        # block ends, and an empty row at the end.
-        rng = np.random.default_rng(9)
-        rows = [list(rng.uniform(0.5, 2.0, int(d)))
-                for d in rng.integers(0, 40, 3000)]
-        rows.insert(1000, list(rng.choice([0.0, 1.0, 1e9], 70_000)))
-        g = _graph(rows + [[]])
+        g = _hub_graph()
         row = np.repeat(np.arange(g.num_vertices), g.degrees_array)
         j = np.arange(g.num_edges) - g.indptr[row]
         r = _bucket_minimum(j, g.degrees_array[row])
         assert np.array_equal(g.indptr[row] + g.weight_guide(),
                               _bisect(g, row, r))
+
+
+class TestRecords:
+    """``CSRGraph.weight_records``: the one cache both backends read."""
+
+    @pytest.mark.parametrize("make", [lambda: _graph(ROWS), _hub_graph],
+                             ids=["adversarial", "hub"])
+    def test_fields_are_the_formulas(self, make):
+        g = make()
+        verts, edges = g.weight_records()
+        assert verts.dtype == VERTEX_RECORD and edges.dtype == EDGE_RECORD
+        assert (verts.size, edges.size) == (g.num_vertices, g.num_edges)
+        cumsum, base, total = _formulas(g)
+        # Bitwise: NaN-free, so array_equal on the bit patterns is it.
+        for got, want in ((edges["cum"], cumsum), (verts["base"], base),
+                          (verts["total"], total)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(verts["start"], g.indptr[:-1])
+        assert np.array_equal(verts["deg"], g.degrees_array)
+        assert np.array_equal(edges["idx"], g.indices)
+        # The accessors are views of these fields (TestGuideTable checks
+        # the guide's values).
+        assert np.shares_memory(g.global_weight_cumsum(), edges)
+        assert np.shares_memory(g.weight_guide(), edges)
+        assert all(np.shares_memory(a, verts) for a in g.weight_row_spans())
+        assert np.array_equal(g.weight_prefix(),
+                              cumsum - np.repeat(base, g.degrees_array))
+
+    def test_read_only_cached_and_line_aligned(self, graph):
+        verts, edges = graph.weight_records()
+        assert graph.weight_records()[0] is verts
+        assert graph.weight_records()[1] is edges
+        assert graph.global_weight_cumsum() is graph.global_weight_cumsum()
+        base, total = graph.weight_row_spans()
+        assert graph.weight_row_spans()[0] is base
+        for arr in (verts, edges, graph.weight_guide(), base, total,
+                    graph.global_weight_cumsum()):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = arr
+        assert verts.ctypes.data % 64 == edges.ctypes.data % 64 == 0
+
+    def test_unweighted_raises(self):
+        with pytest.raises(ValueError):
+            CSRGraph(np.array([0, 1]), np.array([0])).weight_records()
 
 
 class TestDrawsMatchBisection:
@@ -156,6 +219,21 @@ class TestDrawsMatchBisection:
         t, r = _edge_draws(graph)
         assert np.array_equal(weighted_picks(graph, t, r[None, :])[0],
                               _bisect(graph, t, r))
+
+    @pytest.mark.parametrize("scan_steps", [0, 1, 4])
+    def test_numpy_fallback_is_the_clamped_searchsorted(
+            self, scan_steps, monkeypatch):
+        """Draws the guide scan leaves unsettled bisect from their
+        position to the row's last edge; on the hub graph (a row of
+        70 000 edges, zero-weight runs) that is still the global
+        clamped ``searchsorted``."""
+        monkeypatch.setattr(kernels_mod, "GUIDE_SCAN_STEPS", scan_steps)
+        g = _hub_graph()
+        t, r = _edge_draws(g, seed=3, random_per_row=2)
+        r = np.stack([r, np.roll(r, 11)])
+        got = weighted_picks(g, t, r)
+        for q in range(2):
+            assert np.array_equal(got[q], _bisect(g, t, r[q]))
 
     def test_numpy_m_draws_per_transit(self, graph):
         t, r = _edge_draws(graph)
@@ -217,3 +295,55 @@ class TestDrawsMatchBisection:
         for q in range(2):
             assert np.array_equal(got[:, q],
                                   g.indices[_bisect(g, t, block[q])])
+
+
+def _walk_transits(g, seed):
+    """A walk-like transit vector: repeats, NULLs and zero-degree
+    vertices scattered through it."""
+    rng = np.random.default_rng(seed)
+    t = rng.integers(0, g.num_vertices, 3000)
+    t[rng.random(t.size) < 0.05] = NULL_VERTEX
+    zero = np.flatnonzero(g.degrees_array == 0)
+    if zero.size:
+        t[rng.integers(0, t.size, 40)] = zero[0]
+    return t
+
+
+@pytest.fixture(scope="module")
+def weighted_ppi():
+    g = datasets.load("ppi", weighted=True)
+    assert (g.degrees_array == 0).any()     # zero-degree transits occur
+    return g
+
+
+class TestCompiledParity:
+    @needs_cc
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    @pytest.mark.parametrize("which", ["adversarial", "ppi"])
+    def test_cnative_equals_numpy(self, m, which, graph, weighted_ppi):
+        g = graph if which == "adversarial" else weighted_ppi
+        t = _walk_transits(g, m)
+        with backend_scope("numpy"):
+            want = weighted_neighbors(g, t, m, np.random.default_rng(m))
+        backend = CNativeBackend()
+        got = backend.weighted_neighbors(g, t, m, np.random.default_rng(m))
+        assert not backend._failed
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert (got[t == NULL_VERTEX] == NULL_VERTEX).all()
+
+    @needs_cc
+    def test_ids_past_int32_decline_before_drawing(self, graph,
+                                                    monkeypatch):
+        """A graph whose ids do not fit the edge records' ``int32``
+        takes the numpy draw, from an untouched generator."""
+        monkeypatch.setattr(backend_mod, "ID32_MAX", graph.num_vertices - 2)
+        t = _walk_transits(graph, 4)
+        rng = np.random.default_rng(4)
+        backend = CNativeBackend()
+        assert backend.weighted_neighbors(graph, t, 2, rng) is None
+        assert rng.random() == np.random.default_rng(4).random()
+        with backend_scope("cnative"):
+            got = weighted_neighbors(graph, t, 2, np.random.default_rng(4))
+        with backend_scope("numpy"):
+            want = weighted_neighbors(graph, t, 2, np.random.default_rng(4))
+        assert np.array_equal(got, want)
