@@ -31,6 +31,8 @@ interchangeable and cross-checked in the test suite.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from typing import Optional, Tuple
 
 import numpy as np
@@ -45,7 +47,8 @@ from repro.api.types import (
 )
 from repro.graph.csr import CSRGraph
 
-__all__ = ["SamplingApp", "SamplingType", "NULL_VERTEX", "INF_STEPS"]
+__all__ = ["SamplingApp", "SamplingType", "NULL_VERTEX", "INF_STEPS",
+           "takes_destination"]
 
 
 class SamplingApp:
@@ -171,13 +174,20 @@ class SamplingApp:
         prev_transits: Optional[np.ndarray] = None,
         batch: Optional[SampleBatch] = None,
         sample_ids: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, StepInfo]:
+        out_rows: Optional[np.ndarray] = None,
+        rows: Optional[np.ndarray] = None,
+    ) -> Tuple[Optional[np.ndarray], StepInfo]:
         """Individual sampling, one whole step: for each of the ``K``
         flattened (sample, transit) pairs produce ``m`` vertices.
 
+        Returns ``(sampled, info)``, ``sampled`` being ``(K, m)`` — or
+        ``None`` when the hook wrote ``out_rows[rows] = sampled``
+        itself into the step's destination, which the runtime passes to
+        a hook that accepts it (:func:`takes_destination`).
+
         Default implementation: the reference path — call
-        :meth:`next` ``m`` times per pair.  NULL transits produce NULL
-        outputs without calling ``next``.
+        :meth:`next` ``m`` times per pair (returning its array).  NULL
+        transits produce NULL outputs without calling ``next``.
         """
         m = self.sample_size(step)
         transits = np.asarray(transits, dtype=np.int64)
@@ -257,3 +267,12 @@ class SamplingApp:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+@functools.lru_cache(maxsize=256)
+def takes_destination(cls: type) -> bool:
+    """Whether app class ``cls``'s :meth:`~SamplingApp.sample_neighbors`
+    accepts the step's destination (``out_rows``, or any keyword)."""
+    params = inspect.signature(cls.sample_neighbors).parameters.values()
+    return any(p.name == "out_rows" or p.kind is p.VAR_KEYWORD
+               for p in params)

@@ -3,14 +3,15 @@
 Each primitive consumes a flat array of transit vertices (NULL entries
 pass through as NULL) and produces the step's new vertices for every
 (sample, transit) pair at once.  These are the numpy equivalents of the
-GPU kernels' inner loops; the per-vertex reference path in
+GPU kernels' inner loops (the ``_*_numpy`` bodies also rescue a failed
+C kernel); the per-vertex reference path in
 :class:`~repro.api.app.SamplingApp` computes the same distributions one
 vertex at a time.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +36,15 @@ def _backend():
     identical draws either way."""
     from repro.native.backend import active_backend
     return active_backend()
+
+
+def _land(picks, out_rows, rows):
+    """``picks``; given a destination, ``None`` after ``out_rows[rows]
+    = picks``, the write the compiled fills do as they draw."""
+    if out_rows is None:
+        return picks
+    out_rows[rows] = picks
+    return None
 
 
 def _over_eligible(graph: CSRGraph, transits: np.ndarray, m: int,
@@ -68,16 +78,24 @@ def _over_eligible(graph: CSRGraph, transits: np.ndarray, m: int,
 
 
 def uniform_neighbors(graph: CSRGraph, transits: np.ndarray, m: int,
-                      rng: np.random.Generator) -> np.ndarray:
+                      rng: np.random.Generator,
+                      out_rows: Optional[np.ndarray] = None,
+                      rows: Optional[np.ndarray] = None) -> np.ndarray:
     """Choose ``m`` uniform neighbors (with replacement) per transit.
 
     Returns ``(K, m)``; NULL transits and zero-degree transits yield
-    NULL rows.
+    NULL rows.  Given the step's ``m``-wide destination ``out_rows`` and
+    each transit's row ``rows``, writes them to ``out_rows[rows]``
+    instead and returns ``None``.
     """
-    native = _backend().uniform_neighbors(graph, transits, m, rng)
-    if native is not None:
-        return native
+    native = _backend().uniform_neighbors(graph, transits, m, rng,
+                                          out_rows=out_rows, rows=rows)
+    if native is None:
+        return _land(_uniform_numpy(graph, transits, m, rng), out_rows, rows)
+    return native if out_rows is None else None
 
+
+def _uniform_numpy(graph, transits, m, rng):
     def draw(t, deg):
         # Uniform index into each row, for each of the m draws.
         r = rng.random(size=(t.size, m))
@@ -160,16 +178,23 @@ def weighted_picks(graph: CSRGraph, t: np.ndarray,
 
 
 def weighted_neighbors(graph: CSRGraph, transits: np.ndarray, m: int,
-                       rng: np.random.Generator) -> np.ndarray:
+                       rng: np.random.Generator,
+                       out_rows: Optional[np.ndarray] = None,
+                       rows: Optional[np.ndarray] = None) -> np.ndarray:
     """Choose ``m`` neighbors per transit with probability proportional
     to edge weight (DeepWalk's biased static walk): inverse-transform
-    sampling over the weight cumsum, located by :func:`weighted_picks`."""
+    sampling over the weight cumsum, located by :func:`weighted_picks`.
+    The destination is :func:`uniform_neighbors`'."""
     if not graph.is_weighted:
-        return uniform_neighbors(graph, transits, m, rng)
-    native = _backend().weighted_neighbors(graph, transits, m, rng)
-    if native is not None:
-        return native
+        return uniform_neighbors(graph, transits, m, rng, out_rows, rows)
+    native = _backend().weighted_neighbors(graph, transits, m, rng,
+                                           out_rows=out_rows, rows=rows)
+    if native is None:
+        return _land(_weighted_numpy(graph, transits, m, rng), out_rows, rows)
+    return native if out_rows is None else None
 
+
+def _weighted_numpy(graph, transits, m, rng):
     def draw(t, deg):
         # All m draws in one block: row j of the (m, K) block is the
         # j-th sequential rng.random(K) call, so the stream (and every
@@ -185,22 +210,19 @@ def segment_uniform_choice(values: np.ndarray, offsets: np.ndarray, m: int,
     """Choose ``m`` uniform elements (with replacement) from each ragged
     segment ``values[offsets[s]:offsets[s+1]]``; empty segments yield
     NULL rows.  Used by collective sampling over combined
-    neighborhoods."""
-    native = _backend().segment_choice(values, offsets, m, rng)
-    if native is not None:
-        return native
-    num_segments = offsets.size - 1
-    out = np.full((num_segments, m), NULL_VERTEX, dtype=np.int64)
-    sizes = np.diff(offsets)
-    live = sizes > 0
-    if not live.any() or m == 0:
-        return out
-    r = rng.random(size=(int(live.sum()), m))
-    picks = (r * sizes[live][:, None]).astype(np.int64)
-    picks = np.minimum(picks, (sizes[live] - 1)[:, None])
-    rows = offsets[:-1][live][:, None] + picks
-    out[live] = values[rows]
-    return out
+    neighborhoods: the uniform neighbor draw, segment ``s`` being the
+    CSR row of "transit" ``s``."""
+    return uniform_neighbors(_Segments(values, offsets),
+                             np.arange(np.size(offsets) - 1), m, rng)
+
+
+class _Segments:
+    """Ragged segments as the CSR arrays the uniform draw reads."""
+
+    def __init__(self, values, offsets) -> None:
+        self.indices = np.ascontiguousarray(values, dtype=np.int64)
+        self.indptr = np.ascontiguousarray(offsets, dtype=np.int64)
+        self.degrees_array = np.diff(self.indptr)
 
 
 def combined_neighborhood_offsets(graph: CSRGraph,

@@ -72,9 +72,11 @@ class DeepWalk(SamplingApp):
         prev_transits: Optional[np.ndarray] = None,
         batch: Optional[SampleBatch] = None,
         sample_ids: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, StepInfo]:
+        out_rows: Optional[np.ndarray] = None,
+        rows: Optional[np.ndarray] = None,
+    ) -> Tuple[Optional[np.ndarray], StepInfo]:
         if graph.is_weighted:
-            out = weighted_neighbors(graph, transits, 1, rng)
+            out = weighted_neighbors(graph, transits, 1, rng, out_rows, rows)
             # The modeled GPU kernel is the paper's: RNG + a binary
             # search over the transit's weight prefix — log2(d) probes
             # per draw, served from the cached row under
@@ -84,6 +86,6 @@ class DeepWalk(SamplingApp):
             info = StepInfo(avg_compute_cycles=8.0 + 2.0 * probes,
                             cacheable_reads_per_vertex=probes)
         else:
-            out = uniform_neighbors(graph, transits, 1, rng)
+            out = uniform_neighbors(graph, transits, 1, rng, out_rows, rows)
             info = StepInfo(avg_compute_cycles=8.0)
         return out, info

@@ -104,6 +104,8 @@ class MultiRW(SamplingApp):
         prev_transits: Optional[np.ndarray] = None,
         batch: Optional[SampleBatch] = None,
         sample_ids: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, StepInfo]:
-        out = uniform_neighbors(graph, transits, 1, rng)
+        out_rows: Optional[np.ndarray] = None,
+        rows: Optional[np.ndarray] = None,
+    ) -> Tuple[Optional[np.ndarray], StepInfo]:
+        out = uniform_neighbors(graph, transits, 1, rng, out_rows, rows)
         return out, StepInfo(avg_compute_cycles=10.0)

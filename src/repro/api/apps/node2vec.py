@@ -112,14 +112,17 @@ class Node2Vec(SamplingApp):
         prev_transits: Optional[np.ndarray] = None,
         batch: Optional[SampleBatch] = None,
         sample_ids: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, StepInfo]:
+        out_rows: Optional[np.ndarray] = None,
+        rows: Optional[np.ndarray] = None,
+    ) -> Tuple[Optional[np.ndarray], StepInfo]:
         transits = np.asarray(transits, dtype=np.int64)
         from repro.api.apps._kernels import _backend
         native = _backend().node2vec_neighbors(
             graph, transits, prev_transits, self.p, self.q,
-            self.MAX_ROUNDS, rng)
+            self.MAX_ROUNDS, rng, out_rows, rows)
         if native is not None:
             out, eligible, proposals, probes = native
+            out = out if out_rows is None else None  # else written in place
             if eligible == 0:
                 return out, StepInfo()
             return out, self._step_info(eligible, proposals, probes)

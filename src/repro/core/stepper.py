@@ -93,12 +93,13 @@ def step_output(num_samples: int, num_cols: int, m: int,
     ``out_rows``, its view as one ``m``-wide row per transit slot.
 
     Pair ``i`` owns row ``rows[i]`` (its flat slot), so any run of
-    pairs' results lands with one row scatter, ``out_rows[rows[lo:hi]]
-    = sampled[lo:hi]``, in any order.  NULL transits' slots are never
-    addressed and read NULL; with no NULL slot ``out`` is left
-    uninitialised.  A given ``out`` (``S * T * m`` int64 values, any
-    shape) is used in place — a step staged in shared memory brings
-    its own.
+    pairs lands in any order: the draws write ``out_rows[rows[lo:hi]]``
+    themselves, or the runtime assigns a hook's returned array there.
+    NULL transits' slots are never addressed and read NULL; with no
+    NULL slot ``out`` is left uninitialised, so every pair writes its
+    whole row (a zero-degree transit's NULL too).  A given ``out``
+    (``S * T * m`` int64 values, any shape) is used in place — a step
+    staged in shared memory brings its own.
     """
     if out is None:
         out = np.empty(num_samples * num_cols * m, dtype=np.int64)

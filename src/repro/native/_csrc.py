@@ -8,12 +8,12 @@ loop over raw arrays; lengths arrive as explicit arguments.
 Contract with the numpy kernels in ``repro/api/apps/_kernels.py``
 (see ``docs/PERF.md``) — what keeps samples bitwise-identical:
 
-* fixed-draw-count kernels (``uniform_fill``, ``weighted_fill``,
-  ``segment_fill``) consume a pre-drawn block ``r`` of doubles in
-  exactly the order the numpy code drew them — ``(count, m)`` C-order
-  for uniform/segment, ``(m, count)`` for weighted — where ``count``
-  is what ``uniform_count`` / ``segment_count`` report: live transits
-  with at least one edge, non-empty segments;
+* fixed-draw-count kernels (``uniform_fill``, ``weighted_fill``)
+  consume a pre-drawn block ``r`` of doubles in exactly the order the
+  numpy code drew them — ``(count, m)`` C-order for uniform, ``(m,
+  count)`` for weighted — where ``count`` is what ``uniform_count``
+  reports: live transits with at least one edge (a collective
+  segment choice is the uniform draw over the segments as CSR rows);
 * ``node2vec_fill`` draws data-dependent randomness through the PCG64
   shim (:mod:`repro.native.rngshim`), replicating numpy's call order:
   per rejection round, first one pick draw for every pending pair,
@@ -42,9 +42,12 @@ Contract with the numpy kernels in ``repro/api/apps/_kernels.py``
 * ``two_level_pick`` takes LADIES' already-drawn, already-scaled
   ``draws`` through both lower-bound bisections (transit mass prefix,
   then ``ecs[i] - ebase`` against ``rem`` in the chosen CSR row) with
-  numpy's comparisons, clamps and operand order.
-* ``scatter_rows`` is step assembly's ``out_rows[rows] = sampled``;
-  it draws nothing, and a row out of range hands back to numpy.
+  numpy's comparisons, clamps and operand order;
+* the fills write pair ``i``'s picks into row ``rows[i]`` of the
+  step's destination (numpy's ``out_rows[rows] = picks``; NULL
+  ``rows``: the identity), NULL for a NULL or zero-degree transit;
+  ``uniform_count`` and ``node2vec_fill`` return -1 at a row outside
+  ``[0, nrows)`` before anything is drawn or written.
 
 The PCG64 step uses ``unsigned __int128``; :mod:`repro.native.rngshim`
 holds the pure-Python reference the tests compare it against.
@@ -91,35 +94,49 @@ void repro_pcg_fill(uint64_t *s, double *out, int64_t n) {
     s[1] = (uint64_t)state;
 }
 
+/* Live transits with an edge; -1 at a row outside [0, nrows). */
 int64_t repro_uniform_count(const int64_t *transits, int64_t n,
-                            const int64_t *degrees, int64_t null_v) {
+                            const int64_t *degrees, int64_t null_v,
+                            const int64_t *rows, int64_t nrows) {
     int64_t count = 0;
     for (int64_t i = 0; i < n; i++) {
         int64_t t = transits[i];
+        if (rows && (uint64_t)rows[i] >= (uint64_t)nrows)
+            return -1;
         if (t != null_v && degrees[t] > 0)
             count++;
     }
     return count;
 }
 
+/* Pair i's m picks land in row rows[i] (i when rows is NULL) of the
+   m-wide out, prefetched ROW_AHEAD pairs on; NULL for no edge. */
+#define ROW_AHEAD 32
 int64_t repro_uniform_fill(const int64_t *indptr, const int64_t *indices,
                            const int64_t *degrees, const int64_t *transits,
                            int64_t n, int64_t m, const double *r,
-                           int64_t *out, int64_t null_v) {
+                           int64_t *out, const int64_t *rows,
+                           int64_t null_v) {
     int64_t j = 0;
     for (int64_t i = 0; i < n; i++) {
+        if (rows && i + ROW_AHEAD < n) {
+            __builtin_prefetch(out + rows[i + ROW_AHEAD] * m, 1);
+            __builtin_prefetch(out + rows[i + ROW_AHEAD] * m + m - 1, 1);
+        }
+        int64_t *o = out + (rows ? rows[i] : i) * m;
         int64_t t = transits[i];
-        if (t == null_v)
+        int64_t d = t == null_v ? 0 : degrees[t];
+        if (d <= 0) {
+            for (int64_t q = 0; q < m; q++)
+                o[q] = null_v;
             continue;
-        int64_t d = degrees[t];
-        if (d <= 0)
-            continue;
+        }
         int64_t base = indptr[t];
         for (int64_t q = 0; q < m; q++) {
             int64_t pick = (int64_t)(r[j] * (double)d);
             if (pick > d - 1)
                 pick = d - 1;
-            out[i * m + q] = indices[base + pick];
+            o[q] = indices[base + pick];
             j++;
         }
     }
@@ -139,12 +156,13 @@ typedef struct { double cum; int32_t guide, idx; } wedge_t;
    each block in four passes so that every pass's loads are independent
    of one another: prefetch the transits' vertex records; compute the
    targets and guide slots and prefetch those edge records; read the
-   guide entries and prefetch the first edge; scan forward to the edge
-   and write its neighbour. */
+   guide entries and prefetch the first edge and the destination row
+   (repro_uniform_fill's); scan forward to the edge and write its
+   neighbour. */
 int64_t repro_weighted_fill(const wvert_t *verts, const wedge_t *edges,
                             const int64_t *transits, int64_t n, int64_t m,
                             int64_t count, const double *r, int64_t *out,
-                            int64_t null_v) {
+                            const int64_t *rows, int64_t null_v) {
     int64_t at[WF_BLOCK], row[WF_BLOCK], pos[WF_BLOCK], last[WF_BLOCK];
     double target[WF_BLOCK];
     int64_t ahead = WF_BLOCK / (m > 0 ? m : 1) + 1;
@@ -159,13 +177,17 @@ int64_t repro_weighted_fill(const wvert_t *verts, const wedge_t *edges,
             int64_t t = transits[i];
             const wvert_t *v = verts + (t == null_v ? 0 : t);
             int64_t d = t == null_v ? 0 : v->deg;
-            if (d > 0) {
+            int64_t dst = (rows ? rows[i] : i) * m;
+            if (d <= 0) {
+                for (int64_t k = 0; k < m; k++)
+                    out[dst + k] = null_v;
+            } else {
                 for (; q < m && nb < WF_BLOCK; q++, nb++) {
                     double rq = r[q * count + c];
                     int64_t j = (int64_t)(rq * (double)d);
                     if (j > d - 1)
                         j = d - 1;
-                    at[nb] = i * m + q;
+                    at[nb] = dst + q;
                     target[nb] = v->base + rq * v->total;
                     row[nb] = v->start;
                     pos[nb] = v->start + j;
@@ -182,6 +204,7 @@ int64_t repro_weighted_fill(const wvert_t *verts, const wedge_t *edges,
         for (int k = 0; k < nb; k++) {
             pos[k] = row[k] + edges[pos[k]].guide;
             __builtin_prefetch(edges + pos[k]);
+            __builtin_prefetch(out + at[k], 1);
         }
         for (int k = 0; k < nb; k++) {
             int64_t p = pos[k];
@@ -193,50 +216,31 @@ int64_t repro_weighted_fill(const wvert_t *verts, const wedge_t *edges,
     return c;
 }
 
-int64_t repro_segment_count(const int64_t *offsets, int64_t nseg) {
-    int64_t count = 0;
-    for (int64_t i = 0; i < nseg; i++)
-        if (offsets[i + 1] > offsets[i])
-            count++;
-    return count;
-}
-
-int64_t repro_segment_fill(const int64_t *values, const int64_t *offsets,
-                           int64_t nseg, int64_t m, const double *r,
-                           int64_t *out) {
-    int64_t j = 0;
-    for (int64_t i = 0; i < nseg; i++) {
-        int64_t lo = offsets[i];
-        int64_t size = offsets[i + 1] - lo;
-        if (size <= 0)
-            continue;
-        for (int64_t q = 0; q < m; q++) {
-            int64_t pick = (int64_t)(r[j] * (double)size);
-            if (pick > size - 1)
-                pick = size - 1;
-            out[i * m + q] = values[lo + pick];
-            j++;
-        }
-    }
-    return j;
-}
-
-void repro_node2vec_fill(const int64_t *indptr, const int64_t *indices,
-                         const double *weights, int64_t is_weighted,
-                         const int64_t *degrees, const int64_t *transits,
-                         int64_t n_transits, const int64_t *prev,
-                         int64_t has_prev, const double *row_max,
-                         double bias_env, double p, double inv_q,
-                         int64_t max_rounds, int64_t null_v, uint64_t *sw,
-                         int64_t *out, int64_t *pending, int64_t *proposal,
-                         double *bias, double *envs, double *rbuf,
-                         int64_t *counters) {
+/* Destination as repro_uniform_fill's (m = 1); -1 before anything is
+   drawn or written when a row lies outside [0, nrows), else 0. */
+int64_t repro_node2vec_fill(const int64_t *indptr, const int64_t *indices,
+                            const double *weights, int64_t is_weighted,
+                            const int64_t *degrees, const int64_t *transits,
+                            int64_t n_transits, const int64_t *prev,
+                            int64_t has_prev, const double *row_max,
+                            double bias_env, double p, double inv_q,
+                            int64_t max_rounds, int64_t null_v, uint64_t *sw,
+                            int64_t *out, const int64_t *rows, int64_t nrows,
+                            int64_t *pending, int64_t *proposal,
+                            double *bias, double *envs, double *rbuf,
+                            int64_t *counters) {
+    if (rows)
+        for (int64_t i = 0; i < n_transits; i++)
+            if ((uint64_t)rows[i] >= (uint64_t)nrows)
+                return -1;
     u128 state = pack128(sw), inc = pack128(sw + 2);
     int64_t n = 0;
     for (int64_t i = 0; i < n_transits; i++) {
         int64_t t = transits[i];
         if (t != null_v && degrees[t] > 0)
             pending[n++] = i;
+        else
+            out[rows ? rows[i] : i] = null_v;
     }
     counters[0] = n;
     int64_t total_proposals = 0, total_probes = 0, draws = 0, rounds = 0;
@@ -293,10 +297,8 @@ void repro_node2vec_fill(const int64_t *indptr, const int64_t *indices,
                 if (pv == null_v)
                     acc = 1;
             }
-            if (acc) {
-                out[i] = proposal[k];
-            } else if (rounds == max_rounds) {
-                out[i] = proposal[k];
+            if (acc || rounds == max_rounds) {
+                out[rows ? rows[i] : i] = proposal[k];
             } else {
                 pending[m2++] = i;
             }
@@ -309,6 +311,7 @@ void repro_node2vec_fill(const int64_t *indptr, const int64_t *indices,
     counters[3] = draws;
     sw[0] = (uint64_t)(state >> 64);
     sw[1] = (uint64_t)state;
+    return 0;
 }
 
 void repro_gather_i64(const int64_t *values, const int64_t *starts,
@@ -329,24 +332,6 @@ void repro_gather_f64(const double *values, const int64_t *starts,
         for (int64_t k = 0; k < c; k++)
             out[o + k] = values[s0 + k];
     }
-}
-
-/* out[rows[i]] = sampled[i] (m wide), prefetching both ends of the row
-   16 pairs on; -1 at the first row outside [0, nrows), else 0. */
-int64_t repro_scatter_rows(int64_t *out, int64_t nrows,
-                           const int64_t *sampled, const int64_t *rows,
-                           int64_t k, int64_t m) {
-    for (int64_t i = 0; i < k; i++) {
-        if ((uint64_t)rows[i] >= (uint64_t)nrows)
-            return -1;
-        if (i + 16 < k && m > 0 && (uint64_t)rows[i + 16] < (uint64_t)nrows) {
-            __builtin_prefetch(out + rows[i + 16] * m, 1);
-            __builtin_prefetch(out + rows[i + 16] * m + m - 1, 1);
-        }
-        for (int64_t j = 0; j < m; j++)
-            out[rows[i] * m + j] = sampled[i * m + j];
-    }
-    return 0;
 }
 
 int64_t repro_dedupe_rows(int64_t *rows, int64_t nrows, int64_t w,

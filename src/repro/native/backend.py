@@ -23,8 +23,8 @@ produced — same values, same dtypes, same RNG draws in the same order
 — or declines (``None``) **before touching the generator**, so the
 numpy fallback replays from an identical stream position.  The one
 exception is a kernel failing *after* its block of doubles was drawn;
-the ``*_from_draws`` rescues below then consume that same block with
-numpy ops, keeping the stream aligned (``two_level_pick`` needs none:
+the numpy kernel then runs on that same block (:class:`_Drawn`),
+keeping the stream aligned (``two_level_pick`` needs none:
 its caller drew, and carries on in numpy).  Failures are recorded once per
 kernel (warning + ``native.compile_failures`` counter) and the kernel
 is disabled for the rest of the process — every other kernel stays
@@ -78,10 +78,11 @@ class KernelBackend:
     """Hot-kernel dispatch points.
 
     Every hook may return ``None``, meaning "use the numpy code"; the
-    base class always does (``scatter_rows`` *is* that code).
-    Implementations must honor the parity contract in the module
-    docstring.
-    """
+    base class always does.  Implementations must honor the parity
+    contract in the module docstring.  The individual-step draws write
+    pair ``k``'s picks to ``out_rows[rows[k]]`` as numpy's ``out_rows[rows]
+    = picks`` would and return ``out_rows`` (no destination: a fresh
+    ``(K, m)``)."""
 
     #: Resolved implementation name (a key of :data:`BACKEND_IDS`).
     name = "numpy"
@@ -98,24 +99,16 @@ class KernelBackend:
 
     # -- hooks (None => numpy fallback) --------------------------------
 
-    def uniform_neighbors(self, graph, transits, m, rng):
+    def uniform_neighbors(self, graph, transits, m, rng,
+                          out_rows=None, rows=None):
         return None
 
-    def weighted_neighbors(self, graph, transits, m, rng):
-        return None
-
-    def segment_choice(self, values, offsets, m, rng):
+    def weighted_neighbors(self, graph, transits, m, rng,
+                           out_rows=None, rows=None):
         return None
 
     def node2vec_neighbors(self, graph, transits, prev_transits,
-                           p, q, max_rounds, rng):
-        return None
-
-    def grouping(self, vals):
-        # No backend compiles this and the runtime never calls it (the
-        # scheduling index is one packed numpy sort, core/transit_map.py);
-        # the name stays because the perf ledger instruments hooks by
-        # attribute.
+                           p, q, max_rounds, rng, out_rows=None, rows=None):
         return None
 
     def ragged_gather(self, values, starts, counts, offsets, total):
@@ -130,9 +123,18 @@ class KernelBackend:
     def two_level_pick(self, graph, ecs, mass, lo, hi, pair_t, draws):
         return None
 
+    # -- no caller: the names stay because the perf ledger instruments
+    # hooks by attribute.  The scheduling index is one packed numpy
+    # sort (core/transit_map.py), a segment choice is the uniform draw
+    # over the segments, and the draws write their own rows.
+
+    def grouping(self, vals):
+        return None
+
+    def segment_choice(self, values, offsets, m, rng):
+        return None
+
     def scatter_rows(self, out_rows, sampled, rows):
-        """Step assembly, in place; returns ``out_rows`` (it never
-        declines).  The oracle every override must match."""
         out_rows[rows] = sampled
         return out_rows
 
@@ -141,49 +143,15 @@ class NumpyBackend(KernelBackend):
     """The current vectorised numpy code, selected explicitly."""
 
 
-# -- numpy rescues consuming an already-drawn block --------------------
-#
-# These replicate the tail of the corresponding numpy kernels exactly
-# (same picks arithmetic; the weighted one calls numpy's own
-# ``weighted_picks``), but take the pre-drawn doubles instead of the
-# generator — used only when a C fill kernel fails after its block was
-# drawn, so the stream stays aligned.
+class _Drawn:
+    """A generator handing out the block of doubles a failed C kernel
+    drew — numpy's kernel asks for it in one call, in the same order."""
 
-def _eligible_indices(graph, transits):
-    live = transits != NULL_VERTEX
-    safe = np.where(live, transits, 0)
-    return np.nonzero(live & (graph.degrees_array[safe] > 0))[0]
+    def __init__(self, r: np.ndarray) -> None:
+        self.r = r
 
-
-def _uniform_from_draws(graph, transits, m, r):
-    idx = _eligible_indices(graph, transits)
-    t = transits[idx]
-    deg = graph.degrees_array[t]
-    picks = (r.reshape(t.size, m) * deg[:, None]).astype(np.int64)
-    picks = np.minimum(picks, (deg - 1)[:, None])
-    out = np.full((transits.size, m), NULL_VERTEX, dtype=np.int64)
-    out[idx] = graph.indices[graph.indptr[t][:, None] + picks]
-    return out
-
-
-def _weighted_from_draws(graph, transits, m, r):
-    from repro.api.apps._kernels import weighted_picks
-    idx = _eligible_indices(graph, transits)
-    pos = weighted_picks(graph, transits[idx], r.reshape(m, idx.size))
-    out = np.full((transits.size, m), NULL_VERTEX, dtype=np.int64)
-    out[idx] = graph.indices[pos].T
-    return out
-
-
-def _segment_from_draws(values, offsets, m, r):
-    sizes = np.diff(offsets)
-    live = sizes > 0
-    picks = (r.reshape(int(live.sum()), m)
-             * sizes[live][:, None]).astype(np.int64)
-    picks = np.minimum(picks, (sizes[live] - 1)[:, None])
-    out = np.full((offsets.size - 1, m), NULL_VERTEX, dtype=np.int64)
-    out[live] = values[offsets[:-1][live][:, None] + picks]
-    return out
+    def random(self, size):
+        return self.r.reshape(size)
 
 
 #: ``_failed`` entry meaning the library itself did not build or load.
@@ -197,6 +165,19 @@ def _plain(dtype, *arrays) -> bool:
     """Whether every array can be handed to C as it is."""
     return all(isinstance(a, np.ndarray) and a.dtype == dtype
                and a.flags.c_contiguous for a in arrays)
+
+
+def _destination(out_rows, rows, n, m):
+    """``(out_rows, rows pointer, row count)`` for a C fill of ``n``
+    pairs ``m`` wide (no destination: a fresh one, NULL ``rows``), or
+    ``None`` when C cannot write the given one as it is."""
+    if out_rows is None:
+        return np.empty((n, m), dtype=np.int64), None, n
+    if (_plain(np.int64, out_rows, rows) and out_rows.flags.writeable
+            and out_rows.ndim == 2 and out_rows.shape[1] == m
+            and rows.shape == (n,)):
+        return out_rows, rows.ctypes.data, out_rows.shape[0]
+    return None
 
 
 class CNativeBackend(KernelBackend):
@@ -261,84 +242,67 @@ class CNativeBackend(KernelBackend):
 
     # -- individual-step draws -----------------------------------------
 
-    def uniform_neighbors(self, graph, transits, m, rng):
-        return self._fill("uniform_fill", graph, transits, m, rng)
+    def uniform_neighbors(self, graph, transits, m, rng,
+                          out_rows=None, rows=None):
+        return self._fill("uniform_fill", graph, transits, m, rng,
+                          out_rows, rows)
 
-    def weighted_neighbors(self, graph, transits, m, rng):
+    def weighted_neighbors(self, graph, transits, m, rng,
+                           out_rows=None, rows=None):
         if not graph.is_weighted:
-            return self.uniform_neighbors(graph, transits, m, rng)
+            return self.uniform_neighbors(graph, transits, m, rng,
+                                          out_rows, rows)
         if graph.num_vertices - 1 > ID32_MAX:
             return None
-        return self._fill("weighted_fill", graph, transits, m, rng)
+        return self._fill("weighted_fill", graph, transits, m, rng,
+                          out_rows, rows)
 
-    def _fill(self, name, graph, transits, m, rng):
-        """Count the live transits with an edge, draw ``count * m``
-        doubles, run fill kernel ``name`` (the uniform one reads the
-        CSR arrays, the weighted one ``graph.weight_records()``)."""
+    def _fill(self, name, graph, transits, m, rng, out_rows, rows):
+        """Count the live transits with an edge (checking every
+        destination row), draw ``count * m`` doubles, run fill kernel
+        ``name`` (the uniform one reads the CSR arrays, the weighted one
+        ``graph.weight_records()``) into the destination."""
         count_k = self._kernel("uniform_count")
         fill_k = self._kernel(name)
         if count_k is None or fill_k is None:
             return None
         transits = np.ascontiguousarray(transits, dtype=np.int64)
-        out = np.full((transits.size, m), NULL_VERTEX, dtype=np.int64)
-        if m == 0:
-            return out
+        dest = _destination(out_rows, rows, transits.size, m)
+        if dest is None:
+            return None
+        out, rows_p, nrows = dest
         degrees = graph.degrees_array
         try:
             count = count_k(transits.ctypes.data, transits.size,
-                            degrees.ctypes.data, NULL_VERTEX)
+                            degrees.ctypes.data, NULL_VERTEX, rows_p, nrows)
         except Exception as exc:
             self._disable("uniform_count", exc)
             return None
-        if count == 0:
-            return out
+        if count < 0:   # a row out of range: numpy's indexing decides
+            return None
         if name == "weighted_fill":
             verts, edges = graph.weight_records()
             head, tail = (verts.ctypes.data, edges.ctypes.data), (count,)
-            rescue = _weighted_from_draws
         else:
             head = (graph.indptr.ctypes.data, graph.indices.ctypes.data,
                     degrees.ctypes.data)
-            tail, rescue = (), _uniform_from_draws
+            tail = ()
         r = rng.random(size=count * m)
         try:
             fill_k(*head, transits.ctypes.data, transits.size, m, *tail,
-                   r.ctypes.data, out.ctypes.data, NULL_VERTEX)
+                   r.ctypes.data, out.ctypes.data, rows_p, NULL_VERTEX)
         except Exception as exc:
             self._disable(name, exc)
-            return rescue(graph, transits, m, r)
+            from repro.api.apps import _kernels
+            rescue = (_kernels._weighted_numpy if name == "weighted_fill"
+                      else _kernels._uniform_numpy)
+            picks = rescue(graph, transits, m, _Drawn(r))
+            if out_rows is None:
+                return picks
+            out_rows[rows] = picks
         return out
 
     # -- collective selection ------------------------------------------
-
-    def segment_choice(self, values, offsets, m, rng):
-        count_k = self._kernel("segment_count")
-        fill_k = self._kernel("segment_fill")
-        if count_k is None or fill_k is None:
-            return None
-        values = np.asarray(values)
-        if not _plain(np.int64, values):
-            return None
-        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        nseg = offsets.size - 1
-        out = np.full((nseg, m), NULL_VERTEX, dtype=np.int64)
-        if m == 0:
-            return out
-        try:
-            count = count_k(offsets.ctypes.data, nseg)
-        except Exception as exc:
-            self._disable("segment_count", exc)
-            return None
-        if count == 0:
-            return out
-        r = rng.random(size=count * m)
-        try:
-            fill_k(values.ctypes.data, offsets.ctypes.data, nseg, m,
-                   r.ctypes.data, out.ctypes.data)
-        except Exception as exc:
-            self._disable("segment_fill", exc)
-            return _segment_from_draws(values, offsets, m, r)
-        return out
 
     def two_level_pick(self, graph, ecs, mass, lo, hi, pair_t, draws):
         """LADIES' two bisections over the already-drawn ``(live, m)``
@@ -397,12 +361,13 @@ class CNativeBackend(KernelBackend):
     # -- node2vec rejection sampling -----------------------------------
 
     def node2vec_neighbors(self, graph, transits, prev_transits,
-                           p, q, max_rounds, rng):
-        """Returns ``(out, eligible, proposals, probes)`` or ``None``.
+                           p, q, max_rounds, rng, out_rows=None, rows=None):
+        """Returns ``(out_rows, eligible, proposals, probes)`` or
+        ``None``.
 
         Draws through the PCG64 shim; the generator is advanced only
-        after the kernel succeeds, so a failure (or a non-PCG64
-        generator) falls back to the untouched numpy path.
+        after the kernel succeeds, so a failure, a row out of range (or
+        a non-PCG64 generator) falls back to the untouched numpy path.
         """
         kernel = self._kernel("node2vec_fill")
         if kernel is None:
@@ -412,16 +377,18 @@ class CNativeBackend(KernelBackend):
             return None
         transits = np.ascontiguousarray(transits, dtype=np.int64)
         n = transits.size
-        if prev_transits is None:
-            prev = np.full(n, NULL_VERTEX, dtype=np.int64)
-        else:
-            prev = np.ascontiguousarray(prev_transits, dtype=np.int64)
+        dest = _destination(out_rows, rows, n, 1)
+        if dest is None:
+            return None
+        out, rows_p, nrows = dest
+        prev = (np.full(n, NULL_VERTEX, dtype=np.int64)
+                if prev_transits is None
+                else np.ascontiguousarray(prev_transits, dtype=np.int64))
         if graph.is_weighted:
             weights = graph.weights
             row_max = graph.row_max_weight()
         else:
             weights = row_max = np.zeros(1, dtype=np.float64)
-        out = np.full(n, NULL_VERTEX, dtype=np.int64)
         pending = np.empty(n, dtype=np.int64)
         proposal = np.empty(n, dtype=np.int64)
         bias = np.empty(n, dtype=np.float64)
@@ -429,39 +396,22 @@ class CNativeBackend(KernelBackend):
         rbuf = np.empty(n, dtype=np.float64)
         counters = np.zeros(4, dtype=np.int64)
         try:
-            kernel(graph.indptr.ctypes.data, graph.indices.ctypes.data,
-                   weights.ctypes.data, int(graph.is_weighted),
-                   graph.degrees_array.ctypes.data, transits.ctypes.data,
-                   n, prev.ctypes.data, 1, row_max.ctypes.data,
-                   max(p, 1.0 / q, 1.0), p, 1.0 / q, max_rounds,
-                   NULL_VERTEX, s.ctypes.data, out.ctypes.data,
-                   pending.ctypes.data, proposal.ctypes.data,
-                   bias.ctypes.data, envs.ctypes.data, rbuf.ctypes.data,
-                   counters.ctypes.data)
+            ok = kernel(graph.indptr.ctypes.data, graph.indices.ctypes.data,
+                        weights.ctypes.data, int(graph.is_weighted),
+                        graph.degrees_array.ctypes.data, transits.ctypes.data,
+                        n, prev.ctypes.data, 1, row_max.ctypes.data,
+                        max(p, 1.0 / q, 1.0), p, 1.0 / q, max_rounds,
+                        NULL_VERTEX, s.ctypes.data, out.ctypes.data, rows_p,
+                        nrows, pending.ctypes.data, proposal.ctypes.data,
+                        bias.ctypes.data, envs.ctypes.data,
+                        rbuf.ctypes.data, counters.ctypes.data)
         except Exception as exc:
             self._disable("node2vec_fill", exc)
             return None
+        if ok < 0:
+            return None
         rngshim.consume(rng, int(counters[3]))
-        return (out.reshape(n, 1), int(counters[0]), int(counters[1]),
-                int(counters[2]))
-
-    # -- step assembly -------------------------------------------------
-
-    def scatter_rows(self, out_rows, sampled, rows):
-        """The C row copy for plain int64 arrays; else numpy's."""
-        kernel = self._kernel("scatter_rows")
-        if (kernel is not None and _plain(np.int64, out_rows, sampled, rows)
-                and out_rows.flags.writeable
-                and out_rows.ndim == 2 and rows.ndim == 1
-                and sampled.shape == (rows.size, out_rows.shape[1])):
-            try:
-                if kernel(out_rows.ctypes.data, out_rows.shape[0],
-                          sampled.ctypes.data, rows.ctypes.data, rows.size,
-                          sampled.shape[1]) == 0:
-                    return out_rows
-            except Exception as exc:
-                self._disable("scatter_rows", exc)
-        return super().scatter_rows(out_rows, sampled, rows)
+        return out, int(counters[0]), int(counters[1]), int(counters[2])
 
     # -- collective gather + dedupe ------------------------------------
 

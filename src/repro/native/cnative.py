@@ -98,21 +98,18 @@ _F64 = ctypes.c_double
 #: hundreds of times per run, so per-call marshalling cost matters).
 _SIGNATURES = {
     "repro_pcg_fill": (None, (_PTR, _PTR, _I64)),
-    "repro_uniform_count": (_I64, (_PTR, _I64, _PTR, _I64)),
+    "repro_uniform_count": (_I64, (_PTR, _I64, _PTR, _I64, _PTR, _I64)),
     "repro_uniform_fill": (
-        _I64, (_PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _I64)),
+        _I64, (_PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR, _I64)),
     "repro_weighted_fill": (
-        _I64, (_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR, _I64)),
-    "repro_segment_count": (_I64, (_PTR, _I64)),
-    "repro_segment_fill": (_I64, (_PTR, _PTR, _I64, _I64, _PTR, _PTR)),
+        _I64, (_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR, _I64)),
     "repro_node2vec_fill": (
-        None, (_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64,
-               _PTR, _F64, _F64, _F64, _I64, _I64, _PTR, _PTR, _PTR,
-               _PTR, _PTR, _PTR, _PTR, _PTR)),
+        _I64, (_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64,
+               _PTR, _F64, _F64, _F64, _I64, _I64, _PTR, _PTR, _PTR, _I64,
+               _PTR, _PTR, _PTR, _PTR, _PTR, _PTR)),
     "repro_gather_i64": (None, (_PTR, _PTR, _PTR, _PTR, _I64, _PTR)),
     "repro_gather_f64": (None, (_PTR, _PTR, _PTR, _PTR, _I64, _PTR)),
     "repro_dedupe_rows": (_I64, (_PTR, _I64, _I64, _I64)),
-    "repro_scatter_rows": (_I64, (_PTR, _I64, _PTR, _PTR, _I64, _I64)),
     "repro_edge_mask": (
         _I64, (_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _I64, _I64,
                _I64, _PTR)),

@@ -20,7 +20,7 @@ themselves:
 
 The equivalence (raw stream, double conversion, and ``advance``
 alignment) is proved bit-for-bit in ``tests/test_native_backend.py``.
-Kernels with *fixed* draw counts (uniform / weighted / segment choice)
+Kernels with *fixed* draw counts (uniform / weighted choice)
 skip the shim entirely: their wrappers pre-draw the exact block numpy
 would have drawn, in the same order, from the same generator.
 """

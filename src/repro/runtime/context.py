@@ -88,7 +88,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api.app import SamplingApp
+from repro.api.app import SamplingApp, takes_destination
 from repro.api.types import NULL_VERTEX, StepInfo
 from repro.native.backend import active_backend
 from repro.obs import get_metrics, trace
@@ -398,7 +398,8 @@ class ExecutionContext:
 
         Every chunk result — restored from a checkpoint, written by a
         pool worker or computed here — lands straight in its pairs' rows
-        of the step array; nothing else of it is kept."""
+        of the step array, written by the app's draw itself when its
+        hook takes the destination; nothing else of it is kept."""
         from repro.core.stepper import prev_transits_for, step_output
         self._maybe_interrupt(step)
         num_cols, m = transits.shape[1], app.sample_size(step)
@@ -427,19 +428,22 @@ class ExecutionContext:
         if work is None:
             work = _StepArrays(*step_output(
                 batch.num_samples, num_cols, m, rows))
-        scatter = active_backend().scatter_rows
+        in_place = takes_destination(type(app))
         #: Per-chunk cost hints; ``None`` marks a chunk still to run.
         infos: List[Optional[StepInfo]] = [None] * nchunks
 
         def run_chunk(c: int) -> StepInfo:
             lo, hi = int(bounds[c]), int(bounds[c + 1])
+            own = rows[lo:hi]
+            dest = {"out_rows": work.out_rows, "rows": own} if in_place else {}
             sampled, info = app.sample_neighbors(
                 graph, transit_vals[lo:hi], step,
                 self.plan.chunk_rng(step, c),
                 prev_transits=None if prev is None else prev[lo:hi],
-                batch=batch, sample_ids=(rows[lo:hi] if num_cols == 1
-                                         else rows[lo:hi] // num_cols))
-            scatter(work.out_rows, sampled, rows[lo:hi])
+                batch=batch,
+                sample_ids=own if num_cols == 1 else own // num_cols, **dest)
+            if sampled is not None:
+                work.out_rows[own] = sampled
             return info
 
         sampling_span = self.tracer.span(
@@ -448,7 +452,7 @@ class ExecutionContext:
             dispatched=bool(dispatch))
         try:
             for c, (sampled, info) in restored.items():
-                scatter(work.out_rows, sampled, rows[bounds[c]:bounds[c + 1]])
+                work.out_rows[rows[bounds[c]:bounds[c + 1]]] = sampled
                 infos[c] = info
             with sampling_span:
                 if dispatch and self._threads:

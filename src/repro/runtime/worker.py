@@ -38,8 +38,10 @@ writes the result into the rows the chunk owns:
 * ``ichunk`` — fields ``vals``, ``rows`` (pair -> row of ``out``),
   ``prev`` (only when the app needs previous transits), ``roots`` and
   ``out`` (``(S, T, m)``): pairs ``lo:hi``; a pair's sample is
-  ``rows // T``; ``out`` viewed as ``(S * T, m)`` gets
-  ``out[rows[lo:hi]] = sampled`` (the backend's ``scatter_rows``).
+  ``rows // T``; ``out`` viewed as ``(S * T, m)`` is the hook's
+  destination (``out_rows``, with ``rows[lo:hi]``), which the app's
+  draw writes itself, or which gets ``out[rows[lo:hi]] = sampled`` when
+  the hook returns its array.
 * ``cchunk`` — fields ``transits``, ``offsets`` and ``out``
   (``(S, m)``): sample rows ``lo:hi``, offsets rebased here;
   ``out[lo:hi] = vertices``.
@@ -79,9 +81,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.api.app import SamplingApp
+from repro.api.app import SamplingApp, takes_destination
 from repro.api.types import StepInfo
-from repro.native.backend import active_backend, set_backend
+from repro.native.backend import set_backend
 from repro.runtime.faults import FaultInjected, FaultPlan
 from repro.runtime.rngplan import generator_for
 from repro.runtime.shm import (
@@ -138,14 +140,17 @@ def run_chunk(msg: tuple, app: SamplingApp, graph, seed: int,
     if kind == "ichunk":
         num_samples, num_cols, m = out.shape
         rows = views["rows"][lo:hi]
+        out_rows = out.reshape(num_samples * num_cols, m)
+        dest = ({"out_rows": out_rows, "rows": rows}
+                if takes_destination(type(app)) else {})
         prev = views.get("prev")
         sampled, info = app.sample_neighbors(
             graph, views["vals"][lo:hi], step, rng,
             prev_transits=None if prev is None else prev[lo:hi],
             batch=StubBatch(views["roots"], num_samples),
-            sample_ids=rows if num_cols == 1 else rows // num_cols)
-        active_backend().scatter_rows(
-            out.reshape(num_samples * num_cols, m), sampled, rows)
+            sample_ids=rows if num_cols == 1 else rows // num_cols, **dest)
+        if sampled is not None:
+            out_rows[rows] = sampled
     else:
         offsets = views["offsets"]
         vertices, info = app.sample_from_neighborhood(

@@ -47,7 +47,18 @@ def build_transit_map_reference(transits, graph=None):
                       width=pairs.width)
 
 
-def _reference_weighted_neighbors(graph, transits, m, rng):
+def _reference_weighted_neighbors(graph, transits, m, rng, out_rows=None,
+                                  rows=None):
+    """The original weighted draw, with the kernels' destination form:
+    given ``out_rows``, the picks land in ``out_rows[rows]``."""
+    out = _reference_weighted_picks(graph, transits, m, rng)
+    if out_rows is None:
+        return out
+    out_rows[rows] = out
+    return None
+
+
+def _reference_weighted_picks(graph, transits, m, rng):
     from repro.api.apps._kernels import uniform_neighbors
     if not graph.is_weighted:
         return uniform_neighbors(graph, transits, m, rng)

@@ -302,59 +302,177 @@ class TestKernelMicroParity:
         backend.warm_up()
         assert backend._lib is lib and not backend._failed
 
-    def test_scatter_rows_matches_numpy_assignment(self, backend):
-        rng = np.random.default_rng(23)
+    # -- individual-step draws into the step's destination -------------
+
+    @staticmethod
+    def _fill_case(hook_name, k, m, seed):
+        """A graph (zero-degree vertices 38 and 39), ``k`` transits with
+        NULLs among them and ``k`` distinct rows of a dirty ``m``-wide
+        destination with 37 rows to spare."""
+        rng = np.random.default_rng(seed)
+        g = _edge_case_graph()
+        if hook_name == "weighted_neighbors":
+            g = g.with_random_weights(seed=seed)
+        transits = rng.integers(-1, 40, size=k)
+        rows = rng.permutation(k + 37)[:k]
+        dest = rng.integers(0, 10**9, size=(k + 37, m))
+        return g, transits, rows, dest
+
+    @staticmethod
+    def _numpy_into(hook_name, g, transits, m, rng, dest, rows):
+        """The oracle: numpy's kernel, then ``dest[rows] = picks``."""
+        from repro.api.apps import _kernels
+        with backend_scope("numpy"):
+            picks = getattr(_kernels, hook_name)(g, transits, m, rng)
+        dest[rows] = picks
+
+    @pytest.mark.parametrize("hook_name", ["uniform_neighbors",
+                                           "weighted_neighbors"])
+    def test_fill_hooks_write_rows_like_numpy_assignment(self, backend,
+                                                         hook_name):
         for m in (1, 2, 10, 25):
             for k in (0, 1, 4095, 4096, 4097):
-                nrows = k + 37
-                rows = rng.permutation(nrows)[:k]
-                sampled = rng.integers(0, 10**9, size=(k, m))
-                got = rng.integers(0, 10**9, size=(nrows, m))
+                g, transits, rows, got = self._fill_case(hook_name, k, m,
+                                                         k + m)
                 want = got.copy()
-                want[rows] = sampled
-                assert backend.scatter_rows(got, sampled, rows) is got
+                got_rng, ref_rng = (np.random.default_rng(k) for _ in "ab")
+                self._numpy_into(hook_name, g, transits, m, ref_rng,
+                                 want, rows)
+                hook = getattr(backend, hook_name)
+                assert hook(g, transits, m, got_rng, got, rows) is got
                 assert np.array_equal(got, want), (m, k)
+                assert got_rng.bit_generator.state == \
+                    ref_rng.bit_generator.state
 
-    def test_scatter_rows_other_layouts_take_the_numpy_body(self, backend):
-        rng = np.random.default_rng(29)
-        rows = rng.permutation(50)[:20]
-        wide = rng.integers(0, 1000, size=(20, 6))
-        for sampled, rows_ in (
-                (wide[:, :3].astype(np.int32), rows),       # int32
-                (wide[:, ::2], rows),                       # strided
-                (np.ascontiguousarray(wide[:, :3].T).T, rows),  # transposed
-                (wide[:, :3].copy(), np.r_[rows[:-1], -1]),  # negative row
-                (wide[:10, :3].copy(), rows[::2])):         # strided rows
-            got = rng.integers(0, 1000, size=(50, 3))
-            want = got.copy()
-            want[rows_] = sampled
-            backend.scatter_rows(got, sampled, rows_)
-            assert np.array_equal(got, want)
-        with pytest.raises(IndexError):
-            backend.scatter_rows(np.zeros((5, 3), dtype=np.int64),
-                                 wide[:2, :3].copy(), np.array([0, 5]))
+    def test_node2vec_hook_writes_rows_like_numpy_assignment(self, backend,
+                                                             monkeypatch):
+        from repro.api.apps import Node2Vec
+        g, transits, rows, got = self._fill_case("node2vec_neighbors",
+                                                 4097, 1, 3)
+        g = g.with_random_weights(seed=3)
+        prev = np.roll(transits, 1)
+        want = got.copy()
+        results = []
+        for b, dest in ((NumpyBackend(), want), (backend, got)):
+            monkeypatch.setattr(backend_mod, "_ACTIVE", b)
+            rng = np.random.default_rng(4)
+            sampled, _ = Node2Vec(p=0.5, q=2.0).sample_neighbors(
+                g, transits, 1, rng, prev_transits=prev, out_rows=dest,
+                rows=rows)
+            if sampled is not None:
+                dest[rows] = sampled
+            results.append((sampled is None, rng.bit_generator.state))
+        assert results[0][1] == results[1][1]
+        assert results == [(False, results[0][1]), (True, results[0][1])]
+        assert np.array_equal(got, want)
 
-    def test_scatter_rows_from_chunk_threads(self, backend):
-        """Threads (more than this host has cores) writing disjoint row
-        sets of one array, as chunk threads do, match the serial
-        scatter: the C loop runs without the GIL."""
+    @pytest.mark.parametrize("hook_name", ["uniform_neighbors",
+                                           "weighted_neighbors",
+                                           "node2vec_neighbors"])
+    @pytest.mark.parametrize("bad_row", ["past_the_end", "negative"])
+    def test_rows_out_of_range_decline_before_drawing(
+            self, backend, monkeypatch, hook_name, bad_row):
+        """The count pass (node2vec: its pre-check) finds the row; the
+        hook returns ``None`` with the generator and the destination
+        untouched, and numpy's indexing decides what the draw does."""
+        from repro.api.apps import Node2Vec, _kernels
+        m = 1 if hook_name == "node2vec_neighbors" else 3
+        g, transits, rows, dest = self._fill_case(hook_name, 50, m, 9)
+        rows[17] = dest.shape[0] if bad_row == "past_the_end" else -2
+        args = ((None, 1.0, 2.0, 10) if hook_name == "node2vec_neighbors"
+                else (m,))
+        rng = np.random.default_rng(0)
+        before, state = dest.copy(), rng.bit_generator.state
+        assert getattr(backend, hook_name)(g, transits, *args, rng, dest,
+                                           rows) is None
+        assert rng.bit_generator.state == state
+        assert np.array_equal(dest, before)
+
+        def draw(b):
+            monkeypatch.setattr(backend_mod, "_ACTIVE", b)
+            out = before.copy()
+            rng = np.random.default_rng(1)
+            try:
+                if hook_name == "node2vec_neighbors":
+                    sampled, _ = Node2Vec(q=2.0).sample_neighbors(
+                        g, transits, 0, rng, out_rows=out, rows=rows)
+                    out[rows] = sampled
+                else:
+                    getattr(_kernels, hook_name)(g, transits, m, rng, out,
+                                                 rows)
+            except IndexError:
+                return "IndexError", rng.bit_generator.state
+            return out.tobytes(), rng.bit_generator.state
+
+        want = draw(NumpyBackend())
+        assert draw(backend) == want
+        assert (want[0] == "IndexError") == (bad_row == "past_the_end")
+
+    def test_fill_hooks_decline_layouts_c_cannot_write(self, backend,
+                                                       monkeypatch):
+        """A destination C cannot write as it is — int32, strided,
+        transposed, read-only — or strided ``rows``: the hook declines
+        before drawing and numpy's assignment lands the picks."""
+        from repro.api.apps._kernels import uniform_neighbors
+        g, transits, rows, dest = self._fill_case("uniform_neighbors",
+                                                  20, 3, 29)
+        wide = np.random.default_rng(29).integers(0, 1000, size=(57, 6))
+        read_only = dest.copy()
+        read_only.flags.writeable = False
+        every_other = np.random.default_rng(2).permutation(57)[:40]
+        for out, rows_ in (
+                (dest.astype(np.int32), rows),                 # int32
+                (wide[:, ::2], rows),                          # strided
+                (np.ascontiguousarray(dest.T).T, rows),        # transposed
+                (read_only, rows),                             # read-only
+                (dest.copy(), every_other[::2])):              # strided rows
+            rng = np.random.default_rng(5)
+            state = rng.bit_generator.state
+            assert backend.uniform_neighbors(
+                g, transits, 3, rng, out, rows_) is None
+            assert rng.bit_generator.state == state
+
+            def draw(b):
+                monkeypatch.setattr(backend_mod, "_ACTIVE", b)
+                got = out.copy()
+                got.flags.writeable = out.flags.writeable
+                try:
+                    assert uniform_neighbors(g, transits, 3,
+                                             np.random.default_rng(6), got,
+                                             rows_) is None
+                except ValueError:   # numpy's own read-only refusal
+                    return "ValueError"
+                return got.tobytes()
+
+            assert draw(backend) == draw(NumpyBackend())
+
+    def test_fill_hooks_from_chunk_threads(self, backend):
+        """Threads (more than this host has cores) drawing disjoint row
+        sets of one destination, as chunk threads do, match the serial
+        numpy run: the C fills write without the GIL."""
         import sys
         from concurrent.futures import ThreadPoolExecutor
         rng = np.random.default_rng(31)
+        g = rmat_graph(5000, 40000, seed=31)
         nrows, m, nthreads = 50_000, 10, 2 * (os.cpu_count() or 1) + 1
+        transits = rng.integers(-1, g.num_vertices, size=nrows)
         rows = rng.permutation(nrows)
-        sampled = rng.integers(0, 10**9, size=(nrows, m))
-        want = np.zeros((nrows, m), dtype=np.int64)
-        want[rows] = sampled
-        got = np.zeros_like(want)
         cuts = np.linspace(0, nrows, 4 * nthreads + 1).astype(int)
+        chunks = list(zip(cuts[:-1], cuts[1:]))
+        want = np.zeros((nrows, m), dtype=np.int64)
+        for c, (lo, hi) in enumerate(chunks):
+            self._numpy_into("uniform_neighbors", g, transits[lo:hi], m,
+                             np.random.default_rng(c), want, rows[lo:hi])
+        got = np.zeros_like(want)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(nthreads) as pool:
-                futures = [pool.submit(backend.scatter_rows, got,
-                                       sampled[lo:hi], rows[lo:hi])
-                           for lo, hi in zip(cuts[:-1], cuts[1:])]
+                futures = [pool.submit(backend.uniform_neighbors, g,
+                                       transits[lo:hi], m,
+                                       np.random.default_rng(c), got,
+                                       rows[lo:hi])
+                           for c, (lo, hi) in enumerate(chunks)]
                 for future in futures:
                     assert future.result(timeout=60) is got
         finally:
@@ -392,31 +510,55 @@ class TestKernelMicroParity:
         # Input untouched.
         assert rows[0, 1] == 4
 
-    def _check_draw_order(self, hook, rescue, g, transits, m):
-        """``hook`` picks what the numpy rescue picks from the same
-        block of doubles, and advances the generator identically."""
-        from repro.native.backend import _eligible_indices
-        ref_rng, got_rng = (np.random.default_rng(8) for _ in range(2))
-        transits = np.array(transits, dtype=np.int64)
-        got = hook(g, transits, m, got_rng)
-        assert got is not None
-        count = _eligible_indices(g, transits).size
-        assert np.array_equal(
-            got, rescue(g, transits, m, ref_rng.random(count * m)))
-        assert np.array_equal(got_rng.random(4), ref_rng.random(4))
+    def _check_draw_order(self, backend, hook_name, fill, kernel, *args):
+        """The hook picks what numpy's ``kernel`` picks and advances the
+        generator identically — also when its ``fill`` kernel fails
+        after the draw and numpy finishes on the drawn block."""
+        from repro.api.apps import _kernels
+        rngs = [np.random.default_rng(8) for _ in range(3)]
+        with backend_scope("numpy"):
+            want = getattr(_kernels, kernel)(*args, rngs[0])
+        got = getattr(backend, hook_name)(*args, rngs[1])
+        with pytest.warns(RuntimeWarning, match="disabled"):
+            rescued = getattr(_OneBadKernel(fill), hook_name)(*args, rngs[2])
+        for out, rng in ((got, rngs[1]), (rescued, rngs[2])):
+            assert np.array_equal(out, want)
+            assert rng.bit_generator.state == rngs[0].bit_generator.state
 
     def test_uniform_neighbors_matches_numpy_draw_order(self, backend):
-        from repro.native.backend import _uniform_from_draws
         self._check_draw_order(
-            backend.uniform_neighbors, _uniform_from_draws,
-            rmat_graph(64, 256, seed=11), [0, 5, -1, 63, 12, 5], 3)
+            backend, "uniform_neighbors", "uniform_fill",
+            "uniform_neighbors", rmat_graph(64, 256, seed=11),
+            np.array([0, 5, -1, 63, 12, 5]), 3)
 
     def test_weighted_neighbors_matches_numpy_draw_order(self, backend):
-        from repro.native.backend import _weighted_from_draws
         self._check_draw_order(
-            backend.weighted_neighbors, _weighted_from_draws,
+            backend, "weighted_neighbors", "weighted_fill",
+            "weighted_neighbors",
             rmat_graph(64, 256, seed=11).with_random_weights(seed=2),
-            [3, 3, 17, -1, 60], 2)
+            np.array([3, 3, 17, -1, 60]), 2)
+
+    def test_segment_choice_is_the_uniform_draw_over_segments(
+            self, backend, monkeypatch):
+        """Under every backend, and when the C fill fails after its
+        draw: ``(live, m)`` doubles, truncated picks into each live
+        segment, NULL rows for the empty one."""
+        from repro.api.apps._kernels import segment_uniform_choice
+        values = np.arange(30, dtype=np.int64) * 7
+        offsets = np.array([0, 4, 4, 11, 30])
+        live = np.array([0, 2, 3])
+        sizes = np.diff(offsets)[live][:, None]
+        picks = (np.random.default_rng(8).random((3, 3)) * sizes)
+        want = np.full((4, 3), NULL_VERTEX)
+        want[live] = values[offsets[live][:, None] + np.minimum(
+            picks.astype(np.int64), sizes - 1)]
+        for b in (NumpyBackend(), backend, _OneBadKernel("uniform_fill")):
+            monkeypatch.setattr(backend_mod, "_ACTIVE", b)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got = segment_uniform_choice(values, offsets, 3,
+                                             np.random.default_rng(8))
+            assert np.array_equal(got, want)
 
     # -- collective path: edge recording + the LADIES draw -------------
 

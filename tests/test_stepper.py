@@ -15,7 +15,7 @@ from repro.core.engine import NextDoorEngine
 from repro.core.large_graph import LargeGraphNextDoor
 from repro.core.transit_map import build_transit_map, sample_order_pairs
 from repro.gpu.device import Device
-from repro.native.backend import active_backend, active_backend_name
+from repro.native.backend import active_backend_name
 from repro.obs import get_metrics
 from repro.runtime.context import ExecutionContext
 from repro.runtime import shm
@@ -147,19 +147,23 @@ class TestStepOutput:
     @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([0, 1, 3]),
            num_cols=st.sampled_from([1, 4]),
            null_frac=st.sampled_from([0.0, 0.3, 1.0]),
-           staged=st.booleans())
+           staged=st.booleans(),
+           hook=st.sampled_from(["uniform_neighbors", "weighted_neighbors"]))
     @settings(max_examples=80, deadline=None)
     def test_shuffled_chunks_assemble_like_the_element_scatter(
-            self, seed, m, num_cols, null_frac, staged):
-        """With no NULL transit (``null_frac`` 0) the array starts
-        uninitialised and every row must come from its pair; ``staged``
+            self, seed, m, num_cols, null_frac, staged, hook):
+        """Each chunk's draw writes its own rows, in shuffled chunk
+        order, through the active backend's hook.  With no NULL transit
+        (``null_frac`` 0) the array starts uninitialised and every row
+        must come from its pair, a zero-degree transit's too; ``staged``
         hands in dirty caller-owned buffers, as a step arena does."""
+        from repro.api.apps import _kernels
+        draw = getattr(_kernels, hook)
         rng = np.random.default_rng(seed)
         num_samples = int(rng.integers(1, 40))
         transits = rng.integers(0, 50, size=(num_samples, num_cols))
         transits[rng.random(transits.shape) < null_frac] = NULL_VERTEX
         tmap = build_transit_map(transits)  # transit-sorted pair order
-        sampled = rng.integers(0, 1000, size=(tmap.num_pairs, m))
         buffers = {}
         if staged:
             buffers = {"out": np.full((num_samples, num_cols, m), 7777)}
@@ -169,14 +173,30 @@ class TestStepOutput:
             assert out.base is buffers["out"]
         cuts = np.unique(rng.integers(0, tmap.num_pairs + 1, size=5))
         bounds = np.concatenate(([0], cuts, [tmap.num_pairs]))
-        scatter = active_backend().scatter_rows
-        for c in rng.permutation(bounds.size - 1):
-            lo, hi = bounds[c], bounds[c + 1]
-            scatter(out_rows, sampled[lo:hi], tmap.rows[lo:hi])
+        chunks = list(zip(bounds[:-1], bounds[1:]))
+        g = _assembly_graph()
+        for c in rng.permutation(len(chunks)):
+            lo, hi = chunks[c]
+            assert draw(g, tmap.transit_vals[lo:hi], m,
+                        np.random.default_rng([seed, c]), out_rows,
+                        tmap.rows[lo:hi]) is None
+        sampled = np.concatenate([np.empty((0, m), dtype=np.int64)] + [
+            draw(g, tmap.transit_vals[lo:hi], m,
+                 np.random.default_rng([seed, c]))
+            for c, (lo, hi) in enumerate(chunks)])
         assert np.array_equal(out, _elementwise_scatter(
             num_samples, num_cols, m, tmap.sample_ids, tmap.cols, sampled))
         null_slots = np.repeat(transits == NULL_VERTEX, m, axis=1)
         assert (out[null_slots] == NULL_VERTEX).all()
+        zero_degree = np.repeat(transits >= 45, m, axis=1)
+        assert (out[zero_degree] == NULL_VERTEX).all()
+
+
+def _assembly_graph():
+    """Weighted, 50 vertices; 45-49 have no out-edge."""
+    from repro.graph.csr import CSRGraph
+    edges = np.random.default_rng(50).integers(0, 45, size=(400, 2))
+    return CSRGraph.from_edges(50, edges).with_random_weights(seed=1)
 
 
 class _ShuffledPool:
