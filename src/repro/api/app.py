@@ -156,11 +156,10 @@ class SamplingApp:
     # ------------------------------------------------------------------
 
     def transits_for_step(self, batch: SampleBatch, step: int) -> np.ndarray:
-        """All samples' transit vertices at ``step`` as ``(S, T)``.
-
-        Default mirrors the default :meth:`step_transits`: roots at
-        step 0, else the vertices added at the previous step.
-        """
+        """All samples' transit vertices at ``step`` as ``(S, T)``; the
+        app must not modify it later (the step is priced from it after
+        the run).  Default, like :meth:`step_transits`: roots at step
+        0, else the vertices added at the previous step."""
         if step == 0:
             return batch.roots
         return batch.step_vertices[step - 1]

@@ -3,8 +3,9 @@
 Per step (Section 6):
 
 1. ``stepTransits`` produces each sample's transit vertices.
-2. The **scheduling index** is built: pairs grouped by transit with a
-   (modeled) parallel radix sort + scan (:mod:`repro.core.transit_map`).
+2. The **scheduling index** groups pairs by transit with a (modeled)
+   radix sort + scan (:mod:`repro.core.transit_map`); a walk-shaped
+   step runs in sample order and builds it only to be priced.
 3. Individual sampling runs transit-parallel through the three
    load-balanced kernel classes of Table 2
    (:mod:`repro.core.scheduling`); collective sampling builds combined
@@ -165,7 +166,8 @@ class Engine:
     subclass is that price list plus the two class attributes below."""
 
     engine_name = "engine"
-    #: How a step's live pairs are grouped (``run_steps``' ``pairs=``).
+    #: How a step's live pairs are grouped (``run_steps``' ``pairs=``),
+    #: and so what the pricing pass reads of a walk-shaped step.
     _pairs = staticmethod(build_transit_map)
     #: The device model a run is priced on.
     _device_cls = Device

@@ -25,7 +25,7 @@ import numpy as np
 from repro.api.app import SamplingApp
 from repro.api.sample import SampleBatch
 from repro.api.types import INF_STEPS, NULL_VERTEX, SamplingType, StepInfo
-from repro.core.transit_map import StepShape, build_transit_map
+from repro.core.transit_map import StepShape, TransitMap, build_transit_map
 from repro.core.unique import dedupe_and_topup
 from repro.graph.csr import CSRGraph
 from repro.native.backend import active_backend_name
@@ -35,11 +35,13 @@ __all__ = [
     "StepRecord",
     "init_batch",
     "step_limit",
+    "walk_shaped",
     "prev_transits_for",
     "step_output",
     "run_individual_step",
     "run_collective_step",
     "run_steps",
+    "any_live",
     "stage",
 ]
 
@@ -63,6 +65,13 @@ def step_limit(app: SamplingApp) -> int:
     """Number of steps to run: ``steps()`` or the INF cap."""
     k = app.steps()
     return app.max_steps_cap() if k == INF_STEPS else k
+
+
+def walk_shaped(app: SamplingApp, transits: np.ndarray, step: int) -> bool:
+    """One transit per sample, at most two draws each, no unique pass:
+    such a step runs in sample order and is indexed only to be priced."""
+    return (transits.shape[1] == 1 and app.sample_size(step) <= 2
+            and not app.unique(step))
 
 
 def prev_transits_for(batch: SampleBatch, step: int, rows: np.ndarray,
@@ -147,9 +156,6 @@ class StepRecord:
 
     step: int
     transits: np.ndarray
-    #: The :class:`~repro.core.transit_map.StepShape` of the step's
-    #: live pairs: what a ``_charge_*`` reads of a transit map.
-    tmap: StepShape
     m: int
     info: StepInfo
     collective: bool
@@ -162,6 +168,17 @@ class StepRecord:
     unique_width: int = 0
     unique_dups: int = 0
     unique_holes: int = 0
+    #: The step's index shape if the run built one, and the run's
+    #: ``pairs`` builder, which :attr:`tmap` applies otherwise.
+    shape: Optional[StepShape] = None
+    pairs: Callable[..., TransitMap] = build_transit_map
+
+    @property
+    def tmap(self) -> StepShape:
+        """What a ``_charge_*`` reads of the step's transit map."""
+        if self.shape is None:
+            self.shape = self.pairs(self.transits, None).shape()
+        return self.shape
 
 
 class stage:
@@ -202,6 +219,9 @@ def run_steps(app: SamplingApp, graph: CSRGraph, batch: SampleBatch, ctx,
     at the application's step limit, at a step with no live transit, or
     after a step that added no vertex to any sample.
 
+    A :func:`walk_shaped` or collective step calls no ``pairs`` here:
+    its record does, when first priced.
+
     ``on_step`` is where an engine collects what its pricing pass will
     replay — the loop itself prices nothing.
     """
@@ -223,9 +243,12 @@ def run_steps(app: SamplingApp, graph: CSRGraph, batch: SampleBatch, ctx,
             transits = app.transits_for_step(batch, step)
             with stage("scheduling_index", hist["scheduling_index"],
                        step=step, backend=backend) as index_span:
-                tmap = pairs(transits, graph)
-                index_span.set(pairs=tmap.num_pairs)
-            if tmap.num_pairs == 0:
+                tmap = None if collective or walk_shaped(
+                    app, transits, step) else pairs(transits, graph)
+                live = (np.count_nonzero(transits != NULL_VERTEX)
+                        if tmap is None else tmap.num_pairs)
+                index_span.set(pairs=int(live))
+            if live == 0:
                 break  # no live transits: every sample terminated
             m = app.sample_size(step)
             edges = sizes = None
@@ -239,7 +262,8 @@ def run_steps(app: SamplingApp, graph: CSRGraph, batch: SampleBatch, ctx,
                 else:
                     new_vertices, info = ctx.individual_step(
                         app, graph, batch, transits, step,
-                        tmap.rows, tmap.transit_vals)
+                        *(() if tmap is None
+                          else (tmap.rows, tmap.transit_vals)))
             if (not collective and app.unique(step)
                     and new_vertices.shape[1] > 1):
                 with stage("make_unique", step=step):
@@ -249,14 +273,26 @@ def run_steps(app: SamplingApp, graph: CSRGraph, batch: SampleBatch, ctx,
                         ctx.topup_rng(step))
             if on_step is not None:
                 on_step(StepRecord(
-                    step, transits, tmap.shape(), m, info, collective,
-                    edges is not None, sizes, width, dups, holes))
+                    step, transits, m, info, collective, edges is not None,
+                    sizes, width, dups, holes,
+                    None if tmap is None else tmap.shape(), pairs))
             with stage("post_step", step=step):
                 batch.append_step(new_vertices)
                 if has_post_step:
                     app.post_step(batch, new_vertices, step,
                                   ctx.post_step_rng(step))
             step += 1
-            if m > 0 and not (new_vertices != NULL_VERTEX).any():
+            if m > 0 and not any_live(new_vertices):
                 break  # nothing added anywhere: all samples ended
     return step
+
+
+#: Vertices the end-of-walk check reads at a time.
+LIVE_BLOCK = 4096
+
+
+def any_live(vertices: np.ndarray) -> bool:
+    """Any non-NULL entry?  Reads blocks up to the first live one."""
+    flat = vertices.reshape(-1)
+    return any((flat[lo:lo + LIVE_BLOCK] != NULL_VERTEX).any()
+               for lo in range(0, flat.size, LIVE_BLOCK))

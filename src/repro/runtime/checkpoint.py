@@ -16,7 +16,7 @@ Layout on disk (see ``docs/RESILIENCE.md``)::
 
 ``fingerprint`` is a SHA-256 over everything the chunk results depend
 on: the pickled app, the graph's content digest, the run seed, the RNG
-plan's chunk sizes, the root array, and the reference-path flag.  Any
+plan's chunk sizes, the root array and the schedule version.  Any
 mismatch — a different seed, an edited graph, a changed chunk size —
 lands in a different directory, so stale state can never leak into a
 run; ``--resume`` against an empty directory simply recomputes
@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.api.types import StepInfo
 from repro.obs import get_metrics
+from repro.runtime.rngplan import SCHEDULE_VERSION
 
 __all__ = ["CheckpointStore", "graph_digest", "run_fingerprint"]
 
@@ -74,7 +75,7 @@ def run_fingerprint(app, graph, seed: int, plan, roots: np.ndarray) -> str:
                  f"::{app!r}".encode())
     h.update(graph_digest(graph).encode())
     h.update(f"|seed={int(seed)}|pairs={plan.chunk_pairs}"
-             f"|rows={plan.chunk_rows}".encode())
+             f"|rows={plan.chunk_rows}|schedule={SCHEDULE_VERSION}".encode())
     h.update(np.ascontiguousarray(roots).tobytes())
     return h.hexdigest()[:32]
 

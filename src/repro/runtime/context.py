@@ -1,77 +1,46 @@
 """The per-run execution context: chunked stepping, local or pooled.
 
-:class:`ExecutionContext` replaces the single sequential
-``np.random.Generator`` the engines used to thread through a run.  It
-owns the run's :class:`~repro.runtime.rngplan.RNGPlan` and executes
-each step's sampling as a sequence of fixed-size chunks, each with its
-own plan-derived generator — in the calling thread when ``workers=0``
-(or the hook is not worker-safe), on ``workers`` chunk threads or the
-shared :class:`~repro.runtime.pool.WorkerPool` otherwise.  Chunk layout and
-seeds depend only on ``(seed, step, chunk index)``, never on the worker
-count, so the assembled step — and therefore the whole ``SampleBatch``
-— is bitwise-identical for any ``workers`` setting.
+:class:`ExecutionContext` owns the run's
+:class:`~repro.runtime.rngplan.RNGPlan` and runs each step's sampling
+as fixed-size chunks, each calling the app's own hook with its own
+plan-derived generator.  Chunk layout and seeds depend only on ``(seed,
+step, chunk index)``, never on the worker count, so the assembled step
+— and the whole ``SampleBatch`` — is bitwise-identical for any
+``workers``; per-chunk :class:`~repro.api.types.StepInfo` cost hints
+are combined by a chunk-size-weighted mean in chunk order, so the
+charge inputs are too.  The app's type alone picks the kernels
+(vectorised hook or the base-class reference loop over ``next``).
 
-The *model* half of every engine is untouched: the parent still builds
-the full-batch transit map and charges every kernel from full-batch
-shapes; only the numpy sampling work is sharded.  Per-chunk
-:class:`~repro.api.types.StepInfo` cost hints are combined by a
-chunk-size-weighted mean **in chunk order**, so the charge inputs are
-also identical with workers on or off.
+A step goes to the run's **worker set** only when more than one chunk
+is left and its hook is a pure function of ``(graph, chunk data,
+rng)`` plus at most ``batch.roots`` / ``batch.num_samples``: an
+individual step whose app overrides ``sample_neighbors``, or a
+collective step whose app overrides ``sample_from_neighborhood``,
+declares ``collective_needs_batch = False`` and needs no materialised
+combined-neighborhood values — the latter on the process pool only.
+The worker set follows the backend the run began under:
 
-A chunk is one call of the app's own hook with the chunk's plan
-generator; which kernels that is — vectorised or the base-class
-reference path over ``next`` — is decided by the app's type alone.
-A step is handed to the run's **worker set** only when its hook is a
-pure function of ``(graph, chunk data, rng)`` plus at most
-``batch.roots`` / ``batch.num_samples``, and more than one chunk is left
-to compute:
+* **Chunk threads** (compiled backend; its ``ctypes`` calls release
+  the GIL): this thread and ``workers - 1`` helpers from one
+  process-wide executor each take the next missing chunk and write its
+  rows straight into the heap step array.  The first exception (or
+  ``CancelledRun``) is re-raised once every started chunk returned.
+  Collective steps stay on the calling thread: threaded, a few ~2 ms
+  chunks ran 0.8–1.3x the serial step, by whether the host's second
+  core was free.
+* **Process pool** (numpy backend): a dispatched step is staged once in
+  a shared-memory step arena (:func:`repro.runtime.shm.open_arena`) —
+  pair arrays or transit rows and offsets, the roots, and the step
+  array — which workers write in place, answering with cost hints and
+  timings; chunks handed back unsolved run here.  A lost worker
+  (:class:`~repro.runtime.pool.WorkerCrash`) retires the pool with one
+  warning and the run finishes in-process, identically by chunk purity
+  (:meth:`ExecutionContext._abandon_pool`).
 
-* individual steps: the app must override ``sample_neighbors``
-  (the un-overridden reference path calls ``next`` with full
-  ``Sample`` views);
-* collective steps: the app must override
-  ``sample_from_neighborhood``, declare
-  ``collective_needs_batch = False``, and not require materialised
-  combined-neighborhood values (multi-GB value arrays are not staged)
-  — and the worker set must be the process pool.  Chunk threads leave
-  a collective step on the calling thread: a few chunks of ~2 ms each
-  ran 0.8–1.0x the serial step when the host's second core was taken
-  and 1.2–1.3x when it was free, from one minute to the next.
-
-What the worker set is follows from the kernel backend the run began
-under (``active_backend().compiled``):
-
-* **Chunk threads** (compiled backend).  The C kernels are called
-  through ``ctypes``, which releases the GIL, so ``workers`` threads of
-  this process — the calling thread and ``workers - 1`` from one
-  process-wide executor — each take the next missing chunk, run the same
-  chunk executor with the chunk's plan generator and write its rows
-  straight into the heap step array.  Nothing is pickled, exported,
-  broadcast or staged; there are no worker processes to supervise.  The
-  first exception (or ``CancelledRun``) from any chunk is re-raised in
-  the caller once every started chunk has returned; chunks not yet
-  started are dropped.
-* **Process pool** (numpy backend, whose kernels hold the GIL).  A
-  dispatched step is staged once in a shared-memory **step arena**
-  (:func:`repro.runtime.shm.open_arena`): the step's pair arrays (or
-  transit rows and neighborhood offsets), the batch roots, and the step
-  array itself (NULL wherever no chunk will write).  Chunk messages
-  carry the arena's name, its layout and the chunk's bounds; workers
-  write their rows in place and answer with cost hints and timings only;
-  the parent copies the finished step out once.  Chunks the pool hands
-  back unsolved are run here and written into the same arena.  The arena
-  is borrowed for the step and returned on every exit from it.  A lost
-  worker has one recovery (:meth:`ExecutionContext._abandon_pool`): the
-  pool raises :class:`~repro.runtime.pool.WorkerCrash` the moment it
-  detects one, and the context warns once, retires the pool, re-runs
-  the missing chunks in-process (identical by chunk purity) and
-  finishes the run without workers.  The next run gets a fresh pool.
-
-Everything else runs its chunks in-process — with the *same* chunk
-generators, preserving bitwise identity.  With a checkpoint
-attached (:meth:`ExecutionContext.attach_checkpoint`), every completed
-chunk's rows are persisted at the end of its step so an interrupted
-run can resume bitwise-identically.  See ``docs/RESILIENCE.md``.
+Everything else runs in-process with the *same* chunk generators.  With
+a checkpoint attached (:meth:`ExecutionContext.attach_checkpoint`)
+every completed chunk is persisted at the end of its step, so an
+interrupted run resumes bitwise-identically (``docs/RESILIENCE.md``).
 """
 
 from __future__ import annotations
@@ -387,21 +356,27 @@ class ExecutionContext:
         batch,
         transits: np.ndarray,
         step: int,
-        rows: np.ndarray,
-        transit_vals: np.ndarray,
+        rows: Optional[np.ndarray] = None,
+        transit_vals: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, StepInfo]:
         """Sample one individual step over pre-flattened pairs, in any
         order (NextDoor passes them transit-sorted, the CPU engines
         sample-ordered), pair ``i`` being transit ``transit_vals[i]`` in
         flat slot ``rows[i]``; returns the ``(S, T * m)`` step array and
-        the step's cost hints.
+        the step's cost hints.  A walk-shaped step ignores any pairs
+        given: it runs its live slots in sample order.
 
         Every chunk result — restored from a checkpoint, written by a
         pool worker or computed here — lands straight in its pairs' rows
         of the step array, written by the app's draw itself when its
         hook takes the destination; nothing else of it is kept."""
-        from repro.core.stepper import prev_transits_for, step_output
+        from repro.core.stepper import (prev_transits_for, step_output,
+                                        walk_shaped)
+        from repro.core.transit_map import sample_order_pairs
         self._maybe_interrupt(step)
+        if walk_shaped(app, transits, step):
+            order = sample_order_pairs(transits)
+            rows, transit_vals = order.rows, order.transit_vals
         num_cols, m = transits.shape[1], app.sample_size(step)
         prev = None
         if app.needs_prev_transits:

@@ -1,31 +1,21 @@
 """Deterministic chunked RNG plan.
 
-The multicore runtime splits each step's flattened (sample, transit)
-pair array into fixed-size chunks and samples every chunk with its own
-:class:`numpy.random.Generator`.  Chunk seeds are derived with
-``SeedSequence`` keyed on ``(step, chunk index)`` — the keyed
-construction ``SeedSequence(entropy=seed, spawn_key=key)`` is exactly
-what ``SeedSequence(seed).spawn()`` hands out, minus the requirement to
-spawn sequentially — so the seed of any chunk is a pure function of
-``(seed, step, chunk)``:
+The runtime cuts each step's (sample, transit) pairs into fixed-size
+chunks and samples every chunk with its own
+:class:`numpy.random.Generator`, seeded by ``SeedSequence(entropy=seed,
+spawn_key=key)`` — what ``SeedSequence(seed).spawn()`` hands out, minus
+spawning in sequence.  A chunk's stream is a pure function of ``(seed,
+step, chunk)``, so the same plan is consumed in-process or on any
+number of workers, in any completion order, and a chunk re-run after a
+lost worker re-creates its generator from scratch.  Root selection,
+the unique top-up and ``post_step`` each get their own keyed stream,
+so their draws cannot shift with the chunk count.
 
-* the **same plan** is consumed whether chunks run in the parent
-  process (``workers=0``) or on any number of pool workers, in any
-  completion order, so samples are bitwise-identical for every worker
-  count;
-* a crashed pool can fall back to in-process execution mid-step and
-  still produce the identical batch, because re-running a chunk
-  re-creates its generator from scratch.
-
-This replaces the single sequential PCG64 stream the engines threaded
-through every step before the multicore runtime existed; archived
-sample expectations were re-seeded once when the plan landed (see
-``docs/PERF.md``).
-
-Auxiliary consumers that used to share the sequential stream — root
-initialisation, the unique-neighbor top-up, ``post_step`` state
-updates — each get their own keyed stream so their draws cannot shift
-with the chunk count.
+Sampled values are thus a function of the seed, the chunk size and
+each step's **schedule**, the pair order chunks are cut from: grouped
+by transit, except that a walk-shaped step
+(:func:`repro.core.stepper.walk_shaped`) runs in sample order.
+:data:`SCHEDULE_VERSION` names that rule.
 
 Key layout (all under an optional ``namespace`` prefix, used to give
 each multi-GPU shard an independent plan)::
@@ -44,12 +34,17 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["RNGPlan", "DEFAULT_CHUNK_PAIRS", "AUX_TOPUP", "AUX_POST"]
+__all__ = ["RNGPlan", "DEFAULT_CHUNK_PAIRS", "SCHEDULE_VERSION",
+           "AUX_TOPUP", "AUX_POST"]
 
 #: Pairs per chunk for individual (per-transit) sampling.  Part of the
 #: determinism contract: changing it changes the sampled values (but
 #: never their distribution), exactly like changing the seed.
 DEFAULT_CHUNK_PAIRS = 4096
+
+#: The schedule rule (2: walks in sample order); checkpoint fingerprints
+#: hash it, so chunks saved under another rule are never resumed.
+SCHEDULE_VERSION = 2
 
 #: Aux stream slots.
 AUX_TOPUP = 0

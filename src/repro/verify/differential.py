@@ -1,26 +1,19 @@
 """Cross-engine differential testing.
 
-Every engine in this reproduction prices the same *functional* samples
-under a different execution model, so for one ``(app, graph, seed)``
-the engines must agree — at two strengths:
-
-**Exact tier** — NextDoor, SP, and vanilla TP share the scheduling-index
-execution order, so their ``SampleBatch`` outputs must be *bitwise*
-identical after canonicalisation:
-
-* walks and k-hop keep their exact order (the sequence *is* the
-  sample);
-* collective selections are sorted per sample per step (the API leaves
-  within-step order unspecified);
-* recorded adjacency rows are sorted lexicographically.
-
-**Consistency tier** — the reference ``next`` path, the reference GNN
-samplers, and KnightKing iterate the same pairs in a different order,
-so they consume the chunked RNG plan differently and are only
-*distributionally* equal.  For those the suite demands identical roots
-and shapes, the structural invariants below, and a chi-square
-homogeneity test of their pooled vertex-visit histogram against the
-exact tier's.
+Every engine prices the same *functional* samples under a different
+execution model, so for one ``(app, graph, seed)`` the engines must
+agree, at two strengths.  **Exact tier** — NextDoor, SP and vanilla TP
+run every step in one schedule, so their canonicalised ``SampleBatch``
+outputs must be bitwise identical: walks and k-hop keep their order
+(the sequence *is* the sample), collective selections are sorted per
+sample per step (the API leaves within-step order unspecified) and
+recorded adjacency rows lexicographically.  **Consistency tier** — the
+reference ``next`` path, the reference GNN samplers and KnightKing
+consume the chunked RNG plan differently (per vertex, or bulk steps in
+sample order; their walks run in the exact tier's sample order and so
+agree bitwise as well), so the suite demands identical roots and
+shapes, the structural invariants below, and a chi-square homogeneity
+test of their pooled vertex-visit histogram against the exact tier's.
 
 Independently of engine agreement, structural invariants act as an
 oracle that does not share code with the samplers: every walk hop must
@@ -93,8 +86,7 @@ def diff_graphs(seed: int = 0) -> List[CSRGraph]:
 
 
 def _exact_engines(workers: Optional[int]):
-    """Engines sharing NextDoor's scheduling-index pair order — their
-    outputs must be bitwise identical."""
+    """Engines sharing NextDoor's schedule: bitwise-identical output."""
     yield "NextDoor", NextDoorEngine(workers=workers)
     yield "SP", SampleParallelEngine(workers=workers)
     yield "TP", VanillaTPEngine(workers=workers)

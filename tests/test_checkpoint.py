@@ -23,6 +23,7 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.faults import FaultInjected, FaultPlan
 from repro.runtime.rngplan import RNGPlan
+from repro.serve.protocol import batch_digest
 from repro.verify.differential import reference_view
 
 CHUNK = 64
@@ -143,6 +144,34 @@ class TestResume:
         for a, b in zip(clean.batch.step_vertices,
                         other.batch.step_vertices):
             assert np.array_equal(a, b)
+
+    def test_store_of_another_schedule_starts_fresh(
+            self, medium_weighted, tmp_path, monkeypatch):
+        """Chunks saved under another schedule rule cover other pairs:
+        here the version-1 rule, whose walk steps ran transit-grouped.
+        Resumed under today's rule they would assemble neither run's
+        samples; the schedule version in the fingerprint keeps them out
+        and the resume gives the fresh run's digest."""
+        from repro.core import stepper
+        from repro.runtime import checkpoint
+        fresh = batch_digest(_run(medium_weighted).batch)
+        ckpt = str(tmp_path / "ckpt")
+        with monkeypatch.context() as old:
+            old.setattr(checkpoint, "SCHEDULE_VERSION", 1)
+            old.setattr(stepper, "walk_shaped", lambda *args: False)
+            stale = batch_digest(_run(medium_weighted, ckpt=ckpt).batch)
+        assert stale != fresh
+        loaded = get_metrics().counter("checkpoint.chunks_loaded")
+        before = loaded.value
+        resumed = _run(medium_weighted, ckpt=ckpt, resume=True)
+        assert loaded.value == before  # nothing reused
+        assert batch_digest(resumed.batch) == fresh
+        # Without the version the stale chunks would have been resumed.
+        monkeypatch.setattr(checkpoint, "SCHEDULE_VERSION", 1)
+        mixed = batch_digest(
+            _run(medium_weighted, ckpt=ckpt, resume=True).batch)
+        assert loaded.value > before
+        assert mixed not in (fresh, stale)
 
     def test_checkpoint_without_resume_never_loads(self, medium_weighted,
                                                    tmp_path):
