@@ -137,14 +137,12 @@ class CSRGraph:
                                   or dst.max() >= num_vertices):
             raise ValueError("edge endpoints out of range")
 
-        order = np.argsort(src, kind="stable")
-        src = src[order]
-        dst = dst[order]
-        if w_arr is not None:
-            w_arr = w_arr[order]
-        counts = np.bincount(src, minlength=num_vertices)
-        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        if np.any(src[1:] < src[:-1]):
+            order = np.argsort(src, kind="stable")
+            src, dst = src[order], dst[order]
+            if w_arr is not None:
+                w_arr = w_arr[order]
+        indptr = np.searchsorted(src, np.arange(num_vertices + 1))
         return cls(indptr, dst, weights=w_arr, name=name)
 
     def with_random_weights(self, low: float = 1.0, high: float = 5.0,
@@ -503,21 +501,12 @@ class CSRGraph:
         vertices = np.unique(np.asarray(vertices, dtype=np.int64))
         relabel = -np.ones(self.num_vertices, dtype=np.int64)
         relabel[vertices] = np.arange(vertices.size)
-        srcs = []
-        dsts = []
-        wts = [] if self.is_weighted else None
-        for new_u, u in enumerate(vertices):
-            row = self.neighbors(u)
-            keep = relabel[row] >= 0
-            dst = relabel[row[keep]]
-            srcs.append(np.full(dst.size, new_u, dtype=np.int64))
-            dsts.append(dst)
-            if wts is not None:
-                wts.append(self.edge_weights(u)[keep])
-        src = np.concatenate(srcs) if srcs else np.zeros(0, dtype=np.int64)
-        dst = np.concatenate(dsts) if dsts else np.zeros(0, dtype=np.int64)
-        edges = np.stack([src, dst], axis=1) if src.size else np.zeros((0, 2), np.int64)
-        weights = np.concatenate(wts) if wts else None
+        src = relabel[np.repeat(np.arange(self.num_vertices),
+                                self.degrees_array)]
+        dst = relabel[self.indices]
+        keep = (src >= 0) & (dst >= 0)
+        edges = np.stack([src[keep], dst[keep]], axis=1)
+        weights = self.weights[keep] if self.is_weighted else None
         return CSRGraph.from_edges(vertices.size, edges, weights=weights,
                                    name=name or f"{self.name}-sub")
 
@@ -550,11 +539,16 @@ class CSRGraph:
         """Sort each adjacency row ascending (idempotent).
 
         Weights, when present, are permuted together with their edges.
+        Rows that are already sorted are left alone: a stable sort of
+        them is the identity, so only a descent *inside* a row (not at a
+        row start) costs the lexsort.
         """
-        degrees = np.diff(self.indptr)
-        if degrees.size == 0 or self.indices.size == 0:
+        descents = np.flatnonzero(self.indices[1:] < self.indices[:-1]) + 1
+        at = np.searchsorted(self.indptr, descents)
+        if np.array_equal(self.indptr[at], descents):
             return
-        row_of_edge = np.repeat(np.arange(self.num_vertices), degrees)
+        row_of_edge = np.repeat(np.arange(self.num_vertices),
+                                self.degrees_array)
         order = np.lexsort((self.indices, row_of_edge))
         self.indices = self.indices[order]
         if self.weights is not None:

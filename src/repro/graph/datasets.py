@@ -117,7 +117,6 @@ def load(name: str, seed: int = 0, weighted: bool = False,
                            undirected=True, name=spec.abrv)
         if weighted:
             graph = graph.with_random_weights(seed=seed + 1)
-            graph.name = spec.abrv
         _cache[cache_key] = graph
     return _cache[cache_key]
 

@@ -33,26 +33,25 @@ __all__ = [
 ]
 
 
-def _dedupe_edges(src: np.ndarray, dst: np.ndarray,
-                  undirected: bool = False) -> np.ndarray:
-    """Drop self-loops and duplicate (src, dst) pairs.
+def _csr_from_pairs(num_vertices: int, src: np.ndarray, dst: np.ndarray,
+                    undirected: bool, name: str) -> CSRGraph:
+    """CSR of the distinct non-loop ``(src, dst)`` pairs.
 
-    With ``undirected=True`` the edge set is symmetrised *before*
+    With ``undirected=True`` the pairs are symmetrised *before*
     deduplication, so drawing both (u, v) and (v, u) cannot produce
-    parallel edges in the final CSR.
+    parallel edges.  The sorted unique keys ``src * n + dst`` are the
+    CSR itself: rows in order, each row's neighbours ascending.
     """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    if undirected and src.size:
-        src, dst = (np.concatenate([src, dst]),
-                    np.concatenate([dst, src]))
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    if src.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    key = src * (max(int(dst.max()), int(src.max())) + 1) + dst
-    _, first = np.unique(key, return_index=True)
-    return np.stack([src[first], dst[first]], axis=1)
+    n = num_vertices
+    if undirected:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    key = (src * n + dst)[src != dst]
+    key.sort()
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    key = key[first]
+    indptr = np.searchsorted(key, np.arange(n + 1) * n)
+    return CSRGraph(indptr, key % n, name=name)
 
 
 def rmat_graph(
@@ -69,11 +68,10 @@ def rmat_graph(
 
     The defaults (a, b, c) = (0.57, 0.19, 0.19) are the Graph500
     parameters, which produce the skewed degree distributions typical of
-    the social graphs in Table 3.  ``num_vertices`` is rounded up to the
-    next power of two internally; isolated padding vertices are kept so
-    callers get exactly the vertex count they asked for is *not*
-    guaranteed — the returned graph has ``2**ceil(log2(n))`` vertices
-    trimmed back down to ``num_vertices`` by modulo folding.
+    the social graphs in Table 3.  Edges are drawn on the next power of
+    two, ``2**ceil(log2(num_vertices))``, and folded back by modulo, so
+    the graph has exactly ``num_vertices`` vertices (some may be
+    isolated).
     """
     if num_vertices < 2:
         raise ValueError("need at least 2 vertices")
@@ -83,20 +81,20 @@ def rmat_graph(
     scale = int(np.ceil(np.log2(num_vertices)))
     # Draw each edge by descending the 2^scale x 2^scale adjacency
     # quadtree: at each level pick one of four quadrants (inverse
-    # transform over the quadrant CDF — much faster than rng.choice).
-    cdf = np.cumsum([a, b, c, 1.0 - a - b - c])
+    # transform over the quadrant CDF, counting the steps below r).
+    cdf = np.cumsum([a, b, c])
     src = np.zeros(num_edges, dtype=np.int64)
     dst = np.zeros(num_edges, dtype=np.int64)
     for level in range(scale):
-        quadrant = np.searchsorted(cdf, rng.random(num_edges))
-        np.minimum(quadrant, 3, out=quadrant)
+        r = rng.random(num_edges)
+        quadrant = (r > cdf[0]).astype(np.int64)
+        quadrant += r > cdf[1]
+        quadrant += r > cdf[2]
         src = (src << 1) | (quadrant >> 1)
         dst = (dst << 1) | (quadrant & 1)
     src %= num_vertices
     dst %= num_vertices
-    edges = _dedupe_edges(src, dst, undirected=undirected)
-    return CSRGraph.from_edges(num_vertices, edges, undirected=False,
-                               name=name)
+    return _csr_from_pairs(num_vertices, src, dst, undirected, name)
 
 
 def barabasi_albert_graph(
@@ -119,14 +117,10 @@ def barabasi_albert_graph(
     # all edge endpoints is sampling proportionally to degree.
     targets = list(range(attach_edges))
     endpoint_pool: list = []
-    srcs = np.empty((num_vertices - attach_edges) * attach_edges, dtype=np.int64)
-    dsts = np.empty_like(srcs)
-    k = 0
+    dsts = np.empty((num_vertices - attach_edges, attach_edges),
+                    dtype=np.int64)
     for v in range(attach_edges, num_vertices):
-        for t in targets:
-            srcs[k] = v
-            dsts[k] = t
-            k += 1
+        dsts[v - attach_edges] = targets
         endpoint_pool.extend(targets)
         endpoint_pool.extend([v] * attach_edges)
         # Sample next targets (with replacement then dedupe-by-retry is
@@ -134,9 +128,8 @@ def barabasi_albert_graph(
         # removed when building the CSR).
         picks = rng.integers(0, len(endpoint_pool), size=attach_edges)
         targets = [endpoint_pool[p] for p in picks]
-    edges = _dedupe_edges(srcs[:k], dsts[:k], undirected=True)
-    return CSRGraph.from_edges(num_vertices, edges, undirected=False,
-                               name=name)
+    srcs = np.repeat(np.arange(attach_edges, num_vertices), attach_edges)
+    return _csr_from_pairs(num_vertices, srcs, dsts.ravel(), True, name)
 
 
 def erdos_renyi_graph(
@@ -153,9 +146,7 @@ def erdos_renyi_graph(
     num_edges = int(num_vertices * avg_degree / (2 if undirected else 1))
     src = rng.integers(0, num_vertices, size=num_edges)
     dst = rng.integers(0, num_vertices, size=num_edges)
-    edges = _dedupe_edges(src, dst, undirected=undirected)
-    return CSRGraph.from_edges(num_vertices, edges, undirected=False,
-                               name=name)
+    return _csr_from_pairs(num_vertices, src, dst, undirected, name)
 
 
 def clustered_graph(
@@ -193,8 +184,6 @@ def clustered_graph(
     inter_src = rng.integers(0, num_vertices, size=n_inter)
     inter_dst = rng.integers(0, num_vertices, size=n_inter)
 
-    src = np.concatenate([intra_src, inter_src])
-    dst = np.concatenate([intra_dst, inter_dst])
-    edges = _dedupe_edges(src, dst, undirected=True)
-    return CSRGraph.from_edges(num_vertices, edges, undirected=False,
-                               name=name)
+    return _csr_from_pairs(num_vertices,
+                           np.concatenate([intra_src, inter_src]),
+                           np.concatenate([intra_dst, inter_dst]), True, name)

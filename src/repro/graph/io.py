@@ -65,12 +65,9 @@ def save_edge_list(graph: CSRGraph, path: str) -> None:
     with open(path, "w") as f:
         f.write(f"# {graph.name}: {graph.num_vertices} vertices, "
                 f"{graph.num_edges} edges\n")
-        if graph.is_weighted:
-            for u, v, w in zip(src, graph.indices, graph.weights):
-                f.write(f"{u} {v} {w:.6g}\n")
-        else:
-            for u, v in zip(src, graph.indices):
-                f.write(f"{u} {v}\n")
+        cols = [src, graph.indices] + [graph.weights] * graph.is_weighted
+        np.savetxt(f, np.column_stack(cols),
+                   fmt=["%d", "%d", "%.6g"][:len(cols)])
 
 
 def save_npz(graph: CSRGraph, path: str) -> None:

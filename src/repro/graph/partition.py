@@ -134,25 +134,22 @@ def partition_for_memory(graph: CSRGraph, byte_budget: int) -> Partition:
     if byte_budget <= 16:
         raise ValueError("byte budget too small for any sub-graph")
     n = graph.num_vertices
+    v_bytes = graph.degrees_array * 8 + 8
+    over = np.flatnonzero(v_bytes + 16 > byte_budget)
+    if over.size:
+        raise ValueError(f"vertex {over[0]} alone needs "
+                         f"{v_bytes[over[0]]} bytes > budget")
+    # Range [a, b) takes 8 * (cost[b] - cost[a] + 1) bytes; each part
+    # is the longest range from where the last one ended that fits.
+    cost = graph.indptr + np.arange(n + 1)
     assignment = np.zeros(n, dtype=np.int64)
-    part = 0
-    part_edges = 0
-    part_verts = 0
-    degrees = np.diff(graph.indptr)
-    for v in range(n):
-        v_bytes = int(degrees[v]) * 8 + 8
-        if v_bytes + 16 > byte_budget:
-            raise ValueError(
-                f"vertex {v} alone needs {v_bytes} bytes > budget")
-        projected = (part_edges + int(degrees[v])) * 8 + (part_verts + 2) * 8
-        if part_verts > 0 and projected > byte_budget:
-            part += 1
-            part_edges = 0
-            part_verts = 0
-        assignment[v] = part
-        part_edges += int(degrees[v])
-        part_verts += 1
-    return Partition(graph, assignment, part + 1)
+    start, parts = 0, 0
+    while start < n:
+        end = int(np.searchsorted(cost, cost[start] + byte_budget // 8 - 1,
+                                  side="right")) - 1
+        assignment[start:end] = parts
+        start, parts = end, parts + 1
+    return Partition(graph, assignment, max(parts, 1))
 
 
 def partition_vertices(num_vertices: int, num_parts: int) -> List[np.ndarray]:

@@ -41,10 +41,18 @@ Everything else runs in-process with the *same* chunk generators.  With
 a checkpoint attached (:meth:`ExecutionContext.attach_checkpoint`)
 every completed chunk is persisted at the end of its step, so an
 interrupted run resumes bitwise-identically (``docs/RESILIENCE.md``).
+
+The first :meth:`ExecutionContext.begin_run` sets the process's glibc
+allocator to keep freed memory (:func:`retain_freed_memory`), so a step
+array reuses pages an earlier run touched instead of faulting in fresh
+zeroed ones.  The setting is process-wide and is never undone: a
+process that embeds ``repro`` keeps its resident set at its peak.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import pickle
 import threading
@@ -68,7 +76,7 @@ from repro.runtime.pool import WorkerCrash, get_pool, retire_pool
 from repro.runtime.rngplan import AUX_POST, AUX_TOPUP, RNGPlan
 
 __all__ = ["ExecutionContext", "resolve_workers", "combine_infos",
-           "shutdown_chunk_threads"]
+           "retain_freed_memory", "shutdown_chunk_threads"]
 
 #: Environment variable consulted when an engine is constructed without
 #: an explicit ``workers`` argument (the CI parallel-runtime job sets
@@ -90,6 +98,21 @@ def resolve_workers(workers: Optional[int]) -> int:
     if workers < 0:
         raise ValueError("workers must be >= 0")
     return workers
+
+
+@functools.lru_cache(maxsize=None)
+def retain_freed_memory() -> bool:
+    """Serve every allocation from the heap (``M_MMAP_MAX = 0``) and
+    keep up to 1 GiB of its freed top (``M_TRIM_THRESHOLD``): once per
+    process, through glibc's ``mallopt``.  False, changing nothing,
+    where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    m_trim_threshold, m_mmap_max = -1, -4
+    return (mallopt(m_mmap_max, 0) == 1
+            and mallopt(m_trim_threshold, 1 << 30) == 1)
 
 
 #: Most helper threads the process-wide chunk executor will hold.  It
@@ -296,11 +319,12 @@ class ExecutionContext:
     # -- pool lifecycle ------------------------------------------------
 
     def begin_run(self, app: SamplingApp, graph) -> None:
-        """Choose the run's worker set.  Under a compiled backend that
-        is chunk threads, which need no set-up.  Otherwise attach the
-        pool (spawning if needed) and broadcast the run's app + shared
-        graph; any failure there degrades to in-process execution with
-        a warning — never a failed run."""
+        """Keep freed memory in the process, then choose the run's
+        worker set: chunk threads under a compiled backend.  Otherwise
+        attach the pool (spawning if needed) and broadcast the run's app
+        + shared graph; any failure there degrades to in-process
+        execution with a warning — never a failed run."""
+        retain_freed_memory()
         backend = active_backend()
         self._run_labels = {"app": app.name, "backend": backend.name}
         if self.workers < 1 or self._pool_failed:

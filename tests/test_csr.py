@@ -245,6 +245,8 @@ class TestTransforms:
         sub = tiny_weighted.subgraph(np.array([0, 1, 2]))
         assert sub.is_weighted
         assert sub.weights.size == sub.num_edges
+        empty = tiny_weighted.subgraph(np.array([], dtype=np.int64))
+        assert empty.is_weighted and empty.num_vertices == 0
 
     def test_equality(self, tiny_graph):
         other = CSRGraph(tiny_graph.indptr.copy(),
@@ -254,3 +256,83 @@ class TestTransforms:
 
     def test_equality_non_graph(self, tiny_graph):
         assert tiny_graph.__eq__(42) is NotImplemented
+
+
+def lexsorted_rows(indptr, indices, weights):
+    """What the row sort must produce: a stable sort by (row, id)."""
+    row = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    order = np.lexsort((indices, row))
+    return np.asarray(indices)[order], np.asarray(weights)[order]
+
+
+class TestSortSkips:
+    """Already-sorted input skips the sorts; anything else is sorted."""
+
+    @pytest.mark.parametrize("indptr,indices", [
+        # The next row starts lower: sorted, left as it is.
+        ([0, 2, 4], [2, 3, 0, 1]),
+        # A descent at the start of the row after an empty one.
+        ([0, 2, 2, 4], [5, 6, 1, 4]),
+        # A descent right after an empty row, inside the next row.
+        ([0, 1, 1, 3], [3, 2, 1]),
+        ([0, 0, 3], [2, 0, 1]),
+        # Duplicate ids with distinct weights, sorted and not.
+        ([0, 3], [0, 1, 1]),
+        ([0, 3], [1, 1, 0]),
+        ([0, 4, 4], [1, 0, 1, 0]),
+        # No edge at all; one vertex; no vertex.
+        ([0, 0, 0], []),
+        ([0], []),
+        ([0, 0], []),
+    ], ids=["next-row-lower", "descent-at-start-after-empty",
+            "descent-after-empty", "descent-after-leading-empty",
+            "duplicates-sorted", "duplicates-unsorted",
+            "duplicates-two-rows", "edgeless", "no-vertex", "one-vertex"])
+    def test_rows_match_lexsort(self, indptr, indices):
+        # Trailing empty rows bring every id into range.
+        indptr = indptr + indptr[-1:] * max(0, max(indices, default=-1)
+                                            + 2 - len(indptr))
+        weights = np.arange(1.0, len(indices) + 1)
+        g = CSRGraph(np.array(indptr), np.array(indices, dtype=np.int64),
+                     weights=weights)
+        want_idx, want_w = lexsorted_rows(indptr, indices, weights)
+        assert np.array_equal(g.indices, want_idx)
+        assert np.array_equal(g.weights, want_w)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_rows_match_lexsort(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        indptr = np.concatenate(([0], np.cumsum(rng.integers(0, 4, n))))
+        indices = rng.integers(0, 8, indptr[-1])
+        if seed % 2:  # sorted rows, with the odd descent planted
+            indices = lexsorted_rows(indptr, indices, indices)[0]
+            if seed == 3 and indices.size:
+                row = int(np.argmax(np.diff(indptr)))
+                indices[indptr[row]:indptr[row + 1]] = indices[
+                    indptr[row]:indptr[row + 1]][::-1].copy()
+        weights = rng.random(indices.size)
+        g = CSRGraph(indptr, indices.copy(), weights=weights)
+        want_idx, want_w = lexsorted_rows(indptr, indices, weights)
+        assert np.array_equal(g.indices, want_idx)
+        assert np.array_equal(g.weights, want_w)
+
+    def test_from_edges_sorts_unsorted_sources(self):
+        edges = [(2, 0), (0, 1), (2, 1), (1, 2), (0, 2), (2, 0)]
+        g = CSRGraph.from_edges(3, edges, weights=[1., 2., 3., 4., 5., 6.])
+        assert list(g.indptr) == [0, 2, 3, 6]
+        assert list(g.indices) == [1, 2, 2, 0, 0, 1]
+        assert list(g.weights) == [2., 5., 4., 1., 6., 3.]
+
+    def test_from_edges_keeps_sorted_sources(self):
+        edges = [(0, 2), (0, 1), (1, 0), (2, 1)]
+        g = CSRGraph.from_edges(3, edges, weights=[1., 2., 3., 4.])
+        assert list(g.indptr) == [0, 2, 3, 4]
+        assert list(g.indices) == [1, 2, 0, 1]
+        assert list(g.weights) == [2., 1., 3., 4.]
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_from_edges_edgeless(self, n):
+        g = CSRGraph.from_edges(n, [], weights=[])
+        assert list(g.indptr) == [0] * (n + 1)
+        assert g.indices.size == 0 and g.weights.size == 0
