@@ -137,13 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "interrupt-step fires at any --workers. "
                         "Pair with --pool-timeout to tune how fast "
                         "wedge faults are detected (see docs/CLI.md)")
-    p.add_argument("--checkpoint", default=None, metavar="DIR",
-                   help="persist completed chunk results under DIR so "
-                        "an interrupted run can be resumed")
-    p.add_argument("--resume", action="store_true",
-                   help="reuse chunk results already saved under "
-                        "--checkpoint (resumed runs are bitwise-"
-                        "identical to uninterrupted ones)")
     p.add_argument("--out", default=None,
                    help="save samples to this .npz file")
     _add_backend_flag(p)
@@ -349,10 +342,6 @@ def _cmd_sample(args, out) -> int:
         print(f"error: --pool-timeout must be > 0 seconds, got "
               f"{args.pool_timeout}", file=out)
         return 2
-    if args.resume and not args.checkpoint:
-        print("error: --resume needs --checkpoint DIR (nothing to "
-              "resume from)", file=out)
-        return 2
     from repro.runtime.faults import POOL_FAULTS, FaultPlan
     try:
         plan = FaultPlan.parse(args.fault_plan)
@@ -400,13 +389,6 @@ def _run_sample(args, out, fault_plan) -> int:
     engine = ENGINES[args.engine](workers=args.workers,
                                   chunk_size=args.chunk_size)
     engine.fault_plan = fault_plan
-    if args.checkpoint:
-        if not isinstance(engine, NextDoorEngine):
-            print("error: --checkpoint requires a NextDoor-family "
-                  "engine (nextdoor, sp, tp, gunrock, tigr)", file=out)
-            return 2
-        engine.checkpoint_dir = args.checkpoint
-        engine.resume = args.resume
     kwargs = {"num_samples": num_samples, "seed": args.seed}
     if args.devices != 1:
         if not isinstance(engine, NextDoorEngine):
@@ -417,10 +399,7 @@ def _run_sample(args, out, fault_plan) -> int:
     try:
         result = engine.run(app, graph, **kwargs)
     except FaultInjected as exc:
-        where = (f"; completed chunks saved under {args.checkpoint}, "
-                 "rerun with --resume" if args.checkpoint else "")
-        print(f"error: run stopped by injected fault: {exc}{where}",
-              file=out)
+        print(f"error: run stopped by injected fault: {exc}", file=out)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=out)

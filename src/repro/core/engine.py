@@ -184,21 +184,13 @@ class Engine:
     fault_plan = None
 
     def __init__(self, spec, workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None,
-                 checkpoint_dir: Optional[str] = None,
-                 resume: bool = False) -> None:
+                 chunk_size: Optional[int] = None) -> None:
         self.spec = spec
         #: Multicore runtime: 0 = in-process; None = $REPRO_WORKERS,
         #: default 0.  Samples are bitwise-identical for any setting.
         self.workers = workers
         #: Pairs per RNG-plan chunk (None = runtime default).
         self.chunk_size = chunk_size
-        #: Directory for per-chunk checkpoints (None = no checkpointing)
-        #: and whether to reuse results already saved there.  Resumed
-        #: runs are bitwise-identical to uninterrupted ones — see
-        #: ``docs/RESILIENCE.md``.
-        self.checkpoint_dir = checkpoint_dir
-        self.resume = resume
 
     def run(self, app: SamplingApp, graph,
             num_samples: Optional[int] = None,
@@ -223,10 +215,6 @@ class Engine:
             batch = stepper.init_batch(app, graph, num_samples, roots,
                                        ctx.init_rng())
             run_span.set(samples=batch.num_samples)
-            if self.checkpoint_dir is not None:
-                ctx.attach_checkpoint(self.checkpoint_dir, self.resume,
-                                      app=app, graph=graph,
-                                      roots=batch.roots)
             ctx.begin_run(app, graph)
             if num_devices == 1:
                 shards = [self._sample(app, graph, batch, ctx)]
@@ -333,10 +321,8 @@ class NextDoorEngine(Engine):
     def __init__(self, spec: GPUSpec = V100,
                  config: KernelPlanConfig = KernelPlanConfig(),
                  workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None,
-                 checkpoint_dir: Optional[str] = None,
-                 resume: bool = False) -> None:
-        super().__init__(spec, workers, chunk_size, checkpoint_dir, resume)
+                 chunk_size: Optional[int] = None) -> None:
+        super().__init__(spec, workers, chunk_size)
         self.config = config
 
     def _charge_step(self, device: Device, graph, batch: SampleBatch,
@@ -447,7 +433,7 @@ def _merge_batches(graph, shards: List[SampleBatch]) -> SampleBatch:
 
 #: Keyword arguments ``do_sampling`` accepts beyond its positionals.
 _DO_SAMPLING_KWARGS = ("spec", "config", "workers", "chunk_size",
-                       "checkpoint_dir", "resume", "num_devices")
+                       "num_devices")
 
 
 def do_sampling(app: SamplingApp, graph, num_samples: int, seed: int = 0,

@@ -73,9 +73,6 @@ name                            kind        meaning
 ``pool.chunk_seconds``          histogram   chunk latency on the worker
                                             set (process or thread),
                                             labeled ``app=``/``backend=``
-``checkpoint.chunks_saved``     counter     chunk results checkpointed
-``checkpoint.chunks_loaded``    counter     chunk results restored on
-                                            ``--resume``
 ``shm.bytes_mapped``            counter     shared-memory bytes exported
 ``shm.segments_swept``          counter     orphaned segments of dead
                                             owners unlinked at startup

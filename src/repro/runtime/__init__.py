@@ -8,15 +8,9 @@ samples are bitwise-identical for any worker count, and every modeled
 charge is unchanged by the runtime — and ``docs/RESILIENCE.md`` for
 the failure model: a lost worker retires the pool and the run finishes
 in-process, deterministic faults are injected via
-:mod:`repro.runtime.faults`, and interrupted runs checkpoint/resume
-through :mod:`repro.runtime.checkpoint`.
+:mod:`repro.runtime.faults`, and an interrupted run is run again.
 """
 
-from repro.runtime.checkpoint import (
-    CheckpointStore,
-    graph_digest,
-    run_fingerprint,
-)
 from repro.runtime.context import ExecutionContext, resolve_workers
 from repro.runtime.faults import FaultInjected, FaultPlan
 from repro.runtime.pool import (
@@ -55,9 +49,6 @@ __all__ = [
     "resolve_progress_timeout",
     "FaultPlan",
     "FaultInjected",
-    "CheckpointStore",
-    "graph_digest",
-    "run_fingerprint",
     "SharedGraphHandle",
     "export_graph",
     "import_graph",

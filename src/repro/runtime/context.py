@@ -37,10 +37,9 @@ The worker set follows the backend the run began under:
   warning and the run finishes in-process, identically by chunk purity
   (:meth:`ExecutionContext._abandon_pool`).
 
-Everything else runs in-process with the *same* chunk generators.  With
-a checkpoint attached (:meth:`ExecutionContext.attach_checkpoint`)
-every completed chunk is persisted at the end of its step, so an
-interrupted run resumes bitwise-identically (``docs/RESILIENCE.md``).
+Everything else runs in-process with the *same* chunk generators.  A
+run keeps no state between runs: an interrupted run is recovered by
+running it again, which gives the same batch (``docs/RESILIENCE.md``).
 
 The first :meth:`ExecutionContext.begin_run` sets the process's glibc
 allocator to keep freed memory (:func:`retain_freed_memory`), so a step
@@ -70,7 +69,6 @@ from repro.api.types import NULL_VERTEX, StepInfo
 from repro.native.backend import active_backend
 from repro.obs import get_metrics, trace
 from repro.runtime.cancel import CancelledRun, CancelScope
-from repro.runtime.checkpoint import CheckpointStore, run_fingerprint
 from repro.runtime.faults import FaultInjected, FaultPlan
 from repro.runtime.pool import WorkerCrash, get_pool, retire_pool
 from repro.runtime.rngplan import AUX_POST, AUX_TOPUP, RNGPlan
@@ -259,9 +257,6 @@ class ExecutionContext:
         #: True once ``begin_run`` found a compiled backend: dispatched
         #: individual steps run on chunk threads and no pool is attached.
         self._threads = False
-        #: Chunk-result store attached by the engine for
-        #: ``--checkpoint`` runs (None = no checkpointing).
-        self.checkpoint: Optional[CheckpointStore] = None
         #: Cooperative cancellation/deadline token
         #: (:class:`repro.runtime.cancel.CancelScope`), checked between
         #: chunks; None = never cancelled.  Attached by the serving
@@ -298,23 +293,12 @@ class ExecutionContext:
         ctx.pool = self.pool
         ctx._pool_failed = self._pool_failed
         ctx._threads = self._threads
-        ctx.checkpoint = self.checkpoint
         ctx.cancel = self.cancel
         ctx._fault_plan = self._fault_plan
         ctx.tracer = self.tracer
         ctx.metrics = self.metrics
         ctx._run_labels = self._run_labels
         return ctx
-
-    def attach_checkpoint(self, directory: str, resume: bool, app,
-                          graph, roots: np.ndarray) -> None:
-        """Persist completed chunk results under ``directory`` (and,
-        with ``resume``, load any already there).  The store is keyed
-        by a fingerprint of every chunk-result input — app, graph
-        content, seed, chunk sizes, roots — so mismatched state can
-        never be replayed into the wrong run."""
-        fp = run_fingerprint(app, graph, self.plan.seed, self.plan, roots)
-        self.checkpoint = CheckpointStore(directory, fp, resume=resume)
 
     # -- pool lifecycle ------------------------------------------------
 
@@ -390,10 +374,10 @@ class ExecutionContext:
         the step's cost hints.  A walk-shaped step ignores any pairs
         given: it runs its live slots in sample order.
 
-        Every chunk result — restored from a checkpoint, written by a
-        pool worker or computed here — lands straight in its pairs' rows
-        of the step array, written by the app's draw itself when its
-        hook takes the destination; nothing else of it is kept."""
+        Every chunk result — written by a pool worker or computed here
+        — lands straight in its pairs' rows of the step array, written
+        by the app's draw itself when its hook takes the destination;
+        nothing else of it is kept."""
         from repro.core.stepper import (prev_transits_for, step_output,
                                         walk_shaped)
         from repro.core.transit_map import sample_order_pairs
@@ -412,11 +396,9 @@ class ExecutionContext:
                                rows)[0], StepInfo()
         self.metrics.counter("rng.chunk_streams").inc(nchunks)
 
-        restored = self._load_checkpointed("i", step, nchunks)
-        missing = [c for c in range(nchunks) if c not in restored]
         dispatch = (
             (self._threads or self.pool is not None)
-            and len(missing) > 1
+            and nchunks > 1
             and type(app).sample_neighbors
             is not SamplingApp.sample_neighbors)
         work = None
@@ -450,18 +432,14 @@ class ExecutionContext:
             pairs=int(transit_vals.size), chunks=nchunks,
             dispatched=bool(dispatch))
         try:
-            for c, (sampled, info) in restored.items():
-                work.out_rows[rows[bounds[c]:bounds[c + 1]]] = sampled
-                infos[c] = info
             with sampling_span:
                 if dispatch and self._threads:
-                    self._run_on_threads(step, missing, run_chunk, infos)
+                    self._run_on_threads(step, run_chunk, infos)
                 elif dispatch:
                     for c, info in self._dispatch(
-                            "ichunk", step, missing, bounds,
-                            work.arena).items():
+                            "ichunk", step, bounds, work.arena).items():
                         infos[c] = info
-                for c in missing:
+                for c in range(nchunks):
                     if infos[c] is not None:
                         continue
                     self._check_cancel(f"step {step} chunk {c}")
@@ -470,12 +448,6 @@ class ExecutionContext:
                             pairs=int(bounds[c + 1] - bounds[c])):
                         infos[c] = run_chunk(c)
                     self.metrics.counter("runtime.chunks_inprocess").inc()
-            if self.checkpoint is not None:
-                for c in missing:
-                    self.checkpoint.save(
-                        "i", self.plan.namespace, step, c,
-                        work.out_rows[rows[bounds[c]:bounds[c + 1]]],
-                        infos[c])
             return work.finish(), combine_infos(
                 infos, np.diff(bounds).tolist())
         finally:
@@ -519,12 +491,10 @@ class ExecutionContext:
             return empty, StepInfo(), None, np.diff(offsets)
         self.metrics.counter("rng.chunk_streams").inc(nchunks)
 
-        restored = self._load_checkpointed("c", step, nchunks)
-        missing = [c for c in range(nchunks) if c not in restored]
         # Process pool only: chunk threads leave a collective step to
         # the calling thread (module docstring).
         dispatch = (
-            self.pool is not None and len(missing) > 1
+            self.pool is not None and nchunks > 1
             and values is None and not app.collective_needs_batch
             and type(app).sample_from_neighborhood
             is not SamplingApp.sample_from_neighborhood)
@@ -558,16 +528,12 @@ class ExecutionContext:
             "sampling.collective", step=step, rows=num_rows,
             chunks=nchunks, dispatched=bool(dispatch))
         try:
-            for c, (vertices, info) in restored.items():
-                work.out[bounds[c]:bounds[c + 1]] = vertices
-                infos[c] = info
             with sampling_span:
                 if dispatch:
                     for c, info in self._dispatch(
-                            "cchunk", step, missing, bounds,
-                            work.arena).items():
+                            "cchunk", step, bounds, work.arena).items():
                         infos[c] = info
-                for c in missing:
+                for c in range(nchunks):
                     if infos[c] is not None:
                         continue
                     self._check_cancel(f"step {step} chunk {c}")
@@ -576,11 +542,6 @@ class ExecutionContext:
                             rows=int(bounds[c + 1] - bounds[c])):
                         infos[c] = run_chunk(c)
                     self.metrics.counter("runtime.chunks_inprocess").inc()
-            if self.checkpoint is not None:
-                for c in missing:
-                    self.checkpoint.save(
-                        "c", self.plan.namespace, step, c,
-                        work.out[bounds[c]:bounds[c + 1]], infos[c])
             new_vertices = work.finish()
         finally:
             work.close()
@@ -589,12 +550,11 @@ class ExecutionContext:
                                       new_vertices, step)
         return new_vertices, info, edges, np.diff(offsets)
 
-    # -- faults, checkpointing, and pool dispatch ---------------------
+    # -- faults, cancellation, and pool dispatch ----------------------
 
     def _maybe_interrupt(self, step: int) -> None:
         """Deterministic stand-in for ctrl-C: the ``interrupt-step``
-        fault aborts the run at the start of a step (after any earlier
-        steps' chunk results were checkpointed)."""
+        fault aborts the run at the start of a step."""
         self._check_cancel(f"step {step}")
         if self._fault_plan is not None and self._fault_plan.should(
                 "interrupt-step", step):
@@ -611,23 +571,10 @@ class ExecutionContext:
                 self.metrics.counter("runtime.runs_cancelled").inc()
                 raise
 
-    def _load_checkpointed(self, kind: str, step: int,
-                           nchunks: int) -> Dict[int, tuple]:
-        """Chunk results restored from an attached resume store."""
-        if self.checkpoint is None or not self.checkpoint.resume:
-            return {}
-        results: Dict[int, tuple] = {}
-        for c in range(nchunks):
-            hit = self.checkpoint.load(kind, self.plan.namespace,
-                                       step, c)
-            if hit is not None:
-                results[c] = hit
-        return results
-
-    def _run_on_threads(self, step: int, chunks: Sequence[int],
+    def _run_on_threads(self, step: int,
                         run_chunk: Callable[[int], StepInfo],
                         infos: List[Optional[StepInfo]]) -> None:
-        """Run ``chunks`` on ``workers`` threads — this one (lane
+        """Run the step's chunks on ``workers`` threads — this one (lane
         ``worker-0``) and helpers from the chunk executor — each taking
         the next chunk until none is left; ``run_chunk`` writes the
         chunk's rows and its cost hints land in ``infos``.
@@ -636,7 +583,7 @@ class ExecutionContext:
         that raises (the scope's ``CancelledRun`` included) stops every
         thread from taking another; the first such exception is
         re-raised here after the chunks already started have returned."""
-        queue = deque(chunks)
+        queue = deque(range(len(infos)))
         errors: List[BaseException] = []
         pooled = self.metrics.counter("runtime.chunks_pooled")
         chunk_seconds = self.metrics.histogram(
@@ -662,7 +609,7 @@ class ExecutionContext:
             except BaseException as exc:
                 errors.append(exc)
 
-        helpers = _submit_helpers(min(self.workers, len(chunks)) - 1,
+        helpers = _submit_helpers(min(self.workers, len(infos)) - 1,
                                   drain)
         drain(0)
         for helper in helpers:
@@ -716,9 +663,9 @@ class ExecutionContext:
                          out=arena.views["out"]),
             arena=arena)
 
-    def _dispatch(self, kind: str, step: int, chunks: Sequence[int],
-                  bounds: np.ndarray, arena) -> Dict[int, StepInfo]:
-        """Run ``chunks`` of the step staged in ``arena`` on the pool;
+    def _dispatch(self, kind: str, step: int, bounds: np.ndarray,
+                  arena) -> Dict[int, StepInfo]:
+        """Run the chunks of the step staged in ``arena`` on the pool;
         returns the cost hints of those whose rows the workers wrote.
         Absent chunks (an application error in a worker, or lost with a
         crashed pool — retired before this returns) are the caller's to
@@ -726,7 +673,7 @@ class ExecutionContext:
         jobs = [(c, (kind, c, step, self.plan.chunk_key(step, c),
                      arena.name, arena.layout,
                      int(bounds[c]), int(bounds[c + 1])))
-                for c in chunks]
+                for c in range(bounds.size - 1)]
         try:
             replies = self.pool.run_chunks(jobs)
         except WorkerCrash as exc:

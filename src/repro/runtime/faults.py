@@ -45,8 +45,7 @@ parent-side (fire in the dispatching process)
                           — these three fire only where a pool is
                           attached, i.e. not under a compiled backend
 ``interrupt-step:S``      raise :class:`FaultInjected` at the start of
-                          step S (deterministic stand-in for ctrl-C;
-                          drives the checkpoint/resume chaos check)
+                          step S (deterministic stand-in for ctrl-C)
 ========================  =============================================
 """
 

@@ -15,7 +15,6 @@ Sampled values are thus a function of the seed, the chunk size and
 each step's **schedule**, the pair order chunks are cut from: grouped
 by transit, except that a walk-shaped step
 (:func:`repro.core.stepper.walk_shaped`) runs in sample order.
-:data:`SCHEDULE_VERSION` names that rule.
 
 Key layout (all under an optional ``namespace`` prefix, used to give
 each multi-GPU shard an independent plan)::
@@ -34,17 +33,12 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["RNGPlan", "DEFAULT_CHUNK_PAIRS", "SCHEDULE_VERSION",
-           "AUX_TOPUP", "AUX_POST"]
+__all__ = ["RNGPlan", "DEFAULT_CHUNK_PAIRS", "AUX_TOPUP", "AUX_POST"]
 
 #: Pairs per chunk for individual (per-transit) sampling.  Part of the
 #: determinism contract: changing it changes the sampled values (but
 #: never their distribution), exactly like changing the seed.
 DEFAULT_CHUNK_PAIRS = 4096
-
-#: The schedule rule (2: walks in sample order); checkpoint fingerprints
-#: hash it, so chunks saved under another rule are never resumed.
-SCHEDULE_VERSION = 2
 
 #: Aux stream slots.
 AUX_TOPUP = 0

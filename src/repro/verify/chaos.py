@@ -16,7 +16,7 @@ worker pool with a deterministic fault plan on ``engine.fault_plan``
    finished in-process with one warning, an application error in a
    worker was re-run in-process without giving up the pool, a failed
    export degraded loudly, an unpicklable app stayed in-process
-   silently, an interrupted ``--checkpoint`` run resumed from disk.
+   silently.
    Asserted via metric deltas (``pool.worker_crashes``,
    ``pool.chunk_errors``, ``runtime.chunks_pooled``, ...) and the
    count of runs that warned they fell back to in-process execution.
@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import shutil
-import tempfile
 import warnings
 from typing import Dict, List, Optional
 
@@ -39,7 +37,7 @@ from repro.core.engine import NextDoorEngine
 from repro.native.backend import backend_scope
 from repro.obs import get_metrics
 from repro.obs.metrics import scalar_of
-from repro.runtime.faults import FaultInjected, FaultPlan
+from repro.runtime.faults import FaultPlan
 from repro.runtime.pool import TIMEOUT_ENV, shutdown_pools
 from repro.serve.protocol import batch_digest
 from repro.verify.result import CheckResult
@@ -71,17 +69,14 @@ def _digest(results) -> str:
 
 
 def _apps():
-    """DeepWalk first: it is the run ``interrupt-step:2`` stops."""
+    """The three workloads every check runs, one per step shape."""
     return (DeepWalk(walk_length=_WALK_LENGTH), KHop(fanouts=(3, 2)),
             LADIES(step_size=8, batch_size=8))
 
 
-def _run(graph, workers: int, plan: Optional[str] = None,
-         checkpoint_dir: Optional[str] = None,
-         resume: bool = False) -> list:
+def _run(graph, workers: int, plan: Optional[str] = None) -> list:
     """One run per app; each run fires a fresh copy of ``plan``."""
-    engine = NextDoorEngine(workers=workers, chunk_size=_CHUNK,
-                            checkpoint_dir=checkpoint_dir, resume=resume)
+    engine = NextDoorEngine(workers=workers, chunk_size=_CHUNK)
     engine.fault_plan = FaultPlan.parse(plan)
     return [engine.run(app, graph, num_samples=_NUM_SAMPLES, seed=_SEED)
             for app in _apps()]
@@ -215,39 +210,6 @@ def run_chaos_checks(workers: Optional[int] = None,
         "unpicklable_app_stays_inprocess", baseline, graph, workers,
         "unpicklable-app", expect_silent_inprocess))
 
-    results.append(_checkpoint_resume_check(baseline, graph, workers))
     shutdown_pools()
     return results
 
-
-def _checkpoint_resume_check(baseline: str, graph,
-                             workers: int) -> CheckResult:
-    """Interrupt a ``--checkpoint`` run deterministically at step 2,
-    then resume: the batch must match the uninterrupted digest and at
-    least one chunk must come from disk."""
-    name = "checkpoint_resume_identity"
-    ckpt = tempfile.mkdtemp(prefix="repro-chaos-ckpt-")
-    problems: List[str] = []
-    try:
-        try:
-            _run(graph, workers, "interrupt-step:2", checkpoint_dir=ckpt)
-            problems.append("interrupt-step fault never fired")
-        except FaultInjected:
-            pass
-        before = get_metrics().snapshot()
-        resumed = _run(graph, workers, checkpoint_dir=ckpt, resume=True)
-        after = get_metrics().snapshot()
-        got = _digest(resumed)
-        if got != baseline:
-            problems.append(f"resumed samples diverged "
-                            f"({got} != {baseline})")
-        loaded = _delta(before, after, "checkpoint.chunks_loaded")
-        if loaded < 1:
-            problems.append("resume recomputed everything "
-                            "(no chunk loaded from the checkpoint)")
-    except Exception as exc:
-        problems.append(f"check raised {type(exc).__name__}: {exc}")
-    finally:
-        shutil.rmtree(ckpt, ignore_errors=True)
-    return CheckResult(name=name, suite=SUITE, family="runtime",
-                       passed=not problems, detail="; ".join(problems))

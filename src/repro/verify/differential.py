@@ -98,7 +98,7 @@ def reference_view(app: SamplingApp) -> SamplingApp:
     :class:`SamplingApp`'s ``next`` loops (which read the materialised
     combined neighborhood).  Any engine runs it in the calling process
     — the dispatch gate goes by the hooks' type, and the class cannot
-    be pickled — and its checkpoint fingerprint is its own."""
+    be pickled."""
     cls = type(f"Reference{type(app).__name__}", (type(app),), {
         "sample_neighbors": SamplingApp.sample_neighbors,
         "sample_from_neighborhood": SamplingApp.sample_from_neighborhood,

@@ -12,7 +12,6 @@ dispatched: its chunks, and the one edge-recording call, stay on the
 calling thread.
 """
 
-import os
 import pickle
 import sys
 import threading
@@ -30,7 +29,6 @@ from repro.obs import get_metrics
 from repro.runtime import pool as pool_module
 from repro.runtime import shm
 from repro.runtime.cancel import CancelledRun, CancelScope
-from repro.runtime.faults import FaultInjected, FaultPlan
 from repro.runtime.pool import shutdown_pools
 from repro.serve.protocol import batch_digest
 
@@ -157,24 +155,6 @@ class TestCollectiveEdges:
                 (step, SAMPLES, threading.get_ident()) for step in (0, 1)]
         assert _same_edges(runs["threads"], runs["serial"])
         assert _same_edges(runs["threads"], runs["numpy"])
-
-    def test_resume_reproduces_the_edges(self, medium_weighted, tmp_path):
-        """A checkpoint holds vertices, not edges: a resumed step
-        records them again from the restored (and recomputed) rows."""
-        expected = _run(_EdgeSpy(), medium_weighted, 2, 96)
-        ckpt = str(tmp_path / "ckpt")
-        with pytest.raises(FaultInjected, match="step 1"):
-            _run(_EdgeSpy(), medium_weighted, 2, 96, checkpoint_dir=ckpt,
-                 fault_plan=FaultPlan.parse("interrupt-step:1"))
-        assert _same_edges(expected, _run(
-            _EdgeSpy(), medium_weighted, 2, 96, checkpoint_dir=ckpt,
-            resume=True))
-        (run_dir,) = os.listdir(ckpt)
-        for chunk in (1, 40):   # two of step 0's 84 chunks lost
-            os.remove(os.path.join(ckpt, run_dir, f"c_root_s0_c{chunk}.npz"))
-        assert _same_edges(expected, _run(
-            _EdgeSpy(), medium_weighted, 2, 96, checkpoint_dir=ckpt,
-            resume=True))
 
     def test_one_instance_shared_by_two_runs(self, medium_weighted):
         """Nothing of a recording is kept on the app (or the graph, or

@@ -383,39 +383,15 @@ class TestResilienceFlags:
                                     "chunk-error:1.0"])
         assert code == 0 and "will not fire" not in out
 
-    def test_resume_requires_checkpoint(self):
-        code, out = run_cli(["sample", "--app", "DeepWalk",
-                             "--graph", "ppi", "--samples", "8",
-                             "--resume"])
-        assert code == 2
-        assert "--checkpoint" in out
-
-    def test_checkpoint_rejected_for_standalone_engines(self, tmp_path):
-        code, out = run_cli(["sample", "--app", "DeepWalk",
-                             "--graph", "ppi", "--samples", "8",
-                             "--engine", "knightking",
-                             "--checkpoint", str(tmp_path / "ck")])
-        assert code == 2
-        assert "--checkpoint" in out
-
-    def test_interrupt_then_resume_reproduces_samples(self, tmp_path):
-        clean = str(tmp_path / "clean.npz")
-        resumed = str(tmp_path / "resumed.npz")
-        ckpt = str(tmp_path / "ckpt")
-        base = ["sample", "--app", "DeepWalk", "--graph", "ppi",
-                "--samples", "64", "--seed", "3"]
-        code, _ = run_cli(base + ["--out", clean])
-        assert code == 0
-        code, out = run_cli(base + ["--checkpoint", ckpt,
-                                    "--fault-plan", "interrupt-step:2"])
-        assert code == 1
-        assert "--resume" in out  # the error says how to continue
-        code, _ = run_cli(base + ["--checkpoint", ckpt, "--resume",
-                                  "--out", resumed])
-        assert code == 0
-        a, b = np.load(clean), np.load(resumed)
-        assert np.array_equal(a["samples"], b["samples"])
-        assert np.array_equal(a["roots"], b["roots"])
+    @pytest.mark.parametrize("flags", [["--checkpoint", "ck"],
+                                       ["--resume"]])
+    def test_checkpoint_and_resume_are_gone(self, flags, capsys):
+        """A lost run is re-run, not resumed: both flags are unknown."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["sample", "--app", "DeepWalk"] + flags)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCompare:

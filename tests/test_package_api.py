@@ -73,6 +73,19 @@ class TestSurvivingSurface:
         with pytest.raises(TypeError):
             ExecutionContext(0, inflight=2)
 
+    def test_checkpointing_is_gone(self):
+        from repro.api.apps import DeepWalk
+        from repro.core.engine import NextDoorEngine, do_sampling
+        from repro.graph import datasets
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.runtime.checkpoint")
+        for kwargs in ({"checkpoint_dir": "ck"}, {"resume": True}):
+            with pytest.raises(TypeError):
+                NextDoorEngine(**kwargs)
+            with pytest.raises(TypeError, match="valid keywords"):
+                do_sampling(DeepWalk(walk_length=2), datasets.load("ppi"),
+                            4, **kwargs)
+
 
 class TestAppRegistry:
     def test_all_apps_instantiable(self):
