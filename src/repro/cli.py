@@ -34,7 +34,6 @@ from repro.baselines import (
 from repro.bench import format_table
 from repro.bench.runner import (
     APP_FACTORIES,
-    GRAPHS_IN_MEMORY,
     paper_app,
     paper_graph,
     walk_sample_count,

@@ -21,7 +21,9 @@ GPU's price list (its ``_charge_*`` hooks, which the SP / TP / frontier
 / message-passing / large-graph engines override).
 
 Multi-GPU execution (Section 6.4) distributes samples equally across
-devices and runs each independently.  :func:`do_sampling` /
+devices that run independently: a question of cost alone, so one run
+samples the batch and its pricing pass gives each device its row
+slice of every step record.  :func:`do_sampling` /
 :meth:`SamplingResult.get_final_samples` mirror the Python module API
 of Section 6.5.
 """
@@ -29,14 +31,13 @@ of Section 6.5.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, NamedTuple, Optional, Union
 
 import numpy as np
 
 from repro.api.app import SamplingApp
 from repro.api.sample import SampleBatch
-from repro.api.types import NULL_VERTEX, OutputFormat, StepInfo
+from repro.api.types import OutputFormat, StepInfo
 from repro.core import stepper
 from repro.core.collective import (
     charge_collective_selection,
@@ -199,9 +200,10 @@ class Engine:
             num_devices: int = 1) -> SamplingResult:
         """Run ``app`` over ``graph``: samples now, model costs on read.
 
-        ``num_devices > 1`` reproduces Section 6.4: samples are split
-        equally, each shard runs on its own modeled GPU, and wall time
-        is the slowest device plus host coordination.
+        ``num_devices > 1`` prices Section 6.4: samples are split
+        equally, each share is priced on its own modeled GPU, and wall
+        time is the slowest device plus host coordination.  The samples
+        are the one-device samples.
         """
         if num_devices < 1:
             raise ValueError("num_devices must be >= 1")
@@ -216,85 +218,48 @@ class Engine:
                                        ctx.init_rng())
             run_span.set(samples=batch.num_samples)
             ctx.begin_run(app, graph)
-            if num_devices == 1:
-                shards = [self._sample(app, graph, batch, ctx)]
-            else:
-                shards = self._sample_shards(app, graph, batch, ctx,
-                                             num_devices)
-                batch = _merge_batches(
-                    graph, [shard[0] for shard in shards if shard])
-        steps_run = max(shard[2] for shard in shards if shard)
+            records: List[stepper.StepRecord] = []
+            steps_run = stepper.run_steps(app, graph, batch, ctx,
+                                          on_step=records.append,
+                                          pairs=self._pairs)
         reg = get_metrics()
         reg.counter("engine.runs").inc()
         reg.counter("engine.samples_produced").inc(batch.num_samples)
         reg.counter("engine.steps_run").inc(steps_run)
         return SamplingResult(
             app, graph.name, batch, steps_run, self.engine_name,
-            price=lambda: self._price(app, graph, shards),
+            price=lambda: self._price(app, graph, batch, records,
+                                      num_devices),
             devices_used=num_devices)
-
-    def _sample(self, app: SamplingApp, graph, batch: SampleBatch,
-                ctx: ExecutionContext) -> tuple:
-        """One device's share of a run — ``(batch, records, steps)``:
-        the shared step loop, its records kept for the pricing pass."""
-        records: List[stepper.StepRecord] = []
-        steps_run = stepper.run_steps(app, graph, batch, ctx,
-                                      on_step=records.append,
-                                      pairs=self._pairs)
-        return batch, records, steps_run
-
-    def _sample_shards(self, app: SamplingApp, graph, batch: SampleBatch,
-                       ctx: ExecutionContext,
-                       num_devices: int) -> List[Optional[tuple]]:
-        """Device ``d``'s share per entry; None where it got no root."""
-        bounds = np.linspace(0, batch.num_samples, num_devices + 1,
-                             dtype=np.int64)
-
-        def run_shard(d: int) -> Optional[tuple]:
-            shard_roots = batch.roots[bounds[d]:bounds[d + 1]]
-            if shard_roots.shape[0] == 0:
-                return None
-            # Each shard samples from its own namespaced RNG plan, so
-            # the merged result does not depend on execution order or
-            # thread timing.
-            shard_ctx = ctx.shard(d)
-            shard_ctx.tracer.name_thread(f"shard-{d}")
-            with shard_ctx.tracer.span("shard", shard=d,
-                                       samples=shard_roots.shape[0]):
-                shard = SampleBatch(graph, shard_roots)
-                app.init_state(shard, shard_ctx.init_rng())
-                return self._sample(app, graph, shard, shard_ctx)
-
-        # Shards run concurrently.  Under a compiled backend each
-        # shard's chunks run on the process-wide chunk threads (the C
-        # kernels release the GIL); under numpy with workers the chunk
-        # streams interleave on the shared process pool; in-process the
-        # shard threads overlap wherever numpy releases the GIL.
-        with ThreadPoolExecutor(max_workers=num_devices) as tpe:
-            return list(tpe.map(run_shard, range(num_devices)))
 
     # -- The pricing pass ------------------------------------------------
 
-    def _price(self, app: SamplingApp, graph,
-               shards: List[Optional[tuple]]) -> Priced:
+    def _price(self, app: SamplingApp, graph, batch: SampleBatch,
+               records: List[stepper.StepRecord],
+               num_devices: int) -> Priced:
         """Replay a run's records on fresh device(s), in recorded order
         (modeled seconds are float sums: the order is part of the
-        result).  Several devices (Section 6.4): wall time is the
-        slowest plus host coordination, a phase costs what it cost the
-        device it cost most."""
-        pool = MultiGPU(len(shards), self.spec) if len(shards) > 1 else None
-        devices = pool.devices if pool else [self._device_cls(self.spec)]
-        for device, shard in zip(devices, shards):
-            if shard is not None:
-                batch, records, steps_run = shard
-                for record in records:
-                    self._charge_step(device, graph, batch, record)
-                self._charge_output_materialisation(device, app, batch,
-                                                    steps_run)
-        if pool is None:
-            return Priced(devices[0].elapsed_seconds,
-                          devices[0].timeline.phase_breakdown(),
-                          devices[0].metrics, devices[0].metrics_by_phase)
+        result).  Several devices (Section 6.4): device ``d`` replays
+        each step as its row slice of the batch saw it, skipping the
+        steps where no pair of its slice was live; wall time is the
+        slowest device plus host coordination, and a phase costs what
+        it cost the device it cost most."""
+        if num_devices == 1:
+            device = self._device_cls(self.spec)
+            self._replay(device, app, graph, batch, records)
+            return Priced(device.elapsed_seconds,
+                          device.timeline.phase_breakdown(),
+                          device.metrics, device.metrics_by_phase)
+        pool = MultiGPU(num_devices, self.spec)
+        bounds = np.linspace(0, batch.num_samples, num_devices + 1,
+                             dtype=np.int64)
+        for device, lo, hi in zip(pool.devices, bounds[:-1], bounds[1:]):
+            parts = [part for part in (r.rows(lo, hi) for r in records)
+                     if part is not None]
+            share = SampleBatch(graph, batch.roots[lo:hi])
+            share.step_vertices = [batch.step_vertices[part.step][lo:hi]
+                                   for part in parts]
+            self._replay(device, app, graph, share, parts)
         pool.record_run()
         breakdown: Dict[str, float] = {}
         for device in pool.devices:
@@ -307,6 +272,14 @@ class Engine:
                 by_phase.setdefault(phase, DeviceMetrics()).merge(metrics)
         return Priced(pool.elapsed_seconds, breakdown,
                       pool.merged_metrics(), by_phase)
+
+    def _replay(self, device, app: SamplingApp, graph, batch: SampleBatch,
+                records: List[stepper.StepRecord]) -> None:
+        """Charge ``records`` (one per step of ``batch``) to ``device``."""
+        for record in records:
+            self._charge_step(device, graph, batch, record)
+        self._charge_output_materialisation(device, app, batch,
+                                            len(records))
 
     def _charge_output_materialisation(self, device, app, batch,
                                        steps_run) -> None:
@@ -344,9 +317,10 @@ class NextDoorEngine(Engine):
             # Section 6.3: dedup, then one sample-parallel top-up pass
             # (one warp-pass over the holes).
             charge_dedup(device, batch.num_samples, record.unique_width)
-            if record.unique_dups:
-                charge_collective_selection(device, record.unique_holes,
-                                            1, info=_TOPUP_INFO)
+            if record.unique_dups.any():
+                charge_collective_selection(
+                    device, np.count_nonzero(record.unique_topups), 1,
+                    info=_TOPUP_INFO)
 
     # ------------------------------------------------------------------
     # Cost-charging hooks — baseline engines override these to price
@@ -397,38 +371,6 @@ class NextDoorEngine(Engine):
 
 
 _TOPUP_INFO = StepInfo(avg_compute_cycles=10.0)
-
-
-def _merge_batches(graph, shards: List[SampleBatch]) -> SampleBatch:
-    """Concatenate per-device batches, padding step widths (INF apps
-    may have run different step counts per shard)."""
-    if not shards:
-        raise ValueError("no shards to merge")
-    if len(shards) == 1:
-        return shards[0]
-    merged = SampleBatch(graph, np.concatenate([b.roots for b in shards]))
-    num_steps = max(b.num_steps for b in shards)
-    total_rows = sum(b.num_samples for b in shards)
-    row_starts = np.cumsum([0] + [b.num_samples for b in shards])
-    for i in range(num_steps):
-        width = max(b.step_vertices[i].shape[1]
-                    for b in shards if b.num_steps > i)
-        # Preallocate the padded step once and copy each shard into its
-        # row block — no per-shard pad + concatenate round trips.
-        out = np.full((total_rows, width), NULL_VERTEX, dtype=np.int64)
-        for r0, b in zip(row_starts, shards):
-            if b.num_steps > i:
-                arr = b.step_vertices[i]
-                out[r0:r0 + arr.shape[0], :arr.shape[1]] = arr
-        merged.append_step(out)
-    # Recorded edges: shift sample ids into the merged numbering with a
-    # single broadcast add per shard array.
-    for r0, b in zip(row_starts, shards):
-        shift = np.asarray([r0, 0, 0], dtype=np.int64)
-        for edges in b.edges:
-            if edges.size:
-                merged.record_edges(edges + shift)
-    return merged
 
 
 #: Keyword arguments ``do_sampling`` accepts beyond its positionals.

@@ -17,7 +17,7 @@ device model when a modeled number is first read.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -163,11 +163,11 @@ class StepRecord:
     #: Per-sample combined-neighborhood sizes (collective steps).
     neighborhood_sizes: Optional[np.ndarray] = None
     #: The unique pass (Section 6.3), when it ran: the row width it
-    #: deduplicated (0 = no pass), the duplicates it removed and the
-    #: rows its top-up redrew.
+    #: deduplicated (0 = no pass), and per row whether it held a
+    #: duplicate and whether the top-up redrew it.
     unique_width: int = 0
-    unique_dups: int = 0
-    unique_holes: int = 0
+    unique_dups: Optional[np.ndarray] = None
+    unique_topups: Optional[np.ndarray] = None
     #: The step's index shape if the run built one, and the run's
     #: ``pairs`` builder, which :attr:`tmap` applies otherwise.
     shape: Optional[StepShape] = None
@@ -179,6 +179,22 @@ class StepRecord:
         if self.shape is None:
             self.shape = self.pairs(self.transits, None).shape()
         return self.shape
+
+    def rows(self, lo: int, hi: int) -> Optional["StepRecord"]:
+        """The step as rows ``[lo, hi)`` alone ran it — one device's
+        share of a multi-device run — or None when no pair there is
+        live.  Its :attr:`tmap` is built from the slice on first read."""
+        transits = self.transits[lo:hi]
+        if not (transits != NULL_VERTEX).any():
+            return None
+
+        def cut(a):
+            return None if a is None else a[lo:hi]
+
+        return replace(self, transits=transits, shape=None,
+                       neighborhood_sizes=cut(self.neighborhood_sizes),
+                       unique_dups=cut(self.unique_dups),
+                       unique_topups=cut(self.unique_topups))
 
 
 class stage:
@@ -252,7 +268,7 @@ def run_steps(app: SamplingApp, graph: CSRGraph, batch: SampleBatch, ctx,
                 break  # no live transits: every sample terminated
             m = app.sample_size(step)
             edges = sizes = None
-            width = dups = holes = 0
+            width, dups, topups = 0, None, None
             with stage(kernels, hist[kernels], step=step, backend=backend):
                 if collective:
                     new_vertices, info, edges, sizes = ctx.collective_step(
@@ -268,13 +284,13 @@ def run_steps(app: SamplingApp, graph: CSRGraph, batch: SampleBatch, ctx,
                     and new_vertices.shape[1] > 1):
                 with stage("make_unique", step=step):
                     width = new_vertices.shape[1]
-                    new_vertices, dups, holes = dedupe_and_topup(
+                    new_vertices, dups, topups = dedupe_and_topup(
                         app, graph, transits, new_vertices, step,
                         ctx.topup_rng(step))
             if on_step is not None:
                 on_step(StepRecord(
                     step, transits, m, info, collective, edges is not None,
-                    sizes, width, dups, holes,
+                    sizes, width, dups, topups,
                     None if tmap is None else tmap.shape(), pairs))
             with stage("post_step", step=step):
                 batch.append_step(new_vertices)

@@ -58,18 +58,21 @@ def dedupe_and_topup(app, graph, transits: np.ndarray,
     every engine: dedup each row, then one top-up pass redrawing the
     emptied slots from their transits and keeping draws that are new.
 
-    Returns ``(deduped rows, num duplicates, rows topped up)`` so the
-    caller can price the work under its own execution model.
+    Returns ``(deduped rows, which rows held a duplicate, which rows
+    were topped up)``, the last two as per-row masks, so the caller can
+    price the work of any row slice under its own execution model.
     """
     from repro.api.apps._kernels import uniform_neighbors
 
     deduped, num_dups = dedupe_rows(new_vertices)
     if num_dups == 0:
-        return deduped, 0, 0
+        none = np.zeros(deduped.shape[0], dtype=bool)
+        return deduped, none, none
+    dups = (deduped != new_vertices).any(axis=1)
+    topups = ((deduped == NULL_VERTEX).any(axis=1)
+              & (new_vertices != NULL_VERTEX).any(axis=1))
     m = max(app.sample_size(step), 1)
-    rows_with_holes = np.nonzero(
-        (deduped == NULL_VERTEX).any(axis=1)
-        & (new_vertices != NULL_VERTEX).any(axis=1))[0]
+    rows_with_holes = np.nonzero(topups)[0]
     if rows_with_holes.size:
         sub = deduped[rows_with_holes]
         holes = (sub == NULL_VERTEX) & (new_vertices[rows_with_holes]
@@ -96,7 +99,7 @@ def dedupe_and_topup(app, graph, transits: np.ndarray,
                       & ~np.isin(draw_keys, existing_keys))
             deduped[rows_with_holes[rs[accept]], cs[accept]] = \
                 draws[accept]
-    return deduped, num_dups, int(rows_with_holes.size)
+    return deduped, dups, topups
 
 
 def charge_dedup(device: Device, num_samples: int, row_width: int,

@@ -7,6 +7,9 @@ devices run concurrently) plus a per-step coordination overhead on the
 host — the source of the imperfect scaling the paper sees on small
 graphs, where per-GPU work is too little to amortize coordination and
 too few warps exist to fill each GPU's SMs.
+
+The engine prices that mode without running it: one run samples the
+whole batch, and device ``d`` is charged its row slice of every step.
 """
 
 from __future__ import annotations

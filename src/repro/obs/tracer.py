@@ -104,7 +104,7 @@ class Span:
 
 
 class Tracer:
-    """Process-global span recorder (thread- and shard-safe)."""
+    """Process-global span recorder (thread-safe)."""
 
     enabled = True
 
@@ -137,7 +137,7 @@ class Tracer:
     # -- lanes --------------------------------------------------------
 
     def name_thread(self, name: str) -> None:
-        """Label the calling thread's lane (e.g. ``shard-1``)."""
+        """Label the calling thread's lane (e.g. ``main``)."""
         with self._lock:
             self._thread_names[threading.get_ident()] = name
 

@@ -245,13 +245,10 @@ class ExecutionContext:
     a compiled backend, the process pool otherwise."""
 
     def __init__(self, seed: int, workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None,
-                 plan: Optional[RNGPlan] = None) -> None:
+                 chunk_size: Optional[int] = None) -> None:
         self.workers = resolve_workers(workers)
-        if plan is None:
-            plan = (RNGPlan(seed, chunk_pairs=chunk_size)
-                    if chunk_size is not None else RNGPlan(seed))
-        self.plan = plan
+        self.plan = (RNGPlan(seed, chunk_pairs=chunk_size)
+                     if chunk_size is not None else RNGPlan(seed))
         self.pool = None
         self._pool_failed = False
         #: True once ``begin_run`` found a compiled backend: dispatched
@@ -266,8 +263,7 @@ class ExecutionContext:
         #: engine's ``fault_plan``, so firing budgets are per run.
         self._fault_plan: Optional[FaultPlan] = None
         #: The run's tracer — the process-global tracer captured at
-        #: construction and plumbed into every shard context, so shard
-        #: threads and worker-chunk lanes land in one trace.
+        #: construction, so worker-chunk lanes land in the run's trace.
         self.tracer = trace.get_tracer()
         self.metrics = get_metrics()
         #: Labels (app/backend) for the labeled pool metrics, filled in
@@ -284,21 +280,6 @@ class ExecutionContext:
 
     def post_step_rng(self, step: int) -> np.random.Generator:
         return self.plan.aux_rng(step, AUX_POST)
-
-    def shard(self, shard_index: int) -> "ExecutionContext":
-        """Context for one multi-device shard: a namespaced plan over
-        the same worker set."""
-        ctx = ExecutionContext(self.plan.seed, workers=self.workers,
-                               plan=self.plan.shard(shard_index))
-        ctx.pool = self.pool
-        ctx._pool_failed = self._pool_failed
-        ctx._threads = self._threads
-        ctx.cancel = self.cancel
-        ctx._fault_plan = self._fault_plan
-        ctx.tracer = self.tracer
-        ctx.metrics = self.metrics
-        ctx._run_labels = self._run_labels
-        return ctx
 
     # -- pool lifecycle ------------------------------------------------
 

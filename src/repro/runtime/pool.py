@@ -131,7 +131,7 @@ class WorkerPool:
         self.num_workers = num_workers
         self.procs: List[mp.Process] = []
         self.conns: List = []
-        # Serialises dispatch across threads (multi-device shards share
+        # Serialises dispatch across threads (concurrent runs share
         # one pool); the pipe protocol is not concurrency-safe.
         self.lock = threading.Lock()
         self._closed = False

@@ -16,13 +16,14 @@ each step's **schedule**, the pair order chunks are cut from: grouped
 by transit, except that a walk-shaped step
 (:func:`repro.core.stepper.walk_shaped`) runs in sample order.
 
-Key layout (all under an optional ``namespace`` prefix, used to give
-each multi-GPU shard an independent plan)::
+The device count is not among them: a multi-device run samples the
+one-device batch and splits it only to price it.
+
+Key layout::
 
     (0,)                 init: roots + app.init_state
     (1, step, chunk)     step sampling, one stream per chunk
     (2, step, slot)      aux streams (0 = unique top-up, 1 = post_step)
-    (3, shard) + key     per-shard namespace for multi-device runs
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ AUX_POST = 1
 _DOMAIN_INIT = 0
 _DOMAIN_STEP = 1
 _DOMAIN_AUX = 2
-_DOMAIN_SHARD = 3
 
 
 class _SeedWords(ISeedSequence):
@@ -99,8 +99,7 @@ class RNGPlan:
     """The deterministic chunk layout + seed derivation of one run."""
 
     def __init__(self, seed: int, chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
-                 chunk_rows: Optional[int] = None,
-                 namespace: Tuple[int, ...] = ()) -> None:
+                 chunk_rows: Optional[int] = None) -> None:
         if chunk_pairs < 1:
             raise ValueError("chunk_pairs must be >= 1")
         self.seed = int(seed)
@@ -112,19 +111,15 @@ class RNGPlan:
             else max(1, self.chunk_pairs // 32)
         if self.chunk_rows < 1:
             raise ValueError("chunk_rows must be >= 1")
-        self.namespace = tuple(int(k) for k in namespace)
 
     # -- seed derivation ----------------------------------------------
 
-    def _key(self, *key: int) -> Tuple[int, ...]:
-        return self.namespace + tuple(key)
-
     def init_rng(self) -> np.random.Generator:
         """Stream for root selection + ``app.init_state``."""
-        return generator_for(self.seed, self._key(_DOMAIN_INIT))
+        return generator_for(self.seed, (_DOMAIN_INIT,))
 
     def chunk_key(self, step: int, chunk: int) -> Tuple[int, ...]:
-        return self._key(_DOMAIN_STEP, step, chunk)
+        return (_DOMAIN_STEP, step, chunk)
 
     def chunk_rng(self, step: int, chunk: int) -> np.random.Generator:
         """Stream for chunk ``chunk`` of step ``step``'s sampling."""
@@ -132,14 +127,7 @@ class RNGPlan:
 
     def aux_rng(self, step: int, slot: int) -> np.random.Generator:
         """Per-step aux stream (``AUX_TOPUP`` / ``AUX_POST``)."""
-        return generator_for(self.seed, self._key(_DOMAIN_AUX, step, slot))
-
-    def shard(self, shard_index: int) -> "RNGPlan":
-        """An independent plan for one multi-device shard."""
-        return RNGPlan(self.seed, chunk_pairs=self.chunk_pairs,
-                       chunk_rows=self.chunk_rows,
-                       namespace=self.namespace
-                       + (_DOMAIN_SHARD, int(shard_index)))
+        return generator_for(self.seed, (_DOMAIN_AUX, step, slot))
 
     # -- chunk layout -------------------------------------------------
 
@@ -161,4 +149,4 @@ class RNGPlan:
 
     def __repr__(self) -> str:
         return (f"RNGPlan(seed={self.seed}, chunk_pairs={self.chunk_pairs}, "
-                f"chunk_rows={self.chunk_rows}, namespace={self.namespace})")
+                f"chunk_rows={self.chunk_rows})")

@@ -321,7 +321,7 @@ _FIELD_ALIGN = 64
 
 #: Arenas no step is using; each is owned in ``_OWNED`` under its
 #: segment name, like any export.  Steady state is one; two steps in
-#: flight at once (shard threads, the daemon's executors) leave two.
+#: flight at once (concurrent runs, the daemon's executors) leave two.
 _FREE_ARENAS: List[shared_memory.SharedMemory] = []
 #: Re-entrant: the SIGTERM handler releases everything from whatever
 #: the main thread was doing, which may be holding this lock.

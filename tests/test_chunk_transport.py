@@ -135,13 +135,13 @@ class TestIdentity:
 
 
 class TestConcurrentSteps:
-    def test_shard_threads_get_distinct_arenas(self, medium_weighted,
-                                               monkeypatch):
-        """The shard threads of a multi-device run share one pool and
-        step concurrently: each stages its steps in an arena of its
-        own.  The first dispatch of each thread waits for the other's,
-        so both hold a borrowed arena at the same moment."""
-        serial = _run(APPS["khop"], medium_weighted, 0, num_devices=2)
+    def test_concurrent_runs_get_distinct_arenas(self, medium_weighted,
+                                                 monkeypatch):
+        """Two runs on two threads share one pool and step
+        concurrently: each stages its steps in an arena of its own.
+        The first dispatch of each thread waits for the other's, so
+        both hold a borrowed arena at the same moment."""
+        serial = _run(APPS["khop"], medium_weighted, 0)
         barrier = threading.Barrier(2, timeout=60)
         first_arena = {}
         run_chunks = WorkerPool.run_chunks
@@ -154,9 +154,27 @@ class TestConcurrentSteps:
             return run_chunks(self, jobs, *args, **kwargs)
 
         monkeypatch.setattr(WorkerPool, "run_chunks", meet_then_run)
-        pooled = _run(APPS["khop"], medium_weighted, 2, num_devices=2)
-        assert batch_digest(pooled.batch) == batch_digest(serial.batch)
-        assert pooled.seconds == serial.seconds
+        get_pool(2)  # both runs find the pool up
+        outcomes = []
+
+        def run():
+            try:
+                outcomes.append(_run(APPS["khop"], medium_weighted, 2))
+            except Exception as exc:  # re-raised below
+                outcomes.append(exc)
+
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        for pooled in outcomes:
+            if isinstance(pooled, BaseException):
+                raise pooled
+            assert batch_digest(pooled.batch) == batch_digest(serial.batch)
+            assert pooled.seconds == serial.seconds
+        assert len(outcomes) == 2
         assert len(set(first_arena.values())) == 2
         assert len(_own_arenas()) == 2  # both back on the free list
 

@@ -7,6 +7,7 @@ from repro.api.apps import DeepWalk, KHop, Layer, PPR
 from repro.api.types import NULL_VERTEX
 from repro.core.engine import NextDoorEngine
 from repro.graph.csr import CSRGraph
+from repro.serve.protocol import batch_digest
 
 
 @pytest.fixture
@@ -69,9 +70,15 @@ class TestDegenerateGraphs:
         assert r.steps_run <= 1
 
     def test_more_devices_than_samples(self, two_vertex_graph):
+        """Two of the four devices get no row: they price nothing, and
+        the samples are the one-device samples."""
+        one = NextDoorEngine().run(DeepWalk(3), two_vertex_graph,
+                                   num_samples=2, seed=0)
         r = NextDoorEngine().run(DeepWalk(3), two_vertex_graph,
                                  num_samples=2, seed=0, num_devices=4)
         assert r.batch.num_samples == 2
+        assert batch_digest(r.batch) == batch_digest(one.batch)
+        assert r.breakdown["coordination"] > 0 and r.seconds > 0
 
 
 class TestDegenerateParameters:

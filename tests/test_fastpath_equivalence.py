@@ -153,11 +153,13 @@ def _reference_dedupe_and_topup(app, graph, transits, new_vertices, step,
     from repro.core.unique import dedupe_rows
     deduped, num_dups = dedupe_rows(new_vertices)
     if num_dups == 0:
-        return deduped, 0, 0
+        none = np.zeros(deduped.shape[0], dtype=bool)
+        return deduped, none, none
+    dups = (deduped != new_vertices).any(axis=1)
+    topups = ((deduped == NULL_VERTEX).any(axis=1)
+              & (new_vertices != NULL_VERTEX).any(axis=1))
     m = max(app.sample_size(step), 1)
-    rows_with_holes = np.nonzero(
-        (deduped == NULL_VERTEX).any(axis=1)
-        & (new_vertices != NULL_VERTEX).any(axis=1))[0]
+    rows_with_holes = np.nonzero(topups)[0]
     for s in rows_with_holes:
         row = deduped[s]
         holes = np.nonzero((row == NULL_VERTEX)
@@ -171,7 +173,7 @@ def _reference_dedupe_and_topup(app, graph, transits, new_vertices, step,
             if draw != NULL_VERTEX and int(draw) not in present:
                 row[hole] = draw
                 present.add(int(draw))
-    return deduped, num_dups, int(rows_with_holes.size)
+    return deduped, dups, topups
 
 
 def _patch_reference_paths(monkeypatch):

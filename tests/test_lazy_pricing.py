@@ -22,6 +22,7 @@ import pytest
 import repro.baselines
 from repro.api.apps import DeepWalk
 from repro.api.sample import SampleBatch
+from repro.api.types import NULL_VERTEX
 from repro.core import stepper
 from repro.core.engine import NextDoorEngine
 from repro.core.large_graph import LargeGraphNextDoor
@@ -66,35 +67,47 @@ def priced(result):
 
 def inline_priced(engine, app, graph, seed, num_devices=1):
     """``engine.run`` as it was before pricing moved to first read:
-    ``_charge_step`` is the ``on_step`` callback, on a device built
-    before the loop.  Returns ``(digest, priced tuple)``."""
+    ``_charge_step`` is the ``on_step`` callback, on device(s) built
+    before the loop — device ``d`` charged the row slice ``[lo, hi)`` of
+    each step where the slice has a live transit.  Returns ``(digest,
+    priced tuple)``."""
     ctx = ExecutionContext(seed, workers=engine.workers,
                            chunk_size=engine.chunk_size)
     batch = stepper.init_batch(app, graph, GOLDEN_SAMPLES, None,
                                ctx.init_rng())
     ctx.begin_run(app, graph)
-
-    def on_device(device, batch, ctx):
-        steps = stepper.run_steps(
-            app, graph, batch, ctx, pairs=engine._pairs,
-            on_step=lambda r: engine._charge_step(device, graph, batch, r))
-        engine._charge_output_materialisation(device, app, batch, steps)
-
-    if num_devices == 1:
-        device = engine._device_cls(engine.spec)
-        on_device(device, batch, ctx)
-        return batch_digest(batch), comparable(
-            device.elapsed_seconds, device.timeline.phase_breakdown(),
-            device.metrics, device.metrics_by_phase)
-
-    pool = MultiGPU(num_devices, engine.spec)
+    pool = MultiGPU(num_devices, engine.spec) if num_devices > 1 else None
+    devices = pool.devices if pool else [engine._device_cls(engine.spec)]
     bounds = np.linspace(0, batch.num_samples, num_devices + 1,
                          dtype=np.int64)
-    for d in range(num_devices):
-        shard_ctx = ctx.shard(d)
-        shard = SampleBatch(graph, batch.roots[bounds[d]:bounds[d + 1]])
-        app.init_state(shard, shard_ctx.init_rng())
-        on_device(pool.devices[d], shard, shard_ctx)
+    shares = [SampleBatch(graph, batch.roots[lo:hi])
+              for lo, hi in zip(bounds[:-1], bounds[1:])]
+    live_steps = [[] for _ in devices]
+
+    def on_step(record):
+        for d, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if not (record.transits[lo:hi] != NULL_VERTEX).any():
+                continue
+            share = record if pool is None else dataclasses.replace(
+                record, transits=record.transits[lo:hi], shape=None,
+                **{name: getattr(record, name)[lo:hi]
+                   for name in ("neighborhood_sizes", "unique_dups",
+                                "unique_topups")
+                   if getattr(record, name) is not None})
+            engine._charge_step(devices[d], graph, shares[d], share)
+            live_steps[d].append(record.step)
+
+    stepper.run_steps(app, graph, batch, ctx, pairs=engine._pairs,
+                      on_step=on_step)
+    for d, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        shares[d].step_vertices = [batch.step_vertices[i][lo:hi]
+                                   for i in live_steps[d]]
+        engine._charge_output_materialisation(devices[d], app, shares[d],
+                                              len(live_steps[d]))
+    if pool is None:
+        return batch_digest(batch), comparable(
+            devices[0].elapsed_seconds, devices[0].timeline.phase_breakdown(),
+            devices[0].metrics, devices[0].metrics_by_phase)
     pool.record_run()
     breakdown = {}
     for device in pool.devices:
@@ -105,8 +118,8 @@ def inline_priced(engine, app, graph, seed, num_devices=1):
     for device in pool.devices:
         for phase, metrics in device.metrics_by_phase.items():
             by_phase.setdefault(phase, DeviceMetrics()).merge(metrics)
-    return None, comparable(pool.elapsed_seconds, breakdown,
-                            pool.merged_metrics(), by_phase)
+    return batch_digest(batch), comparable(
+        pool.elapsed_seconds, breakdown, pool.merged_metrics(), by_phase)
 
 
 class TestLazyEqualsInline:
@@ -116,7 +129,13 @@ class TestLazyEqualsInline:
                              ids=lambda cls: cls.__name__)
     def test_every_engine_every_golden_app(self, engine_cls, backend,
                                            workers):
-        """Includes the INF-step (``ppr``) and ``khop_unique`` cases."""
+        """Includes the INF-step (``ppr``) and ``khop_unique`` cases.
+        The device count prices a run and samples nothing: every GPU
+        engine's batch is the same at D = 1, 2, 3, 4 and 8 (at
+        ``workers=2``, checked on NextDoor alone)."""
+        devices = ((2, 3, 4, 8) if issubclass(engine_cls, NextDoorEngine)
+                   and (workers == 0 or engine_cls is NextDoorEngine)
+                   else ())
         with backend_scope(backend):
             for case, (factory, weighted, seed) in GOLDEN_CASES.items():
                 graph = golden_graph(weighted)
@@ -133,6 +152,11 @@ class TestLazyEqualsInline:
                     graph, seed)
                 assert batch_digest(result.batch) == digest, case
                 assert priced(result) == expected, case
+                for d in devices:
+                    multi = engine.run(factory(), graph,
+                                       num_samples=GOLDEN_SAMPLES,
+                                       seed=seed, num_devices=d)
+                    assert batch_digest(multi.batch) == digest, (case, d)
 
     @pytest.mark.parametrize("engine_cls, devices",
                              [(NextDoorEngine, 3), (LargeGraphNextDoor, 2)])
@@ -145,8 +169,9 @@ class TestLazyEqualsInline:
             factory(), graph, num_samples=GOLDEN_SAMPLES, seed=seed,
             num_devices=devices)
         assert result.devices_used == devices
-        _, expected = inline_priced(make_engine(engine_cls), factory(),
-                                    graph, seed, num_devices=devices)
+        digest, expected = inline_priced(make_engine(engine_cls), factory(),
+                                         graph, seed, num_devices=devices)
+        assert batch_digest(result.batch) == digest
         assert priced(result) == expected
 
     def test_interrupted_then_rerun(self):

@@ -7,9 +7,7 @@ import pytest
 
 from repro.api.apps import FastGCN, Layer
 from repro.baselines import FrontierEngine, MessagePassingEngine
-from repro.core.engine import NextDoorEngine, _merge_batches
-from repro.api.sample import SampleBatch
-from repro.api.types import NULL_VERTEX
+from repro.core.engine import NextDoorEngine
 
 
 class TestFrameworkCollectivePaths:
@@ -32,27 +30,6 @@ class TestFrameworkCollectivePaths:
         r = engine_cls().run(FastGCN(step_size=8, batch_size=4),
                              medium_graph, num_samples=4, seed=0)
         assert len(r.batch.edges) == 2
-
-
-class TestMergeBatches:
-    def test_single_shard_passthrough(self, medium_graph):
-        batch = SampleBatch(medium_graph, np.array([[1], [2]]))
-        assert _merge_batches(medium_graph, [batch]) is batch
-
-    def test_empty_shards_rejected(self, medium_graph):
-        with pytest.raises(ValueError):
-            _merge_batches(medium_graph, [])
-
-    def test_pads_uneven_steps(self, medium_graph):
-        a = SampleBatch(medium_graph, np.array([[1]]))
-        a.append_step(np.array([[5]]))
-        a.append_step(np.array([[6]]))
-        b = SampleBatch(medium_graph, np.array([[2]]))
-        b.append_step(np.array([[7]]))
-        merged = _merge_batches(medium_graph, [a, b])
-        assert merged.num_samples == 2
-        assert merged.num_steps == 2
-        assert merged.step_vertices[1][1, 0] == NULL_VERTEX
 
 
 class TestSamplingResultSave:

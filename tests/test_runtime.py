@@ -88,14 +88,6 @@ class TestRNGPlan:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_shard_namespaces_do_not_collide(self):
-        plan = RNGPlan(5)
-        s0 = plan.shard(0).chunk_rng(0, 0).integers(0, 1 << 30, 16)
-        s1 = plan.shard(1).chunk_rng(0, 0).integers(0, 1 << 30, 16)
-        root = plan.chunk_rng(0, 0).integers(0, 1 << 30, 16)
-        assert not np.array_equal(s0, s1)
-        assert not np.array_equal(s0, root)
-
     def test_default_chunk_size(self):
         assert RNGPlan(0).chunk_pairs == DEFAULT_CHUNK_PAIRS
 
