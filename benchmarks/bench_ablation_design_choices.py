@@ -37,12 +37,11 @@ def _ablation():
     for app_name in APPS:
         graph = paper_graph(GRAPH, app_name, seed=0)
         ns = walk_sample_count(graph, app_name)
-        data[app_name] = {}
-        for cfg_name, cfg in CONFIGS.items():
-            engine = NextDoorEngine(config=cfg)
-            result = engine.run(paper_app(app_name), graph,
-                                num_samples=ns, seed=1)
-            data[app_name][cfg_name] = result.seconds
+        run = NextDoorEngine().run(paper_app(app_name), graph,
+                                   num_samples=ns, seed=1)
+        data[app_name] = {
+            cfg_name: run.priced_as(NextDoorEngine(config=cfg)).seconds
+            for cfg_name, cfg in CONFIGS.items()}
     return data
 
 

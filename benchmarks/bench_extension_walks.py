@@ -32,10 +32,8 @@ def _speedups():
             ns = min(graph.num_vertices, 20000)
             nd = NextDoorEngine().run(factory(), graph,
                                       num_samples=ns, seed=1)
-            sp = SampleParallelEngine().run(factory(), graph,
-                                            num_samples=ns, seed=1)
-            kk = KnightKingEngine().run(factory(), graph,
-                                        num_samples=ns, seed=1)
+            sp = nd.priced_as(SampleParallelEngine())
+            kk = nd.priced_as(KnightKingEngine())
             data[app_name][graph_name] = {
                 "SP": sp.seconds / nd.seconds,
                 "KK": kk.seconds / nd.seconds,

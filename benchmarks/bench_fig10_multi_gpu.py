@@ -38,10 +38,8 @@ def _scaling():
             g = paper_graph(graph, app, seed=1)
             factor = 8 if app == "k-hop" else 4
             ns = min(factor * walk_sample_count(g, app), 80000)
-            one = run_engine(nd, app, graph, seed=1, num_devices=1,
-                             num_samples=ns)
-            four = run_engine(nd, app, graph, seed=1, num_devices=4,
-                              num_samples=ns)
+            one = run_engine(nd, app, graph, seed=1, num_samples=ns)
+            four = one.priced_as(nd, num_devices=4)
             data[app][graph] = one.seconds / four.seconds
     return data
 

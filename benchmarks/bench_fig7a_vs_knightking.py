@@ -14,7 +14,7 @@ from repro.bench import (
     GRAPHS_IN_MEMORY,
     format_table,
     print_experiment,
-    run_engine,
+    run_engines,
     save_results,
 )
 from repro.baselines import KnightKingEngine
@@ -30,8 +30,7 @@ def _speedups():
     for app in WALKS:
         data[app] = {}
         for graph in GRAPHS_IN_MEMORY:
-            nd_r = run_engine(nd, app, graph, seed=1)
-            kk_r = run_engine(kk, app, graph, seed=1)
+            nd_r, kk_r = run_engines([nd, kk], app, graph, seed=1)
             data[app][graph] = kk_r.seconds / nd_r.seconds
     return data
 

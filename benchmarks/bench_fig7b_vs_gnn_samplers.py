@@ -14,7 +14,7 @@ from repro.bench import (
     GRAPHS_IN_MEMORY,
     format_table,
     print_experiment,
-    run_engine,
+    run_engines,
     save_results,
 )
 from repro.baselines import ReferenceSamplerEngine
@@ -30,8 +30,7 @@ def _speedups():
     for app in APPS:
         data[app] = {}
         for graph in GRAPHS_IN_MEMORY:
-            nd_r = run_engine(nd, app, graph, seed=1)
-            ref_r = run_engine(ref, app, graph, seed=1)
+            nd_r, ref_r = run_engines([nd, ref], app, graph, seed=1)
             data[app][graph] = ref_r.seconds / nd_r.seconds
     return data
 

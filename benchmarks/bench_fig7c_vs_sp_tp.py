@@ -10,8 +10,9 @@ Reproduced claims:
 - ND/SP speedup within roughly the paper's band on every application
   (node2vec at the low end, exactly as the paper explains);
 - ND >= TP everywhere, with TP's worst cases on skew-heavy apps;
-- TP competitive with SP on random walks (shared-memory caching pays
-  for its map inversion) while beating SP on bulk samplers.
+- TP beating SP on bulk samplers.  (The paper also finds TP
+  competitive with SP on random walks; here it is not, see
+  EXPERIMENTS.md.)
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.bench import (
     GRAPHS_IN_MEMORY,
     format_table,
     print_experiment,
-    run_engine,
+    run_engines,
     save_results,
 )
 from repro.baselines import SampleParallelEngine, VanillaTPEngine
@@ -38,9 +39,8 @@ def _speedups():
     for app in APPS:
         data[app] = {}
         for graph in GRAPHS_IN_MEMORY:
-            nd_r = run_engine(nd, app, graph, seed=1)
-            sp_r = run_engine(sp, app, graph, seed=1)
-            tp_r = run_engine(tp, app, graph, seed=1)
+            nd_r, sp_r, tp_r = run_engines([nd, sp, tp], app, graph,
+                                           seed=1)
             data[app][graph] = {"SP": sp_r.seconds / nd_r.seconds,
                                 "TP": tp_r.seconds / nd_r.seconds}
     return data

@@ -16,7 +16,7 @@ from repro.bench import (
     GRAPHS_IN_MEMORY,
     format_table,
     print_experiment,
-    run_engine,
+    run_engines,
     save_results,
 )
 from repro.baselines import SampleParallelEngine
@@ -32,8 +32,7 @@ def _ratios():
     for app in APPS:
         data[app] = {}
         for graph in GRAPHS_IN_MEMORY:
-            nd_r = run_engine(nd, app, graph, seed=1)
-            sp_r = run_engine(sp, app, graph, seed=1)
+            nd_r, sp_r = run_engines([nd, sp], app, graph, seed=1)
             data[app][graph] = (
                 nd_r.metrics.counters.l2_read_transactions
                 / max(sp_r.metrics.counters.l2_read_transactions, 1.0))

@@ -16,7 +16,7 @@ from repro.bench import (
     GRAPHS_IN_MEMORY,
     format_table,
     print_experiment,
-    run_engine,
+    run_engines,
     save_results,
 )
 from repro.baselines import FrontierEngine, MessagePassingEngine
@@ -33,11 +33,10 @@ def _speedups():
     for app in APPS:
         data[app] = {}
         for graph in GRAPHS_IN_MEMORY:
-            nd_r = run_engine(nd, app, graph, seed=1)
-            data[app][graph] = {
-                name: run_engine(eng, app, graph, seed=1).seconds
-                / nd_r.seconds
-                for name, eng in frameworks.items()}
+            nd_r, *others = run_engines([nd, *frameworks.values()], app,
+                                        graph, seed=1)
+            data[app][graph] = {name: r.seconds / nd_r.seconds
+                                for name, r in zip(frameworks, others)}
     return data
 
 

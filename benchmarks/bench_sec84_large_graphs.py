@@ -34,8 +34,7 @@ def _results():
         assert not nd.fits_in_memory()
         nd_r = nd.run(paper_app(app_name), graph, num_samples=samples,
                       seed=1)
-        kk_r = KnightKingEngine().run(paper_app(app_name), graph,
-                                      num_samples=samples, seed=1)
+        kk_r = nd_r.priced_as(KnightKingEngine())
         data[app_name] = {
             "nd_seconds": nd_r.seconds,
             "kk_seconds": kk_r.seconds,

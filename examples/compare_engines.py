@@ -2,7 +2,8 @@
 
 A miniature of Figures 7 and 9: one table of modeled execution times
 per (application, engine) on the LiveJournal stand-in, with the
-speedups NextDoor's transit-parallelism buys.
+speedups NextDoor's transit-parallelism buys.  Each app is sampled
+once and that run is priced as every engine.
 
     python examples/compare_engines.py
 """
@@ -15,7 +16,7 @@ from repro.baselines import (
     SampleParallelEngine,
     VanillaTPEngine,
 )
-from repro.bench import paper_app, paper_graph, walk_sample_count
+from repro.bench import run_engines
 from repro.core.engine import NextDoorEngine
 
 APPS = ["DeepWalk", "node2vec", "k-hop", "FastGCN"]
@@ -31,26 +32,22 @@ ENGINES = [
 
 
 def main() -> None:
+    # One run per app (two where the CPU engines draw other samples),
+    # priced as every engine.
+    engines = [engine for _, engine in ENGINES]
+    results = {app: run_engines(engines, app, "livej", seed=0)
+               for app in APPS}
     print(f"{'engine':14s} " + " ".join(f"{a:>12s}" for a in APPS))
-    baseline = {}
-    for engine_name, engine in ENGINES:
+    for i, (engine_name, _) in enumerate(ENGINES):
         cells = []
         for app_name in APPS:
-            graph = paper_graph("livej", app_name, seed=0)
-            ns = walk_sample_count(graph, app_name)
-            try:
-                r = engine.run(paper_app(app_name), graph,
-                               num_samples=ns, seed=1)
-                seconds = r.seconds
-            except ValueError:
+            r, nd = results[app_name][i], results[app_name][0]
+            if r is None:
                 cells.append(f"{'n/a':>12s}")
-                continue
-            if engine_name == "NextDoor":
-                baseline[app_name] = seconds
-                cells.append(f"{seconds * 1e3:9.2f} ms")
+            elif i == 0:
+                cells.append(f"{r.seconds * 1e3:9.2f} ms")
             else:
-                speedup = seconds / baseline[app_name]
-                cells.append(f"{speedup:10.1f}x")
+                cells.append(f"{r.seconds / nd.seconds:10.1f}x")
         print(f"{engine_name:14s} " + " ".join(cells))
     print("\n(NextDoor row: modeled time; other rows: how much slower "
           "than NextDoor)")

@@ -3,18 +3,14 @@
 :class:`CpuEngine` is :class:`repro.core.engine.Engine` over
 sample-order pairs (a CPU system advances one walker / one sample at a
 time; there is no transit grouping to pay for) whose pricing pass
-hands each step's record to the subclass's ``_charge_step`` on a
+hands each step's record to the subclass's ``_charge_step`` on one
 :class:`~repro.gpu.cpu_model.CpuDevice`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from repro.api.app import SamplingApp
-from repro.core.engine import Engine, SamplingResult
+from repro.core.engine import Engine
 from repro.core.transit_map import sample_order_pairs
 from repro.gpu.cpu_model import CpuDevice
 from repro.gpu.spec import CPUSpec, XEON_SILVER_4216
@@ -33,13 +29,9 @@ class CpuEngine(Engine):
                  workers=None, chunk_size=None) -> None:
         super().__init__(spec, workers, chunk_size)
 
-    def run(self, app: SamplingApp, graph,
-            num_samples: Optional[int] = None,
-            roots: Optional[np.ndarray] = None,
-            seed: int = 0) -> SamplingResult:
-        self._check_supported(app)
-        return super().run(app, graph, num_samples, roots, seed)
-
-    def _check_supported(self, app: SamplingApp) -> None:
-        """Raise ``ValueError`` for applications the modeled system
-        cannot express.  Default: everything is expressible."""
+    def _check_supported(self, app: SamplingApp, num_devices: int) -> None:
+        """A CPU system is priced as one machine: no device count."""
+        super()._check_supported(app, num_devices)
+        if num_devices != 1:
+            raise ValueError(f"{self.engine_name} is a CPU engine: it "
+                             f"prices one machine, not {num_devices} devices")

@@ -59,9 +59,10 @@ class KnightKingEngine(CpuEngine):
                              * record.unique_width)],
                     name=f"walker_unique_{step}", parallel=False)
 
-    def _check_supported(self, app: SamplingApp) -> None:
+    def _check_supported(self, app: SamplingApp, num_devices: int) -> None:
         """KnightKing expresses random walks only: individual transit
         sampling adding one vertex per sample per step."""
+        super()._check_supported(app, num_devices)
         if app.sampling_type() is not SamplingType.INDIVIDUAL:
             raise ValueError(
                 f"KnightKing cannot express {app.name}: collective "

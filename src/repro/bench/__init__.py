@@ -14,6 +14,7 @@ from repro.bench.runner import (
     paper_app,
     paper_graph,
     run_engine,
+    run_engines,
     walk_sample_count,
 )
 
@@ -27,6 +28,7 @@ __all__ = [
     "print_experiment",
     "render_all",
     "run_engine",
+    "run_engines",
     "save_results",
     "walk_sample_count",
 ]

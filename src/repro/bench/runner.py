@@ -13,7 +13,7 @@ finite (the paper's INF) so the sparse tail terminates.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.api.app import SamplingApp
 from repro.api.apps import (
@@ -32,7 +32,8 @@ from repro.graph import datasets
 from repro.graph.csr import CSRGraph
 
 __all__ = ["APP_FACTORIES", "GRAPHS_IN_MEMORY", "RANDOM_WALK_APPS",
-           "paper_app", "paper_graph", "run_engine", "walk_sample_count"]
+           "paper_app", "paper_graph", "run_engine", "run_engines",
+           "walk_sample_count"]
 
 #: Graphs that fit in the modeled GPU memory (Table 3 minus FriendS).
 GRAPHS_IN_MEMORY = ("ppi", "orkut", "patents", "livej")
@@ -85,14 +86,35 @@ def walk_sample_count(graph: CSRGraph, app_name: str,
 
 
 def run_engine(engine, app_name: str, graph_name: str, seed: int = 0,
-               num_samples: Optional[int] = None,
-               num_devices: int = 1):
-    """Run one (engine, app, graph) cell of a figure."""
-    app = paper_app(app_name)
+               num_samples: Optional[int] = None):
+    """Run one (engine, app, graph) cell of a figure (None where the
+    engine cannot express the app)."""
+    return run_engines([engine], app_name, graph_name, seed, num_samples)[0]
+
+
+def run_engines(engines, app_name: str, graph_name: str, seed: int = 0,
+                num_samples: Optional[int] = None) -> List:
+    """One cell of a figure for several engines: each engine's result
+    (None where it cannot express the app).  An engine prices an
+    earlier engine's run (:meth:`SamplingResult.priced_as`) and runs
+    itself only where every earlier run refuses it."""
     graph = paper_graph(graph_name, app_name, seed=seed)
     if num_samples is None:
         num_samples = walk_sample_count(graph, app_name)
-    kwargs = {"num_samples": num_samples, "seed": seed}
-    if num_devices != 1:
-        kwargs["num_devices"] = num_devices
-    return engine.run(app, graph, **kwargs)
+    runs, results = [], []
+    for engine in engines:
+        for run in runs:
+            try:
+                results.append(run.priced_as(engine))
+                break
+            except ValueError:
+                pass
+        else:
+            try:
+                run = engine.run(paper_app(app_name), graph,
+                                 num_samples=num_samples, seed=seed)
+                runs.append(run)
+            except ValueError:
+                run = None
+            results.append(run)
+    return results

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from typing import List, Optional
 
 import numpy as np
@@ -36,6 +35,7 @@ from repro.bench.runner import (
     APP_FACTORIES,
     paper_app,
     paper_graph,
+    run_engines,
     walk_sample_count,
 )
 from repro.core.engine import NextDoorEngine
@@ -388,15 +388,10 @@ def _run_sample(args, out, fault_plan) -> int:
     engine = ENGINES[args.engine](workers=args.workers,
                                   chunk_size=args.chunk_size)
     engine.fault_plan = fault_plan
-    kwargs = {"num_samples": num_samples, "seed": args.seed}
-    if args.devices != 1:
-        if not isinstance(engine, NextDoorEngine):
-            print("error: --devices requires a GPU engine", file=out)
-            return 2
-        kwargs["num_devices"] = args.devices
     from repro.runtime.faults import FaultInjected
     try:
-        result = engine.run(app, graph, **kwargs)
+        result = engine.run(app, graph, num_samples=num_samples,
+                            seed=args.seed, num_devices=args.devices)
     except FaultInjected as exc:
         print(f"error: run stopped by injected fault: {exc}", file=out)
         return 1
@@ -415,53 +410,24 @@ def _run_sample(args, out, fault_plan) -> int:
     return 0
 
 
-def _timed_run(engine, app, graph, ns: int, seed: int):
-    """Run ``engine`` under a traced span; returns (result, wall_s)."""
-    with trace.span("engine_run", engine=engine.engine_name,
-                    app=app.name):
-        t0 = time.perf_counter()
-        result = engine.run(app, graph, num_samples=ns, seed=seed)
-        wall = time.perf_counter() - t0
-    return result, wall
-
-
 def _cmd_compare(args, out) -> int:
     err = _workers_error(args.workers)
     if err:
         print(f"error: {err}", file=out)
         return 2
+    engines = [cls(workers=args.workers) for cls in ENGINES.values()]
     rows = []
-    wall_rows = []
     for app_name in args.apps:
-        graph = paper_graph(args.graph, app_name, seed=args.seed)
-        ns = walk_sample_count(graph, app_name)
-        nd, nd_wall = _timed_run(NextDoorEngine(workers=args.workers),
-                                 paper_app(app_name), graph, ns,
-                                 args.seed)
-        row = [app_name, f"{nd.seconds * 1e3:.3f} ms"]
-        wall_row = [app_name, f"{nd_wall * 1e3:.1f} ms"]
-        for key in ("sp", "tp", "knightking", "reference", "gunrock",
-                    "tigr"):
-            try:
-                r, wall = _timed_run(ENGINES[key](workers=args.workers),
-                                     paper_app(app_name), graph, ns,
-                                     args.seed)
-                row.append(f"{r.seconds / nd.seconds:.1f}x")
-                wall_row.append(f"{wall * 1e3:.1f} ms")
-            except ValueError:
-                row.append("n/a")
-                wall_row.append("n/a")
-        rows.append(row)
-        wall_rows.append(wall_row)
+        nd, *others = run_engines(engines, app_name, args.graph,
+                                  seed=args.seed)
+        rows.append([app_name, f"{nd.seconds * 1e3:.3f} ms"] + [
+            "n/a" if r is None else f"{r.seconds / nd.seconds:.1f}x"
+            for r in others])
     header = ["app", "NextDoor", "SP", "TP", "KnightKing", "GNN-sampler",
               "Gunrock", "Tigr"]
     print(format_table(header, rows), file=out)
     print("(columns right of NextDoor: how much slower than NextDoor)",
           file=out)
-    print("", file=out)
-    print("measured wall-clock per engine (host time of this "
-          "reproduction, not the modeled GPU/CPU):", file=out)
-    print(format_table(header, wall_rows), file=out)
     return 0
 
 

@@ -15,23 +15,20 @@ Per step (Section 6):
    (:mod:`repro.core.unique`).
 
 An engine (:class:`Engine`) is :func:`repro.core.stepper.run_steps`
-plus a pricing pass, made when a modeled number is first read, over
-the step records it collected; :class:`NextDoorEngine` is the modeled
-GPU's price list (its ``_charge_*`` hooks, which the SP / TP / frontier
-/ message-passing / large-graph engines override).
-
-Multi-GPU execution (Section 6.4) distributes samples equally across
-devices that run independently: a question of cost alone, so one run
-samples the batch and its pricing pass gives each device its row
-slice of every step record.  :func:`do_sampling` /
-:meth:`SamplingResult.get_final_samples` mirror the Python module API
-of Section 6.5.
+plus a price list, its ``_charge_*`` hooks, which replay the run's step
+records when a modeled number is first read (NextDoor's, overridden by
+the SP / TP / frontier / message-passing / large-graph engines).  Any
+engine can price any run (:meth:`SamplingResult.priced_as`), and each
+of several devices (Section 6.4) is priced from its rows of a record.
+:func:`do_sampling` / :meth:`SamplingResult.get_final_samples` mirror
+the Python module API of Section 6.5.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, NamedTuple, Optional, Union
+from dataclasses import replace
+from typing import Dict, List, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -73,36 +70,58 @@ class Priced(NamedTuple):
 
 class SamplingResult:
     """Samples, plus the modeled execution record of the run that made
-    them.  ``run`` only samples: ``seconds``, ``breakdown``, ``metrics``
-    and ``metrics_by_phase`` (None for CPU engines) come from one
-    pricing pass over the run's step records, made on first read."""
+    them: ``seconds``, ``breakdown``, ``metrics`` and ``metrics_by_phase``
+    (None for CPU engines) come from one pricing pass over the run's step
+    records by the engine it is priced as, made on first read."""
 
-    def __init__(self, app: SamplingApp, graph_name: str,
-                 batch: SampleBatch, steps_run: int, engine: str,
-                 price: Callable[[], Priced], devices_used: int = 1) -> None:
+    def __init__(self, app: SamplingApp, graph, batch: SampleBatch,
+                 records: List[stepper.StepRecord], pricer: "Engine",
+                 num_devices: int = 1) -> None:
         self.app = app
-        self.graph_name = graph_name
+        self.graph_name = graph.name
         self.batch = batch
-        self.steps_run = steps_run
-        self.engine = engine
-        self.devices_used = devices_used
-        #: The pricing pass; dropped, with the step records it holds,
-        #: once it has run.
-        self._price: Optional[Callable[[], Priced]] = price
+        self.steps_run = len(records)
+        self.engine = pricer.engine_name
+        self.devices_used = num_devices
+        self._graph = graph
+        self._records = records
+        self._pricer = pricer
+        self._model: Optional[Priced] = None
         self._lock = threading.Lock()
 
     def _priced(self) -> Priced:
         with self._lock:
-            if self._price is not None:
+            if self._model is None:
                 with trace.span("charge_model", engine=self.engine):
-                    self._model = self._price()
-                self._price = None
+                    self._model = self._pricer._price(
+                        self.app, self._graph, self.batch, self._records,
+                        self.devices_used)
             return self._model
 
     seconds = property(lambda self: self._priced().seconds)
     breakdown = property(lambda self: self._priced().breakdown)
     metrics = property(lambda self: self._priced().metrics)
     metrics_by_phase = property(lambda self: self._priced().metrics_by_phase)
+
+    def priced_as(self, engine: "Engine",
+                  num_devices: int = 1) -> "SamplingResult":
+        """This run's batch and step records priced by ``engine`` on
+        ``num_devices`` devices: what ``engine.run`` gives for the same
+        app, graph and seed.  ``ValueError`` when ``engine`` cannot
+        price the app or device count, or when a step's grouping fed
+        its sampling (``record.shape`` is set) and ``engine`` groups
+        pairs another way: its own run draws other samples."""
+        engine._check_supported(self.app, num_devices)
+        pairs = engine._pairs
+        records = self._records
+        if any(r.pairs is not pairs for r in records):
+            if any(r.shape is not None for r in records):
+                raise ValueError(f"{engine.engine_name} groups pairs unlike "
+                                 f"the run that sampled {self.app.name}: "
+                                 "its own run draws other samples")
+            records = [replace(r, pairs=pairs) for r in records]
+        return SamplingResult(self.app, self._graph, self.batch, records,
+                              engine, num_devices)
 
     @property
     def samples(self) -> SampleBatch:
@@ -133,17 +152,12 @@ class SamplingResult:
         """Persist :meth:`arrays` as a compressed ``.npz``."""
         np.savez_compressed(path, **self.arrays())
 
-    @property
-    def sampling_seconds(self) -> float:
-        return self.breakdown.get("sampling", 0.0)
-
-    @property
-    def scheduling_index_seconds(self) -> float:
-        return self.breakdown.get("scheduling_index", 0.0)
-
-    @property
-    def transfer_seconds(self) -> float:
-        return self.breakdown.get("transfer", 0.0)
+    sampling_seconds = property(
+        lambda self: self.breakdown.get("sampling", 0.0))
+    scheduling_index_seconds = property(
+        lambda self: self.breakdown.get("scheduling_index", 0.0))
+    transfer_seconds = property(
+        lambda self: self.breakdown.get("transfer", 0.0))
 
     @property
     def samples_per_second(self) -> float:
@@ -164,7 +178,8 @@ class Engine:
     samples with ``on_step=records.append`` and builds no device model;
     the result replays the records through ``_charge_step(device,
     graph, batch, record)`` on fresh device(s) when first read.  A
-    subclass is that price list plus the two class attributes below."""
+    subclass is that price list, ``_check_supported`` and the two class
+    attributes below."""
 
     engine_name = "engine"
     #: How a step's live pairs are grouped (``run_steps``' ``pairs=``),
@@ -205,8 +220,7 @@ class Engine:
         time is the slowest device plus host coordination.  The samples
         are the one-device samples.
         """
-        if num_devices < 1:
-            raise ValueError("num_devices must be >= 1")
+        self._check_supported(app, num_devices)
         with trace.span("run", engine=self.engine_name, app=app.name,
                         graph=graph.name, devices=num_devices) as run_span:
             ctx = ExecutionContext(seed, workers=self.workers,
@@ -226,11 +240,13 @@ class Engine:
         reg.counter("engine.runs").inc()
         reg.counter("engine.samples_produced").inc(batch.num_samples)
         reg.counter("engine.steps_run").inc(steps_run)
-        return SamplingResult(
-            app, graph.name, batch, steps_run, self.engine_name,
-            price=lambda: self._price(app, graph, batch, records,
-                                      num_devices),
-            devices_used=num_devices)
+        return SamplingResult(app, graph, batch, records, self, num_devices)
+
+    def _check_supported(self, app: SamplingApp, num_devices: int) -> None:
+        """Raise ``ValueError`` for an application this engine cannot
+        express, or a device count it cannot price."""
+        if num_devices < 1:
+            raise ValueError("num_devices must be >= 1")
 
     # -- The pricing pass ------------------------------------------------
 
@@ -262,14 +278,13 @@ class Engine:
             self._replay(device, app, graph, share, parts)
         pool.record_run()
         breakdown: Dict[str, float] = {}
+        by_phase: Dict[str, DeviceMetrics] = {}
         for device in pool.devices:
             for phase, secs in device.timeline.phase_breakdown().items():
                 breakdown[phase] = max(breakdown.get(phase, 0.0), secs)
-        breakdown["coordination"] = pool.coordination_seconds
-        by_phase: Dict[str, DeviceMetrics] = {}
-        for device in pool.devices:
             for phase, metrics in device.metrics_by_phase.items():
                 by_phase.setdefault(phase, DeviceMetrics()).merge(metrics)
+        breakdown["coordination"] = pool.coordination_seconds
         return Priced(pool.elapsed_seconds, breakdown,
                       pool.merged_metrics(), by_phase)
 

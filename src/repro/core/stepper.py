@@ -168,17 +168,17 @@ class StepRecord:
     unique_width: int = 0
     unique_dups: Optional[np.ndarray] = None
     unique_topups: Optional[np.ndarray] = None
-    #: The step's index shape if the run built one, and the run's
-    #: ``pairs`` builder, which :attr:`tmap` applies otherwise.
+    #: The step's index shape if its grouping fed the sampling, and
+    #: the pricing engine's ``pairs``, which :attr:`tmap` applies else.
     shape: Optional[StepShape] = None
     pairs: Callable[..., TransitMap] = build_transit_map
 
     @property
     def tmap(self) -> StepShape:
-        """What a ``_charge_*`` reads of the step's transit map."""
-        if self.shape is None:
-            self.shape = self.pairs(self.transits, None).shape()
-        return self.shape
+        """What a ``_charge_*`` reads (once a step) of the step's
+        transit map: the run's shape, else one built from ``pairs``."""
+        return (self.shape if self.shape is not None
+                else self.pairs(self.transits, None).shape())
 
     def rows(self, lo: int, hi: int) -> Optional["StepRecord"]:
         """The step as rows ``[lo, hi)`` alone ran it — one device's

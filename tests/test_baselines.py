@@ -95,6 +95,20 @@ class TestKnightKingRestrictions:
             KnightKingEngine().run(KHop((25, 10)), medium_graph,
                                    num_samples=4)
 
+    @pytest.mark.parametrize("engine_cls",
+                             [KnightKingEngine, ReferenceSamplerEngine])
+    def test_cpu_engines_price_one_machine(self, engine_cls, medium_graph):
+        """A CPU engine refuses a device count, in its own run and as a
+        view of another engine's run, with the same error."""
+        with pytest.raises(ValueError, match="2 devices"):
+            engine_cls().run(DeepWalk(5), medium_graph, num_samples=8,
+                             num_devices=2)
+        run = NextDoorEngine().run(DeepWalk(5), medium_graph,
+                                   num_samples=8, seed=0)
+        with pytest.raises(ValueError, match="2 devices"):
+            run.priced_as(engine_cls(), num_devices=2)
+        assert run.priced_as(engine_cls()).seconds > 0
+
     def test_accepts_every_random_walk(self, medium_graph):
         for app in (DeepWalk(5), PPR(max_steps=20),
                     Node2Vec(walk_length=5),

@@ -80,3 +80,58 @@ class TestRunnerConfigs:
         result = runner.run_engine(NextDoorEngine(), "k-hop", "ppi",
                                    seed=0, num_samples=16)
         assert result.batch.num_samples == 16
+
+    def test_run_engines_cell(self):
+        """Engines that draw the same samples price one run; the
+        reference sampler groups k-hop's pairs in sample order, so it
+        runs on its own; KnightKing cannot express k-hop."""
+        from repro.baselines import (
+            KnightKingEngine,
+            ReferenceSamplerEngine,
+            SampleParallelEngine,
+        )
+        from repro.core.engine import NextDoorEngine
+        engines = [NextDoorEngine(), SampleParallelEngine(),
+                   KnightKingEngine(), ReferenceSamplerEngine()]
+        nd, sp, kk, ref = runner.run_engines(engines, "k-hop", "ppi",
+                                             seed=0, num_samples=16)
+        assert kk is None
+        assert sp.batch is nd.batch and ref.batch is not nd.batch
+        assert [r.engine for r in (nd, sp, ref)] == [
+            "NextDoor", "SP", "ReferenceSampler"]
+        own = SampleParallelEngine().run(runner.paper_app("k-hop"),
+                                         runner.paper_graph("ppi", "k-hop"),
+                                         num_samples=16, seed=0)
+        assert sp.seconds == own.seconds
+
+
+class TestResultsDriftGate:
+    """``pytest benchmarks/ --check-results``: the comparison it runs
+    against each archived results file."""
+
+    @pytest.fixture(scope="class")
+    def gate(self):
+        import importlib.util
+        path = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
+                            "conftest.py")
+        spec = importlib.util.spec_from_file_location("bench_gate", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_names_each_moved_cell(self, gate):
+        archived = {"a": {"x": 1.0, "y": 2.0}, "n": "s", "gone": 3}
+        fresh = {"a": {"x": 1.0 * (1 + 1e-12), "y": 2.1}, "n": "s",
+                 "new": 4}
+        assert gate.moved_cells(archived, fresh) == [
+            "  a/y: 2.0 -> 2.1",
+            "  gone: 3 -> '<absent>'",
+            "  new: '<absent>' -> 4",
+        ]
+
+    def test_identical_rows_pass(self, gate, tmp_path, monkeypatch):
+        monkeypatch.setattr(report, "RESULTS_DIR", str(tmp_path))
+        (tmp_path / "exp.json").write_text(json.dumps({"x": [1, 2.5]}))
+        gate.check_results("exp", {"x": [1, 2.5]})
+        with pytest.raises(AssertionError, match="x/1: 2.5 -> 2.6"):
+            gate.check_results("exp", {"x": [1, 2.6]})

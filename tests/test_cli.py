@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import get_metrics
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -318,6 +319,8 @@ class TestSample:
                              "--graph", "ppi", "--samples", "8",
                              "--engine", "knightking", "--devices", "4"])
         assert code == 2
+        assert "error: KnightKing is a CPU engine" in out
+        assert "4 devices" in out
 
 
 class TestResilienceFlags:
@@ -402,6 +405,20 @@ class TestCompare:
         assert "NextDoor" in out
         assert "KnightKing" in out
         assert "n/a" in out  # KnightKing can't run k-hop
+
+    def test_samples_once_per_distinct_sample_set(self):
+        """Every engine prices NextDoor's run of DeepWalk; on k-hop the
+        reference sampler's sample-order grouping draws other samples,
+        so it alone runs again."""
+        runs = get_metrics().counter("engine.runs")
+        before = runs.value
+        code, _ = run_cli(["compare", "--apps", "DeepWalk", "--graph",
+                           "ppi"])
+        assert code == 0
+        assert runs.value == before + 1
+        code, _ = run_cli(["compare", "--apps", "k-hop", "--graph", "ppi"])
+        assert code == 0
+        assert runs.value == before + 3
 
 
 class TestVerify:

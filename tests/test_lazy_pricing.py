@@ -6,7 +6,9 @@ the run's step records through the engine's own ``_charge_*`` hooks.
 Two contracts: the sampling path (run, digest, encode, save, a served
 request) never constructs a device, and the lazy replay gives exactly
 what pricing inline during the loop — the pre-lazy order, written out
-below as the oracle — gives, for every engine and configuration.
+below as the oracle — gives, for every engine and configuration.  A
+third: one run priced as another engine (``priced_as``) is that
+engine's own run, wherever the two runs draw the same samples.
 """
 
 import dataclasses
@@ -31,6 +33,7 @@ from repro.gpu.device import Device
 from repro.gpu.metrics import DeviceMetrics
 from repro.gpu.multi_gpu import MultiGPU
 from repro.native.backend import available_backends, backend_scope
+from repro.obs import get_metrics
 from repro.runtime.context import ExecutionContext
 from repro.runtime.faults import FaultInjected, FaultPlan
 from repro.serve.protocol import SampleRequest, batch_digest, encode_batch
@@ -194,6 +197,84 @@ class TestLazyEqualsInline:
 
 
 # ----------------------------------------------------------------------
+# One run, priced as every engine
+# ----------------------------------------------------------------------
+
+#: The cells where a step's grouping fed the sampling and the engine
+#: groups pairs another way (sample order): its own run draws other
+#: samples, so ``priced_as`` refuses.
+REFUSED = {("ReferenceSamplerEngine", "khop"),
+           ("ReferenceSamplerEngine", "khop_unique"),
+           ("ReferenceSamplerEngine", "mvs"),
+           ("KnightKingEngine", "mvs")}
+
+
+#: Every engine at one device, the GPU engines at four as well.
+ENGINE_DEVICES = [(cls, d) for cls in ALL_ENGINES
+                  for d in ((1, 4) if issubclass(cls, NextDoorEngine)
+                            else (1,))]
+
+
+class TestPricedAs:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    @pytest.mark.parametrize(
+        "engine_cls, devices", ENGINE_DEVICES,
+        ids=[f"{cls.__name__}-D{d}" for cls, d in ENGINE_DEVICES])
+    def test_view_equals_own_run(self, engine_cls, devices, case):
+        """``NextDoorEngine().run(...).priced_as(E, D)`` is ``E``'s own
+        run at ``D`` devices in digest and every priced number; it
+        refuses exactly where a grouped step's samples would differ,
+        and an app ``E`` cannot express fails in both."""
+        factory, weighted, seed = GOLDEN_CASES[case]
+        graph = golden_graph(weighted)
+        run = NextDoorEngine().run(factory(), graph,
+                                   num_samples=GOLDEN_SAMPLES, seed=seed)
+        engine = make_engine(engine_cls)
+        try:
+            own = engine.run(factory(), graph, num_samples=GOLDEN_SAMPLES,
+                             seed=seed, num_devices=devices)
+        except ValueError:
+            assert engine_cls is repro.baselines.KnightKingEngine
+            with pytest.raises(ValueError, match="cannot express"):
+                run.priced_as(engine, devices)
+            return
+        if (engine_cls.__name__, case) in REFUSED:
+            with pytest.raises(ValueError, match="groups pairs"):
+                run.priced_as(engine, devices)
+            assert batch_digest(own.batch) != batch_digest(run.batch)
+            return
+        view = run.priced_as(engine, devices)
+        assert (view.engine, view.devices_used) == (own.engine, devices)
+        assert view.batch is run.batch
+        assert batch_digest(own.batch) == batch_digest(run.batch)
+        assert priced(view) == priced(own), (engine_cls.__name__, case)
+
+    def test_a_view_prices_once_and_leaves_the_run_alone(self, monkeypatch):
+        engine = NextDoorEngine()
+        run = _walk(engine)
+        sp = repro.baselines.SampleParallelEngine()
+        passes = _count_pricing_passes(sp, monkeypatch)
+        view = run.priced_as(sp)
+        assert passes == []
+        assert view.seconds != run.seconds
+        view.breakdown
+        assert passes == [1]
+        assert priced(run) == priced(_walk())
+
+    def test_the_run_counter_counts_runs_not_views(self):
+        runs = get_metrics().counter("engine.runs")
+        before = runs.value
+        run = _walk()
+        for engine_cls in ALL_ENGINES:
+            run.priced_as(make_engine(engine_cls)).seconds
+        assert runs.value == before + 1
+
+    def test_bad_device_count(self):
+        with pytest.raises(ValueError, match="num_devices"):
+            _walk().priced_as(NextDoorEngine(), 0)
+
+
+# ----------------------------------------------------------------------
 # One memoised pass
 # ----------------------------------------------------------------------
 
@@ -252,7 +333,9 @@ class TestPricingPass:
         assert seen[0][0] == seen[1][0] and seen[0][1] is seen[1][1]
         assert passes == [1]
 
-    def test_records_are_released_once_priced(self):
+    def test_records_live_as_long_as_the_result(self):
+        """A priced result keeps its records, so it can be priced again
+        as another engine; dropping the result frees them."""
         gc.collect()
         before = {id(o) for o in gc.get_objects()
                   if isinstance(o, stepper.StepRecord)}
@@ -262,6 +345,10 @@ class TestPricingPass:
                    and id(o) not in before]
         assert len(records) == result.steps_run
         assert result.seconds > 0
+        gc.collect()
+        assert all(ref() is not None for ref in records)
+        assert result.priced_as(NextDoorEngine(), 2).seconds > 0
+        del result
         gc.collect()
         assert not any(ref() is not None for ref in records)
 

@@ -360,11 +360,13 @@ class TestCliObs:
         assert "scheduling_index" in names
         assert "run" in names
 
-    def test_compare_prints_wallclock(self):
+    def test_compare_prints_modeled_times_only(self):
+        """Every engine runs the same sampling code, so a per-engine
+        wall-clock table would show noise and warm-up: there is none."""
         code, out = self.run_cli(["compare", "--apps", "DeepWalk",
                                   "--graph", "ppi"])
         assert code == 0
-        assert "measured wall-clock per engine" in out
+        assert "NextDoor" in out and "wall-clock" not in out
 
 
 class TestWorkerCrashDiagnostics:

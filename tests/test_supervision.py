@@ -71,7 +71,11 @@ class TestCrashRecovery:
         nothing is left in /dev/shm."""
         if timeout is not None:
             monkeypatch.setenv(TIMEOUT_ENV, timeout)
-        before_segments = set(shm.leaked_segments())
+        # Only this process's segments: another session on this host
+        # may hold live segments of its own.
+        own = f"{shm.SEGMENT_PREFIX}_{os.getpid()}_"
+        before_segments = {n for n in shm.leaked_segments()
+                           if n.startswith(own)}
         expected = _expected(medium_weighted)
         metrics = get_metrics()
         crashes = metrics.counter("pool.worker_crashes")
@@ -104,8 +108,7 @@ class TestCrashRecovery:
 
         shutdown_pools()
         shm.release_all()
-        own = f"{shm.SEGMENT_PREFIX}_{os.getpid()}_"
-        left = set(shm.leaked_segments())
+        left = {n for n in shm.leaked_segments() if n.startswith(own)}
         assert not [n for n in left if n.startswith(own)]
         assert left <= before_segments
 
