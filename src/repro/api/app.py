@@ -69,13 +69,6 @@ class SamplingApp:
     #: materialises multi-gigabyte neighborhoods in host memory.  The
     #: GPU cost model still charges the device-side construction.
     needs_combined_values: bool = True
-    #: Collective apps only: whether :meth:`sample_from_neighborhood`
-    #: reads batch state beyond ``num_samples`` and ``roots`` (layer
-    #: sampling reads ``step_vertices`` to stop grown samples).  Such
-    #: hooks are not worker-dispatchable: the multicore runtime runs
-    #: their chunks in the parent process — with the same chunked RNG
-    #: plan, so the samples are identical either way.
-    collective_needs_batch: bool = False
 
     # ------------------------------------------------------------------
     # The paper's user-defined functions

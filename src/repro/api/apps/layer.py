@@ -29,9 +29,6 @@ class Layer(SamplingApp):
     #: Uniform choice from the combined multiset == degree-weighted
     #: transit choice + uniform neighbor: no need to materialise it.
     needs_combined_values = False
-    #: The size cap below reads ``batch.step_vertices``, so the hook
-    #: must run in the parent process (not worker-dispatchable).
-    collective_needs_batch = True
 
     def __init__(self, step_size: int = 1000, max_size: int = 2000) -> None:
         if step_size < 1 or max_size < 1:

@@ -111,31 +111,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="modeled GPUs (NextDoor-family engines only)")
     p.add_argument("--workers", type=int, default=None,
                    help="sampling workers: threads of this process "
-                        "under --backend cnative, spawned worker "
-                        "processes under numpy (default 0 = "
-                        "in-process; $REPRO_WORKERS overrides the "
-                        "default; samples are identical either way)")
+                        "(default 0 = the calling thread only; "
+                        "$REPRO_WORKERS overrides the default; samples "
+                        "are identical either way)")
     p.add_argument("--chunk-size", type=int, default=None,
                    help="RNG-plan chunk size in transit pairs (changes "
                         "sampled values like a seed change; default "
                         "4096)")
-    p.add_argument("--pool-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="worker-pool watchdog: a pooled run whose "
-                        "workers make no progress for this long retires "
-                        "the pool and finishes in-process (default "
-                        "120). Only affects pooled runs (--workers >= "
-                        "1); overrides $REPRO_POOL_TIMEOUT for this "
-                        "command (see docs/CLI.md)")
     p.add_argument("--fault-plan", default=None, metavar="PLAN",
                    help="deterministic fault injection, e.g. "
-                        "'kill-before-chunk:0.3' (see docs/RESILIENCE.md"
-                        "). Pool faults need worker processes "
-                        "(--backend numpy --workers >= 1) and warn "
-                        "that they will not fire otherwise; "
-                        "interrupt-step fires at any --workers. "
-                        "Pair with --pool-timeout to tune how fast "
-                        "wedge faults are detected (see docs/CLI.md)")
+                        "'chunk-error:0.3' or 'interrupt-step:2' (see "
+                        "docs/RESILIENCE.md); the run fails with exit "
+                        "code 1")
     p.add_argument("--out", default=None,
                    help="save samples to this .npz file")
     _add_backend_flag(p)
@@ -149,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(datasets.SPECS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None,
-                   help="sampling worker processes for every engine "
-                        "(default 0 = in-process)")
+                   help="sampling threads for every engine "
+                        "(default 0 = the calling thread only)")
     _add_backend_flag(p)
     _add_obs_flags(p)
 
@@ -184,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="list the registered suites and their check "
                         "counts, then exit")
     p.add_argument("--workers", type=int, default=None,
-                   help="sampling worker processes (default 0 = "
-                        "in-process; samples are identical either way)")
+                   help="sampling threads (default 0 = the calling "
+                        "thread only; samples are identical either way)")
     p.add_argument("--seed", type=int, default=0,
                    help="sweep seed for the diff/fuzz suites (stat and "
                         "golden checks pin their own seeds)")
@@ -209,9 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--executors", type=int, default=2,
                    help="concurrent engine runs (default 2)")
     p.add_argument("--workers", type=int, default=0,
-                   help="sampling worker processes per run (default 0 "
-                        "= in-process; samples are identical either "
-                        "way)")
+                   help="sampling threads per run (default 0 = the "
+                        "run's own thread only; samples are identical "
+                        "either way)")
     p.add_argument("--chunk-size", type=int, default=None)
     p.add_argument("--default-deadline-ms", type=float, default=None,
                    help="deadline applied to requests that carry none "
@@ -289,7 +276,7 @@ def _workers_error(workers: Optional[int],
                 "docs/CLI.md)")
     if workers is not None and workers < 0:
         return (f"--workers must be >= 0, got {workers} "
-                "(0 = in-process, N = N sampling workers)")
+                "(0 = the calling thread only, N = N sampling threads)")
     try:
         resolve_workers(workers)
     except ValueError as exc:
@@ -337,47 +324,12 @@ def _cmd_sample(args, out) -> int:
               f"({args.out}); the trace would overwrite the samples",
               file=out)
         return 2
-    if args.pool_timeout is not None and args.pool_timeout <= 0:
-        print(f"error: --pool-timeout must be > 0 seconds, got "
-              f"{args.pool_timeout}", file=out)
-        return 2
-    from repro.runtime.faults import POOL_FAULTS, FaultPlan
+    from repro.runtime.faults import FaultInjected, FaultPlan
     try:
-        plan = FaultPlan.parse(args.fault_plan)
+        fault_plan = FaultPlan.parse(args.fault_plan)
     except ValueError as exc:
         print(f"error: {exc}", file=out)
         return 2
-    inert = sorted({spec.name for spec in plan.specs
-                    if spec.name in POOL_FAULTS}) if plan else []
-    if inert:
-        from repro.native.backend import active_backend
-        backend = active_backend()
-        if backend.compiled or resolve_workers(args.workers) < 1:
-            why = (f"under the {backend.name} backend --workers N runs "
-                   "N chunk threads in this process" if backend.compiled
-                   else "--workers 0 samples in this process")
-            print(f"warning: {', '.join(inert)} will not fire: {why}, "
-                  "there are no worker processes to fault (use "
-                  "--backend numpy --workers N >= 1; see "
-                  "docs/RESILIENCE.md)", file=out)
-    if args.pool_timeout is None:
-        return _run_sample(args, out, plan)
-    # The pool resolves its watchdog from the environment at call time;
-    # scope it to this command so in-process callers of main() don't
-    # inherit a stale setting.
-    from repro.runtime.pool import TIMEOUT_ENV
-    saved = os.environ.get(TIMEOUT_ENV)
-    os.environ[TIMEOUT_ENV] = repr(args.pool_timeout)
-    try:
-        return _run_sample(args, out, plan)
-    finally:
-        if saved is None:
-            os.environ.pop(TIMEOUT_ENV, None)
-        else:
-            os.environ[TIMEOUT_ENV] = saved
-
-
-def _run_sample(args, out, fault_plan) -> int:
     app = paper_app(args.app)
     graph = _resolve_graph(args, out)
     if graph is None:
@@ -388,7 +340,6 @@ def _run_sample(args, out, fault_plan) -> int:
     engine = ENGINES[args.engine](workers=args.workers,
                                   chunk_size=args.chunk_size)
     engine.fault_plan = fault_plan
-    from repro.runtime.faults import FaultInjected
     try:
         result = engine.run(app, graph, num_samples=num_samples,
                             seed=args.seed, num_devices=args.devices)

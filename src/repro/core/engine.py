@@ -202,8 +202,9 @@ class Engine:
     def __init__(self, spec, workers: Optional[int] = None,
                  chunk_size: Optional[int] = None) -> None:
         self.spec = spec
-        #: Multicore runtime: 0 = in-process; None = $REPRO_WORKERS,
-        #: default 0.  Samples are bitwise-identical for any setting.
+        #: Chunk threads: 0 = the calling thread only; None =
+        #: $REPRO_WORKERS, default 0.  Samples are bitwise-identical
+        #: for any setting.
         self.workers = workers
         #: Pairs per RNG-plan chunk (None = runtime default).
         self.chunk_size = chunk_size

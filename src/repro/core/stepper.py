@@ -96,8 +96,7 @@ def prev_transits_for(batch: SampleBatch, step: int, rows: np.ndarray,
 
 
 def step_output(num_samples: int, num_cols: int, m: int,
-                rows: np.ndarray, out: Optional[np.ndarray] = None
-                ) -> Tuple[np.ndarray, np.ndarray]:
+                rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Allocate an individual step's ``(S, T * m)`` output ``out`` and
     ``out_rows``, its view as one ``m``-wide row per transit slot.
 
@@ -106,12 +105,9 @@ def step_output(num_samples: int, num_cols: int, m: int,
     themselves, or the runtime assigns a hook's returned array there.
     NULL transits' slots are never addressed and read NULL; with no
     NULL slot ``out`` is left uninitialised, so every pair writes its
-    whole row (a zero-degree transit's NULL too).  A given ``out``
-    (``S * T * m`` int64 values, any shape) is used in place — a step
-    staged in shared memory brings its own.
+    whole row (a zero-degree transit's NULL too).
     """
-    if out is None:
-        out = np.empty(num_samples * num_cols * m, dtype=np.int64)
+    out = np.empty(num_samples * num_cols * m, dtype=np.int64)
     if rows.size < num_samples * num_cols:
         out.fill(NULL_VERTEX)
     return (out.reshape(num_samples, num_cols * m),

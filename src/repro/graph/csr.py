@@ -510,20 +510,6 @@ class CSRGraph:
         return CSRGraph.from_edges(vertices.size, edges, weights=weights,
                                    name=name or f"{self.name}-sub")
 
-    # ------------------------------------------------------------------
-    # Shared-memory export (multicore runtime)
-    # ------------------------------------------------------------------
-
-    def to_shared(self):
-        """Place this graph's arrays (and its ``row_max_weight``) in
-        ``multiprocessing.shared_memory`` and return a
-        picklable handle; see :mod:`repro.runtime.shm`.  Idempotent —
-        repeated calls reuse the same segments.  The owning process
-        must eventually call :func:`repro.runtime.shm.release_graph`
-        (also hooked on ``atexit``)."""
-        from repro.runtime.shm import export_graph
-        return export_graph(self)
-
     def memory_bytes(self) -> int:
         """Bytes this graph occupies in device memory (CSR arrays)."""
         total = self.indptr.nbytes + self.indices.nbytes

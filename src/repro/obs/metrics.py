@@ -10,9 +10,9 @@ backs the ``--stats`` / ``--stats-out`` CLI flags and the daemon's
 
 Every instrument name is a *family* that may carry labeled children::
 
-    reg.counter("pool.chunk_errors")                          # unlabeled
-    reg.counter("pool.chunk_errors",
-                labels={"app": "DeepWalk", "backend": "numpy"})
+    reg.histogram("pool.chunk_seconds")                       # unlabeled
+    reg.histogram("pool.chunk_seconds",
+                  labels={"app": "DeepWalk", "backend": "numpy"})
 
 Children of one family share a kind (asking for the same name with a
 different kind raises ``TypeError``) and are grouped under the family in
@@ -43,13 +43,10 @@ name                            kind        meaning
                                             ``backend=``; every engine
                                             observes them through
                                             ``stepper.run_steps``
-``runtime.chunks_inprocess``    counter     chunks run in the parent
-``runtime.chunks_pooled``       counter     chunks run by the worker
-                                            set: pool processes or
-                                            chunk threads
-``runtime.degraded_mode``       gauge       1 once the latest pooled run
-                                            has retired its pool and
-                                            finished in-process (else 0)
+``runtime.chunks_inprocess``    counter     chunks run one after
+                                            another on the calling
+                                            thread
+``runtime.chunks_pooled``       counter     chunks run on chunk threads
 ``runtime.backend_active``      gauge       resolved kernel backend id:
                                             0 numpy, 2 cnative; 1 retired
                                             (``BACKEND_IDS`` in
@@ -61,19 +58,11 @@ name                            kind        meaning
                                             a failed C build (every
                                             kernel; once per process)
 ``rng.chunk_streams``           counter     chunk generators derived
-``pool.chunks_dispatched``      counter     chunk messages sent to pipes
-``pool.worker_crashes``         counter     worker deaths *detected*
-                                            (pipe EOF, failed send,
-                                            watchdog) — not exception
-                                            constructions
-``pool.chunk_errors``           counter     worker-side application
-                                            exceptions in a chunk,
-                                            labeled ``app=``/``backend=``
-``pool.queue_depth``            gauge       undispatched chunks (last)
-``pool.chunk_seconds``          histogram   chunk latency on the worker
-                                            set (process or thread),
-                                            labeled ``app=``/``backend=``
+``pool.chunk_seconds``          histogram   chunk latency on chunk
+                                            threads, labeled
+                                            ``app=``/``backend=``
 ``shm.bytes_mapped``            counter     shared-memory bytes exported
+                                            (the ledger's set-up only)
 ``shm.segments_swept``          counter     orphaned segments of dead
                                             owners unlinked at startup
 ==============================  ========== =============================

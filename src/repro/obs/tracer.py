@@ -20,15 +20,13 @@ Usage::
     from repro.obs import export
     export.write_chrome_trace("trace.json")
 
-Clocks: spans are timed with ``time.monotonic()``, which on the
-platforms we support is system-wide (comparable across processes), so
-worker processes can time a chunk locally and ship ``(t_start, t_end)``
-back for the parent to record in a per-worker lane
-(:meth:`Tracer.add_span`).
+Clocks: spans are timed with ``time.monotonic()``, so a chunk thread
+can time its chunk and record ``(t_start, t_end)`` in its own
+``worker-N`` lane (:meth:`Tracer.add_span`).
 
 Lanes: every span lands in a lane — by default the recording thread
 (named via :meth:`Tracer.name_thread`), or an explicit string lane such
-as ``"worker-0"`` for events recorded on behalf of another process.
+as ``"worker-0"`` for a chunk-thread lane.
 The Chrome-trace exporter maps lanes to ``tid`` rows.
 """
 
@@ -123,7 +121,7 @@ class Tracer:
     def add_span(self, name: str, t_start: float, t_end: float,
                  lane: Optional[Lane] = None, **args) -> None:
         """Record an already-timed interval (monotonic timestamps) —
-        how worker-chunk timings shipped over the pipe become spans."""
+        how chunk threads put their chunks in their own lanes."""
         if lane is None:
             lane = threading.get_ident()
         self._record(name, float(t_start), float(t_end), lane,

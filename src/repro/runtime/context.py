@@ -1,4 +1,4 @@
-"""The per-run execution context: chunked stepping, local or pooled.
+"""The per-run execution context: chunked stepping on chunk threads.
 
 :class:`ExecutionContext` owns the run's
 :class:`~repro.runtime.rngplan.RNGPlan` and runs each step's sampling
@@ -11,35 +11,23 @@ are combined by a chunk-size-weighted mean in chunk order, so the
 charge inputs are too.  The app's type alone picks the kernels
 (vectorised hook or the base-class reference loop over ``next``).
 
-A step goes to the run's **worker set** only when more than one chunk
-is left and its hook is a pure function of ``(graph, chunk data,
-rng)`` plus at most ``batch.roots`` / ``batch.num_samples``: an
-individual step whose app overrides ``sample_neighbors``, or a
-collective step whose app overrides ``sample_from_neighborhood``,
-declares ``collective_needs_batch = False`` and needs no materialised
-combined-neighborhood values — the latter on the process pool only.
-The worker set follows the backend the run began under:
+With ``workers >= 1``, under every kernel backend, an individual step
+whose app overrides ``sample_neighbors`` and that has more than one
+chunk runs on **chunk threads**: this thread and ``workers - 1``
+helpers from one process-wide executor each take the next missing
+chunk and write its rows straight into the step array.  The first
+exception (or ``CancelledRun``) is re-raised once every started chunk
+returned.  The compiled kernels release the GIL; numpy releases it
+inside its array loops.  A hook is a pure function of ``(graph, chunk
+data, rng)`` plus reads of the batch, and every lazy graph cache is
+built whole before it is published, so a chunk gives the same rows on
+any thread.  Collective steps stay on the calling thread: threaded, a
+few ~2 ms chunks ran 0.8–1.3x the serial step, by whether the host's
+second core was free.
 
-* **Chunk threads** (compiled backend; its ``ctypes`` calls release
-  the GIL): this thread and ``workers - 1`` helpers from one
-  process-wide executor each take the next missing chunk and write its
-  rows straight into the heap step array.  The first exception (or
-  ``CancelledRun``) is re-raised once every started chunk returned.
-  Collective steps stay on the calling thread: threaded, a few ~2 ms
-  chunks ran 0.8–1.3x the serial step, by whether the host's second
-  core was free.
-* **Process pool** (numpy backend): a dispatched step is staged once in
-  a shared-memory step arena (:func:`repro.runtime.shm.open_arena`) —
-  pair arrays or transit rows and offsets, the roots, and the step
-  array — which workers write in place, answering with cost hints and
-  timings; chunks handed back unsolved run here.  A lost worker
-  (:class:`~repro.runtime.pool.WorkerCrash`) retires the pool with one
-  warning and the run finishes in-process, identically by chunk purity
-  (:meth:`ExecutionContext._abandon_pool`).
-
-Everything else runs in-process with the *same* chunk generators.  A
-run keeps no state between runs: an interrupted run is recovered by
-running it again, which gives the same batch (``docs/RESILIENCE.md``).
+A run keeps no state between runs: a run that failed or was
+interrupted is recovered by running it again, which gives the same
+batch (``docs/RESILIENCE.md``).
 
 The first :meth:`ExecutionContext.begin_run` sets the process's glibc
 allocator to keep freed memory (:func:`retain_freed_memory`), so a step
@@ -53,10 +41,8 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-import pickle
 import threading
 import time
-import warnings
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import fields
@@ -70,11 +56,10 @@ from repro.native.backend import active_backend
 from repro.obs import get_metrics, trace
 from repro.runtime.cancel import CancelledRun, CancelScope
 from repro.runtime.faults import FaultInjected, FaultPlan
-from repro.runtime.pool import WorkerCrash, get_pool, retire_pool
 from repro.runtime.rngplan import AUX_POST, AUX_TOPUP, RNGPlan
 
 __all__ = ["ExecutionContext", "resolve_workers", "combine_infos",
-           "retain_freed_memory", "shutdown_chunk_threads"]
+           "retain_freed_memory"]
 
 #: Environment variable consulted when an engine is constructed without
 #: an explicit ``workers`` argument (the CI parallel-runtime job sets
@@ -100,17 +85,20 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 @functools.lru_cache(maxsize=None)
 def retain_freed_memory() -> bool:
-    """Serve every allocation from the heap (``M_MMAP_MAX = 0``) and
-    keep up to 1 GiB of its freed top (``M_TRIM_THRESHOLD``): once per
+    """Serve every allocation from the heap (``M_MMAP_MAX = 0``), keep
+    up to 1 GiB of its freed top (``M_TRIM_THRESHOLD``) and give every
+    thread the one heap (``M_ARENA_MAX = 1``, so memory a chunk thread
+    frees is reused by whichever thread allocates next): once per
     process, through glibc's ``mallopt``.  False, changing nothing,
     where the C library has no ``mallopt``."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
         return False
-    m_trim_threshold, m_mmap_max = -1, -4
+    m_trim_threshold, m_mmap_max, m_arena_max = -1, -4, -8
     return (mallopt(m_mmap_max, 0) == 1
-            and mallopt(m_trim_threshold, 1 << 30) == 1)
+            and mallopt(m_trim_threshold, 1 << 30) == 1
+            and mallopt(m_arena_max, 1) == 1)
 
 
 #: Most helper threads the process-wide chunk executor will hold.  It
@@ -125,7 +113,7 @@ _EXECUTOR_LOCK = threading.Lock()
 def _submit_helpers(count: int, drain: Callable[[int], None]
                     ) -> List[Future]:
     """Queue ``drain(1) .. drain(count)`` on the chunk executor
-    (created here on first use, and again after a shutdown)."""
+    (created here on first use)."""
     global _EXECUTOR
     if count < 1:
         return []
@@ -136,17 +124,6 @@ def _submit_helpers(count: int, drain: Callable[[int], None]
                 thread_name_prefix="repro-chunk")
         return [_EXECUTOR.submit(drain, lane)
                 for lane in range(1, count + 1)]
-
-
-def shutdown_chunk_threads() -> None:
-    """Stop the chunk executor's threads once the helpers already
-    queued have run (:func:`repro.runtime.pool.shutdown_pools` calls
-    this); the next threaded step starts a fresh executor."""
-    global _EXECUTOR
-    with _EXECUTOR_LOCK:
-        executor, _EXECUTOR = _EXECUTOR, None
-    if executor is not None:
-        executor.shutdown(wait=True)
 
 
 def combine_infos(infos: Sequence[StepInfo],
@@ -172,8 +149,8 @@ def combine_infos(infos: Sequence[StepInfo],
 
 
 class _BatchRows:
-    """Row-slice view of a ``SampleBatch`` handed to in-process
-    collective chunks: hooks see chunk-local ``num_samples`` /
+    """Row-slice view of a ``SampleBatch`` handed to collective
+    chunks: hooks see chunk-local ``num_samples`` /
     ``roots`` / ``step_vertices``, while per-sample ``__getitem__``
     resolves to the parent batch (reference ``next`` gets full
     ``Sample`` views with correct global indices)."""
@@ -207,53 +184,14 @@ class _BatchRows:
         return self.num_samples
 
 
-class _StepArrays:
-    """The arrays one step is assembled in: ``out`` and, for individual
-    steps, its one-row-per-slot view ``out_rows``
-    (:func:`repro.core.stepper.step_output`).
-
-    Heap arrays for an in-process or threaded step, views of a
-    borrowed shared-memory arena for one dispatched to the pool.  Step code reaches them
-    only through this object, so that :meth:`close` leaves no view on
-    the arena's buffer whatever frames a propagating exception keeps
-    alive — a segment with a live view cannot be unmapped."""
-
-    def __init__(self, out: np.ndarray,
-                 out_rows: Optional[np.ndarray] = None,
-                 arena=None) -> None:
-        self.out = out
-        self.out_rows = out_rows
-        self.arena = arena
-
-    def finish(self) -> np.ndarray:
-        """The assembled step as a heap array (one copy out of the
-        arena; workers are done with it by now)."""
-        return self.out if self.arena is None else np.array(self.out)
-
-    def close(self) -> None:
-        """Drop the arrays and hand a borrowed arena back.  Only once
-        no worker holds an unanswered chunk of the step: ``run_chunks``
-        returning, or the pool having been retired, guarantees it."""
-        self.out = self.out_rows = None
-        if self.arena is not None:
-            self.arena.close()
-            self.arena = None
-
-
 class ExecutionContext:
-    """One run's RNG plan + (optional) worker set: chunk threads under
-    a compiled backend, the process pool otherwise."""
+    """One run's RNG plan + (optional) chunk threads."""
 
     def __init__(self, seed: int, workers: Optional[int] = None,
                  chunk_size: Optional[int] = None) -> None:
         self.workers = resolve_workers(workers)
         self.plan = (RNGPlan(seed, chunk_pairs=chunk_size)
                      if chunk_size is not None else RNGPlan(seed))
-        self.pool = None
-        self._pool_failed = False
-        #: True once ``begin_run`` found a compiled backend: dispatched
-        #: individual steps run on chunk threads and no pool is attached.
-        self._threads = False
         #: Cooperative cancellation/deadline token
         #: (:class:`repro.runtime.cancel.CancelScope`), checked between
         #: chunks; None = never cancelled.  Attached by the serving
@@ -263,10 +201,10 @@ class ExecutionContext:
         #: engine's ``fault_plan``, so firing budgets are per run.
         self._fault_plan: Optional[FaultPlan] = None
         #: The run's tracer — the process-global tracer captured at
-        #: construction, so worker-chunk lanes land in the run's trace.
+        #: construction, so chunk-thread lanes land in the run's trace.
         self.tracer = trace.get_tracer()
         self.metrics = get_metrics()
-        #: Labels (app/backend) for the labeled pool metrics, filled in
+        #: Labels (app/backend) for the labeled chunk metrics, filled in
         #: by ``begin_run`` once the run's app is known.
         self._run_labels: Dict[str, str] = {}
 
@@ -281,60 +219,12 @@ class ExecutionContext:
     def post_step_rng(self, step: int) -> np.random.Generator:
         return self.plan.aux_rng(step, AUX_POST)
 
-    # -- pool lifecycle ------------------------------------------------
-
     def begin_run(self, app: SamplingApp, graph) -> None:
-        """Keep freed memory in the process, then choose the run's
-        worker set: chunk threads under a compiled backend.  Otherwise
-        attach the pool (spawning if needed) and broadcast the run's app
-        + shared graph; any failure there degrades to in-process
-        execution with a warning — never a failed run."""
+        """Keep freed memory in the process and label the run's chunk
+        metrics with its app and backend."""
         retain_freed_memory()
-        backend = active_backend()
-        self._run_labels = {"app": app.name, "backend": backend.name}
-        if self.workers < 1 or self._pool_failed:
-            return
-        self.metrics.gauge("runtime.degraded_mode").set(0)
-        if backend.compiled:
-            self._threads = True
-            return
-        plan = self._fault_plan
-        if plan is not None and plan.should("unpicklable-app"):
-            return
-        try:
-            pickle.dumps(app, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            # Locally-defined / closure-carrying apps cannot reach the
-            # spawn workers.  Not a pool failure: run in-process like
-            # any other non-dispatchable hook, same chunked plan.
-            return
-        try:
-            if plan is not None and plan.should("shm-export-fail"):
-                raise OSError("injected shared-memory export failure")
-            from repro.runtime.shm import export_graph
-            handle = export_graph(graph)
-            self.pool = get_pool(self.workers)
-            if plan is not None and plan.should("broadcast-fail"):
-                raise WorkerCrash("injected broadcast failure", {})
-            self.pool.broadcast_run(app, handle, self.plan.seed,
-                                    fault_spec=plan.spec if plan
-                                    else None)
-        except WorkerCrash as exc:
-            self._abandon_pool(f"worker pool unavailable ({exc}); ")
-        except (OSError, ValueError) as exc:
-            # e.g. shared memory unsupported/full on this platform
-            self._abandon_pool(
-                f"could not share graph with workers ({exc!r}); ")
-
-    def _abandon_pool(self, why: str) -> None:
-        warnings.warn(why + "falling back to in-process execution "
-                      "(samples are unaffected)", RuntimeWarning,
-                      stacklevel=3)
-        if self.pool is not None:
-            retire_pool(self.pool)
-        self.pool = None
-        self._pool_failed = True
-        self.metrics.gauge("runtime.degraded_mode").set(1)
+        self._run_labels = {"app": app.name,
+                            "backend": active_backend().name}
 
     # -- individual steps ---------------------------------------------
 
@@ -355,10 +245,9 @@ class ExecutionContext:
         the step's cost hints.  A walk-shaped step ignores any pairs
         given: it runs its live slots in sample order.
 
-        Every chunk result — written by a pool worker or computed here
-        — lands straight in its pairs' rows of the step array, written
-        by the app's draw itself when its hook takes the destination;
-        nothing else of it is kept."""
+        Every chunk result lands straight in its pairs' rows of the step
+        array, written by the app's draw itself when its hook takes the
+        destination; nothing else of it is kept."""
         from repro.core.stepper import (prev_transits_for, step_output,
                                         walk_shaped)
         from repro.core.transit_map import sample_order_pairs
@@ -377,27 +266,18 @@ class ExecutionContext:
                                rows)[0], StepInfo()
         self.metrics.counter("rng.chunk_streams").inc(nchunks)
 
-        dispatch = (
-            (self._threads or self.pool is not None)
-            and nchunks > 1
+        threaded = (
+            self.workers >= 1 and nchunks > 1
             and type(app).sample_neighbors
             is not SamplingApp.sample_neighbors)
-        work = None
-        if dispatch and not self._threads:
-            work = self._stage_individual(batch, num_cols, m, rows,
-                                          transit_vals, prev)
-            dispatch = work is not None
-        if work is None:
-            work = _StepArrays(*step_output(
-                batch.num_samples, num_cols, m, rows))
+        out, out_rows = step_output(batch.num_samples, num_cols, m, rows)
         in_place = takes_destination(type(app))
-        #: Per-chunk cost hints; ``None`` marks a chunk still to run.
-        infos: List[Optional[StepInfo]] = [None] * nchunks
 
         def run_chunk(c: int) -> StepInfo:
+            self._maybe_chunk_error(step, c)
             lo, hi = int(bounds[c]), int(bounds[c + 1])
             own = rows[lo:hi]
-            dest = {"out_rows": work.out_rows, "rows": own} if in_place else {}
+            dest = {"out_rows": out_rows, "rows": own} if in_place else {}
             sampled, info = app.sample_neighbors(
                 graph, transit_vals[lo:hi], step,
                 self.plan.chunk_rng(step, c),
@@ -405,34 +285,16 @@ class ExecutionContext:
                 batch=batch,
                 sample_ids=own if num_cols == 1 else own // num_cols, **dest)
             if sampled is not None:
-                work.out_rows[own] = sampled
+                out_rows[own] = sampled
             return info
 
-        sampling_span = self.tracer.span(
-            "sampling.individual", step=step,
-            pairs=int(transit_vals.size), chunks=nchunks,
-            dispatched=bool(dispatch))
-        try:
-            with sampling_span:
-                if dispatch and self._threads:
-                    self._run_on_threads(step, run_chunk, infos)
-                elif dispatch:
-                    for c, info in self._dispatch(
-                            "ichunk", step, bounds, work.arena).items():
-                        infos[c] = info
-                for c in range(nchunks):
-                    if infos[c] is not None:
-                        continue
-                    self._check_cancel(f"step {step} chunk {c}")
-                    with self.tracer.span(
-                            "chunk", step=step, chunk=c,
-                            pairs=int(bounds[c + 1] - bounds[c])):
-                        infos[c] = run_chunk(c)
-                    self.metrics.counter("runtime.chunks_inprocess").inc()
-            return work.finish(), combine_infos(
-                infos, np.diff(bounds).tolist())
-        finally:
-            work.close()
+        with self.tracer.span(
+                "sampling.individual", step=step,
+                pairs=int(transit_vals.size), chunks=nchunks,
+                dispatched=threaded):
+            infos = self._sample_chunks(step, bounds, "pairs", run_chunk,
+                                        threaded)
+        return out, combine_infos(infos, np.diff(bounds).tolist())
 
     # -- collective steps ---------------------------------------------
 
@@ -472,29 +334,11 @@ class ExecutionContext:
             return empty, StepInfo(), None, np.diff(offsets)
         self.metrics.counter("rng.chunk_streams").inc(nchunks)
 
-        # Process pool only: chunk threads leave a collective step to
-        # the calling thread (module docstring).
-        dispatch = (
-            self.pool is not None and nchunks > 1
-            and values is None and not app.collective_needs_batch
-            and type(app).sample_from_neighborhood
-            is not SamplingApp.sample_from_neighborhood)
-        out_shape = (num_rows, app.sample_size(step))
-        work = None
-        if dispatch:
-            arena = self._open_arena(
-                {"transits": transits, "offsets": offsets},
-                {"out": out_shape})
-            if arena is not None:
-                # Every sample row belongs to a chunk: nothing to blank.
-                work = _StepArrays(arena.views["out"], arena=arena)
-            dispatch = work is not None
-        if work is None:
-            work = _StepArrays(
-                np.full(out_shape, NULL_VERTEX, dtype=np.int64))
-        infos: List[Optional[StepInfo]] = [None] * nchunks
+        out = np.full((num_rows, app.sample_size(step)), NULL_VERTEX,
+                      dtype=np.int64)
 
         def run_chunk(c: int) -> StepInfo:
+            self._maybe_chunk_error(step, c)
             lo, hi = int(bounds[c]), int(bounds[c + 1])
             vertices, info = app.sample_from_neighborhood(
                 graph, _BatchRows(batch, lo, hi),
@@ -502,36 +346,20 @@ class ExecutionContext:
                 else values[offsets[lo]:offsets[hi]],
                 offsets[lo:hi + 1] - offsets[lo], transits[lo:hi], step,
                 self.plan.chunk_rng(step, c))
-            work.out[lo:hi] = vertices
+            out[lo:hi] = vertices
             return info
 
-        sampling_span = self.tracer.span(
-            "sampling.collective", step=step, rows=num_rows,
-            chunks=nchunks, dispatched=bool(dispatch))
-        try:
-            with sampling_span:
-                if dispatch:
-                    for c, info in self._dispatch(
-                            "cchunk", step, bounds, work.arena).items():
-                        infos[c] = info
-                for c in range(nchunks):
-                    if infos[c] is not None:
-                        continue
-                    self._check_cancel(f"step {step} chunk {c}")
-                    with self.tracer.span(
-                            "chunk", step=step, chunk=c,
-                            rows=int(bounds[c + 1] - bounds[c])):
-                        infos[c] = run_chunk(c)
-                    self.metrics.counter("runtime.chunks_inprocess").inc()
-            new_vertices = work.finish()
-        finally:
-            work.close()
+        # Never threaded (module docstring).
+        with self.tracer.span(
+                "sampling.collective", step=step, rows=num_rows,
+                chunks=nchunks, dispatched=False):
+            infos = self._sample_chunks(step, bounds, "rows", run_chunk,
+                                        threaded=False)
         info = combine_infos(infos, np.diff(bounds).tolist())
-        edges = app.record_step_edges(graph, batch, transits,
-                                      new_vertices, step)
-        return new_vertices, info, edges, np.diff(offsets)
+        edges = app.record_step_edges(graph, batch, transits, out, step)
+        return out, info, edges, np.diff(offsets)
 
-    # -- faults, cancellation, and pool dispatch ----------------------
+    # -- faults, cancellation, and chunk threads -----------------------
 
     def _maybe_interrupt(self, step: int) -> None:
         """Deterministic stand-in for ctrl-C: the ``interrupt-step``
@@ -540,6 +368,14 @@ class ExecutionContext:
         if self._fault_plan is not None and self._fault_plan.should(
                 "interrupt-step", step):
             raise FaultInjected(f"injected interrupt at step {step}")
+
+    def _maybe_chunk_error(self, step: int, chunk: int) -> None:
+        """The ``chunk-error`` fault: raise inside chunk ``chunk`` of
+        ``step``, on whichever thread runs it."""
+        if self._fault_plan is not None and self._fault_plan.should(
+                "chunk-error", step, chunk):
+            raise FaultInjected(
+                f"injected chunk error (step {step}, chunk {chunk})")
 
     def _check_cancel(self, where: str) -> None:
         """Raise :class:`~repro.runtime.cancel.CancelledRun` at a chunk
@@ -551,6 +387,25 @@ class ExecutionContext:
             except Exception:
                 self.metrics.counter("runtime.runs_cancelled").inc()
                 raise
+
+    def _sample_chunks(self, step: int, bounds: np.ndarray, unit: str,
+                       run_chunk: Callable[[int], StepInfo],
+                       threaded: bool) -> List[StepInfo]:
+        """Every chunk's cost hints, in chunk order: on chunk threads
+        when ``threaded``, else one after another on this thread, each
+        in a ``chunk`` span whose ``unit`` argument is its size."""
+        infos: List[Optional[StepInfo]] = [None] * (bounds.size - 1)
+        if threaded:
+            self._run_on_threads(step, run_chunk, infos)
+            return infos
+        inprocess = self.metrics.counter("runtime.chunks_inprocess")
+        for c in range(len(infos)):
+            self._check_cancel(f"step {step} chunk {c}")
+            with self.tracer.span("chunk", step=step, chunk=c, **{
+                    unit: int(bounds[c + 1] - bounds[c])}):
+                infos[c] = run_chunk(c)
+            inprocess.inc()
+        return infos
 
     def _run_on_threads(self, step: int,
                         run_chunk: Callable[[int], StepInfo],
@@ -601,76 +456,3 @@ class ExecutionContext:
             if isinstance(errors[0], CancelledRun):
                 self.metrics.counter("runtime.runs_cancelled").inc()
             raise errors[0]
-
-    def _open_arena(self, staged: Dict[str, np.ndarray],
-                    blank: Dict[str, Tuple[int, ...]]):
-        """Borrow a step arena holding copies of the ``staged`` arrays
-        and uninitialised ``int64`` arrays of the ``blank`` shapes.
-        When shared memory gives out the pool is abandoned like any
-        other export failure and ``None`` is returned."""
-        from repro.runtime import shm
-        layout = tuple(
-            [(name, arr.dtype.str, arr.shape)
-             for name, arr in staged.items()]
-            + [(name, np.dtype(np.int64).str, shape)
-               for name, shape in blank.items()])
-        try:
-            arena = shm.open_arena(layout)
-        except OSError as exc:
-            self._abandon_pool(
-                f"could not stage the step for workers ({exc!r}); ")
-            return None
-        for name, arr in staged.items():
-            arena.views[name][...] = arr
-        return arena
-
-    def _stage_individual(self, batch, num_cols: int, m: int,
-                          rows: np.ndarray, transit_vals: np.ndarray,
-                          prev: Optional[np.ndarray]
-                          ) -> Optional[_StepArrays]:
-        """An individual step staged for workers: its pair arrays, the
-        batch roots (workers read a pair's sample as ``rows // T``) and
-        the step array, blanked by ``step_output``."""
-        from repro.core.stepper import step_output
-        staged = {"vals": transit_vals, "rows": rows, "roots": batch.roots}
-        if prev is not None:
-            staged["prev"] = prev
-        num_samples = batch.num_samples
-        arena = self._open_arena(staged, {"out": (num_samples, num_cols, m)})
-        if arena is None:
-            return None
-        return _StepArrays(
-            *step_output(num_samples, num_cols, m, rows,
-                         out=arena.views["out"]),
-            arena=arena)
-
-    def _dispatch(self, kind: str, step: int, bounds: np.ndarray,
-                  arena) -> Dict[int, StepInfo]:
-        """Run the chunks of the step staged in ``arena`` on the pool;
-        returns the cost hints of those whose rows the workers wrote.
-        Absent chunks (an application error in a worker, or lost with a
-        crashed pool — retired before this returns) are the caller's to
-        run in-process."""
-        jobs = [(c, (kind, c, step, self.plan.chunk_key(step, c),
-                     arena.name, arena.layout,
-                     int(bounds[c]), int(bounds[c + 1])))
-                for c in range(bounds.size - 1)]
-        try:
-            replies = self.pool.run_chunks(jobs)
-        except WorkerCrash as exc:
-            replies = dict(exc.results)
-            self._abandon_pool(
-                f"worker pool crashed mid-step ({exc}); re-running "
-                f"{len(jobs) - len(replies)} chunks in-process and ")
-        chunk_seconds = self.metrics.histogram(
-            "pool.chunk_seconds", labels=self._run_labels or None)
-        self.metrics.counter("runtime.chunks_pooled").inc(len(replies))
-        # ``(worker, t_start, t_end)`` are worker-side
-        # ``time.monotonic()`` readings, comparable with the parent's
-        # clock on the platforms we support: they become per-worker
-        # trace lanes + the chunk latency histogram.
-        for c, (_, (w, t0, t1)) in replies.items():
-            chunk_seconds.observe(t1 - t0)
-            self.tracer.add_span("chunk", t0, t1, lane=f"worker-{w}",
-                                 step=step, chunk=c)
-        return {c: info for c, (info, _) in replies.items()}

@@ -5,9 +5,8 @@ chunks and samples every chunk with its own
 :class:`numpy.random.Generator`, seeded by ``SeedSequence(entropy=seed,
 spawn_key=key)`` — what ``SeedSequence(seed).spawn()`` hands out, minus
 spawning in sequence.  A chunk's stream is a pure function of ``(seed,
-step, chunk)``, so the same plan is consumed in-process or on any
-number of workers, in any completion order, and a chunk re-run after a
-lost worker re-creates its generator from scratch.  Root selection,
+step, chunk)``, so the same plan is consumed on one thread or on any
+number of chunk threads, in any completion order.  Root selection,
 the unique top-up and ``post_step`` each get their own keyed stream,
 so their draws cannot shift with the chunk count.
 
@@ -82,12 +81,12 @@ def _seed_words(seed: int, key: Tuple[int, ...]) -> _SeedWords:
 
 def generator_for(seed: int, key: Tuple[int, ...]) -> np.random.Generator:
     """The Generator for one plan key: ``SeedSequence`` keyed off the
-    run seed.  Pure function of ``(seed, key)`` — safe to call in any
-    process, any number of times.
+    run seed.  Pure function of ``(seed, key)`` — safe to call on any
+    thread, any number of times.
 
     Seed hashing dominates the cost of small chunks, so the hashed
     words are memoised per ``(seed, key)``: repeated runs (benchmark
-    repeats, verify re-runs, long-lived pool workers) rebuild each
+    repeats, verify re-runs, a long-lived daemon) rebuild each
     chunk generator from its cached words — states are identical to
     the uncached construction, only faster.
     """
@@ -118,12 +117,9 @@ class RNGPlan:
         """Stream for root selection + ``app.init_state``."""
         return generator_for(self.seed, (_DOMAIN_INIT,))
 
-    def chunk_key(self, step: int, chunk: int) -> Tuple[int, ...]:
-        return (_DOMAIN_STEP, step, chunk)
-
     def chunk_rng(self, step: int, chunk: int) -> np.random.Generator:
         """Stream for chunk ``chunk`` of step ``step``'s sampling."""
-        return generator_for(self.seed, self.chunk_key(step, chunk))
+        return generator_for(self.seed, (_DOMAIN_STEP, step, chunk))
 
     def aux_rng(self, step: int, slot: int) -> np.random.Generator:
         """Per-step aux stream (``AUX_TOPUP`` / ``AUX_POST``)."""

@@ -1,12 +1,9 @@
-"""Warm graph cache: repeat tenants skip reload and re-broadcast.
+"""Warm graph cache: repeat tenants skip the reload.
 
-Loading a dataset stand-in (or parsing an edge-list file) and
-broadcasting it to the worker pool are the expensive, request-
-independent parts of a sampling request.  The daemon loads each graph
-once and reuses it: because the pool's ``broadcast_run`` ships a
-shared-memory *handle* derived from the graph object, reusing the same
-object means repeat requests re-attach the existing segment instead of
-re-exporting gigabytes.
+Loading a dataset stand-in (or parsing an edge-list file) is the
+expensive, request-independent part of a sampling request.  The daemon
+loads each graph once and reuses the object, so repeat requests also
+reuse its lazily built caches (degrees, weighted-draw records).
 
 Keys are content-derived, not name-derived:
 

@@ -10,7 +10,7 @@ request::
     gate.enter: waiting room full       429+Retry-After
                 closed while waiting    503
                 deadline while waiting  504 (dequeue)
-    run on warm engine+pool
+    run on a warm graph
       (CancelScope between chunks)
       deadline mid-run                  504
     gate.leave
@@ -26,9 +26,8 @@ Robustness properties, each asserted by ``repro verify --suite serve``:
 * deadlines are enforced at enqueue, at dequeue, and between chunks;
   a cancelled run discards partial work and is accounted in
   ``serve.deadline_exceeded``;
-* a worker lost mid-request retires the pool and the run finishes
-  in-process with the response bits unchanged; the next pooled request
-  gets a fresh pool;
+* a chunk that raises fails its request with a structured error, and
+  the next identical request returns the fault-free bits;
 * SIGTERM drains gracefully: stop admitting (503), finish in-flight
   requests, flush the stats snapshot, exit 0.
 """
@@ -64,7 +63,7 @@ class ServerConfig:
     queue_capacity: int = 16
     #: Concurrent engine runs (the admission gate's run slots).
     executors: int = 2
-    #: Worker processes per engine run (0 = in-process sampling).
+    #: Chunk threads per engine run (0 = the run's own thread only).
     workers: int = 0
     chunk_size: Optional[int] = None
     #: Deadline applied when a request carries none (None = unbounded).

@@ -9,8 +9,8 @@ on a random graph and asserts the properties every correct execution
 must have:
 
 * two runs with the same seed agree bitwise (no state leaks);
-* one-process and worker-pool runs agree bitwise (the chunked RNG
-  plan is worker-count independent);
+* serial and chunk-thread runs agree bitwise (the chunked RNG plan is
+  worker-count independent);
 * the reference ``next`` path yields the same roots and shapes and
   passes the same invariants (it consumes the RNG plan in a
   different pair order, so it is distributionally — not bitwise —

@@ -37,10 +37,10 @@ _POOLED_VERTICES = 1500
 _POOLED_EDGES = 9000
 
 #: name -> (app factory, weighted?, num_samples).  Sizes chosen so at
-#: least one step exceeds DEFAULT_CHUNK_PAIRS and the pool really
-#: dispatches (DeepWalk: 6000 pairs/step; k-hop step 1: 4 * 2048;
-#: LADIES: four collective chunks of 128 sample rows, the last ragged —
-#: chunked on the calling thread under chunk threads, pooled under numpy).
+#: least one step exceeds DEFAULT_CHUNK_PAIRS and chunk threads really
+#: run it (DeepWalk: 6000 pairs/step; k-hop step 1: 4 * 2048; LADIES:
+#: four collective chunks of 128 sample rows, the last ragged, chunked
+#: on the calling thread).
 POOLED_CASES = {
     "deepwalk_pooled": (
         lambda: _apps().DeepWalk(walk_length=12), True, 6000),

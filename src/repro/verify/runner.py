@@ -68,7 +68,7 @@ SUITE_INFO: Dict[str, Tuple[int, str]] = {
     "diff": (20, "reference-vs-engine differential sweeps"),
     "golden": (10, "pinned golden sample fixtures"),
     "fuzz": (31, "randomized graph/app property fuzzing"),
-    "chaos": (5, "bitwise identity under injected faults"),
+    "chaos": (2, "a chunk error fails the run; a re-run is identical"),
     "native": (16, "compiled-backend sampling parity"),
     "serve": (7, "daemon-vs-direct identity, backpressure, drain"),
 }

@@ -5,9 +5,9 @@ Each check boots a real :class:`~repro.serve.server.SamplingServer` on
 an ephemeral port (test hooks enabled) and drives it with the real
 HTTP client, then asserts against a **direct** in-process engine run:
 
-* plain, five-way concurrent identical, post-cancellation, and
-  mid-request-worker-kill responses are digest-identical to
-  ``repro sample`` output;
+* plain, five-way concurrent identical, post-cancellation and
+  post-chunk-error responses are digest-identical to ``repro sample``
+  output, and the faulted request itself is a structured error;
 * a queue-full rejection is deterministic (same request, same
   rejection, honest positive ``retry_after_s``) and does not perturb
   the bits of requests around it;
@@ -24,7 +24,6 @@ import warnings
 from typing import List, Optional
 
 from repro.core.engine import NextDoorEngine
-from repro.native.backend import backend_scope
 from repro.obs import get_metrics
 from repro.serve.client import RetryPolicy, ServeClient
 from repro.serve.protocol import SampleRequest, batch_digest
@@ -68,12 +67,10 @@ def _result(name: str, problems: List[str],
                        detail="; ".join(problems))
 
 
-@backend_scope("numpy")
 def run_serve_checks(workers: Optional[int] = None,
                      seed: int = 0) -> List[CheckResult]:
-    """All serving scenarios; ``workers`` defaults to 2 and the
-    backend is pinned to ``numpy`` (the kill check needs a pool to
-    wound; a compiled backend runs chunk threads)."""
+    """All serving scenarios; ``workers`` defaults to 2 chunk
+    threads."""
     del seed  # scenarios pin their seed: identity must be exact
     workers = workers if workers and workers >= 1 else 2
     results: List[CheckResult] = []
@@ -91,7 +88,7 @@ def run_serve_checks(workers: Optional[int] = None,
             results.append(_check_concurrent_identical(server, direct))
             results.append(_check_deadline_enqueue(client))
             results.append(_check_cancel_midrun(client, direct))
-            results.append(_check_worker_kill(client, direct))
+            results.append(_check_chunk_error(client, direct))
         results.append(_check_queue_full(direct))
         results.append(_check_drain(direct))
     assert len(results) == CHECK_COUNT, "update CHECK_COUNT"
@@ -168,24 +165,22 @@ def _check_cancel_midrun(client: ServeClient, direct) -> CheckResult:
     return _result("midrun_cancel_then_clean", problems)
 
 
-def _check_worker_kill(client: ServeClient, direct) -> CheckResult:
-    """A worker killed mid-request is detected and the run finishes
-    in-process; the response bits never change."""
+def _check_chunk_error(client: ServeClient, direct) -> CheckResult:
+    """A chunk that raises fails its request with a structured error,
+    and the next identical request is bit-perfect (the failed run left
+    nothing behind)."""
     problems: List[str] = []
-    before = get_metrics().counter("pool.worker_crashes").value
-    r = client.sample(
-        _request(hooks={"fault_plan": "kill-before-chunk:0.1"}))
-    if r.status != "ok":
-        problems.append(f"status {r.status}: "
-                        f"{r.response.get('error')}")
-    elif r.digest != direct["k-hop"]:
-        problems.append(f"digest {r.digest} != direct")
-    crashes = get_metrics().counter(
-        "pool.worker_crashes").value - before
-    if crashes < 1:
-        problems.append("no worker crash recorded (fault never fired?)")
-    return _result("worker_kill_heals_bitwise", problems,
-                   statistic=crashes)
+    failed = client.sample(
+        _request(hooks={"fault_plan": "chunk-error:0.1"}))
+    if failed.status != "error":
+        problems.append(f"faulted status {failed.status}")
+    elif "injected chunk error" not in str(failed.response.get("error")):
+        problems.append(f"error {failed.response.get('error')!r}")
+    clean = client.sample(_request())
+    if clean.status != "ok" or clean.digest != direct["k-hop"]:
+        problems.append("request after the chunk error lost bit parity "
+                        f"({clean.status}, {clean.digest})")
+    return _result("chunk_error_then_clean", problems)
 
 
 def _check_queue_full(direct) -> CheckResult:

@@ -61,11 +61,8 @@ def backend(request):
 
 
 @pytest.fixture
-def process_pool():
-    """The numpy backend, whatever ``$REPRO_BACKEND`` says: the backend
-    under which ``workers >= 1`` means the worker *processes* these
-    tests supervise, crash and stage arenas for (a compiled backend runs
-    chunk threads, tests/test_chunk_threads.py)."""
+def numpy_backend():
+    """The numpy backend, whatever ``$REPRO_BACKEND`` says."""
     with backend_scope("numpy"):
         yield
 

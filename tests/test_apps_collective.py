@@ -199,13 +199,14 @@ class TestRecordStepEdges:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
 
+    @pytest.mark.usefixtures("numpy_backend")
     def test_blocks_are_invisible_and_bounded(self, medium_graph,
-                                              monkeypatch, process_pool):
+                                              monkeypatch):
         """Adversarial step (every transit and new vertex distinct)
         under a tiny bound: several blocks, no bitmap above the bound,
         output identical to the single-block run and the oracle.  (The
-        numpy rendering — ``process_pool`` pins that backend; the C one
-        is blocked in ``test_native_backend``.)"""
+        numpy rendering; the C one is blocked in
+        ``test_native_backend``.)"""
         ids = np.random.default_rng(5).permutation(1024)
         transits = ids[:512].reshape(64, 8)
         new_vertices = ids[512:].reshape(64, 8)

@@ -1,15 +1,19 @@
-"""Chunk threads: ``workers >= 1`` under the compiled backend.
+"""Chunk threads: ``workers >= 1`` under every kernel backend.
 
-The C kernels release the GIL, so a dispatched step's chunks run on
-``workers`` threads of this process (the caller and helpers from one
-process-wide executor) and write their rows straight into the heap step
-array: no worker process, graph export, broadcast or step arena.  Under
-test: the threaded run is the serial run bit for bit, a failing or
+A dispatched step's chunks run on ``workers`` threads of this process
+(the caller and helpers from one process-wide executor) and write their
+rows straight into the heap step array: no worker process, graph
+export, broadcast or shared memory.  The C kernels release the GIL;
+numpy releases it inside its array loops.  Under test, under each
+backend: the threaded run is the serial run bit for bit, a failing or
 cancelled chunk surfaces in the caller only once every thread has
 stopped, concurrent runs cannot see each other, un-picklable apps run
 threaded, and ``/dev/shm`` is never touched.  A collective step is not
 dispatched: its chunks, and the one edge-recording call, stay on the
 calling thread.
+
+Classes run under ``cnative``; a subclass with ``backend_name =
+"numpy"`` runs the same tests under numpy.
 """
 
 import pickle
@@ -21,19 +25,14 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.api.apps import LADIES, PPR, DeepWalk, KHop, Node2Vec
+from repro.api.apps import LADIES, PPR, DeepWalk, FastGCN, KHop, Node2Vec
 from repro.core.engine import NextDoorEngine
 from repro.graph.generators import rmat_graph
 from repro.native.backend import available_backends, backend_scope
 from repro.obs import get_metrics
-from repro.runtime import pool as pool_module
 from repro.runtime import shm
 from repro.runtime.cancel import CancelledRun, CancelScope
-from repro.runtime.pool import shutdown_pools
 from repro.serve.protocol import batch_digest
-
-pytestmark = pytest.mark.skipif(
-    "cnative" not in available_backends(), reason="no C compiler")
 
 SAMPLES = 250
 
@@ -43,16 +42,23 @@ APPS = {
     "node2vec": lambda: Node2Vec(walk_length=8, p=2.0, q=0.5),
     "ppr": lambda: PPR(termination_prob=0.2, max_steps=10),
     "ladies": lambda: LADIES(step_size=16, batch_size=16),
+    "fastgcn": lambda: FastGCN(step_size=16, batch_size=16),
 }
+
+#: Collective apps: their steps stay on the calling thread.
+COLLECTIVE = {"ladies", "fastgcn"}
 
 
 @pytest.fixture(autouse=True)
-def cnative():
-    shutdown_pools()  # pools of earlier modules: none may appear here
-    with backend_scope("cnative") as backend:
+def chunk_backend(request):
+    """The class's ``backend_name`` (default ``cnative``), active for
+    the test."""
+    name = getattr(request.cls, "backend_name", "cnative")
+    if name not in available_backends():
+        pytest.skip("no C compiler")
+    with backend_scope(name) as backend:
         yield backend
-    shutdown_pools()
-    assert not backend._failed  # else the threads ran numpy kernels
+    assert not getattr(backend, "_failed", None)  # else numpy ran
 
 
 def _counter(name):
@@ -64,7 +70,7 @@ def _run(app, graph, workers, chunk, **engine_attrs):
     for name, value in engine_attrs.items():
         setattr(engine, name, value)
     with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)  # no degrade
+        warnings.simplefilter("error", RuntimeWarning)  # no C fallback
         return engine.run(app, graph, num_samples=SAMPLES, seed=11)
 
 
@@ -81,14 +87,13 @@ class TestIdentity:
         before = _counter("runtime.chunks_pooled")
         threaded = _run(APPS[name](), medium_weighted, workers, chunk)
         assert batch_digest(threaded.batch) == batch_digest(serial.batch)
-        assert threaded.seconds == serial.seconds
+        assert repr(threaded.seconds) == repr(serial.seconds)
         assert threaded.breakdown == serial.breakdown
         pooled = _counter("runtime.chunks_pooled") - before
-        if name == "ladies":
+        if name in COLLECTIVE:
             assert pooled == 0  # collective: chunked on the caller
         elif chunk == 96 or name == "khop":
             assert pooled > 0
-        assert pool_module._POOLS == {}
 
     def test_no_shared_memory_is_touched(self):
         graph = rmat_graph(500, 4000, seed=2, name="threads-rmat")
@@ -116,6 +121,10 @@ class TestIdentity:
         threaded = _run(Local(fanouts=(5, 3)), medium_weighted, 2, 96)
         assert batch_digest(threaded.batch) == batch_digest(serial.batch)
         assert _counter("runtime.chunks_pooled") > before
+
+
+class TestIdentityNumpy(TestIdentity):
+    backend_name = "numpy"
 
 
 class _EdgeSpy(LADIES):
@@ -258,6 +267,10 @@ class TestFailureAndCancel:
         assert _counter("runtime.runs_cancelled") == before + 1
 
 
+class TestFailureAndCancelNumpy(TestFailureAndCancel):
+    backend_name = "numpy"
+
+
 class TestConcurrentRuns:
     def test_two_apps_on_two_threads(self, medium_weighted):
         """The ``repro serve --workers 2 --executors 2`` shape: with no
@@ -293,3 +306,7 @@ class TestConcurrentRuns:
         assert errors == []
         for n in names:
             assert seen[n] == [direct[n]] * 6
+
+
+class TestConcurrentRunsNumpy(TestConcurrentRuns):
+    backend_name = "numpy"

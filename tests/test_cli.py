@@ -145,16 +145,6 @@ class TestErrorPaths:
                         "--samples", "4"]) == (
             2, "error: $REPRO_WORKERS must be an integer >= 0, got 'abc'\n")
 
-    def test_pool_fault_warns_without_workers(self):
-        """At ``--workers 0`` no worker process exists under any
-        backend, so a worker-side fault cannot fire — and says so."""
-        code, out = run_cli(["sample", "--app", "DeepWalk", "--graph",
-                             "ppi", "--samples", "10", "--backend", "numpy",
-                             "--workers", "0", "--fault-plan",
-                             "chunk-error:0"])
-        assert code == 0
-        assert "warning: chunk-error will not fire: --workers 0" in out
-
     def test_interrupt_step_fires_without_workers(self):
         """A parent-side fault needs no worker: it stops a ``--workers
         0`` run with no warning, and the flag's help says so."""
@@ -171,7 +161,7 @@ class TestErrorPaths:
         help_text = next(a.help for a in sample._actions
                          if "--fault-plan" in a.option_strings)
         assert "inert" not in help_text
-        assert "interrupt-step fires at any --workers" in help_text
+        assert "chunk-error" in help_text and "interrupt-step" in help_text
 
     def test_negative_workers_compare(self):
         code, out = run_cli(["compare", "--apps", "DeepWalk",
@@ -324,23 +314,6 @@ class TestSample:
 
 
 class TestResilienceFlags:
-    def test_bad_pool_timeout_rejected(self):
-        code, out = run_cli(["sample", "--app", "DeepWalk",
-                             "--graph", "ppi", "--samples", "8",
-                             "--pool-timeout", "0"])
-        assert code == 2
-        assert "--pool-timeout" in out
-
-    def test_pool_timeout_env_is_scoped_to_the_command(self):
-        import os
-        from repro.runtime.pool import TIMEOUT_ENV
-        assert TIMEOUT_ENV not in os.environ
-        code, _ = run_cli(["sample", "--app", "DeepWalk",
-                           "--graph", "ppi", "--samples", "8",
-                           "--pool-timeout", "33.5"])
-        assert code == 0
-        assert TIMEOUT_ENV not in os.environ
-
     def test_bad_fault_plan_rejected(self):
         code, out = run_cli(["sample", "--app", "DeepWalk",
                              "--graph", "ppi", "--samples", "8",
@@ -364,27 +337,20 @@ class TestResilienceFlags:
         for plan in plans:
             assert FaultPlan.parse(plan) is not None, plan
 
-    def test_worker_faults_warn_once_under_chunk_threads(self):
-        """``--workers 2 --backend cnative`` is two threads: a
-        worker-side fault has no process to fire in, and says so; a
-        parent-side one, or the numpy backend, does not warn."""
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    def test_chunk_error_fails_the_run_under_every_backend(self, workers):
+        """``chunk-error`` fires in the chunk, on the calling thread or
+        a chunk thread, under every backend: exit 1, no warning."""
         from repro.native.backend import available_backends
-        if "cnative" not in available_backends():
-            pytest.skip("no C compiler")
-        base = ["sample", "--app", "DeepWalk", "--graph", "ppi",
-                "--samples", "64", "--workers", "2", "--chunk-size", "16"]
-        code, out = run_cli(base + [
-            "--backend", "cnative", "--fault-plan",
-            "kill-before-chunk:0.1,chunk-error:1.0,interrupt-step:500"])
-        assert code == 0
-        assert out.count("warning:") == 1
-        assert "chunk-error, kill-before-chunk will not fire" in out
-        code, out = run_cli(base + ["--backend", "cnative",
-                                    "--fault-plan", "interrupt-step:500"])
-        assert code == 0 and "warning:" not in out
-        code, out = run_cli(base + ["--backend", "numpy", "--fault-plan",
-                                    "chunk-error:1.0"])
-        assert code == 0 and "will not fire" not in out
+        for backend in available_backends():
+            code, out = run_cli([
+                "sample", "--app", "DeepWalk", "--graph", "ppi",
+                "--samples", "64", "--chunk-size", "16", "--workers",
+                workers, "--backend", backend, "--fault-plan",
+                "chunk-error:1.2"])
+            assert code == 1, out
+            assert "injected chunk error (step 1, chunk 2)" in out
+            assert "warning" not in out
 
     @pytest.mark.parametrize("flags", [["--checkpoint", "ck"],
                                        ["--resume"]])
@@ -393,6 +359,14 @@ class TestResilienceFlags:
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(
                 ["sample", "--app", "DeepWalk"] + flags)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_pool_timeout_is_gone(self, capsys):
+        """No worker process, so no watchdog to tune."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["sample", "--app", "DeepWalk", "--pool-timeout", "5"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 

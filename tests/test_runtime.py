@@ -1,11 +1,11 @@
 """The multicore sampling runtime (repro.runtime).
 
-The contract under test: the worker pool changes *wall-clock only*.
+The contract under test: chunk threads change *wall-clock only*.
 Samples are bitwise-identical for any worker count (the chunked RNG
 plan is a pure function of ``(seed, step, chunk)``), every modeled
-charge is untouched (the parent still builds full-batch transit maps),
-crashes degrade to in-process execution with correct samples, and no
-shared-memory segment outlives its owner.
+charge is untouched (the run still builds full-batch transit maps), and
+no process leaves a shared-memory segment behind — the ledger's
+residual graph export and pool set-up included.
 """
 
 import os
@@ -20,19 +20,17 @@ from repro.api.apps import DeepWalk, KHop, LADIES, Node2Vec
 from repro.core.engine import NextDoorEngine, do_sampling
 from repro.runtime import (
     DEFAULT_CHUNK_PAIRS,
-    ExecutionContext,
     RNGPlan,
-    export_graph,
-    import_graph,
-    release_graph,
     resolve_workers,
 )
 from repro.runtime.context import WORKERS_ENV, combine_infos
-from repro.runtime.pool import get_pool, shutdown_pools
+from repro.runtime.pool import WorkerPool, get_pool, shutdown_pools
 from repro.runtime.shm import (
     SEGMENT_PREFIX,
-    close_imported,
+    export_graph,
+    import_graph,
     leaked_segments,
+    release_all,
 )
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
@@ -44,8 +42,8 @@ CHUNK = 64
 def _run(app_factory, graph, workers, num_samples=256, seed=11, **kw):
     engine = NextDoorEngine(workers=workers, chunk_size=CHUNK)
     with warnings.catch_warnings():
-        # A pool fallback would still produce identical samples, but
-        # then the test would not be exercising the workers at all.
+        # A compiled kernel that fell back to numpy warns: the test
+        # would then not exercise the backend it names.
         warnings.simplefilter("error", RuntimeWarning)
         return engine.run(app_factory(), graph, num_samples=num_samples,
                           seed=seed, **kw)
@@ -111,12 +109,12 @@ class TestCombineInfos:
 
 
 # ----------------------------------------------------------------------
-# Zero-copy graph sharing.
+# Zero-copy graph sharing (the ledger's cold set-up only).
 # ----------------------------------------------------------------------
 
 class TestSharedGraph:
     def test_round_trip_equality(self, medium_weighted):
-        handle = medium_weighted.to_shared()
+        handle = export_graph(medium_weighted)
         try:
             g = import_graph(handle)
             assert np.array_equal(g.indptr, medium_weighted.indptr)
@@ -133,9 +131,8 @@ class TestSharedGraph:
                 assert not got.flags.writeable
                 assert got.tobytes() == want.tobytes()
             assert g.name == medium_weighted.name
-            close_imported(g)
         finally:
-            release_graph(medium_weighted)
+            release_all()
 
     def test_imported_arrays_are_read_only(self, medium_graph):
         handle = export_graph(medium_graph)
@@ -143,22 +140,21 @@ class TestSharedGraph:
             g = import_graph(handle)
             with pytest.raises(ValueError):
                 g.indices[0] = 0
-            close_imported(g)
         finally:
-            release_graph(medium_graph)
+            release_all()
 
     def test_export_is_idempotent_per_graph(self, medium_graph):
         try:
             assert export_graph(medium_graph) is export_graph(medium_graph)
         finally:
-            release_graph(medium_graph)
+            release_all()
 
     def test_release_removes_segments(self, medium_graph):
         handle = export_graph(medium_graph)
         names = set(handle.segment_names())
         assert names, "export produced no segments"
         assert names <= set(leaked_segments())  # present while owned
-        release_graph(medium_graph)
+        release_all()
         assert not (names & set(leaked_segments()))
 
 
@@ -235,78 +231,34 @@ class TestModeledChargesUnchanged:
 
 
 # ----------------------------------------------------------------------
-# Crash resilience and cleanup.
+# Shared memory: none from a run, none left by the ledger's set-up.
 # ----------------------------------------------------------------------
-
-def _kill_worker0_after_begin_run(monkeypatch):
-    """Patch begin_run so worker 0 is dead when the first step runs."""
-    orig = ExecutionContext.begin_run
-
-    def begin_and_kill(self, app, graph):
-        orig(self, app, graph)
-        if self.pool is not None:
-            self.pool.procs[0].terminate()
-            self.pool.procs[0].join()
-
-    monkeypatch.setattr(ExecutionContext, "begin_run", begin_and_kill)
-
-
-@pytest.mark.usefixtures("process_pool")
-class TestCrashFallback:
-    def test_fallback_produces_identical_samples(self, medium_weighted,
-                                                 monkeypatch):
-        """A worker death degrades the run to in-process execution —
-        and samples are still identical."""
-        expected = _run(lambda: DeepWalk(walk_length=16),
-                        medium_weighted, 0)
-        _kill_worker0_after_begin_run(monkeypatch)
-        engine = NextDoorEngine(workers=2, chunk_size=CHUNK)
-        with pytest.warns(RuntimeWarning, match="in-process"):
-            crashed = engine.run(DeepWalk(walk_length=16),
-                                 medium_weighted, num_samples=256,
-                                 seed=11)
-        _assert_batches_equal(expected.batch, crashed.batch)
-        assert expected.seconds == crashed.seconds
-
-    def test_no_leaked_segments_after_crash(self, medium_weighted,
-                                            monkeypatch):
-        self.test_fallback_produces_identical_samples(medium_weighted,
-                                                      monkeypatch)
-        # The dead worker must not have reaped the parent's segments...
-        handle = getattr(medium_weighted, "_shared_handle", None)
-        assert handle is not None
-        # ...and owner-side release removes every one of them.
-        release_graph(medium_weighted)
-        leaked = set(leaked_segments())
-        assert not (set(handle.segment_names()) & leaked)
-
-    def test_pool_respawns_for_next_run(self, medium_weighted,
-                                        monkeypatch):
-        self.test_fallback_produces_identical_samples(medium_weighted,
-                                                      monkeypatch)
-        monkeypatch.undo()
-        r = _run(lambda: DeepWalk(walk_length=16), medium_weighted, 2)
-        expected = _run(lambda: DeepWalk(walk_length=16),
-                        medium_weighted, 0)
-        _assert_batches_equal(expected.batch, r.batch)
-
 
 class TestNoLeakedSegments:
     def test_normal_exit_cleans_shm(self, tmp_path):
-        """A process that samples with workers and exits normally
-        leaves nothing in /dev/shm (atexit owns cleanup)."""
+        """A process that samples on two chunk threads under each
+        backend creates no segment, and leaves nothing in /dev/shm."""
         script = tmp_path / "child.py"
         script.write_text(
-            "import numpy as np\n"
+            "import os\n"
             "from repro.api.apps import DeepWalk\n"
             "from repro.core.engine import NextDoorEngine\n"
             "from repro.graph.generators import rmat_graph\n"
+            "from repro.native.backend import available_backends,"
+            " backend_scope\n"
+            "from repro.runtime.shm import SEGMENT_PREFIX,"
+            " leaked_segments\n"
             "g = rmat_graph(2000, 12000, seed=11,"
             " name='medium').with_random_weights(seed=5)\n"
-            "e = NextDoorEngine(workers=2, chunk_size=64)\n"
-            "r = e.run(DeepWalk(walk_length=8), g, num_samples=128,"
-            " seed=1)\n"
-            "assert r.batch.num_samples == 128\n"
+            "mine = f'{SEGMENT_PREFIX}_{os.getpid()}_'\n"
+            "for name in available_backends():\n"
+            "    with backend_scope(name):\n"
+            "        e = NextDoorEngine(workers=2, chunk_size=64)\n"
+            "        r = e.run(DeepWalk(walk_length=8), g,"
+            " num_samples=128, seed=1)\n"
+            "    assert r.batch.num_samples == 128\n"
+            "    assert not [n for n in leaked_segments()"
+            " if n.startswith(mine)]\n"
             "print('OK')\n")
         env = dict(os.environ,
                    PYTHONPATH=os.path.join(REPO_ROOT, "src"))
@@ -333,6 +285,41 @@ class TestNoLeakedSegments:
             assert fresh.healthy()
         finally:
             shutdown_pools()
+
+
+class TestLedgerSetUp:
+    """What is left of the process pool: the perf ledger's cold set-up
+    (export, spawn, one run broadcast, teardown)."""
+
+    def test_ledger_setup_leaves_no_segment(self, medium_weighted):
+        mine = f"{SEGMENT_PREFIX}_{os.getpid()}_"
+        try:
+            # The ledger's four-argument positional call.
+            get_pool(2).broadcast_run(DeepWalk(walk_length=4),
+                                      export_graph(medium_weighted), 7,
+                                      False)
+            assert [n for n in leaked_segments() if n.startswith(mine)]
+        finally:
+            shutdown_pools()
+            release_all()
+        assert not [n for n in leaked_segments() if n.startswith(mine)]
+
+    def test_broadcast_to_dead_worker_raises(self):
+        pool = WorkerPool(1)
+        try:
+            pool.procs[0].terminate()
+            pool.procs[0].join()
+            with pytest.raises(RuntimeError, match="worker"):
+                pool.broadcast_run(DeepWalk(walk_length=4), None, 0,
+                                   False)
+        finally:
+            pool.shutdown()
+
+    def test_reference_flag_is_refused_before_any_send(self):
+        # Checked before the pool is touched: no worker is needed.
+        with pytest.raises(ValueError, match="reference kernels"):
+            WorkerPool.broadcast_run(None, DeepWalk(walk_length=4), None,
+                                     0, True)
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from repro.runtime.shm import (
     SEGMENT_PREFIX,
     export_graph,
     leaked_segments,
-    release_graph,
+    release_all,
     sweep_stale_segments,
 )
 
@@ -39,23 +39,19 @@ time.sleep(120)
 """
 
 
-#: A child that ran a pooled step (numpy backend: worker processes):
-#: it owns graph segments and one step arena, and its workers have the
-#: arena mapped.
+#: A child that did the perf ledger's cold set-up (graph export, pool
+#: spawn, run broadcast): its workers have the graph mapped.
 _POOLED_CHILD = """\
-import os, time
+import time
 from repro.api.apps import KHop
-from repro.core.engine import NextDoorEngine
 from repro.graph.generators import rmat_graph
-from repro.native.backend import backend_scope
-from repro.runtime.shm import leaked_segments
+from repro.runtime.pool import get_pool
+from repro.runtime.shm import export_graph
 if __name__ == "__main__":
     g = rmat_graph(200, 800, seed=1, name='lifecycle')
-    with backend_scope("numpy"):
-        NextDoorEngine(workers=2, chunk_size=32).run(
-            KHop(fanouts=(3, 2)), g, num_samples=100, seed=1)
-    print(",".join(n for n in leaked_segments()
-                   if f"_{os.getpid()}_" in n), flush=True)
+    h = export_graph(g)
+    get_pool(2).broadcast_run(KHop(fanouts=(3, 2)), h, 1, False)
+    print(",".join(h.segment_names()), flush=True)
     time.sleep(120)
 """
 
@@ -96,16 +92,6 @@ class TestStaleSweep:
         assert not (set(names) & set(leaked_segments()))
         assert swept_metric.value - before >= len(names)
 
-    def test_dead_owners_arena_is_swept(self, tmp_path):
-        proc, names = _spawn_exporter(tmp_path, _POOLED_CHILD)
-        arenas = [n for n in names if n.endswith("_arena")]
-        assert len(arenas) == 1 and len(names) > 1
-        proc.kill()  # its orphaned workers exit on the pipe EOF
-        proc.wait(timeout=30)
-        assert set(names) <= set(leaked_segments())
-        sweep_stale_segments()
-        assert not (set(names) & set(leaked_segments()))
-
     def test_pool_startup_sweeps(self, tmp_path):
         proc, names = _spawn_exporter(tmp_path)
         proc.kill()
@@ -131,7 +117,7 @@ class TestStaleSweep:
                 proc.wait(timeout=30)
                 sweep_stale_segments()
         finally:
-            release_graph(medium_graph)
+            release_all()
 
     def test_unparseable_names_are_left_alone(self):
         seg = shared_memory.SharedMemory(
@@ -146,8 +132,8 @@ class TestStaleSweep:
 
 class TestSigtermCleanup:
     def test_sigtermed_pooled_owner_leaves_no_segments(self, tmp_path):
-        """The handler also retires the pools and releases the arena
-        the pooled step was staged in."""
+        """The handler also retires the pool whose workers map the
+        graph."""
         self.test_sigtermed_owner_leaves_no_segments(tmp_path,
                                                      _POOLED_CHILD)
 

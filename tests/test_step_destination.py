@@ -51,10 +51,11 @@ def test_zero_degree_rows_read_null_without_a_null_slot(
     assert (transits >= 250).any() and (transits != NULL_VERTEX).all()
     real = stepper.step_output
 
-    def dirty_step_output(num_samples, num_cols, m, rows, out=None):
-        if out is None:
-            out = np.full(num_samples * num_cols * m, SENTINEL)
-        return real(num_samples, num_cols, m, rows, out)
+    def dirty_step_output(num_samples, num_cols, m, rows):
+        # No NULL slot: ``out`` is uninitialised memory, here garbage.
+        out, out_rows = real(num_samples, num_cols, m, rows)
+        out.fill(SENTINEL)
+        return out, out_rows
 
     monkeypatch.setattr(stepper, "step_output", dirty_step_output)
     batch = stepper.init_batch(app, g, transits.shape[0], transits,

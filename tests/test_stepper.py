@@ -18,8 +18,6 @@ from repro.gpu.device import Device
 from repro.native.backend import active_backend_name
 from repro.obs import get_metrics
 from repro.runtime.context import ExecutionContext
-from repro.runtime import shm
-from repro.runtime.worker import run_chunk
 from repro.serve.protocol import batch_digest
 from repro.verify.differential import reference_view
 from repro.verify.golden import GOLDEN_CASES
@@ -147,16 +145,14 @@ class TestStepOutput:
     @given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([0, 1, 3]),
            num_cols=st.sampled_from([1, 4]),
            null_frac=st.sampled_from([0.0, 0.3, 1.0]),
-           staged=st.booleans(),
            hook=st.sampled_from(["uniform_neighbors", "weighted_neighbors"]))
     @settings(max_examples=80, deadline=None)
     def test_shuffled_chunks_assemble_like_the_element_scatter(
-            self, seed, m, num_cols, null_frac, staged, hook):
+            self, seed, m, num_cols, null_frac, hook):
         """Each chunk's draw writes its own rows, in shuffled chunk
         order, through the active backend's hook.  With no NULL transit
         (``null_frac`` 0) the array starts uninitialised and every row
-        must come from its pair, a zero-degree transit's too; ``staged``
-        hands in dirty caller-owned buffers, as a step arena does."""
+        must come from its pair, a zero-degree transit's too."""
         from repro.api.apps import _kernels
         draw = getattr(_kernels, hook)
         rng = np.random.default_rng(seed)
@@ -164,13 +160,8 @@ class TestStepOutput:
         transits = rng.integers(0, 50, size=(num_samples, num_cols))
         transits[rng.random(transits.shape) < null_frac] = NULL_VERTEX
         tmap = build_transit_map(transits)  # transit-sorted pair order
-        buffers = {}
-        if staged:
-            buffers = {"out": np.full((num_samples, num_cols, m), 7777)}
         out, out_rows = stepper.step_output(
-            num_samples, num_cols, m, tmap.rows, **buffers)
-        if staged:
-            assert out.base is buffers["out"]
+            num_samples, num_cols, m, tmap.rows)
         cuts = np.unique(rng.integers(0, tmap.num_pairs + 1, size=5))
         bounds = np.concatenate(([0], cuts, [tmap.num_pairs]))
         chunks = list(zip(bounds[:-1], bounds[1:]))
@@ -199,28 +190,18 @@ def _assembly_graph():
     return CSRGraph.from_edges(50, edges).with_random_weights(seed=1)
 
 
-class _ShuffledPool:
-    """A stand-in worker pool: runs each ``ichunk`` job as a worker
-    would (against the step arena the message names), answers in
-    shuffled arrival order, and loses ``lose`` of them (chunks a
-    worker answered with an error, which the context must re-run)."""
+class _ShuffledContext(ExecutionContext):
+    """Runs a step's chunks one after another, in a shuffled order."""
 
-    def __init__(self, app, graph, seed, rng, lose):
-        self.app, self.graph, self.seed = app, graph, seed
-        self.rng, self.lose = rng, lose
+    def __init__(self, seed, rng, **kwargs):
+        super().__init__(seed, **kwargs)
+        self.rng = rng
 
-    def run_chunks(self, jobs):
-        results, arenas = {}, {}
-        try:
-            for i in self.rng.permutation(len(jobs))[self.lose:]:
-                cid, msg = jobs[i]
-                results[cid] = (run_chunk(msg, self.app, self.graph,
-                                          self.seed, arenas),
-                                (0, 0.0, 0.0))
-        finally:
-            for attachment in arenas.values():
-                attachment.close()
-        return results
+    def _sample_chunks(self, step, bounds, unit, run_chunk, threaded):
+        infos = [None] * (bounds.size - 1)
+        for c in self.rng.permutation(len(infos)).tolist():
+            infos[c] = run_chunk(c)
+        return infos
 
 
 class TestChunkedAssembly:
@@ -237,25 +218,26 @@ class TestChunkedAssembly:
         tmap = build_transit_map(transits, graph)
         return app, batch, transits, tmap
 
-    @pytest.mark.parametrize("lose", [0, 2])
-    def test_arrival_order_does_not_matter(self, medium_graph, rng, lose,
-                                           backend):
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_arrival_order_does_not_matter(self, medium_graph, rng,
+                                           workers, backend):
+        """Chunks finishing in any order assemble the step that
+        ``workers`` threads (or the calling thread alone) assemble."""
         outs = []
-        for pooled in (False, True):
-            ctx = ExecutionContext(11, workers=0, chunk_size=64)
+        for shuffled in (False, True):
+            ctx = (_ShuffledContext(11, rng, chunk_size=64) if shuffled
+                   else ExecutionContext(11, workers=workers,
+                                         chunk_size=64))
             app, batch, transits, tmap = self._khop_step(
                 medium_graph, ctx, 100)
             assert tmap.num_pairs > 3 * 64  # several chunks to shuffle
-            if pooled:
-                ctx.pool = _ShuffledPool(app, medium_graph, 11, rng, lose)
             outs.append(stepper.run_individual_step(
                 app, medium_graph, batch, transits, 1, ctx,
                 tmap.sample_ids, tmap.cols, tmap.transit_vals))
-        shm.release_arenas()
-        (out, info), (pooled_out, pooled_info) = outs
+        (out, info), (shuffled_out, shuffled_info) = outs
         assert out.shape == (100, 12)
-        assert np.array_equal(out, pooled_out)
-        assert info == pooled_info
+        assert np.array_equal(out, shuffled_out)
+        assert info == shuffled_info
 
     def test_step_is_assembled_in_place(self, medium_graph):
         """No second step-sized array: the peak is ``out`` plus one
