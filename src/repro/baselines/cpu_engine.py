@@ -1,17 +1,17 @@
 """The CPU comparators: the shared run, priced on a CPU model.
 
-:class:`CpuEngine` is :class:`repro.core.engine.Engine` over
-sample-order pairs (a CPU system advances one walker / one sample at a
-time; there is no transit grouping to pay for) whose pricing pass
-hands each step's record to the subclass's ``_charge_step`` on one
-:class:`~repro.gpu.cpu_model.CpuDevice`.
+:class:`CpuEngine` is :class:`repro.core.engine.Engine` — the same
+samples as every other engine — whose pricing pass hands each step's
+record to the subclass's ``_charge_step`` on one
+:class:`~repro.gpu.cpu_model.CpuDevice`.  A CPU system advances one
+walker / one sample at a time, so its price lists read a step's live
+pair count (``record.num_pairs``) and never the transit grouping.
 """
 
 from __future__ import annotations
 
 from repro.api.app import SamplingApp
 from repro.core.engine import Engine
-from repro.core.transit_map import sample_order_pairs
 from repro.gpu.cpu_model import CpuDevice
 from repro.gpu.spec import CPUSpec, XEON_SILVER_4216
 
@@ -22,7 +22,6 @@ class CpuEngine(Engine):
     """Base of the CPU engines; subclasses price steps."""
 
     engine_name = "CPU"
-    _pairs = staticmethod(sample_order_pairs)
     _device_cls = CpuDevice
 
     def __init__(self, spec: CPUSpec = XEON_SILVER_4216,

@@ -62,14 +62,14 @@ class ReferenceSamplerEngine(CpuEngine):
                     name=f"ref_select_{step}", parallel=False)
             if record.has_edges:
                 cpu.run([CpuTask(ops=6.0, random_accesses=0.5,
-                                 count=record.tmap.num_pairs * m)],
+                                 count=record.num_pairs * m)],
                         name=f"ref_edges_{step}", parallel=False)
             return
         rounds = max(1.0, info.avg_compute_cycles / 10.0)
         cpu.run([CpuTask(ops=self.ops_per_vertex * rounds,
                          random_accesses=1.0
                          + info.extra_global_reads_per_vertex,
-                         count=record.tmap.num_pairs * m)],
+                         count=record.num_pairs * m)],
                 name=f"ref_sample_{step}", parallel=False)
         if record.unique_width:
             # The reference samplers dedup with a per-sample Python

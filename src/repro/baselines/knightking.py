@@ -46,7 +46,7 @@ class KnightKingEngine(CpuEngine):
         cpu.run([CpuTask(ops=24.0 + 12.0 * rounds
                          + 4.0 * info.cacheable_reads_per_vertex,
                          random_accesses=1.0 + probes,
-                         count=record.tmap.num_pairs)],
+                         count=record.num_pairs)],
                 name=f"walk_step_{step}")
         # BSP super-step barrier across the worker threads (~1us).
         cpu.run([CpuTask(ops=self.spec.clock_ghz * 1e3, count=1)],

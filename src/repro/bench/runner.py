@@ -97,7 +97,8 @@ def run_engines(engines, app_name: str, graph_name: str, seed: int = 0,
     """One cell of a figure for several engines: each engine's result
     (None where it cannot express the app).  An engine prices an
     earlier engine's run (:meth:`SamplingResult.priced_as`) and runs
-    itself only where every earlier run refuses it."""
+    itself only where every earlier run refuses it: it cannot express
+    the app, or it samples with another chunk size."""
     graph = paper_graph(graph_name, app_name, seed=seed)
     if num_samples is None:
         num_samples = walk_sample_count(graph, app_name)

@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "4096)")
     p.add_argument("--fault-plan", default=None, metavar="PLAN",
                    help="deterministic fault injection, e.g. "
-                        "'chunk-error:0.3' or 'interrupt-step:2' (see "
+                        "'chunk-error:0.3' (chunk 3 of step 0; "
+                        "'chunk-error:2.0' stops the run at step 2; see "
                         "docs/RESILIENCE.md); the run fails with exit "
                         "code 1")
     p.add_argument("--out", default=None,

@@ -3,7 +3,7 @@
 Per step (Section 6):
 
 1. ``stepTransits`` produces each sample's transit vertices.
-2. The **scheduling index** groups pairs by transit with a (modeled)
+2. The **scheduling index** groups the pairs by transit with a (modeled)
    radix sort + scan (:mod:`repro.core.transit_map`); a walk-shaped
    step runs in sample order and builds it only to be priced.
 3. Individual sampling runs transit-parallel through the three
@@ -27,7 +27,6 @@ the Python module API of Section 6.5.
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
 from typing import Dict, List, NamedTuple, Optional, Union
 
 import numpy as np
@@ -42,11 +41,7 @@ from repro.core.collective import (
     charge_edge_recording,
 )
 from repro.core.scheduling import KernelPlanConfig, charge_sampling_kernels
-from repro.core.transit_map import (
-    build_transit_map,
-    charge_index_build,
-    charge_map_readback,
-)
+from repro.core.transit_map import charge_index_build, charge_map_readback
 from repro.core.unique import charge_dedup
 from repro.gpu.device import Device
 from repro.gpu.metrics import DeviceMetrics
@@ -55,6 +50,7 @@ from repro.gpu.spec import GPUSpec, V100
 from repro.obs import get_metrics, trace
 from repro.runtime.context import ExecutionContext
 from repro.runtime.faults import FaultPlan
+from repro.runtime.rngplan import RNGPlan
 
 __all__ = ["Engine", "NextDoorEngine", "SamplingResult", "do_sampling"]
 
@@ -76,13 +72,16 @@ class SamplingResult:
 
     def __init__(self, app: SamplingApp, graph, batch: SampleBatch,
                  records: List[stepper.StepRecord], pricer: "Engine",
-                 num_devices: int = 1) -> None:
+                 num_devices: int, chunk_pairs: int) -> None:
         self.app = app
         self.graph_name = graph.name
         self.batch = batch
         self.steps_run = len(records)
         self.engine = pricer.engine_name
         self.devices_used = num_devices
+        #: The run's resolved RNG-plan chunk size: the one engine
+        #: setting that changes sampled values.
+        self.chunk_pairs = chunk_pairs
         self._graph = graph
         self._records = records
         self._pricer = pricer
@@ -108,20 +107,18 @@ class SamplingResult:
         """This run's batch and step records priced by ``engine`` on
         ``num_devices`` devices: what ``engine.run`` gives for the same
         app, graph and seed.  ``ValueError`` when ``engine`` cannot
-        price the app or device count, or when a step's grouping fed
-        its sampling (``record.shape`` is set) and ``engine`` groups
-        pairs another way: its own run draws other samples."""
+        price the app or device count, or when its chunk size is not
+        the run's: its own run draws other samples."""
         engine._check_supported(self.app, num_devices)
-        pairs = engine._pairs
-        records = self._records
-        if any(r.pairs is not pairs for r in records):
-            if any(r.shape is not None for r in records):
-                raise ValueError(f"{engine.engine_name} groups pairs unlike "
-                                 f"the run that sampled {self.app.name}: "
-                                 "its own run draws other samples")
-            records = [replace(r, pairs=pairs) for r in records]
-        return SamplingResult(self.app, self._graph, self.batch, records,
-                              engine, num_devices)
+        chunk_pairs = RNGPlan(0, engine.chunk_size).chunk_pairs
+        if chunk_pairs != self.chunk_pairs:
+            raise ValueError(f"{engine.engine_name} samples in chunks of "
+                             f"{chunk_pairs} pairs, the run in chunks of "
+                             f"{self.chunk_pairs}: its own run draws other "
+                             "samples")
+        return SamplingResult(self.app, self._graph, self.batch,
+                              self._records, engine, num_devices,
+                              self.chunk_pairs)
 
     @property
     def samples(self) -> SampleBatch:
@@ -178,13 +175,10 @@ class Engine:
     samples with ``on_step=records.append`` and builds no device model;
     the result replays the records through ``_charge_step(device,
     graph, batch, record)`` on fresh device(s) when first read.  A
-    subclass is that price list, ``_check_supported`` and the two class
+    subclass is that price list, ``_check_supported`` and the class
     attributes below."""
 
     engine_name = "engine"
-    #: How a step's live pairs are grouped (``run_steps``' ``pairs=``),
-    #: and so what the pricing pass reads of a walk-shaped step.
-    _pairs = staticmethod(build_transit_map)
     #: The device model a run is priced on.
     _device_cls = Device
     #: Optional :class:`repro.runtime.cancel.CancelScope` checked
@@ -235,13 +229,13 @@ class Engine:
             ctx.begin_run(app, graph)
             records: List[stepper.StepRecord] = []
             steps_run = stepper.run_steps(app, graph, batch, ctx,
-                                          on_step=records.append,
-                                          pairs=self._pairs)
+                                          on_step=records.append)
         reg = get_metrics()
         reg.counter("engine.runs").inc()
         reg.counter("engine.samples_produced").inc(batch.num_samples)
         reg.counter("engine.steps_run").inc(steps_run)
-        return SamplingResult(app, graph, batch, records, self, num_devices)
+        return SamplingResult(app, graph, batch, records, self, num_devices,
+                              ctx.plan.chunk_pairs)
 
     def _check_supported(self, app: SamplingApp, num_devices: int) -> None:
         """Raise ``ValueError`` for an application this engine cannot

@@ -1,9 +1,9 @@
 """Shared functional stepping logic — and the one step loop.
 
 Every engine in this reproduction — NextDoor, SP, TP, the
-graph-framework baselines, the CPU comparators — must produce
-*statistically identical* samples; they differ only in how the work is
-organised on the device, which is what the performance model prices.
+graph-framework baselines, the CPU comparators — produces the same
+samples, bit for bit; they differ only in how the work is organised on
+the device, which is what the performance model prices.
 This module holds the functional half they share: initialising
 batches, addressing a step's rectangular output by pair, and
 :func:`run_steps`, the loop that drives all of it.  A step's sampling
@@ -25,7 +25,7 @@ import numpy as np
 from repro.api.app import SamplingApp
 from repro.api.sample import SampleBatch
 from repro.api.types import INF_STEPS, NULL_VERTEX, SamplingType, StepInfo
-from repro.core.transit_map import StepShape, TransitMap, build_transit_map
+from repro.core.transit_map import StepShape, build_transit_map
 from repro.core.unique import dedupe_and_topup
 from repro.graph.csr import CSRGraph
 from repro.native.backend import active_backend_name
@@ -164,17 +164,23 @@ class StepRecord:
     unique_width: int = 0
     unique_dups: Optional[np.ndarray] = None
     unique_topups: Optional[np.ndarray] = None
-    #: The step's index shape if its grouping fed the sampling, and
-    #: the pricing engine's ``pairs``, which :attr:`tmap` applies else.
+    #: The step's index shape if its grouping fed the sampling.
     shape: Optional[StepShape] = None
-    pairs: Callable[..., TransitMap] = build_transit_map
 
     @property
     def tmap(self) -> StepShape:
         """What a ``_charge_*`` reads (once a step) of the step's
-        transit map: the run's shape, else one built from ``pairs``."""
+        transit map: the run's shape, else one built now."""
         return (self.shape if self.shape is not None
-                else self.pairs(self.transits, None).shape())
+                else build_transit_map(self.transits).shape())
+
+    @property
+    def num_pairs(self) -> int:
+        """The step's live pairs, without building its map: all a
+        price list that never reads the grouping (the CPU engines')
+        needs."""
+        return (self.shape.num_pairs if self.shape is not None
+                else int(np.count_nonzero(self.transits != NULL_VERTEX)))
 
     def rows(self, lo: int, hi: int) -> Optional["StepRecord"]:
         """The step as rows ``[lo, hi)`` alone ran it — one device's
@@ -217,22 +223,21 @@ class stage:
 
 
 def run_steps(app: SamplingApp, graph: CSRGraph, batch: SampleBatch, ctx,
-              on_step: Optional[Callable[[StepRecord], None]] = None,
-              pairs=build_transit_map) -> int:
+              on_step: Optional[Callable[[StepRecord], None]] = None
+              ) -> int:
     """Run ``app`` over ``batch`` to completion; returns steps executed.
 
-    Per step: ``transits_for_step``; ``pairs(transits, graph)`` groups
-    the live (sample, transit) pairs (transit-sorted by default — the
-    CPU engines pass their sample-order flattening); the step's
-    kernels run through ``ctx`` (an
+    Per step: ``transits_for_step``; :func:`build_transit_map` groups
+    the live (sample, transit) pairs by transit; the step's kernels
+    run through ``ctx`` (an
     :class:`~repro.runtime.context.ExecutionContext` that ``begin_run``
     has prepared); the unique pass, if the application asks for one;
     ``on_step(record)``; ``append_step`` / ``post_step``.  The loop ends
     at the application's step limit, at a step with no live transit, or
     after a step that added no vertex to any sample.
 
-    A :func:`walk_shaped` or collective step calls no ``pairs`` here:
-    its record does, when first priced.
+    A :func:`walk_shaped` or collective step builds no map here: its
+    record does, when first priced.
 
     ``on_step`` is where an engine collects what its pricing pass will
     replay — the loop itself prices nothing.
@@ -256,7 +261,7 @@ def run_steps(app: SamplingApp, graph: CSRGraph, batch: SampleBatch, ctx,
             with stage("scheduling_index", hist["scheduling_index"],
                        step=step, backend=backend) as index_span:
                 tmap = None if collective or walk_shaped(
-                    app, transits, step) else pairs(transits, graph)
+                    app, transits, step) else build_transit_map(transits)
                 live = (np.count_nonzero(transits != NULL_VERTEX)
                         if tmap is None else tmap.num_pairs)
                 index_span.set(pairs=int(live))
@@ -287,7 +292,7 @@ def run_steps(app: SamplingApp, graph: CSRGraph, batch: SampleBatch, ctx,
                 on_step(StepRecord(
                     step, transits, m, info, collective, edges is not None,
                     sizes, width, dups, topups,
-                    None if tmap is None else tmap.shape(), pairs))
+                    None if tmap is None else tmap.shape()))
             with stage("post_step", step=step):
                 batch.append_step(new_vertices)
                 if has_post_step:

@@ -25,8 +25,7 @@ from repro.gpu.device import Device
 from repro.gpu.warp import WarpStats, coalesced_segments
 
 __all__ = ["TransitMap", "StepShape", "build_transit_map",
-           "sample_order_pairs", "charge_index_build",
-           "charge_map_readback"]
+           "charge_index_build", "charge_map_readback"]
 
 
 class StepShape(NamedTuple):
@@ -36,8 +35,8 @@ class StepShape(NamedTuple):
 
     num_pairs: int
     num_total_pairs: int
-    unique_transits: Optional[np.ndarray]  # (U,); None when ungrouped
-    counts: Optional[np.ndarray]           # (U,) samples per transit
+    unique_transits: np.ndarray  # (U,)
+    counts: np.ndarray           # (U,) samples per transit
 
     @property
     def num_transits(self) -> int:
@@ -97,17 +96,6 @@ def _live_pairs(transits) -> Tuple[Optional[np.ndarray], np.ndarray]:
     return slots, flat[slots]
 
 
-def sample_order_pairs(transits: np.ndarray, graph=None) -> TransitMap:
-    """A step's live pairs left in sample order, ungrouped (no
-    ``unique_transits`` / ``counts`` / ``offsets``) — what the CPU
-    engines (one walker / one sample at a time) iterate.  A ``pairs=``
-    builder for :func:`repro.core.stepper.run_steps`."""
-    slots, vals = _live_pairs(transits)
-    return TransitMap(np.arange(vals.size) if slots is None else slots,
-                      vals, None, None, None, int(np.size(transits)),
-                      np.shape(transits)[1])
-
-
 def build_transit_map(transits: np.ndarray, graph=None) -> TransitMap:
     """Group a step's pairs by transit vertex (the functional half).
 
@@ -120,8 +108,8 @@ def build_transit_map(transits: np.ndarray, graph=None) -> TransitMap:
     ``unique_transits`` / ``counts`` / ``offsets`` are then read off the
     run boundaries of the sorted transits.  Every stage is O(K log K) in
     the step's pairs — nothing is sized by, or scans, the vertex-id
-    range.  ``graph`` is accepted for the ``pairs(transits, graph)``
-    callable protocol and is not read.
+    range.  ``graph`` is accepted for callers that pass one and is not
+    read.
     """
     slots, vals = _live_pairs(transits)
     num_total_pairs, width = int(np.size(transits)), np.shape(transits)[1]

@@ -190,8 +190,7 @@ class ExecutionContext:
     def __init__(self, seed: int, workers: Optional[int] = None,
                  chunk_size: Optional[int] = None) -> None:
         self.workers = resolve_workers(workers)
-        self.plan = (RNGPlan(seed, chunk_pairs=chunk_size)
-                     if chunk_size is not None else RNGPlan(seed))
+        self.plan = RNGPlan(seed, chunk_pairs=chunk_size)
         #: Cooperative cancellation/deadline token
         #: (:class:`repro.runtime.cancel.CancelScope`), checked between
         #: chunks; None = never cancelled.  Attached by the serving
@@ -239,22 +238,23 @@ class ExecutionContext:
         transit_vals: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, StepInfo]:
         """Sample one individual step over pre-flattened pairs, in any
-        order (NextDoor passes them transit-sorted, the CPU engines
-        sample-ordered), pair ``i`` being transit ``transit_vals[i]`` in
-        flat slot ``rows[i]``; returns the ``(S, T * m)`` step array and
-        the step's cost hints.  A walk-shaped step ignores any pairs
-        given: it runs its live slots in sample order.
+        order (``run_steps`` passes them transit-sorted), pair ``i``
+        being transit ``transit_vals[i]`` in flat slot ``rows[i]``;
+        returns the ``(S, T * m)`` step array and the step's cost hints.
+        A walk-shaped step ignores any pairs given: it runs its live
+        slots in sample order.
 
         Every chunk result lands straight in its pairs' rows of the step
         array, written by the app's draw itself when its hook takes the
         destination; nothing else of it is kept."""
         from repro.core.stepper import (prev_transits_for, step_output,
                                         walk_shaped)
-        from repro.core.transit_map import sample_order_pairs
-        self._maybe_interrupt(step)
+        from repro.core.transit_map import _live_pairs
+        self._check_cancel(f"step {step}")
         if walk_shaped(app, transits, step):
-            order = sample_order_pairs(transits)
-            rows, transit_vals = order.rows, order.transit_vals
+            rows, transit_vals = _live_pairs(transits)
+            if rows is None:
+                rows = np.arange(transit_vals.size)
         num_cols, m = transits.shape[1], app.sample_size(step)
         prev = None
         if app.needs_prev_transits:
@@ -317,7 +317,7 @@ class ExecutionContext:
         materialise multi-gigabyte arrays."""
         from repro.api.apps._kernels import (
             build_combined_neighborhood, combined_neighborhood_offsets)
-        self._maybe_interrupt(step)
+        self._check_cancel(f"step {step}")
         transits = np.asarray(transits)
         if app.needs_combined_values:
             values, offsets = build_combined_neighborhood(graph, transits)
@@ -360,14 +360,6 @@ class ExecutionContext:
         return out, info, edges, np.diff(offsets)
 
     # -- faults, cancellation, and chunk threads -----------------------
-
-    def _maybe_interrupt(self, step: int) -> None:
-        """Deterministic stand-in for ctrl-C: the ``interrupt-step``
-        fault aborts the run at the start of a step."""
-        self._check_cancel(f"step {step}")
-        if self._fault_plan is not None and self._fault_plan.should(
-                "interrupt-step", step):
-            raise FaultInjected(f"injected interrupt at step {step}")
 
     def _maybe_chunk_error(self, step: int, chunk: int) -> None:
         """The ``chunk-error`` fault: raise inside chunk ``chunk`` of

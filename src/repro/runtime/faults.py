@@ -1,34 +1,30 @@
 """Deterministic fault injection for the sampling runtime.
 
-The two failure paths a run must take cleanly — an exception inside a
-chunk and an interrupted run — are exercisable on demand through a
-*fault plan*: a small spec string parsed once (the CLI's
-``--fault-plan``, the daemon's ``fault_plan`` test hook) and carried on
-``engine.fault_plan``.  Plans are deterministic by construction: a
-fault fires when its trigger matches, never from wall-clock or
-randomness, so a chaos run is exactly reproducible, and running the
-same request again without the plan must give the fault-free batch bit
-for bit (``repro verify --suite chaos``).
+The failure path a run must take cleanly — an exception inside a
+chunk — is exercisable on demand through a *fault plan*: a small spec
+string parsed once (the CLI's ``--fault-plan``, the daemon's
+``fault_plan`` test hook) and carried on ``engine.fault_plan``.  Plans
+are deterministic by construction: a fault fires when its trigger
+matches, never from wall-clock or randomness, so a chaos run is
+exactly reproducible, and running the same request again without the
+plan must give the fault-free batch bit for bit (``repro verify
+--suite chaos``).
 
 Grammar (see ``docs/RESILIENCE.md``)::
 
     plan  := spec ("," spec)*
     spec  := name ":" arg [":" times]
-    arg   := N | STEP "." CHUNK          (N: a chunk, or a step)
+    arg   := CHUNK | STEP "." CHUNK
     times := positive int | "*"          (default 1)
 
 ``times`` bounds how often a spec fires **per plan instance**; each
 engine run works on a fresh copy of the engine's plan.
 
-Fault names:
-
-========================  =============================================
-``chunk-error:A``         raise :class:`FaultInjected` inside chunk A,
-                          on whichever thread runs it; the run raises
-                          it once every started chunk has returned
-``interrupt-step:S``      raise :class:`FaultInjected` at the start of
-                          step S (deterministic stand-in for ctrl-C)
-========================  =============================================
+The one fault, ``chunk-error:A``, raises :class:`FaultInjected` inside
+chunk A (``C`` = chunk C of every step, ``S.C`` = chunk C of step S
+only), on whichever thread runs it; the run raises it once every
+started chunk has returned.  ``chunk-error:S.0`` stops a run at step
+S, the deterministic stand-in for ctrl-C.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ __all__ = ["FaultInjected", "FaultSpec", "FaultPlan", "FAULT_NAMES"]
 
 #: Every recognised fault name (parse rejects anything else so typos
 #: fail loudly instead of silently injecting nothing).
-FAULT_NAMES = ("chunk-error", "interrupt-step")
+FAULT_NAMES = ("chunk-error",)
 
 
 class FaultInjected(RuntimeError):
@@ -55,15 +51,14 @@ class FaultSpec:
     def __init__(self, name: str, arg: Tuple[int, ...],
                  times: Optional[int]) -> None:
         self.name = name
-        #: (N,) = chunk N of any step (``chunk-error``) or step N
-        #: (``interrupt-step``); (S, C) = chunk C of step S only.
+        #: (C,) = chunk C of any step; (S, C) = chunk C of step S only.
         self.arg = arg
         #: None = unbounded (``*``); else fires this many times.
         self.remaining = times
 
     def matches(self, value: Tuple[int, ...]) -> bool:
         if len(self.arg) == 1:
-            # Match on the trailing component (chunk id / step id).
+            # Match on the trailing component (the chunk id).
             return bool(value) and value[-1] == self.arg[0]
         return tuple(value) == self.arg
 

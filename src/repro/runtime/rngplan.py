@@ -13,10 +13,12 @@ so their draws cannot shift with the chunk count.
 Sampled values are thus a function of the seed, the chunk size and
 each step's **schedule**, the pair order chunks are cut from: grouped
 by transit, except that a walk-shaped step
-(:func:`repro.core.stepper.walk_shaped`) runs in sample order.
+(:func:`repro.core.stepper.walk_shaped`) runs in sample order.  The
+schedule is the same in every engine.
 
-The device count is not among them: a multi-device run samples the
-one-device batch and splits it only to price it.
+The device count and the engine are not among them: a multi-device
+run samples the one-device batch and splits it only to price it, and
+an engine is only the price list of the one run.
 
 Key layout::
 
@@ -97,8 +99,10 @@ def generator_for(seed: int, key: Tuple[int, ...]) -> np.random.Generator:
 class RNGPlan:
     """The deterministic chunk layout + seed derivation of one run."""
 
-    def __init__(self, seed: int, chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
+    def __init__(self, seed: int, chunk_pairs: Optional[int] = None,
                  chunk_rows: Optional[int] = None) -> None:
+        if chunk_pairs is None:
+            chunk_pairs = DEFAULT_CHUNK_PAIRS
         if chunk_pairs < 1:
             raise ValueError("chunk_pairs must be >= 1")
         self.seed = int(seed)

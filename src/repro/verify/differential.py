@@ -2,18 +2,18 @@
 
 Every engine prices the same *functional* samples under a different
 execution model, so for one ``(app, graph, seed)`` the engines must
-agree, at two strengths.  **Exact tier** — NextDoor, SP and vanilla TP
-run every step in one schedule, so their canonicalised ``SampleBatch``
-outputs must be bitwise identical: walks and k-hop keep their order
-(the sequence *is* the sample), collective selections are sorted per
-sample per step (the API leaves within-step order unspecified) and
-recorded adjacency rows lexicographically.  **Consistency tier** — the
-reference ``next`` path, the reference GNN samplers and KnightKing
-consume the chunked RNG plan differently (per vertex, or bulk steps in
-sample order; their walks run in the exact tier's sample order and so
-agree bitwise as well), so the suite demands identical roots and
-shapes, the structural invariants below, and a chi-square homogeneity
-test of their pooled vertex-visit histogram against the exact tier's.
+agree, at two strengths.  **Exact tier** — every engine class
+(NextDoor, SP, vanilla TP, the reference GNN samplers, KnightKing)
+runs every step in one schedule, so their canonicalised
+``SampleBatch`` outputs must be bitwise identical: walks and k-hop
+keep their order (the sequence *is* the sample), collective
+selections are sorted per sample per step (the API leaves within-step
+order unspecified) and recorded adjacency rows lexicographically.
+**Consistency tier** — the reference ``next`` path (``NextDoor-ref``)
+consumes the chunked RNG plan per vertex, so the suite demands
+identical roots and shapes, the structural invariants below, and a
+chi-square homogeneity test of its pooled vertex-visit histogram
+against the exact tier's.
 
 Independently of engine agreement, structural invariants act as an
 oracle that does not share code with the samplers: every walk hop must
@@ -86,10 +86,12 @@ def diff_graphs(seed: int = 0) -> List[CSRGraph]:
 
 
 def _exact_engines(workers: Optional[int]):
-    """Engines sharing NextDoor's schedule: bitwise-identical output."""
+    """Every engine class: one schedule, bitwise-identical output."""
     yield "NextDoor", NextDoorEngine(workers=workers)
     yield "SP", SampleParallelEngine(workers=workers)
     yield "TP", VanillaTPEngine(workers=workers)
+    yield "Reference", ReferenceSamplerEngine(workers=workers)
+    yield "KnightKing", KnightKingEngine(workers=workers)
 
 
 def reference_view(app: SamplingApp) -> SamplingApp:
@@ -107,16 +109,6 @@ def reference_view(app: SamplingApp) -> SamplingApp:
     view = copy.copy(app)
     view.__class__ = cls
     return view
-
-
-def _consistent_engines(workers: Optional[int]):
-    """Engines that iterate pairs in a different order (sample order /
-    per-vertex reference loop) and therefore consume the RNG plan
-    differently — distributionally equal, not bitwise.  Each comes with
-    the form of the app it runs."""
-    yield "NextDoor-ref", NextDoorEngine(workers=workers), reference_view
-    yield "Reference", ReferenceSamplerEngine(workers=workers), None
-    yield "KnightKing", KnightKingEngine(workers=workers), None
 
 
 def canonical_batch(app: SamplingApp, batch: SampleBatch,
@@ -303,8 +295,11 @@ def differential_case(app_name: str, graph: CSRGraph, seed: int,
     engines_run = 0
     for engine_name, engine in _exact_engines(workers):
         app = factory()
-        result = engine.run(app, graph, num_samples=num_samples,
-                            seed=seed)
+        try:
+            result = engine.run(app, graph, num_samples=num_samples,
+                                seed=seed)
+        except ValueError:
+            continue  # engine restricts this app class (KnightKing)
         engines_run += 1
         canon = canonical_batch(app, result.batch)
         if reference is None:
@@ -315,30 +310,26 @@ def differential_case(app_name: str, graph: CSRGraph, seed: int,
         else:
             problems += [f"{engine_name} vs NextDoor: {d}"
                          for d in diff_batches(reference, canon)]
-    ref_hist = _visit_histogram(ref_batch, graph)
-    for engine_name, engine, view in _consistent_engines(workers):
-        app = factory()
-        try:
-            result = engine.run(view(app) if view else app, graph,
-                                num_samples=num_samples, seed=seed)
-        except ValueError:
-            continue  # engine restricts this app class (KnightKing)
-        engines_run += 1
-        batch = result.batch
-        if not np.array_equal(batch.roots, ref_batch.roots):
-            problems.append(f"{engine_name}: roots differ")
-        shapes = [a.shape for a in batch.step_vertices]
-        ref_shapes = [a.shape for a in ref_batch.step_vertices]
-        if app.steps() != INF_STEPS and shapes != ref_shapes:
-            problems.append(f"{engine_name}: step shapes {shapes} vs "
-                            f"{ref_shapes}")
-        problems += [f"{engine_name}: {p}"
-                     for p in check_invariants(app, batch, graph)]
-        _, pvalue = chi_square_homogeneity(_visit_histogram(batch, graph),
-                                           ref_hist)
-        if pvalue < ALPHA:
-            problems.append(f"{engine_name}: visit histogram diverges "
-                            f"from NextDoor (p={pvalue:.3g})")
+    # Consistency tier: the reference ``next`` loops, per vertex.
+    app = factory()
+    batch = NextDoorEngine(workers=workers).run(
+        reference_view(app), graph, num_samples=num_samples,
+        seed=seed).batch
+    engines_run += 1
+    if not np.array_equal(batch.roots, ref_batch.roots):
+        problems.append("NextDoor-ref: roots differ")
+    shapes = [a.shape for a in batch.step_vertices]
+    ref_shapes = [a.shape for a in ref_batch.step_vertices]
+    if app.steps() != INF_STEPS and shapes != ref_shapes:
+        problems.append(f"NextDoor-ref: step shapes {shapes} vs "
+                        f"{ref_shapes}")
+    problems += [f"NextDoor-ref: {p}"
+                 for p in check_invariants(app, batch, graph)]
+    _, pvalue = chi_square_homogeneity(_visit_histogram(batch, graph),
+                                       _visit_histogram(ref_batch, graph))
+    if pvalue < ALPHA:
+        problems.append("NextDoor-ref: visit histogram diverges "
+                        f"from NextDoor (p={pvalue:.3g})")
     return CheckResult(
         name=f"{app_name}@{graph.name}/seed{seed}", suite="diff",
         family=family, passed=not problems,

@@ -82,9 +82,9 @@ class TestRunnerConfigs:
         assert result.batch.num_samples == 16
 
     def test_run_engines_cell(self):
-        """Engines that draw the same samples price one run; the
-        reference sampler groups k-hop's pairs in sample order, so it
-        runs on its own; KnightKing cannot express k-hop."""
+        """Every engine prices the first run, the CPU reference
+        sampler on k-hop included; KnightKing cannot express k-hop, and
+        an engine with another chunk size runs on its own."""
         from repro.baselines import (
             KnightKingEngine,
             ReferenceSamplerEngine,
@@ -92,13 +92,15 @@ class TestRunnerConfigs:
         )
         from repro.core.engine import NextDoorEngine
         engines = [NextDoorEngine(), SampleParallelEngine(),
-                   KnightKingEngine(), ReferenceSamplerEngine()]
-        nd, sp, kk, ref = runner.run_engines(engines, "k-hop", "ppi",
-                                             seed=0, num_samples=16)
+                   KnightKingEngine(), ReferenceSamplerEngine(),
+                   SampleParallelEngine(chunk_size=8)]
+        nd, sp, kk, ref, sp8 = runner.run_engines(
+            engines, "k-hop", "ppi", seed=0, num_samples=16)
         assert kk is None
-        assert sp.batch is nd.batch and ref.batch is not nd.batch
-        assert [r.engine for r in (nd, sp, ref)] == [
-            "NextDoor", "SP", "ReferenceSampler"]
+        assert sp.batch is nd.batch and ref.batch is nd.batch
+        assert sp8.batch is not nd.batch and sp8.chunk_pairs == 8
+        assert [r.engine for r in (nd, sp, ref, sp8)] == [
+            "NextDoor", "SP", "ReferenceSampler", "SP"]
         own = SampleParallelEngine().run(runner.paper_app("k-hop"),
                                          runner.paper_graph("ppi", "k-hop"),
                                          num_samples=16, seed=0)

@@ -145,15 +145,16 @@ class TestErrorPaths:
                         "--samples", "4"]) == (
             2, "error: $REPRO_WORKERS must be an integer >= 0, got 'abc'\n")
 
-    def test_interrupt_step_fires_without_workers(self):
-        """A parent-side fault needs no worker: it stops a ``--workers
-        0`` run with no warning, and the flag's help says so."""
+    def test_chunk_error_fires_without_workers(self):
+        """A fault needs no chunk thread: ``chunk-error:S.0`` stops a
+        ``--workers 0`` run at step S with no warning, and the flag's
+        help says so."""
         code, out = run_cli(["sample", "--app", "DeepWalk", "--graph",
                              "ppi", "--samples", "10", "--backend", "numpy",
                              "--workers", "0", "--fault-plan",
-                             "interrupt-step:1"])
+                             "chunk-error:1.0"])
         assert code == 1
-        assert "injected interrupt at step 1" in out
+        assert "injected chunk error (step 1, chunk 0)" in out
         assert "warning" not in out
         sample = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction)
@@ -161,7 +162,7 @@ class TestErrorPaths:
         help_text = next(a.help for a in sample._actions
                          if "--fault-plan" in a.option_strings)
         assert "inert" not in help_text
-        assert "chunk-error" in help_text and "interrupt-step" in help_text
+        assert "chunk-error:2.0" in help_text
 
     def test_negative_workers_compare(self):
         code, out = run_cli(["compare", "--apps", "DeepWalk",
@@ -381,9 +382,8 @@ class TestCompare:
         assert "n/a" in out  # KnightKing can't run k-hop
 
     def test_samples_once_per_distinct_sample_set(self):
-        """Every engine prices NextDoor's run of DeepWalk; on k-hop the
-        reference sampler's sample-order grouping draws other samples,
-        so it alone runs again."""
+        """Every engine prices NextDoor's run: one run per app, k-hop
+        included."""
         runs = get_metrics().counter("engine.runs")
         before = runs.value
         code, _ = run_cli(["compare", "--apps", "DeepWalk", "--graph",
@@ -392,7 +392,7 @@ class TestCompare:
         assert runs.value == before + 1
         code, _ = run_cli(["compare", "--apps", "k-hop", "--graph", "ppi"])
         assert code == 0
-        assert runs.value == before + 3
+        assert runs.value == before + 2
 
 
 class TestVerify:

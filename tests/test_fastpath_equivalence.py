@@ -9,8 +9,6 @@ resulting ``SampleBatch`` compared array-for-array against the fast
 path.
 """
 
-import functools
-
 import numpy as np
 import pytest
 
@@ -21,11 +19,7 @@ from repro.api.apps import deepwalk as deepwalk_mod
 from repro.api.apps.importance import FastGCN
 from repro.api.types import NULL_VERTEX, StepInfo
 from repro.core.engine import NextDoorEngine
-from repro.core.transit_map import (
-    TransitMap,
-    build_transit_map,
-    sample_order_pairs,
-)
+from repro.core.transit_map import TransitMap, build_transit_map
 
 # ---------------------------------------------------------------------------
 # Reference implementations (the pre-vectorisation code, verbatim).
@@ -34,17 +28,18 @@ from repro.core.transit_map import (
 
 def build_transit_map_reference(transits, graph=None):
     """The original full-sort grouping (``argsort`` + ``np.unique``)."""
-    pairs = sample_order_pairs(transits)
-    order = np.argsort(pairs.transit_vals, kind="stable")
-    vals = pairs.transit_vals[order]
+    flat = np.asarray(transits, dtype=np.int64).ravel()
+    rows = np.flatnonzero(flat != NULL_VERTEX)
+    order = np.argsort(flat[rows], kind="stable")
+    vals = flat[rows][order]
     unique_transits, start_idx, counts = np.unique(
         vals, return_index=True, return_counts=True)
     offsets = np.concatenate([start_idx.astype(np.int64),
                               np.asarray([vals.size], dtype=np.int64)])
-    return TransitMap(pairs.rows[order], vals, unique_transits,
+    return TransitMap(rows[order], vals, unique_transits,
                       counts.astype(np.int64), offsets,
-                      num_total_pairs=int(np.asarray(transits).size),
-                      width=pairs.width)
+                      num_total_pairs=int(flat.size),
+                      width=np.shape(transits)[1])
 
 
 def _reference_weighted_neighbors(graph, transits, m, rng, out_rows=None,
@@ -178,10 +173,8 @@ def _reference_dedupe_and_topup(app, graph, transits, new_vertices, step,
 
 def _patch_reference_paths(monkeypatch):
     """Swap every vectorised hot path for its original implementation."""
-    monkeypatch.setattr(
-        stepper_mod, "run_steps",
-        functools.partial(stepper_mod.run_steps,
-                          pairs=build_transit_map_reference))
+    monkeypatch.setattr(stepper_mod, "build_transit_map",
+                        build_transit_map_reference)
     monkeypatch.setattr(deepwalk_mod, "weighted_neighbors",
                         _reference_weighted_neighbors)
     monkeypatch.setattr(kernels_mod, "build_combined_neighborhood",

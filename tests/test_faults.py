@@ -32,9 +32,8 @@ class TestParse:
         assert FaultPlan.parse("chunk-error:1:*").specs[0].remaining is None
 
     def test_multiple_specs(self):
-        plan = FaultPlan.parse("interrupt-step:1, chunk-error:0.2")
-        assert [s.name for s in plan.specs] == ["interrupt-step",
-                                                "chunk-error"]
+        plan = FaultPlan.parse("chunk-error:1, chunk-error:0.2")
+        assert [s.arg for s in plan.specs] == [(1,), (0, 2)]
 
     def test_unknown_name_rejected_loudly(self):
         with pytest.raises(ValueError, match="unknown fault"):
@@ -64,7 +63,7 @@ class TestParse:
             assert FaultPlan.parse(f"{name}:0") is not None
 
     def test_retired_kinds_are_unknown(self):
-        assert FAULT_NAMES == ("chunk-error", "interrupt-step")
+        assert FAULT_NAMES == ("chunk-error",)
         for spec in ("kill-after-chunk:0.3", "pipe-eof:1.2",
                      "kill-before-chunk:0.1", "wedge-chunk:1.2",
                      "shm-export-fail:0", "broadcast-fail:0",
@@ -98,7 +97,7 @@ class TestShould:
 
     def test_wrong_name_never_fires(self):
         plan = FaultPlan.parse("chunk-error:1")
-        assert not plan.should("interrupt-step", 1)
+        assert not plan.should("kill-worker", 0, 1)
 
 
 class TestEnginePlan:
@@ -110,14 +109,14 @@ class TestEnginePlan:
 
     def test_each_run_fires_a_fresh_copy(self, tiny_graph):
         engine = NextDoorEngine()
-        engine.fault_plan = FaultPlan.parse("interrupt-step:1")
+        engine.fault_plan = FaultPlan.parse("chunk-error:1.0")
         for _ in range(2):
             with pytest.raises(FaultInjected, match="step 1"):
                 self._run(engine, tiny_graph)
         assert engine.fault_plan.specs[0].remaining == 1
 
     def test_environment_is_not_read(self, tiny_graph, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "interrupt-step:0")
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "chunk-error:0.0")
         assert self._run(NextDoorEngine(), tiny_graph).steps_run == 4
 
     @pytest.mark.parametrize("workers", [0, 2])

@@ -8,7 +8,8 @@ request) never constructs a device, and the lazy replay gives exactly
 what pricing inline during the loop — the pre-lazy order, written out
 below as the oracle — gives, for every engine and configuration.  A
 third: one run priced as another engine (``priced_as``) is that
-engine's own run, wherever the two runs draw the same samples.
+engine's own run, and it refuses an engine whose chunk size would draw
+other samples.
 """
 
 import dataclasses
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 import repro.baselines
-from repro.api.apps import DeepWalk
+from repro.api.apps import DeepWalk, KHop
 from repro.api.sample import SampleBatch
 from repro.api.types import NULL_VERTEX
 from repro.core import stepper
@@ -32,10 +33,12 @@ from repro.gpu.cpu_model import CpuDevice
 from repro.gpu.device import Device
 from repro.gpu.metrics import DeviceMetrics
 from repro.gpu.multi_gpu import MultiGPU
+from repro.graph.generators import rmat_graph
 from repro.native.backend import available_backends, backend_scope
 from repro.obs import get_metrics
 from repro.runtime.context import ExecutionContext
 from repro.runtime.faults import FaultInjected, FaultPlan
+from repro.runtime.rngplan import DEFAULT_CHUNK_PAIRS
 from repro.serve.protocol import SampleRequest, batch_digest, encode_batch
 from repro.serve.server import SamplingServer, ServerConfig
 from repro.verify.golden import GOLDEN_CASES
@@ -100,8 +103,7 @@ def inline_priced(engine, app, graph, seed, num_devices=1):
             engine._charge_step(devices[d], graph, shares[d], share)
             live_steps[d].append(record.step)
 
-    stepper.run_steps(app, graph, batch, ctx, pairs=engine._pairs,
-                      on_step=on_step)
+    stepper.run_steps(app, graph, batch, ctx, on_step=on_step)
     for d, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         shares[d].step_vertices = [batch.step_vertices[i][lo:hi]
                                    for i in live_steps[d]]
@@ -183,7 +185,7 @@ class TestLazyEqualsInline:
         factory, weighted, seed = GOLDEN_CASES["deepwalk"]
         graph = golden_graph(weighted)
         engine = NextDoorEngine(chunk_size=8)
-        engine.fault_plan = FaultPlan.parse("interrupt-step:2")
+        engine.fault_plan = FaultPlan.parse("chunk-error:2.0")
         with pytest.raises(FaultInjected):
             engine.run(factory(), graph, num_samples=GOLDEN_SAMPLES,
                        seed=seed)
@@ -200,15 +202,6 @@ class TestLazyEqualsInline:
 # One run, priced as every engine
 # ----------------------------------------------------------------------
 
-#: The cells where a step's grouping fed the sampling and the engine
-#: groups pairs another way (sample order): its own run draws other
-#: samples, so ``priced_as`` refuses.
-REFUSED = {("ReferenceSamplerEngine", "khop"),
-           ("ReferenceSamplerEngine", "khop_unique"),
-           ("ReferenceSamplerEngine", "mvs"),
-           ("KnightKingEngine", "mvs")}
-
-
 #: Every engine at one device, the GPU engines at four as well.
 ENGINE_DEVICES = [(cls, d) for cls in ALL_ENGINES
                   for d in ((1, 4) if issubclass(cls, NextDoorEngine)
@@ -222,9 +215,8 @@ class TestPricedAs:
         ids=[f"{cls.__name__}-D{d}" for cls, d in ENGINE_DEVICES])
     def test_view_equals_own_run(self, engine_cls, devices, case):
         """``NextDoorEngine().run(...).priced_as(E, D)`` is ``E``'s own
-        run at ``D`` devices in digest and every priced number; it
-        refuses exactly where a grouped step's samples would differ,
-        and an app ``E`` cannot express fails in both."""
+        run at ``D`` devices in digest and every priced number, and an
+        app ``E`` cannot express fails in both."""
         factory, weighted, seed = GOLDEN_CASES[case]
         graph = golden_graph(weighted)
         run = NextDoorEngine().run(factory(), graph,
@@ -237,11 +229,6 @@ class TestPricedAs:
             assert engine_cls is repro.baselines.KnightKingEngine
             with pytest.raises(ValueError, match="cannot express"):
                 run.priced_as(engine, devices)
-            return
-        if (engine_cls.__name__, case) in REFUSED:
-            with pytest.raises(ValueError, match="groups pairs"):
-                run.priced_as(engine, devices)
-            assert batch_digest(own.batch) != batch_digest(run.batch)
             return
         view = run.priced_as(engine, devices)
         assert (view.engine, view.devices_used) == (own.engine, devices)
@@ -272,6 +259,27 @@ class TestPricedAs:
     def test_bad_device_count(self):
         with pytest.raises(ValueError, match="num_devices"):
             _walk().priced_as(NextDoorEngine(), 0)
+
+    def test_another_chunk_size_is_refused(self):
+        """The chunk size cuts the RNG plan, so an engine with another
+        one draws other samples and other cost hints: ``priced_as``
+        refuses it, and accepts the default spelled out."""
+        sp = repro.baselines.SampleParallelEngine
+        app, graph = KHop(fanouts=(4, 2)), rmat_graph(2000, 16000, seed=1)
+
+        def own(engine):
+            return engine.run(app, graph, num_samples=512, seed=3)
+
+        run = own(NextDoorEngine(chunk_size=64))
+        assert batch_digest(own(sp()).batch) != batch_digest(run.batch)
+        with pytest.raises(ValueError, match="chunks of 4096 pairs"):
+            run.priced_as(sp())
+        view = run.priced_as(sp(chunk_size=64))
+        assert view.chunk_pairs == 64
+        assert priced(view) == priced(own(sp(chunk_size=64)))
+        spelled_out = sp(chunk_size=DEFAULT_CHUNK_PAIRS)
+        assert priced(own(NextDoorEngine()).priced_as(spelled_out)) == \
+            priced(own(sp()))
 
 
 # ----------------------------------------------------------------------

@@ -457,7 +457,7 @@ class TestServerHTTP:
         responses = {
             "ok": ok,
             "ok without arrays": sample(return_samples=False),
-            "error": sample(fault_plan="interrupt-step:1"),
+            "error": sample(fault_plan="chunk-error:1.0"),
             "rejected": server._reject(7, "t", "queue full",
                                        retry_after_s=0.25, app="k-hop"),
             "cache miss": dict(ok, request_id=99, cache_hit=False),
@@ -602,7 +602,7 @@ class TestServerHTTP:
         until it holds an executor; returns (thread, [result])."""
         done = []
         t = threading.Thread(target=lambda: done.append(self._hooked_walk(
-            client, "interrupt-step:90", 50000, seed)))
+            client, "chunk-error:90.0", 50000, seed)))
         t.start()
         deadline = time.monotonic() + 5.0
         while (server.admission.inflight() == 0
@@ -631,7 +631,7 @@ class TestServerHTTP:
                 overlapped.append(r)
         t.join(timeout=30.0)
         assert hooked and hooked[0].status == "error"
-        assert "interrupt at step 90" in hooked[0].response["error"]
+        assert "(step 90, chunk 0)" in hooked[0].response["error"]
         assert overlapped, "no plain request overlapped the hooked one"
         for r in overlapped:
             assert r.status == "ok", r.response
@@ -642,12 +642,12 @@ class TestServerHTTP:
         t0 = time.monotonic()
         t, slow = self._slow_hooked_walk(server, client, seed=42)
         t1 = time.monotonic()
-        fast = self._hooked_walk(client, "interrupt-step:3", 32, 43)
+        fast = self._hooked_walk(client, "chunk-error:3.0", 32, 43)
         fast_s = time.monotonic() - t1
         t.join(timeout=30.0)
         slow_s = time.monotonic() - t0
-        assert "interrupt at step 3" in fast.response["error"]
-        assert slow and "interrupt at step 90" in slow[0].response["error"]
+        assert "(step 3, chunk 0)" in fast.response["error"]
+        assert slow and "(step 90, chunk 0)" in slow[0].response["error"]
         # Hooked requests do not queue behind each other: 3 steps of 32
         # walkers did not wait out 90 steps of 50 000.
         assert fast_s < slow_s / 2, (fast_s, slow_s)

@@ -13,7 +13,7 @@ from repro.api.types import NULL_VERTEX
 from repro.core import stepper
 from repro.core.engine import NextDoorEngine
 from repro.core.large_graph import LargeGraphNextDoor
-from repro.core.transit_map import build_transit_map, sample_order_pairs
+from repro.core.transit_map import build_transit_map
 from repro.gpu.device import Device
 from repro.native.backend import active_backend_name
 from repro.obs import get_metrics
@@ -96,8 +96,9 @@ class TestPrevTransits:
 def _pairs(transits):
     """``run_individual_step``'s ``(sample_ids, cols, transit_vals)``
     for a step's live pairs in sample order."""
-    pairs = sample_order_pairs(transits)
-    return pairs.sample_ids, pairs.cols, pairs.transit_vals
+    rows = np.flatnonzero(transits.ravel() != NULL_VERTEX)
+    width = transits.shape[1]
+    return rows // width, rows % width, transits.ravel()[rows]
 
 
 class TestIndividualStep:
@@ -338,6 +339,9 @@ class TestRunSteps:
         assert [r.step for r in records] == list(range(steps))
         if case == "khop_unique":
             assert any(r.unique_width for r in records)
+        # The CPU price lists' live-pair count is the map's.
+        assert [r.num_pairs for r in records] == [
+            r.tmap.num_pairs for r in records]
         device = Device()
         for record in records:
             engine._charge_step(device, graph, batch, record)

@@ -12,25 +12,25 @@ from repro.core.scheduling import (
     SUBWARP_LIMIT,
     classify_transits,
 )
-from repro.core.transit_map import build_transit_map, sample_order_pairs
+from repro.core.transit_map import _live_pairs, build_transit_map
 
 
 class TestFlatten:
-    """``sample_order_pairs``: the live pairs, flattened in sample
-    order."""
+    """``_live_pairs``: the live pairs' flat slots and transits, in
+    sample order (a walk-shaped step's schedule)."""
 
     def test_basic(self):
         transits = np.array([[3, 5], [5, NULL_VERTEX]])
-        pairs = sample_order_pairs(transits)
-        assert list(pairs.rows) == [0, 1, 2]
-        assert list(pairs.sample_ids) == [0, 0, 1]
-        assert list(pairs.cols) == [0, 1, 0]
-        assert list(pairs.transit_vals) == [3, 5, 5]
+        slots, vals = _live_pairs(transits)
+        assert list(slots) == [0, 1, 2]
+        assert list(vals) == [3, 5, 5]
+        slots, vals = _live_pairs(np.array([[3, 5], [5, 2]]))
+        assert slots is None and list(vals) == [3, 5, 5, 2]
 
     def test_all_null(self):
         transits = np.full((3, 2), NULL_VERTEX)
-        pairs = sample_order_pairs(transits)
-        assert pairs.num_pairs == 0 and pairs.rows.size == 0
+        slots, vals = _live_pairs(transits)
+        assert slots.size == 0 and vals.size == 0
 
 
 class TestBuildTransitMap:
@@ -130,15 +130,13 @@ class TestRows:
     @settings(max_examples=60, deadline=None)
     def test_rows_address_the_pairs(self, transits):
         width = transits.shape[1]
-        for tmap in (build_transit_map(transits),
-                     sample_order_pairs(transits)):
-            assert tmap.rows.dtype == np.int64
-            assert np.array_equal(transits.ravel()[tmap.rows],
-                                  tmap.transit_vals)
-            assert np.array_equal(tmap.rows,
-                                  tmap.sample_ids * width + tmap.cols)
-            live = np.flatnonzero(transits.ravel() != NULL_VERTEX)
-            assert np.array_equal(np.sort(tmap.rows), live)
+        tmap = build_transit_map(transits)
+        assert tmap.rows.dtype == np.int64
+        assert np.array_equal(transits.ravel()[tmap.rows],
+                              tmap.transit_vals)
+        assert np.array_equal(tmap.rows, tmap.sample_ids * width + tmap.cols)
+        live = np.flatnonzero(transits.ravel() != NULL_VERTEX)
+        assert np.array_equal(np.sort(tmap.rows), live)
 
     @given(transits=transit_arrays())
     @settings(max_examples=40, deadline=None)

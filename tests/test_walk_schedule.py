@@ -6,8 +6,8 @@ sample order whatever pairs it is handed, so a loop that drives steps
 by hand with transit-grouped pairs (the perf ledger's) samples what
 ``engine.run`` samples, and every engine class samples the same walks.
 The run builds no scheduling index for such a step: its record builds
-one through the engine's ``pairs`` builder when the run is first
-priced, and the price equals a replay of eagerly built shapes.
+one when the run is first priced, and the price equals a replay of
+eagerly built shapes.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from repro.baselines import (KnightKingEngine, ReferenceSamplerEngine,
                              SampleParallelEngine, VanillaTPEngine)
 from repro.core import stepper
 from repro.core.engine import NextDoorEngine
-from repro.core.transit_map import build_transit_map, sample_order_pairs
+from repro.core.transit_map import build_transit_map
 from repro.gpu.device import Device
 from repro.native.backend import available_backends, backend_scope
 from repro.runtime.context import ExecutionContext
@@ -47,8 +47,9 @@ def _grouped(transits):
 
 
 def _sample_order(transits):
-    pairs = sample_order_pairs(transits)
-    return pairs.sample_ids, pairs.cols, pairs.transit_vals
+    rows = np.flatnonzero(transits.ravel() != NULL_VERTEX)
+    width = transits.shape[1]
+    return rows // width, rows % width, transits.ravel()[rows]
 
 
 def _hand_loop(app, graph, workers, order):
@@ -77,8 +78,7 @@ def _hand_loop(app, graph, workers, order):
 def test_hand_driven_steps_sample_what_the_engine_samples(
         name, backend, workers, medium_weighted):
     """Grouped and sample-order pairs give ``engine.run``'s digest, at
-    workers 0 and 2 (chunk threads under ``cnative``, the process pool
-    under ``numpy``)."""
+    workers 0 and 2 (chunk threads under either backend)."""
     with backend_scope(backend):
         engine = NextDoorEngine(workers=workers, chunk_size=CHUNK)
         expected = batch_digest(engine.run(
@@ -100,38 +100,42 @@ def test_walks_are_identical_across_engine_classes(name, medium_weighted):
     assert len(set(digests.values())) == 1, digests
 
 
-def _counting(builder, calls):
-    def pairs(transits, graph=None):
+@pytest.fixture
+def index_builds(monkeypatch):
+    """Every scheduling-index build, in the run or in its pricing."""
+    calls = []
+
+    def counting(transits, graph=None):
         calls.append(1)
-        return builder(transits, graph)
-    return pairs
+        return build_transit_map(transits, graph)
+
+    monkeypatch.setattr(stepper, "build_transit_map", counting)
+    return calls
 
 
 class TestIndexOnlyWhenPriced:
     @pytest.mark.parametrize("name", ["deepwalk", "ppr", "multirw"])
-    def test_unpriced_walk_builds_no_index(self, name, medium_weighted):
-        calls = []
+    def test_unpriced_walk_builds_no_index(self, name, medium_weighted,
+                                           index_builds):
         engine = NextDoorEngine(chunk_size=CHUNK)
-        engine._pairs = _counting(build_transit_map, calls)
         result = engine.run(WALKS[name](), medium_weighted,
                             num_samples=SAMPLES, seed=SEED)
-        assert result.steps_run > 0 and calls == []
+        assert result.steps_run > 0 and index_builds == []
         result.seconds
-        assert len(calls) == result.steps_run
+        assert len(index_builds) == result.steps_run
         result.breakdown  # priced once: no second build
-        assert len(calls) == result.steps_run
+        assert len(index_builds) == result.steps_run
 
-    def test_bulk_step_builds_its_index_in_the_run(self, medium_graph):
+    def test_bulk_step_builds_its_index_in_the_run(self, medium_graph,
+                                                   index_builds):
         """k-hop steps are not walk-shaped: each is grouped while the
         run samples, and pricing reuses that shape."""
-        calls = []
         engine = NextDoorEngine(chunk_size=CHUNK)
-        engine._pairs = _counting(build_transit_map, calls)
         result = engine.run(KHop(fanouts=(5, 3)), medium_graph,
                             num_samples=SAMPLES, seed=SEED)
-        assert len(calls) == result.steps_run == 2
+        assert len(index_builds) == result.steps_run == 2
         result.seconds
-        assert len(calls) == 2
+        assert len(index_builds) == 2
 
     @pytest.mark.parametrize("name", sorted(WALKS))
     def test_lazy_price_equals_eager_shapes(self, name, medium_weighted):
