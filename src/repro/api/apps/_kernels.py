@@ -11,19 +11,22 @@ vertex at a time.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.api.types import NULL_VERTEX
+from repro.api.types import NULL_VERTEX, StepInfo
 from repro.core.ragged import exclusive_offsets, ragged_gather
 from repro.graph.csr import CSRGraph
+from repro.native import backend as native
 
 __all__ = [
     "uniform_neighbors",
     "weighted_neighbors",
     "weighted_picks",
     "segment_uniform_choice",
+    "walk_step_info",
     "build_combined_neighborhood",
     "combined_neighborhood_offsets",
     "rowwise_searchsorted",
@@ -34,8 +37,7 @@ def _backend():
     """The process-wide kernel backend (``repro.native``); its hooks
     return ``None`` to select the numpy code below, with bitwise-
     identical draws either way."""
-    from repro.native.backend import active_backend
-    return active_backend()
+    return native.active_backend()
 
 
 def _land(picks, out_rows, rows):
@@ -205,6 +207,22 @@ def _weighted_numpy(graph, transits, m, rng):
     return _over_eligible(graph, transits, m, draw)
 
 
+@functools.lru_cache(maxsize=64)
+def walk_step_info(avg_degree: Optional[float], cycles: float,
+                   **extra) -> StepInfo:
+    """A one-draw walk step's cost hints on a weighted graph of
+    ``avg_degree`` (None: unweighted), one shared instance per value.
+
+    The modeled weighted kernel is the paper's: RNG + a binary search
+    over the transit's weight prefix — log2(d) probes per draw, served
+    from the cached row under transit-parallelism.  The host kernels
+    reach the same edge from the graph's guide table instead."""
+    probes = (0.0 if avg_degree is None
+              else float(np.log2(max(avg_degree, 1.0) + 1)))
+    return StepInfo(avg_compute_cycles=cycles + 2.0 * probes,
+                    cacheable_reads_per_vertex=probes, **extra)
+
+
 def segment_uniform_choice(values: np.ndarray, offsets: np.ndarray, m: int,
                            rng: np.random.Generator) -> np.ndarray:
     """Choose ``m`` uniform elements (with replacement) from each ragged
@@ -223,6 +241,10 @@ class _Segments:
         self.indices = np.ascontiguousarray(values, dtype=np.int64)
         self.indptr = np.ascontiguousarray(offsets, dtype=np.int64)
         self.degrees_array = np.diff(self.indptr)
+
+    def addresses(self):
+        return tuple(a.ctypes.data for a in
+                     (self.indptr, self.indices, self.degrees_array))
 
 
 def combined_neighborhood_offsets(graph: CSRGraph,

@@ -13,7 +13,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.api.app import SamplingApp
-from repro.api.apps._kernels import uniform_neighbors, weighted_neighbors
+from repro.api.apps._kernels import (uniform_neighbors, walk_step_info,
+                                     weighted_neighbors)
 from repro.api.sample import Sample, SampleBatch
 from repro.api.types import NULL_VERTEX, SamplingType, StepInfo
 from repro.graph.csr import CSRGraph
@@ -77,15 +78,6 @@ class DeepWalk(SamplingApp):
     ) -> Tuple[Optional[np.ndarray], StepInfo]:
         if graph.is_weighted:
             out = weighted_neighbors(graph, transits, 1, rng, out_rows, rows)
-            # The modeled GPU kernel is the paper's: RNG + a binary
-            # search over the transit's weight prefix — log2(d) probes
-            # per draw, served from the cached row under
-            # transit-parallelism.  The host kernels reach the same edge
-            # from the graph's guide table instead.
-            probes = float(np.log2(max(graph.avg_degree, 1.0) + 1))
-            info = StepInfo(avg_compute_cycles=8.0 + 2.0 * probes,
-                            cacheable_reads_per_vertex=probes)
-        else:
-            out = uniform_neighbors(graph, transits, 1, rng, out_rows, rows)
-            info = StepInfo(avg_compute_cycles=8.0)
-        return out, info
+            return out, walk_step_info(graph.avg_degree, 8.0)
+        out = uniform_neighbors(graph, transits, 1, rng, out_rows, rows)
+        return out, walk_step_info(None, 8.0)

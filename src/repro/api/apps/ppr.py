@@ -14,7 +14,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.api.app import SamplingApp
-from repro.api.apps._kernels import uniform_neighbors, weighted_neighbors
+from repro.api.apps._kernels import (uniform_neighbors, walk_step_info,
+                                     weighted_neighbors)
 from repro.api.sample import Sample, SampleBatch
 from repro.api.types import INF_STEPS, NULL_VERTEX, SamplingType, StepInfo
 from repro.graph.csr import CSRGraph
@@ -74,14 +75,9 @@ class PPR(SamplingApp):
         out = sampler(graph, transits, 1, rng)
         terminate = rng.random(size=transits.size) < self.termination_prob
         out[terminate] = NULL_VERTEX
-        probes = (float(np.log2(max(graph.avg_degree, 1.0) + 1))
-                  if graph.is_weighted else 0.0)
         # Terminating threads idle while their warp-mates keep walking:
         # a divergent branch on a fraction of warps.
-        info = StepInfo(
-            avg_compute_cycles=10.0 + 2.0 * probes,
+        return out, walk_step_info(
+            graph.avg_degree if graph.is_weighted else None, 10.0,
             divergence_fraction=min(1.0, 32 * self.termination_prob),
-            divergence_cycles=4.0,
-            cacheable_reads_per_vertex=probes,
-        )
-        return out, info
+            divergence_cycles=4.0)

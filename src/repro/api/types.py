@@ -40,14 +40,14 @@ class OutputFormat(enum.Enum):
     PER_STEP = "per_step"
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepInfo:
     """Cost hints one engine step reports to the performance model.
 
     Built-in applications fill these from what the vectorised kernels
     actually did (e.g. node2vec reports its measured rejection rounds
     and neighbor-membership probes); the defaults describe a trivial
-    uniform sampler.
+    uniform sampler.  Immutable: hooks may share one instance.
     """
 
     #: Average arithmetic cycles per produced vertex (RNG + user body).

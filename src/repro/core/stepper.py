@@ -25,24 +25,24 @@ import numpy as np
 from repro.api.app import SamplingApp
 from repro.api.sample import SampleBatch
 from repro.api.types import INF_STEPS, NULL_VERTEX, SamplingType, StepInfo
-from repro.core.transit_map import StepShape, build_transit_map
+from repro.core.transit_map import StepShape, _live_pairs, build_transit_map
 from repro.core.unique import dedupe_and_topup
 from repro.graph.csr import CSRGraph
 from repro.native.backend import active_backend_name
-from repro.obs import get_metrics, trace
+from repro.obs import get_metrics
 
 __all__ = [
     "StepRecord",
     "init_batch",
     "step_limit",
     "walk_shaped",
+    "sample_order",
     "prev_transits_for",
     "step_output",
     "run_individual_step",
     "run_collective_step",
     "run_steps",
     "any_live",
-    "stage",
 ]
 
 
@@ -72,6 +72,13 @@ def walk_shaped(app: SamplingApp, transits: np.ndarray, step: int) -> bool:
     such a step runs in sample order and is indexed only to be priced."""
     return (transits.shape[1] == 1 and app.sample_size(step) <= 2
             and not app.unique(step))
+
+
+def sample_order(transits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """A walk-shaped step's pairs: its live slots, in sample order, and
+    their transits."""
+    rows, vals = _live_pairs(transits)
+    return (np.arange(vals.size) if rows is None else rows), vals
 
 
 def prev_transits_for(batch: SampleBatch, step: int, rows: np.ndarray,
@@ -122,8 +129,13 @@ def run_individual_step(app: SamplingApp, graph: CSRGraph,
     """One individual step through ``ctx`` (an
     :class:`~repro.runtime.context.ExecutionContext`) over pairs given
     as ``(sample_ids, cols)``, for loops that drive steps by hand (the
-    perf ledger's); see its ``individual_step``."""
-    rows = np.asarray(sample_ids, dtype=np.int64) * transits.shape[1] + cols
+    perf ledger's); see its ``individual_step``.  A :func:`walk_shaped`
+    step ignores the pairs: it runs its live slots in sample order."""
+    if walk_shaped(app, transits, step):
+        rows, transit_vals = sample_order(transits)
+    else:
+        rows = (np.asarray(sample_ids, dtype=np.int64) * transits.shape[1]
+                + cols)
     return ctx.individual_step(app, graph, batch, transits, step,
                                rows, transit_vals)
 
@@ -199,27 +211,16 @@ class StepRecord:
                        unique_topups=cut(self.unique_topups))
 
 
-class stage:
-    """One named stage of a run: a trace span and, given a histogram,
-    an always-on wall-clock observation (spans record nothing unless
-    tracing is enabled; percentile stats must not depend on
-    ``--trace``).  The only emitter of either inside the step loop."""
-
-    __slots__ = ("_span", "_hist", "_t0")
-
-    def __init__(self, name: str, hist=None, **attrs) -> None:
-        self._span = trace.span(name, **attrs)
-        self._hist = hist
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self._span.__enter__()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._span.__exit__(exc_type, exc, tb)
-        if self._hist is not None and exc_type is None:
-            self._hist.observe(time.perf_counter() - self._t0)
-        return False
+def _lap(t0: float, hist, tracer, name: str, **attrs) -> float:
+    """Close a stage begun at ``t0`` (``perf_counter``): observe it in
+    ``hist``, which is always on, and record span ``name`` under an
+    enabled ``tracer``.  Returns the closing reading."""
+    t1 = time.perf_counter()
+    if hist is not None:
+        hist.observe(t1 - t0)
+    if tracer is not None:
+        tracer.add_span(name, t0, t1, **attrs)
+    return t1
 
 
 def run_steps(app: SamplingApp, graph: CSRGraph, batch: SampleBatch, ctx,
@@ -236,71 +237,81 @@ def run_steps(app: SamplingApp, graph: CSRGraph, batch: SampleBatch, ctx,
     at the application's step limit, at a step with no live transit, or
     after a step that added no vertex to any sample.
 
-    A :func:`walk_shaped` or collective step builds no map here: its
-    record does, when first priced.
+    A :func:`walk_shaped` step takes its live slots in sample order
+    (:func:`sample_order`) and a collective step its sample rows:
+    neither builds a map here; its record does, when first priced.
 
     ``on_step`` is where an engine collects what its pricing pass will
-    replay — the loop itself prices nothing.
+    replay — the loop itself prices nothing.  Its instruments are
+    looked up once per run and fed from its own clock readings.
     """
     backend = active_backend_name()
     collective = app.sampling_type() is SamplingType.COLLECTIVE
     kernels = "collective_kernels" if collective else "individual_kernels"
-    reg = get_metrics()
     # Labeled by stage + backend so one snapshot carries the paper's
     # per-stage breakdown per backend.
-    hist = {name: reg.histogram("engine.stage_seconds",
-                                labels={"stage": name, "backend": backend})
-            for name in ("step", "scheduling_index", kernels)}
+    step_hist, index_hist, kernel_hist = (get_metrics().histogram(
+        "engine.stage_seconds", labels={"stage": name, "backend": backend})
+        for name in ("step", "scheduling_index", kernels))
+    tracer = ctx.tracer if ctx.tracer.enabled else None
     limit = step_limit(app)
     # The inherited post_step ignores its generator: skip building one.
     has_post_step = type(app).post_step is not SamplingApp.post_step
     step = 0
     while step < limit:
-        with stage("step", hist["step"], step=step):
-            transits = app.transits_for_step(batch, step)
-            with stage("scheduling_index", hist["scheduling_index"],
-                       step=step, backend=backend) as index_span:
-                tmap = None if collective or walk_shaped(
-                    app, transits, step) else build_transit_map(transits)
-                live = (np.count_nonzero(transits != NULL_VERTEX)
-                        if tmap is None else tmap.num_pairs)
-                index_span.set(pairs=int(live))
-            if live == 0:
-                break  # no live transits: every sample terminated
-            m = app.sample_size(step)
-            edges = sizes = None
-            width, dups, topups = 0, None, None
-            with stage(kernels, hist[kernels], step=step, backend=backend):
-                if collective:
-                    new_vertices, info, edges, sizes = ctx.collective_step(
-                        app, graph, batch, transits, step)
-                    if edges is not None:
-                        batch.record_edges(edges)
-                else:
-                    new_vertices, info = ctx.individual_step(
-                        app, graph, batch, transits, step,
-                        *(() if tmap is None
-                          else (tmap.rows, tmap.transit_vals)))
-            if (not collective and app.unique(step)
-                    and new_vertices.shape[1] > 1):
-                with stage("make_unique", step=step):
-                    width = new_vertices.shape[1]
-                    new_vertices, dups, topups = dedupe_and_topup(
-                        app, graph, transits, new_vertices, step,
-                        ctx.topup_rng(step))
-            if on_step is not None:
-                on_step(StepRecord(
-                    step, transits, m, info, collective, edges is not None,
-                    sizes, width, dups, topups,
-                    None if tmap is None else tmap.shape()))
-            with stage("post_step", step=step):
-                batch.append_step(new_vertices)
-                if has_post_step:
-                    app.post_step(batch, new_vertices, step,
-                                  ctx.post_step_rng(step))
-            step += 1
-            if m > 0 and not any_live(new_vertices):
-                break  # nothing added anywhere: all samples ended
+        t_step = time.perf_counter()
+        transits = app.transits_for_step(batch, step)
+        t = time.perf_counter()
+        tmap = pairs = None
+        if collective:
+            live = np.count_nonzero(transits != NULL_VERTEX)
+        elif walk_shaped(app, transits, step):
+            pairs = sample_order(transits)
+            live = pairs[1].size
+        else:
+            tmap = build_transit_map(transits)
+            pairs, live = (tmap.rows, tmap.transit_vals), tmap.num_pairs
+        t = _lap(t, index_hist, tracer, "scheduling_index", step=step,
+                 backend=backend, pairs=int(live))
+        if live == 0:
+            _lap(t_step, step_hist, tracer, "step", step=step)
+            break  # no live transits: every sample terminated
+        m = app.sample_size(step)
+        edges = sizes = None
+        width, dups, topups = 0, None, None
+        if collective:
+            new_vertices, info, edges, sizes = ctx.collective_step(
+                app, graph, batch, transits, step)
+            if edges is not None:
+                batch.record_edges(edges)
+        else:
+            new_vertices, info = ctx.individual_step(
+                app, graph, batch, transits, step, *pairs)
+        t = _lap(t, kernel_hist, tracer, kernels, step=step,
+                 backend=backend)
+        if (not collective and app.unique(step)
+                and new_vertices.shape[1] > 1):
+            width = new_vertices.shape[1]
+            new_vertices, dups, topups = dedupe_and_topup(
+                app, graph, transits, new_vertices, step,
+                ctx.topup_rng(step))
+            _lap(t, None, tracer, "make_unique", step=step)
+        if on_step is not None:
+            on_step(StepRecord(
+                step, transits, m, info, collective, edges is not None,
+                sizes, width, dups, topups,
+                None if tmap is None else tmap.shape()))
+        t = time.perf_counter()
+        batch.append_step(new_vertices)
+        if has_post_step:
+            app.post_step(batch, new_vertices, step,
+                          ctx.post_step_rng(step))
+        _lap(t, None, tracer, "post_step", step=step)
+        ended = m > 0 and not any_live(new_vertices)
+        _lap(t_step, step_hist, tracer, "step", step=step)
+        step += 1
+        if ended:
+            break  # nothing added anywhere: all samples ended
     return step
 
 
@@ -311,5 +322,7 @@ LIVE_BLOCK = 4096
 def any_live(vertices: np.ndarray) -> bool:
     """Any non-NULL entry?  Reads blocks up to the first live one."""
     flat = vertices.reshape(-1)
-    return any((flat[lo:lo + LIVE_BLOCK] != NULL_VERTEX).any()
-               for lo in range(0, flat.size, LIVE_BLOCK))
+    for lo in range(0, flat.size, LIVE_BLOCK):
+        if np.count_nonzero(flat[lo:lo + LIVE_BLOCK] != NULL_VERTEX):
+            return True
+    return False

@@ -90,7 +90,7 @@ def _live_pairs(transits) -> Tuple[Optional[np.ndarray], np.ndarray]:
     """The live transits' flat slots (``None`` when all are) and values."""
     flat = np.asarray(transits, dtype=np.int64).ravel()
     live = flat != NULL_VERTEX
-    if live.all():
+    if np.count_nonzero(live) == live.size:
         return None, flat
     slots = np.flatnonzero(live)
     return slots, flat[slots]

@@ -193,6 +193,19 @@ class CSRGraph:
             self._degrees_cache = cached
         return cached
 
+    def addresses(self, weighted: bool = False) -> Tuple[int, ...]:
+        """The compiled kernels' graph arguments, read once: the
+        addresses of ``indptr``, ``indices`` and :attr:`degrees_array`,
+        or with ``weighted`` of the :meth:`weight_records` arrays."""
+        key = "_weight_address_cache" if weighted else "_address_cache"
+        cached = getattr(self, key, None)
+        if cached is None:
+            arrays = (self.weight_records() if weighted else
+                      (self.indptr, self.indices, self.degrees_array))
+            cached = tuple(a.ctypes.data for a in arrays)
+            setattr(self, key, cached)
+        return cached
+
     def degrees(self) -> np.ndarray:
         """Vector of all out-degrees (the cached read-only array)."""
         return self.degrees_array

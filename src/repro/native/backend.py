@@ -271,25 +271,22 @@ class CNativeBackend(KernelBackend):
         if dest is None:
             return None
         out, rows_p, nrows = dest
-        degrees = graph.degrees_array
+        csr, transits_p = graph.addresses(), transits.ctypes.data
         try:
-            count = count_k(transits.ctypes.data, transits.size,
-                            degrees.ctypes.data, NULL_VERTEX, rows_p, nrows)
+            count = count_k(transits_p, transits.size, csr[2], NULL_VERTEX,
+                            rows_p, nrows)
         except Exception as exc:
             self._disable("uniform_count", exc)
             return None
         if count < 0:   # a row out of range: numpy's indexing decides
             return None
         if name == "weighted_fill":
-            verts, edges = graph.weight_records()
-            head, tail = (verts.ctypes.data, edges.ctypes.data), (count,)
+            head, tail = graph.addresses(weighted=True), (count,)
         else:
-            head = (graph.indptr.ctypes.data, graph.indices.ctypes.data,
-                    degrees.ctypes.data)
-            tail = ()
+            head, tail = csr, ()
         r = rng.random(size=count * m)
         try:
-            fill_k(*head, transits.ctypes.data, transits.size, m, *tail,
+            fill_k(*head, transits_p, transits.size, m, *tail,
                    r.ctypes.data, out.ctypes.data, rows_p, NULL_VERTEX)
         except Exception as exc:
             self._disable(name, exc)
@@ -318,9 +315,7 @@ class CNativeBackend(KernelBackend):
         try:
             kernel(mass.ctypes.data, lo.ctypes.data, hi.ctypes.data,
                    pair_t.ctypes.data, draws.ctypes.data, *draws.shape,
-                   graph.indptr.ctypes.data, graph.indices.ctypes.data,
-                   graph.degrees_array.ctypes.data, ecs.ctypes.data,
-                   out.ctypes.data)
+                   *graph.addresses(), ecs.ctypes.data, out.ctypes.data)
         except Exception as exc:
             self._disable("two_level_pick", exc)
             return None
@@ -342,16 +337,13 @@ class CNativeBackend(KernelBackend):
         masks = np.empty(transits.size * ((shape[2] + 63) >> 6),
                          dtype=np.uint64)
         try:
-            count = mask_k(
-                graph.indptr.ctypes.data, graph.indices.ctypes.data,
-                graph.degrees_array.ctypes.data, graph.num_vertices,
-                transits.ctypes.data, new_vertices.ctypes.data, *shape,
-                block_rows, masks.ctypes.data)
+            arrays = (transits.ctypes.data, new_vertices.ctypes.data)
+            count = mask_k(*graph.addresses(), graph.num_vertices, *arrays,
+                           *shape, block_rows, masks.ctypes.data)
             if count < 0:   # no memory for the scratch: numpy's turn
                 return None
             out = np.empty((count, 3), dtype=np.int64)
-            emit_k(transits.ctypes.data, new_vertices.ctypes.data, *shape,
-                   masks.ctypes.data, out.ctypes.data)
+            emit_k(*arrays, *shape, masks.ctypes.data, out.ctypes.data)
         except Exception as exc:
             # Either symbol: the pair is useless apart.
             self._disable("edge_mask", exc)
@@ -389,22 +381,20 @@ class CNativeBackend(KernelBackend):
             row_max = graph.row_max_weight()
         else:
             weights = row_max = np.zeros(1, dtype=np.float64)
-        pending = np.empty(n, dtype=np.int64)
-        proposal = np.empty(n, dtype=np.int64)
-        bias = np.empty(n, dtype=np.float64)
-        envs = np.empty(n, dtype=np.float64)
-        rbuf = np.empty(n, dtype=np.float64)
+        # The kernel's five n-word scratch arrays (pending, proposal,
+        # bias, envelope, draws), carved from one block.
+        scratch = np.empty(5 * n, dtype=np.float64)
+        words = scratch.ctypes.data
         counters = np.zeros(4, dtype=np.int64)
+        indptr, indices, degrees = graph.addresses()
         try:
-            ok = kernel(graph.indptr.ctypes.data, graph.indices.ctypes.data,
-                        weights.ctypes.data, int(graph.is_weighted),
-                        graph.degrees_array.ctypes.data, transits.ctypes.data,
+            ok = kernel(indptr, indices, weights.ctypes.data,
+                        int(graph.is_weighted), degrees, transits.ctypes.data,
                         n, prev.ctypes.data, 1, row_max.ctypes.data,
                         max(p, 1.0 / q, 1.0), p, 1.0 / q, max_rounds,
                         NULL_VERTEX, s.ctypes.data, out.ctypes.data, rows_p,
-                        nrows, pending.ctypes.data, proposal.ctypes.data,
-                        bias.ctypes.data, envs.ctypes.data,
-                        rbuf.ctypes.data, counters.ctypes.data)
+                        nrows, *(words + 8 * n * k for k in range(5)),
+                        counters.ctypes.data)
         except Exception as exc:
             self._disable("node2vec_fill", exc)
             return None

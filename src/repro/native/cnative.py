@@ -91,11 +91,11 @@ _PTR = ctypes.c_void_p
 _I64 = ctypes.c_longlong
 _F64 = ctypes.c_double
 
-#: symbol -> (restype, argtypes).  Declared once at load time so the
-#: backend hooks can pass raw ``arr.ctypes.data`` integers — ctypes
-#: converts them via the declared argtypes without a per-argument
-#: Python wrapper object (the kernels are sub-millisecond and called
-#: hundreds of times per run, so per-call marshalling cost matters).
+#: symbol -> (restype, argtypes), declared once at load time: hooks
+#: pass plain integer addresses.  Reading one is not free — each
+#: ``arr.ctypes.data`` builds a numpy object (~2 us) — so a graph's are
+#: read once and cached with it (``CSRGraph.addresses``), and a hook
+#: reads each of its per-call arrays' once.
 _SIGNATURES = {
     "repro_pcg_fill": (None, (_PTR, _PTR, _I64)),
     "repro_uniform_count": (_I64, (_PTR, _I64, _PTR, _I64, _PTR, _I64)),

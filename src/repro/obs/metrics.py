@@ -27,45 +27,8 @@ storing observations.  Exact count / total / min / max are kept
 alongside.  Non-finite observations (NaN, +/-inf) are dropped and
 counted separately rather than poisoning the sum.
 
-Standard instrument names (see ``docs/OBSERVABILITY.md``):
-
-==============================  ========== =============================
-name                            kind        meaning
-==============================  ========== =============================
-``engine.runs``                 counter     engine ``run()`` calls
-``engine.samples_produced``     counter     samples in finished batches
-``engine.steps_run``            counter     sampling steps executed
-``engine.stage_seconds``        histogram   per-stage wall seconds,
-                                            labeled ``stage=`` (step /
-                                            scheduling_index /
-                                            individual_kernels /
-                                            collective_kernels) and
-                                            ``backend=``; every engine
-                                            observes them through
-                                            ``stepper.run_steps``
-``runtime.chunks_inprocess``    counter     chunks run one after
-                                            another on the calling
-                                            thread
-``runtime.chunks_pooled``       counter     chunks run on chunk threads
-``runtime.backend_active``      gauge       resolved kernel backend id:
-                                            0 numpy, 2 cnative; 1 retired
-                                            (``BACKEND_IDS`` in
-                                            ``repro.native.backend``)
-``native.compile_failures``     counter     compiled kernels disabled
-                                            after a runtime failure
-                                            (that kernel falls back to
-                                            numpy; once per kernel) or
-                                            a failed C build (every
-                                            kernel; once per process)
-``rng.chunk_streams``           counter     chunk generators derived
-``pool.chunk_seconds``          histogram   chunk latency on chunk
-                                            threads, labeled
-                                            ``app=``/``backend=``
-``shm.bytes_mapped``            counter     shared-memory bytes exported
-                                            (the ledger's set-up only)
-``shm.segments_swept``          counter     orphaned segments of dead
-                                            owners unlinked at startup
-==============================  ========== =============================
+The standard instrument names, their kinds and labels are listed once,
+in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
 """Lightweight span tracing for the sampling hot paths.
 
 One process-global tracer records *spans* — named wall-clock intervals
-with optional key/value arguments — from every thread of a run.  The
-hot paths are instrumented unconditionally; when tracing is disabled
-(the default) the active tracer is a shared no-op singleton whose
-``span()`` returns one reusable null context manager, so the cost per
-instrumentation point is a single attribute lookup and call (measured
-as ``obs.noop_span_ns`` by ``benchmarks/ledger/``).
+with optional key/value arguments — from every thread of a run.  When
+tracing is disabled (the default) the active tracer is a no-op
+singleton whose ``span()`` is one attribute lookup and call (the
+ledger's ``obs.noop_span_ns``); the step loop skips even that, adding
+its spans after the fact only when ``enabled``.
 
 Usage::
 
@@ -20,9 +19,10 @@ Usage::
     from repro.obs import export
     export.write_chrome_trace("trace.json")
 
-Clocks: spans are timed with ``time.monotonic()``, so a chunk thread
-can time its chunk and record ``(t_start, t_end)`` in its own
-``worker-N`` lane (:meth:`Tracer.add_span`).
+Clocks: spans are timed with ``time.perf_counter()``, the clock the
+step loop reads for its histograms, so it and the chunk threads record
+``(t_start, t_end)`` after the fact (:meth:`Tracer.add_span`), a chunk
+thread in its own ``worker-N`` lane.
 
 Lanes: every span lands in a lane — by default the recording thread
 (named via :meth:`Tracer.name_thread`), or an explicit string lane such
@@ -92,11 +92,11 @@ class Span:
     def __enter__(self) -> "Span":
         if self.lane is None:
             self.lane = threading.get_ident()
-        self._t0 = time.monotonic()
+        self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> bool:
-        self._tracer._record(self.name, self._t0, time.monotonic(),
+        self._tracer._record(self.name, self._t0, time.perf_counter(),
                              self.lane, self.args)
         return False
 
@@ -107,7 +107,7 @@ class Tracer:
     enabled = True
 
     def __init__(self) -> None:
-        self.origin = time.monotonic()
+        self.origin = time.perf_counter()
         self._events: List[Event] = []
         self._lock = threading.Lock()
         self._thread_names: Dict[int, str] = {}
@@ -120,8 +120,8 @@ class Tracer:
 
     def add_span(self, name: str, t_start: float, t_end: float,
                  lane: Optional[Lane] = None, **args) -> None:
-        """Record an already-timed interval (monotonic timestamps) —
-        how chunk threads put their chunks in their own lanes."""
+        """Record an already-timed interval (``perf_counter`` readings):
+        a step loop's stage, or a chunk thread's chunk in its lane."""
         if lane is None:
             lane = threading.get_ident()
         self._record(name, float(t_start), float(t_end), lane,

@@ -46,14 +46,14 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import fields
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.api.app import SamplingApp, takes_destination
 from repro.api.types import NULL_VERTEX, StepInfo
 from repro.native.backend import active_backend
-from repro.obs import get_metrics, trace
+from repro.obs import Counter, Histogram, get_metrics, trace
 from repro.runtime.cancel import CancelledRun, CancelScope
 from repro.runtime.faults import FaultInjected, FaultPlan
 from repro.runtime.rngplan import AUX_POST, AUX_TOPUP, RNGPlan
@@ -135,17 +135,12 @@ def combine_infos(infos: Sequence[StepInfo],
     """
     if not infos:
         return StepInfo()
-    if len(infos) == 1:
-        return infos[0]
     total = float(sum(weights))
-    if total <= 0:
+    if len(infos) == 1 or total <= 0:
         return infos[0]
-    merged = {}
-    for f in fields(StepInfo):
-        merged[f.name] = sum(
-            getattr(info, f.name) * w
-            for info, w in zip(infos, weights)) / total
-    return StepInfo(**merged)
+    return StepInfo(**{f.name: sum(getattr(info, f.name) * w
+                                   for info, w in zip(infos, weights)) / total
+                       for f in fields(StepInfo)})
 
 
 class _BatchRows:
@@ -203,6 +198,8 @@ class ExecutionContext:
         #: construction, so chunk-thread lanes land in the run's trace.
         self.tracer = trace.get_tracer()
         self.metrics = get_metrics()
+        #: The run's instruments by name (:meth:`_metric`).
+        self._instruments: Dict[str, Union[Counter, Histogram]] = {}
         #: Labels (app/backend) for the labeled chunk metrics, filled in
         #: by ``begin_run`` once the run's app is known.
         self._run_labels: Dict[str, str] = {}
@@ -234,48 +231,40 @@ class ExecutionContext:
         batch,
         transits: np.ndarray,
         step: int,
-        rows: Optional[np.ndarray] = None,
-        transit_vals: Optional[np.ndarray] = None,
+        rows: np.ndarray,
+        transit_vals: np.ndarray,
     ) -> Tuple[np.ndarray, StepInfo]:
         """Sample one individual step over pre-flattened pairs, in any
-        order (``run_steps`` passes them transit-sorted), pair ``i``
-        being transit ``transit_vals[i]`` in flat slot ``rows[i]``;
-        returns the ``(S, T * m)`` step array and the step's cost hints.
-        A walk-shaped step ignores any pairs given: it runs its live
-        slots in sample order.
+        order (``run_steps`` passes them transit-sorted, or a
+        walk-shaped step's in sample order), pair ``i`` being transit
+        ``transit_vals[i]`` in flat slot ``rows[i]``; returns the ``(S,
+        T * m)`` step array and the step's cost hints.
 
         Every chunk result lands straight in its pairs' rows of the step
         array, written by the app's draw itself when its hook takes the
         destination; nothing else of it is kept."""
-        from repro.core.stepper import (prev_transits_for, step_output,
-                                        walk_shaped)
-        from repro.core.transit_map import _live_pairs
-        self._check_cancel(f"step {step}")
-        if walk_shaped(app, transits, step):
-            rows, transit_vals = _live_pairs(transits)
-            if rows is None:
-                rows = np.arange(transit_vals.size)
+        from repro.core import stepper
+        self._check_cancel(step)
         num_cols, m = transits.shape[1], app.sample_size(step)
-        prev = None
-        if app.needs_prev_transits:
-            prev = prev_transits_for(batch, step, rows, num_cols)
-        bounds = self.plan.individual_bounds(int(transit_vals.size))
-        nchunks = bounds.size - 1
+        prev = (stepper.prev_transits_for(batch, step, rows, num_cols)
+                if app.needs_prev_transits else None)
+        num_pairs = transit_vals.size
+        bounds = self.plan.individual_bounds(num_pairs)
+        nchunks = len(bounds) - 1
+        out, out_rows = stepper.step_output(batch.num_samples, num_cols, m,
+                                            rows)
         if nchunks <= 0:
-            return step_output(batch.num_samples, num_cols, m,
-                               rows)[0], StepInfo()
-        self.metrics.counter("rng.chunk_streams").inc(nchunks)
+            return out, StepInfo()
+        self._metric("rng.chunk_streams").inc(nchunks)
 
-        threaded = (
-            self.workers >= 1 and nchunks > 1
-            and type(app).sample_neighbors
-            is not SamplingApp.sample_neighbors)
-        out, out_rows = step_output(batch.num_samples, num_cols, m, rows)
+        threaded = (self.workers >= 1 and nchunks > 1
+                    and type(app).sample_neighbors
+                    is not SamplingApp.sample_neighbors)
         in_place = takes_destination(type(app))
 
         def run_chunk(c: int) -> StepInfo:
             self._maybe_chunk_error(step, c)
-            lo, hi = int(bounds[c]), int(bounds[c + 1])
+            lo, hi = bounds[c], bounds[c + 1]
             own = rows[lo:hi]
             dest = {"out_rows": out_rows, "rows": own} if in_place else {}
             sampled, info = app.sample_neighbors(
@@ -288,13 +277,15 @@ class ExecutionContext:
                 out_rows[own] = sampled
             return info
 
-        with self.tracer.span(
-                "sampling.individual", step=step,
-                pairs=int(transit_vals.size), chunks=nchunks,
-                dispatched=threaded):
-            infos = self._sample_chunks(step, bounds, "pairs", run_chunk,
-                                        threaded)
-        return out, combine_infos(infos, np.diff(bounds).tolist())
+        t0 = time.perf_counter()
+        infos = self._sample_chunks(step, bounds, "pairs", run_chunk,
+                                    threaded)
+        if self.tracer.enabled:
+            self.tracer.add_span(
+                "sampling.individual", t0, time.perf_counter(), step=step,
+                pairs=num_pairs, chunks=nchunks, dispatched=threaded)
+        return out, infos[0] if nchunks == 1 else combine_infos(
+            infos, np.diff(bounds).tolist())
 
     # -- collective steps ---------------------------------------------
 
@@ -317,7 +308,7 @@ class ExecutionContext:
         materialise multi-gigabyte arrays."""
         from repro.api.apps._kernels import (
             build_combined_neighborhood, combined_neighborhood_offsets)
-        self._check_cancel(f"step {step}")
+        self._check_cancel(step)
         transits = np.asarray(transits)
         if app.needs_combined_values:
             values, offsets = build_combined_neighborhood(graph, transits)
@@ -327,19 +318,19 @@ class ExecutionContext:
 
         num_rows = int(transits.shape[0])
         bounds = self.plan.collective_bounds(num_rows)
-        nchunks = bounds.size - 1
+        nchunks = len(bounds) - 1
         if nchunks <= 0:
             empty = np.full((batch.num_samples, 0), NULL_VERTEX,
                             dtype=np.int64)
             return empty, StepInfo(), None, np.diff(offsets)
-        self.metrics.counter("rng.chunk_streams").inc(nchunks)
+        self._metric("rng.chunk_streams").inc(nchunks)
 
         out = np.full((num_rows, app.sample_size(step)), NULL_VERTEX,
                       dtype=np.int64)
 
         def run_chunk(c: int) -> StepInfo:
             self._maybe_chunk_error(step, c)
-            lo, hi = int(bounds[c]), int(bounds[c + 1])
+            lo, hi = bounds[c], bounds[c + 1]
             vertices, info = app.sample_from_neighborhood(
                 graph, _BatchRows(batch, lo, hi),
                 None if values is None
@@ -350,16 +341,30 @@ class ExecutionContext:
             return info
 
         # Never threaded (module docstring).
-        with self.tracer.span(
-                "sampling.collective", step=step, rows=num_rows,
-                chunks=nchunks, dispatched=False):
-            infos = self._sample_chunks(step, bounds, "rows", run_chunk,
-                                        threaded=False)
-        info = combine_infos(infos, np.diff(bounds).tolist())
+        t0 = time.perf_counter()
+        infos = self._sample_chunks(step, bounds, "rows", run_chunk,
+                                    threaded=False)
+        if self.tracer.enabled:
+            self.tracer.add_span(
+                "sampling.collective", t0, time.perf_counter(), step=step,
+                rows=num_rows, chunks=nchunks, dispatched=False)
+        info = infos[0] if nchunks == 1 else combine_infos(
+            infos, np.diff(bounds).tolist())
         edges = app.record_step_edges(graph, batch, transits, out, step)
         return out, info, edges, np.diff(offsets)
 
     # -- faults, cancellation, and chunk threads -----------------------
+
+    def _metric(self, name: str, kind: str = "counter"):
+        """Instrument ``name`` (a histogram carries the run's labels),
+        looked up once per run, on first use: a run that never updates
+        it does not export it."""
+        inst = self._instruments.get(name)
+        if inst is None:
+            labels = None if kind == "counter" else self._run_labels or None
+            inst = self._instruments[name] = getattr(self.metrics, kind)(
+                name, labels=labels)
+        return inst
 
     def _maybe_chunk_error(self, step: int, chunk: int) -> None:
         """The ``chunk-error`` fault: raise inside chunk ``chunk`` of
@@ -369,33 +374,38 @@ class ExecutionContext:
             raise FaultInjected(
                 f"injected chunk error (step {step}, chunk {chunk})")
 
-    def _check_cancel(self, where: str) -> None:
+    def _check_cancel(self, step: int, chunk: Optional[int] = None) -> None:
         """Raise :class:`~repro.runtime.cancel.CancelledRun` at a chunk
         boundary when the attached scope tripped (deadline passed or an
         explicit cancel); partial step work is simply dropped."""
         if self.cancel is not None:
             try:
-                self.cancel.check(where)
+                self.cancel.check(f"step {step}" if chunk is None
+                                  else f"step {step} chunk {chunk}")
             except Exception:
-                self.metrics.counter("runtime.runs_cancelled").inc()
+                self._metric("runtime.runs_cancelled").inc()
                 raise
 
-    def _sample_chunks(self, step: int, bounds: np.ndarray, unit: str,
+    def _sample_chunks(self, step: int, bounds: List[int], unit: str,
                        run_chunk: Callable[[int], StepInfo],
                        threaded: bool) -> List[StepInfo]:
         """Every chunk's cost hints, in chunk order: on chunk threads
         when ``threaded``, else one after another on this thread, each
-        in a ``chunk`` span whose ``unit`` argument is its size."""
-        infos: List[Optional[StepInfo]] = [None] * (bounds.size - 1)
+        traced as a ``chunk`` span whose ``unit`` argument is its size."""
+        infos: List[Optional[StepInfo]] = [None] * (len(bounds) - 1)
         if threaded:
             self._run_on_threads(step, run_chunk, infos)
             return infos
-        inprocess = self.metrics.counter("runtime.chunks_inprocess")
+        traced = self.tracer.enabled
+        inprocess = self._metric("runtime.chunks_inprocess")
         for c in range(len(infos)):
-            self._check_cancel(f"step {step} chunk {c}")
-            with self.tracer.span("chunk", step=step, chunk=c, **{
-                    unit: int(bounds[c + 1] - bounds[c])}):
-                infos[c] = run_chunk(c)
+            self._check_cancel(step, c)
+            t0 = time.perf_counter()
+            infos[c] = run_chunk(c)
+            if traced:
+                self.tracer.add_span(
+                    "chunk", t0, time.perf_counter(), step=step, chunk=c,
+                    **{unit: bounds[c + 1] - bounds[c]})
             inprocess.inc()
         return infos
 
@@ -413,9 +423,9 @@ class ExecutionContext:
         re-raised here after the chunks already started have returned."""
         queue = deque(range(len(infos)))
         errors: List[BaseException] = []
-        pooled = self.metrics.counter("runtime.chunks_pooled")
-        chunk_seconds = self.metrics.histogram(
-            "pool.chunk_seconds", labels=self._run_labels or None)
+        chunk_seconds = self._metric("pool.chunk_seconds", "histogram")
+        pooled = self._metric("runtime.chunks_pooled")
+        traced = self.tracer.enabled
 
         def drain(lane: int) -> None:
             lane_name = f"worker-{lane}"
@@ -427,13 +437,15 @@ class ExecutionContext:
                         return
                     if self.cancel is not None:
                         self.cancel.check(f"step {step} chunk {c}")
-                    t0 = time.monotonic()
+                    t0 = time.perf_counter()
                     infos[c] = run_chunk(c)
-                    t1 = time.monotonic()
+                    t1 = time.perf_counter()
                     pooled.inc()
                     chunk_seconds.observe(t1 - t0)
-                    self.tracer.add_span("chunk", t0, t1, lane=lane_name,
-                                         step=step, chunk=c)
+                    if traced:
+                        self.tracer.add_span("chunk", t0, t1,
+                                             lane=lane_name, step=step,
+                                             chunk=c)
             except BaseException as exc:
                 errors.append(exc)
 
@@ -446,5 +458,5 @@ class ExecutionContext:
                 helper.result()
         if errors:
             if isinstance(errors[0], CancelledRun):
-                self.metrics.counter("runtime.runs_cancelled").inc()
+                self._metric("runtime.runs_cancelled").inc()
             raise errors[0]

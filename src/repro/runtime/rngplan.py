@@ -30,7 +30,7 @@ Key layout::
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -132,18 +132,15 @@ class RNGPlan:
     # -- chunk layout -------------------------------------------------
 
     @staticmethod
-    def _bounds(n: int, size: int) -> np.ndarray:
-        if n <= 0:
-            return np.zeros(1, dtype=np.int64)
-        return np.append(np.arange(0, n, size, dtype=np.int64),
-                         np.int64(n))
+    def _bounds(n: int, size: int) -> List[int]:
+        return [*range(0, n, size), n] if n > 0 else [0]
 
-    def individual_bounds(self, num_pairs: int) -> np.ndarray:
-        """Chunk boundaries over a step's flattened pair array:
-        ``[0, c, 2c, ..., num_pairs]``."""
+    def individual_bounds(self, num_pairs: int) -> List[int]:
+        """Chunk boundaries over a step's flattened pair array, as
+        plain ints: ``[0, c, 2c, ..., num_pairs]``."""
         return self._bounds(num_pairs, self.chunk_pairs)
 
-    def collective_bounds(self, num_samples: int) -> np.ndarray:
+    def collective_bounds(self, num_samples: int) -> List[int]:
         """Chunk boundaries over a collective step's sample rows."""
         return self._bounds(num_samples, self.chunk_rows)
 

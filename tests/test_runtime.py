@@ -74,7 +74,7 @@ class TestRNGPlan:
 
     def test_bounds_empty_and_single(self):
         plan = RNGPlan(0, chunk_pairs=100)
-        assert plan.individual_bounds(0).size == 1
+        assert plan.individual_bounds(0) == [0]
         assert np.array_equal(plan.individual_bounds(40), [0, 40])
 
     def test_chunk_rng_is_pure_function_of_seed_step_chunk(self):

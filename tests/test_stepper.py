@@ -199,7 +199,7 @@ class _ShuffledContext(ExecutionContext):
         self.rng = rng
 
     def _sample_chunks(self, step, bounds, unit, run_chunk, threaded):
-        infos = [None] * (bounds.size - 1)
+        infos = [None] * (len(bounds) - 1)
         for c in self.rng.permutation(len(infos)).tolist():
             infos[c] = run_chunk(c)
         return infos
