@@ -25,8 +25,8 @@ class CpuEngine(Engine):
     _device_cls = CpuDevice
 
     def __init__(self, spec: CPUSpec = XEON_SILVER_4216,
-                 workers=None, chunk_size=None) -> None:
-        super().__init__(spec, workers, chunk_size)
+                 workers=None) -> None:
+        super().__init__(spec, workers)
 
     def _check_supported(self, app: SamplingApp, num_devices: int) -> None:
         """A CPU system is priced as one machine: no device count."""

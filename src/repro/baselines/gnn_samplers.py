@@ -37,8 +37,8 @@ class ReferenceSamplerEngine(CpuEngine):
 
     def __init__(self, spec: CPUSpec = XEON_SILVER_4216,
                  ops_per_vertex: float = _OPS_PER_VERTEX,
-                 workers=None, chunk_size=None) -> None:
-        super().__init__(spec, workers, chunk_size)
+                 workers=None) -> None:
+        super().__init__(spec, workers)
         self.ops_per_vertex = ops_per_vertex
 
     def _charge_step(self, cpu: CpuDevice, graph, batch,

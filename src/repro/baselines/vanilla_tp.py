@@ -42,9 +42,8 @@ class VanillaTPEngine(NextDoorEngine):
 
     engine_name = "TP"
 
-    def __init__(self, spec=None, workers=None, chunk_size=None) -> None:
-        kwargs = {"config": _VANILLA_CONFIG, "workers": workers,
-                  "chunk_size": chunk_size}
+    def __init__(self, spec=None, workers=None) -> None:
+        kwargs = {"config": _VANILLA_CONFIG, "workers": workers}
         if spec is not None:
             kwargs["spec"] = spec
         super().__init__(**kwargs)

@@ -95,27 +95,21 @@ def run_engine(engine, app_name: str, graph_name: str, seed: int = 0,
 def run_engines(engines, app_name: str, graph_name: str, seed: int = 0,
                 num_samples: Optional[int] = None) -> List:
     """One cell of a figure for several engines: each engine's result
-    (None where it cannot express the app).  An engine prices an
-    earlier engine's run (:meth:`SamplingResult.priced_as`) and runs
-    itself only where every earlier run refuses it: it cannot express
-    the app, or it samples with another chunk size."""
+    (None where it cannot express the app).  The first engine that
+    accepts the app samples; every other engine prices that run
+    (:meth:`SamplingResult.priced_as`)."""
     graph = paper_graph(graph_name, app_name, seed=seed)
     if num_samples is None:
         num_samples = walk_sample_count(graph, app_name)
-    runs, results = [], []
+    run, results = None, []
     for engine in engines:
-        for run in runs:
-            try:
-                results.append(run.priced_as(engine))
-                break
-            except ValueError:
-                pass
-        else:
-            try:
-                run = engine.run(paper_app(app_name), graph,
-                                 num_samples=num_samples, seed=seed)
-                runs.append(run)
-            except ValueError:
-                run = None
-            results.append(run)
+        try:
+            result = (run.priced_as(engine) if run is not None else
+                      engine.run(paper_app(app_name), graph,
+                                 num_samples=num_samples, seed=seed))
+        except ValueError:
+            result = None
+        if run is None:
+            run = result
+        results.append(result)
     return results

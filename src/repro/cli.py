@@ -114,10 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 0 = the calling thread only; "
                         "$REPRO_WORKERS overrides the default; samples "
                         "are identical either way)")
-    p.add_argument("--chunk-size", type=int, default=None,
-                   help="RNG-plan chunk size in transit pairs (changes "
-                        "sampled values like a seed change; default "
-                        "4096)")
     p.add_argument("--fault-plan", default=None, metavar="PLAN",
                    help="deterministic fault injection, e.g. "
                         "'chunk-error:0.3' (chunk 3 of step 0; "
@@ -200,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampling threads per run (default 0 = the "
                         "run's own thread only; samples are identical "
                         "either way)")
-    p.add_argument("--chunk-size", type=int, default=None)
     p.add_argument("--default-deadline-ms", type=float, default=None,
                    help="deadline applied to requests that carry none "
                         "(default: unbounded)")
@@ -267,14 +262,9 @@ def _cmd_datasets(args, out) -> int:
     return 0
 
 
-def _workers_error(workers: Optional[int],
-                   chunk_size: Optional[int] = None) -> Optional[str]:
+def _workers_error(workers: Optional[int]) -> Optional[str]:
     """Readable message for an invalid --workers value (or, without
-    one, an invalid ``$REPRO_WORKERS``) or --chunk-size, else None."""
-    if chunk_size is not None and chunk_size <= 0:
-        return (f"--chunk-size must be >= 1 transit pair, got {chunk_size}"
-                " (the chunk size is the RNG-plan granularity; see "
-                "docs/CLI.md)")
+    one, an invalid ``$REPRO_WORKERS``), else None."""
     if workers is not None and workers < 0:
         return (f"--workers must be >= 0, got {workers} "
                 "(0 = the calling thread only, N = N sampling threads)")
@@ -315,7 +305,9 @@ def _resolve_graph(args, out):
 
 
 def _cmd_sample(args, out) -> int:
-    err = _workers_error(args.workers, args.chunk_size)
+    err = _workers_error(args.workers)
+    if err is None and args.samples is not None and args.samples < 1:
+        err = f"--samples must be >= 1, got {args.samples}"
     if err:
         print(f"error: {err}", file=out)
         return 2
@@ -338,8 +330,7 @@ def _cmd_sample(args, out) -> int:
     num_samples = args.samples
     if num_samples is None:
         num_samples = walk_sample_count(graph, args.app)
-    engine = ENGINES[args.engine](workers=args.workers,
-                                  chunk_size=args.chunk_size)
+    engine = ENGINES[args.engine](workers=args.workers)
     engine.fault_plan = fault_plan
     try:
         result = engine.run(app, graph, num_samples=num_samples,
@@ -477,14 +468,14 @@ def _cmd_serve(args, out) -> int:
 
     from repro.serve.server import SamplingServer, ServerConfig
 
-    err = _workers_error(args.workers, args.chunk_size)
+    err = _workers_error(args.workers)
     if err:
         print(f"error: {err}", file=out)
         return 2
     config = ServerConfig(
         host=args.host, port=args.port,
         queue_capacity=args.queue_capacity, executors=args.executors,
-        workers=args.workers, chunk_size=args.chunk_size,
+        workers=args.workers,
         default_deadline_ms=args.default_deadline_ms,
         drain_timeout_s=args.drain_timeout,
         stats_out=args.stats_out,

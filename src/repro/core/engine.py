@@ -50,7 +50,6 @@ from repro.gpu.spec import GPUSpec, V100
 from repro.obs import get_metrics, trace
 from repro.runtime.context import ExecutionContext
 from repro.runtime.faults import FaultPlan
-from repro.runtime.rngplan import RNGPlan
 
 __all__ = ["Engine", "NextDoorEngine", "SamplingResult", "do_sampling"]
 
@@ -72,16 +71,13 @@ class SamplingResult:
 
     def __init__(self, app: SamplingApp, graph, batch: SampleBatch,
                  records: List[stepper.StepRecord], pricer: "Engine",
-                 num_devices: int, chunk_pairs: int) -> None:
+                 num_devices: int) -> None:
         self.app = app
         self.graph_name = graph.name
         self.batch = batch
         self.steps_run = len(records)
         self.engine = pricer.engine_name
         self.devices_used = num_devices
-        #: The run's resolved RNG-plan chunk size: the one engine
-        #: setting that changes sampled values.
-        self.chunk_pairs = chunk_pairs
         self._graph = graph
         self._records = records
         self._pricer = pricer
@@ -107,18 +103,10 @@ class SamplingResult:
         """This run's batch and step records priced by ``engine`` on
         ``num_devices`` devices: what ``engine.run`` gives for the same
         app, graph and seed.  ``ValueError`` when ``engine`` cannot
-        price the app or device count, or when its chunk size is not
-        the run's: its own run draws other samples."""
+        price the app or device count."""
         engine._check_supported(self.app, num_devices)
-        chunk_pairs = RNGPlan(0, engine.chunk_size).chunk_pairs
-        if chunk_pairs != self.chunk_pairs:
-            raise ValueError(f"{engine.engine_name} samples in chunks of "
-                             f"{chunk_pairs} pairs, the run in chunks of "
-                             f"{self.chunk_pairs}: its own run draws other "
-                             "samples")
         return SamplingResult(self.app, self._graph, self.batch,
-                              self._records, engine, num_devices,
-                              self.chunk_pairs)
+                              self._records, engine, num_devices)
 
     @property
     def samples(self) -> SampleBatch:
@@ -193,15 +181,12 @@ class Engine:
     #: test hook, so concurrent requests never see each other's plan.
     fault_plan = None
 
-    def __init__(self, spec, workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None) -> None:
+    def __init__(self, spec, workers: Optional[int] = None) -> None:
         self.spec = spec
         #: Chunk threads: 0 = the calling thread only; None =
         #: $REPRO_WORKERS, default 0.  Samples are bitwise-identical
         #: for any setting.
         self.workers = workers
-        #: Pairs per RNG-plan chunk (None = runtime default).
-        self.chunk_size = chunk_size
 
     def run(self, app: SamplingApp, graph,
             num_samples: Optional[int] = None,
@@ -218,8 +203,7 @@ class Engine:
         self._check_supported(app, num_devices)
         with trace.span("run", engine=self.engine_name, app=app.name,
                         graph=graph.name, devices=num_devices) as run_span:
-            ctx = ExecutionContext(seed, workers=self.workers,
-                                   chunk_size=self.chunk_size)
+            ctx = ExecutionContext(seed, workers=self.workers)
             ctx.cancel = self.cancel
             if self.fault_plan is not None:
                 ctx._fault_plan = FaultPlan.parse(self.fault_plan.spec)
@@ -234,8 +218,7 @@ class Engine:
         reg.counter("engine.runs").inc()
         reg.counter("engine.samples_produced").inc(batch.num_samples)
         reg.counter("engine.steps_run").inc(steps_run)
-        return SamplingResult(app, graph, batch, records, self, num_devices,
-                              ctx.plan.chunk_pairs)
+        return SamplingResult(app, graph, batch, records, self, num_devices)
 
     def _check_supported(self, app: SamplingApp, num_devices: int) -> None:
         """Raise ``ValueError`` for an application this engine cannot
@@ -303,9 +286,8 @@ class NextDoorEngine(Engine):
 
     def __init__(self, spec: GPUSpec = V100,
                  config: KernelPlanConfig = KernelPlanConfig(),
-                 workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None) -> None:
-        super().__init__(spec, workers, chunk_size)
+                 workers: Optional[int] = None) -> None:
+        super().__init__(spec, workers)
         self.config = config
 
     def _charge_step(self, device: Device, graph, batch: SampleBatch,
@@ -384,8 +366,7 @@ _TOPUP_INFO = StepInfo(avg_compute_cycles=10.0)
 
 
 #: Keyword arguments ``do_sampling`` accepts beyond its positionals.
-_DO_SAMPLING_KWARGS = ("spec", "config", "workers", "chunk_size",
-                       "num_devices")
+_DO_SAMPLING_KWARGS = ("spec", "config", "workers", "num_devices")
 
 
 def do_sampling(app: SamplingApp, graph, num_samples: int, seed: int = 0,

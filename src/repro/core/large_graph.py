@@ -45,14 +45,14 @@ class LargeGraphNextDoor(NextDoorEngine):
                  spec: GPUSpec = V100,
                  num_partitions: int = 16,
                  sample_scale: float = 1.0,
-                 workers=None, chunk_size=None) -> None:
+                 workers=None) -> None:
         """``sample_scale`` keeps the compute : transfer ratio at paper
         proportions when the experiment runs fewer samples than the
         original (e.g. 20 k walkers instead of one per Friendster's
         65.6 M vertices): transfers shrink by the same factor the
         sampling work shrank, so who-wins stays scale-invariant.
         Pass 1.0 to charge unscaled paper-footprint transfers."""
-        super().__init__(spec=spec, workers=workers, chunk_size=chunk_size)
+        super().__init__(spec=spec, workers=workers)
         if modeled_graph_bytes <= 0:
             raise ValueError("modeled_graph_bytes must be positive")
         if not 0.0 < sample_scale <= 1.0:

@@ -16,7 +16,7 @@ from repro.runtime.faults import FaultInjected, FaultPlan
 from repro.runtime.rngplan import (
     AUX_POST,
     AUX_TOPUP,
-    DEFAULT_CHUNK_PAIRS,
+    CHUNK_PAIRS,
     RNGPlan,
 )
 
@@ -24,7 +24,7 @@ __all__ = [
     "ExecutionContext",
     "resolve_workers",
     "RNGPlan",
-    "DEFAULT_CHUNK_PAIRS",
+    "CHUNK_PAIRS",
     "AUX_TOPUP",
     "AUX_POST",
     "FaultPlan",

@@ -7,7 +7,7 @@ plan-derived generator.  Chunk layout and seeds depend only on ``(seed,
 step, chunk index)``, never on the worker count, so the assembled step
 — and the whole ``SampleBatch`` — is bitwise-identical for any
 ``workers``; per-chunk :class:`~repro.api.types.StepInfo` cost hints
-are combined by a chunk-size-weighted mean in chunk order, so the
+are combined by a mean weighted by chunk length, in chunk order, so the
 charge inputs are too.  The app's type alone picks the kernels
 (vectorised hook or the base-class reference loop over ``next``).
 
@@ -182,10 +182,9 @@ class _BatchRows:
 class ExecutionContext:
     """One run's RNG plan + (optional) chunk threads."""
 
-    def __init__(self, seed: int, workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None) -> None:
+    def __init__(self, seed: int, workers: Optional[int] = None) -> None:
         self.workers = resolve_workers(workers)
-        self.plan = RNGPlan(seed, chunk_pairs=chunk_size)
+        self.plan = RNGPlan(seed)
         #: Cooperative cancellation/deadline token
         #: (:class:`repro.runtime.cancel.CancelScope`), checked between
         #: chunks; None = never cancelled.  Attached by the serving

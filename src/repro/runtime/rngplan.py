@@ -10,11 +10,11 @@ number of chunk threads, in any completion order.  Root selection,
 the unique top-up and ``post_step`` each get their own keyed stream,
 so their draws cannot shift with the chunk count.
 
-Sampled values are thus a function of the seed, the chunk size and
-each step's **schedule**, the pair order chunks are cut from: grouped
-by transit, except that a walk-shaped step
-(:func:`repro.core.stepper.walk_shaped`) runs in sample order.  The
-schedule is the same in every engine.
+Sampled values are thus a function of the seed, the chunk constant
+:data:`CHUNK_PAIRS` and each step's **schedule**, the pair order
+chunks are cut from: grouped by transit, except that a walk-shaped
+step (:func:`repro.core.stepper.walk_shaped`) runs in sample order.
+The schedule is the same in every engine.
 
 The device count and the engine are not among them: a multi-device
 run samples the one-device batch and splits it only to price it, and
@@ -30,17 +30,18 @@ Key layout::
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["RNGPlan", "DEFAULT_CHUNK_PAIRS", "AUX_TOPUP", "AUX_POST"]
+__all__ = ["RNGPlan", "CHUNK_PAIRS", "AUX_TOPUP", "AUX_POST"]
 
 #: Pairs per chunk for individual (per-transit) sampling.  Part of the
 #: determinism contract: changing it changes the sampled values (but
-#: never their distribution), exactly like changing the seed.
-DEFAULT_CHUNK_PAIRS = 4096
+#: never their distribution), exactly like changing the seed.  No
+#: caller sets it; a plan reads it when it is constructed.
+CHUNK_PAIRS = 4096
 
 #: Aux stream slots.
 AUX_TOPUP = 0
@@ -99,21 +100,13 @@ def generator_for(seed: int, key: Tuple[int, ...]) -> np.random.Generator:
 class RNGPlan:
     """The deterministic chunk layout + seed derivation of one run."""
 
-    def __init__(self, seed: int, chunk_pairs: Optional[int] = None,
-                 chunk_rows: Optional[int] = None) -> None:
-        if chunk_pairs is None:
-            chunk_pairs = DEFAULT_CHUNK_PAIRS
-        if chunk_pairs < 1:
-            raise ValueError("chunk_pairs must be >= 1")
+    def __init__(self, seed: int) -> None:
         self.seed = int(seed)
-        self.chunk_pairs = int(chunk_pairs)
+        self.chunk_pairs = CHUNK_PAIRS
         # Collective steps chunk over *samples*; each row is a whole
         # combined-neighborhood selection, so rows are far heavier than
         # individual pairs.
-        self.chunk_rows = int(chunk_rows) if chunk_rows is not None \
-            else max(1, self.chunk_pairs // 32)
-        if self.chunk_rows < 1:
-            raise ValueError("chunk_rows must be >= 1")
+        self.rows_per_chunk = max(1, self.chunk_pairs // 32)
 
     # -- seed derivation ----------------------------------------------
 
@@ -142,8 +135,8 @@ class RNGPlan:
 
     def collective_bounds(self, num_samples: int) -> List[int]:
         """Chunk boundaries over a collective step's sample rows."""
-        return self._bounds(num_samples, self.chunk_rows)
+        return self._bounds(num_samples, self.rows_per_chunk)
 
     def __repr__(self) -> str:
         return (f"RNGPlan(seed={self.seed}, chunk_pairs={self.chunk_pairs}, "
-                f"chunk_rows={self.chunk_rows})")
+                f"rows_per_chunk={self.rows_per_chunk})")

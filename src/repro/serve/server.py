@@ -65,7 +65,6 @@ class ServerConfig:
     executors: int = 2
     #: Chunk threads per engine run (0 = the run's own thread only).
     workers: int = 0
-    chunk_size: Optional[int] = None
     #: Deadline applied when a request carries none (None = unbounded).
     default_deadline_ms: Optional[float] = None
     #: Seconds the drain waits for in-flight requests on SIGTERM.
@@ -289,8 +288,7 @@ class SamplingServer:
         try:
             if sleep_ms:
                 time.sleep(float(sleep_ms) / 1000.0)
-            engine = NextDoorEngine(workers=self.config.workers,
-                                    chunk_size=self.config.chunk_size)
+            engine = NextDoorEngine(workers=self.config.workers)
             engine.cancel = scope
             # Test hook: this request's own fault plan; a typo is a
             # ValueError, answered as bad_request.

@@ -33,10 +33,10 @@ __all__ = ["run_chaos_checks"]
 
 SUITE = "chaos"
 
-#: Small enough to finish in seconds, chunked enough (6 or more
-#: chunks/step) that the fault has a real chunk to land on.
-_NUM_SAMPLES = 96
-_CHUNK = 16
+#: Small enough to finish in seconds, large enough that step 1 has at
+#: least two chunks of ``CHUNK_PAIRS`` pairs (LADIES: of sample rows),
+#: so the fault has a real chunk to land on.
+_NUM_SAMPLES = 8192
 _WALK_LENGTH = 8
 _SEED = 11
 _FAULT = "chunk-error:1.1"
@@ -72,8 +72,8 @@ def run_chaos_checks(workers: Optional[int] = None,
     del seed  # the scenario pins its seed: identity must be exact
     workers = workers if workers and workers >= 1 else 2
     graph = _chaos_graph()
-    baseline = _digest(NextDoorEngine(workers=0, chunk_size=_CHUNK), graph)
-    engine = NextDoorEngine(workers=workers, chunk_size=_CHUNK)
+    baseline = _digest(NextDoorEngine(workers=0), graph)
+    engine = NextDoorEngine(workers=workers)
 
     problems: List[str] = []
     engine.fault_plan = FaultPlan.parse(_FAULT)

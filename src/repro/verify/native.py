@@ -37,7 +37,7 @@ _POOLED_VERTICES = 1500
 _POOLED_EDGES = 9000
 
 #: name -> (app factory, weighted?, num_samples).  Sizes chosen so at
-#: least one step exceeds DEFAULT_CHUNK_PAIRS and chunk threads really
+#: least one step exceeds CHUNK_PAIRS and chunk threads really
 #: run it (DeepWalk: 6000 pairs/step; k-hop step 1: 4 * 2048; LADIES:
 #: four collective chunks of 128 sample rows, the last ragged, chunked
 #: on the calling thread).

@@ -62,7 +62,8 @@ SUITE_NAMES: Tuple[str, ...] = tuple(SUITES)
 
 #: suite name -> (check count, one-line description) for
 #: ``repro verify --list``.  Counts are declared, not discovered (a
-#: listing must not run the suites); each suite's tests pin its count.
+#: listing must not run the suites); ``run_suites`` fails a suite that
+#: ran another number, and each suite's tests pin its count.
 SUITE_INFO: Dict[str, Tuple[int, str]] = {
     "stat": (9, "analytic distribution checks per app family"),
     "diff": (20, "reference-vs-engine differential sweeps"),
@@ -89,7 +90,8 @@ def run_suites(names: Optional[Sequence[str]] = None,
                workers: Optional[int] = None,
                seed: int = 0) -> Tuple[List[CheckResult], bool]:
     """Run the named suites (all by default); returns the results and
-    whether every check passed."""
+    whether every check passed.  A suite that ran another number of
+    checks than ``SUITE_INFO`` declares adds one failed check."""
     if names is None:
         names = SUITE_NAMES
     results: List[CheckResult] = []
@@ -98,7 +100,15 @@ def run_suites(names: Optional[Sequence[str]] = None,
             raise ValueError(
                 f"unknown suite {name!r}; choose from "
                 f"{', '.join(SUITE_NAMES)}")
-        results.extend(SUITES[name](workers, seed))
+        ran = SUITES[name](workers, seed)
+        declared = SUITE_INFO[name][0]
+        results.extend(ran)
+        if len(ran) != declared:
+            results.append(CheckResult(
+                name="declared_check_count", suite=name, family="registry",
+                passed=False, statistic=len(ran),
+                detail=f"ran {len(ran)} checks, SUITE_INFO declares "
+                       f"{declared}"))
     return results, all(r.passed for r in results)
 
 

@@ -30,24 +30,21 @@ from repro.serve.protocol import SampleRequest, batch_digest
 from repro.serve.server import SamplingServer, ServerConfig
 from repro.verify.result import CheckResult
 
-__all__ = ["run_serve_checks", "CHECK_COUNT"]
+__all__ = ["run_serve_checks"]
 
 SUITE = "serve"
 
-#: Checks this suite produces (asserted by tests and shown by
-#: ``repro verify --list``).
-CHECK_COUNT = 7
-
 _GRAPH = "ppi"
-_SAMPLES = 192
+#: Step 0 of either app has one pair per sample: two chunks of
+#: ``CHUNK_PAIRS``, so ``chunk-error:0.1`` lands on a real chunk.
+_SAMPLES = 8192
 _SEED = 17
-_CHUNK = 32
 
 
 def _direct_digest(app_name: str, workers: int) -> str:
     from repro.bench.runner import paper_app, paper_graph
     graph = paper_graph(_GRAPH, app_name, seed=_SEED)
-    engine = NextDoorEngine(workers=workers, chunk_size=_CHUNK)
+    engine = NextDoorEngine(workers=workers)
     result = engine.run(paper_app(app_name), graph,
                         num_samples=_SAMPLES, seed=_SEED)
     return batch_digest(result.batch)
@@ -81,7 +78,7 @@ def run_serve_checks(workers: Optional[int] = None,
         warnings.simplefilter("ignore", RuntimeWarning)
         config = ServerConfig(
             port=0, queue_capacity=8, executors=2, workers=workers,
-            chunk_size=_CHUNK, allow_test_hooks=True)
+            allow_test_hooks=True)
         with SamplingServer(config) as server:
             client = ServeClient(port=server.port)
             results.append(_check_parity(client, direct))
@@ -91,7 +88,6 @@ def run_serve_checks(workers: Optional[int] = None,
             results.append(_check_chunk_error(client, direct))
         results.append(_check_queue_full(direct))
         results.append(_check_drain(direct))
-    assert len(results) == CHECK_COUNT, "update CHECK_COUNT"
     return results
 
 
@@ -189,8 +185,7 @@ def _check_queue_full(direct) -> CheckResult:
     and succeeds bit-perfectly once capacity frees."""
     problems: List[str] = []
     config = ServerConfig(port=0, queue_capacity=0, executors=1,
-                          workers=0, chunk_size=_CHUNK,
-                          allow_test_hooks=True)
+                          workers=0, allow_test_hooks=True)
     with SamplingServer(config) as server:
         blocker_client = ServeClient(port=server.port)
         blocker_done: List = []
@@ -230,8 +225,7 @@ def _check_drain(direct) -> CheckResult:
     requests with a draining status."""
     problems: List[str] = []
     config = ServerConfig(port=0, queue_capacity=4, executors=1,
-                          workers=0, chunk_size=_CHUNK,
-                          allow_test_hooks=True)
+                          workers=0, allow_test_hooks=True)
     server = SamplingServer(config).start()
     client = ServeClient(port=server.port)
     inflight_done: List = []

@@ -6,6 +6,7 @@ import pytest
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph
 from repro.native.backend import available_backends, backend_scope
+from repro.runtime import rngplan
 
 
 @pytest.fixture
@@ -65,6 +66,16 @@ def numpy_backend():
     """The numpy backend, whatever ``$REPRO_BACKEND`` says."""
     with backend_scope("numpy"):
         yield
+
+
+@pytest.fixture
+def set_chunk_pairs(monkeypatch):
+    """Sets ``rngplan.CHUNK_PAIRS`` for one test and undoes it after:
+    small graphs need small chunks to have more than one a step.  The
+    runs a test makes after the call sample in chunks of that size."""
+    def set_pairs(pairs: int) -> None:
+        monkeypatch.setattr(rngplan, "CHUNK_PAIRS", pairs)
+    return set_pairs
 
 
 @pytest.fixture

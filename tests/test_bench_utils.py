@@ -82,25 +82,28 @@ class TestRunnerConfigs:
         assert result.batch.num_samples == 16
 
     def test_run_engines_cell(self):
-        """Every engine prices the first run, the CPU reference
-        sampler on k-hop included; KnightKing cannot express k-hop, and
-        an engine with another chunk size runs on its own."""
+        """The first engine that accepts the app samples once, and
+        every other engine prices that run, the CPU reference sampler
+        on k-hop included; KnightKing cannot express k-hop."""
         from repro.baselines import (
             KnightKingEngine,
             ReferenceSamplerEngine,
             SampleParallelEngine,
         )
         from repro.core.engine import NextDoorEngine
-        engines = [NextDoorEngine(), SampleParallelEngine(),
-                   KnightKingEngine(), ReferenceSamplerEngine(),
-                   SampleParallelEngine(chunk_size=8)]
-        nd, sp, kk, ref, sp8 = runner.run_engines(
+        from repro.obs import get_metrics
+        runs = get_metrics().counter("engine.runs")
+        before = runs.value
+        engines = [KnightKingEngine(), NextDoorEngine(),
+                   SampleParallelEngine(), ReferenceSamplerEngine(),
+                   KnightKingEngine()]
+        kk, nd, sp, ref, kk2 = runner.run_engines(
             engines, "k-hop", "ppi", seed=0, num_samples=16)
-        assert kk is None
+        assert runs.value == before + 1
+        assert kk is None and kk2 is None
         assert sp.batch is nd.batch and ref.batch is nd.batch
-        assert sp8.batch is not nd.batch and sp8.chunk_pairs == 8
-        assert [r.engine for r in (nd, sp, ref, sp8)] == [
-            "NextDoor", "SP", "ReferenceSampler", "SP"]
+        assert [r.engine for r in (nd, sp, ref)] == [
+            "NextDoor", "SP", "ReferenceSampler"]
         own = SampleParallelEngine().run(runner.paper_app("k-hop"),
                                          runner.paper_graph("ppi", "k-hop"),
                                          num_samples=16, seed=0)

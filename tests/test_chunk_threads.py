@@ -61,12 +61,20 @@ def chunk_backend(request):
     assert not getattr(backend, "_failed", None)  # else numpy ran
 
 
+@pytest.fixture(autouse=True)
+def set_chunk(set_chunk_pairs):
+    """Chunks of 96 pairs (3 collective rows) unless a test sets its
+    own: several chunks a step on the medium graph."""
+    set_chunk_pairs(96)
+    return set_chunk_pairs
+
+
 def _counter(name):
     return get_metrics().counter(name).value
 
 
-def _run(app, graph, workers, chunk, **engine_attrs):
-    engine = NextDoorEngine(workers=workers, chunk_size=chunk)
+def _run(app, graph, workers, **engine_attrs):
+    engine = NextDoorEngine(workers=workers)
     for name, value in engine_attrs.items():
         setattr(engine, name, value)
     with warnings.catch_warnings():
@@ -82,10 +90,11 @@ class TestIdentity:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(APPS))
     def test_threaded_run_is_the_serial_run(self, medium_weighted, name,
-                                            workers, chunk):
-        serial = _run(APPS[name](), medium_weighted, 0, chunk)
+                                            workers, chunk, set_chunk):
+        set_chunk(chunk)
+        serial = _run(APPS[name](), medium_weighted, 0)
         before = _counter("runtime.chunks_pooled")
-        threaded = _run(APPS[name](), medium_weighted, workers, chunk)
+        threaded = _run(APPS[name](), medium_weighted, workers)
         assert batch_digest(threaded.batch) == batch_digest(serial.batch)
         assert repr(threaded.seconds) == repr(serial.seconds)
         assert threaded.breakdown == serial.breakdown
@@ -100,8 +109,8 @@ class TestIdentity:
         segments = set(shm.leaked_segments())
         mapped = _counter("shm.bytes_mapped")
         before = _counter("runtime.chunks_pooled")
-        _run(APPS["khop"](), graph, 2, 96)
-        _run(APPS["ladies"](), graph, 2, 96)
+        _run(APPS["khop"](), graph, 2)
+        _run(APPS["ladies"](), graph, 2)
         assert _counter("runtime.chunks_pooled") > before
         assert _counter("shm.bytes_mapped") == mapped
         assert set(shm.leaked_segments()) == segments
@@ -116,9 +125,9 @@ class TestIdentity:
 
         with pytest.raises(Exception):
             pickle.dumps(Local(fanouts=(5, 3)))
-        serial = _run(Local(fanouts=(5, 3)), medium_weighted, 0, 96)
+        serial = _run(Local(fanouts=(5, 3)), medium_weighted, 0)
         before = _counter("runtime.chunks_pooled")
-        threaded = _run(Local(fanouts=(5, 3)), medium_weighted, 2, 96)
+        threaded = _run(Local(fanouts=(5, 3)), medium_weighted, 2)
         assert batch_digest(threaded.batch) == batch_digest(serial.batch)
         assert _counter("runtime.chunks_pooled") > before
 
@@ -159,7 +168,7 @@ class TestCollectiveEdges:
                                         ("numpy", "numpy", 0)):
             app = _EdgeSpy()
             with backend_scope(backend):
-                runs[label] = _run(app, medium_weighted, workers, 96)
+                runs[label] = _run(app, medium_weighted, workers)
             assert app.calls == [
                 (step, SAMPLES, threading.get_ident()) for step in (0, 1)]
         assert _same_edges(runs["threads"], runs["serial"])
@@ -170,13 +179,13 @@ class TestCollectiveEdges:
         the backend): two threads driving the *same* LADIES instance
         (the daemon's two executors), a short switch interval."""
         app = LADIES(step_size=16, batch_size=16)
-        direct = _run(app, medium_weighted, 0, 96)
+        direct = _run(app, medium_weighted, 0)
         seen, errors = [], []
 
         def loop():
             try:
                 for _ in range(4):
-                    seen.append(_run(app, medium_weighted, 2, 96))
+                    seen.append(_run(app, medium_weighted, 2))
             except BaseException as exc:  # surfaced below
                 errors.append(exc)
 
@@ -240,7 +249,7 @@ class TestFailureAndCancel:
 
         app = _Probe(on_chunk)
         with pytest.raises(ValueError, match="helper thread"):
-            _run(app, medium_graph, 2, 96)
+            _run(app, medium_graph, 2)
         assert app.running == 0
         started = list(app.started)
         # 250 * 5 pairs in chunks of 96: 14 chunks, most never started.
@@ -253,7 +262,7 @@ class TestFailureAndCancel:
         # one per chunk taken there — the second of those trips.
         app = _Probe(lambda app: None)
         with pytest.raises(CancelledRun, match="step 1 chunk"):
-            _run(app, medium_graph, 2, 96,
+            _run(app, medium_graph, 2,
                  cancel=CancelScope(trip_after_checks=7))
         assert app.running == 0 and len(app.started) == 1
 
@@ -262,7 +271,7 @@ class TestFailureAndCancel:
         run."""
         before = _counter("runtime.runs_cancelled")
         with pytest.raises(CancelledRun):
-            _run(KHop(fanouts=(5, 3)), medium_graph, 3, 96,
+            _run(KHop(fanouts=(5, 3)), medium_graph, 3,
                  cancel=CancelScope(trip_after_checks=7))
         assert _counter("runtime.runs_cancelled") == before + 1
 
@@ -278,15 +287,15 @@ class TestConcurrentRuns:
         overwrite.  More threads than cores and a short switch interval
         make a lost or misplaced chunk row likely to show."""
         names = ["khop", "deepwalk"]
-        direct = {n: batch_digest(_run(APPS[n](), medium_weighted, 0,
-                                       96).batch) for n in names}
+        direct = {n: batch_digest(_run(APPS[n](), medium_weighted,
+                                       0).batch) for n in names}
         seen = {n: [] for n in names}
         errors = []
 
         def loop(name):
             try:
                 for _ in range(6):
-                    result = _run(APPS[name](), medium_weighted, 2, 96)
+                    result = _run(APPS[name](), medium_weighted, 2)
                     seen[name].append(batch_digest(result.batch))
             except BaseException as exc:  # surfaced below
                 errors.append(exc)

@@ -170,31 +170,27 @@ class TestErrorPaths:
         assert code == 2
         assert "--workers" in out
 
-    def test_chunk_size_validation(self):
+    @pytest.mark.parametrize("count", ["-3", "0"])
+    def test_samples_below_one_is_refused(self, count):
         code, out = run_cli(["sample", "--app", "DeepWalk", "--graph", "ppi",
-                             "--samples", "8", "--chunk-size", "0"])
+                             "--samples", count])
         assert code == 2
-        assert "--chunk-size must be >= 1" in out
+        assert f"--samples must be >= 1, got {count}" in out
 
-    def test_chunk_size_negative(self):
-        code, out = run_cli(["sample", "--app", "DeepWalk", "--graph", "ppi",
-                             "--samples", "8", "--chunk-size", "-4"])
-        assert code == 2
-        assert "error:" in out
+    @pytest.mark.parametrize("command", [
+        ["sample", "--app", "DeepWalk"], ["serve", "--port", "0"]],
+        ids=["sample", "serve"])
+    def test_chunk_size_is_not_an_option(self, command, capsys):
+        """No setting changes a sample: the chunk layout is a constant."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command + ["--chunk-size", "64"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("size", ["0", "-3"])
-    def test_serve_rejects_chunk_size_at_start(self, size):
-        code, out = run_cli(["serve", "--port", "0", "--chunk-size", size])
-        assert code == 2
-        assert "--chunk-size must be >= 1" in out
-
-    def test_engine_rejects_zero_chunk_size(self):
-        from repro.api.apps import DeepWalk
+    def test_engine_takes_no_chunk_size(self):
         from repro.core.engine import NextDoorEngine
-        from repro.graph import datasets
-        with pytest.raises(ValueError, match="chunk_pairs must be >= 1"):
-            NextDoorEngine(chunk_size=0).run(
-                DeepWalk(3), datasets.load("ppi"), num_samples=4)
+        with pytest.raises(TypeError):
+            NextDoorEngine(chunk_size=64)
 
     def test_trace_and_out_conflict(self, tmp_path):
         path = str(tmp_path / "same.json")
@@ -339,14 +335,16 @@ class TestResilienceFlags:
             assert FaultPlan.parse(plan) is not None, plan
 
     @pytest.mark.parametrize("workers", ["0", "2"])
-    def test_chunk_error_fails_the_run_under_every_backend(self, workers):
+    def test_chunk_error_fails_the_run_under_every_backend(
+            self, workers, set_chunk_pairs):
         """``chunk-error`` fires in the chunk, on the calling thread or
         a chunk thread, under every backend: exit 1, no warning."""
         from repro.native.backend import available_backends
+        set_chunk_pairs(16)
         for backend in available_backends():
             code, out = run_cli([
                 "sample", "--app", "DeepWalk", "--graph", "ppi",
-                "--samples", "64", "--chunk-size", "16", "--workers",
+                "--samples", "64", "--workers",
                 workers, "--backend", backend, "--fault-plan",
                 "chunk-error:1.2"])
             assert code == 1, out

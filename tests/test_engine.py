@@ -122,12 +122,14 @@ class TestReferencePath:
         lambda: KHop((4, 2)), lambda: LADIES(step_size=8, batch_size=4)],
         ids=["khop", "ladies"])
     def test_reference_view_stays_in_process(self, medium_weighted,
-                                             backend, factory):
+                                             backend, factory,
+                                             set_chunk_pairs):
         """The app's type keeps a reference view off the worker set:
         bitwise the same at workers 0 and 2, and no chunk pooled."""
+        set_chunk_pairs(16)
         pooled = get_metrics().counter("runtime.chunks_pooled")
         before = pooled.value
-        runs = [NextDoorEngine(workers=w, chunk_size=16).run(
+        runs = [NextDoorEngine(workers=w).run(
                     reference_view(factory()), medium_weighted,
                     num_samples=64, seed=3) for w in (0, 2)]
         assert batch_digest(runs[0].batch) == batch_digest(runs[1].batch)

@@ -121,11 +121,12 @@ class TestEnginePlan:
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_chunk_error_fails_the_run_then_reruns_clean(
-            self, medium_weighted, backend, workers):
+            self, medium_weighted, backend, workers, set_chunk_pairs):
         """``chunk-error`` fires inside the chunk, on the calling thread
         or a chunk thread; the run fails, and the next run of the same
         engine is the fault-free run bit for bit."""
-        engine = NextDoorEngine(workers=workers, chunk_size=64)
+        set_chunk_pairs(64)
+        engine = NextDoorEngine(workers=workers)
         app = DeepWalk(walk_length=4)
         clean = engine.run(app, medium_weighted, num_samples=256, seed=1)
         engine.fault_plan = FaultPlan.parse("chunk-error:2.3")

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import repro.baselines
-from repro.api.apps import DeepWalk, KHop
+from repro.api.apps import DeepWalk
 from repro.api.sample import SampleBatch
 from repro.api.types import NULL_VERTEX
 from repro.core import stepper
@@ -33,12 +33,10 @@ from repro.gpu.cpu_model import CpuDevice
 from repro.gpu.device import Device
 from repro.gpu.metrics import DeviceMetrics
 from repro.gpu.multi_gpu import MultiGPU
-from repro.graph.generators import rmat_graph
 from repro.native.backend import available_backends, backend_scope
 from repro.obs import get_metrics
 from repro.runtime.context import ExecutionContext
 from repro.runtime.faults import FaultInjected, FaultPlan
-from repro.runtime.rngplan import DEFAULT_CHUNK_PAIRS
 from repro.serve.protocol import SampleRequest, batch_digest, encode_batch
 from repro.serve.server import SamplingServer, ServerConfig
 from repro.verify.golden import GOLDEN_CASES
@@ -77,8 +75,7 @@ def inline_priced(engine, app, graph, seed, num_devices=1):
     before the loop — device ``d`` charged the row slice ``[lo, hi)`` of
     each step where the slice has a live transit.  Returns ``(digest,
     priced tuple)``."""
-    ctx = ExecutionContext(seed, workers=engine.workers,
-                           chunk_size=engine.chunk_size)
+    ctx = ExecutionContext(seed, workers=engine.workers)
     batch = stepper.init_batch(app, graph, GOLDEN_SAMPLES, None,
                                ctx.init_rng())
     ctx.begin_run(app, graph)
@@ -179,12 +176,13 @@ class TestLazyEqualsInline:
         assert batch_digest(result.batch) == digest
         assert priced(result) == expected
 
-    def test_interrupted_then_rerun(self):
+    def test_interrupted_then_rerun(self, set_chunk_pairs):
         """A run is recovered by running it again: the interrupted run
         leaves nothing on the engine that changes the next one."""
+        set_chunk_pairs(8)
         factory, weighted, seed = GOLDEN_CASES["deepwalk"]
         graph = golden_graph(weighted)
-        engine = NextDoorEngine(chunk_size=8)
+        engine = NextDoorEngine()
         engine.fault_plan = FaultPlan.parse("chunk-error:2.0")
         with pytest.raises(FaultInjected):
             engine.run(factory(), graph, num_samples=GOLDEN_SAMPLES,
@@ -192,8 +190,8 @@ class TestLazyEqualsInline:
         engine.fault_plan = None
         rerun = engine.run(factory(), graph, num_samples=GOLDEN_SAMPLES,
                            seed=seed)
-        digest, expected = inline_priced(NextDoorEngine(chunk_size=8),
-                                         factory(), graph, seed)
+        digest, expected = inline_priced(NextDoorEngine(), factory(),
+                                         graph, seed)
         assert batch_digest(rerun.batch) == digest
         assert priced(rerun) == expected
 
@@ -259,27 +257,6 @@ class TestPricedAs:
     def test_bad_device_count(self):
         with pytest.raises(ValueError, match="num_devices"):
             _walk().priced_as(NextDoorEngine(), 0)
-
-    def test_another_chunk_size_is_refused(self):
-        """The chunk size cuts the RNG plan, so an engine with another
-        one draws other samples and other cost hints: ``priced_as``
-        refuses it, and accepts the default spelled out."""
-        sp = repro.baselines.SampleParallelEngine
-        app, graph = KHop(fanouts=(4, 2)), rmat_graph(2000, 16000, seed=1)
-
-        def own(engine):
-            return engine.run(app, graph, num_samples=512, seed=3)
-
-        run = own(NextDoorEngine(chunk_size=64))
-        assert batch_digest(own(sp()).batch) != batch_digest(run.batch)
-        with pytest.raises(ValueError, match="chunks of 4096 pairs"):
-            run.priced_as(sp())
-        view = run.priced_as(sp(chunk_size=64))
-        assert view.chunk_pairs == 64
-        assert priced(view) == priced(own(sp(chunk_size=64)))
-        spelled_out = sp(chunk_size=DEFAULT_CHUNK_PAIRS)
-        assert priced(own(NextDoorEngine()).priced_as(spelled_out)) == \
-            priced(own(sp()))
 
 
 # ----------------------------------------------------------------------

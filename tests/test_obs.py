@@ -227,17 +227,18 @@ class TestEngineInstrumentation:
         assert off.seconds == on.seconds  # modeled charges untouched
 
     def test_samples_bitwise_identical_full_telemetry_on_vs_off(
-            self, graph):
+            self, graph, set_chunk_pairs):
         """Labeled metric families, percentile histograms and the
         tracer may all be active without moving one sampled vertex or
         one modeled charge."""
+        set_chunk_pairs(64)
         reset_metrics()
-        off = NextDoorEngine(chunk_size=64).run(
+        off = NextDoorEngine().run(
             DeepWalk(walk_length=12), graph, num_samples=128, seed=5)
         reset_metrics()
         trace.enable()
         try:
-            on = NextDoorEngine(chunk_size=64).run(
+            on = NextDoorEngine().run(
                 DeepWalk(walk_length=12), graph, num_samples=128,
                 seed=5)
         finally:
@@ -292,9 +293,10 @@ class TestWorkerLanes:
     """``workers=2`` is two chunk threads under each backend."""
 
     def test_pooled_run_records_worker_lanes(self, graph, tracer,
-                                             backend):
+                                             backend, set_chunk_pairs):
+        set_chunk_pairs(64)
         reset_metrics()
-        engine = NextDoorEngine(workers=2, chunk_size=64)
+        engine = NextDoorEngine(workers=2)
         result = engine.run(DeepWalk(walk_length=6), graph,
                             num_samples=256, seed=4)
         assert result.batch.num_samples == 256
@@ -318,13 +320,13 @@ class TestWorkerLanes:
         assert len(lanes) == chunks and workers == set(lanes)
         assert "runtime.chunks_inprocess" not in snap
 
-    def test_pooled_samples_match_inprocess_with_tracing(self, graph,
-                                                         tracer,
-                                                         backend):
+    def test_pooled_samples_match_inprocess_with_tracing(
+            self, graph, tracer, backend, set_chunk_pairs):
+        set_chunk_pairs(64)
         app = DeepWalk(walk_length=6)
-        pooled = NextDoorEngine(workers=2, chunk_size=64).run(
+        pooled = NextDoorEngine(workers=2).run(
             app, graph, num_samples=256, seed=4)
-        serial = NextDoorEngine(workers=0, chunk_size=64).run(
+        serial = NextDoorEngine(workers=0).run(
             DeepWalk(walk_length=6), graph, num_samples=256, seed=4)
         np.testing.assert_array_equal(pooled.samples.as_array(),
                                       serial.samples.as_array())

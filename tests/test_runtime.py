@@ -19,7 +19,7 @@ import pytest
 from repro.api.apps import DeepWalk, KHop, LADIES, Node2Vec
 from repro.core.engine import NextDoorEngine, do_sampling
 from repro.runtime import (
-    DEFAULT_CHUNK_PAIRS,
+    CHUNK_PAIRS,
     RNGPlan,
     resolve_workers,
 )
@@ -39,8 +39,13 @@ REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 CHUNK = 64
 
 
+@pytest.fixture
+def small_chunks(set_chunk_pairs):
+    set_chunk_pairs(CHUNK)
+
+
 def _run(app_factory, graph, workers, num_samples=256, seed=11, **kw):
-    engine = NextDoorEngine(workers=workers, chunk_size=CHUNK)
+    engine = NextDoorEngine(workers=workers)
     with warnings.catch_warnings():
         # A compiled kernel that fell back to numpy warns: the test
         # would then not exercise the backend it names.
@@ -65,15 +70,17 @@ def _assert_batches_equal(a, b):
 # ----------------------------------------------------------------------
 
 class TestRNGPlan:
-    def test_bounds_cover_range_exactly(self):
-        plan = RNGPlan(0, chunk_pairs=100)
+    def test_bounds_cover_range_exactly(self, set_chunk_pairs):
+        set_chunk_pairs(100)
+        plan = RNGPlan(0)
         b = plan.individual_bounds(250)
         assert b[0] == 0 and b[-1] == 250
         assert np.all(np.diff(b) > 0)
         assert np.all(np.diff(b)[:-1] == 100)
 
-    def test_bounds_empty_and_single(self):
-        plan = RNGPlan(0, chunk_pairs=100)
+    def test_bounds_empty_and_single(self, set_chunk_pairs):
+        set_chunk_pairs(100)
+        plan = RNGPlan(0)
         assert plan.individual_bounds(0) == [0]
         assert np.array_equal(plan.individual_bounds(40), [0, 40])
 
@@ -91,7 +98,13 @@ class TestRNGPlan:
         assert not np.array_equal(a, c)
 
     def test_default_chunk_size(self):
-        assert RNGPlan(0).chunk_pairs == DEFAULT_CHUNK_PAIRS
+        assert RNGPlan(0).chunk_pairs == CHUNK_PAIRS == 4096
+
+    def test_plan_reads_the_constant_when_built(self, set_chunk_pairs):
+        plan = RNGPlan(0)
+        set_chunk_pairs(100)
+        assert (plan.chunk_pairs, RNGPlan(0).chunk_pairs) == (4096, 100)
+        assert RNGPlan(0).collective_bounds(7) == [0, 3, 6, 7]
 
 
 class TestCombineInfos:
@@ -162,6 +175,7 @@ class TestSharedGraph:
 # Bitwise identity: the acceptance criterion.
 # ----------------------------------------------------------------------
 
+@pytest.mark.usefixtures("small_chunks")
 @pytest.mark.parametrize("workers", [1, 2, 4])
 class TestBitwiseIdentity:
     def test_deepwalk(self, medium_weighted, workers):
@@ -183,6 +197,7 @@ class TestBitwiseIdentity:
         _assert_batches_equal(r0.batch, rw.batch)
 
 
+@pytest.mark.usefixtures("small_chunks")
 class TestMoreIdentity:
     def test_node2vec_prev_transit_chunks(self, medium_weighted):
         """needs_prev_transits apps ship the previous-transit slice."""
@@ -200,8 +215,8 @@ class TestMoreIdentity:
         _assert_batches_equal(r0.batch, r2.batch)
 
     def test_workers_zero_matches_plain_default(self, medium_weighted):
-        """workers=0 with the default chunk size is the canonical
-        sampling stream (what every engine produces by default)."""
+        """workers=0 is the canonical sampling stream (what every
+        engine produces by default)."""
         a = NextDoorEngine(workers=0).run(DeepWalk(walk_length=8),
                                           medium_weighted,
                                           num_samples=64, seed=3)
@@ -214,6 +229,7 @@ class TestMoreIdentity:
 # The model half is untouched by the runtime.
 # ----------------------------------------------------------------------
 
+@pytest.mark.usefixtures("small_chunks")
 class TestModeledChargesUnchanged:
     def test_seconds_and_breakdown_identical(self, medium_weighted):
         r0 = _run(lambda: DeepWalk(walk_length=16), medium_weighted, 0)
@@ -246,14 +262,16 @@ class TestNoLeakedSegments:
             "from repro.graph.generators import rmat_graph\n"
             "from repro.native.backend import available_backends,"
             " backend_scope\n"
+            "from repro.runtime import rngplan\n"
             "from repro.runtime.shm import SEGMENT_PREFIX,"
             " leaked_segments\n"
+            "rngplan.CHUNK_PAIRS = 64\n"
             "g = rmat_graph(2000, 12000, seed=11,"
             " name='medium').with_random_weights(seed=5)\n"
             "mine = f'{SEGMENT_PREFIX}_{os.getpid()}_'\n"
             "for name in available_backends():\n"
             "    with backend_scope(name):\n"
-            "        e = NextDoorEngine(workers=2, chunk_size=64)\n"
+            "        e = NextDoorEngine(workers=2)\n"
             "        r = e.run(DeepWalk(walk_length=8), g,"
             " num_samples=128, seed=1)\n"
             "    assert r.batch.num_samples == 128\n"
@@ -351,5 +369,10 @@ class TestDoSamplingKwargs:
 
     def test_known_kwargs_accepted(self, medium_weighted):
         result = do_sampling(DeepWalk(walk_length=4), medium_weighted, 16,
-                             workers=0, chunk_size=128)
+                             workers=0, num_devices=2)
         assert result.batch.num_samples == 16
+
+    def test_chunk_size_is_not_a_keyword(self, medium_weighted):
+        with pytest.raises(TypeError, match="chunk_size"):
+            do_sampling(DeepWalk(walk_length=4), medium_weighted, 16,
+                        chunk_size=128)

@@ -45,7 +45,8 @@ def _graph_with_sinks(weighted):
                                           (DeepWalk(walk_length=1), True)],
                          ids=["khop", "weighted_walk"])
 def test_zero_degree_rows_read_null_without_a_null_slot(
-        monkeypatch, backend_name, workers, app, weighted):
+        monkeypatch, set_chunk_pairs, backend_name, workers, app, weighted):
+    set_chunk_pairs(64)
     g = _graph_with_sinks(weighted)
     transits = np.random.default_rng(5).integers(0, 300, size=(200, 1))
     assert (transits >= 250).any() and (transits != NULL_VERTEX).all()
@@ -62,7 +63,7 @@ def test_zero_degree_rows_read_null_without_a_null_slot(
                                np.random.default_rng(0))
     sample_ids = np.arange(transits.shape[0])
     with backend_scope(backend_name):
-        ctx = ExecutionContext(3, workers=workers, chunk_size=64)
+        ctx = ExecutionContext(3, workers=workers)
         ctx.begin_run(app, g)
         out, _ = stepper.run_individual_step(
             app, g, batch, transits, 0, ctx, sample_ids, 0 * sample_ids,

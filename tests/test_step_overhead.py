@@ -76,10 +76,11 @@ class _Spy:
 
 @pytest.mark.parametrize("workers", [0, 2])
 @pytest.mark.parametrize("backend_name", BACKENDS)
-def test_set_up_does_not_grow_with_steps(monkeypatch, backend_name,
-                                         workers):
+def test_set_up_does_not_grow_with_steps(monkeypatch, set_chunk_pairs,
+                                         backend_name, workers):
     """Instruments are resolved once per run and graph addresses once
     per graph: a 100-step walk makes the lookups a 10-step walk does."""
+    set_chunk_pairs(64)
     counts = {}
     with backend_scope(backend_name):
         for length in (10, 100):
@@ -87,7 +88,7 @@ def test_set_up_does_not_grow_with_steps(monkeypatch, backend_name,
             arrays = _graph_arrays(g)
             with monkeypatch.context() as patch:
                 spy = _Spy(patch, arrays)
-                result = NextDoorEngine(workers=workers, chunk_size=64).run(
+                result = NextDoorEngine(workers=workers).run(
                     DeepWalk(walk_length=length), g, num_samples=256,
                     seed=4)
             assert result.steps_run == length
@@ -105,7 +106,9 @@ def test_set_up_does_not_grow_with_steps(monkeypatch, backend_name,
 
 class TestTelemetry:
     @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_counts_follow_steps_and_chunks(self, backend_name):
+    def test_counts_follow_steps_and_chunks(self, backend_name,
+                                            set_chunk_pairs):
+        set_chunk_pairs(100)
         g = _walk_graph()
         reg = get_metrics()
         with backend_scope(backend_name):
@@ -115,7 +118,7 @@ class TestTelemetry:
             streams = reg.counter("rng.chunk_streams")
             inprocess = reg.counter("runtime.chunks_inprocess")
             before = (step_hist.count, streams.value, inprocess.value)
-            result = NextDoorEngine(workers=0, chunk_size=100).run(
+            result = NextDoorEngine(workers=0).run(
                 DeepWalk(walk_length=12), g, num_samples=250, seed=2)
         chunks = result.steps_run * math.ceil(250 / 100)
         assert step_hist.count - before[0] == result.steps_run == 12
@@ -132,7 +135,7 @@ class TestTelemetry:
                   "sampling.collective")]
         for app, kernels, sampling in cases:
             def run():
-                return NextDoorEngine(workers=0, chunk_size=64).run(
+                return NextDoorEngine(workers=0).run(
                     app, medium_graph, num_samples=64, seed=1)
 
             off = run()

@@ -221,14 +221,15 @@ class TestChunkedAssembly:
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_arrival_order_does_not_matter(self, medium_graph, rng,
-                                           workers, backend):
+                                           workers, backend,
+                                           set_chunk_pairs):
         """Chunks finishing in any order assemble the step that
         ``workers`` threads (or the calling thread alone) assemble."""
+        set_chunk_pairs(64)
         outs = []
         for shuffled in (False, True):
-            ctx = (_ShuffledContext(11, rng, chunk_size=64) if shuffled
-                   else ExecutionContext(11, workers=workers,
-                                         chunk_size=64))
+            ctx = (_ShuffledContext(11, rng) if shuffled
+                   else ExecutionContext(11, workers=workers))
             app, batch, transits, tmap = self._khop_step(
                 medium_graph, ctx, 100)
             assert tmap.num_pairs > 3 * 64  # several chunks to shuffle
@@ -240,11 +241,12 @@ class TestChunkedAssembly:
         assert np.array_equal(out, shuffled_out)
         assert info == shuffled_info
 
-    def test_step_is_assembled_in_place(self, medium_graph):
+    def test_step_is_assembled_in_place(self, medium_graph, set_chunk_pairs):
         """No second step-sized array: the peak is ``out`` plus one
         chunk's working set plus the pair-row index, where a
         concatenate-then-scatter assembly peaks near 3x ``out``."""
-        ctx = ExecutionContext(5, workers=0, chunk_size=1024)
+        set_chunk_pairs(1024)
+        ctx = ExecutionContext(5, workers=0)
         app, batch, transits, tmap = self._khop_step(
             medium_graph, ctx, 8192, m=10)
         tracemalloc.start()

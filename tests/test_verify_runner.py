@@ -21,6 +21,20 @@ class TestSuiteSelection:
         assert len(results) == 10
         assert all(r.suite == "golden" for r in results)
 
+    def test_a_count_off_its_declaration_fails(self, monkeypatch):
+        """A suite that ran another number of checks than
+        ``SUITE_INFO`` declares adds one failed check."""
+        from repro.verify import runner
+        one = CheckResult(name="only", suite="chaos", family="runtime",
+                          passed=True)
+        monkeypatch.setitem(runner.SUITES, "chaos", lambda w, s: [one])
+        results, ok = run_suites(["chaos"])
+        assert not ok
+        assert results[0] is one
+        assert (results[1].name, results[1].passed) == \
+            ("declared_check_count", False)
+        assert results[1].detail == "ran 1 checks, SUITE_INFO declares 2"
+
 
 class TestFormatReport:
     def _results(self):

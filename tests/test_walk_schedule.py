@@ -40,6 +40,11 @@ WALKS = {
 }
 
 
+@pytest.fixture(autouse=True)
+def _small_chunks(set_chunk_pairs):
+    set_chunk_pairs(CHUNK)
+
+
 def _grouped(transits):
     """Pairs as the ledger's loop hands them over: transit-grouped."""
     tmap = build_transit_map(transits)
@@ -55,7 +60,7 @@ def _sample_order(transits):
 def _hand_loop(app, graph, workers, order):
     """The perf ledger's step loop: every step through
     ``stepper.run_individual_step`` with pairs in ``order``."""
-    ctx = ExecutionContext(SEED, workers=workers, chunk_size=CHUNK)
+    ctx = ExecutionContext(SEED, workers=workers)
     batch = stepper.init_batch(app, graph, SAMPLES, None, ctx.init_rng())
     ctx.begin_run(app, graph)
     for step in range(stepper.step_limit(app)):
@@ -80,7 +85,7 @@ def test_hand_driven_steps_sample_what_the_engine_samples(
     """Grouped and sample-order pairs give ``engine.run``'s digest, at
     workers 0 and 2 (chunk threads under either backend)."""
     with backend_scope(backend):
-        engine = NextDoorEngine(workers=workers, chunk_size=CHUNK)
+        engine = NextDoorEngine(workers=workers)
         expected = batch_digest(engine.run(
             WALKS[name](), medium_weighted, num_samples=SAMPLES,
             seed=SEED).batch)
@@ -92,7 +97,7 @@ def test_hand_driven_steps_sample_what_the_engine_samples(
 @pytest.mark.parametrize("name", sorted(WALKS))
 def test_walks_are_identical_across_engine_classes(name, medium_weighted):
     digests = {
-        cls.__name__: batch_digest(cls(chunk_size=CHUNK).run(
+        cls.__name__: batch_digest(cls().run(
             WALKS[name](), medium_weighted, num_samples=SAMPLES,
             seed=SEED).batch)
         for cls in (NextDoorEngine, SampleParallelEngine, VanillaTPEngine,
@@ -117,7 +122,7 @@ class TestIndexOnlyWhenPriced:
     @pytest.mark.parametrize("name", ["deepwalk", "ppr", "multirw"])
     def test_unpriced_walk_builds_no_index(self, name, medium_weighted,
                                            index_builds):
-        engine = NextDoorEngine(chunk_size=CHUNK)
+        engine = NextDoorEngine()
         result = engine.run(WALKS[name](), medium_weighted,
                             num_samples=SAMPLES, seed=SEED)
         assert result.steps_run > 0 and index_builds == []
@@ -130,7 +135,7 @@ class TestIndexOnlyWhenPriced:
                                                    index_builds):
         """k-hop steps are not walk-shaped: each is grouped while the
         run samples, and pricing reuses that shape."""
-        engine = NextDoorEngine(chunk_size=CHUNK)
+        engine = NextDoorEngine()
         result = engine.run(KHop(fanouts=(5, 3)), medium_graph,
                             num_samples=SAMPLES, seed=SEED)
         assert len(index_builds) == result.steps_run == 2
@@ -139,7 +144,7 @@ class TestIndexOnlyWhenPriced:
 
     @pytest.mark.parametrize("name", sorted(WALKS))
     def test_lazy_price_equals_eager_shapes(self, name, medium_weighted):
-        engine = NextDoorEngine(chunk_size=CHUNK)
+        engine = NextDoorEngine()
         result = engine.run(WALKS[name](), medium_weighted,
                             num_samples=SAMPLES, seed=SEED)
         app, records = WALKS[name](), []
@@ -149,7 +154,7 @@ class TestIndexOnlyWhenPriced:
             record.shape = build_transit_map(record.transits).shape()
             records.append(record)
 
-        ctx = ExecutionContext(SEED, chunk_size=CHUNK)
+        ctx = ExecutionContext(SEED)
         batch = stepper.init_batch(app, medium_weighted, SAMPLES, None,
                                    ctx.init_rng())
         ctx.begin_run(app, medium_weighted)
