@@ -3,13 +3,13 @@
 The paper motivates NextDoor with this table: existing GNNs spend
 24%-62% of each epoch inside their CPU samplers.  The epoch cost model
 evaluates the same accounting at paper scale (see
-``repro/train/epoch_model.py``); the headline assertion is the paper's
+``repro/bench/epoch_model.py``); the headline assertion is the paper's
 "up to 62%" claim — some (GNN, graph) cell must sit in that band — and
 no cell may be trivially zero.
 """
 
 from repro.bench import format_table, print_experiment, save_results
-from repro.train import EpochCostModel, GNN_CONFIGS
+from repro.bench.epoch_model import EpochCostModel, GNN_CONFIGS
 
 DATASETS = ["ppi", "reddit", "orkut", "patents", "livej"]
 

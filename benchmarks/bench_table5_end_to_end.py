@@ -18,7 +18,7 @@ Orkut OOMs, and every cell stays within a factor ~2 of the paper's.
 """
 
 from repro.bench import format_table, print_experiment, save_results
-from repro.train import EpochCostModel
+from repro.bench.epoch_model import EpochCostModel
 
 DATASETS = ["ppi", "reddit", "orkut", "patents", "livej"]
 PAPER = {

@@ -1,21 +1,16 @@
 """The whole system in one pass.
 
-dataset -> distribution check -> custom validation -> sampling on
-every engine -> walk embeddings -> GNN training -> modeled-performance
-report.  A tour of everything the reproduction builds, runnable in
-about a minute.
+dataset -> degree check -> sampling on three engines ->
+modeled-performance report.  A tour of what the reproduction builds,
+runnable in about a second.
 
     python examples/full_pipeline.py
 """
-
-import numpy as np
 
 from repro import NextDoorEngine, datasets
 from repro.api.apps import DeepWalk, KHop
 from repro.baselines import KnightKingEngine, SampleParallelEngine
 from repro.graph.stats import degree_stats
-from repro.train import TrainConfig, Trainer
-from repro.train.embeddings import EmbeddingConfig, train_embeddings
 
 
 def main() -> None:
@@ -40,33 +35,8 @@ def main() -> None:
         print(f"    {name:10s} {r.seconds * 1e3:8.2f} ms  "
               f"({r.seconds / base:5.1f}x NextDoor)")
 
-    # 3. Samples -> embeddings (the paper's Figure 1) -------------------
-    print("\n[3] Skip-Gram embeddings from the walks")
-    model = train_embeddings(
-        graph, DeepWalk(walk_length=20), num_walks=1500,
-        config=EmbeddingConfig(dim=16, epochs=2, lr=0.08, seed=0))
-    degrees = np.diff(graph.indptr)
-    src = np.repeat(np.arange(graph.num_vertices), degrees)
-    rng = np.random.default_rng(0)
-    picks = rng.integers(0, graph.num_edges, size=200)
-    edge_sim = np.mean([model.similarity(int(src[i]),
-                                         int(graph.indices[i]))
-                        for i in picks])
-    print(f"    mean cosine similarity across edges: {edge_sim:+.3f}")
-
-    # 4. Samples -> GNN training ----------------------------------------
-    print("\n[4] GraphSAGE on k-hop mini-batches")
-    trainer = Trainer(graph, TrainConfig(batch_size=512, epochs=3,
-                                         fanouts=(10, 5),
-                                         feature_dim=16, hidden_dim=32,
-                                         lr=0.5, seed=0))
-    for epoch in range(3):
-        s = trainer.run_epoch(epoch)
-        print(f"    epoch {epoch}: loss={s.loss:.3f} "
-              f"accuracy={s.accuracy:.1%}")
-
-    # 5. Modeled performance profile ------------------------------------
-    print("\n[5] Where NextDoor's modeled time goes (k-hop, 8192 roots)")
+    # 3. Modeled performance profile ------------------------------------
+    print("\n[3] Where NextDoor's modeled time goes (k-hop, 8192 roots)")
     r = NextDoorEngine().run(KHop((25, 10)), graph, num_samples=8192,
                              seed=0)
     for phase, seconds in sorted(r.breakdown.items()):

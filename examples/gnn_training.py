@@ -1,35 +1,19 @@
-"""End-to-end GNN training on sampled mini-batches (Section 6.5).
+"""What sampling costs a GNN training epoch (Section 6.5).
 
-Trains a small GraphSAGE-style classifier whose mini-batches come from
-the NextDoor engine, then uses the epoch cost model to show what the
-paper's Table 1 / Table 5 measure: how much of an epoch the old CPU
-samplers burned, and what integrating NextDoor buys end to end.
+Evaluates the epoch cost model at paper scale to show what the paper's
+Table 1 / Table 5 measure: how much of an epoch the old CPU samplers
+burned, and what integrating NextDoor buys end to end.  A trainer
+consumes NextDoor's samples as arrays: ``do_sampling(...)`` plus
+``SamplingResult.arrays()`` (docs/API.md, "Feeding a training loop").
 
     python examples/gnn_training.py
 """
 
-from repro import datasets
-from repro.train import EpochCostModel, GNN_CONFIGS, TrainConfig, Trainer
+from repro.bench.epoch_model import EpochCostModel, GNN_CONFIGS
 
 
 def main() -> None:
-    graph = datasets.load("ppi", seed=0)
-    print(f"training on {graph}\n")
-
-    config = TrainConfig(batch_size=256, epochs=5, hidden_dim=32,
-                         feature_dim=16, num_classes=4, fanouts=(10, 5),
-                         lr=0.5, seed=0)
-    trainer = Trainer(graph, config)
-    for epoch in range(config.epochs):
-        stats = trainer.run_epoch(epoch)
-        print(f"epoch {epoch}: loss={stats.loss:.3f} "
-              f"accuracy={stats.accuracy:.1%} "
-              f"(modeled sampling "
-              f"{stats.sampling_seconds_modeled * 1e3:.2f} ms over "
-              f"{stats.num_batches} batches)")
-
-    # ------------------------------------------------------------------
-    print("\nEpoch cost model at paper scale "
+    print("Epoch cost model at paper scale "
           "(Table 1: sampling share; Table 5: NextDoor speedup)")
     model = EpochCostModel()
     datasets_row = ["ppi", "reddit", "orkut", "patents", "livej"]

@@ -20,10 +20,9 @@ The package is organised as follows:
 - :mod:`repro.baselines` — every comparator the paper evaluates against:
   SP, TP, KnightKing, the reference CPU GNN samplers, and
   frontier-centric / message-passing graph-framework implementations.
-- :mod:`repro.train` — a small GNN training substrate used for the
-  end-to-end experiments (Tables 1 and 5).
 - :mod:`repro.bench` — the experiment harness that regenerates every
-  table and figure of the evaluation section.
+  table and figure of the evaluation section, and the GNN epoch cost
+  model behind the end-to-end experiments (Tables 1 and 5).
 
 Quickstart::
 

@@ -7,7 +7,6 @@
         --seed 7 --out walks.npz
     python -m repro compare --apps DeepWalk k-hop --graph orkut
     python -m repro bench --list
-    python -m repro train --graph ppi --epochs 3
 
 Every subcommand is a thin wrapper over the library; anything the CLI
 prints can be computed programmatically from :mod:`repro`.
@@ -240,11 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--health", action="store_true",
                    help="print the daemon's /healthz and exit")
 
-    p = sub.add_parser("train", help="train the demo GNN on sampled batches")
-    p.add_argument("--graph", default="ppi", choices=sorted(datasets.SPECS))
-    p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -480,10 +474,12 @@ def _cmd_serve(args, out) -> int:
         drain_timeout_s=args.drain_timeout,
         stats_out=args.stats_out,
         allow_test_hooks=args.test_hooks)
-    server = SamplingServer(config)
     try:
-        server.start()
-    except OSError as exc:
+        server = SamplingServer(config).start()
+    except ValueError as exc:
+        print(f"error: {exc}", file=out)
+        return 2
+    except (OSError, OverflowError) as exc:
         print(f"error: cannot listen on {args.host}:{args.port}: "
               f"{exc}", file=out)
         return 2
@@ -565,20 +561,6 @@ def _cmd_client(args, out) -> int:
     return 1
 
 
-def _cmd_train(args, out) -> int:
-    from repro.train import TrainConfig, Trainer
-    graph = datasets.load(args.graph, seed=args.seed)
-    config = TrainConfig(batch_size=args.batch_size, epochs=args.epochs,
-                         seed=args.seed, fanouts=(10, 5),
-                         feature_dim=16, hidden_dim=32, num_classes=4)
-    trainer = Trainer(graph, config)
-    for epoch in range(args.epochs):
-        stats = trainer.run_epoch(epoch)
-        print(f"epoch {epoch}: loss={stats.loss:.3f} "
-              f"accuracy={stats.accuracy:.1%}", file=out)
-    return 0
-
-
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
@@ -603,7 +585,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         "bench": _cmd_bench,
         "figures": _cmd_figures,
         "report": _cmd_report,
-        "train": _cmd_train,
         "verify": _cmd_verify,
         "serve": _cmd_serve,
         "client": _cmd_client,

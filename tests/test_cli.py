@@ -218,16 +218,27 @@ class TestErrorPaths:
         assert code == 2
         assert out == f"error: {flag} {path}: its directory does not exist\n"
 
+    @pytest.mark.parametrize("args, message", [
+        (["--port", "0", "--stats-out", "{missing}"],
+         "its directory does not exist"),
+        (["--port", "0", "--executors", "0"],
+         "error: executors must be >= 1"),
+        (["--port", "0", "--queue-capacity", "-1"],
+         "error: capacity must be >= 0"),
+        (["--port", "-3"],
+         "error: cannot listen on 127.0.0.1:-3: bind(): port must be "
+         "0-65535"),
+    ], ids=["stats-out", "executors", "queue-capacity", "port"])
     def test_serve_stats_out_in_missing_directory_fails_at_start(
-            self, tmp_path):
-        path = str(tmp_path / "missing" / "s.prom")
+            self, args, message, tmp_path):
+        missing = str(tmp_path / "missing" / "s.prom")
         env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--stats-out", path],
+            [sys.executable, "-m", "repro", "serve"]
+            + [a.format(missing=missing) for a in args],
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
-        assert "its directory does not exist" in proc.stdout
+        assert message in proc.stdout
         assert "Traceback" not in proc.stdout + proc.stderr
 
     def test_retired_backend_names_rejected(self, monkeypatch, capsys):
@@ -438,13 +449,7 @@ class TestVerify:
         assert "FAIL" not in out
 
 
-class TestBenchAndTrain:
+class TestBench:
     def test_bench_lists(self):
         code, out = run_cli(["bench"])
         assert code == 0
-
-    def test_train_runs(self):
-        code, out = run_cli(["train", "--graph", "ppi", "--epochs", "1",
-                             "--batch-size", "1024"])
-        assert code == 0
-        assert "epoch 0" in out

