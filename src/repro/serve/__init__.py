@@ -9,16 +9,3 @@ that are **bitwise-identical** to a direct ``repro sample`` run with
 the same ``(app, graph, seed)`` — asserted by
 ``repro verify --suite serve``.  See ``docs/SERVING.md``.
 """
-
-from repro.serve.admission import AdmissionGate, GateClosed, QueueFull
-from repro.serve.cache import GraphCache
-from repro.serve.client import ClientResult, RetryPolicy, ServeClient
-from repro.serve.protocol import (SampleRequest, batch_digest,
-                                  decode_arrays, encode_batch)
-from repro.serve.server import SamplingServer, ServerConfig
-
-__all__ = [
-    "AdmissionGate", "GateClosed", "QueueFull", "GraphCache", "SampleRequest", "batch_digest", "encode_batch",
-    "decode_arrays", "SamplingServer", "ServerConfig", "ServeClient",
-    "ClientResult", "RetryPolicy",
-]

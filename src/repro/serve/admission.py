@@ -52,7 +52,6 @@ class QueueFull(RuntimeError):
         super().__init__(
             f"admission queue full ({capacity} waiting); "
             f"retry after {retry_after_s:.3f}s")
-        self.capacity = capacity
         self.retry_after_s = retry_after_s
 
 
@@ -117,10 +116,9 @@ class AdmissionGate:
 
     # -- passing through -----------------------------------------------
 
-    def enter(self, scope: Optional[CancelScope] = None) -> int:
-        """Take a run slot, waiting in FIFO order while all are busy;
-        returns the waiting-room depth at admission (this request
-        included).  Raises :class:`QueueFull` when the room is full,
+    def enter(self, scope: Optional[CancelScope] = None) -> None:
+        """Take a run slot, waiting in FIFO order while all are busy.
+        Raises :class:`QueueFull` when the room is full,
         :class:`GateClosed` when closed (also while waiting) and
         :class:`DeadlineExceeded` when ``scope`` expires while waiting.
         The caller must :meth:`leave` after a successful enter."""
@@ -132,7 +130,6 @@ class AdmissionGate:
                 raise QueueFull(self.capacity, self.retry_after_s())
             me = object()
             self._waiting.append(me)
-            depth = len(self._waiting)
             try:
                 while True:
                     if self._closed:
@@ -146,7 +143,7 @@ class AdmissionGate:
                     if self._waiting[0] is me and \
                             self._running < self.executors:
                         self._running += 1
-                        return depth
+                        return
                     self._cond.wait(None if remaining is None else
                                     min(remaining, threading.TIMEOUT_MAX))
             finally:

@@ -11,7 +11,7 @@ and a response like::
 
     {"status": "ok", "request_id": 12, "digest": "9f2c...",
      "queue_wait_ms": 1.8, "wall_ms": 143.0,
-     "arrays": {"roots": "<b64 npy>", ...}, "cache_hit": true}
+     "arrays": {"roots": "<i8;<i2;256,1;<base64>", ...}, "cache_hit": true}
 
 Other endpoints: ``GET /healthz`` (liveness + drain state),
 ``GET /metrics`` (OpenMetrics text exposition, scrapeable).
@@ -33,19 +33,20 @@ Statuses map onto HTTP codes so generic clients behave correctly:
 ``error``           500   the run failed for another reason
 ==================  ====  ============================================
 
-Samples travel as base64-encoded ``.npy`` blobs per array — exactly
-the arrays ``repro sample --out`` would save — so the client can
-assert bitwise identity against a direct run; each is encoded once and
-spliced unscanned into the ``json.dumps`` bytes (:func:`response_body`).
-The ``digest`` field is a SHA-256 over every array's shape/dtype/bytes
-(:func:`batch_digest`), the same digest the chaos/serve suites use.
+Samples travel as one ``"<dtype>;<wire dtype>;<shape>;<base64>"``
+string per array — the arrays ``repro sample --out`` would save, with
+integers at their narrowest exact width (:func:`encode_array`) — so the
+client can assert bitwise identity against a direct run; each is encoded
+once and spliced unscanned into the ``json.dumps`` bytes
+(:func:`response_body`).  The ``digest`` field is a SHA-256 over every
+array's shape/dtype/bytes (:func:`batch_digest`), the same digest the
+chaos/serve suites use.
 """
 
 from __future__ import annotations
 
 import binascii
 import hashlib
-import io
 import json
 import math
 import sys
@@ -53,7 +54,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 import numpy as np
-from numpy.lib import format as npf
 
 __all__ = ["SampleRequest", "batch_digest", "encode_batch",
            "decode_arrays", "encode_array", "decode_array",
@@ -161,33 +161,48 @@ class SampleRequest:
 
 
 # ----------------------------------------------------------------------
-# Sample payload encoding: the same arrays ``SamplingResult.save``
-# persists, shipped as base64 ``.npy`` blobs so dtype/shape round-trip
-# exactly.
+# Sample payload encoding: the arrays ``SamplingResult.save`` persists.
 # ----------------------------------------------------------------------
 
+_WIRE_INTS = [np.dtype(t) for t in ("<i1", "<i2", "<i4")]
+
+
 def encode_array(arr: np.ndarray) -> str:
-    """``base64(np.save(arr))``: a ``.npy`` v1.0 header, then its bytes."""
-    arr = np.ascontiguousarray(arr)
-    header = io.BytesIO()
-    npf.write_array_header_1_0(header, npf.header_data_from_array_1_0(arr))
-    npy = b"".join((header.getvalue(), arr.data))
-    return binascii.b2a_base64(npy, newline=False).decode("ascii")
+    """``"<dtype>;<wire dtype>;<shape>;<base64 of the wire bytes>"``: an
+    integer array travels as the narrowest of ``<i1`` / ``<i2`` / ``<i4``
+    narrower than its dtype that holds its min and max; anything else
+    travels as itself."""
+    wire = arr.dtype
+    if wire.kind in "iu" and arr.size:
+        lo, hi = int(arr.min()), int(arr.max())
+        wire = next((w for w in _WIRE_INTS if w.itemsize < wire.itemsize
+                     and np.iinfo(w).min <= lo and hi <= np.iinfo(w).max),
+                    wire)
+    data = binascii.b2a_base64(np.ascontiguousarray(arr, wire), newline=False)
+    shape = ",".join(map(str, arr.shape))
+    return f"{arr.dtype.str};{wire.str};{shape};{data.decode('ascii')}"
 
 
 def decode_array(blob: str, name: str = "array") -> np.ndarray:
-    """Inverse of :func:`encode_array` (writable; object dtypes refused)."""
-    raw = binascii.a2b_base64(blob)
-    header = io.BytesIO(raw)
-    read = (npf.read_array_header_1_0 if npf.read_magic(header) == (1, 0)
-            else npf.read_array_header_2_0)
-    shape, fortran_order, dtype = read(header)
-    data = memoryview(raw)[header.tell():]
-    if dtype.hasobject or len(data) != math.prod(shape) * dtype.itemsize:
-        raise ValueError(f"array {name!r} refused: {len(data)} data "
-                         f"bytes for a {shape} {dtype} array")
-    arr = np.frombuffer(bytearray(data), dtype=dtype)
-    return arr.reshape(shape[::-1]).T if fortran_order else arr.reshape(shape)
+    """Inverse of :func:`encode_array`: a writable array bitwise equal
+    to the one sent.  A bad header, an object dtype, a wire dtype that is
+    neither the declared one nor a signed integer no wider than it, or
+    data of the wrong length raise ``ValueError`` naming the array."""
+    try:
+        dtype, wire, shape, data = blob.split(";")
+        dtype, wire = np.dtype(dtype), np.dtype(wire)
+        shape = tuple(map(int, shape.split(","))) if shape else ()
+        raw = binascii.a2b_base64(data)
+        narrowed = (dtype.kind in "iu" and wire.kind == "i"
+                    and wire.itemsize <= dtype.itemsize)
+        if (dtype.hasobject or min(shape, default=0) < 0
+                or wire != dtype and not narrowed
+                or len(raw) != math.prod(shape) * wire.itemsize):
+            raise ValueError(f"{len(raw)} bytes of {wire} for a {shape} "
+                             f"{dtype} array")
+        return np.frombuffer(raw, wire).astype(dtype).reshape(shape)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"array {name!r} refused: {exc}") from None
 
 
 def response_body(response: Dict[str, Any]) -> bytes:

@@ -100,10 +100,6 @@ class SamplingServer:
             raise RuntimeError("server not started")
         return self._httpd.server_address[1]
 
-    @property
-    def draining(self) -> bool:
-        return self._draining.is_set()
-
     def start(self) -> "SamplingServer":
         handler = _make_handler(self)
 
@@ -177,22 +173,17 @@ class SamplingServer:
             request = SampleRequest.from_json(
                 body, allow_test_hooks=self.config.allow_test_hooks)
         except ValueError as exc:
-            self._count("bad_request", "default", "-")
-            return {"status": "bad_request", "request_id": request_id,
-                    "error": str(exc)}
+            return self._bad_request(request_id, str(exc))
         from repro.bench.runner import APP_FACTORIES, walk_sample_count
         if request.app not in APP_FACTORIES:
-            self._count("bad_request", request.tenant, request.app)
-            return {"status": "bad_request", "request_id": request_id,
-                    "error": f"unknown app {request.app!r}; choose "
-                             f"from {', '.join(sorted(APP_FACTORIES))}"}
+            return self._bad_request(
+                request_id, f"unknown app {request.app!r}; choose from "
+                f"{', '.join(sorted(APP_FACTORIES))}", request)
         try:
             graph, cache_hit = self.cache.resolve(
                 request.graph, request.app, request.seed)
         except (ValueError, OSError) as exc:
-            self._count("bad_request", request.tenant, request.app)
-            return {"status": "bad_request", "request_id": request_id,
-                    "error": str(exc)}
+            return self._bad_request(request_id, str(exc), request)
         num_samples = request.samples
         if num_samples is None:
             num_samples = walk_sample_count(graph, request.app)
@@ -252,17 +243,22 @@ class SamplingServer:
                 retry_after_s: Optional[float] = None,
                 status: str = "rejected",
                 app: str = "-") -> Dict[str, Any]:
-        retry_ms = None if retry_after_s is None else \
-            round(retry_after_s * 1000.0, 3)
         if status == "rejected":
             self.metrics.counter("serve.rejected").inc()
         self._count(status, tenant, app)
-        response: Dict[str, Any] = {"status": status,
-                                    "request_id": request_id,
-                                    "error": why}
-        if retry_ms is not None:
-            response["retry_after_ms"] = retry_ms
+        response = {"status": status, "request_id": request_id, "error": why}
+        if retry_after_s is not None:
+            response["retry_after_ms"] = round(retry_after_s * 1000.0, 3)
         return response
+
+    def _bad_request(self, request_id: int, error: str,
+                     request: Optional[SampleRequest] = None
+                     ) -> Dict[str, Any]:
+        tenant, app = ((request.tenant, request.app) if request
+                       else ("default", "-"))
+        self._count("bad_request", tenant, app)
+        return {"status": "bad_request", "request_id": request_id,
+                "error": error}
 
     def _deadline(self, request_id: int, request: SampleRequest,
                   stage: str) -> Dict[str, Any]:
@@ -305,9 +301,7 @@ class SamplingServer:
         except FaultInjected as exc:
             return self._error(request, request_id, f"injected fault: {exc}")
         except ValueError as exc:
-            self._count("bad_request", request.tenant, request.app)
-            return {"status": "bad_request", "request_id": request_id,
-                    "error": str(exc)}
+            return self._bad_request(request_id, str(exc), request)
         except Exception as exc:
             return self._error(request, request_id, f"run failed: {exc!r}")
         finally:
@@ -345,7 +339,7 @@ class SamplingServer:
 
     def health(self) -> Dict[str, Any]:
         return {
-            "status": "draining" if self.draining else "ok",
+            "status": "draining" if self._draining.is_set() else "ok",
             "uptime_s": round(time.monotonic() - self._started_at, 3),
             "queue_depth": self.admission.depth(),
             "inflight": self.admission.inflight(),
@@ -391,14 +385,21 @@ def _make_handler(server: "SamplingServer"):
                     max(1, math.ceil(retry_ms / 1000.0)))
             self._respond(code, response_body(response), headers=headers)
 
+        def _refuse(self, error: str, **headers: str) -> None:
+            self._respond(400, response_body({"status": "bad_request",
+                                              "error": error}),
+                          headers=headers)
+
         def do_POST(self):
-            if self.path != "/v1/sample":
-                self._respond_json({"status": "bad_request",
-                                    "error": f"no such endpoint "
-                                             f"{self.path}"})
+            length = self.headers.get("Content-Length", "0")
+            if not length.isdecimal():  # where the body ends is unknown
+                self._refuse("Content-Length must be an integer >= 0",
+                             Connection="close")
                 return
-            length = int(self.headers.get("Content-Length", 0))
-            body = self.rfile.read(length) if length else b""
+            body = self.rfile.read(int(length))
+            if self.path != "/v1/sample":
+                self._refuse(f"no such endpoint {self.path}")
+                return
             try:
                 self._respond_json(server.handle_sample(body))
             except BrokenPipeError:  # client went away mid-response
@@ -414,8 +415,6 @@ def _make_handler(server: "SamplingServer"):
                               content_type="application/openmetrics-"
                                            "text; version=1.0.0")
             else:
-                self._respond_json({"status": "bad_request",
-                                    "error": f"no such endpoint "
-                                             f"{self.path}"})
+                self._refuse(f"no such endpoint {self.path}")
 
     return Handler

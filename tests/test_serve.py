@@ -8,7 +8,6 @@ tests pin the component contracts.
 
 import base64
 import hashlib
-import io
 import json
 import socket
 import sys
@@ -120,12 +119,6 @@ class TestProtocol:
         assert np.array_equal(arrays["roots"], result.batch.roots)
 
 
-def _np_save_b64(arr):
-    buf = io.BytesIO()
-    np.save(buf, arr, allow_pickle=True)
-    return base64.b64encode(buf.getvalue()).decode()
-
-
 def _tobytes_digest(batch):
     """``batch_digest`` as it was written over ``tobytes`` copies."""
     h = hashlib.sha256()
@@ -144,31 +137,86 @@ _CODEC_ARRAYS = {
     "bool": np.arange(10) % 3 == 0,
     "float64": np.linspace(0.0, 1.0, 17),
     "transposed": np.arange(24, dtype=np.int64).reshape(4, 6).T,
+    "fortran": np.asfortranarray(np.arange(12, dtype=np.int32).reshape(3, 4)),
+    "scalar": np.array(-7, dtype=np.int64),
+    "big-endian": np.arange(-5, 5, dtype=">i8"),
 }
+
+#: The int8 / int16 / int32 limits and one past each, as int32 and
+#: int64 arrays (where they fit).
+_INT_LIMITS = [(np.dtype(dtype), value)
+               for dtype in (np.int32, np.int64)
+               for t in (np.int8, np.int16, np.int32)
+               for limit in (np.iinfo(t).min, np.iinfo(t).max)
+               for value in (int(limit), int(limit) + (1 if limit > 0 else -1))
+               if np.iinfo(dtype).min <= value <= np.iinfo(dtype).max]
+
+
+def _blob(dtype, wire, shape, raw):
+    return f"{dtype};{wire};{shape};{base64.b64encode(raw).decode()}"
+
+
+def _assert_exact(back, arr):
+    assert back.flags.writeable
+    assert back.dtype == arr.dtype and back.shape == arr.shape
+    assert np.array_equal(back, arr)
 
 
 class TestPayloadCodec:
     @pytest.mark.parametrize("name", sorted(_CODEC_ARRAYS))
-    def test_encode_is_np_save_and_decode_is_exact(self, name):
+    def test_decode_is_exact(self, name):
         arr = _CODEC_ARRAYS[name]
-        blob = encode_array(arr)
-        assert blob == _np_save_b64(np.ascontiguousarray(arr))
-        back = decode_array(blob)
-        assert back.flags.writeable
-        assert back.dtype == arr.dtype and back.shape == arr.shape
-        assert np.array_equal(back, arr)
+        _assert_exact(decode_array(encode_array(arr)), arr)
 
-    def test_decode_honours_fortran_order(self):
-        arr = np.asfortranarray(np.arange(12, dtype=np.int32).reshape(3, 4))
-        back = decode_array(_np_save_b64(arr))
-        assert back.flags.writeable and np.array_equal(back, arr)
+    @pytest.mark.parametrize("dtype,value", _INT_LIMITS, ids=str)
+    def test_integer_limits_round_trip(self, dtype, value):
+        arr = np.array([0, value, -1], dtype=dtype)  # -1 is NULL
+        _assert_exact(decode_array(encode_array(arr)), arr)
 
-    @pytest.mark.parametrize("bad", ["object", "truncated", "trailing"])
+    def test_wire_is_the_narrowest_exact_width(self):
+        def wire(*values, dtype=np.int64):
+            return encode_array(np.array(values, dtype=dtype)).split(";")[1]
+
+        assert wire(-128, 127) == "|i1"
+        assert wire(-129) == wire(128) == "<i2"
+        assert wire(-32769) == wire(32768) == "<i4"
+        assert wire(-2**31 - 1) == wire(2**31) == "<i8"
+        assert wire(-2**31, dtype=np.int32) == "<i4"  # never wider
+        assert wire(200, dtype=np.int16) == "<i2"
+        assert wire(5, dtype=np.uint8) == "|u1"
+        assert wire(np.iinfo(np.uint64).max, dtype=np.uint64) == "<u8"
+        assert wire(5, 2**63, dtype=np.uint64) == "<u8"
+
+    def test_uint64_above_int64_max_round_trips(self):
+        arr = np.array([0, 2**63, np.iinfo(np.uint64).max], dtype=np.uint64)
+        _assert_exact(decode_array(encode_array(arr)), arr)
+        small = np.array([0, 300], dtype=np.uint64)
+        _assert_exact(decode_array(encode_array(small)), small)
+
+    def test_vertex_ids_travel_at_two_bytes(self):
+        arr = np.random.default_rng(0).integers(-1, 4001, (259, 250))
+        dtype, wire, shape, data = encode_array(arr).split(";")
+        assert (dtype, wire, shape) == ("<i8", "<i2", "259,250")
+        assert len(base64.b64decode(data)) == 2 * arr.size
+
+    @pytest.mark.parametrize("bad", [
+        "object", "float-wire", "wider-wire", "unsigned-wire",
+        "int-wire-for-float", "truncated", "trailing", "no-header",
+        "extra-field", "bad-dtype", "negative-dim", "bad-dim"])
     def test_bad_blob_raises_naming_the_array(self, bad):
-        npy = base64.b64decode(encode_array(np.arange(10)))
-        blob = {"object": _np_save_b64(np.array([1, "a"], dtype=object)),
-                "truncated": base64.b64encode(npy[:-8]).decode(),
-                "trailing": base64.b64encode(npy + bytes(8)).decode()}[bad]
+        ids = np.arange(10, dtype=np.int16).tobytes()
+        blob = {"object": _blob("|O", "|O", "2", bytes(16)),
+                "float-wire": _blob("<i8", "<f2", "10", ids),
+                "wider-wire": _blob("<i2", "<i4", "5", ids),
+                "unsigned-wire": _blob("<i8", "<u2", "10", ids),
+                "int-wire-for-float": _blob("<f8", "<i2", "10", ids),
+                "truncated": _blob("<i8", "<i2", "10", ids[:-2]),
+                "trailing": _blob("<i8", "<i2", "10", ids + bytes(2)),
+                "no-header": base64.b64encode(ids).decode(),
+                "extra-field": _blob("<i8", "<i2", "10;", ids),
+                "bad-dtype": _blob("<q9", "<i2", "10", ids),
+                "negative-dim": _blob("<i8", "<i2", "-1,-10", ids),
+                "bad-dim": _blob("<i8", "<i2", "2,x", ids)}[bad]
         with pytest.raises(ValueError, match="array 'roots'"):
             decode_arrays({"roots": blob})
 
@@ -474,6 +522,19 @@ class TestServerHTTP:
                                         samples=16, deadline_ms=deadline_ms))
         assert r.status == "bad_request"
         assert "finite number" in r.response["error"]
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_bad_content_length_is_400(self, server, length):
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(b"POST /v1/sample HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: " + length + b"\r\n\r\n{}")
+            reply = b""
+            while chunk := sock.recv(65536):  # the daemon closes
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), reply
+        assert json.loads(body)["status"] == "bad_request"
 
     def test_huge_finite_deadline_is_served(self, client):
         r = client.sample(SampleRequest(app="k-hop", graph="ppi",
