@@ -21,7 +21,6 @@ step size to 64.
 from __future__ import annotations
 
 import math
-import threading
 from typing import Optional, Tuple
 
 import numpy as np
@@ -38,20 +37,6 @@ __all__ = ["FastGCN", "LADIES"]
 #: :meth:`FastGCN.record_step_edges`; larger steps record in blocks of
 #: sample rows.
 EDGE_BLOCK_MAX_BYTES = 1 << 26
-
-_TABLE_LOCK = threading.Lock()
-
-
-def _graph_table(graph: CSRGraph, attr: str, build):
-    """``build(graph)``, cached on the graph as ``attr``.  Several runs
-    on one graph (the daemon's executors) may touch it first at once:
-    built by one of them."""
-    with _TABLE_LOCK:
-        table = getattr(graph, attr, None)
-        if table is None:
-            table = build(graph)
-            setattr(graph, attr, table)
-    return table
 
 
 class FastGCN(SamplingApp):
@@ -87,8 +72,7 @@ class FastGCN(SamplingApp):
 
     def _importance(self, graph: CSRGraph) -> Tuple[np.ndarray, np.ndarray]:
         """Importance distribution and its CDF, cached on the graph."""
-        return _graph_table(graph, "_fastgcn_importance",
-                            self._build_importance)
+        return graph.cached("_fastgcn_importance", self._build_importance)
 
     @staticmethod
     def _build_importance(graph: CSRGraph):
@@ -281,7 +265,7 @@ class LADIES(FastGCN):
         """Cached (per graph) global cumsum of per-candidate importance
         ``deg(dst) + 1`` in CSR edge order, plus each vertex's total
         neighborhood mass (its row's share of that cumsum)."""
-        return _graph_table(graph, "_ladies_edge_importance",
+        return graph.cached("_ladies_edge_importance",
                             self._build_edge_importance)
 
     @staticmethod

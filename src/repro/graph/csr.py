@@ -13,6 +13,7 @@ to test whether a candidate is a neighbor of the previous transit.
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -35,6 +36,11 @@ def _line_aligned(n: int, dtype: np.dtype) -> np.ndarray:
     buf = np.empty(n * dtype.itemsize + 64, dtype=np.uint8)
     skip = -buf.ctypes.data % 64
     return buf[skip:skip + n * dtype.itemsize].view(dtype)
+
+
+#: Guards :meth:`CSRGraph.cached`: one thread builds a table, the rest
+#: wait for it (re-entrant: a build may read another table).
+_CACHE_LOCK = threading.RLock()
 
 
 class CSRGraph:
@@ -72,7 +78,8 @@ class CSRGraph:
                 "indptr must start at 0 and end at len(indices) "
                 f"(got {indptr[0]}..{indptr[-1]} for {indices.size} edges)"
             )
-        if np.any(np.diff(indptr) < 0):
+        degrees = np.diff(indptr)
+        if np.any(degrees < 0):
             raise ValueError("indptr must be non-decreasing")
         num_vertices = indptr.size - 1
         if indices.size and (indices.min() < 0 or indices.max() >= num_vertices):
@@ -92,8 +99,11 @@ class CSRGraph:
         self.indices = indices
         self.weights = weights
         self.name = name
+        #: All out-degrees (read-only), built with the graph: samplers
+        #: gather from it every step and the C kernels hold its address.
+        self.degrees_array = degrees
+        degrees.setflags(write=False)
         self._sort_rows()
-        self._weight_prefix: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -178,33 +188,29 @@ class CSRGraph:
         """Out-degree of vertex ``v``."""
         return int(self.indptr[v + 1] - self.indptr[v])
 
-    @property
-    def degrees_array(self) -> np.ndarray:
-        """Cached vector of all out-degrees (int64, read-only).
-
-        Samplers gather from this every step; computing ``np.diff``
-        of ``indptr`` per step was one of the hot-path costs the
-        engines repeated per step per engine.
-        """
-        cached = getattr(self, "_degrees_cache", None)
-        if cached is None:
-            cached = np.diff(self.indptr)
-            cached.setflags(write=False)
-            self._degrees_cache = cached
-        return cached
+    def cached(self, attr: str, build):
+        """``build(self)``, built once and kept as ``attr``.  Chunk
+        threads and concurrent runs may touch a fresh graph's table at
+        once: one of them builds it, and every caller gets that one."""
+        table = getattr(self, attr, None)
+        if table is None:
+            with _CACHE_LOCK:
+                table = getattr(self, attr, None)
+                if table is None:
+                    table = build(self)
+                    setattr(self, attr, table)
+        return table
 
     def addresses(self, weighted: bool = False) -> Tuple[int, ...]:
         """The compiled kernels' graph arguments, read once: the
         addresses of ``indptr``, ``indices`` and :attr:`degrees_array`,
-        or with ``weighted`` of the :meth:`weight_records` arrays."""
-        key = "_weight_address_cache" if weighted else "_address_cache"
-        cached = getattr(self, key, None)
-        if cached is None:
-            arrays = (self.weight_records() if weighted else
-                      (self.indptr, self.indices, self.degrees_array))
-            cached = tuple(a.ctypes.data for a in arrays)
-            setattr(self, key, cached)
-        return cached
+        or with ``weighted`` of the :meth:`weight_records` arrays.  The
+        graph holds every one of them for life."""
+        if weighted:
+            return self.cached("_weight_address_cache", lambda g: tuple(
+                a.ctypes.data for a in g.weight_records()))
+        return self.cached("_address_cache", lambda g: tuple(
+            a.ctypes.data for a in (g.indptr, g.indices, g.degrees_array)))
 
     def degrees(self) -> np.ndarray:
         """Vector of all out-degrees (the cached read-only array)."""
@@ -249,12 +255,9 @@ class CSRGraph:
         arbitrary batches of edge-existence queries.  Cached lazily
         (8 bytes per edge).
         """
-        if getattr(self, "_edge_key_cache", None) is None:
-            row_of_edge = np.repeat(
-                np.arange(self.num_vertices, dtype=np.int64),
-                self.degrees_array)
-            self._edge_key_cache = row_of_edge * self.num_vertices + self.indices
-        return self._edge_key_cache
+        return self.cached("_edge_key_cache", lambda g: np.repeat(
+            np.arange(g.num_vertices, dtype=np.int64) * g.num_vertices,
+            g.degrees_array) + g.indices)
 
     #: Adjacency bitmaps above this size fall back to binary search
     #: (64 MiB packed = graphs up to ~23k vertices).
@@ -269,20 +272,17 @@ class CSRGraph:
         device memory answering warp-wide membership tests.  Built
         lazily, cached (V^2 / 8 bytes).
         """
-        cached = getattr(self, "_edge_bitmap_cache", False)
-        if cached is not False:
-            return cached
-        n = self.num_vertices
-        nbits = n * n
+        nbits = self.num_vertices ** 2
         if nbits > self._BITMAP_MAX_BYTES * 8:
-            self._edge_bitmap_cache = None
             return None
-        bitmap = np.zeros((nbits + 7) // 8, dtype=np.uint8)
-        keys = self._edge_keys()
-        np.bitwise_or.at(bitmap, keys >> 3,
-                         np.left_shift(1, keys & 7).astype(np.uint8))
-        self._edge_bitmap_cache = bitmap
-        return bitmap
+
+        def build(graph):
+            bitmap = np.zeros((nbits + 7) // 8, dtype=np.uint8)
+            keys = graph._edge_keys()
+            np.bitwise_or.at(bitmap, keys >> 3,
+                             np.left_shift(1, keys & 7).astype(np.uint8))
+            return bitmap
+        return self.cached("_edge_bitmap_cache", build)
 
     def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`has_edge` for aligned arrays ``u``, ``v``.
@@ -378,11 +378,9 @@ class CSRGraph:
         """
         if self.weights is None:
             raise ValueError("graph is unweighted")
-        if self._weight_prefix is None:
-            base, _ = self.weight_row_spans()
-            self._weight_prefix = (self.global_weight_cumsum()
-                                   - np.repeat(base, self.degrees_array))
-        return self._weight_prefix
+        return self.cached("_weight_prefix", lambda g: (
+            g.global_weight_cumsum()
+            - np.repeat(g.weight_row_spans()[0], g.degrees_array)))
 
     def weight_records(self) -> "Tuple[np.ndarray, np.ndarray]":
         """``(vertex, edge)`` records of the weighted draw (read-only,
@@ -401,9 +399,10 @@ class CSRGraph:
         """The records, then their cum, guide, base, total views."""
         if self.weights is None:
             raise ValueError("graph is unweighted")
-        cached = getattr(self, "_weight_records_cache", None)
-        if cached is not None:
-            return cached
+        return self.cached("_weight_records_cache",
+                           CSRGraph._build_weight_records)
+
+    def _build_weight_records(self):
         indptr, deg = self.indptr, self.degrees_array
         verts = _line_aligned(self.num_vertices, VERTEX_RECORD)
         edges = _line_aligned(self.num_edges, EDGE_RECORD)
@@ -443,7 +442,6 @@ class CSRGraph:
         cached = (verts, edges, cumsum, guide, base, total)
         for a in cached:
             a.setflags(write=False)
-        self._weight_records_cache = cached
         return cached
 
     def global_weight_cumsum(self) -> np.ndarray:
@@ -480,15 +478,15 @@ class CSRGraph:
         """
         if self.weights is None:
             raise ValueError("graph is unweighted")
-        if getattr(self, "_row_max_cache", None) is None:
-            out = np.zeros(self.num_vertices, dtype=np.float64)
-            starts = self.indptr[:-1]
-            nonempty = np.nonzero(starts < self.indptr[1:])[0]
-            if nonempty.size:
-                out[nonempty] = np.maximum.reduceat(
-                    self.weights, starts[nonempty])
-            self._row_max_cache = out
-        return self._row_max_cache
+        return self.cached("_row_max_cache", CSRGraph._build_row_max)
+
+    def _build_row_max(self) -> np.ndarray:
+        out = np.zeros(self.num_vertices, dtype=np.float64)
+        nonempty = np.flatnonzero(self.degrees_array)
+        if nonempty.size:
+            out[nonempty] = np.maximum.reduceat(
+                self.weights, self.indptr[nonempty])
+        return out
 
     def row_total_weight(self) -> np.ndarray:
         """Total edge weight per vertex (last entry of each row prefix)."""
@@ -505,9 +503,8 @@ class CSRGraph:
         isolated vertex dies immediately, which the paper's SNAP graphs
         (no isolated vertices) never exhibit.
         """
-        if getattr(self, "_non_isolated_cache", None) is None:
-            self._non_isolated_cache = np.nonzero(np.diff(self.indptr) > 0)[0]
-        return self._non_isolated_cache
+        return self.cached("_non_isolated_cache",
+                           lambda g: np.flatnonzero(g.degrees_array))
 
     def subgraph(self, vertices: np.ndarray, name: Optional[str] = None) -> "CSRGraph":
         """Induced subgraph on ``vertices`` with relabeled ids 0..k-1."""

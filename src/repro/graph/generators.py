@@ -45,13 +45,24 @@ def _csr_from_pairs(num_vertices: int, src: np.ndarray, dst: np.ndarray,
     n = num_vertices
     if undirected:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-    key = (src * n + dst)[src != dst]
+    # The one widening: narrower ids become int64 keys here.
+    key = np.multiply(src, n, dtype=np.int64)
+    key += dst
+    key = key[src != dst]
     key.sort()
     first = np.ones(key.size, dtype=bool)
     np.not_equal(key[1:], key[:-1], out=first[1:])
     key = key[first]
-    indptr = np.searchsorted(key, np.arange(n + 1) * n)
-    return CSRGraph(indptr, key % n, name=name)
+    row_keys = np.arange(n + 1, dtype=np.int64) * n
+    indptr = np.searchsorted(key, row_keys)
+    # indices = key % n, without the division: subtract each row's key.
+    key -= np.repeat(row_keys[:-1], np.diff(indptr))
+    return CSRGraph(indptr, key, name=name)
+
+
+def _id_dtype(scale: int) -> np.dtype:
+    """Accumulator of R-MAT ids below ``2**scale``: int32 while they fit."""
+    return np.dtype(np.int32 if scale <= 31 else np.int64)
 
 
 def rmat_graph(
@@ -80,18 +91,26 @@ def rmat_graph(
     rng = np.random.default_rng(seed)
     scale = int(np.ceil(np.log2(num_vertices)))
     # Draw each edge by descending the 2^scale x 2^scale adjacency
-    # quadtree: at each level pick one of four quadrants (inverse
-    # transform over the quadrant CDF, counting the steps below r).
+    # quadtree: at each level the quadrant is the number of CDF cuts
+    # below r.  They are a prefix of the monotone CDF, so its high bit is
+    # ``r > cdf[1]`` and its low bit their parity.  One set of buffers.
     cdf = np.cumsum([a, b, c])
-    src = np.zeros(num_edges, dtype=np.int64)
-    dst = np.zeros(num_edges, dtype=np.int64)
-    for level in range(scale):
-        r = rng.random(num_edges)
-        quadrant = (r > cdf[0]).astype(np.int64)
-        quadrant += r > cdf[1]
-        quadrant += r > cdf[2]
-        src = (src << 1) | (quadrant >> 1)
-        dst = (dst << 1) | (quadrant & 1)
+    ids = _id_dtype(scale)
+    src = np.zeros(num_edges, dtype=ids)
+    dst = np.zeros(num_edges, dtype=ids)
+    r = np.empty(num_edges)
+    high, low, cut = (np.empty(num_edges, dtype=bool) for _ in range(3))
+    for _ in range(scale):
+        rng.random(out=r)
+        np.greater(r, cdf[1], out=high)
+        np.greater(r, cdf[0], out=low)
+        np.greater(r, cdf[2], out=cut)
+        low ^= high
+        low ^= cut
+        src <<= 1
+        src |= high
+        dst <<= 1
+        dst |= low
     src %= num_vertices
     dst %= num_vertices
     return _csr_from_pairs(num_vertices, src, dst, undirected, name)

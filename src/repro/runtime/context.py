@@ -19,11 +19,11 @@ chunk and write its rows straight into the step array.  The first
 exception (or ``CancelledRun``) is re-raised once every started chunk
 returned.  The compiled kernels release the GIL; numpy releases it
 inside its array loops.  A hook is a pure function of ``(graph, chunk
-data, rng)`` plus reads of the batch, and every lazy graph cache is
-built whole before it is published, so a chunk gives the same rows on
-any thread.  Collective steps stay on the calling thread: threaded, a
-few ~2 ms chunks ran 0.8–1.3x the serial step, by whether the host's
-second core was free.
+data, rng)`` plus reads of the batch, and every lazy graph table is
+built whole, once, before it is published (``CSRGraph.cached``), so a
+chunk gives the same rows on any thread.  Collective steps stay on the
+calling thread: threaded, a few ~2 ms chunks ran 0.8–1.3x the serial
+step, by whether the host's second core was free.
 
 A run keeps no state between runs: a run that failed or was
 interrupted is recovered by running it again, which gives the same

@@ -294,8 +294,7 @@ def import_graph(handle: SharedGraphHandle) -> CSRGraph:
     graph.indices = views["indices"]
     graph.weights = views.get("weights")
     graph.name = handle.graph_name
-    graph._weight_prefix = None
-    graph._degrees_cache = views["degrees"]
+    graph.degrees_array = views["degrees"]
     if "wrowmax" in views:
         graph._row_max_cache = views["wrowmax"]
     graph._shm_refs = segments

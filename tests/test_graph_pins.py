@@ -9,10 +9,12 @@ digits of the sha256 of ``indptr``, ``indices`` and ``weights`` (or
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.graph import datasets
 from repro.graph.generators import (
+    _id_dtype,
     barabasi_albert_graph,
     clustered_graph,
     erdos_renyi_graph,
@@ -68,7 +70,28 @@ def test_paper_datasets(name, weighted, expected):
      ["c76a078c73da0725", "7f68c5c7b26cbc96", None]),
     (lambda: datasets.load_clustered("ppi", 8),
      ["4aaca2cf3944bef9", "61f24d28a06702ba", None]),
+    # R-MAT quadrant CDFs with a zero or a full cut, no fold, the
+    # smallest graph, both directions.
+    (lambda: rmat_graph(1000, 5000, a=0.45, b=0.25, c=0.0, seed=3),
+     ["c40b24154ac624ae", "be34fa0ee37ec2ba", None]),
+    (lambda: rmat_graph(1000, 5000, a=0.3, b=0.2, c=0.1, seed=3,
+                        undirected=False),
+     ["d02b0d4d0331e54e", "a8b4c61f1aee37a5", None]),
+    (lambda: rmat_graph(1000, 5000, a=0.5, b=0.2, c=0.3, seed=3),
+     ["3bd50d51d23977cb", "b49473b2e12bbf6b", None]),
+    (lambda: rmat_graph(1024, 6000, seed=5),
+     ["b752b400cc263834", "1f18da2b1f352103", None]),
+    (lambda: rmat_graph(2, 50, seed=1),
+     ["ab25350e3e65efeb", "4cbbd8ca5215b8d1", None]),
+    (lambda: rmat_graph(1000, 5000, seed=3),
+     ["c1645fd1f5072eb2", "2705f6d8490d6ef5", None]),
 ], ids=["er", "er-directed", "ba", "clustered", "rmat-directed",
-        "ppi-clustered"])
+        "ppi-clustered", "rmat-c-zero", "rmat-light-d", "rmat-no-d",
+        "rmat-n-power-of-two", "rmat-n-2", "rmat-undirected"])
 def test_small_generators(build, expected):
     assert pins(build()) == expected
+
+
+def test_rmat_ids_accumulate_at_32_bits_while_they_fit():
+    assert _id_dtype(31) == np.int32
+    assert _id_dtype(32) == np.int64
