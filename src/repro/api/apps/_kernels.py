@@ -40,15 +40,6 @@ def _backend():
     return native.active_backend()
 
 
-def _land(picks, out_rows, rows):
-    """``picks``; given a destination, ``None`` after ``out_rows[rows]
-    = picks``, the write the compiled fills do as they draw."""
-    if out_rows is None:
-        return picks
-    out_rows[rows] = picks
-    return None
-
-
 def _over_eligible(graph: CSRGraph, transits: np.ndarray, m: int,
                    draw) -> np.ndarray:
     """``(K, m)``: the rows ``draw(t, deg)`` returns for the live
@@ -79,6 +70,11 @@ def _over_eligible(graph: CSRGraph, transits: np.ndarray, m: int,
     return out
 
 
+#: Draws the numpy uniform kernel holds at once when it fills a step (256
+#: KB): chunk-sized ones on two chunk threads made the heap's peak vary.
+_BLOCK_DRAWS = 32768
+
+
 def uniform_neighbors(graph: CSRGraph, transits: np.ndarray, m: int,
                       rng: np.random.Generator,
                       out_rows: Optional[np.ndarray] = None,
@@ -92,9 +88,14 @@ def uniform_neighbors(graph: CSRGraph, transits: np.ndarray, m: int,
     """
     native = _backend().uniform_neighbors(graph, transits, m, rng,
                                           out_rows=out_rows, rows=rows)
-    if native is None:
-        return _land(_uniform_numpy(graph, transits, m, rng), out_rows, rows)
-    return native if out_rows is None else None
+    if native is not None:
+        return native if out_rows is None else None
+    if out_rows is None:
+        return _uniform_numpy(graph, transits, m, rng)
+    block = max(1, _BLOCK_DRAWS // max(m, 1))
+    for lo in range(0, np.size(transits), block):
+        out_rows[rows[lo:lo + block]] = _uniform_numpy(
+            graph, transits[lo:lo + block], m, rng)
 
 
 def _uniform_numpy(graph, transits, m, rng):
@@ -191,9 +192,11 @@ def weighted_neighbors(graph: CSRGraph, transits: np.ndarray, m: int,
         return uniform_neighbors(graph, transits, m, rng, out_rows, rows)
     native = _backend().weighted_neighbors(graph, transits, m, rng,
                                            out_rows=out_rows, rows=rows)
-    if native is None:
-        return _land(_weighted_numpy(graph, transits, m, rng), out_rows, rows)
-    return native if out_rows is None else None
+    if native is not None:
+        return native if out_rows is None else None
+    if out_rows is None:
+        return _weighted_numpy(graph, transits, m, rng)
+    out_rows[rows] = _weighted_numpy(graph, transits, m, rng)
 
 
 def _weighted_numpy(graph, transits, m, rng):

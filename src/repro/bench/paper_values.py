@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 __all__ = ["TABLE3", "TABLE5", "FIG7A_BAND", "FIG7_SP_BAND",
-           "SEC84", "TABLE1_MAX_FRACTION", "compare_results"]
+           "TABLE1_MAX_FRACTION", "compare_results"]
 
 #: Table 3: name -> (nodes, edges, avg degree).
 TABLE3 = {
@@ -39,23 +39,8 @@ FIG7A_BAND = (26.1, 50.0)
 #: Figure 7 SP panel: "speedups ranging from 1.09x to 6x" over SP.
 FIG7_SP_BAND = (1.09, 6.0)
 
-#: Section 8.4: out-of-memory FriendS results.
-SEC84 = {
-    #: "it provides about 1/2 of the throughput with DeepWalk and PPR"
-    "deepwalk_nd_over_kk": 0.5,
-    "ppr_nd_over_kk": 0.5,
-    #: "NextDoor gives a 1.50x speedup over KnightKing" (node2vec)
-    "node2vec_nd_over_kk": 1.5,
-    #: "a throughput of 3.3e6 samples per second on k-hop"
-    "khop_samples_per_sec": 3.3e6,
-    "layer_samples_per_sec": 2.0e6,
-}
-
 #: Table 1 headline: "graph sampling can take up to 62% of an epoch".
 TABLE1_MAX_FRACTION = 0.62
-
-#: Section 8: maximum end-to-end GNN improvement quoted in the intro.
-INTRO_MAX_SPEEDUP = 4.75
 
 
 def _band_check(value: float, lo: float, hi: float,

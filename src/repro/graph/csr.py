@@ -157,16 +157,22 @@ class CSRGraph:
 
     def with_random_weights(self, low: float = 1.0, high: float = 5.0,
                             seed: int = 0) -> "CSRGraph":
-        """Return a weighted copy with weights uniform in ``[low, high)``.
+        """Return a weighted graph with weights uniform in ``[low, high)``.
 
         This is the paper's procedure for producing weighted variants of
         the SNAP graphs ("assigning weights to each edge randomly from
-        [1, 5)", Section 8).
+        [1, 5)", Section 8).  It shares this graph's (never written)
+        ``indptr``, ``indices`` and degrees: only the weights are new,
+        finite and non-negative since ``0 <= low <= high`` is finite.
         """
+        if not 0 <= low <= high < np.inf:
+            raise ValueError("edge weights must be finite and non-negative")
         rng = np.random.default_rng(seed)
-        weights = rng.uniform(low, high, size=self.indices.size)
-        return CSRGraph(self.indptr.copy(), self.indices.copy(),
-                        weights=weights, name=self.name)
+        graph = CSRGraph.__new__(CSRGraph)
+        vars(graph).update(indptr=self.indptr, indices=self.indices,
+                           degrees_array=self.degrees_array, name=self.name,
+                           weights=rng.uniform(low, high, self.indices.size))
+        return graph
 
     # ------------------------------------------------------------------
     # Basic accessors

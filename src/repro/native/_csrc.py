@@ -1,6 +1,6 @@
 """The compiled kernels: embedded C, the one source of truth.
 
-Compiled once per host by :mod:`repro.native.cnative` (``cc -O2
+Compiled once per host by :mod:`repro.native.cnative` (``cc -O1
 -fPIC -shared -ffp-contract=off``) and called through ctypes by
 :class:`repro.native.backend.CNativeBackend`.  Every kernel is a plain
 loop over raw arrays; lengths arrive as explicit arguments.

@@ -10,6 +10,9 @@ symbols on the returned library directly.
 
 ``-ffp-contract=off`` matters: FMA contraction of ``base + r * total``
 would round differently from numpy and break bitwise parity.
+
+``-O1``: the kernels are memory-bound, and it cuts the cold build a third
+(docs/PERF.md).  A preloaded ASan runtime builds ASan + UBSan, hashed apart.
 """
 
 from __future__ import annotations
@@ -24,12 +27,20 @@ import tempfile
 from typing import Optional, Union
 
 __all__ = ["find_compiler", "library_path", "build_library",
-           "load_library"]
-
-_CFLAGS = ["-std=c11", "-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+           "load_library", "sanitized"]
 
 #: The loaded library; ``False`` once the one build attempt has failed.
 _lib_cache: Union[ctypes.CDLL, bool, None] = None
+
+
+def sanitized() -> bool:
+    """Whether this process runs under the AddressSanitizer runtime."""
+    return hasattr(ctypes.CDLL(None), "__asan_init")
+
+
+_CFLAGS = ["-std=c11", "-O1", "-fPIC", "-shared", "-ffp-contract=off"] + (
+    ["-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
+     "-fno-sanitize-recover=undefined"] if sanitized() else [])
 
 
 def find_compiler() -> Optional[str]:

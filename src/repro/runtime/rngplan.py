@@ -41,7 +41,7 @@ __all__ = ["RNGPlan", "CHUNK_PAIRS", "AUX_TOPUP", "AUX_POST"]
 #: determinism contract: changing it changes the sampled values (but
 #: never their distribution), exactly like changing the seed.  No
 #: caller sets it; a plan reads it when it is constructed.
-CHUNK_PAIRS = 4096
+CHUNK_PAIRS = 16384
 
 #: Aux stream slots.
 AUX_TOPUP = 0

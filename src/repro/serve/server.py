@@ -45,6 +45,7 @@ from typing import Any, Dict, Optional
 
 from repro.obs import get_metrics, openmetrics_text, trace, write_openmetrics
 from repro.runtime.cancel import CancelledRun, CancelScope, DeadlineExceeded
+from repro.runtime.context import retain_freed_memory
 from repro.serve.admission import AdmissionGate, GateClosed, QueueFull
 from repro.serve.cache import GraphCache
 from repro.serve.protocol import (STATUS_HTTP, SampleRequest,
@@ -101,6 +102,7 @@ class SamplingServer:
         return self._httpd.server_address[1]
 
     def start(self) -> "SamplingServer":
+        retain_freed_memory()  # before a handler thread makes an arena
         handler = _make_handler(self)
 
         class _Server(ThreadingHTTPServer):

@@ -26,6 +26,7 @@ from typing import List, Optional
 from repro.api.apps import LADIES, DeepWalk, KHop
 from repro.core.engine import NextDoorEngine
 from repro.runtime.faults import FaultInjected, FaultPlan
+from repro.runtime.rngplan import CHUNK_PAIRS
 from repro.serve.protocol import batch_digest
 from repro.verify.result import CheckResult
 
@@ -36,7 +37,7 @@ SUITE = "chaos"
 #: Small enough to finish in seconds, large enough that step 1 has at
 #: least two chunks of ``CHUNK_PAIRS`` pairs (LADIES: of sample rows),
 #: so the fault has a real chunk to land on.
-_NUM_SAMPLES = 8192
+_NUM_SAMPLES = 2 * CHUNK_PAIRS
 _WALK_LENGTH = 8
 _SEED = 11
 _FAULT = "chunk-error:1.1"

@@ -27,6 +27,7 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from repro.native.backend import available_backends, backend_scope
+from repro.runtime.rngplan import CHUNK_PAIRS, RNGPlan
 from repro.serve.protocol import batch_digest
 from repro.verify.result import CheckResult
 
@@ -36,18 +37,18 @@ _POOLED_SEED = 29
 _POOLED_VERTICES = 1500
 _POOLED_EDGES = 9000
 
-#: name -> (app factory, weighted?, num_samples).  Sizes chosen so at
-#: least one step exceeds CHUNK_PAIRS and chunk threads really
-#: run it (DeepWalk: 6000 pairs/step; k-hop step 1: 4 * 2048; LADIES:
-#: four collective chunks of 128 sample rows, the last ragged, chunked
-#: on the calling thread).
+#: name -> (app factory, weighted?, num_samples), sized from the chunk
+#: constant so a step spans two chunks and chunk threads run it (DeepWalk
+#: two chunks a step, k-hop step 1 two, LADIES four chunks of sample rows,
+#: the last ragged, chunked on the calling thread).
 POOLED_CASES = {
     "deepwalk_pooled": (
-        lambda: _apps().DeepWalk(walk_length=12), True, 6000),
+        lambda: _apps().DeepWalk(walk_length=12), True, 2 * CHUNK_PAIRS),
     "khop_pooled": (
-        lambda: _apps().KHop(fanouts=(4, 2)), False, 2048),
+        lambda: _apps().KHop(fanouts=(4, 2)), False, CHUNK_PAIRS // 2),
     "ladies_pooled": (
-        lambda: _apps().LADIES(step_size=16, batch_size=16), False, 400),
+        lambda: _apps().LADIES(step_size=16, batch_size=16), False,
+        25 * RNGPlan(0).rows_per_chunk // 8),
 }
 
 
@@ -56,16 +57,20 @@ def _apps():
     return apps
 
 
-def _pooled_run(factory, weighted: bool, num_samples: int,
-                workers: int) -> Dict:
-    from repro.core.engine import NextDoorEngine
+def pooled_graph(weighted: bool):
+    """The graph every pooled case samples."""
     from repro.graph.generators import rmat_graph
     graph = rmat_graph(_POOLED_VERTICES, _POOLED_EDGES,
                        seed=_POOLED_SEED, name="native-parity-rmat")
-    if weighted:
-        graph = graph.with_random_weights(seed=_POOLED_SEED)
+    return graph.with_random_weights(seed=_POOLED_SEED) if weighted else graph
+
+
+def _pooled_run(factory, weighted: bool, num_samples: int,
+                workers: int) -> Dict:
+    from repro.core.engine import NextDoorEngine
     result = NextDoorEngine(workers=workers).run(
-        factory(), graph, num_samples=num_samples, seed=_POOLED_SEED)
+        factory(), pooled_graph(weighted), num_samples=num_samples,
+        seed=_POOLED_SEED)
     return {
         "digest": batch_digest(result.batch),
         "charges": dataclasses.asdict(result.metrics),

@@ -25,6 +25,7 @@ from typing import List, Optional
 
 from repro.core.engine import NextDoorEngine
 from repro.obs import get_metrics
+from repro.runtime.rngplan import CHUNK_PAIRS
 from repro.serve.client import RetryPolicy, ServeClient
 from repro.serve.protocol import SampleRequest, batch_digest
 from repro.serve.server import SamplingServer, ServerConfig
@@ -36,9 +37,10 @@ SUITE = "serve"
 
 _GRAPH = "ppi"
 #: Step 0 of either app has one pair per sample: two chunks of
-#: ``CHUNK_PAIRS``, so ``chunk-error:0.1`` lands on a real chunk.
-_SAMPLES = 8192
+#: ``CHUNK_PAIRS``, so ``_FAULT`` lands on a real chunk.
+_SAMPLES = 2 * CHUNK_PAIRS
 _SEED = 17
+_FAULT = "chunk-error:0.1"
 
 
 def _direct_digest(app_name: str, workers: int) -> str:
@@ -167,7 +169,7 @@ def _check_chunk_error(client: ServeClient, direct) -> CheckResult:
     nothing behind)."""
     problems: List[str] = []
     failed = client.sample(
-        _request(hooks={"fault_plan": "chunk-error:0.1"}))
+        _request(hooks={"fault_plan": _FAULT}))
     if failed.status != "error":
         problems.append(f"faulted status {failed.status}")
     elif "injected chunk error" not in str(failed.response.get("error")):

@@ -194,6 +194,24 @@ class TestWeights:
         b = tiny_graph.with_random_weights(seed=3)
         assert np.array_equal(a.weights, b.weights)
 
+    def test_with_random_weights_shares_the_structure(self):
+        from repro.graph.generators import rmat_graph
+        g = rmat_graph(300, 2000, seed=4)
+        w = g.with_random_weights(low=0.5, high=2.0, seed=9)
+        weights = np.random.default_rng(9).uniform(0.5, 2.0, g.num_edges)
+        built = CSRGraph(g.indptr.copy(), g.indices.copy(),
+                         weights=weights, name=g.name)
+        for attr in ("indptr", "indices", "weights", "degrees_array"):
+            assert np.array_equal(getattr(w, attr), getattr(built, attr))
+        assert w.name == g.name
+        assert np.shares_memory(w.indptr, g.indptr)
+        assert np.shares_memory(w.indices, g.indices)
+        assert g.weights is None
+
+    def test_with_random_weights_checks_the_weights(self, tiny_graph):
+        with pytest.raises(ValueError, match="non-negative"):
+            tiny_graph.with_random_weights(low=-2.0, high=-1.0)
+
     def test_max_edge_weight(self, tiny_weighted):
         for v in range(tiny_weighted.num_vertices):
             w = tiny_weighted.edge_weights(v)

@@ -15,8 +15,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.native import cnative
 from repro.native.backend import available_backends
 from repro.runtime import context
+
+pytestmark = pytest.mark.skipif(
+    cnative.sanitized(),
+    reason="AddressSanitizer replaces glibc's allocator, whose "
+           "settings these tests measure")
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -76,3 +82,42 @@ def _no_libc(name):
 def test_missing_mallopt_is_a_quiet_no_op(fresh_setting, monkeypatch, cdll):
     monkeypatch.setattr(context.ctypes, "CDLL", cdll)
     assert context.retain_freed_memory() is False
+
+
+ARENAS = """
+import ctypes, threading
+from repro.serve.client import ServeClient
+from repro.serve.protocol import SampleRequest
+from repro.serve.server import SamplingServer, ServerConfig
+
+def client(server, seed):
+    c = ServeClient(port=server.port)
+    for i in range(10):
+        r = c.sample(SampleRequest(
+            app=("k-hop", "DeepWalk", "LADIES")[i % 3], graph="ppi",
+            samples=256, seed=seed + i, return_samples=False))
+        assert r.ok, r.response
+
+with SamplingServer(ServerConfig(port=0, executors=2)) as server:
+    threads = [threading.Thread(target=client, args=(server, seed))
+               for seed in (1, 100)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    ctypes.CDLL(None).malloc_stats()
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator setting is glibc's mallopt")
+def test_daemon_threads_share_one_arena():
+    # The daemon sets the allocator before its first handler thread
+    # exists, so concurrent requests all allocate from the one heap.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", ARENAS], env=env,
+                         capture_output=True, text=True, timeout=300,
+                         check=True)
+    arenas = [line for line in out.stderr.splitlines()
+              if line.startswith("Arena ")]
+    assert arenas == ["Arena 0:"], out.stderr

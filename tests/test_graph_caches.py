@@ -82,7 +82,10 @@ from repro.api.apps import KHop
 from repro.core.engine import NextDoorEngine
 from repro.graph import datasets
 from repro.native.backend import backend_scope
+from repro.runtime import rngplan
 
+# Eight chunks in step 0, four a thread: the race needs many first reads.
+rngplan.CHUNK_PAIRS = 4096
 graph = datasets.load("livej", seed=7, scale=30)
 with backend_scope("cnative"):
     NextDoorEngine(workers=2).run(KHop((25, 10)), graph,

@@ -98,12 +98,12 @@ class TestRNGPlan:
         assert not np.array_equal(a, c)
 
     def test_default_chunk_size(self):
-        assert RNGPlan(0).chunk_pairs == CHUNK_PAIRS == 4096
+        assert RNGPlan(0).chunk_pairs == CHUNK_PAIRS == 16384
 
     def test_plan_reads_the_constant_when_built(self, set_chunk_pairs):
         plan = RNGPlan(0)
         set_chunk_pairs(100)
-        assert (plan.chunk_pairs, RNGPlan(0).chunk_pairs) == (4096, 100)
+        assert (plan.chunk_pairs, RNGPlan(0).chunk_pairs) == (16384, 100)
         assert RNGPlan(0).collective_bounds(7) == [0, 3, 6, 7]
 
 

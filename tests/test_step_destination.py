@@ -111,3 +111,18 @@ def test_returned_arrays_assemble_like_in_place_draws(
     assert digest(KHop(fanouts=fanouts)) == want
     assert digest(ReturningKHop(fanouts=fanouts)) == want
     assert digest(reference_view(UniformNextKHop(fanouts=fanouts))) == want
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_numpy_in_place_draw_in_blocks_matches_the_whole_draw(
+        medium_graph, workers):
+    # Step 1's 1 152 transits at 30 draws each fill two of the numpy
+    # in-place draw's blocks (``_kernels._BLOCK_DRAWS``); the returning
+    # hook draws them in one call.
+    def digest(app):
+        with backend_scope("numpy"):
+            return batch_digest(NextDoorEngine(workers=workers).run(
+                app, medium_graph, num_samples=96, seed=17).batch)
+
+    assert (digest(KHop(fanouts=(12, 30)))
+            == digest(ReturningKHop(fanouts=(12, 30))))
