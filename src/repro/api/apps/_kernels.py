@@ -3,8 +3,9 @@
 Each primitive consumes a flat array of transit vertices (NULL entries
 pass through as NULL) and produces the step's new vertices for every
 (sample, transit) pair at once.  These are the numpy equivalents of the
-GPU kernels' inner loops (the ``_*_numpy`` bodies also rescue a failed
-C kernel); the per-vertex reference path in
+GPU kernels' inner loops, and the oracle of the compiled backend's
+hooks, which draw the same doubles from the same generator and hand
+them to C; the per-vertex reference path in
 :class:`~repro.api.app.SamplingApp` computes the same distributions one
 vertex at a time.
 """

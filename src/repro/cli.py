@@ -141,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list the paper-experiment benchmarks")
     p.add_argument("action", nargs="?", default="list", choices=["list"],
                    help="list (default): show benchmark files")
-    p.add_argument("--list", action="store_true", default=True,
-                   help=argparse.SUPPRESS)  # historical default action
     _add_obs_flags(p)
 
     p = sub.add_parser("report",
@@ -269,6 +267,14 @@ def _workers_error(workers: Optional[int]) -> Optional[str]:
     return None
 
 
+def _run_error(args) -> Optional[str]:
+    """Readable message for an invalid --seed or --workers of a
+    sampling command, else None."""
+    if args.seed < 0:
+        return f"--seed must be >= 0, got {args.seed}"
+    return _workers_error(args.workers)
+
+
 def _resolve_graph(args, out):
     """A dataset stand-in by name, or a graph loaded from a file path.
 
@@ -299,7 +305,7 @@ def _resolve_graph(args, out):
 
 
 def _cmd_sample(args, out) -> int:
-    err = _workers_error(args.workers)
+    err = _run_error(args)
     if err is None and args.samples is not None and args.samples < 1:
         err = f"--samples must be >= 1, got {args.samples}"
     if err:
@@ -348,7 +354,7 @@ def _cmd_sample(args, out) -> int:
 
 
 def _cmd_compare(args, out) -> int:
-    err = _workers_error(args.workers)
+    err = _run_error(args)
     if err:
         print(f"error: {err}", file=out)
         return 2
@@ -436,7 +442,7 @@ def _cmd_verify(args, out) -> int:
               f"all, {', '.join(verify_runner.SUITE_NAMES)} "
               "(see `repro verify --list`)", file=out)
         return 2
-    err = _workers_error(args.workers)
+    err = _run_error(args)
     if err:
         print(f"error: {err}", file=out)
         return 2

@@ -2,9 +2,9 @@
 
 See :mod:`repro.native.backend` for the interface and the parity
 contract, :mod:`repro.native._csrc` for the kernels (the one compiled
-source) and their draw-order contract, :mod:`repro.native.cnative` for
-the build, :mod:`repro.native.rngshim` for the PCG64 draw shim, and
-docs/PERF.md ("Compiled backend") for usage.
+source, which consumes the doubles its hooks draw from numpy and draws
+none itself) and their draw-order contract, :mod:`repro.native.cnative`
+for the build, and docs/PERF.md ("Compiled backend") for usage.
 """
 
 from repro.native.backend import (

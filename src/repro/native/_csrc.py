@@ -8,18 +8,15 @@ loop over raw arrays; lengths arrive as explicit arguments.
 Contract with the numpy kernels in ``repro/api/apps/_kernels.py``
 (see ``docs/PERF.md``) — what keeps samples bitwise-identical:
 
-* fixed-draw-count kernels (``uniform_fill``, ``weighted_fill``)
-  consume a pre-drawn block ``r`` of doubles in exactly the order the
-  numpy code drew them — ``(count, m)`` C-order for uniform, ``(m,
-  count)`` for weighted — where ``count`` is what ``uniform_count``
-  reports: live transits with at least one edge (a collective
-  segment choice is the uniform draw over the segments as CSR rows);
-* ``node2vec_fill`` draws data-dependent randomness through the PCG64
-  shim (:mod:`repro.native.rngshim`), replicating numpy's call order:
-  per rejection round, first one pick draw for every pending pair,
-  then one accept draw for every pending pair; it reports the draws
-  it consumed in ``counters[3]`` so the caller can advance the numpy
-  generator by the same amount;
+* no kernel draws: each consumes a block ``r`` of doubles its hook
+  drew from the chunk's numpy generator, in exactly the order the
+  numpy code draws them.  ``uniform_fill`` and ``weighted_fill`` take
+  ``(count, m)`` C-order and ``(m, count)`` blocks, where ``count`` is
+  what ``uniform_count`` reports: live transits with at least one edge
+  (a collective segment choice is the uniform draw over the segments
+  as CSR rows).  ``node2vec_round`` runs one rejection round per call
+  on ``2 * n`` doubles for its ``n`` pending pairs: the picks, then the
+  accept draws — numpy's two ``rng.random(n)`` calls of that round;
 * integer truncation of ``r * n`` picks matches numpy's
   ``astype(np.int64)`` (both truncate toward zero, values are
   non-negative), followed by the same clamp to ``n - 1``;
@@ -46,11 +43,8 @@ Contract with the numpy kernels in ``repro/api/apps/_kernels.py``
 * the fills write pair ``i``'s picks into row ``rows[i]`` of the
   step's destination (numpy's ``out_rows[rows] = picks``; NULL
   ``rows``: the identity), NULL for a NULL or zero-degree transit;
-  ``uniform_count`` and ``node2vec_fill`` return -1 at a row outside
-  ``[0, nrows)`` before anything is drawn or written.
-
-The PCG64 step uses ``unsigned __int128``; :mod:`repro.native.rngshim`
-holds the pure-Python reference the tests compare it against.
+  ``uniform_count`` and ``node2vec_round``'s round 0 return -1 at a
+  row outside ``[0, nrows)`` before anything is drawn or written.
 """
 
 from __future__ import annotations
@@ -61,38 +55,6 @@ SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-typedef unsigned __int128 u128;
-
-static const double INV53 = 1.0 / 9007199254740992.0;  /* 2^-53 */
-
-#define PCG_MULT ((((u128)0x2360ed051fc65da4ULL) << 64) | \
-                  ((u128)0x4385df649fccf645ULL))
-
-static inline uint64_t pcg_next64(u128 *state, u128 inc) {
-    *state = *state * PCG_MULT + inc;
-    uint64_t hi = (uint64_t)(*state >> 64);
-    uint64_t lo = (uint64_t)(*state);
-    uint64_t x = hi ^ lo;
-    unsigned rot = (unsigned)(*state >> 122);
-    return (x >> rot) | (x << ((64u - rot) & 63u));
-}
-
-static inline double pcg_double(u128 *state, u128 inc) {
-    return (double)(pcg_next64(state, inc) >> 11) * INV53;
-}
-
-static inline u128 pack128(const uint64_t *w) {
-    return ((u128)w[0] << 64) | (u128)w[1];
-}
-
-void repro_pcg_fill(uint64_t *s, double *out, int64_t n) {
-    u128 state = pack128(s), inc = pack128(s + 2);
-    for (int64_t i = 0; i < n; i++)
-        out[i] = pcg_double(&state, inc);
-    s[0] = (uint64_t)(state >> 64);
-    s[1] = (uint64_t)state;
-}
 
 /* Live transits with an edge; -1 at a row outside [0, nrows). */
 int64_t repro_uniform_count(const int64_t *transits, int64_t n,
@@ -216,102 +178,90 @@ int64_t repro_weighted_fill(const wvert_t *verts, const wedge_t *edges,
     return c;
 }
 
-/* Destination as repro_uniform_fill's (m = 1); -1 before anything is
-   drawn or written when a row lies outside [0, nrows), else 0. */
-int64_t repro_node2vec_fill(const int64_t *indptr, const int64_t *indices,
-                            const double *weights, int64_t is_weighted,
-                            const int64_t *degrees, const int64_t *transits,
-                            int64_t n_transits, const int64_t *prev,
-                            int64_t has_prev, const double *row_max,
-                            double bias_env, double p, double inv_q,
-                            int64_t max_rounds, int64_t null_v, uint64_t *sw,
-                            int64_t *out, const int64_t *rows, int64_t nrows,
-                            int64_t *pending, int64_t *proposal,
-                            double *bias, double *envs, double *rbuf,
-                            int64_t *counters) {
-    if (rows)
-        for (int64_t i = 0; i < n_transits; i++)
-            if ((uint64_t)rows[i] >= (uint64_t)nrows)
-                return -1;
-    u128 state = pack128(sw), inc = pack128(sw + 2);
-    int64_t n = 0;
-    for (int64_t i = 0; i < n_transits; i++) {
-        int64_t t = transits[i];
-        if (t != null_v && degrees[t] > 0)
-            pending[n++] = i;
-        else
-            out[rows ? rows[i] : i] = null_v;
-    }
-    counters[0] = n;
-    int64_t total_proposals = 0, total_probes = 0, draws = 0, rounds = 0;
-    while (n > 0 && rounds < max_rounds) {
-        rounds++;
-        for (int64_t k = 0; k < n; k++)
-            rbuf[k] = pcg_double(&state, inc);
-        draws += n;
-        for (int64_t k = 0; k < n; k++) {
-            int64_t i = pending[k];
+/* One round of node2vec's rejection loop, numpy's vectorised one.
+   Round 0 (r NULL) writes NULL to every row of the destination of
+   repro_uniform_fill (m = 1) and lists the pairs with an edge in
+   pending; it returns their count, or -1 before writing anything when
+   a row lies outside [0, nrows).  A later round reads the n pending
+   pairs' picks in r[0, n) and their accept draws in r[n, 2n), writes
+   the accepted proposals (all of them when last), keeps the rest in
+   pending and returns how many; counters gain its proposals and
+   membership probes.  prev NULL: no previous transits; weights NULL:
+   unweighted.  The pick's edge and the first probe are prefetched
+   N2V_AHEAD pairs on. */
+#define N2V_AHEAD 16
+int64_t repro_node2vec_round(const int64_t *indptr, const int64_t *indices,
+                             const int64_t *degrees, const double *weights,
+                             const double *row_max, const int64_t *transits,
+                             const int64_t *prev, double bias_env, double p,
+                             double inv_q, int64_t null_v, int64_t *out,
+                             const int64_t *rows, int64_t nrows,
+                             int64_t *pending, int64_t *counters,
+                             const double *r, int64_t n, int64_t last) {
+    if (!r) {
+        int64_t count = 0;
+        if (rows)
+            for (int64_t i = 0; i < n; i++)
+                if ((uint64_t)rows[i] >= (uint64_t)nrows)
+                    return -1;
+        for (int64_t i = 0; i < n; i++) {
             int64_t t = transits[i];
-            int64_t d = degrees[t];
-            int64_t pick = (int64_t)(rbuf[k] * (double)d);
-            if (pick > d - 1)
-                pick = d - 1;
-            int64_t pos = indptr[t] + pick;
-            int64_t u = indices[pos];
-            proposal[k] = u;
-            double b = 1.0;
-            int64_t pv = has_prev ? prev[i] : null_v;
-            if (pv != null_v) {
-                if (u == pv) {
-                    b = p;
-                } else {
-                    total_probes++;
-                    int64_t lo = indptr[pv], hi = indptr[pv + 1];
-                    while (lo < hi) {
-                        int64_t mid = (lo + hi) >> 1;
-                        if (indices[mid] < u)
-                            lo = mid + 1;
-                        else
-                            hi = mid;
-                    }
-                    if (lo < indptr[pv + 1] && indices[lo] == u)
-                        b = inv_q;
-                }
-            }
-            if (is_weighted) {
-                b = b * weights[pos];
-                envs[k] = bias_env * row_max[t];
-            } else {
-                envs[k] = bias_env;
-            }
-            bias[k] = b;
+            out[rows ? rows[i] : i] = null_v;
+            if (t != null_v && degrees[t] > 0)
+                pending[count++] = i;
         }
-        total_proposals += n;
-        int64_t m2 = 0;
-        for (int64_t k = 0; k < n; k++) {
-            int64_t i = pending[k];
-            double rv = pcg_double(&state, inc);
-            int acc = rv * envs[k] <= bias[k];
-            if (!is_weighted) {
-                int64_t pv = has_prev ? prev[i] : null_v;
-                if (pv == null_v)
-                    acc = 1;
-            }
-            if (acc || rounds == max_rounds) {
-                out[rows ? rows[i] : i] = proposal[k];
-            } else {
-                pending[m2++] = i;
-            }
-        }
-        draws += n;
-        n = m2;
+        return count;
     }
-    counters[1] = total_proposals;
-    counters[2] = total_probes;
-    counters[3] = draws;
-    sw[0] = (uint64_t)(state >> 64);
-    sw[1] = (uint64_t)state;
-    return 0;
+    int64_t left = 0;
+    for (int64_t k = 0; k < n; k++) {
+        if (k + N2V_AHEAD < n) {
+            int64_t j = pending[k + N2V_AHEAD], tj = transits[j];
+            int64_t dj = degrees[tj], pv = prev ? prev[j] : null_v;
+            int64_t pj = (int64_t)(r[k + N2V_AHEAD] * (double)dj);
+            int64_t at = indptr[tj] + (pj < dj ? pj : dj - 1);
+            __builtin_prefetch(indices + at);
+            if (weights)
+                __builtin_prefetch(weights + at);
+            if (pv != null_v)
+                __builtin_prefetch(indices + ((indptr[pv] + indptr[pv + 1])
+                                              >> 1));
+        }
+        int64_t i = pending[k], t = transits[i], d = degrees[t];
+        int64_t pick = (int64_t)(r[k] * (double)d);
+        if (pick > d - 1)
+            pick = d - 1;
+        int64_t pos = indptr[t] + pick, u = indices[pos];
+        int64_t pv = prev ? prev[i] : null_v;
+        double b = 1.0, env = bias_env;
+        if (pv != null_v) {
+            if (u == pv) {
+                b = p;
+            } else {
+                counters[1]++;
+                int64_t lo = indptr[pv], hi = indptr[pv + 1];
+                while (lo < hi) {
+                    int64_t mid = (lo + hi) >> 1;
+                    if (indices[mid] < u)
+                        lo = mid + 1;
+                    else
+                        hi = mid;
+                }
+                if (lo < indptr[pv + 1] && indices[lo] == u)
+                    b = inv_q;
+            }
+        }
+        if (weights) {
+            b = b * weights[pos];
+            env = bias_env * row_max[t];
+        }
+        int acc = r[n + k] * env <= b || (!weights && pv == null_v);
+        if (acc || last)
+            out[rows ? rows[i] : i] = u;
+        else
+            pending[left++] = i;
+    }
+    counters[0] += n;
+    return left;
 }
 
 void repro_gather_i64(const int64_t *values, const int64_t *starts,

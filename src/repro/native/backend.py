@@ -21,15 +21,16 @@ Parity contract (the reason hooks may return ``None`` at any point):
 every hook either produces *exactly* what the numpy code would have
 produced — same values, same dtypes, same RNG draws in the same order
 — or declines (``None``) **before touching the generator**, so the
-numpy fallback replays from an identical stream position.  The one
-exception is a kernel failing *after* its block of doubles was drawn;
-the numpy kernel then runs on that same block (:class:`_Drawn`),
-keeping the stream aligned (``two_level_pick`` needs none:
-its caller drew, and carries on in numpy).  Failures are recorded once per
-kernel (warning + ``native.compile_failures`` counter) and the kernel
-is disabled for the rest of the process — every other kernel stays
-compiled.  A library that fails to *build* is one failure: one
-compiler run, one warning, one count, every hook declines.
+numpy fallback replays from an identical stream position.  The numpy
+generator is the only thing that draws: a hook draws the doubles the
+numpy code would draw, with the same ``rng.random`` calls, and C only
+reads them.  The backend loads whole or falls back whole: a library
+that fails to build or load is one failure — one compiler run, one
+warning, one ``native.compile_failures`` count — and every hook
+declines from then on.  The signatures are declared when the library
+loads, so a kernel call has no failure of its own to recover from: one
+that raised would fail its chunk like any other chunk exception
+(docs/RESILIENCE.md).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from repro.api.types import NULL_VERTEX
-from repro.native import rngshim
 from repro.obs import get_metrics
 
 __all__ = [
@@ -86,8 +86,6 @@ class KernelBackend:
 
     #: Resolved implementation name (a key of :data:`BACKEND_IDS`).
     name = "numpy"
-    #: True when kernels run outside the interpreter.
-    compiled = False
 
     def available(self) -> bool:
         """Whether this backend can run at all on this host."""
@@ -143,20 +141,6 @@ class NumpyBackend(KernelBackend):
     """The current vectorised numpy code, selected explicitly."""
 
 
-class _Drawn:
-    """A generator handing out the block of doubles a failed C kernel
-    drew — numpy's kernel asks for it in one call, in the same order."""
-
-    def __init__(self, r: np.ndarray) -> None:
-        self.r = r
-
-    def random(self, size):
-        return self.r.reshape(size)
-
-
-#: ``_failed`` entry meaning the library itself did not build or load.
-_LIBRARY = "library"
-
 #: Largest vertex id the weighted C draw returns (edge records are int32).
 ID32_MAX = int(np.iinfo(np.int32).max)
 
@@ -184,18 +168,18 @@ class CNativeBackend(KernelBackend):
     """The kernels of :mod:`repro.native._csrc`, compiled once with the
     host toolchain and called through ctypes.
 
-    Each hook does the eligibility counting and the RNG pre-draw (or
-    the node2vec shim handshake) in Python, hands raw array addresses
-    plus explicit lengths to the C symbol, and degrades per kernel: a
-    kernel that fails is disabled and its hook declines from then on.
+    Each hook does the eligibility counting and draws the numpy code's
+    doubles in Python, then hands raw array addresses plus explicit
+    lengths to the C symbol.  Every hook declines once the library has
+    failed to build or load.
     """
 
     name = "cnative"
-    compiled = True
 
     def __init__(self) -> None:
         self._lib = None
-        self._failed: set = set()
+        #: True once the library failed to build or load.
+        self._failed = False
 
     def available(self) -> bool:
         from repro.native import cnative
@@ -204,39 +188,33 @@ class CNativeBackend(KernelBackend):
     def warm_up(self) -> None:
         """Build (or load the cached) library now, so a build failure
         is reported here and not inside the first timed chunk."""
-        self._kernel("pcg_fill")
+        self._library()
 
-    def _kernel(self, name: str):
-        """C function ``repro_<name>``, or ``None`` when it — or the
-        whole library — has been disabled."""
-        if name in self._failed or _LIBRARY in self._failed:
-            return None
-        if self._lib is None:
+    def _library(self):
+        """The loaded library, or ``None`` once it failed to build or
+        load."""
+        if self._lib is None and not self._failed:
             from repro.native import cnative
             try:
                 self._lib = cnative.load_library()
             except (RuntimeError, OSError, AttributeError) as exc:
                 # AttributeError: a cached library that lacks a symbol.
-                self._disable(_LIBRARY, exc)
-                return None
-            if self._lib is None:
-                # The build already failed, and was reported, in this
-                # process.
-                self._failed.add(_LIBRARY)
-                return None
-        return getattr(self._lib, "repro_" + name)
+                self._disable(exc)
+            else:
+                # None: the build already failed, and was reported, in
+                # this process.
+                self._failed = self._lib is None
+        return self._lib
 
-    def _disable(self, name: str, exc: BaseException) -> None:
-        """Record a failure once and fall back to numpy: for kernel
-        ``name`` only, or for every kernel when ``name`` is
-        :data:`_LIBRARY` (the build failed and is not retried)."""
-        if name in self._failed:
+    def _disable(self, exc: BaseException) -> None:
+        """Record the library's failure once; every hook declines from
+        then on (the build is not retried)."""
+        if self._failed:
             return
-        self._failed.add(name)
+        self._failed = True
         get_metrics().counter("native.compile_failures").inc()
-        what = "every kernel" if name == _LIBRARY else f"kernel {name!r}"
         warnings.warn(
-            f"native backend {self.name!r}: {what} disabled after "
+            f"native backend {self.name!r}: every kernel disabled after "
             f"{type(exc).__name__}: {exc}; using numpy instead",
             RuntimeWarning, stacklevel=3)
 
@@ -244,8 +222,7 @@ class CNativeBackend(KernelBackend):
 
     def uniform_neighbors(self, graph, transits, m, rng,
                           out_rows=None, rows=None):
-        return self._fill("uniform_fill", graph, transits, m, rng,
-                          out_rows, rows)
+        return self._fill(False, graph, transits, m, rng, out_rows, rows)
 
     def weighted_neighbors(self, graph, transits, m, rng,
                            out_rows=None, rows=None):
@@ -254,17 +231,15 @@ class CNativeBackend(KernelBackend):
                                           out_rows, rows)
         if graph.num_vertices - 1 > ID32_MAX:
             return None
-        return self._fill("weighted_fill", graph, transits, m, rng,
-                          out_rows, rows)
+        return self._fill(True, graph, transits, m, rng, out_rows, rows)
 
-    def _fill(self, name, graph, transits, m, rng, out_rows, rows):
+    def _fill(self, weighted, graph, transits, m, rng, out_rows, rows):
         """Count the live transits with an edge (checking every
-        destination row), draw ``count * m`` doubles, run fill kernel
-        ``name`` (the uniform one reads the CSR arrays, the weighted one
+        destination row), draw ``count * m`` doubles, run the uniform
+        fill (on the CSR arrays) or the weighted one (on
         ``graph.weight_records()``) into the destination."""
-        count_k = self._kernel("uniform_count")
-        fill_k = self._kernel(name)
-        if count_k is None or fill_k is None:
+        lib = self._library()
+        if lib is None:
             return None
         transits = np.ascontiguousarray(transits, dtype=np.int64)
         dest = _destination(out_rows, rows, transits.size, m)
@@ -272,31 +247,18 @@ class CNativeBackend(KernelBackend):
             return None
         out, rows_p, nrows = dest
         csr, transits_p = graph.addresses(), transits.ctypes.data
-        try:
-            count = count_k(transits_p, transits.size, csr[2], NULL_VERTEX,
-                            rows_p, nrows)
-        except Exception as exc:
-            self._disable("uniform_count", exc)
-            return None
+        count = lib.repro_uniform_count(transits_p, transits.size, csr[2],
+                                        NULL_VERTEX, rows_p, nrows)
         if count < 0:   # a row out of range: numpy's indexing decides
             return None
-        if name == "weighted_fill":
-            head, tail = graph.addresses(weighted=True), (count,)
+        if weighted:
+            fill, head, tail = (lib.repro_weighted_fill,
+                                graph.addresses(weighted=True), (count,))
         else:
-            head, tail = csr, ()
+            fill, head, tail = lib.repro_uniform_fill, csr, ()
         r = rng.random(size=count * m)
-        try:
-            fill_k(*head, transits_p, transits.size, m, *tail,
-                   r.ctypes.data, out.ctypes.data, rows_p, NULL_VERTEX)
-        except Exception as exc:
-            self._disable(name, exc)
-            from repro.api.apps import _kernels
-            rescue = (_kernels._weighted_numpy if name == "weighted_fill"
-                      else _kernels._uniform_numpy)
-            picks = rescue(graph, transits, m, _Drawn(r))
-            if out_rows is None:
-                return picks
-            out_rows[rows] = picks
+        fill(*head, transits_p, transits.size, m, *tail, r.ctypes.data,
+             out.ctypes.data, rows_p, NULL_VERTEX)
         return out
 
     # -- collective selection ------------------------------------------
@@ -304,21 +266,18 @@ class CNativeBackend(KernelBackend):
     def two_level_pick(self, graph, ecs, mass, lo, hi, pair_t, draws):
         """LADIES' two bisections over the already-drawn ``(live, m)``
         ``draws``: the picked vertices, same shape, or ``None``."""
-        kernel = self._kernel("two_level_pick")
-        if kernel is None or not (
+        lib = self._library()
+        if lib is None or not (
                 _plain(np.float64, ecs, mass, draws)
                 and _plain(np.int64, lo, hi, pair_t)
                 and draws.ndim == 2 and pair_t.shape == mass.shape
                 and lo.shape == hi.shape == draws.shape[:1]):
             return None
         out = np.empty(draws.shape, dtype=np.int64)
-        try:
-            kernel(mass.ctypes.data, lo.ctypes.data, hi.ctypes.data,
-                   pair_t.ctypes.data, draws.ctypes.data, *draws.shape,
-                   *graph.addresses(), ecs.ctypes.data, out.ctypes.data)
-        except Exception as exc:
-            self._disable("two_level_pick", exc)
-            return None
+        lib.repro_two_level_pick(
+            mass.ctypes.data, lo.ctypes.data, hi.ctypes.data,
+            pair_t.ctypes.data, draws.ctypes.data, *draws.shape,
+            *graph.addresses(), ecs.ctypes.data, out.ctypes.data)
         return out
 
     # -- collective edge recording -------------------------------------
@@ -327,8 +286,8 @@ class CNativeBackend(KernelBackend):
         """``FastGCN.record_step_edges``' ``(n, 3)`` rows: a hit bit per
         probe (one bitmap per ``block_rows`` sample rows), then the set
         bits as rows.  No scratch outlives the call."""
-        mask_k, emit_k = self._kernel("edge_mask"), self._kernel("edge_emit")
-        if mask_k is None or emit_k is None or block_rows < 1 or not (
+        lib = self._library()
+        if lib is None or block_rows < 1 or not (
                 _plain(np.int64, transits, new_vertices)
                 and transits.ndim == new_vertices.ndim == 2
                 and transits.shape[0] == new_vertices.shape[0]):
@@ -336,18 +295,15 @@ class CNativeBackend(KernelBackend):
         shape = (*transits.shape, new_vertices.shape[1])
         masks = np.empty(transits.size * ((shape[2] + 63) >> 6),
                          dtype=np.uint64)
-        try:
-            arrays = (transits.ctypes.data, new_vertices.ctypes.data)
-            count = mask_k(*graph.addresses(), graph.num_vertices, *arrays,
-                           *shape, block_rows, masks.ctypes.data)
-            if count < 0:   # no memory for the scratch: numpy's turn
-                return None
-            out = np.empty((count, 3), dtype=np.int64)
-            emit_k(*arrays, *shape, masks.ctypes.data, out.ctypes.data)
-        except Exception as exc:
-            # Either symbol: the pair is useless apart.
-            self._disable("edge_mask", exc)
+        arrays = (transits.ctypes.data, new_vertices.ctypes.data)
+        count = lib.repro_edge_mask(*graph.addresses(), graph.num_vertices,
+                                    *arrays, *shape, block_rows,
+                                    masks.ctypes.data)
+        if count < 0:   # no memory for the scratch: numpy's turn
             return None
+        out = np.empty((count, 3), dtype=np.int64)
+        lib.repro_edge_emit(*arrays, *shape, masks.ctypes.data,
+                            out.ctypes.data)
         return out
 
     # -- node2vec rejection sampling -----------------------------------
@@ -357,15 +313,14 @@ class CNativeBackend(KernelBackend):
         """Returns ``(out_rows, eligible, proposals, probes)`` or
         ``None``.
 
-        Draws through the PCG64 shim; the generator is advanced only
-        after the kernel succeeds, so a failure, a row out of range (or
-        a non-PCG64 generator) falls back to the untouched numpy path.
+        numpy's rejection rounds, one C call each: round 0 lists the
+        pairs with an edge (or declines at a row out of range, before
+        any draw); each later round draws ``rng.random(2 * pending)`` —
+        the stream of numpy's pick and accept calls — and keeps the
+        rejected pairs pending.
         """
-        kernel = self._kernel("node2vec_fill")
-        if kernel is None:
-            return None
-        s = rngshim.state_words(rng)
-        if s is None:
+        lib = self._library()
+        if lib is None:
             return None
         transits = np.ascontiguousarray(transits, dtype=np.int64)
         n = transits.size
@@ -373,75 +328,57 @@ class CNativeBackend(KernelBackend):
         if dest is None:
             return None
         out, rows_p, nrows = dest
-        prev = (np.full(n, NULL_VERTEX, dtype=np.int64)
-                if prev_transits is None
+        prev = (None if prev_transits is None
                 else np.ascontiguousarray(prev_transits, dtype=np.int64))
+        weights = row_max = None
         if graph.is_weighted:
-            weights = graph.weights
-            row_max = graph.row_max_weight()
-        else:
-            weights = row_max = np.zeros(1, dtype=np.float64)
-        # The kernel's five n-word scratch arrays (pending, proposal,
-        # bias, envelope, draws), carved from one block.
-        scratch = np.empty(5 * n, dtype=np.float64)
-        words = scratch.ctypes.data
-        counters = np.zeros(4, dtype=np.int64)
-        indptr, indices, degrees = graph.addresses()
-        try:
-            ok = kernel(indptr, indices, weights.ctypes.data,
-                        int(graph.is_weighted), degrees, transits.ctypes.data,
-                        n, prev.ctypes.data, 1, row_max.ctypes.data,
-                        max(p, 1.0 / q, 1.0), p, 1.0 / q, max_rounds,
-                        NULL_VERTEX, s.ctypes.data, out.ctypes.data, rows_p,
-                        nrows, *(words + 8 * n * k for k in range(5)),
-                        counters.ctypes.data)
-        except Exception as exc:
-            self._disable("node2vec_fill", exc)
+            weights, row_max = graph.weights, graph.row_max_weight()
+        pending = np.empty(n, dtype=np.int64)
+        counters = np.zeros(2, dtype=np.int64)
+        args = (*graph.addresses(),
+                *(None if a is None else a.ctypes.data
+                  for a in (weights, row_max, transits, prev)),
+                max(p, 1.0 / q, 1.0), p, 1.0 / q, NULL_VERTEX,
+                out.ctypes.data, rows_p, nrows, pending.ctypes.data,
+                counters.ctypes.data)
+        left = eligible = lib.repro_node2vec_round(*args, None, n, 0)
+        if eligible < 0:
             return None
-        if ok < 0:
-            return None
-        rngshim.consume(rng, int(counters[3]))
-        return out, int(counters[0]), int(counters[1]), int(counters[2])
+        rounds = 0
+        while left and rounds < max_rounds:
+            rounds += 1
+            r = rng.random(size=2 * left)
+            left = lib.repro_node2vec_round(*args, r.ctypes.data, left,
+                                            rounds == max_rounds)
+        return out, eligible, int(counters[0]), int(counters[1])
 
     # -- collective gather + dedupe ------------------------------------
 
     def ragged_gather(self, values, starts, counts, offsets, total):
         values = np.asarray(values)
-        if (values.dtype not in (np.int64, np.float64)
+        lib = self._library()
+        if (lib is None or values.dtype not in (np.int64, np.float64)
                 or not values.flags.c_contiguous):
             return None
-        name = "gather_f64" if values.dtype == np.float64 else "gather_i64"
-        kernel = self._kernel(name)
-        if kernel is None:
-            return None
+        kernel = (lib.repro_gather_f64 if values.dtype == np.float64
+                  else lib.repro_gather_i64)
         starts = np.ascontiguousarray(starts, dtype=np.int64)
         counts = np.ascontiguousarray(counts, dtype=np.int64)
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
         out = np.empty(int(total), dtype=values.dtype)
-        try:
-            kernel(values.ctypes.data, starts.ctypes.data,
-                   counts.ctypes.data, offsets.ctypes.data, starts.size,
-                   out.ctypes.data)
-        except Exception as exc:
-            self._disable(name, exc)
-            return None
+        kernel(values.ctypes.data, starts.ctypes.data, counts.ctypes.data,
+               offsets.ctypes.data, starts.size, out.ctypes.data)
         return out
 
     def dedupe_rows(self, rows):
         """Returns ``(deduped_copy, dup_count)`` or ``None``."""
-        kernel = self._kernel("dedupe_rows")
-        if kernel is None:
-            return None
         rows = np.asarray(rows)
-        if rows.dtype != np.int64 or rows.ndim != 2:
+        lib = self._library()
+        if lib is None or rows.dtype != np.int64 or rows.ndim != 2:
             return None
         out = rows.copy()
-        try:
-            dups = kernel(out.ctypes.data, out.shape[0], out.shape[1],
-                          NULL_VERTEX)
-        except Exception as exc:
-            self._disable("dedupe_rows", exc)
-            return None
+        dups = lib.repro_dedupe_rows(out.ctypes.data, out.shape[0],
+                                     out.shape[1], NULL_VERTEX)
         return out, dups
 
 

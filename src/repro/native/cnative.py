@@ -12,7 +12,8 @@ symbols on the returned library directly.
 would round differently from numpy and break bitwise parity.
 
 ``-O1``: the kernels are memory-bound, and it cuts the cold build a third
-(docs/PERF.md).  A preloaded ASan runtime builds ASan + UBSan, hashed apart.
+(docs/PERF.md).  A preloaded ASan runtime builds ASan + UBSan, a preloaded
+TSan runtime builds TSan, each hashed apart.
 """
 
 from __future__ import annotations
@@ -38,9 +39,19 @@ def sanitized() -> bool:
     return hasattr(ctypes.CDLL(None), "__asan_init")
 
 
-_CFLAGS = ["-std=c11", "-O1", "-fPIC", "-shared", "-ffp-contract=off"] + (
-    ["-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
-     "-fno-sanitize-recover=undefined"] if sanitized() else [])
+def _sanitizer_flags() -> list:
+    """Instrumentation matching a preloaded sanitizer runtime, if any."""
+    if sanitized():
+        return ["-g", "-fno-omit-frame-pointer",
+                "-fsanitize=address,undefined",
+                "-fno-sanitize-recover=undefined"]
+    if hasattr(ctypes.CDLL(None), "__tsan_init"):
+        return ["-g", "-fno-omit-frame-pointer", "-fsanitize=thread"]
+    return []
+
+
+_CFLAGS = ["-std=c11", "-O1", "-fPIC", "-shared", "-ffp-contract=off",
+           *_sanitizer_flags()]
 
 
 def find_compiler() -> Optional[str]:
@@ -108,16 +119,14 @@ _F64 = ctypes.c_double
 #: read once and cached with it (``CSRGraph.addresses``), and a hook
 #: reads each of its per-call arrays' once.
 _SIGNATURES = {
-    "repro_pcg_fill": (None, (_PTR, _PTR, _I64)),
     "repro_uniform_count": (_I64, (_PTR, _I64, _PTR, _I64, _PTR, _I64)),
     "repro_uniform_fill": (
         _I64, (_PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR, _PTR, _PTR, _I64)),
     "repro_weighted_fill": (
         _I64, (_PTR, _PTR, _PTR, _I64, _I64, _I64, _PTR, _PTR, _PTR, _I64)),
-    "repro_node2vec_fill": (
-        _I64, (_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64,
-               _PTR, _F64, _F64, _F64, _I64, _I64, _PTR, _PTR, _PTR, _I64,
-               _PTR, _PTR, _PTR, _PTR, _PTR, _PTR)),
+    "repro_node2vec_round": (
+        _I64, (_PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _F64, _F64, _F64,
+               _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _I64, _I64)),
     "repro_gather_i64": (None, (_PTR, _PTR, _PTR, _PTR, _I64, _PTR)),
     "repro_gather_f64": (None, (_PTR, _PTR, _PTR, _PTR, _I64, _PTR)),
     "repro_dedupe_rows": (_I64, (_PTR, _I64, _I64, _I64)),

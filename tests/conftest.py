@@ -57,7 +57,8 @@ def backend(request):
     scope, so hypothesis tests may use it)."""
     with backend_scope(request.param) as active:
         yield active
-    # A kernel that failed would have fallen back to numpy silently.
+    # A library that failed to load would have fallen back to numpy
+    # silently.
     assert not getattr(active, "_failed", None)
 
 

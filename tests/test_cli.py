@@ -78,6 +78,7 @@ class TestParser:
         ["bench", "list", "--stats-format", "openmetrics"],
         ["serve", "--stats-format", "openmetrics"],
         ["sample", "--app", "DeepWalk", "--flight-dir", "flights"],
+        ["bench", "--list"],
     ])
     def test_stats_format_and_flight_dir_are_gone(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -169,6 +170,15 @@ class TestErrorPaths:
                              "--graph", "ppi", "--workers", "-1"])
         assert code == 2
         assert "--workers" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--app", "DeepWalk", "--graph", "ppi", "--samples", "4"],
+        ["compare", "--apps", "DeepWalk", "--graph", "ppi"],
+        ["verify", "--suite", "golden"],
+    ])
+    def test_negative_seed_is_refused(self, argv):
+        assert run_cli(argv + ["--seed", "-1"]) == (
+            2, "error: --seed must be >= 0, got -1\n")
 
     @pytest.mark.parametrize("count", ["-3", "0"])
     def test_samples_below_one_is_refused(self, count):

@@ -1,8 +1,8 @@
-"""Backend selection, RNG shims, and graceful degradation."""
+"""Backend selection, the library-level fallback, and kernel parity."""
 
+import functools
 import os
 import types
-import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from repro.core.engine import NextDoorEngine
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_graph
 from repro.native import backend as backend_mod
-from repro.native import cnative, rngshim
+from repro.native import cnative
 from repro.native.backend import (
     BACKEND_ENV,
     BACKEND_IDS,
@@ -82,55 +82,6 @@ class TestSelection:
             assert gauge.value == 2.0
 
 
-class TestRngShim:
-    """The C node2vec kernel re-derives numpy's PCG64 stream; these
-    pin the reference implementation the kernel mirrors."""
-
-    def test_ref_doubles_match_numpy(self):
-        rng = np.random.default_rng(1234)
-        state, inc = rngshim.raw_state(rng)
-        _, ours = rngshim.ref_doubles(state, inc, 64)
-        assert np.array_equal(ours, rng.random(64))
-
-    def test_consume_realigns_stream(self):
-        a = np.random.default_rng(77)
-        b = np.random.default_rng(77)
-        state, inc = rngshim.raw_state(a)
-        rngshim.ref_doubles(state, inc, 10)
-        rngshim.consume(a, 10)
-        b.random(10)
-        assert np.array_equal(a.random(8), b.random(8))
-
-    def test_state_words_roundtrip(self):
-        rng = np.random.default_rng(5)
-        state, inc = rngshim.raw_state(rng)
-        words = rngshim.state_words(rng)
-        assert int(words[0]) << 64 | int(words[1]) == state
-        assert int(words[2]) << 64 | int(words[3]) == inc
-
-    def test_non_pcg64_declines(self):
-        rng = np.random.Generator(np.random.MT19937(0))
-        assert rngshim.raw_state(rng) is None
-        assert rngshim.state_words(rng) is None
-
-    def test_buffered_uint32_declines(self):
-        rng = np.random.default_rng(0)
-        rng.integers(0, 10, dtype=np.uint32)  # leaves has_uint32 set
-        if rng.bit_generator.state.get("has_uint32"):
-            assert rngshim.raw_state(rng) is None
-
-    @needs_cc
-    def test_pcg_fill_kernel_matches_numpy(self):
-        rng = np.random.default_rng(99)
-        words = rngshim.state_words(rng)
-        out = np.empty(32, dtype=np.float64)
-        cnative.load_library().repro_pcg_fill(
-            words.ctypes.data, out.ctypes.data, out.size)
-        ref = rngshim.ref_doubles(*rngshim.raw_state(rng), 32)[1]
-        assert np.array_equal(out, ref)
-        assert np.array_equal(out, rng.random(32))
-
-
 class TestGeneratorForCache:
     def test_cached_matches_direct_construction(self):
         from repro.runtime.rngplan import generator_for
@@ -164,21 +115,6 @@ class TestGeneratorForCache:
                               ss.generate_state(6, np.uint64))
 
 
-def _raise(*args):
-    raise RuntimeError("synthetic kernel failure")
-
-
-class _OneBadKernel(CNativeBackend):
-    """C backend one of whose kernels always fails when called."""
-
-    def __init__(self, bad="dedupe_rows"):
-        super().__init__()
-        self.bad = bad
-
-    def _kernel(self, name):
-        return _raise if name == self.bad else super()._kernel(name)
-
-
 class _FixedDraws:
     """Stands in for a generator: ``random(shape)`` hands out ``u``."""
 
@@ -190,46 +126,39 @@ class _FixedDraws:
         return self.u.copy()
 
 
-@needs_cc
 class TestGracefulDegradation:
-    def test_failed_kernel_falls_back_and_counts(self):
+    """The backend loads whole or falls back whole; the end-to-end runs
+    are ``tests/test_native_parity.py::TestBuildFailure``."""
+
+    def test_failed_kernel_falls_back_and_counts(self, monkeypatch):
+        """A library that lacks a kernel fails to load: one warning, one
+        count, and every hook declines, now and on later calls."""
+        def missing_symbol():
+            raise AttributeError("undefined symbol: repro_dedupe_rows")
+
+        monkeypatch.setattr(cnative, "load_library", missing_symbol)
         counter = get_metrics().counter("native.compile_failures")
         before = counter.value
-        backend = _OneBadKernel()
+        backend = CNativeBackend()
+        one = np.ones(1, dtype=np.int64)
         with pytest.warns(RuntimeWarning, match="disabled") as caught:
             for _ in range(2):  # second call: no second warning/count
                 assert backend.dedupe_rows(
                     np.array([[2, 0, 2, 1]], dtype=np.int64)) is None
+                assert backend.ragged_gather(one, 0 * one, one, 0 * one,
+                                             1) is None
         assert len(caught) == 1
         assert counter.value == before + 1
-
-    def test_other_kernels_stay_alive(self):
-        backend = _OneBadKernel()
-        rows = np.array([[1, 1, 2], [3, 4, 3]], dtype=np.int64)
-        with pytest.warns(RuntimeWarning, match="disabled"):
-            backend.dedupe_rows(rows)
-        one = np.ones(1, dtype=np.int64)
-        assert np.array_equal(backend.ragged_gather(
-            rows.ravel(), one, 2 * one, 0 * one, 2), [1, 2])
-        assert backend._failed == {"dedupe_rows"}
-
-    def test_disable_direct_is_idempotent(self):
-        counter = get_metrics().counter("native.compile_failures")
-        backend = CNativeBackend()
-        before = counter.value
-        with pytest.warns(RuntimeWarning, match="disabled"):
-            backend._disable("uniform_fill", ValueError("x"))
-            backend._disable("uniform_fill", ValueError("x"))
-        assert counter.value == before + 1
-        assert backend.uniform_neighbors(
-            None, np.array([0], dtype=np.int64), 1, None) is None
-
+        assert backend._failed is True
 
     @pytest.mark.parametrize("bad", ["edge_mask", "two_level_pick"])
     def test_collective_kernel_failure_is_the_numpy_run(
             self, medium_graph, monkeypatch, bad):
-        """One warning, one count, every other kernel still compiled,
-        numpy's samples and edges."""
+        """A library missing a collective kernel falls back whole: one
+        warning, one count, numpy's samples and edges."""
+        def missing_symbol():
+            raise AttributeError(f"undefined symbol: repro_{bad}")
+
         def digest(backend):
             monkeypatch.setattr(backend_mod, "_ACTIVE", backend)
             return batch_digest(NextDoorEngine().run(
@@ -237,32 +166,25 @@ class TestGracefulDegradation:
                 num_samples=40, seed=3).batch)
 
         want = digest(NumpyBackend())
+        monkeypatch.setattr(cnative, "load_library", missing_symbol)
         counter = get_metrics().counter("native.compile_failures")
         before = counter.value
-        backend = _OneBadKernel(bad)
+        backend = CNativeBackend()
         with pytest.warns(RuntimeWarning, match="disabled") as caught:
             assert digest(backend) == want
         assert len(caught) == 1 and counter.value == before + 1
-        assert backend._failed == {bad}
-        rows = np.array([[1, 1, 2]], dtype=np.int64)
-        assert backend.dedupe_rows(rows) is not None
+        assert backend._failed is True
 
-    def test_two_level_pick_fails_after_the_draws(self, medium_graph,
-                                                  monkeypatch):
-        """LADIES draws before it asks the hook: the failed kernel's
-        step leaves the generator where the numpy step leaves it."""
-        transits = np.arange(48, dtype=np.int64).reshape(6, 8)
-        batch = types.SimpleNamespace(num_samples=6)
-        after = []
-        for backend in (NumpyBackend(), _OneBadKernel("two_level_pick")):
-            monkeypatch.setattr(backend_mod, "_ACTIVE", backend)
-            rng = np.random.default_rng(21)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                out, _ = LADIES(step_size=5).sample_from_neighborhood(
-                    medium_graph, batch, None, None, transits, 0, rng)
-            after.append((out.tobytes(), rng.bit_generator.state))
-        assert after[0] == after[1]
+    def test_disable_direct_is_idempotent(self):
+        counter = get_metrics().counter("native.compile_failures")
+        backend = CNativeBackend()
+        before = counter.value
+        with pytest.warns(RuntimeWarning, match="disabled"):
+            backend._disable(ValueError("x"))
+            backend._disable(ValueError("x"))
+        assert counter.value == before + 1
+        assert backend.uniform_neighbors(
+            None, np.array([0], dtype=np.int64), 1, None) is None
 
 
 def _edge_case_graph():
@@ -346,25 +268,52 @@ class TestKernelMicroParity:
 
     def test_node2vec_hook_writes_rows_like_numpy_assignment(self, backend,
                                                              monkeypatch):
+        """C writes the rows numpy's assignment writes, reports the same
+        work and leaves the generator where numpy leaves it."""
         from repro.api.apps import Node2Vec
-        g, transits, rows, got = self._fill_case("node2vec_neighbors",
-                                                 4097, 1, 3)
-        g = g.with_random_weights(seed=3)
+
+        class Capped(Node2Vec):
+            MAX_ROUNDS = 2
+
+        class NoRounds(Node2Vec):
+            MAX_ROUNDS = 0
+
+        g, transits, rows, dest = self._fill_case("node2vec_neighbors",
+                                                  4097, 1, 3)
+        weighted = g.with_random_weights(seed=3)
         prev = np.roll(transits, 1)
-        want = got.copy()
-        results = []
-        for b, dest in ((NumpyBackend(), want), (backend, got)):
-            monkeypatch.setattr(backend_mod, "_ACTIVE", b)
-            rng = np.random.default_rng(4)
-            sampled, _ = Node2Vec(p=0.5, q=2.0).sample_neighbors(
-                g, transits, 1, rng, prev_transits=prev, out_rows=dest,
-                rows=rows)
-            if sampled is not None:
-                dest[rows] = sampled
-            results.append((sampled is None, rng.bit_generator.state))
-        assert results[0][1] == results[1][1]
-        assert results == [(False, results[0][1]), (True, results[0][1])]
-        assert np.array_equal(got, want)
+        pcg = functools.partial(np.random.default_rng, 4)
+        cases = {
+            "second order": (Node2Vec(p=0.5, q=2.0), weighted, prev, pcg),
+            "first step": (Node2Vec(p=0.5, q=2.0), g, None, pcg),
+            "rounds run out": (Capped(p=8.0, q=0.1), weighted, prev, pcg),
+            "no rounds": (NoRounds(), weighted, prev, pcg),   # all NULL
+            "philox": (Node2Vec(p=0.5, q=2.0), weighted, prev,
+                       lambda: np.random.Generator(np.random.Philox(5))),
+        }
+        for case, (app, graph, prev_t, make_rng) in cases.items():
+            got, want = dest.copy(), dest.copy()
+            results = []
+            for b, out in ((NumpyBackend(), want), (backend, got)):
+                monkeypatch.setattr(backend_mod, "_ACTIVE", b)
+                rng = make_rng()
+                sampled, info = app.sample_neighbors(
+                    graph, transits, 1, rng, prev_transits=prev_t,
+                    out_rows=out, rows=rows)
+                if sampled is not None:
+                    out[rows] = sampled
+                # repr: Philox's state holds arrays.
+                results.append((sampled is None,
+                                repr(rng.bit_generator.state), info))
+            state, info = results[0][1:]
+            assert results == [(False, state, info), (True, state, info)], \
+                case
+            assert np.array_equal(got, want), case
+            rounds = info.neighbor_reads_per_vertex
+            if case == "first step":    # every proposal accepted
+                assert rounds == 1.0
+            if case == "rounds run out":   # some pair reached round 2
+                assert rounds > 1.0
 
     @pytest.mark.parametrize("hook_name", ["uniform_neighbors",
                                            "weighted_neighbors",
@@ -510,39 +459,32 @@ class TestKernelMicroParity:
         # Input untouched.
         assert rows[0, 1] == 4
 
-    def _check_draw_order(self, backend, hook_name, fill, kernel, *args):
-        """The hook picks what numpy's ``kernel`` picks and advances the
-        generator identically — also when its ``fill`` kernel fails
-        after the draw and numpy finishes on the drawn block."""
+    def _check_draw_order(self, backend, hook_name, *args):
+        """The hook picks what numpy's kernel of the same name picks and
+        advances the generator identically."""
         from repro.api.apps import _kernels
-        rngs = [np.random.default_rng(8) for _ in range(3)]
+        rngs = [np.random.default_rng(8) for _ in range(2)]
         with backend_scope("numpy"):
-            want = getattr(_kernels, kernel)(*args, rngs[0])
+            want = getattr(_kernels, hook_name)(*args, rngs[0])
         got = getattr(backend, hook_name)(*args, rngs[1])
-        with pytest.warns(RuntimeWarning, match="disabled"):
-            rescued = getattr(_OneBadKernel(fill), hook_name)(*args, rngs[2])
-        for out, rng in ((got, rngs[1]), (rescued, rngs[2])):
-            assert np.array_equal(out, want)
-            assert rng.bit_generator.state == rngs[0].bit_generator.state
+        assert np.array_equal(got, want)
+        assert rngs[1].bit_generator.state == rngs[0].bit_generator.state
 
     def test_uniform_neighbors_matches_numpy_draw_order(self, backend):
         self._check_draw_order(
-            backend, "uniform_neighbors", "uniform_fill",
-            "uniform_neighbors", rmat_graph(64, 256, seed=11),
+            backend, "uniform_neighbors", rmat_graph(64, 256, seed=11),
             np.array([0, 5, -1, 63, 12, 5]), 3)
 
     def test_weighted_neighbors_matches_numpy_draw_order(self, backend):
         self._check_draw_order(
-            backend, "weighted_neighbors", "weighted_fill",
-            "weighted_neighbors",
+            backend, "weighted_neighbors",
             rmat_graph(64, 256, seed=11).with_random_weights(seed=2),
             np.array([3, 3, 17, -1, 60]), 2)
 
     def test_segment_choice_is_the_uniform_draw_over_segments(
             self, backend, monkeypatch):
-        """Under every backend, and when the C fill fails after its
-        draw: ``(live, m)`` doubles, truncated picks into each live
-        segment, NULL rows for the empty one."""
+        """Under every backend: ``(live, m)`` doubles, truncated picks
+        into each live segment, NULL rows for the empty one."""
         from repro.api.apps._kernels import segment_uniform_choice
         values = np.arange(30, dtype=np.int64) * 7
         offsets = np.array([0, 4, 4, 11, 30])
@@ -552,12 +494,10 @@ class TestKernelMicroParity:
         want = np.full((4, 3), NULL_VERTEX)
         want[live] = values[offsets[live][:, None] + np.minimum(
             picks.astype(np.int64), sizes - 1)]
-        for b in (NumpyBackend(), backend, _OneBadKernel("uniform_fill")):
+        for b in (NumpyBackend(), backend):
             monkeypatch.setattr(backend_mod, "_ACTIVE", b)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                got = segment_uniform_choice(values, offsets, 3,
-                                             np.random.default_rng(8))
+            got = segment_uniform_choice(values, offsets, 3,
+                                         np.random.default_rng(8))
             assert np.array_equal(got, want)
 
     # -- collective path: edge recording + the LADIES draw -------------

@@ -132,7 +132,7 @@ class TestBuildFailure:
                 with backend_scope("cnative") as active:
                     assert _snapshot(NextDoorEngine(), "DeepWalk",
                                      True) == expected
-                assert active._failed == {"library"}
+                assert active._failed is True
         assert runs.read_text() == "run\n"
         assert len(caught) == 1 and counter.value == before + 1
 
@@ -157,7 +157,7 @@ class TestBuildFailure:
                 with backend_scope("cnative") as active:
                     assert _snapshot(NextDoorEngine(), "DeepWalk",
                                      True) == expected
-                assert active._failed == {"library"}
+                assert active._failed is True
         assert len(caught) == 1 and counter.value == before + 1
 
 
