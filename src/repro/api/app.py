@@ -45,7 +45,7 @@ from repro.api.types import (
     SamplingType,
     StepInfo,
 )
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import VERTEX_DTYPE, CSRGraph
 
 __all__ = ["SamplingApp", "SamplingType", "NULL_VERTEX", "INF_STEPS",
            "takes_destination"]
@@ -182,8 +182,8 @@ class SamplingApp:
         transits produce NULL outputs without calling ``next``.
         """
         m = self.sample_size(step)
-        transits = np.asarray(transits, dtype=np.int64)
-        out = np.full((transits.size, m), NULL_VERTEX, dtype=np.int64)
+        transits = np.asarray(transits)
+        out = np.full((transits.size, m), NULL_VERTEX, dtype=VERTEX_DTYPE)
         for k, t in enumerate(transits):
             if t == NULL_VERTEX:
                 continue
@@ -191,7 +191,7 @@ class SamplingApp:
                       if batch is not None and sample_ids is not None
                       else None)
             edges = graph.neighbors(int(t))
-            one = np.array([int(t)], dtype=np.int64)
+            one = np.array([int(t)], dtype=VERTEX_DTYPE)
             for j in range(m):
                 out[k, j] = self.next(sample, one, edges, step, rng)
         return out, StepInfo()
@@ -216,7 +216,7 @@ class SamplingApp:
         """
         m = self.sample_size(step)
         num_samples = batch.num_samples
-        out = np.full((num_samples, m), NULL_VERTEX, dtype=np.int64)
+        out = np.full((num_samples, m), NULL_VERTEX, dtype=VERTEX_DTYPE)
         for s in range(num_samples):
             lo, hi = sample_offsets[s], sample_offsets[s + 1]
             edges = neigh_values[lo:hi]

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.api.types import NULL_VERTEX, StepInfo
 from repro.core.ragged import exclusive_offsets, ragged_gather
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import VERTEX_DTYPE, CSRGraph
 from repro.native import backend as native
 
 __all__ = [
@@ -46,24 +46,22 @@ def _over_eligible(graph: CSRGraph, transits: np.ndarray, m: int,
     """``(K, m)``: the rows ``draw(t, deg)`` returns for the live
     transits ``t`` that have an edge (``deg`` their degrees), in order;
     NULL rows for NULL and zero-degree transits."""
-    transits = np.asarray(transits, dtype=np.int64)
+    transits = np.asarray(transits)
     live = transits != NULL_VERTEX
     if m == 0 or not live.any():
-        return np.full((transits.size, m), NULL_VERTEX, dtype=np.int64)
+        return np.full((transits.size, m), NULL_VERTEX, dtype=VERTEX_DTYPE)
     all_live = bool(live.all())
     t = transits if all_live else transits[live]
     deg = graph.degrees_array[t]
     has_nbrs = deg > 0
     all_nbrs = bool(has_nbrs.all())
     if not all_nbrs:
-        if not has_nbrs.any():
-            return np.full((transits.size, m), NULL_VERTEX, dtype=np.int64)
         t = t[has_nbrs]
         deg = deg[has_nbrs]
     sampled = draw(t, deg)
     if all_live and all_nbrs:
-        return sampled.astype(np.int64, copy=False)
-    out = np.full((transits.size, m), NULL_VERTEX, dtype=np.int64)
+        return sampled.astype(VERTEX_DTYPE, copy=False)
+    out = np.full((transits.size, m), NULL_VERTEX, dtype=VERTEX_DTYPE)
     live_idx = np.nonzero(live)[0]
     if not all_nbrs:
         live_idx = live_idx[has_nbrs]
@@ -101,11 +99,14 @@ def uniform_neighbors(graph: CSRGraph, transits: np.ndarray, m: int,
 
 def _uniform_numpy(graph, transits, m, rng):
     def draw(t, deg):
-        # Uniform index into each row, for each of the m draws.
+        # Uniform index into each row, for each of the m draws; in
+        # place, two block-sized buffers where five were.
         r = rng.random(size=(t.size, m))
-        picks = (r * deg[:, None]).astype(np.int64)
-        picks = np.minimum(picks, (deg - 1)[:, None])
-        return graph.indices[graph.indptr[t][:, None] + picks]
+        r *= deg[:, None]
+        picks = r.astype(np.int64)
+        np.minimum(picks, (deg - 1)[:, None], out=picks)
+        picks += graph.indptr[t][:, None]
+        return graph.indices[picks]
 
     return _over_eligible(graph, transits, m, draw)
 
@@ -155,6 +156,7 @@ def weighted_picks(graph: CSRGraph, t: np.ndarray,
     from the row's :meth:`~repro.graph.csr.CSRGraph.weight_guide` entry
     by a short forward scan.  Reads the field views of
     :meth:`~repro.graph.csr.CSRGraph.weight_records`."""
+    t = np.asarray(t, dtype=np.intp)   # else every gather casts it
     starts = graph.indptr[t]
     deg = graph.degrees_array[t]
     last = starts + deg - 1
@@ -242,7 +244,7 @@ class _Segments:
     """Ragged segments as the CSR arrays the uniform draw reads."""
 
     def __init__(self, values, offsets) -> None:
-        self.indices = np.ascontiguousarray(values, dtype=np.int64)
+        self.indices = np.ascontiguousarray(values, dtype=VERTEX_DTYPE)
         self.indptr = np.ascontiguousarray(offsets, dtype=np.int64)
         self.degrees_array = np.diff(self.indptr)
 
@@ -257,7 +259,7 @@ def combined_neighborhood_offsets(graph: CSRGraph,
     without the values: what a collective application that declares
     ``needs_combined_values = False`` selects from — hub-heavy transit
     sets would otherwise materialise multi-gigabyte arrays."""
-    transits = np.asarray(transits, dtype=np.int64)
+    transits = np.asarray(transits)
     live = transits != NULL_VERTEX
     deg = np.zeros(transits.shape, dtype=np.int64)
     deg[live] = graph.degrees_array[transits[live]]
@@ -275,7 +277,7 @@ def build_combined_neighborhood(
     transit-parallel combined-neighborhood kernel of Section 6.2
     produces in device memory.
     """
-    transits = np.asarray(transits, dtype=np.int64)
+    transits = np.asarray(transits)
     # One ragged gather copies every live transit's CSR row into place.
     # Live pairs are enumerated in row-major (sample, column) order, so
     # the concatenation lands each sample's rows contiguously, columns
@@ -283,5 +285,4 @@ def build_combined_neighborhood(
     lv = transits[transits != NULL_VERTEX]
     values, _ = ragged_gather(graph.indices, graph.indptr[lv],
                               graph.degrees_array[lv])
-    return (values.astype(np.int64, copy=False),
-            combined_neighborhood_offsets(graph, transits))
+    return values, combined_neighborhood_offsets(graph, transits)

@@ -21,7 +21,7 @@ from repro.api.app import SamplingApp
 from repro.api.sample import Sample, SampleBatch
 from repro.api.types import NULL_VERTEX, SamplingType, StepInfo
 from repro.core.ragged import ragged_gather
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import VERTEX_DTYPE, CSRGraph
 from repro.graph.partition import Partition, random_partition
 
 __all__ = ["ClusterGCN"]
@@ -79,11 +79,11 @@ class ClusterGCN(SamplingApp):
                              size=self.clusters_per_sample, replace=False)
                   for _ in range(num_samples)]
         rows = [np.concatenate([member_lists[c] for c in picks])
-                if picks.size else np.zeros(0, dtype=np.int64)
+                if picks.size else np.zeros(0, dtype=VERTEX_DTYPE)
                 for picks in chosen]
         width = max((r.size for r in rows), default=1)
         roots = np.full((num_samples, max(width, 1)), NULL_VERTEX,
-                        dtype=np.int64)
+                        dtype=VERTEX_DTYPE)
         for i, r in enumerate(rows):
             roots[i, :r.size] = r
         return roots
@@ -100,7 +100,7 @@ class ClusterGCN(SamplingApp):
         step: int,
         rng: np.random.Generator,
     ) -> Tuple[np.ndarray, StepInfo]:
-        empty = np.full((batch.num_samples, 0), NULL_VERTEX, dtype=np.int64)
+        empty = np.empty((batch.num_samples, 0), dtype=VERTEX_DTYPE)
         return empty, StepInfo(avg_compute_cycles=4.0)
 
     def record_step_edges(
@@ -131,12 +131,12 @@ class ClusterGCN(SamplingApp):
             keep = in_sample[nbrs]
             in_sample[verts] = False
             if keep.any():
-                kept = nbrs[keep].astype(np.int64)
+                kept = nbrs[keep]
                 rows.append(np.stack([
-                    np.full(kept.size, s, dtype=np.int64),
+                    np.full(kept.size, s, dtype=VERTEX_DTYPE),
                     u_rep[keep],
                     kept,
                 ], axis=1))
         if not rows:
-            return np.zeros((0, 3), dtype=np.int64)
+            return np.zeros((0, 3), dtype=VERTEX_DTYPE)
         return np.concatenate(rows, axis=0)

@@ -137,7 +137,7 @@ class MHRW(SamplingApp):
         sample_ids: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, StepInfo]:
         from repro.api.apps._kernels import uniform_neighbors
-        transits = np.asarray(transits, dtype=np.int64)
+        transits = np.asarray(transits)
         out = uniform_neighbors(graph, transits, 1, rng)
         live = out[:, 0] != NULL_VERTEX
         if live.any():

@@ -29,7 +29,7 @@ from repro.api.app import SamplingApp
 from repro.api.apps._kernels import _backend, rowwise_searchsorted
 from repro.api.sample import Sample, SampleBatch
 from repro.api.types import NULL_VERTEX, SamplingType, StepInfo
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import VERTEX_DTYPE, CSRGraph
 
 __all__ = ["FastGCN", "LADIES"]
 
@@ -102,7 +102,7 @@ class FastGCN(SamplingApp):
         # Inverse-transform over the global importance CDF.
         _, cdf = self._importance(graph)
         draws = rng.random(size=(batch.num_samples, self.step_size))
-        out = np.searchsorted(cdf, draws).astype(np.int64)
+        out = np.searchsorted(cdf, draws).astype(VERTEX_DTYPE)
         out = np.minimum(out, graph.num_vertices - 1)
         return out, StepInfo(avg_compute_cycles=12.0)
 
@@ -128,7 +128,7 @@ class FastGCN(SamplingApp):
         v_width = new_vertices.shape[1]
         probes = t_width * v_width
         if num_samples * probes == 0:
-            return np.zeros((0, 3), dtype=np.int64)
+            return np.zeros((0, 3), dtype=VERTEX_DTYPE)
         # Worst case (all vertices of the block distinct) the bitmap is
         # (rows*T + 1) * ceil((rows*W + 1) / 8) bytes: quadratic in rows.
         rows = max(1, math.isqrt(8 * EDGE_BLOCK_MAX_BYTES
@@ -148,7 +148,7 @@ class FastGCN(SamplingApp):
         flat = np.concatenate(hits)
         pair = flat // v_width
         sample = pair // t_width
-        out = np.empty((flat.size, 3), dtype=np.int64)
+        out = np.empty((flat.size, 3), dtype=VERTEX_DTYPE)
         out[:, 0] = sample
         out[:, 1] = transits.ravel()[pair]
         out[:, 2] = new_vertices.ravel()[sample * v_width + flat % v_width]
@@ -188,8 +188,8 @@ class LADIES(FastGCN):
         rng: np.random.Generator,
     ) -> Tuple[np.ndarray, StepInfo]:
         out = np.full((batch.num_samples, self.step_size), NULL_VERTEX,
-                      dtype=np.int64)
-        t = np.asarray(transits, dtype=np.int64)
+                      dtype=VERTEX_DTYPE)
+        t = np.asarray(transits)
         flat = t.ravel()
         live_pair = flat != NULL_VERTEX
         ecs, vertex_mass = self._edge_importance(graph)

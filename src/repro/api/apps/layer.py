@@ -17,7 +17,7 @@ from repro.api.app import SamplingApp
 from repro.api.apps._kernels import segment_uniform_choice, uniform_neighbors
 from repro.api.sample import Sample, SampleBatch
 from repro.api.types import INF_STEPS, NULL_VERTEX, SamplingType, StepInfo
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import VERTEX_DTYPE, CSRGraph
 
 __all__ = ["Layer"]
 
@@ -90,7 +90,7 @@ class Layer(SamplingApp):
         """Uniform draw from the combined multiset, computed as a
         degree-weighted transit choice followed by a uniform neighbor
         — distributionally identical to sampling the concatenation."""
-        transits = np.asarray(transits, dtype=np.int64)
+        transits = np.asarray(transits)
         num_samples, width = transits.shape
         flat = transits.ravel()
         live = flat != NULL_VERTEX
@@ -100,7 +100,7 @@ class Layer(SamplingApp):
         cum = np.cumsum(deg, axis=1)
         totals = cum[:, -1]
         out = np.full((num_samples, self.step_size), NULL_VERTEX,
-                      dtype=np.int64)
+                      dtype=VERTEX_DTYPE)
         live_rows = np.nonzero(totals > 0)[0]
         for s in live_rows:
             targets = rng.random(self.step_size) * totals[s]

@@ -28,7 +28,7 @@ import numpy as np
 from repro.api.app import SamplingApp
 from repro.api.sample import Sample, SampleBatch
 from repro.api.types import NULL_VERTEX, SamplingType, StepInfo
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import VERTEX_DTYPE, CSRGraph
 
 __all__ = ["Node2Vec"]
 
@@ -115,7 +115,7 @@ class Node2Vec(SamplingApp):
         out_rows: Optional[np.ndarray] = None,
         rows: Optional[np.ndarray] = None,
     ) -> Tuple[Optional[np.ndarray], StepInfo]:
-        transits = np.asarray(transits, dtype=np.int64)
+        transits = np.asarray(transits)
         from repro.api.apps._kernels import _backend
         native = _backend().node2vec_neighbors(
             graph, transits, prev_transits, self.p, self.q,
@@ -126,7 +126,7 @@ class Node2Vec(SamplingApp):
             if eligible == 0:
                 return out, StepInfo()
             return out, self._step_info(eligible, proposals, probes)
-        out = np.full((transits.size, 1), NULL_VERTEX, dtype=np.int64)
+        out = np.full((transits.size, 1), NULL_VERTEX, dtype=VERTEX_DTYPE)
         live = transits != NULL_VERTEX
         if not live.any():
             return out, StepInfo()
@@ -140,16 +140,16 @@ class Node2Vec(SamplingApp):
             return out, StepInfo()
 
         if prev_transits is None:
-            prev = np.full(t_cur.size, NULL_VERTEX, dtype=np.int64)
+            prev = np.full(t_cur.size, NULL_VERTEX, dtype=VERTEX_DTYPE)
         else:
-            prev = np.asarray(prev_transits, dtype=np.int64)[live][has_nbrs]
+            prev = np.asarray(prev_transits)[live][has_nbrs]
 
         bias_envelope = max(self.p, 1.0 / self.q, 1.0)
         if graph.is_weighted:
             envelope = bias_envelope * graph.row_max_weight()[t_cur]
         else:
             envelope = np.full(t_cur.size, bias_envelope)
-        accepted = np.full(t_cur.size, NULL_VERTEX, dtype=np.int64)
+        accepted = np.full(t_cur.size, NULL_VERTEX, dtype=VERTEX_DTYPE)
         pending = np.arange(t_cur.size)
         total_proposals = 0
         total_probes = 0

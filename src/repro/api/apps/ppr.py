@@ -70,7 +70,7 @@ class PPR(SamplingApp):
         batch: Optional[SampleBatch] = None,
         sample_ids: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, StepInfo]:
-        transits = np.asarray(transits, dtype=np.int64)
+        transits = np.asarray(transits)
         sampler = weighted_neighbors if graph.is_weighted else uniform_neighbors
         out = sampler(graph, transits, 1, rng)
         terminate = rng.random(size=transits.size) < self.termination_prob

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.api.types import NULL_VERTEX
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import VERTEX_DTYPE, CSRGraph
 
 __all__ = ["Sample", "SampleBatch"]
 
@@ -31,7 +31,8 @@ class SampleBatch:
     Attributes
     ----------
     roots:
-        ``(num_samples, r)`` initial vertices per sample.
+        ``(num_samples, r)`` initial vertices per sample.  Every vertex
+        array of a batch holds ``int32`` ids, NULL = -1.
     step_vertices:
         ``step_vertices[i]`` is the ``(num_samples, w_i)`` array of
         vertices added at step ``i`` (NULL-padded).
@@ -45,7 +46,11 @@ class SampleBatch:
     """
 
     def __init__(self, graph: CSRGraph, roots: np.ndarray) -> None:
-        roots = np.asarray(roots, dtype=np.int64)
+        roots = np.asarray(roots)
+        if roots.size and roots.dtype != VERTEX_DTYPE and not (
+                NULL_VERTEX <= roots.min() and roots.max() < 2**31):
+            raise ValueError("roots must be int32 vertex ids")
+        roots = roots.astype(VERTEX_DTYPE, copy=False)
         if roots.ndim == 1:
             roots = roots[:, None]
         if roots.ndim != 2:
@@ -67,14 +72,14 @@ class SampleBatch:
 
     def append_step(self, vertices: np.ndarray) -> None:
         """Record the vertices added this step: ``(num_samples, w)``."""
-        vertices = np.asarray(vertices, dtype=np.int64)
+        vertices = np.asarray(vertices, dtype=VERTEX_DTYPE)
         if vertices.ndim != 2 or vertices.shape[0] != self.num_samples:
             raise ValueError("step array must be (num_samples, w)")
         self.step_vertices.append(vertices)
 
     def record_edges(self, edges: np.ndarray) -> None:
         """Record ``(sample_id, u, v)`` adjacency rows for this step."""
-        edges = np.asarray(edges, dtype=np.int64)
+        edges = np.asarray(edges, dtype=VERTEX_DTYPE)
         if edges.size and (edges.ndim != 2 or edges.shape[1] != 3):
             raise ValueError("edges must be (E, 3)")
         self.edges.append(edges.reshape(-1, 3))
@@ -88,7 +93,7 @@ class SampleBatch:
         vertices from all steps (NULL-padded)."""
         parts = ([self.roots] if include_roots else []) + self.step_vertices
         if not parts:
-            return np.full((self.num_samples, 0), NULL_VERTEX, dtype=np.int64)
+            return np.empty((self.num_samples, 0), dtype=VERTEX_DTYPE)
         return np.concatenate(parts, axis=1)
 
     def per_step_arrays(self) -> List[np.ndarray]:
@@ -106,7 +111,7 @@ class SampleBatch:
     def sample_edges(self, i: int) -> np.ndarray:
         """Recorded adjacency rows ``(u, v)`` of sample ``i``."""
         if not self.edges:
-            return np.zeros((0, 2), dtype=np.int64)
+            return np.zeros((0, 2), dtype=VERTEX_DTYPE)
         all_edges = np.concatenate(self.edges, axis=0)
         return all_edges[all_edges[:, 0] == i][:, 1:]
 
@@ -166,7 +171,7 @@ class Sample:
         ``prevEdges``; node2vec probes it)."""
         v = self.prev_vertex(i, pos)
         if v == NULL_VERTEX:
-            return np.zeros(0, dtype=np.int64)
+            return np.zeros(0, dtype=VERTEX_DTYPE)
         return self.graph.neighbors(v)
 
     def vertices(self, include_roots: bool = True) -> np.ndarray:

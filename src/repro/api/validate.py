@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.api.app import SamplingApp
 from repro.api.types import INF_STEPS, NULL_VERTEX, SamplingType
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import VERTEX_DTYPE, CSRGraph
 
 __all__ = ["AppValidationError", "validate_app"]
 
@@ -125,7 +125,7 @@ def validate_app(app: SamplingApp, graph: CSRGraph,
         flat = transits[:, 0]
         prev = None
         if app.needs_prev_transits:
-            prev = np.full(flat.size, NULL_VERTEX, dtype=np.int64)
+            prev = np.full(flat.size, NULL_VERTEX, dtype=VERTEX_DTYPE)
         out, info = app.sample_neighbors(graph, flat, 0, rng,
                                          prev_transits=prev, batch=batch,
                                          sample_ids=np.arange(num_samples))

@@ -124,7 +124,7 @@ class SamplingResult:
         daemon ships it: walk-style output under ``samples``; per-step
         output under ``hop0``, ``hop1``, ...; ``roots``; recorded
         adjacency (importance / cluster sampling) under ``edges`` as
-        (sample, u, v) rows."""
+        (sample, u, v) rows.  Every array is ``int32``."""
         samples = self.get_final_samples()
         arrays = ({"samples": samples} if isinstance(samples, np.ndarray)
                   else {f"hop{i}": a for i, a in enumerate(samples)})
@@ -134,8 +134,10 @@ class SamplingResult:
         return arrays
 
     def save(self, path: str) -> None:
-        """Persist :meth:`arrays` as a compressed ``.npz``."""
-        np.savez_compressed(path, **self.arrays())
+        """Persist :meth:`arrays` as a compressed ``.npz``, ids widened
+        to ``int64`` so saved files keep one dtype."""
+        np.savez_compressed(path, **{k: a.astype(np.int64)
+                                     for k, a in self.arrays().items()})
 
     sampling_seconds = property(
         lambda self: self.breakdown.get("sampling", 0.0))

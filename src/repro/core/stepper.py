@@ -27,7 +27,7 @@ from repro.api.sample import SampleBatch
 from repro.api.types import INF_STEPS, NULL_VERTEX, SamplingType, StepInfo
 from repro.core.transit_map import StepShape, _live_pairs, build_transit_map
 from repro.core.unique import dedupe_and_topup
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import VERTEX_DTYPE, CSRGraph
 from repro.native.backend import active_backend_name
 from repro.obs import get_metrics
 
@@ -56,7 +56,7 @@ def init_batch(app: SamplingApp, graph: CSRGraph,
         if num_samples is None:
             raise ValueError("provide either num_samples or roots")
         roots = app.initial_roots(graph, num_samples, rng)
-    batch = SampleBatch(graph, np.asarray(roots, dtype=np.int64))
+    batch = SampleBatch(graph, roots)
     app.init_state(batch, rng)
     return batch
 
@@ -114,7 +114,7 @@ def step_output(num_samples: int, num_cols: int, m: int,
     NULL slot ``out`` is left uninitialised, so every pair writes its
     whole row (a zero-degree transit's NULL too).
     """
-    out = np.empty(num_samples * num_cols * m, dtype=np.int64)
+    out = np.empty(num_samples * num_cols * m, dtype=VERTEX_DTYPE)
     if rows.size < num_samples * num_cols:
         out.fill(NULL_VERTEX)
     return (out.reshape(num_samples, num_cols * m),
@@ -134,8 +134,8 @@ def run_individual_step(app: SamplingApp, graph: CSRGraph,
     if walk_shaped(app, transits, step):
         rows, transit_vals = sample_order(transits)
     else:
-        rows = (np.asarray(sample_ids, dtype=np.int64) * transits.shape[1]
-                + cols)
+        rows = np.multiply(sample_ids, transits.shape[1], dtype=np.int64)
+        rows += cols
     return ctx.individual_step(app, graph, batch, transits, step,
                                rows, transit_vals)
 

@@ -88,7 +88,7 @@ class TransitMap:
 
 def _live_pairs(transits) -> Tuple[Optional[np.ndarray], np.ndarray]:
     """The live transits' flat slots (``None`` when all are) and values."""
-    flat = np.asarray(transits, dtype=np.int64).ravel()
+    flat = np.asarray(transits).ravel()
     live = flat != NULL_VERTEX
     if np.count_nonzero(live) == live.size:
         return None, flat
@@ -100,11 +100,12 @@ def build_transit_map(transits: np.ndarray, graph=None) -> TransitMap:
     """Group a step's pairs by transit vertex (the functional half).
 
     The grouping is one ``np.sort`` of packed keys ``(vals - min) << b
-    | pair``, ``b`` the bit length of ``K - 1``: the low bits make every
-    key distinct, so any sort of them is ``argsort(vals, kind="stable")``
-    and the high bits are the sorted transits.  Ids too far apart to
-    pack fall back to that argsort.  The permutation is ``rows`` itself
-    when every transit is live, else it gathers the live slots.
+    | pair`` (``int64`` as formed: ``int32`` ids would wrap), ``b`` the
+    bit length of ``K - 1``: the low bits make every key distinct, so
+    any sort of them is ``argsort(vals, kind="stable")`` and the high
+    bits are the sorted transits.  Ids too far apart to pack fall back
+    to that argsort.  The permutation is ``rows`` itself when every
+    transit is live, else it gathers the live slots.
     ``unique_transits`` / ``counts`` / ``offsets`` are then read off the
     run boundaries of the sorted transits.  Every stage is O(K log K) in
     the step's pairs — nothing is sized by, or scans, the vertex-id
@@ -120,11 +121,15 @@ def build_transit_map(transits: np.ndarray, graph=None) -> TransitMap:
                           num_total_pairs=num_total_pairs, width=width)
     lo = vals.min()
     bits = (vals.size - 1).bit_length()
-    if int(vals.max() - lo).bit_length() + bits <= 63:
-        keys = np.sort(((vals - lo) << bits)
-                       | np.arange(vals.size, dtype=np.int64))
+    if (int(vals.max()) - int(lo)).bit_length() + bits <= 63:
+        keys = np.subtract(vals, lo, dtype=np.int64)
+        keys <<= bits
+        keys |= np.arange(vals.size, dtype=np.int64)
+        keys.sort()
         order = keys & ((1 << bits) - 1)
-        svals = (keys >> bits) + lo
+        keys >>= bits   # in place: a temporary here varied the heap's peak
+        svals = keys.astype(vals.dtype)
+        svals += lo
     else:
         order = np.argsort(vals, kind="stable")
         svals = vals[order]

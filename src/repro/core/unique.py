@@ -36,7 +36,6 @@ def dedupe_rows(rows: np.ndarray) -> Tuple[np.ndarray, int]:
     if native is not None:
         return native
     out = rows.copy()
-    num_dups = 0
     order = np.argsort(rows, axis=1, kind="stable")
     sorted_vals = np.take_along_axis(rows, order, axis=1)
     dup_sorted = np.zeros_like(rows, dtype=bool)

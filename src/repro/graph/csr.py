@@ -18,7 +18,11 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["CSRGraph", "EDGE_RECORD", "VERTEX_RECORD"]
+__all__ = ["CSRGraph", "EDGE_RECORD", "VERTEX_DTYPE", "VERTEX_RECORD"]
+
+#: Vertex ids in every layer, NULL = -1; positions and counts
+#: (``indptr``, degrees, pair rows) stay ``int64``.
+VERTEX_DTYPE = np.dtype(np.int32)
 
 #: One edge of the weighted draw (16 B): the global cumsum a draw
 #: scans, the row-local guide entry it starts from, the neighbour.
@@ -38,6 +42,12 @@ def _line_aligned(n: int, dtype: np.dtype) -> np.ndarray:
     return buf[skip:skip + n * dtype.itemsize].view(dtype)
 
 
+def _check_vertex_count(num_vertices: int) -> None:
+    """Refuse, before any copy, a graph of 2**31 or more vertices."""
+    if num_vertices > np.iinfo(VERTEX_DTYPE).max:
+        raise ValueError(f"{num_vertices} vertices: ids are int32 (< 2**31)")
+
+
 #: Guards :meth:`CSRGraph.cached`: one thread builds a table, the rest
 #: wait for it (re-entrant: a build may read another table).
 _CACHE_LOCK = threading.RLock()
@@ -52,7 +62,8 @@ class CSRGraph:
         ``int64`` array of length ``num_vertices + 1``; row ``v`` of the
         adjacency structure is ``indices[indptr[v]:indptr[v + 1]]``.
     indices:
-        ``int64`` array of neighbor ids, each row sorted ascending.
+        Neighbor ids, each row sorted ascending, stored as
+        :data:`VERTEX_DTYPE`.
     weights:
         Optional ``float64`` array aligned with ``indices``.  When
         present, weighted samplers (e.g. DeepWalk's biased walk) use it;
@@ -69,10 +80,11 @@ class CSRGraph:
         weights: Optional[np.ndarray] = None,
         name: str = "graph",
     ) -> None:
-        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
+        indptr, indices = np.asarray(indptr), np.asarray(indices)
         if indptr.ndim != 1 or indptr.size < 1:
             raise ValueError("indptr must be a 1-D array of length >= 1")
+        _check_vertex_count(indptr.size - 1)
+        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         if indptr[0] != 0 or indptr[-1] != indices.size:
             raise ValueError(
                 "indptr must start at 0 and end at len(indices) "
@@ -84,6 +96,7 @@ class CSRGraph:
         num_vertices = indptr.size - 1
         if indices.size and (indices.min() < 0 or indices.max() >= num_vertices):
             raise ValueError("indices contains out-of-range vertex ids")
+        indices = np.ascontiguousarray(indices, dtype=VERTEX_DTYPE)
 
         if weights is not None:
             weights = np.ascontiguousarray(weights, dtype=np.float64)
@@ -123,6 +136,7 @@ class CSRGraph:
         With ``undirected=True`` each edge is inserted in both
         directions (the SNAP social graphs in Table 3 are undirected).
         """
+        _check_vertex_count(num_vertices)
         edge_arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                               dtype=np.int64)
         if edge_arr.size == 0:
@@ -300,24 +314,23 @@ class CSRGraph:
         one, else by binary search over the sorted composite edge keys.
         (One collective step's probes use :meth:`adjacency_block`.)
         """
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
+        u, v = np.asarray(u), np.asarray(v)
         if u.shape != v.shape:
             raise ValueError("u and v must have the same shape")
         if u.size == 0:
             return np.zeros(0, dtype=bool)
-        query = u * np.int64(self.num_vertices) + v
+        # Widened where formed: u * n + v needs up to 62 bits.
+        query = np.multiply(u, self.num_vertices, dtype=np.int64)
+        query += v
         bitmap = self._edge_bitmap()
         if bitmap is not None:
             return (bitmap[query >> 3] >> (query & 7).astype(np.uint8)
                     ) & 1 > 0
         keys = self._edge_keys()
-        pos = np.searchsorted(keys, query)
-        found = np.zeros(u.shape, dtype=bool)
-        in_range = pos < keys.size
-        idx = np.nonzero(in_range)
-        found[idx] = keys[pos[idx]] == query[idx]
-        return found
+        if keys.size == 0:
+            return np.zeros(u.shape, dtype=bool)
+        return keys[np.searchsorted(keys, query).clip(max=keys.size - 1)
+                    ] == query
 
     def adjacency_block(self, rows: np.ndarray, cols: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -397,7 +410,7 @@ class CSRGraph:
         (:data:`EDGE_RECORD`): three cache lines where separate arrays
         cost seven.  Both backends read them; the other weighted
         accessors are views of their fields.  ``idx`` holds neighbours
-        as ``int32`` (wrapped past its range, where the C draw declines).
+        as :data:`VERTEX_DTYPE`.
         """
         return self._weight_cache()[:2]
 
@@ -509,8 +522,8 @@ class CSRGraph:
         isolated vertex dies immediately, which the paper's SNAP graphs
         (no isolated vertices) never exhibit.
         """
-        return self.cached("_non_isolated_cache",
-                           lambda g: np.flatnonzero(g.degrees_array))
+        return self.cached("_non_isolated_cache", lambda g: np.flatnonzero(
+            g.degrees_array).astype(VERTEX_DTYPE))
 
     def subgraph(self, vertices: np.ndarray, name: Optional[str] = None) -> "CSRGraph":
         """Induced subgraph on ``vertices`` with relabeled ids 0..k-1."""
@@ -527,11 +540,11 @@ class CSRGraph:
                                    name=name or f"{self.name}-sub")
 
     def memory_bytes(self) -> int:
-        """Bytes this graph occupies in device memory (CSR arrays)."""
-        total = self.indptr.nbytes + self.indices.nbytes
-        if self.weights is not None:
-            total += self.weights.nbytes
-        return total
+        """Bytes this graph occupies in device memory (CSR arrays), in
+        the model's 8-byte words (``repro.graph.partition``'s), whatever
+        width the host stores ids at."""
+        words = self.indptr.size + self.indices.size
+        return 8 * (words + (self.num_edges if self.is_weighted else 0))
 
     # ------------------------------------------------------------------
     # Internals

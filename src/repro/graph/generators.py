@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import VERTEX_DTYPE, CSRGraph
 
 __all__ = [
     "barabasi_albert_graph",
@@ -60,11 +60,6 @@ def _csr_from_pairs(num_vertices: int, src: np.ndarray, dst: np.ndarray,
     return CSRGraph(indptr, key, name=name)
 
 
-def _id_dtype(scale: int) -> np.dtype:
-    """Accumulator of R-MAT ids below ``2**scale``: int32 while they fit."""
-    return np.dtype(np.int32 if scale <= 31 else np.int64)
-
-
 def rmat_graph(
     num_vertices: int,
     num_edges: int,
@@ -84,8 +79,8 @@ def rmat_graph(
     the graph has exactly ``num_vertices`` vertices (some may be
     isolated).
     """
-    if num_vertices < 2:
-        raise ValueError("need at least 2 vertices")
+    if not 2 <= num_vertices < 2**31:   # ids accumulate at int32
+        raise ValueError("need 2 to 2**31 - 1 vertices")
     if a + b + c > 1.0 + 1e-9 or min(a, b, c) < 0:
         raise ValueError("R-MAT probabilities must be non-negative and sum <= 1")
     rng = np.random.default_rng(seed)
@@ -95,9 +90,8 @@ def rmat_graph(
     # below r.  They are a prefix of the monotone CDF, so its high bit is
     # ``r > cdf[1]`` and its low bit their parity.  One set of buffers.
     cdf = np.cumsum([a, b, c])
-    ids = _id_dtype(scale)
-    src = np.zeros(num_edges, dtype=ids)
-    dst = np.zeros(num_edges, dtype=ids)
+    src = np.zeros(num_edges, dtype=VERTEX_DTYPE)
+    dst = np.zeros(num_edges, dtype=VERTEX_DTYPE)
     r = np.empty(num_edges)
     high, low, cut = (np.empty(num_edges, dtype=bool) for _ in range(3))
     for _ in range(scale):

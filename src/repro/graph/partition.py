@@ -20,7 +20,7 @@ from typing import List
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import VERTEX_DTYPE, CSRGraph
 
 __all__ = ["Partition", "random_partition", "bfs_partition",
            "partition_for_memory", "partition_vertices"]
@@ -48,7 +48,7 @@ class Partition:
             raise ValueError("assignment ids out of range")
 
     def members(self, part: int) -> np.ndarray:
-        return np.nonzero(self.assignment == part)[0]
+        return np.flatnonzero(self.assignment == part).astype(VERTEX_DTYPE)
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.num_parts)

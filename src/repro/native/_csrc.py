@@ -3,7 +3,8 @@
 Compiled once per host by :mod:`repro.native.cnative` (``cc -O1
 -fPIC -shared -ffp-contract=off``) and called through ctypes by
 :class:`repro.native.backend.CNativeBackend`.  Every kernel is a plain
-loop over raw arrays; lengths arrive as explicit arguments.
+loop over raw arrays; lengths arrive as explicit arguments.  Vertex ids
+are ``int32_t`` (NULL -1); positions, degrees, rows, counts ``int64_t``.
 
 Contract with the numpy kernels in ``repro/api/apps/_kernels.py``
 (see ``docs/PERF.md``) — what keeps samples bitwise-identical:
@@ -25,7 +26,7 @@ Contract with the numpy kernels in ``repro/api/apps/_kernels.py``
   the guide entry of its bucket (``r * d`` truncated and clamped like a
   uniform pick), then a forward scan to the first edge whose cumsum
   exceeds the target, clamped to the row — the edge numpy's bisection
-  fallback returns too — whose ``int32`` neighbour it writes; its loop
+  fallback returns too — whose neighbour it writes; its loop
   is staged over blocks of draws (prefetch, then read) but takes the
   draws, and consumes ``r``, in the same (transit, draw) order;
 * every floating-point expression keeps numpy's operand order, and
@@ -57,7 +58,7 @@ SOURCE = r"""
 #include <string.h>
 
 /* Live transits with an edge; -1 at a row outside [0, nrows). */
-int64_t repro_uniform_count(const int64_t *transits, int64_t n,
+int64_t repro_uniform_count(const int32_t *transits, int64_t n,
                             const int64_t *degrees, int64_t null_v,
                             const int64_t *rows, int64_t nrows) {
     int64_t count = 0;
@@ -74,10 +75,10 @@ int64_t repro_uniform_count(const int64_t *transits, int64_t n,
 /* Pair i's m picks land in row rows[i] (i when rows is NULL) of the
    m-wide out, prefetched ROW_AHEAD pairs on; NULL for no edge. */
 #define ROW_AHEAD 32
-int64_t repro_uniform_fill(const int64_t *indptr, const int64_t *indices,
-                           const int64_t *degrees, const int64_t *transits,
+int64_t repro_uniform_fill(const int64_t *indptr, const int32_t *indices,
+                           const int64_t *degrees, const int32_t *transits,
                            int64_t n, int64_t m, const double *r,
-                           int64_t *out, const int64_t *rows,
+                           int32_t *out, const int64_t *rows,
                            int64_t null_v) {
     int64_t j = 0;
     for (int64_t i = 0; i < n; i++) {
@@ -85,12 +86,12 @@ int64_t repro_uniform_fill(const int64_t *indptr, const int64_t *indices,
             __builtin_prefetch(out + rows[i + ROW_AHEAD] * m, 1);
             __builtin_prefetch(out + rows[i + ROW_AHEAD] * m + m - 1, 1);
         }
-        int64_t *o = out + (rows ? rows[i] : i) * m;
+        int32_t *o = out + (rows ? rows[i] : i) * m;
         int64_t t = transits[i];
         int64_t d = t == null_v ? 0 : degrees[t];
         if (d <= 0) {
             for (int64_t q = 0; q < m; q++)
-                o[q] = null_v;
+                o[q] = (int32_t)null_v;
             continue;
         }
         int64_t base = indptr[t];
@@ -122,8 +123,8 @@ typedef struct { double cum; int32_t guide, idx; } wedge_t;
    (repro_uniform_fill's); scan forward to the edge and write its
    neighbour. */
 int64_t repro_weighted_fill(const wvert_t *verts, const wedge_t *edges,
-                            const int64_t *transits, int64_t n, int64_t m,
-                            int64_t count, const double *r, int64_t *out,
+                            const int32_t *transits, int64_t n, int64_t m,
+                            int64_t count, const double *r, int32_t *out,
                             const int64_t *rows, int64_t null_v) {
     int64_t at[WF_BLOCK], row[WF_BLOCK], pos[WF_BLOCK], last[WF_BLOCK];
     double target[WF_BLOCK];
@@ -142,7 +143,7 @@ int64_t repro_weighted_fill(const wvert_t *verts, const wedge_t *edges,
             int64_t dst = (rows ? rows[i] : i) * m;
             if (d <= 0) {
                 for (int64_t k = 0; k < m; k++)
-                    out[dst + k] = null_v;
+                    out[dst + k] = (int32_t)null_v;
             } else {
                 for (; q < m && nb < WF_BLOCK; q++, nb++) {
                     double rq = r[q * count + c];
@@ -190,11 +191,11 @@ int64_t repro_weighted_fill(const wvert_t *verts, const wedge_t *edges,
    unweighted.  The pick's edge and the first probe are prefetched
    N2V_AHEAD pairs on. */
 #define N2V_AHEAD 16
-int64_t repro_node2vec_round(const int64_t *indptr, const int64_t *indices,
+int64_t repro_node2vec_round(const int64_t *indptr, const int32_t *indices,
                              const int64_t *degrees, const double *weights,
-                             const double *row_max, const int64_t *transits,
-                             const int64_t *prev, double bias_env, double p,
-                             double inv_q, int64_t null_v, int64_t *out,
+                             const double *row_max, const int32_t *transits,
+                             const int32_t *prev, double bias_env, double p,
+                             double inv_q, int64_t null_v, int32_t *out,
                              const int64_t *rows, int64_t nrows,
                              int64_t *pending, int64_t *counters,
                              const double *r, int64_t n, int64_t last) {
@@ -206,7 +207,7 @@ int64_t repro_node2vec_round(const int64_t *indptr, const int64_t *indices,
                     return -1;
         for (int64_t i = 0; i < n; i++) {
             int64_t t = transits[i];
-            out[rows ? rows[i] : i] = null_v;
+            out[rows ? rows[i] : i] = (int32_t)null_v;
             if (t != null_v && degrees[t] > 0)
                 pending[count++] = i;
         }
@@ -256,7 +257,7 @@ int64_t repro_node2vec_round(const int64_t *indptr, const int64_t *indices,
         }
         int acc = r[n + k] * env <= b || (!weights && pv == null_v);
         if (acc || last)
-            out[rows ? rows[i] : i] = u;
+            out[rows ? rows[i] : i] = (int32_t)u;
         else
             pending[left++] = i;
     }
@@ -264,38 +265,27 @@ int64_t repro_node2vec_round(const int64_t *indptr, const int64_t *indices,
     return left;
 }
 
-void repro_gather_i64(const int64_t *values, const int64_t *starts,
-                      const int64_t *counts, const int64_t *offsets,
-                      int64_t nseg, int64_t *out) {
-    for (int64_t i = 0; i < nseg; i++) {
-        int64_t o = offsets[i], s0 = starts[i], c = counts[i];
-        for (int64_t k = 0; k < c; k++)
-            out[o + k] = values[s0 + k];
-    }
+/* values[starts[i]:+counts[i]] to out[offsets[i]:], items of size bytes. */
+void repro_gather(const char *values, const int64_t *starts,
+                  const int64_t *counts, const int64_t *offsets,
+                  int64_t nseg, int64_t size, char *out) {
+    for (int64_t i = 0; i < nseg; i++)
+        memcpy(out + offsets[i] * size, values + starts[i] * size,
+               (size_t)(counts[i] * size));
 }
 
-void repro_gather_f64(const double *values, const int64_t *starts,
-                      const int64_t *counts, const int64_t *offsets,
-                      int64_t nseg, double *out) {
-    for (int64_t i = 0; i < nseg; i++) {
-        int64_t o = offsets[i], s0 = starts[i], c = counts[i];
-        for (int64_t k = 0; k < c; k++)
-            out[o + k] = values[s0 + k];
-    }
-}
-
-int64_t repro_dedupe_rows(int64_t *rows, int64_t nrows, int64_t w,
+int64_t repro_dedupe_rows(int32_t *rows, int64_t nrows, int64_t w,
                           int64_t null_v) {
     int64_t dups = 0;
     for (int64_t i = 0; i < nrows; i++) {
-        int64_t *row = rows + i * w;
+        int32_t *row = rows + i * w;
         for (int64_t j = 1; j < w; j++) {
             int64_t v = row[j];
             if (v == null_v)
                 continue;
             for (int64_t k = 0; k < j; k++) {
                 if (row[k] == v) {
-                    row[j] = null_v;
+                    row[j] = (int32_t)null_v;
                     dups++;
                     break;
                 }
@@ -311,9 +301,9 @@ int64_t repro_dedupe_rows(int64_t *rows, int64_t nrows, int64_t w,
    those transits' CSR rows, then one bit test per (sample, transit,
    new vertex), kept in masks[(s*T + j)*words + k/64].  Column 0 is
    NULL's: no row sets it.  Returns the hit count, -1 without memory. */
-int64_t repro_edge_mask(const int64_t *indptr, const int64_t *indices,
+int64_t repro_edge_mask(const int64_t *indptr, const int32_t *indices,
                         const int64_t *degrees, int64_t num_vertices,
-                        const int64_t *transits, const int64_t *newv,
+                        const int32_t *transits, const int32_t *newv,
                         int64_t num_samples, int64_t t_width,
                         int64_t v_width, int64_t block_rows,
                         uint64_t *masks) {
@@ -328,8 +318,8 @@ int64_t repro_edge_mask(const int64_t *indptr, const int64_t *indices,
     int32_t *col = row + block_rows * t_width;
     for (int64_t lo = 0; lo < num_samples; lo += block_rows) {
         memset(tslot, 0xFF, 2 * num_vertices * sizeof(int32_t));
-        const int64_t *t = transits + lo * t_width;
-        const int64_t *v = newv + lo * v_width;
+        const int32_t *t = transits + lo * t_width;
+        const int32_t *v = newv + lo * v_width;
         int64_t rows = num_samples - lo < block_rows ? num_samples - lo
                                                      : block_rows;
         int64_t nt = rows * t_width, nv = rows * v_width;
@@ -387,15 +377,15 @@ int64_t repro_edge_mask(const int64_t *indptr, const int64_t *indices,
 
 /* The set bits of repro_edge_mask's masks as (sample, transit, new
    vertex) rows, in (sample, transit-column, new-column) order. */
-void repro_edge_emit(const int64_t *transits, const int64_t *newv,
+void repro_edge_emit(const int32_t *transits, const int32_t *newv,
                      int64_t num_samples, int64_t t_width, int64_t v_width,
-                     const uint64_t *masks, int64_t *out) {
+                     const uint64_t *masks, int32_t *out) {
     int64_t words = (v_width + 63) >> 6;
     for (int64_t i = 0; i < num_samples * t_width * words; i++) {
         int64_t p = i / words, s = p / t_width;
-        const int64_t *vs = newv + s * v_width + i % words * 64;
+        const int32_t *vs = newv + s * v_width + i % words * 64;
         for (uint64_t hit = masks[i]; hit; hit &= hit - 1) {
-            *out++ = s;
+            *out++ = (int32_t)s;
             *out++ = transits[p];
             *out++ = vs[__builtin_ctzll(hit)];
         }
@@ -406,11 +396,11 @@ void repro_edge_emit(const int64_t *transits, const int64_t *newv,
    draws: per live sample i, m draws into local_mass[lo[i]:hi[i]), then
    into the chosen transit's CSR row. */
 void repro_two_level_pick(const double *local_mass, const int64_t *lo,
-                          const int64_t *hi, const int64_t *pair_t,
+                          const int64_t *hi, const int32_t *pair_t,
                           const double *draws, int64_t nlive, int64_t m,
-                          const int64_t *indptr, const int64_t *indices,
+                          const int64_t *indptr, const int32_t *indices,
                           const int64_t *degrees, const double *ecs,
-                          int64_t *out) {
+                          int32_t *out) {
     for (int64_t q = 0; q < nlive * m; q++) {
         int64_t i = q / m, a = lo[i], b = hi[i];
         double d = draws[q];

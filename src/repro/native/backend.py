@@ -43,6 +43,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from repro.api.types import NULL_VERTEX
+from repro.graph.csr import VERTEX_DTYPE
 from repro.obs import get_metrics
 
 __all__ = [
@@ -141,10 +142,6 @@ class NumpyBackend(KernelBackend):
     """The current vectorised numpy code, selected explicitly."""
 
 
-#: Largest vertex id the weighted C draw returns (edge records are int32).
-ID32_MAX = int(np.iinfo(np.int32).max)
-
-
 def _plain(dtype, *arrays) -> bool:
     """Whether every array can be handed to C as it is."""
     return all(isinstance(a, np.ndarray) and a.dtype == dtype
@@ -156,8 +153,9 @@ def _destination(out_rows, rows, n, m):
     pairs ``m`` wide (no destination: a fresh one, NULL ``rows``), or
     ``None`` when C cannot write the given one as it is."""
     if out_rows is None:
-        return np.empty((n, m), dtype=np.int64), None, n
-    if (_plain(np.int64, out_rows, rows) and out_rows.flags.writeable
+        return np.empty((n, m), dtype=VERTEX_DTYPE), None, n
+    if (_plain(VERTEX_DTYPE, out_rows) and _plain(np.int64, rows)
+            and out_rows.flags.writeable
             and out_rows.ndim == 2 and out_rows.shape[1] == m
             and rows.shape == (n,)):
         return out_rows, rows.ctypes.data, out_rows.shape[0]
@@ -226,12 +224,8 @@ class CNativeBackend(KernelBackend):
 
     def weighted_neighbors(self, graph, transits, m, rng,
                            out_rows=None, rows=None):
-        if not graph.is_weighted:
-            return self.uniform_neighbors(graph, transits, m, rng,
-                                          out_rows, rows)
-        if graph.num_vertices - 1 > ID32_MAX:
-            return None
-        return self._fill(True, graph, transits, m, rng, out_rows, rows)
+        return self._fill(graph.is_weighted, graph, transits, m, rng,
+                          out_rows, rows)
 
     def _fill(self, weighted, graph, transits, m, rng, out_rows, rows):
         """Count the live transits with an edge (checking every
@@ -241,7 +235,7 @@ class CNativeBackend(KernelBackend):
         lib = self._library()
         if lib is None:
             return None
-        transits = np.ascontiguousarray(transits, dtype=np.int64)
+        transits = np.ascontiguousarray(transits, dtype=VERTEX_DTYPE)
         dest = _destination(out_rows, rows, transits.size, m)
         if dest is None:
             return None
@@ -269,11 +263,11 @@ class CNativeBackend(KernelBackend):
         lib = self._library()
         if lib is None or not (
                 _plain(np.float64, ecs, mass, draws)
-                and _plain(np.int64, lo, hi, pair_t)
+                and _plain(np.int64, lo, hi) and _plain(VERTEX_DTYPE, pair_t)
                 and draws.ndim == 2 and pair_t.shape == mass.shape
                 and lo.shape == hi.shape == draws.shape[:1]):
             return None
-        out = np.empty(draws.shape, dtype=np.int64)
+        out = np.empty(draws.shape, dtype=VERTEX_DTYPE)
         lib.repro_two_level_pick(
             mass.ctypes.data, lo.ctypes.data, hi.ctypes.data,
             pair_t.ctypes.data, draws.ctypes.data, *draws.shape,
@@ -288,7 +282,7 @@ class CNativeBackend(KernelBackend):
         bits as rows.  No scratch outlives the call."""
         lib = self._library()
         if lib is None or block_rows < 1 or not (
-                _plain(np.int64, transits, new_vertices)
+                _plain(VERTEX_DTYPE, transits, new_vertices)
                 and transits.ndim == new_vertices.ndim == 2
                 and transits.shape[0] == new_vertices.shape[0]):
             return None
@@ -301,7 +295,7 @@ class CNativeBackend(KernelBackend):
                                     masks.ctypes.data)
         if count < 0:   # no memory for the scratch: numpy's turn
             return None
-        out = np.empty((count, 3), dtype=np.int64)
+        out = np.empty((count, 3), dtype=VERTEX_DTYPE)
         lib.repro_edge_emit(*arrays, *shape, masks.ctypes.data,
                             out.ctypes.data)
         return out
@@ -322,14 +316,14 @@ class CNativeBackend(KernelBackend):
         lib = self._library()
         if lib is None:
             return None
-        transits = np.ascontiguousarray(transits, dtype=np.int64)
+        transits = np.ascontiguousarray(transits, dtype=VERTEX_DTYPE)
         n = transits.size
         dest = _destination(out_rows, rows, n, 1)
         if dest is None:
             return None
         out, rows_p, nrows = dest
         prev = (None if prev_transits is None
-                else np.ascontiguousarray(prev_transits, dtype=np.int64))
+                else np.ascontiguousarray(prev_transits, dtype=VERTEX_DTYPE))
         weights = row_max = None
         if graph.is_weighted:
             weights, row_max = graph.weights, graph.row_max_weight()
@@ -357,24 +351,22 @@ class CNativeBackend(KernelBackend):
     def ragged_gather(self, values, starts, counts, offsets, total):
         values = np.asarray(values)
         lib = self._library()
-        if (lib is None or values.dtype not in (np.int64, np.float64)
+        if (lib is None or values.dtype.hasobject
                 or not values.flags.c_contiguous):
             return None
-        kernel = (lib.repro_gather_f64 if values.dtype == np.float64
-                  else lib.repro_gather_i64)
-        starts = np.ascontiguousarray(starts, dtype=np.int64)
-        counts = np.ascontiguousarray(counts, dtype=np.int64)
-        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        starts, counts, offsets = (np.ascontiguousarray(a, dtype=np.int64)
+                                   for a in (starts, counts, offsets))
         out = np.empty(int(total), dtype=values.dtype)
-        kernel(values.ctypes.data, starts.ctypes.data, counts.ctypes.data,
-               offsets.ctypes.data, starts.size, out.ctypes.data)
+        lib.repro_gather(values.ctypes.data, starts.ctypes.data,
+                         counts.ctypes.data, offsets.ctypes.data, starts.size,
+                         values.itemsize, out.ctypes.data)
         return out
 
     def dedupe_rows(self, rows):
         """Returns ``(deduped_copy, dup_count)`` or ``None``."""
         rows = np.asarray(rows)
         lib = self._library()
-        if lib is None or rows.dtype != np.int64 or rows.ndim != 2:
+        if lib is None or rows.dtype != VERTEX_DTYPE or rows.ndim != 2:
             return None
         out = rows.copy()
         dups = lib.repro_dedupe_rows(out.ctypes.data, out.shape[0],

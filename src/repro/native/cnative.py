@@ -127,8 +127,7 @@ _SIGNATURES = {
     "repro_node2vec_round": (
         _I64, (_PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _F64, _F64, _F64,
                _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _I64, _I64)),
-    "repro_gather_i64": (None, (_PTR, _PTR, _PTR, _PTR, _I64, _PTR)),
-    "repro_gather_f64": (None, (_PTR, _PTR, _PTR, _PTR, _I64, _PTR)),
+    "repro_gather": (None, (_PTR, _PTR, _PTR, _PTR, _I64, _I64, _PTR)),
     "repro_dedupe_rows": (_I64, (_PTR, _I64, _I64, _I64)),
     "repro_edge_mask": (
         _I64, (_PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _I64, _I64,

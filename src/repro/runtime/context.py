@@ -52,6 +52,7 @@ import numpy as np
 
 from repro.api.app import SamplingApp, takes_destination
 from repro.api.types import NULL_VERTEX, StepInfo
+from repro.graph.csr import VERTEX_DTYPE
 from repro.native.backend import active_backend
 from repro.obs import Counter, Histogram, get_metrics, trace
 from repro.runtime.cancel import CancelledRun, CancelScope
@@ -319,13 +320,12 @@ class ExecutionContext:
         bounds = self.plan.collective_bounds(num_rows)
         nchunks = len(bounds) - 1
         if nchunks <= 0:
-            empty = np.full((batch.num_samples, 0), NULL_VERTEX,
-                            dtype=np.int64)
+            empty = np.empty((batch.num_samples, 0), dtype=VERTEX_DTYPE)
             return empty, StepInfo(), None, np.diff(offsets)
         self._metric("rng.chunk_streams").inc(nchunks)
 
         out = np.full((num_rows, app.sample_size(step)), NULL_VERTEX,
-                      dtype=np.int64)
+                      dtype=VERTEX_DTYPE)
 
         def run_chunk(c: int) -> StepInfo:
             self._maybe_chunk_error(step, c)

@@ -11,7 +11,7 @@ and a response like::
 
     {"status": "ok", "request_id": 12, "digest": "9f2c...",
      "queue_wait_ms": 1.8, "wall_ms": 143.0,
-     "arrays": {"roots": "<i8;<i2;256,1;<base64>", ...}, "cache_hit": true}
+     "arrays": {"roots": "<i4;<i2;256,1;<base64>", ...}, "cache_hit": true}
 
 Other endpoints: ``GET /healthz`` (liveness + drain state),
 ``GET /metrics`` (OpenMetrics text exposition, scrapeable).

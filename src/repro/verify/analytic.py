@@ -35,7 +35,7 @@ from repro.api.apps import MVS, PPR, DeepWalk, FastGCN, KHop, LADIES, Layer, Nod
 from repro.api.sample import SampleBatch
 from repro.api.types import NULL_VERTEX
 from repro.core.engine import NextDoorEngine
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import VERTEX_DTYPE, CSRGraph
 from repro.verify.result import CheckResult
 from repro.verify.stats import ALPHA, binned_lengths, chi_square_gof
 
@@ -132,7 +132,7 @@ def check_node2vec_pq() -> CheckResult:
     n = 40000
     out, _ = app.sample_neighbors(
         graph, np.full(n, 1), 1, rng,
-        prev_transits=np.full(n, 0, dtype=np.int64))
+        prev_transits=np.full(n, 0, dtype=VERTEX_DTYPE))
     nbrs = graph.neighbors(1)
     counts = np.bincount(out[:, 0], minlength=graph.num_vertices)
     bias = np.array([p if u == 0 else (1.0 / q if graph.has_edge(0, u)
@@ -177,7 +177,7 @@ def check_mvs_engine_uniform() -> CheckResult:
     uniform over the root's neighbors."""
     graph = _hub_graph()
     app = MVS(batch_size=4, fanout=1)
-    roots = np.full((2000, 4), 0, dtype=np.int64)
+    roots = np.full((2000, 4), 0, dtype=VERTEX_DTYPE)
     result = NextDoorEngine().run(app, graph, roots=roots, seed=106)
     step0 = result.batch.step_vertices[0].ravel()
     step0 = step0[step0 != NULL_VERTEX]
@@ -196,7 +196,7 @@ def check_fastgcn_importance() -> CheckResult:
     graph = _skewed_graph()
     app = FastGCN(step_size=64, num_steps=1, batch_size=4)
     rng = np.random.default_rng(107)
-    roots = np.zeros((64, 4), dtype=np.int64)
+    roots = np.zeros((64, 4), dtype=VERTEX_DTYPE)
     batch = SampleBatch(graph, roots)
     out, _ = app.sample_from_neighborhood(
         graph, batch, None, np.zeros(65, dtype=np.int64), roots, 0, rng)
@@ -213,7 +213,7 @@ def check_ladies_importance() -> CheckResult:
     graph = _skewed_graph()
     app = LADIES(step_size=64, batch_size=2)
     rng = np.random.default_rng(108)
-    transit_set = np.array([0, 1], dtype=np.int64)
+    transit_set = np.array([0, 1], dtype=VERTEX_DTYPE)
     s = 64
     transits = np.tile(transit_set, (s, 1))
     batch = SampleBatch(graph, transits)
@@ -234,7 +234,7 @@ def check_layer_multiset_uniform() -> CheckResult:
     graph = _skewed_graph()
     app = Layer(step_size=64, max_size=10 ** 6)
     rng = np.random.default_rng(109)
-    transit_set = np.array([0, 1, 13], dtype=np.int64)
+    transit_set = np.array([0, 1, 13], dtype=VERTEX_DTYPE)
     s = 64
     transits = np.tile(transit_set, (s, 1))
     batch = SampleBatch(graph, transits)

@@ -40,7 +40,7 @@ from repro.baselines import (
     VanillaTPEngine,
 )
 from repro.core.engine import NextDoorEngine
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import VERTEX_DTYPE, CSRGraph
 from repro.graph.generators import erdos_renyi_graph, rmat_graph
 from repro.verify.result import CheckResult
 from repro.verify.stats import ALPHA, chi_square_homogeneity
@@ -120,8 +120,7 @@ def canonical_batch(app: SamplingApp, batch: SampleBatch,
     for i, arr in enumerate(batch.step_vertices):
         out[f"step{i}"] = np.sort(arr, axis=1) if sort_steps else arr
     if batch.edges:
-        rows = np.concatenate([e for e in batch.edges if e.size], axis=0) \
-            if any(e.size for e in batch.edges) else np.zeros((0, 3), np.int64)
+        rows = np.concatenate(batch.edges, axis=0)
         order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
         out["edges"] = rows[order]
     return out
@@ -257,7 +256,7 @@ def _check_collective_membership(app: SamplingApp, batch: SampleBatch,
             t_row = t_row[t_row != NULL_VERTEX]
             allowed = (np.unique(np.concatenate(
                 [graph.neighbors(int(t)) for t in t_row]))
-                if t_row.size else np.zeros(0, np.int64))
+                if t_row.size else np.zeros(0, VERTEX_DTYPE))
             row = arr[s]
             row = row[row != NULL_VERTEX]
             if row.size and not np.isin(row, allowed).all():

@@ -80,7 +80,8 @@ def _golden_graph(weighted: bool) -> CSRGraph:
 
 def _digest(arr: np.ndarray) -> str:
     h = hashlib.sha256()
-    arr = np.ascontiguousarray(arr)
+    arr = np.ascontiguousarray(arr, np.int64 if arr.dtype.kind == "i"
+                               else arr.dtype)   # fixtures pin values
     h.update(str(arr.shape).encode())
     h.update(str(arr.dtype).encode())
     h.update(arr.tobytes())

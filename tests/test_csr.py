@@ -173,9 +173,10 @@ class TestAccessors:
         assert list(g.non_isolated_vertices()) == [0, 1]
 
     def test_memory_bytes_counts_arrays(self, tiny_graph, tiny_weighted):
+        # The model's 8-byte words, whatever width ids are stored at.
         base = tiny_graph.memory_bytes()
-        assert base == (tiny_graph.indptr.nbytes
-                        + tiny_graph.indices.nbytes)
+        assert base == 8 * (tiny_graph.indptr.size
+                            + tiny_graph.indices.size)
         assert tiny_weighted.memory_bytes() == base + tiny_weighted.weights.nbytes
 
     def test_repr(self, tiny_graph):

@@ -136,9 +136,10 @@ def _reference_record_step_edges(self, graph, batch, transits,
     live = (t_rep != NULL_VERTEX) & (v_rep != NULL_VERTEX)
     t_rep, v_rep, s_rep = t_rep[live], v_rep[live], s_rep[live]
     if t_rep.size == 0:
-        return np.zeros((0, 3), dtype=np.int64)
+        return np.zeros((0, 3), dtype=np.int32)
     exists = graph.has_edges(t_rep, v_rep)
-    return np.stack([s_rep[exists], t_rep[exists], v_rep[exists]], axis=1)
+    return np.stack([s_rep[exists], t_rep[exists], v_rep[exists]],
+                    axis=1).astype(np.int32)
 
 
 def _reference_dedupe_and_topup(app, graph, transits, new_vertices, step,

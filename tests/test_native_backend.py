@@ -205,7 +205,7 @@ def _edge_case_step(num_samples=7, t_width=5, v_width=6):
         transits[0, :3] = [5, 38, 5]        # self-loop, zero degree, twice
         new[0, :3] = [5, 9, 5]              # repeated within the row
         transits[2], new[3] = NULL_VERTEX, NULL_VERTEX   # all-NULL rows
-    return transits, new
+    return transits.astype(np.int32), new.astype(np.int32)
 
 
 @pytest.mark.parametrize("backend_name", COMPILED)
@@ -237,7 +237,7 @@ class TestKernelMicroParity:
             g = g.with_random_weights(seed=seed)
         transits = rng.integers(-1, 40, size=k)
         rows = rng.permutation(k + 37)[:k]
-        dest = rng.integers(0, 10**9, size=(k + 37, m))
+        dest = rng.integers(0, 10**9, size=(k + 37, m)).astype(np.int32)
         return g, transits, rows, dest
 
     @staticmethod
@@ -359,18 +359,19 @@ class TestKernelMicroParity:
 
     def test_fill_hooks_decline_layouts_c_cannot_write(self, backend,
                                                        monkeypatch):
-        """A destination C cannot write as it is — int32, strided,
+        """A destination C cannot write as it is — int64, strided,
         transposed, read-only — or strided ``rows``: the hook declines
         before drawing and numpy's assignment lands the picks."""
         from repro.api.apps._kernels import uniform_neighbors
         g, transits, rows, dest = self._fill_case("uniform_neighbors",
                                                   20, 3, 29)
-        wide = np.random.default_rng(29).integers(0, 1000, size=(57, 6))
+        wide = np.random.default_rng(29).integers(0, 1000, size=(57, 6),
+                                                  dtype=np.int32)
         read_only = dest.copy()
         read_only.flags.writeable = False
         every_other = np.random.default_rng(2).permutation(57)[:40]
         for out, rows_ in (
-                (dest.astype(np.int32), rows),                 # int32
+                (dest.astype(np.int64), rows),                 # int64
                 (wide[:, ::2], rows),                          # strided
                 (np.ascontiguousarray(dest.T).T, rows),        # transposed
                 (read_only, rows),                             # read-only
@@ -408,7 +409,7 @@ class TestKernelMicroParity:
         rows = rng.permutation(nrows)
         cuts = np.linspace(0, nrows, 4 * nthreads + 1).astype(int)
         chunks = list(zip(cuts[:-1], cuts[1:]))
-        want = np.zeros((nrows, m), dtype=np.int64)
+        want = np.zeros((nrows, m), dtype=np.int32)
         for c, (lo, hi) in enumerate(chunks):
             self._numpy_into("uniform_neighbors", g, transits[lo:hi], m,
                              np.random.default_rng(c), want, rows[lo:hi])
@@ -450,7 +451,7 @@ class TestKernelMicroParity:
 
     def test_dedupe_rows_matches_numpy(self, backend):
         rows = np.array([[4, 4, 5, 4], [1, 2, 3, 1], [7, 7, 7, 7]],
-                        dtype=np.int64)
+                        dtype=np.int32)
         deduped, dups = backend.dedupe_rows(rows)
         from repro.api.types import NULL_VERTEX as N
         assert dups == 2 + 1 + 3
@@ -543,7 +544,7 @@ class TestKernelMicroParity:
         graph = rmat_graph(64, 256, seed=11)
         hub = int(np.argmax(graph.degrees_array))
         transits = np.array([[hub] * 4, [5, NULL_VERTEX, 12, 63],
-                             [3, 3, 17, 60]], dtype=np.int64)
+                             [3, 3, 17, 60]], dtype=np.int32)
         u = np.random.default_rng(2).random((3, 6))
         u[0, :5] = [0.25, 0.5, 1.0, np.nextafter(1.0, 2.0), 0.0]
         u[1, :2] = [1.0, np.nextafter(1.0, 2.0)]
@@ -568,13 +569,13 @@ class TestKernelMicroParity:
     def test_collective_hooks_decline_unfit_arrays(self, backend):
         graph = _edge_case_graph()
         transits, new = _edge_case_step()
-        assert backend.edge_hits(graph, transits.astype(np.int32), new,
+        assert backend.edge_hits(graph, transits.astype(np.int64), new,
                                  4) is None
         assert backend.edge_hits(graph, transits, new[:, ::2], 4) is None
         ecs, _ = LADIES()._edge_importance(graph)
         mass = np.array([2.0, 5.0, 9.0])
         lo, hi = np.array([0]), np.array([3])
-        pair_t = np.array([1, 2, 3])
+        pair_t = np.array([1, 2, 3], dtype=np.int32)
         draws = np.array([[1.0, 6.0]])
         assert backend.two_level_pick(graph, ecs, mass, lo, hi, pair_t,
                                       draws) is not None

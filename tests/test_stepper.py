@@ -249,15 +249,17 @@ class TestChunkedAssembly:
         ctx = ExecutionContext(5, workers=0)
         app, batch, transits, tmap = self._khop_step(
             medium_graph, ctx, 8192, m=10)
+        # The step's inputs, derived before the trace: not its memory.
+        sample_ids, cols = tmap.sample_ids, tmap.cols
         tracemalloc.start()
         try:
             out, _ = stepper.run_individual_step(
                 app, medium_graph, batch, transits, 1, ctx,
-                tmap.sample_ids, tmap.cols, tmap.transit_vals)
+                sample_ids, cols, tmap.transit_vals)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out.nbytes == 8192 * 40 * 8
+        assert out.nbytes == 8192 * 40 * 4     # int32 vertex ids
         assert peak < 1.5 * out.nbytes
 
 

