@@ -157,19 +157,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify",
                        help="run the verification suites (statistical, "
-                            "differential, golden, fuzz, chaos, "
-                            "native-backend parity, serving)")
+                            "differential, golden, fuzz, identity "
+                            "lattice)")
     p.add_argument("--suite", default="all", metavar="NAME",
                    help="which suite to run (default: all; see --list)")
     p.add_argument("--list", action="store_true", dest="list_suites",
                    help="list the registered suites and their check "
                         "counts, then exit")
     p.add_argument("--workers", type=int, default=None,
-                   help="sampling threads (default 0 = the calling "
-                        "thread only; samples are identical either way)")
+                   help="sampling threads of the diff, golden and fuzz "
+                        "suites (default 0 = the calling thread only); "
+                        "identity runs 0 and 2 itself, stat ignores it")
     p.add_argument("--seed", type=int, default=0,
-                   help="sweep seed for the diff/fuzz suites (stat and "
-                        "golden checks pin their own seeds)")
+                   help="sweep seed for the diff and fuzz suites (the "
+                        "others pin their own seeds)")
     p.add_argument("--regen", action="store_true",
                    help="regenerate the golden fixtures from the "
                         "current implementation instead of checking "

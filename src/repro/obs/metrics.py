@@ -316,8 +316,8 @@ class MetricsRegistry:
 def scalar_of(value: Any) -> float:
     """Collapse one :meth:`MetricsRegistry.snapshot` value to a float:
     histogram summaries give their observation count, labeled families
-    sum across their series.  The delta-assertion helper the chaos
-    suite and resilience tests share."""
+    sum across their series.  The ledger reads its runtime counters
+    through it."""
     if isinstance(value, dict):
         if set(value) == {"series"}:
             return sum(scalar_of(v) for v in value["series"].values())

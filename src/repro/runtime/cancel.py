@@ -19,8 +19,8 @@ Determinism note: cancellation *aborts* a run — it never changes the
 samples of a run that completes.  A run that races its deadline and
 wins returns bitwise-identical samples to an undeadlined run; one that
 loses raises and returns nothing.  The ``trip_after_checks`` test hook
-makes the mid-run trip deterministic for the ``serve`` verify suite
-(wall-clock deadlines are inherently racy in tests).
+makes the mid-run trip deterministic for the identity lattice's cancel
+cells (wall-clock deadlines are inherently racy in tests).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class CancelScope:
         deadline).
     trip_after_checks:
         Deterministic test hook: trip the scope on the Nth
-        :meth:`check` call regardless of the clock, so chaos tests can
+        :meth:`check` call regardless of the clock, so a test can
         cancel *mid-run* without racing wall time.  None = disabled.
     """
 

@@ -5,10 +5,10 @@ chunk — is exercisable on demand through a *fault plan*: a small spec
 string parsed once (the CLI's ``--fault-plan``, the daemon's
 ``fault_plan`` test hook) and carried on ``engine.fault_plan``.  Plans
 are deterministic by construction: a fault fires when its trigger
-matches, never from wall-clock or randomness, so a chaos run is
+matches, never from wall-clock or randomness, so a faulted run is
 exactly reproducible, and running the same request again without the
-plan must give the fault-free batch bit for bit (``repro verify
---suite chaos``).
+plan must give the fault-free batch bit for bit (the identity
+lattice's ``chunk-error`` cells, ``repro verify --suite identity``).
 
 Grammar (see ``docs/RESILIENCE.md``)::
 

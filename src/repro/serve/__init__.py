@@ -6,6 +6,6 @@ concurrent sampling requests arrive over local HTTP, pass a bounded
 admission gate with explicit backpressure, run on warm graphs under
 per-request deadlines, and return samples
 that are **bitwise-identical** to a direct ``repro sample`` run with
-the same ``(app, graph, seed)`` — asserted by
-``repro verify --suite serve``.  See ``docs/SERVING.md``.
+the same ``(app, graph, seed)`` — the identity lattice's served cells
+(``repro verify --suite identity``).  See ``docs/SERVING.md``.
 """

@@ -40,7 +40,7 @@ client can assert bitwise identity against a direct run; each is encoded
 once and spliced unscanned into the ``json.dumps`` bytes
 (:func:`response_body`).  The ``digest`` field is a SHA-256 over every
 array's shape/dtype/bytes (:func:`batch_digest`), the same digest the
-chaos/serve suites use.
+identity lattice holds every configuration to.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ def response_body(response: Dict[str, Any]) -> bytes:
 
 def batch_digest(batch) -> str:
     """SHA-256 over every array a batch exposes (shape + dtype +
-    bytes); the identity the serve/chaos verify suites assert."""
+    bytes); the identity ``repro verify --suite identity`` asserts."""
     h = hashlib.sha256()
     for arr in [batch.roots, *batch.step_vertices, *batch.edges]:
         a = np.ascontiguousarray(arr)

@@ -19,7 +19,7 @@ request::
 ``--executors`` is the gate's slot count: how many requests run the
 engine at once.
 
-Robustness properties, each asserted by ``repro verify --suite serve``:
+Robustness properties (``tests/test_serve.py``, ``--suite identity``):
 
 * the waiting room is bounded — saturation produces explicit 429s
   with an honest ``Retry-After``, never unbounded queueing;

@@ -1,48 +1,38 @@
 """Statistical & differential verification of the sampling system.
 
-Three tiers of correctness evidence, each a suite runnable from
-``repro verify`` (and from pytest via :mod:`tests.test_verify_*`):
+Five suites, each runnable from ``repro verify`` (``--list`` counts
+their checks) and from pytest:
 
 ``stat``
     Chi-square / KS checks of empirical transition frequencies against
     the analytic distributions the paper's ``next``/``samplingType``
-    abstraction defines: uniform neighbor choice (DeepWalk, k-hop,
-    MVS), node2vec's p/q-biased second-order transitions, PPR's
-    geometric termination, FastGCN's global and LADIES' layer-dependent
-    importance weights, layer sampling's combined-multiset uniformity.
-
+    abstraction defines, per app family.
 ``diff``
-    Cross-engine oracle: NextDoor, SP, vanilla TP, and the reference
-    GNN samplers run the same (app, graph, seed) and their
-    ``SampleBatch`` outputs are diffed canonically — exact order for
-    walks, sorted-per-sample where the API leaves order unspecified —
-    plus structural invariants (every walk hop is a graph edge, k-hop
-    vertices come from their transit's adjacency, unique steps hold).
-
+    Structural invariants (walk hops are edges, k-hop vertices come
+    from their transit's adjacency, unique steps hold) and the
+    reference ``next`` path against NextDoor in distribution.
 ``golden``
-    Committed regression fixtures pinning sampler outputs (content
-    hashes) and modeled charges; ``repro verify --suite golden
-    --regen`` regenerates them after an intentional change.
-
+    Committed fixtures pinning sample hashes and modeled charges
+    (``repro verify --suite golden --regen`` after an intended change).
 ``fuzz``
-    Randomized apps and graphs (including degenerate ones: empty,
-    single-vertex, self-loops, isolated vertices, star/path extremes)
-    pushed through the ``next``/``steps``/``sampleSize``/``unique``
-    API; reference and vectorised paths must agree bitwise.
+    Randomized and degenerate apps and graphs through the API.
+``identity``
+    The identity lattice (:mod:`repro.verify.identity`): every backend,
+    thread count, engine, device count and the served path give one
+    reference run's bits and price, also after a failed run.
 
-Every check is deterministic: seeds, sample counts, and significance
-thresholds are fixed so a check either always passes or always fails.
-See ``docs/TESTING.md`` for how the thresholds were chosen.
+Every check is deterministic (fixed seeds, sizes and thresholds), so
+it always passes or always fails; see ``docs/TESTING.md``.
 """
 
 from repro.verify.runner import (
     CheckResult,
-    SUITE_INFO,
     SUITE_NAMES,
+    check_count,
     format_report,
     format_suite_list,
     run_suites,
 )
 
-__all__ = ["CheckResult", "SUITE_INFO", "SUITE_NAMES", "format_report",
+__all__ = ["CheckResult", "SUITE_NAMES", "check_count", "format_report",
            "format_suite_list", "run_suites"]

@@ -1,25 +1,18 @@
-"""Cross-engine differential testing.
+"""Differential testing against the reference ``next`` path.
 
-Every engine prices the same *functional* samples under a different
-execution model, so for one ``(app, graph, seed)`` the engines must
-agree, at two strengths.  **Exact tier** — every engine class
-(NextDoor, SP, vanilla TP, the reference GNN samplers, KnightKing)
-runs every step in one schedule, so their canonicalised
-``SampleBatch`` outputs must be bitwise identical: walks and k-hop
-keep their order (the sequence *is* the sample), collective
-selections are sorted per sample per step (the API leaves within-step
-order unspecified) and recorded adjacency rows lexicographically.
-**Consistency tier** — the reference ``next`` path (``NextDoor-ref``)
-consumes the chunked RNG plan per vertex, so the suite demands
-identical roots and shapes, the structural invariants below, and a
-chi-square homogeneity test of its pooled vertex-visit histogram
-against the exact tier's.
+Every engine class samples the same bits (:mod:`repro.verify.identity`
+checks that over its lattice), so what is left to diff here is the one
+path that consumes the chunked RNG plan in another pair order: the
+reference ``next`` loops (``NextDoor-ref``, :func:`reference_view`).
+For one ``(app, graph, seed)`` the suite demands identical roots and
+shapes, the structural invariants below, and a chi-square homogeneity
+test of its pooled vertex-visit histogram against NextDoor's.
 
-Independently of engine agreement, structural invariants act as an
-oracle that does not share code with the samplers: every walk hop must
-be a graph edge, every k-hop vertex must come from its transit's
-adjacency list, every collectively-selected vertex must lie in the
-combined neighborhood, and ``unique`` steps must contain no duplicate.
+The structural invariants act as an oracle that does not share code
+with the samplers: every walk hop must be a graph edge, every k-hop
+vertex must come from its transit's adjacency list, every
+collectively-selected vertex must lie in the combined neighborhood,
+and ``unique`` steps must contain no duplicate.
 """
 
 from __future__ import annotations
@@ -33,27 +26,15 @@ from repro.api.app import SamplingApp
 from repro.api.apps import MVS, PPR, DeepWalk, FastGCN, KHop, LADIES, Layer, MultiRW, Node2Vec
 from repro.api.sample import SampleBatch
 from repro.api.types import INF_STEPS, NULL_VERTEX, SamplingType
-from repro.baselines import (
-    KnightKingEngine,
-    ReferenceSamplerEngine,
-    SampleParallelEngine,
-    VanillaTPEngine,
-)
 from repro.core.engine import NextDoorEngine
 from repro.graph.csr import VERTEX_DTYPE, CSRGraph
 from repro.graph.generators import erdos_renyi_graph, rmat_graph
 from repro.verify.result import CheckResult
 from repro.verify.stats import ALPHA, chi_square_homogeneity
 
-__all__ = [
-    "DIFF_APPS",
-    "canonical_batch",
-    "check_invariants",
-    "diff_batches",
-    "differential_case",
-    "reference_view",
-    "run_differential_checks",
-]
+__all__ = ["DIFF_APPS", "DIFF_GRAPHS", "canonical_batch", "check_invariants",
+           "diff_batches", "differential_case", "reference_problems",
+           "reference_view", "run_differential_checks"]
 
 #: Small-parameter app factories for differential runs (paper-shaped,
 #: sized for seconds not minutes).
@@ -75,23 +56,14 @@ DIFF_APPS: Dict[str, Callable[[], SamplingApp]] = {
 _ORDER_UNSPECIFIED = {"FastGCN", "LADIES", "Layer"}
 
 
-def diff_graphs(seed: int = 0) -> List[CSRGraph]:
-    """The randomized graph pool a differential sweep runs on."""
-    return [
-        rmat_graph(256, 1024, seed=seed + 1, name=f"rmat256s{seed}"),
-        erdos_renyi_graph(128, 768, seed=seed + 2,
-                          name=f"er128s{seed}").with_random_weights(
-                              seed=seed + 3),
-    ]
-
-
-def _exact_engines(workers: Optional[int]):
-    """Every engine class: one schedule, bitwise-identical output."""
-    yield "NextDoor", NextDoorEngine(workers=workers)
-    yield "SP", SampleParallelEngine(workers=workers)
-    yield "TP", VanillaTPEngine(workers=workers)
-    yield "Reference", ReferenceSamplerEngine(workers=workers)
-    yield "KnightKing", KnightKingEngine(workers=workers)
+#: The randomized graph pool a differential sweep runs on, by seed.
+DIFF_GRAPHS: Tuple[Callable[[int], CSRGraph], ...] = (
+    lambda seed: rmat_graph(256, 1024, seed=seed + 1,
+                            name=f"rmat256s{seed}"),
+    lambda seed: erdos_renyi_graph(128, 768, seed=seed + 2,
+                                   name=f"er128s{seed}").with_random_weights(
+                                       seed=seed + 3),
+)
 
 
 def reference_view(app: SamplingApp) -> SamplingApp:
@@ -282,58 +254,44 @@ def _visit_histogram(batch: SampleBatch, graph: CSRGraph) -> np.ndarray:
     return counts
 
 
+def reference_problems(app: SamplingApp, graph: CSRGraph,
+                       batch: SampleBatch, ref: SampleBatch) -> List[str]:
+    """The reference ``next`` path's batch ``ref`` against ``batch``:
+    the same roots and step shapes, and structurally sound."""
+    problems = [] if np.array_equal(ref.roots, batch.roots) else [
+        "roots differ"]
+    shapes = [a.shape for a in ref.step_vertices]
+    if app.steps() != INF_STEPS and shapes != [
+            a.shape for a in batch.step_vertices]:
+        problems.append(f"step shapes {shapes} differ")
+    return problems + check_invariants(app, ref, graph)
+
+
 def differential_case(app_name: str, graph: CSRGraph, seed: int,
                       num_samples: int = 48,
                       workers: Optional[int] = None) -> CheckResult:
-    """Run every engine on one (app, graph, seed) and diff outputs."""
+    """NextDoor's run of one (app, graph, seed) against the invariants,
+    and the reference ``next`` path's run against NextDoor's."""
     factory = DIFF_APPS[app_name]
-    family = _family(factory())
-    problems: List[str] = []
-    reference: Optional[Dict[str, np.ndarray]] = None
-    ref_batch: Optional[SampleBatch] = None
-    engines_run = 0
-    for engine_name, engine in _exact_engines(workers):
-        app = factory()
-        try:
-            result = engine.run(app, graph, num_samples=num_samples,
-                                seed=seed)
-        except ValueError:
-            continue  # engine restricts this app class (KnightKing)
-        engines_run += 1
-        canon = canonical_batch(app, result.batch)
-        if reference is None:
-            reference, ref_batch = canon, result.batch
-            problems += [f"{engine_name}: {p}"
-                         for p in check_invariants(app, result.batch,
-                                                   graph)]
-        else:
-            problems += [f"{engine_name} vs NextDoor: {d}"
-                         for d in diff_batches(reference, canon)]
-    # Consistency tier: the reference ``next`` loops, per vertex.
     app = factory()
     batch = NextDoorEngine(workers=workers).run(
-        reference_view(app), graph, num_samples=num_samples,
+        app, graph, num_samples=num_samples, seed=seed).batch
+    ref = NextDoorEngine(workers=workers).run(
+        reference_view(factory()), graph, num_samples=num_samples,
         seed=seed).batch
-    engines_run += 1
-    if not np.array_equal(batch.roots, ref_batch.roots):
-        problems.append("NextDoor-ref: roots differ")
-    shapes = [a.shape for a in batch.step_vertices]
-    ref_shapes = [a.shape for a in ref_batch.step_vertices]
-    if app.steps() != INF_STEPS and shapes != ref_shapes:
-        problems.append(f"NextDoor-ref: step shapes {shapes} vs "
-                        f"{ref_shapes}")
+    problems = [f"NextDoor: {p}" for p in check_invariants(app, batch, graph)]
     problems += [f"NextDoor-ref: {p}"
-                 for p in check_invariants(app, batch, graph)]
-    _, pvalue = chi_square_homogeneity(_visit_histogram(batch, graph),
-                                       _visit_histogram(ref_batch, graph))
+                 for p in reference_problems(app, graph, batch, ref)]
+    _, pvalue = chi_square_homogeneity(_visit_histogram(ref, graph),
+                                       _visit_histogram(batch, graph))
     if pvalue < ALPHA:
         problems.append("NextDoor-ref: visit histogram diverges "
                         f"from NextDoor (p={pvalue:.3g})")
     return CheckResult(
         name=f"{app_name}@{graph.name}/seed{seed}", suite="diff",
-        family=family, passed=not problems,
+        family=_family(app), passed=not problems,
         detail="; ".join(problems[:4]) if problems
-        else f"{engines_run} engines agree")
+        else "reference next path agrees")
 
 
 def _family(app: SamplingApp) -> str:
@@ -346,7 +304,7 @@ def run_differential_checks(workers: Optional[int] = None,
                             seed: int = 0) -> List[CheckResult]:
     """The full differential sweep: every app × randomized graphs."""
     results = []
-    for graph in diff_graphs(seed):
+    for graph in (make(seed) for make in DIFF_GRAPHS):
         for app_name in DIFF_APPS:
             results.append(differential_case(app_name, graph,
                                              seed=seed + 7,

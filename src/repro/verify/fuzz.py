@@ -34,21 +34,20 @@ import numpy as np
 
 from repro.api.app import SamplingApp
 from repro.api.apps import PPR, DeepWalk, KHop, LADIES, Layer, Node2Vec
-from repro.api.types import INF_STEPS, NULL_VERTEX
+from repro.api.types import NULL_VERTEX
 from repro.core.engine import NextDoorEngine
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi_graph, rmat_graph
-from repro.verify.differential import check_invariants, reference_view
+from repro.verify.differential import (canonical_batch, check_invariants,
+                                       diff_batches, reference_problems,
+                                       reference_view)
 from repro.verify.result import CheckResult
 
-__all__ = [
-    "RandomApp",
-    "degenerate_graphs",
-    "fuzz_case",
-    "random_app",
-    "random_graph",
-    "run_fuzz_checks",
-]
+__all__ = ["RandomApp", "degenerate_graphs", "fuzz_case", "random_app",
+           "random_graph", "run_fuzz_checks"]
+
+#: Random (app, graph) cases a sweep adds to the degenerate graphs.
+FUZZ_CASES = 24
 
 
 def degenerate_graphs() -> Dict[str, CSRGraph]:
@@ -176,25 +175,15 @@ def fuzz_case(app: SamplingApp, graph: CSRGraph, seed: int,
         app, graph, num_samples=num_samples, seed=seed)
     pooled = NextDoorEngine(workers=2).run(
         app, graph, num_samples=num_samples, seed=seed)
+    canon = canonical_batch(app, vec.batch, sort_steps=False)
     for label, other in (("re-run", again), ("workers=2", pooled)):
-        if len(vec.batch.step_vertices) != len(other.batch.step_vertices):
-            problems.append(f"{label}: step count differs")
-            continue
-        for i, (a, b) in enumerate(zip(vec.batch.step_vertices,
-                                       other.batch.step_vertices)):
-            if not np.array_equal(a, b):
-                problems.append(f"{label}: step{i} differs")
+        problems += [f"{label}: {d}" for d in diff_batches(
+            canon, canonical_batch(app, other.batch, sort_steps=False))]
     ref = NextDoorEngine(workers=workers).run(
         reference_view(app), graph, num_samples=num_samples, seed=seed)
-    if not np.array_equal(ref.batch.roots, vec.batch.roots):
-        problems.append("reference path: roots differ")
-    if ([a.shape for a in ref.batch.step_vertices]
-            != [a.shape for a in vec.batch.step_vertices]
-            and app.steps() != INF_STEPS):
-        problems.append("reference path: step shapes differ")
     problems += check_invariants(app, vec.batch, graph)
-    problems += [f"reference path: {p}"
-                 for p in check_invariants(app, ref.batch, graph)]
+    problems += [f"reference path: {p}" for p in reference_problems(
+        app, graph, vec.batch, ref.batch)]
     return CheckResult(name=name, suite="fuzz", family="api",
                        passed=not problems,
                        detail="; ".join(problems[:4]) if problems
@@ -202,7 +191,7 @@ def fuzz_case(app: SamplingApp, graph: CSRGraph, seed: int,
 
 
 def run_fuzz_checks(workers: Optional[int] = None, seed: int = 0,
-                    cases: int = 24) -> List[CheckResult]:
+                    cases: int = FUZZ_CASES) -> List[CheckResult]:
     """A seeded fuzz sweep: degenerate fixtures first, then random
     (app, graph) pairs."""
     rng = np.random.default_rng(seed + 20240806)

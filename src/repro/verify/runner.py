@@ -2,87 +2,55 @@
 
 from __future__ import annotations
 
+import importlib
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench import format_table
 from repro.verify.result import CheckResult
 
-__all__ = ["SUITE_NAMES", "SUITE_INFO", "CheckResult", "format_report",
+__all__ = ["SUITE_NAMES", "CheckResult", "check_count", "format_report",
            "format_suite_list", "run_suites"]
 
-
-def _stat(workers, seed):
-    from repro.verify.analytic import run_statistical_checks
-    return run_statistical_checks(workers=workers, seed=seed)
-
-
-def _diff(workers, seed):
-    from repro.verify.differential import run_differential_checks
-    return run_differential_checks(workers=workers, seed=seed)
-
-
-def _golden(workers, seed):
-    from repro.verify.golden import run_golden_checks
-    return run_golden_checks(workers=workers, seed=seed)
-
-
-def _fuzz(workers, seed):
-    from repro.verify.fuzz import run_fuzz_checks
-    return run_fuzz_checks(workers=workers, seed=seed)
-
-
-def _chaos(workers, seed):
-    from repro.verify.chaos import run_chaos_checks
-    return run_chaos_checks(workers=workers, seed=seed)
-
-
-def _native(workers, seed):
-    from repro.verify.native import run_native_checks
-    return run_native_checks(workers=workers, seed=seed)
-
-
-def _serve(workers, seed):
-    from repro.verify.serve import run_serve_checks
-    return run_serve_checks(workers=workers, seed=seed)
-
-
-#: suite name -> runner(workers, seed) -> [CheckResult]
-SUITES: Dict[str, Callable[[Optional[int], int], List[CheckResult]]] = {
-    "stat": _stat,
-    "diff": _diff,
-    "golden": _golden,
-    "fuzz": _fuzz,
-    "chaos": _chaos,
-    "native": _native,
-    "serve": _serve,
+#: suite name -> (module, runner(workers, seed), check count read from
+#: the module's own case tables).  ``--list`` describes a suite by the
+#: first line of its module's docstring.
+SUITES: Dict[str, Tuple] = {
+    "stat": ("analytic", "run_statistical_checks",
+             lambda m: len(m.STAT_CHECKS)),
+    "diff": ("differential", "run_differential_checks",
+             lambda m: len(m.DIFF_GRAPHS) * len(m.DIFF_APPS)),
+    "golden": ("golden", "run_golden_checks",
+               lambda m: len(m.GOLDEN_CASES)),
+    "fuzz": ("fuzz", "run_fuzz_checks",
+             lambda m: len(m.degenerate_graphs()) + m.FUZZ_CASES),
+    "identity": ("identity", "run_identity_checks",
+                 lambda m: m.check_count()),
 }
 
 SUITE_NAMES: Tuple[str, ...] = tuple(SUITES)
 
-#: suite name -> (check count, one-line description) for
-#: ``repro verify --list``.  Counts are declared, not discovered (a
-#: listing must not run the suites); ``run_suites`` fails a suite that
-#: ran another number, and each suite's tests pin its count.
-SUITE_INFO: Dict[str, Tuple[int, str]] = {
-    "stat": (9, "analytic distribution checks per app family"),
-    "diff": (20, "reference-vs-engine differential sweeps"),
-    "golden": (10, "pinned golden sample fixtures"),
-    "fuzz": (31, "randomized graph/app property fuzzing"),
-    "chaos": (2, "a chunk error fails the run; a re-run is identical"),
-    "native": (16, "compiled-backend sampling parity"),
-    "serve": (7, "daemon-vs-direct identity, backpressure, drain"),
-}
+
+def _module(name: str):
+    return importlib.import_module(f"repro.verify.{SUITES[name][0]}")
+
+
+def check_count(name: str) -> int:
+    """How many checks suite ``name`` makes, from its case tables (no
+    sampling)."""
+    return SUITES[name][2](_module(name))
 
 
 def format_suite_list() -> str:
     """The ``repro verify --list`` table: every registered suite, its
-    declared check count, and what it covers."""
-    rows = [[name, str(SUITE_INFO[name][0]), SUITE_INFO[name][1]]
+    check count, and what it covers."""
+    counts = {name: check_count(name) for name in SUITE_NAMES}
+    rows = [[name, str(counts[name]),
+             _module(name).__doc__.splitlines()[0].replace("``", "")]
             for name in SUITE_NAMES]
-    total = sum(SUITE_INFO[name][0] for name in SUITE_NAMES)
     table = format_table(["suite", "checks", "covers"], rows)
-    return (f"{table}\n{len(SUITE_NAMES)} suites, {total} checks "
+    return (f"{table}\n{len(SUITE_NAMES)} suites, "
+            f"{sum(counts.values())} checks "
             f"(run one with `repro verify --suite <name>`)")
 
 
@@ -91,7 +59,7 @@ def run_suites(names: Optional[Sequence[str]] = None,
                seed: int = 0) -> Tuple[List[CheckResult], bool]:
     """Run the named suites (all by default); returns the results and
     whether every check passed.  A suite that ran another number of
-    checks than ``SUITE_INFO`` declares adds one failed check."""
+    checks than its case tables hold adds one failed check."""
     if names is None:
         names = SUITE_NAMES
     results: List[CheckResult] = []
@@ -100,14 +68,14 @@ def run_suites(names: Optional[Sequence[str]] = None,
             raise ValueError(
                 f"unknown suite {name!r}; choose from "
                 f"{', '.join(SUITE_NAMES)}")
-        ran = SUITES[name](workers, seed)
-        declared = SUITE_INFO[name][0]
+        ran = getattr(_module(name), SUITES[name][1])(workers, seed)
+        declared = check_count(name)
         results.extend(ran)
         if len(ran) != declared:
             results.append(CheckResult(
                 name="declared_check_count", suite=name, family="registry",
                 passed=False, statistic=len(ran),
-                detail=f"ran {len(ran)} checks, SUITE_INFO declares "
+                detail=f"ran {len(ran)} checks, its case tables hold "
                        f"{declared}"))
     return results, all(r.passed for r in results)
 

@@ -1,25 +1,30 @@
 """Inputs that must span chunks do, at the current chunk constant.
 
-The chaos and serve verify suites aim a ``chunk-error`` fault at chunk
-1 of a step, and the native suite's pooled cases exist to run chunk
-threads.  Each sizes its input from ``CHUNK_PAIRS``; these tests run
-each suite's own app, graph and sizes, record the steps and check that
-the step in question covers at least two whole chunks.  A new chunk
-constant that leaves a suite on one chunk fails here rather than
-passing blind.
+The identity lattice (``repro.verify.identity``) aims its
+``chunk-error`` fault at chunk 1 of step 1 of every workload, and runs
+that step on chunk threads.  Each workload sizes its input from
+``CHUNK_PAIRS``; these tests run each workload's own app, graph and
+size, record the steps and check that the faulted step covers at least
+two whole chunks.  A new chunk constant that leaves a workload on one
+chunk fails here rather than passing blind.
 """
+
+import functools
 
 import pytest
 
 from repro.core import stepper
 from repro.runtime.context import ExecutionContext
 from repro.runtime.rngplan import RNGPlan
-from repro.verify import chaos, native, serve
+from repro.verify import identity
 
 
-def _records(app, graph, num_samples, seed):
-    ctx = ExecutionContext(seed, workers=0)
-    batch = stepper.init_batch(app, graph, num_samples, None,
+@functools.lru_cache(maxsize=None)
+def _records(name):
+    w = identity.WORKLOADS[name]
+    app, graph = w.app(), w.graph()
+    ctx = ExecutionContext(w.seed, workers=0)
+    batch = stepper.init_batch(app, graph, w.samples, None,
                                ctx.init_rng())
     ctx.begin_run(app, graph)
     records = []
@@ -42,25 +47,30 @@ def _fault_step(fault: str) -> int:
     return int(where.split(".")[0])
 
 
-@pytest.mark.parametrize("index", range(3), ids=["walk", "khop", "ladies"])
-def test_chaos_faulted_step_spans_two_chunks(index):
-    app = chaos._apps()[index]
-    records = _records(app, chaos._chaos_graph(), chaos._NUM_SAMPLES,
-                       chaos._SEED)
-    assert _chunks(records[_fault_step(chaos._FAULT)]) >= 2
+@pytest.mark.parametrize("workload", sorted(identity.WORKLOADS))
+def test_faulted_step_spans_two_chunks(workload):
+    assert _chunks(_records(workload)[_fault_step(identity.FAULT)]) >= 2
+
+
+#: The old chaos suite's walk, k-hop and LADIES inputs, now lattice
+#: workloads that carry the same ``chunk-error`` disturbance.
+@pytest.mark.parametrize("workload", ["deepwalk", "khop", "ladies"],
+                         ids=["walk", "khop", "ladies"])
+def test_chaos_faulted_step_spans_two_chunks(workload):
+    assert _chunks(_records(workload)[_fault_step(identity.FAULT)]) >= 2
 
 
 def test_serve_faulted_step_spans_two_chunks():
-    from repro.bench.runner import paper_app, paper_graph
-    graph = paper_graph(serve._GRAPH, "k-hop", seed=serve._SEED)
-    records = _records(paper_app("k-hop"), graph, serve._SAMPLES,
-                       serve._SEED)
-    assert _chunks(records[_fault_step(serve._FAULT)]) >= 2
+    served = [name for name, w in identity.WORKLOADS.items() if w.served]
+    assert served
+    for name in served:
+        assert _chunks(_records(name)[_fault_step(identity.FAULT)]) >= 2
 
 
-@pytest.mark.parametrize("case", sorted(native.POOLED_CASES))
-def test_native_pooled_case_spans_two_chunks(case):
-    factory, weighted, num_samples = native.POOLED_CASES[case]
-    records = _records(factory(), native.pooled_graph(weighted),
-                       num_samples, native._POOLED_SEED)
-    assert max(_chunks(r) for r in records) >= 2
+#: The old native suite's pooled cases, now the lattice workloads that
+#: run the same kernels on two chunk threads.
+@pytest.mark.parametrize("workload", ["deepwalk", "khop_unique", "ladies"],
+                         ids=["deepwalk_pooled", "khop_pooled",
+                              "ladies_pooled"])
+def test_native_pooled_case_spans_two_chunks(workload):
+    assert max(_chunks(r) for r in _records(workload)) >= 2

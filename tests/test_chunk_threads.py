@@ -8,7 +8,9 @@ numpy releases it inside its array loops.  Under test, under each
 backend: the threaded run is the serial run bit for bit, a failing or
 cancelled chunk surfaces in the caller only once every thread has
 stopped, concurrent runs cannot see each other, un-picklable apps run
-threaded, and ``/dev/shm`` is never touched.  A collective step is not
+threaded, and ``/dev/shm`` is never touched.  The threaded run's
+identity is the lattice's oracle (``repro.verify.identity``) at small
+chunk sizes and 1-3 threads.  A collective step is not
 dispatched: its chunks, and the one edge-recording call, stay on the
 calling thread.
 
@@ -33,6 +35,7 @@ from repro.obs import get_metrics
 from repro.runtime import shm
 from repro.runtime.cancel import CancelledRun, CancelScope
 from repro.serve.protocol import batch_digest
+from repro.verify.identity import Cell, Workload, check_cell
 
 SAMPLES = 250
 
@@ -90,14 +93,17 @@ class TestIdentity:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(APPS))
     def test_threaded_run_is_the_serial_run(self, medium_weighted, name,
-                                            workers, chunk, set_chunk):
+                                            workers, chunk, set_chunk,
+                                            chunk_backend):
+        """The identity lattice's cell at this chunk size and thread
+        count: the numpy serial run's digest and price."""
         set_chunk(chunk)
-        serial = _run(APPS[name](), medium_weighted, 0)
+        workload = Workload(APPS[name], lambda: medium_weighted, SAMPLES,
+                            seed=11)
+        cell = Cell(name, chunk_backend.name, workers, "direct", True,
+                    "none", "NextDoorEngine", 1)
         before = _counter("runtime.chunks_pooled")
-        threaded = _run(APPS[name](), medium_weighted, workers)
-        assert batch_digest(threaded.batch) == batch_digest(serial.batch)
-        assert repr(threaded.seconds) == repr(serial.seconds)
-        assert threaded.breakdown == serial.breakdown
+        assert check_cell(cell, {name: workload}) == []
         pooled = _counter("runtime.chunks_pooled") - before
         if name in COLLECTIVE:
             assert pooled == 0  # collective: chunked on the caller

@@ -432,13 +432,18 @@ class TestVerify:
             assert name in out
 
     def test_verify_list_enumerates_suites(self):
+        """Each suite's count comes from its case tables: listing
+        samples nothing."""
+        from repro.obs import get_metrics
+        from repro.verify import SUITE_NAMES, check_count
+        runs = get_metrics().counter("engine.runs")
+        before = runs.value
         code, out = run_cli(["verify", "--list"])
-        assert code == 0
-        from repro.verify.runner import SUITE_INFO, SUITE_NAMES
+        assert code == 0 and runs.value == before
         for name in SUITE_NAMES:
             assert name in out
-            assert str(SUITE_INFO[name][0]) in out
-        total = sum(SUITE_INFO[n][0] for n in SUITE_NAMES)
+            assert str(check_count(name)) in out
+        total = sum(check_count(n) for n in SUITE_NAMES)
         assert f"{len(SUITE_NAMES)} suites, {total} checks" in out
 
     def test_negative_workers_rejected(self):

@@ -5,7 +5,7 @@ import pytest
 from repro.api.apps import DeepWalk
 from repro.core.engine import NextDoorEngine
 from repro.runtime.faults import FAULT_NAMES, FaultInjected, FaultPlan
-from repro.serve.protocol import batch_digest
+from repro.verify.identity import Cell, Workload, check_cell
 
 
 class TestParse:
@@ -124,15 +124,11 @@ class TestEnginePlan:
             self, medium_weighted, backend, workers, set_chunk_pairs):
         """``chunk-error`` fires inside the chunk, on the calling thread
         or a chunk thread; the run fails, and the next run of the same
-        engine is the fault-free run bit for bit."""
+        engine is the fault-free run bit for bit: the identity
+        lattice's disturbed cell, at chunks of 64 pairs."""
         set_chunk_pairs(64)
-        engine = NextDoorEngine(workers=workers)
-        app = DeepWalk(walk_length=4)
-        clean = engine.run(app, medium_weighted, num_samples=256, seed=1)
-        engine.fault_plan = FaultPlan.parse("chunk-error:2.3")
-        with pytest.raises(FaultInjected,
-                           match=r"chunk error \(step 2, chunk 3\)"):
-            engine.run(app, medium_weighted, num_samples=256, seed=1)
-        engine.fault_plan = None
-        again = engine.run(app, medium_weighted, num_samples=256, seed=1)
-        assert batch_digest(again.batch) == batch_digest(clean.batch)
+        walk = Workload(lambda: DeepWalk(walk_length=4),
+                        lambda: medium_weighted, 256, seed=1)
+        cell = Cell("walk", backend.name, workers, "direct", False,
+                    "chunk-error", "NextDoorEngine", 1)
+        assert check_cell(cell, {"walk": walk}) == []

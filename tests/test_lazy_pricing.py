@@ -4,15 +4,15 @@
 ``seconds`` / ``breakdown`` / ``metrics`` / ``metrics_by_phase`` replays
 the run's step records through the engine's own ``_charge_*`` hooks.
 Two contracts: the sampling path (run, digest, encode, save, a served
-request) never constructs a device, and the lazy replay gives exactly
-what pricing inline during the loop — the pre-lazy order, written out
-below as the oracle — gives, for every engine and configuration.  A
-third: one run priced as another engine (``priced_as``) is that
-engine's own run, and it refuses an engine whose chunk size would draw
-other samples.
+request) never constructs a device, and the price read lazily is the
+identity lattice's reference (``repro.verify.identity.check_cell``):
+one NextDoor run priced as the engine (``priced_as``) — for every
+engine, backend, worker count and device count, and after a failed
+run.  Here the lattice's oracle runs on the ten golden apps.
 """
 
 import dataclasses
+import functools
 import gc
 import json
 import sys
@@ -24,104 +24,52 @@ import pytest
 
 import repro.baselines
 from repro.api.apps import DeepWalk
-from repro.api.sample import SampleBatch
-from repro.api.types import NULL_VERTEX
 from repro.core import stepper
 from repro.core.engine import NextDoorEngine
 from repro.core.large_graph import LargeGraphNextDoor
 from repro.gpu.cpu_model import CpuDevice
 from repro.gpu.device import Device
-from repro.gpu.metrics import DeviceMetrics
 from repro.gpu.multi_gpu import MultiGPU
-from repro.native.backend import available_backends, backend_scope
+from repro.native.backend import available_backends
 from repro.obs import get_metrics
 from repro.runtime.context import ExecutionContext
-from repro.runtime.faults import FaultInjected, FaultPlan
 from repro.serve.protocol import SampleRequest, batch_digest, encode_batch
 from repro.serve.server import SamplingServer, ServerConfig
 from repro.verify.golden import GOLDEN_CASES
 from repro.verify.golden import _NUM_SAMPLES as GOLDEN_SAMPLES
-from repro.verify.golden import _golden_graph as golden_graph
+from repro.verify.golden import _golden_graph
+from repro.verify.identity import ENGINES, Cell, Workload, check_cell
 
 ALL_ENGINES = [NextDoorEngine, LargeGraphNextDoor] + [
     getattr(repro.baselines, name) for name in repro.baselines.__all__]
 
+golden_graph = functools.lru_cache()(_golden_graph)
+
+#: The ten golden apps as lattice workloads, at their golden size.
+GOLDEN = {case: Workload(factory, functools.partial(golden_graph, weighted),
+                         GOLDEN_SAMPLES, seed)
+          for case, (factory, weighted, seed) in GOLDEN_CASES.items()}
+
 
 def make_engine(engine_cls, **kwargs):
-    if engine_cls is LargeGraphNextDoor:
-        kwargs["modeled_graph_bytes"] = 1 << 34
-    return engine_cls(**kwargs)
+    return ENGINES[engine_cls.__name__](**kwargs)
 
 
-def comparable(seconds, breakdown, metrics, by_phase):
-    """Everything a pricing pass produces, in comparable form."""
-    asdict = dataclasses.asdict
-    return (repr(seconds), breakdown, metrics and asdict(metrics),
-            by_phase and {p: asdict(m) for p, m in by_phase.items()})
+def holds(case, engine_cls, backend="numpy", workers=0, devices=1,
+          priced=True, disturbance="none"):
+    """The golden ``case`` as one lattice cell: no departures."""
+    cell = Cell(case, backend, workers, "direct", priced, disturbance,
+                engine_cls.__name__, devices)
+    assert check_cell(cell, GOLDEN) == [], cell
 
 
 def priced(result):
-    return comparable(result.seconds, result.breakdown, result.metrics,
-                      result.metrics_by_phase)
-
-
-# ----------------------------------------------------------------------
-# The oracle: price each step as the loop hands it over
-# ----------------------------------------------------------------------
-
-def inline_priced(engine, app, graph, seed, num_devices=1):
-    """``engine.run`` as it was before pricing moved to first read:
-    ``_charge_step`` is the ``on_step`` callback, on device(s) built
-    before the loop — device ``d`` charged the row slice ``[lo, hi)`` of
-    each step where the slice has a live transit.  Returns ``(digest,
-    priced tuple)``."""
-    ctx = ExecutionContext(seed, workers=engine.workers)
-    batch = stepper.init_batch(app, graph, GOLDEN_SAMPLES, None,
-                               ctx.init_rng())
-    ctx.begin_run(app, graph)
-    pool = MultiGPU(num_devices, engine.spec) if num_devices > 1 else None
-    devices = pool.devices if pool else [engine._device_cls(engine.spec)]
-    bounds = np.linspace(0, batch.num_samples, num_devices + 1,
-                         dtype=np.int64)
-    shares = [SampleBatch(graph, batch.roots[lo:hi])
-              for lo, hi in zip(bounds[:-1], bounds[1:])]
-    live_steps = [[] for _ in devices]
-
-    def on_step(record):
-        for d, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            if not (record.transits[lo:hi] != NULL_VERTEX).any():
-                continue
-            share = record if pool is None else dataclasses.replace(
-                record, transits=record.transits[lo:hi], shape=None,
-                **{name: getattr(record, name)[lo:hi]
-                   for name in ("neighborhood_sizes", "unique_dups",
-                                "unique_topups")
-                   if getattr(record, name) is not None})
-            engine._charge_step(devices[d], graph, shares[d], share)
-            live_steps[d].append(record.step)
-
-    stepper.run_steps(app, graph, batch, ctx, on_step=on_step)
-    for d, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        shares[d].step_vertices = [batch.step_vertices[i][lo:hi]
-                                   for i in live_steps[d]]
-        engine._charge_output_materialisation(devices[d], app, shares[d],
-                                              len(live_steps[d]))
-    if pool is None:
-        return batch_digest(batch), comparable(
-            devices[0].elapsed_seconds, devices[0].timeline.phase_breakdown(),
-            devices[0].metrics, devices[0].metrics_by_phase)
-    pool.record_run()
-    breakdown = {}
-    for device in pool.devices:
-        for phase, secs in device.timeline.phase_breakdown().items():
-            breakdown[phase] = max(breakdown.get(phase, 0.0), secs)
-    breakdown["coordination"] = pool.coordination_seconds
-    by_phase = {}
-    for device in pool.devices:
-        for phase, metrics in device.metrics_by_phase.items():
-            by_phase.setdefault(phase, DeviceMetrics()).merge(metrics)
-    return batch_digest(batch), comparable(
-        pool.elapsed_seconds, breakdown, pool.merged_metrics(), by_phase)
+    """Everything a pricing pass produces, in comparable form."""
+    asdict = dataclasses.asdict
+    by_phase = result.metrics_by_phase
+    return (repr(result.seconds), result.breakdown,
+            result.metrics and asdict(result.metrics),
+            by_phase and {p: asdict(m) for p, m in by_phase.items()})
 
 
 class TestLazyEqualsInline:
@@ -135,65 +83,27 @@ class TestLazyEqualsInline:
         The device count prices a run and samples nothing: every GPU
         engine's batch is the same at D = 1, 2, 3, 4 and 8 (at
         ``workers=2``, checked on NextDoor alone)."""
-        devices = ((2, 3, 4, 8) if issubclass(engine_cls, NextDoorEngine)
+        devices = ((1, 2, 3, 4, 8)
+                   if issubclass(engine_cls, NextDoorEngine)
                    and (workers == 0 or engine_cls is NextDoorEngine)
-                   else ())
-        with backend_scope(backend):
-            for case, (factory, weighted, seed) in GOLDEN_CASES.items():
-                graph = golden_graph(weighted)
-                engine = make_engine(engine_cls, workers=workers)
-                try:
-                    result = engine.run(factory(), graph,
-                                        num_samples=GOLDEN_SAMPLES,
-                                        seed=seed)
-                except ValueError:
-                    assert engine_cls is repro.baselines.KnightKingEngine
-                    continue
-                digest, expected = inline_priced(
-                    make_engine(engine_cls, workers=workers), factory(),
-                    graph, seed)
-                assert batch_digest(result.batch) == digest, case
-                assert priced(result) == expected, case
-                for d in devices:
-                    multi = engine.run(factory(), graph,
-                                       num_samples=GOLDEN_SAMPLES,
-                                       seed=seed, num_devices=d)
-                    assert batch_digest(multi.batch) == digest, (case, d)
+                   else (1,))
+        for case in GOLDEN:
+            for d in devices:
+                holds(case, engine_cls, backend, workers, d,
+                      priced=d == 1)
 
     @pytest.mark.parametrize("engine_cls, devices",
                              [(NextDoorEngine, 3), (LargeGraphNextDoor, 2)])
     @pytest.mark.parametrize("case", ["deepwalk", "ppr", "khop_unique",
                                       "ladies"])
     def test_multi_device(self, engine_cls, devices, case):
-        factory, weighted, seed = GOLDEN_CASES[case]
-        graph = golden_graph(weighted)
-        result = make_engine(engine_cls).run(
-            factory(), graph, num_samples=GOLDEN_SAMPLES, seed=seed,
-            num_devices=devices)
-        assert result.devices_used == devices
-        digest, expected = inline_priced(make_engine(engine_cls), factory(),
-                                         graph, seed, num_devices=devices)
-        assert batch_digest(result.batch) == digest
-        assert priced(result) == expected
+        holds(case, engine_cls, devices=devices)
 
     def test_interrupted_then_rerun(self, set_chunk_pairs):
         """A run is recovered by running it again: the interrupted run
         leaves nothing on the engine that changes the next one."""
         set_chunk_pairs(8)
-        factory, weighted, seed = GOLDEN_CASES["deepwalk"]
-        graph = golden_graph(weighted)
-        engine = NextDoorEngine()
-        engine.fault_plan = FaultPlan.parse("chunk-error:2.0")
-        with pytest.raises(FaultInjected):
-            engine.run(factory(), graph, num_samples=GOLDEN_SAMPLES,
-                       seed=seed)
-        engine.fault_plan = None
-        rerun = engine.run(factory(), graph, num_samples=GOLDEN_SAMPLES,
-                           seed=seed)
-        digest, expected = inline_priced(NextDoorEngine(), factory(),
-                                         graph, seed)
-        assert batch_digest(rerun.batch) == digest
-        assert priced(rerun) == expected
+        holds("deepwalk", NextDoorEngine, disturbance="chunk-error")
 
 
 # ----------------------------------------------------------------------
@@ -215,24 +125,7 @@ class TestPricedAs:
         """``NextDoorEngine().run(...).priced_as(E, D)`` is ``E``'s own
         run at ``D`` devices in digest and every priced number, and an
         app ``E`` cannot express fails in both."""
-        factory, weighted, seed = GOLDEN_CASES[case]
-        graph = golden_graph(weighted)
-        run = NextDoorEngine().run(factory(), graph,
-                                   num_samples=GOLDEN_SAMPLES, seed=seed)
-        engine = make_engine(engine_cls)
-        try:
-            own = engine.run(factory(), graph, num_samples=GOLDEN_SAMPLES,
-                             seed=seed, num_devices=devices)
-        except ValueError:
-            assert engine_cls is repro.baselines.KnightKingEngine
-            with pytest.raises(ValueError, match="cannot express"):
-                run.priced_as(engine, devices)
-            return
-        view = run.priced_as(engine, devices)
-        assert (view.engine, view.devices_used) == (own.engine, devices)
-        assert view.batch is run.batch
-        assert batch_digest(own.batch) == batch_digest(run.batch)
-        assert priced(view) == priced(own), (engine_cls.__name__, case)
+        holds(case, engine_cls, devices=devices)
 
     def test_a_view_prices_once_and_leaves_the_run_alone(self, monkeypatch):
         engine = NextDoorEngine()

@@ -2,31 +2,30 @@
 
 The KernelBackend contract is that switching backends changes *speed
 only*: every app, engine, and worker count must produce the identical
-``SampleBatch`` (bitwise) and identical modeled charges, because the
-compiled kernels consume the chunked RNG plan in exactly the numpy
-draw order.  This file pins that contract:
+``SampleBatch`` (bitwise) and identical modeled charges.  The identity
+lattice (``repro.verify.identity``) states that once; here its oracle
+runs on:
 
 * every differential app × cnative × NextDoor (in-process)
 * a representative app subset × {SP, TP}
-* multi-chunk pooled runs at ``workers`` 1 and 2
-* the ``repro verify --suite native`` wiring
+* multi-chunk runs at ``workers`` 1 and 2
 
-Without a C toolchain the compiled parametrizations are empty and only
-the suite-registration test runs.
+and a toolchain that cannot build the library degrades once, to numpy's
+samples.  Without a C toolchain the compiled parametrizations are
+empty.
 """
 
 import dataclasses
-import hashlib
 import subprocess
 
-import numpy as np
 import pytest
 
-from repro.baselines import SampleParallelEngine, VanillaTPEngine
 from repro.core.engine import NextDoorEngine
 from repro.graph.generators import rmat_graph
 from repro.native.backend import available_backends, backend_scope
-from repro.verify.differential import DIFF_APPS, canonical_batch
+from repro.serve.protocol import batch_digest
+from repro.verify.differential import DIFF_APPS
+from repro.verify.identity import Cell, Workload, check_cell
 
 COMPILED = [b for b in available_backends() if b != "numpy"]
 
@@ -41,16 +40,22 @@ def _graph(weighted: bool):
     return _GRAPHS[weighted]
 
 
+def _holds(app_name, backend, weighted, engine="NextDoorEngine",
+           workers=0, graph=None, num_samples=32, seed=23):
+    """``app_name`` under ``backend`` as one lattice cell: the numpy
+    run's digest and every priced number."""
+    workload = Workload(DIFF_APPS[app_name],
+                        graph or (lambda: _graph(weighted)),
+                        num_samples, seed=seed)
+    cell = Cell(app_name, backend, workers, "direct", True, "none",
+                engine, 1)
+    assert check_cell(cell, {app_name: workload}) == [], cell
+
+
 def _snapshot(engine, app_name, weighted, num_samples=32, seed=23):
-    app = DIFF_APPS[app_name]()
-    result = engine.run(app, _graph(weighted),
+    result = engine.run(DIFF_APPS[app_name](), _graph(weighted),
                         num_samples=num_samples, seed=seed)
-    canon = canonical_batch(app, result.batch)
-    h = hashlib.sha256()
-    for key in sorted(canon):
-        h.update(key.encode())
-        h.update(np.ascontiguousarray(canon[key]).tobytes())
-    return h.hexdigest(), dataclasses.asdict(result.metrics)
+    return batch_digest(result.batch), dataclasses.asdict(result.metrics)
 
 
 @pytest.mark.parametrize("backend", COMPILED)
@@ -58,54 +63,30 @@ def _snapshot(engine, app_name, weighted, num_samples=32, seed=23):
 class TestNextDoorParity:
     def test_digest_and_charges_match_numpy(self, app_name, backend):
         for weighted in (False, True):
-            with backend_scope("numpy"):
-                expected = _snapshot(NextDoorEngine(), app_name,
-                                     weighted)
-            with backend_scope(backend):
-                actual = _snapshot(NextDoorEngine(), app_name, weighted)
-            assert actual == expected, \
-                f"{app_name} diverged on {backend} (weighted={weighted})"
+            _holds(app_name, backend, weighted)
 
 
 @pytest.mark.parametrize("backend", COMPILED)
-@pytest.mark.parametrize("engine_cls",
-                         [SampleParallelEngine, VanillaTPEngine])
+@pytest.mark.parametrize("engine_name",
+                         ["SampleParallelEngine", "VanillaTPEngine"])
 @pytest.mark.parametrize("app_name", ["DeepWalk", "k-hop", "LADIES"])
 class TestBaselineEngineParity:
-    def test_digest_and_charges_match_numpy(self, app_name, engine_cls,
+    def test_digest_and_charges_match_numpy(self, app_name, engine_name,
                                             backend):
-        weighted = app_name == "DeepWalk"
-        with backend_scope("numpy"):
-            expected = _snapshot(engine_cls(), app_name, weighted)
-        with backend_scope(backend):
-            actual = _snapshot(engine_cls(), app_name, weighted)
-        assert actual == expected
+        _holds(app_name, backend, app_name == "DeepWalk", engine_name)
 
 
 @pytest.mark.parametrize("backend", COMPILED)
 class TestPooledParity:
-    """Multi-chunk runs so pool workers really execute kernels: the
-    backend is inherited by every worker (broadcast in the run
-    message), and digests must match numpy at the same worker count."""
+    """Multi-chunk runs so chunk threads really execute kernels, at
+    the numpy serial run's digest and charges."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_deepwalk_multichunk(self, backend, workers):
         g = rmat_graph(1200, 7000, seed=9,
                        name="pool-rmat").with_random_weights(seed=9)
-        app = DIFF_APPS["DeepWalk"]
-
-        def run(name):
-            with backend_scope(name):
-                r = NextDoorEngine(workers=workers).run(
-                    app(), g, num_samples=5000, seed=31)
-            return ([a.copy() for a in r.batch.step_vertices],
-                    dataclasses.asdict(r.metrics))
-
-        base_steps, base_metrics = run("numpy")
-        steps, metrics = run(backend)
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(base_steps, steps))
-        assert metrics == base_metrics
+        _holds("DeepWalk", backend, True, workers=workers,
+               graph=lambda: g, num_samples=5000, seed=31)
 
 
 class TestBuildFailure:
@@ -159,21 +140,3 @@ class TestBuildFailure:
                                      True) == expected
                 assert active._failed is True
         assert len(caught) == 1 and counter.value == before + 1
-
-
-class TestVerifySuite:
-    def test_native_suite_registered(self):
-        from repro.verify.runner import SUITE_NAMES
-        assert "native" in SUITE_NAMES
-
-    def test_native_suite_passes_in_process(self):
-        from repro.verify.native import POOLED_CASES, _golden_checks
-        from repro.verify.runner import SUITE_INFO
-        for backend in COMPILED:
-            results = _golden_checks(backend, workers=None)
-            assert results and all(r.passed for r in results), \
-                [str(r) for r in results if not r.passed]
-            # `repro verify --list` declares what the suite runs: the
-            # golden re-checks plus each pooled case at workers 1 and 2.
-            assert SUITE_INFO["native"][0] == \
-                len(results) + 2 * len(POOLED_CASES)

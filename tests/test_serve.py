@@ -1,9 +1,10 @@
 """Sampling daemon (repro.serve): protocol, admission gate, cache,
-cancellation, client retry, and the HTTP server.
+cancellation, client retry, the HTTP server and its drain.
 
-The heavyweight end-to-end scenarios (worker kill under load, drain)
-live in ``repro verify --suite serve`` (repro/verify/serve.py); these
-tests pin the component contracts.
+That a served request gives the direct run's bits — plain, after a
+chunk error, after a mid-run cancel, on chunk threads, under each
+backend — is the identity lattice's (``repro verify --suite identity``,
+``tests/test_identity.py``); these tests pin the component contracts.
 """
 
 import base64
@@ -451,6 +452,13 @@ class TestRetryPolicy:
         assert not r.ok and r.digest is None
 
 
+def _direct_digest(app, samples, seed):
+    from repro.bench.runner import paper_app, paper_graph
+    return batch_digest(NextDoorEngine(workers=0).run(
+        paper_app(app), paper_graph("ppi", app, seed=seed),
+        num_samples=samples, seed=seed).batch)
+
+
 @pytest.fixture(scope="module")
 def server():
     config = ServerConfig(port=0, queue_capacity=4, executors=2,
@@ -466,7 +474,7 @@ def client(server):
 
 
 class TestServerHTTP:
-    def test_served_bits_match_direct(self, client):
+    def test_served_bits_match_direct(self, server, client):
         from repro.bench.runner import paper_app, paper_graph
         from repro.core.engine import NextDoorEngine
         r = client.sample(SampleRequest(app="k-hop", graph="ppi",
@@ -477,6 +485,20 @@ class TestServerHTTP:
             paper_app("k-hop"), graph, num_samples=48, seed=13)
         assert r.digest == batch_digest(direct.batch)
         assert np.array_equal(r.arrays["roots"], direct.batch.roots)
+        # Five concurrent identical requests: five engine runs, each
+        # the direct run's bits.
+        runs = get_metrics().counter("engine.runs")
+        before, outcomes = runs.value, []
+        threads = [threading.Thread(target=lambda: outcomes.append(
+            ServeClient(port=server.port).sample(SampleRequest(
+                app="k-hop", graph="ppi", samples=48, seed=13,
+                return_samples=False)))) for _ in range(5)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert [o.digest for o in outcomes] == [r.digest] * 5
+        assert runs.value - before == 5
 
     @pytest.mark.parametrize("app,samples", [("k-hop", 48), ("LADIES", 4)])
     def test_served_arrays_equal_direct_arrays(self, client, app, samples):
@@ -621,12 +643,22 @@ class TestServerHTTP:
                and time.monotonic() < deadline):
             time.sleep(0.01)
         assert server.admission.depth() == 4
-        rejected = client.sample(SampleRequest(
+        rejected = [client.sample(SampleRequest(
             app="k-hop", graph="ppi", samples=16, seed=50))
+            for _ in range(2)]
         for t in fillers:
             t.join()
-        assert rejected.status == "rejected"
-        assert rejected.response["retry_after_ms"] > 0
+        assert rejected[0].status == "rejected"
+        assert rejected[0].response["retry_after_ms"] > 0
+        # The same request, the same rejection; once there is room it
+        # is served with the direct run's bits.
+        assert [{k: v for k, v in r.response.items() if k != "request_id"}
+                for r in rejected] == [{k: v for k, v in
+                                        rejected[0].response.items()
+                                        if k != "request_id"}] * 2
+        after = client.sample(SampleRequest(
+            app="k-hop", graph="ppi", samples=16, seed=50))
+        assert after.ok and after.digest == _direct_digest("k-hop", 16, 50)
 
     def test_retry_policy_eventually_succeeds(self, server):
         # A 1-deep queue with a patient client: first attempts may be
@@ -770,6 +802,7 @@ class TestDrain:
         assert server.drain(timeout=10.0)
         t.join()
         assert done[0].status == "ok"
+        assert done[0].digest == _direct_digest("k-hop", 16, 1)
 
     def test_drain_flushes_stats(self, tmp_path):
         out = str(tmp_path / "stats.txt")

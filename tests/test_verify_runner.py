@@ -9,7 +9,7 @@ from repro.verify.result import CheckResult
 class TestSuiteSelection:
     def test_known_suite_names(self):
         assert SUITE_NAMES == ("stat", "diff", "golden", "fuzz",
-                               "chaos", "native", "serve")
+                               "identity")
 
     def test_unknown_suite_raises(self):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -22,18 +22,20 @@ class TestSuiteSelection:
         assert all(r.suite == "golden" for r in results)
 
     def test_a_count_off_its_declaration_fails(self, monkeypatch):
-        """A suite that ran another number of checks than
-        ``SUITE_INFO`` declares adds one failed check."""
-        from repro.verify import runner
-        one = CheckResult(name="only", suite="chaos", family="runtime",
+        """A suite that ran another number of checks than its case
+        tables hold (one that returned early) adds one failed check."""
+        from repro.verify import golden
+        one = CheckResult(name="only", suite="golden", family="fixture",
                           passed=True)
-        monkeypatch.setitem(runner.SUITES, "chaos", lambda w, s: [one])
-        results, ok = run_suites(["chaos"])
+        monkeypatch.setattr(golden, "run_golden_checks",
+                            lambda workers, seed: [one])
+        results, ok = run_suites(["golden"])
         assert not ok
         assert results[0] is one
         assert (results[1].name, results[1].passed) == \
             ("declared_check_count", False)
-        assert results[1].detail == "ran 1 checks, SUITE_INFO declares 2"
+        assert results[1].detail == \
+            "ran 1 checks, its case tables hold 10"
 
 
 class TestFormatReport:
